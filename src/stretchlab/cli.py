@@ -51,24 +51,12 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _threads() -> int:
-    raw = os.environ.get("STRETCHLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"STRETCHLAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("STRETCHLAB_THREADS must be >= 1")
-    return n
-
-
 def _report_skeleton(config: dict) -> dict:
     return {
         "version": __version__,
         "config_hash": _config_hash(config),
         "config": config,
         "tolerances": dict(DEFAULT_TOLERANCES),
-        "threads": _threads(),
     }
 
 
@@ -261,14 +249,13 @@ def cmd_solve(config: dict, outdir: str):
     opts = SolveOptions(
         tol=float(config.get("tol", 1e-7)),
         max_iter=int(config.get("max_iter", 6000)),
-        seed=int(config.get("seed", 0)),
     )
     ttype = target.get("type")
     if ttype == "cylinder":
         rig, stages = pharmonic.cylinder_continuation(
             float(target["a"]), float(target["b"]),
             n=int(config.get("n_segments", 64)),
-            schedule=schedule, opts=opts, seed=opts.seed,
+            schedule=schedule, opts=opts, seed=int(config.get("seed", 0)),
         )
         report["stages"] = stages
         report["final_stretch"] = stages[-1]["stretch"]
@@ -288,19 +275,19 @@ def cmd_solve(config: dict, outdir: str):
     done_stages = {}
     init = None
     if os.path.exists(ck_path):
-        ck = np.load(ck_path, allow_pickle=True)
-        if str(ck["config_hash"]) == report["config_hash"]:
-            for p in ck["stages"]:
-                done_stages[int(p)] = ck[f"class_points_p{int(p)}"]
+        with np.load(ck_path) as ck:
+            if str(ck["config_hash"]) == report["config_hash"]:
+                for p in ck["stages"]:
+                    done_stages[int(p)] = ck[f"class_points_p{int(p)}"]
 
     stage_rows = []
     failures = False
     u = None
     for p in schedule:
         if p in done_stages:
+            # a budget of 0 re-measures the tolerance test at the loaded point
             u = pharmonic.EquivariantMap(mesh, rho, done_stages[p])
             res = minimize(mesh, rho, p, init=u, opts=SolveOptions(tol=opts.tol, max_iter=0))
-            res.converged = True
         else:
             res = minimize(mesh, rho, p, init=u, opts=opts)
         u = res.map
@@ -322,12 +309,15 @@ def cmd_solve(config: dict, outdir: str):
         failures = failures or res.line_search_failure
         _write_stage_csv(outdir, res, mesh)
         done_stages[p] = res.map.class_points
+        # write then rename, so an interrupted run never leaves a torn checkpoint
+        tmp_path = os.path.join(outdir, "checkpoint.tmp.npz")
         np.savez(
-            ck_path,
+            tmp_path,
             config_hash=report["config_hash"],
             stages=np.array(sorted(done_stages)),
             **{f"class_points_p{q}": pts for q, pts in done_stages.items()},
         )
+        os.replace(tmp_path, ck_path)
 
     report["stages"] = stage_rows
     report["mesh_level"] = level

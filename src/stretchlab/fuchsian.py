@@ -236,11 +236,6 @@ def as_word(word) -> Word:
     raise WordError(f"cannot interpret {word!r} as a word")
 
 
-def evaluate(word, rep: SurfaceGroupRep) -> np.ndarray:
-    """Free-standing form of SurfaceGroupRep.evaluate."""
-    return rep.evaluate(word)
-
-
 # ---------------------------------------------------------------------------
 # octagon model
 # ---------------------------------------------------------------------------

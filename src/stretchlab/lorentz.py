@@ -70,8 +70,11 @@ def normalize_to_hyperboloid(X: np.ndarray) -> np.ndarray:
 
 
 def cross(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Lie-algebra-valued cross product X x Y = Y X# - X Y#."""
-    return np.outer(Y, E_SHARP @ X) - np.outer(X, E_SHARP @ Y)
+    """Lie-algebra-valued cross product X x Y = Y X# - X Y#.
+
+    Broadcasts over leading axes: (..., 3) vectors give (..., 3, 3) values.
+    """
+    return Y[..., :, None] * (X @ E_SHARP)[..., None, :] - X[..., :, None] * (Y @ E_SHARP)[..., None, :]
 
 
 def mink_cross_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -79,8 +82,9 @@ def mink_cross_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     For X on the hyperboloid and u tangent at X, mink_cross_vec(X, u) is u
     rotated by +90 degrees in T_X H (the positively oriented complement).
+    Broadcasts over leading axes.
     """
-    return E_SHARP @ np.cross(u, v)
+    return np.cross(u, v) @ E_SHARP
 
 
 def killing(A: np.ndarray, B: np.ndarray):

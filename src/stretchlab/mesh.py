@@ -34,8 +34,14 @@ class MeshError(ValueError):
 
 
 def _midpoint(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Exact geodesic midpoint: the normalized Euclidean average."""
-    return lorentz.normalize_to_hyperboloid(0.5 * (X + Y))
+    """Exact geodesic midpoint: the normalized Euclidean average.
+
+    Broadcasts over leading axes; the average of two points of the upper
+    sheet is always future timelike, so no sign or timelike check is needed.
+    """
+    M = 0.5 * (X + Y)
+    q = -(M[..., 0] * M[..., 0] + M[..., 1] * M[..., 1] - M[..., 2] * M[..., 2])
+    return M / np.sqrt(q)[..., None]
 
 
 def _triangle_angles(X1, X2, X3):
@@ -63,6 +69,8 @@ class FundamentalMesh:
     chord_areas: np.ndarray       # (nt,) embedded flat areas (first order)
     edges: np.ndarray             # (ne, 2) sorted vertex pairs
     edge_index: dict              # (i, j) i<j -> edge id
+    tri_edges: np.ndarray         # (nt, 3) edge ids of the corner-slot edges (i,j), (j,k), (k,i)
+    tri_edge_sign: np.ndarray     # (nt, 3) +1 where that directed edge has the canonical orientation
     tri_coords: np.ndarray        # (nt, 3, 2) corner coordinates in the domain chart
     tri_dxinv: np.ndarray         # (nt, 2, 2) inverse of the edge-coordinate matrix
     circumcenters: np.ndarray     # (nt, 3)
@@ -261,12 +269,12 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
         tri_dxinv[t] = np.linalg.inv(D)
 
     edge_index = {}
-    for (i, j, k) in triangles:
-        for a, b in ((i, j), (j, k), (k, i)):
-            key = (min(a, b), max(a, b))
-            if key not in edge_index:
-                edge_index[key] = len(edge_index)
+    tri_edges = np.empty((nt, 3), dtype=int)
+    for t, (i, j, k) in enumerate(triangles):
+        for s, (a, b) in enumerate(((i, j), (j, k), (k, i))):
+            tri_edges[t, s] = edge_index.setdefault((min(a, b), max(a, b)), len(edge_index))
     edges = np.array(sorted(edge_index, key=edge_index.get), dtype=int)
+    tri_edge_sign = np.where(triangles < np.roll(triangles, -1, axis=1), 1.0, -1.0)
 
     mesh = FundamentalMesh(
         rep=base,
@@ -283,6 +291,8 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
         chord_areas=chord_areas,
         edges=edges,
         edge_index=edge_index,
+        tri_edges=tri_edges,
+        tri_edge_sign=tri_edge_sign,
         tri_coords=tri_coords,
         tri_dxinv=tri_dxinv,
         circumcenters=circum,
@@ -324,6 +334,11 @@ class DiscreteOneForm:
         v = self.values[self.mesh.edge_index[key]]
         return v if i < j else -v
 
+    def tri_values(self) -> np.ndarray:
+        """(nt, 3, ...) values on each triangle's directed edges (i,j), (j,k), (k,i)."""
+        sign = self.mesh.tri_edge_sign.reshape(self.mesh.tri_edge_sign.shape + (1,) * (self.values.ndim - 1))
+        return sign * self.values[self.mesh.tri_edges]
+
     def __add__(self, other):
         return DiscreteOneForm(self.mesh, self.values + other.values, self.kind)
 
@@ -347,11 +362,8 @@ def form_from_edge_function(mesh: FundamentalMesh, fn, kind: str = "lie") -> Dis
 
 def maurer_cartan(mesh: FundamentalMesh) -> DiscreteOneForm:
     """First-order discrete dx cross x: edge value (head - tail) x midpoint."""
-    def fn(i, j):
-        m = _midpoint(mesh.vertices[i], mesh.vertices[j])
-        return cross(mesh.vertices[j] - mesh.vertices[i], m)
-
-    return form_from_edge_function(mesh, fn, kind="lie")
+    tail, head = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
+    return DiscreteOneForm(mesh, cross(head - tail, _midpoint(tail, head)), "lie")
 
 
 def closedness_residual(form: DiscreteOneForm) -> float:
@@ -362,49 +374,34 @@ def closedness_residual(form: DiscreteOneForm) -> float:
     O(h^2) for midpoint-sampled gradients, O(h) for the solver currents and
     O(1) for random data, with 0/0 treated as 0.
     """
-    mesh = form.mesh
-    worst = 0.0
-    for (i, j, k) in mesh.triangles:
-        loop = form.value(i, j) + form.value(j, k) + form.value(k, i)
-        m = (
-            np.linalg.norm(form.value(i, j))
-            + np.linalg.norm(form.value(j, k))
-            + np.linalg.norm(form.value(k, i))
-        )
-        if m > 0:
-            worst = max(worst, float(np.linalg.norm(loop)) / m)
-    return worst
+    vals = form.tri_values().reshape(form.mesh.n_triangles, 3, -1)
+    loop = np.linalg.norm(vals.sum(axis=1), axis=1)
+    mass = np.linalg.norm(vals, axis=2).sum(axis=1)
+    nonzero = mass > 0
+    return float((loop[nonzero] / mass[nonzero]).max(initial=0.0))
 
 
 def wedge_pair(phi: DiscreteOneForm, psi: DiscreteOneForm) -> float:
     """Discrete symplectic pairing (1/2) int phi wedge psi with Killing contraction."""
+    return 0.5 * float(_triangle_wedges(phi, psi).sum())
+
+
+def _triangle_wedges(phi: DiscreteOneForm, psi: DiscreteOneForm) -> np.ndarray:
+    """Whitney-form wedge of two edge cochains on every oriented triangle.
+
+    With edge slots 01, 12, 20 the wedge is the Killing contraction
+    (p01, q12 - q20) + (p12, q20 - q01) + (p20, q01 - q12), over 6.
+    """
     if phi.mesh is not psi.mesh:
-        raise MeshError("wedge_pair requires forms on the same mesh")
-    total = 0.0
-    for (i, j, k) in phi.mesh.triangles:
-        total += _triangle_wedge(phi, psi, i, j, k)
-    return 0.5 * total
-
-
-def _triangle_wedge(phi, psi, i, j, k) -> float:
-    """Whitney-form wedge of two edge cochains on one oriented triangle."""
-    def K(A, B):
-        return float(np.tensordot(A, B.T, axes=2))
-
-    p01, p12, p20 = phi.value(i, j), phi.value(j, k), phi.value(k, i)
-    q01, q12, q20 = psi.value(i, j), psi.value(j, k), psi.value(k, i)
-    return (
-        K(p01, q12 - q20) + K(p12, q20 - q01) + K(p20, q01 - q12)
-    ) / 6.0
+        raise MeshError("the wedge requires forms on the same mesh")
+    p, q = phi.tri_values(), psi.tri_values()
+    dq = np.roll(q, -1, axis=1) - np.roll(q, -2, axis=1)
+    return np.einsum("tsab,tsba->t", p, dq) / 6.0
 
 
 def triangle_wedge_density(phi: DiscreteOneForm, psi: DiscreteOneForm) -> np.ndarray:
     """Per-triangle *(phi wedge psi): the wedge integral divided by exact area."""
-    mesh = phi.mesh
-    out = np.empty(mesh.n_triangles)
-    for t, (i, j, k) in enumerate(mesh.triangles):
-        out[t] = _triangle_wedge(phi, psi, i, j, k) / mesh.areas[t]
-    return out
+    return _triangle_wedges(phi, psi) / phi.mesh.areas
 
 
 # ---------------------------------------------------------------------------

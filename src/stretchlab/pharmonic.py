@@ -8,14 +8,17 @@ projected barycenter), first-order consistent; TrQ(df)^p = s1^p + s2^p is
 evaluated as Tr((D^T D)^{p/2}) through the Newton power recurrence in
 (tr, det), which is polynomial for even p and keeps gradients smooth.
 
-The optimizer is projected gradient with Armijo backtracking on the product
-of hyperboloids (retraction: renormalize to the sheet; exact exponential step
+One descent loop, `_descend`, serves both the surface solver and the
+cylinder rig: projected gradient with Armijo backtracking on a product of
+hyperboloids (retraction: renormalize to the sheet; exact exponential step
 when the normalization would leave it), with a Barzilai-Borwein initial step.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id, assembled as
 per-edge forms by averaging adjacent triangle contributions (with Ad
-transport across the paired boundary).
+transport across the paired boundary).  `density_and_currents` is the one
+place that builds the per-triangle block (target frames, U, S_{p-1}, T_q);
+`relation_checks` reads it back from the result.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ class SolveOptions:
     step_cap: float = 1.0
     armijo_c1: float = 1e-4
     max_backtracks: int = 60
-    seed: int = 0
 
 
 @dataclass
@@ -88,6 +90,11 @@ class SolveResult:
     V_q: DiscreteOneForm | None = None
     W_q: DiscreteOneForm | None = None
     T_q: np.ndarray | None = None
+    # per-triangle block kept for relation_checks: the target barycenter u and
+    # the columns U e_a, S_{p-1} e_a pushed into R^{2,1} by the target frame
+    u_bar: np.ndarray | None = None   # (nt, 3)
+    U_amb: np.ndarray | None = None   # (nt, 2, 3)
+    S_amb: np.ndarray | None = None   # (nt, 2, 3)
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
     converged: bool = True
@@ -111,8 +118,6 @@ class SolveResult:
 
 class _Context:
     def __init__(self, mesh: FundamentalMesh, rho: SurfaceGroupRep):
-        self.mesh = mesh
-        self.rho = rho
         tri = mesh.triangles
         self.tri_class = mesh.vertex_class[tri]                    # (nt, 3)
         lifts = mesh.lift_matrices(rho)
@@ -208,8 +213,10 @@ def energy_Jp(u: EquivariantMap, p: int) -> float:
 
 
 def singular_values(u: EquivariantMap) -> tuple[np.ndarray, np.ndarray]:
-    ctx = _Context(u.mesh, u.rho)
-    m = _tri_metric(ctx, u.class_points)
+    return _singular_values(_tri_metric(_Context(u.mesh, u.rho), u.class_points))
+
+
+def _singular_values(m):
     t, d = m["t"], np.maximum(m["d"], 0.0)
     disc = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
     lam1 = 0.5 * (t + disc)
@@ -263,14 +270,10 @@ def _riemannian_grad(Z: np.ndarray, g_euclid: np.ndarray) -> np.ndarray:
     return R + dot[:, None] * Z
 
 
+# garbage trial steps (inf/NaN from an oversized Barzilai-Borwein guess)
+# produce non-finite energies and are rejected by the line search
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _retract(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
-    # garbage trial steps (inf/NaN from an oversized Barzilai-Borwein guess)
-    # produce non-finite energies and are rejected by the line search
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return _retract_impl(Z, step)
-
-
-def _retract_impl(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
     N = Z - step
     q = -(N[:, 0] ** 2 + N[:, 1] ** 2 - N[:, 2] ** 2)
     bad = ~(q >= 0.25)  # catches NaN/inf trial steps as well
@@ -289,32 +292,21 @@ def _retract_impl(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
     return N / np.sqrt(q)[:, None]
 
 
-def minimize(
-    mesh: FundamentalMesh,
-    rho: SurfaceGroupRep,
-    p: int,
-    init: EquivariantMap | None = None,
-    opts: SolveOptions | None = None,
-) -> SolveResult:
-    """Projected-gradient minimization of J_p over equivariant maps.
+def _descend(energy_grad, Z: np.ndarray, tau0, opts: SolveOptions):
+    """Projected gradient with a Barzilai-Borwein step and Armijo backtracking.
 
-    Energy never increases across accepted steps; returns the best iterate
-    with flags on line-search failure or hitting the iteration budget.
+    energy_grad(Z) returns (J, euclidean gradient, extra); tau0(extra) gives
+    the first trial step from the initial evaluation.  Energy never increases
+    across accepted steps.  The tolerance test runs at every iterate,
+    including the last one after the budget is spent, so a budget of 0
+    reports whether the start point is stationary.  Returns the last
+    iterate, its energy and extra, and the run statistics.
     """
-    _check_p(p)
-    opts = opts or SolveOptions()
-    u = init if init is not None else identity_map(mesh, rho)
-    ctx = _Context(mesh, rho)
-    Z = u.class_points.copy()
-
-    J, g_euc, m = _energy_and_grad(ctx, Z, p)
+    J, g_euc, extra = energy_grad(Z)
     G = _riemannian_grad(Z, g_euc)
     gnorm2 = float(np.einsum("ca,cb,ab->", G, G, E_SHARP))
     log = [J]
-    # initial step scaled down by the large-p conditioning s1^{p-2}
-    smax = float(np.sqrt(max(m["t"].max(), 1.0)))
-    tau = min(opts.step_cap, opts.step_cap / max(1.0, smax ** (p - 2)))
-    tau = max(tau, 1e-12)
+    tau = float(np.clip(tau0(extra), 1e-12, opts.step_cap))
 
     iterations = 0
     converged = False
@@ -322,11 +314,13 @@ def minimize(
     Z_prev = None
     G_prev = None
     resets = 0
-    for iterations in range(1, opts.max_iter + 1):
+    while True:
         if np.sqrt(gnorm2) <= opts.tol * max(1.0, J):
             converged = True
-            iterations -= 1
             break
+        if iterations >= opts.max_iter:
+            break
+        iterations += 1
         # Barzilai-Borwein initial step, Armijo safeguarded
         if Z_prev is not None:
             dZ = Z - Z_prev
@@ -338,7 +332,7 @@ def minimize(
         t_try = tau
         for _ in range(opts.max_backtracks):
             Z_new = _retract(Z, t_try * G)
-            J_new, g_new, m_new = _energy_and_grad(ctx, Z_new, p)
+            J_new, g_new, extra_new = energy_grad(Z_new)
             if J_new <= J - opts.armijo_c1 * t_try * gnorm2:
                 accepted = True
                 break
@@ -361,29 +355,54 @@ def minimize(
                 ls_failure = True
             break
         Z_prev, G_prev = Z, G
-        Z, J, g_euc, m = Z_new, J_new, g_new, m_new
+        Z, J, g_euc, extra = Z_new, J_new, g_new, extra_new
         G = _riemannian_grad(Z, g_euc)
         gnorm2 = float(np.einsum("ca,cb,ab->", G, G, E_SHARP))
         tau = t_try
         log.append(J)
 
-    u_out = EquivariantMap(mesh, rho, Z)
-    t, d = m["t"], np.maximum(m["d"], 0.0)
-    disc = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
-    s1 = np.sqrt(0.5 * (t + disc))
-    s2 = np.sqrt(np.maximum(0.5 * (t - disc), 0.0))
+    stats = {
+        "iterations": iterations,
+        "converged": converged,
+        "line_search_failure": ls_failure,
+        "grad_norm": float(np.sqrt(gnorm2)),
+        "energy_log": log,
+    }
+    return Z, J, extra, stats
+
+
+def minimize(
+    mesh: FundamentalMesh,
+    rho: SurfaceGroupRep,
+    p: int,
+    init: EquivariantMap | None = None,
+    opts: SolveOptions | None = None,
+) -> SolveResult:
+    """Projected-gradient minimization of J_p over equivariant maps.
+
+    Energy never increases across accepted steps; returns the best iterate
+    with flags on line-search failure or hitting the iteration budget.
+    """
+    _check_p(p)
+    opts = opts or SolveOptions()
+    u = init if init is not None else identity_map(mesh, rho)
+    ctx = _Context(mesh, rho)
+
+    def tau0(m):
+        # initial step scaled down by the large-p conditioning s1^{p-2}
+        smax = float(np.sqrt(max(m["t"].max(), 1.0)))
+        return opts.step_cap / max(1.0, smax ** (p - 2))
+
+    Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p), u.class_points.copy(), tau0, opts)
+    s1, s2 = _singular_values(m)
     return SolveResult(
-        map=u_out,
+        map=EquivariantMap(mesh, rho, Z),
         p=int(p),
         J_p=J,
         kappa_p=float(J ** (-1.0 / p)),
         s1=s1,
         s2=s2,
-        iterations=iterations,
-        converged=converged,
-        line_search_failure=ls_failure,
-        grad_norm=float(np.sqrt(gnorm2)),
-        energy_log=log,
+        **stats,
     )
 
 
@@ -442,41 +461,27 @@ def p_continuation(
 # densities, currents, identities
 # ---------------------------------------------------------------------------
 
-def _rot_minus90(v2):
-    """Rotate 2d coordinates by -90 degrees: (x, y) -> (y, -x)."""
-    return np.stack([v2[..., 1], -v2[..., 0]], axis=-1)
-
-
 def _target_frames(Yb, d2, d3):
+    """(nt, 2, 3) oriented orthonormal frame of T_u H along the first edge."""
     F1 = d2.copy()
     small = np.sqrt(np.abs(np.einsum("ta,ab,tb->t", F1, E_SHARP, F1))) < 1e-12
     F1[small] = d3[small]
     F1 = F1 / np.sqrt(np.einsum("ta,ab,tb->t", F1, E_SHARP, F1))[:, None]
-    F2 = np.stack([mink_cross_vec(Yb[t], F1[t]) for t in range(len(Yb))])
-    return F1, F2
+    return np.stack([F1, mink_cross_vec(Yb, F1)], axis=1)
 
 
 def density_and_currents(result: SolveResult) -> SolveResult:
     """Fill the kappa_p-normalized density, V_q, W_q, T_q and residuals."""
     mesh = result.map.mesh
-    rho = result.map.rho
     p = result.p
-    kappa = result.kappa_p
-    ctx = _Context(mesh, rho)
-    m = _tri_metric(ctx, result.map.class_points)
+    m = _tri_metric(_Context(mesh, result.map.rho), result.map.class_points)
 
     # target-frame differential D (2x2, domain chart -> target chart)
-    F1, F2 = _target_frames(m["Yb"], m["d2"], m["d3"])
-    dy = np.empty((mesh.n_triangles, 2, 2))
-    dy[:, 0, 0] = np.einsum("ta,ab,tb->t", F1, E_SHARP, m["d2"])
-    dy[:, 0, 1] = np.einsum("ta,ab,tb->t", F1, E_SHARP, m["d3"])
-    dy[:, 1, 0] = np.einsum("ta,ab,tb->t", F2, E_SHARP, m["d2"])
-    dy[:, 1, 1] = np.einsum("ta,ab,tb->t", F2, E_SHARP, m["d3"])
-    D = dy @ ctx.Ki
-    U = kappa * D                                                  # (nt, 2, 2)
+    F = _target_frames(m["Yb"], m["d2"], m["d3"])
+    dy = np.einsum("tia,ab,tjb->tij", F, E_SHARP, np.stack([m["d2"], m["d3"]], axis=1))
+    U = result.kappa_p * (dy @ mesh.tri_dxinv)                     # (nt, 2, 2)
 
-    UUt = U @ U.transpose(0, 2, 1)
-    evals, evecs = np.linalg.eigh(UUt)
+    evals, evecs = np.linalg.eigh(U @ U.transpose(0, 2, 1))
     evals = np.maximum(evals, 0.0)
     N = np.einsum(
         "tab,tb,tcb->tac", evecs, evals ** ((p - 2) // 2), evecs
@@ -487,10 +492,12 @@ def density_and_currents(result: SolveResult) -> SolveResult:
 
     result.density = density
     result.T_q = T
+    result.u_bar = m["Yb"]
+    result.U_amb = np.einsum("tia,tix->tax", U, F)
+    result.S_amb = np.einsum("tia,tix->tax", S, F)
     result.residuals["density_mass"] = float(np.dot(mesh.areas, density))
 
-    # per-edge assembly with boundary transport
-    V_vals, W_vals = _assemble_edge_currents(mesh, rho, m, S, T, F1, F2)
+    V_vals, W_vals = _assemble_edge_currents(result)
     result.V_q = DiscreteOneForm(mesh, V_vals, "lie")
     result.W_q = DiscreteOneForm(mesh, W_vals, "lie")
     result.residuals["V_closedness"] = closedness_residual(result.V_q)
@@ -498,75 +505,58 @@ def density_and_currents(result: SolveResult) -> SolveResult:
     return result
 
 
-def _assemble_edge_currents(mesh, rho, m, S, T, F1, F2):
+def _assemble_edge_currents(result: SolveResult):
     """Average per-triangle constant forms onto edges, transporting twins."""
-    nt = mesh.n_triangles
-    Yb, C = m["Yb"], mesh.circumcenters
-    E1, E2 = mesh.frames[:, 0], mesh.frames[:, 1]
+    mesh, rho = result.map.mesh, result.map.rho
+    # each triangle's edge vectors in canonical orientation (lower to higher
+    # vertex id), rotated by -90 degrees: (x, y) -> (y, -x)
+    xi = mesh.tri_edge_sign[..., None] * (np.roll(mesh.tri_coords, -1, axis=1) - mesh.tri_coords)
+    r = np.stack([xi[..., 1], -xi[..., 0]], axis=-1)               # (nt, 3, 2)
+    v3 = np.einsum("tsa,tax->tsx", r, result.S_amb)
+    w3 = np.einsum("tia,tsa,tix->tsx", result.T_q, r, mesh.frames)
+    contribs = (
+        (cross(v3, result.u_bar[:, None]), rho),
+        (cross(w3, mesh.circumcenters[:, None]), mesh.rep),
+    )
 
-    v_contrib = {}
-    w_contrib = {}
-    for t in range(nt):
-        i, j, k = mesh.triangles[t]
-        idx = {int(i): 0, int(j): 1, int(k): 2}
-        for a, b in ((i, j), (j, k), (k, i)):
-            a, b = int(a), int(b)
-            key = (min(a, b), max(a, b))
-            xi = mesh.tri_coords[t, idx[max(a, b)]] - mesh.tri_coords[t, idx[min(a, b)]]
-            r = _rot_minus90(xi)
-            sv = S[t] @ r
-            v3 = sv[0] * F1[t] + sv[1] * F2[t]
-            tv = T[t] @ r
-            w3 = tv[0] * E1[t] + tv[1] * E2[t]
-            v_contrib.setdefault(key, []).append(cross(v3, Yb[t]))
-            w_contrib.setdefault(key, []).append(cross(w3, C[t]))
-
-    # twin contributions across the paired boundary
-    edge_twin = _boundary_edge_twins(mesh)
-    g_rho = {k: rho.evaluate(mesh.pairing_words[k]) for k in range(4)}
-    g_sig = {k: mesh.rep.evaluate(mesh.pairing_words[k]) for k in range(4)}
-
-    ne = len(mesh.edges)
-    V_vals = np.zeros((ne, 3, 3))
-    W_vals = np.zeros((ne, 3, 3))
-    for key, e in mesh.edge_index.items():
-        vs, ws = list(v_contrib[key]), list(w_contrib[key])
-        if key in edge_twin:
-            tw_key, k, flip, invert = edge_twin[key]
-            s = -1.0 if flip else 1.0
-            gv = lorentz.group_inv(g_rho[k]) if invert else g_rho[k]
-            gs = lorentz.group_inv(g_sig[k]) if invert else g_sig[k]
-            vs += [s * (gv @ x @ lorentz.group_inv(gv)) for x in v_contrib[tw_key]]
-            ws += [s * (gs @ x @ lorentz.group_inv(gs)) for x in w_contrib[tw_key]]
-        V_vals[e] = np.mean(vs, axis=0)
-        W_vals[e] = np.mean(ws, axis=0)
-    return V_vals, W_vals
+    # every edge gets two contributions: its two triangles in the chart, or
+    # its one triangle and the transported twin across the paired boundary
+    twins = _boundary_edge_twins(mesh)
+    out = []
+    for contrib, rep in contribs:
+        own = np.zeros((len(mesh.edges), 3, 3))
+        np.add.at(own, mesh.tri_edges.ravel(), contrib.reshape(-1, 3, 3))
+        total = own.copy()
+        for k, (far, near, sign) in enumerate(twins):
+            # pulling the side-k value back to side k+4 uses Ad(x_k)^-1,
+            # pushing side k+4 to side k uses Ad(x_k)
+            g = rep.evaluate(mesh.pairing_words[k])
+            g_inv = lorentz.group_inv(g)
+            total[far] += sign[:, None, None] * (g_inv @ own[near] @ g)
+            total[near] += sign[:, None, None] * (g @ own[far] @ g_inv)
+        out.append(0.5 * total)
+    return out
 
 
 def _boundary_edge_twins(mesh):
-    """key -> (twin key, pairing index k, orientation flip flag).
+    """Per pairing k: (edge ids on side k+4, their twin ids on side k, signs).
 
-    For an edge on side k its twin lies on side k+4 (and vice versa); the
-    flip flag records whether the canonical orientations disagree under the
+    The sign is -1 where the canonical orientations disagree under the
     pairing map.
     """
     twin_vertex = {}
     for u, v, k in mesh.boundary_pairs:
         twin_vertex.setdefault(k, {})[u] = v  # side k+4 -> side k
-    out = {}
+    out = []
     for k in range(4):
         chain = mesh.side_chains[(k + 4) % 8]
+        far, near, sign = [], [], []
         for a, b in zip(chain, chain[1:]):
             ta, tb = twin_vertex[k][a], twin_vertex[k][b]
-            key = (min(a, b), max(a, b))       # edge on side k+4
-            tw_key = (min(ta, tb), max(ta, tb))  # its image on side k
-            # canonical (sorted) orientation of (a,b) maps to (ta,tb);
-            # flip if the sort order disagrees across the pairing
-            flip = ((a < b) and not (ta < tb)) or ((a > b) and not (ta > tb))
-            # pulling the side-k value back to side k+4 uses Ad(x_k)^-1,
-            # pushing side k+4 to side k uses Ad(x_k)
-            out[key] = (tw_key, k, flip, True)   # True: invert the pairing
-            out[tw_key] = (key, k, flip, False)
+            far.append(mesh.edge_index[(min(a, b), max(a, b))])
+            near.append(mesh.edge_index[(min(ta, tb), max(ta, tb))])
+            sign.append(1.0 if (a < b) == (ta < tb) else -1.0)
+        out.append((np.array(far), np.array(near), np.array(sign)))
     return out
 
 
@@ -584,50 +574,20 @@ def relation_checks(result: SolveResult) -> dict:
     if result.density is None:
         raise ValueError("run density_and_currents first")
     mesh = result.map.mesh
-    rho = result.map.rho
     p = result.p
-    ctx = _Context(mesh, rho)
-    m = _tri_metric(ctx, result.map.class_points)
-    kappa = result.kappa_p
 
-    F1, F2 = _target_frames(m["Yb"], m["d2"], m["d3"])
-    dy = np.empty((mesh.n_triangles, 2, 2))
-    dy[:, 0, 0] = np.einsum("ta,ab,tb->t", F1, E_SHARP, m["d2"])
-    dy[:, 0, 1] = np.einsum("ta,ab,tb->t", F1, E_SHARP, m["d3"])
-    dy[:, 1, 0] = np.einsum("ta,ab,tb->t", F2, E_SHARP, m["d2"])
-    dy[:, 1, 1] = np.einsum("ta,ab,tb->t", F2, E_SHARP, m["d3"])
-    U = kappa * (dy @ ctx.Ki)
-    UUt = U @ U.transpose(0, 2, 1)
-    evals, evecs = np.linalg.eigh(UUt)
-    evals = np.maximum(evals, 0.0)
-    N = np.einsum("tab,tb,tcb->tac", evecs, evals ** ((p - 2) // 2), evecs)
-    S = N @ U
+    # (a) pointwise algebra through the 3x3 cross/Killing machinery:
+    # V(xi) = S(rot_-90 xi) x u, so (*V)(e_a) = S(rot_-90 rot_-90 e_a) x u = -S e_a x u
+    starV = cross(-result.S_amb, result.u_bar[:, None])            # (nt, 2, 3, 3)
+    duxu = cross(result.U_amb, result.u_bar[:, None])
+    rhs = np.einsum("taij,tbji->tab", starV, duxu)
+    lhs = -2.0 * result.T_q
+    eye = np.eye(2)
 
-    # (a) pointwise algebra through the 3x3 cross/Killing machinery
-    e_units = np.eye(2)
-    max_exact = 0.0
-    max_tracefree = 0.0
-    literal_gap = 0.0
-    for t in range(mesh.n_triangles):
-        # V(xi) = S(rot_-90 xi) x u, so (*V)(e_a) = S(rot_-90 rot_-90 e_a) x u
-        starV = np.empty((2, 3, 3))
-        duxu = np.empty((2, 3, 3))
-        for a in range(2):
-            sv = S[t] @ _rot_minus90(_rot_minus90(e_units[a]))
-            starV[a] = cross(sv[0] * F1[t] + sv[1] * F2[t], m["Yb"][t])
-            uv = U[t] @ e_units[a]
-            duxu[a] = cross(uv[0] * F1[t] + uv[1] * F2[t], m["Yb"][t])
-        rhs = np.empty((2, 2))
-        for a in range(2):
-            for b in range(2):
-                rhs[a, b] = float(np.tensordot(starV[a], duxu[b].T, axes=2))
-        lhs = -2.0 * result.T_q[t]
-        dens = result.density[t]
-        exact = lhs - (rhs + (2.0 / p) * dens * np.eye(2))
-        max_exact = max(max_exact, float(np.abs(exact).max()))
-        tf = (lhs - np.trace(lhs) / 2.0 * np.eye(2)) - (rhs - np.trace(rhs) / 2.0 * np.eye(2))
-        max_tracefree = max(max_tracefree, float(np.abs(tf).max()))
-        literal_gap = max(literal_gap, float(np.abs(lhs - rhs).max()))
+    def tracefree(A):
+        return A - 0.5 * np.einsum("tii->t", A)[:, None, None] * eye
+
+    exact = lhs - (rhs + (2.0 / p) * result.density[:, None, None] * eye)
 
     # (b) discrete *(omega_mc wedge W) vs 2 |S|
     from .mesh import triangle_wedge_density
@@ -644,9 +604,9 @@ def relation_checks(result: SolveResult) -> dict:
     concentration = float(np.dot(mesh.areas[sel], result.density[sel]))
 
     report = {
-        "minus2T_exact_identity": max_exact,
-        "minus2T_tracefree_gap": max_tracefree,
-        "minus2T_literal_gap": literal_gap,
+        "minus2T_exact_identity": float(np.abs(exact).max()),
+        "minus2T_tracefree_gap": float(np.abs(tracefree(lhs) - tracefree(rhs)).max()),
+        "minus2T_literal_gap": float(np.abs(lhs - rhs).max()),
         "omega_wedge_W_l1_gap": l1_gap / max(l1_norm, 1e-300),
         "concentration_fraction": concentration,
     }
@@ -735,47 +695,16 @@ def _cylinder_energy_grad(rig: CylinderRig, p: int, pts):
 
 
 def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None):
-    """Shared projected-gradient loop on the rig's product of hyperboloids."""
+    """The shared projected-gradient descent on the rig's product of hyperboloids."""
     _check_p(p)
     opts = opts or SolveOptions()
-    Z = rig.points.copy()
-    J, g = _cylinder_energy_grad(rig, p, Z)
-    G = _riemannian_grad(Z, g)
-    gnorm2 = float(np.einsum("ca,cb,ab->", G, G, E_SHARP))
-    tau = 1e-2
-    Z_prev = G_prev = None
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        if np.sqrt(gnorm2) <= opts.tol * max(1.0, J):
-            converged = True
-            break
-        if Z_prev is not None:
-            dZ, dG = Z - Z_prev, G - G_prev
-            denom = float((dZ * dG).sum())
-            if denom > 1e-300:
-                tau = float(np.clip((dZ * dZ).sum() / denom, 1e-14, 1.0))
-        accepted = False
-        t_try = tau
-        for _ in range(opts.max_backtracks):
-            Z_new = _retract(Z, t_try * G)
-            J_new, g_new = _cylinder_energy_grad(rig, p, Z_new)
-            if J_new <= J - opts.armijo_c1 * t_try * gnorm2:
-                accepted = True
-                break
-            t_try *= 0.5
-        if not accepted:
-            # decrease below float resolution counts as stationary
-            converged = np.sqrt(gnorm2) <= 100.0 * opts.tol * max(1.0, J)
-            break
-        Z_prev, G_prev = Z, G
-        Z, J, g = Z_new, J_new, g_new
-        G = _riemannian_grad(Z, g)
-        gnorm2 = float(np.einsum("ca,cb,ab->", G, G, E_SHARP))
-        tau = t_try
+    Z, J, _, stats = _descend(
+        lambda Z: (*_cylinder_energy_grad(rig, p, Z), None), rig.points.copy(), lambda _: 1e-2, opts
+    )
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z)
     stretch = float((cylinder_energy(out, p) / rig.a_len) ** (1.0 / p))
-    return out, {"J_p": J, "stretch": stretch, "converged": converged, "iterations": it}
+    return out, {"J_p": J, "stretch": stretch,
+                 "converged": stats["converged"], "iterations": stats["iterations"]}
 
 
 def cylinder_continuation(a_len: float, b_len: float, n: int = 64,

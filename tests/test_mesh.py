@@ -15,6 +15,7 @@ from stretchlab.mesh import (
     form_from_edge_function,
     loop_integral,
     maurer_cartan,
+    triangle_wedge_density,
     wedge_pair,
 )
 
@@ -170,7 +171,7 @@ def test_wedge_against_quadrature_on_one_triangle(meshes):
     # constant ambient coordinate forms A dx, B dy: the simplicial wedge is
     # exact on each flat triangle, equal to (A,B)_K times the signed area of
     # the xy-projection (the analytic integral of dx wedge dy)
-    from stretchlab.mesh import _triangle_wedge
+    from stretchlab.mesh import _triangle_wedges
 
     A = lorentz.lie_from_frame_coords(1.0, 0.3, 0.0)
     B = lorentz.lie_from_frame_coords(0.4, 1.0, 0.5)
@@ -185,13 +186,30 @@ def test_wedge_against_quadrature_on_one_triangle(meshes):
         return form_from_edge_function(m, fn)
 
     phi, psi = coord_form(A, 0), coord_form(B, 1)
+    wedges = _triangle_wedges(phi, psi)
     for t in (0, 5, 17):
-        i, j, k = m.triangles[t]
-        P = m.vertices[[i, j, k]][:, :2]
+        P = m.vertices[m.triangles[t]][:, :2]
         d1, d2 = P[1] - P[0], P[2] - P[0]
         area_xy = 0.5 * float(d1[0] * d2[1] - d1[1] * d2[0])
-        got = _triangle_wedge(phi, psi, int(i), int(j), int(k))
-        assert got == pytest.approx(killing(A, B) * area_xy, rel=1e-12)
+        assert wedges[t] == pytest.approx(killing(A, B) * area_xy, rel=1e-12)
+
+
+def test_array_kernels_match_triangle_loops(meshes, rng):
+    # per-triangle loop references for the closedness residual and the wedge
+    m = meshes[2]
+    phi = DiscreteOneForm(m, np.array([lorentz.random_lie_alg(rng) for _ in m.edges]))
+    psi = DiscreteOneForm(m, np.array([lorentz.random_lie_alg(rng) for _ in m.edges]))
+    worst, wedges = 0.0, []
+    for i, j, k in m.triangles:
+        a = [phi.value(x, y) for x, y in ((i, j), (j, k), (k, i))]
+        b = [psi.value(x, y) for x, y in ((i, j), (j, k), (k, i))]
+        worst = max(worst, np.linalg.norm(a[0] + a[1] + a[2]) / sum(np.linalg.norm(v) for v in a))
+        wedges.append(sum(killing(a[s], b[(s + 1) % 3] - b[(s + 2) % 3]) for s in range(3)) / 6.0)
+    wedges = np.array(wedges)
+    dens = wedges / m.areas
+    assert closedness_residual(phi) == pytest.approx(worst, rel=1e-12)
+    np.testing.assert_allclose(triangle_wedge_density(phi, psi), dens, rtol=0, atol=1e-12 * np.abs(dens).max())
+    assert wedge_pair(phi, psi) == pytest.approx(0.5 * wedges.sum(), rel=1e-12)
 
 
 def test_loop_integral_zero_form(meshes):

@@ -50,6 +50,35 @@ def twist_solution(mesh2, rho_twist):
     return results
 
 
+# the reference twist at level 2 as the per-triangle loop implementation
+# solved it: (iterations, J_p, residuals) per p-stage
+PINNED_TWIST_STAGES = {
+    2: (66, 26.054221272616594, {
+        "V_closedness": 0.07930105024968703, "W_closedness": 0.4440266601259358,
+        "minus2T_literal_gap": 0.08401630656923408, "omega_wedge_W_l1_gap": 0.9975500262704594,
+        "concentration_fraction": 0.6931643490372991}),
+    4: (37, 28.053761387044776, {
+        "V_closedness": 0.11584811863662547, "W_closedness": 0.1693232499318837,
+        "minus2T_literal_gap": 0.04447313974156632, "omega_wedge_W_l1_gap": 0.4672240144676768,
+        "concentration_fraction": 0.7602196653850327}),
+    8: (37, 35.80062069337947, {
+        "V_closedness": 0.16637372464725703, "W_closedness": 0.1801672821341833,
+        "minus2T_literal_gap": 0.025892179462922528, "omega_wedge_W_l1_gap": 0.21851652749798847,
+        "concentration_fraction": 0.9526514722817696}),
+}
+
+
+def test_twist_solution_is_pinned(twist_solution):
+    # the shared descent loop takes the same steps; the array current kernel
+    # matches the loops to rounding
+    for res in twist_solution:
+        iterations, J_p, residuals = PINNED_TWIST_STAGES[res.p]
+        assert res.iterations == iterations
+        assert res.J_p == pytest.approx(J_p, rel=1e-12)
+        for name, value in residuals.items():
+            assert res.residuals[name] == pytest.approx(value, rel=1e-9)
+
+
 def test_p_must_be_even_integer(mesh2, octagon):
     u = identity_map(mesh2, octagon)
     for bad in (3, 2.5, 1, 0):
