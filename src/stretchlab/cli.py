@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -86,6 +87,13 @@ def _multicurve(rep, data) -> WeightedMulticurve:
         raise ConfigError(f"bad multicurve: {exc}")
 
 
+def _max_word_len(config: dict) -> int:
+    value = config.get("max_word_len", 6)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"max_word_len must be a positive integer, got {value!r}")
+    return value
+
+
 def _write_json(outdir, name, data):
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
@@ -137,7 +145,7 @@ def cmd_kbound(config: dict, outdir: str):
     report = _report_skeleton(config)
     sigma = _build_rep(config.get("rep"))
     rho = _build_rep(config.get("target"))
-    max_len = int(config.get("max_word_len", 6))
+    max_len = _max_word_len(config)
     words = fuchsian.enumerate_words(max_len)
     klb = fuchsian.k_lower_bound(words, sigma, rho)
     report["k_lower_bound"] = float(klb)
@@ -264,6 +272,7 @@ def cmd_solve(config: dict, outdir: str):
         return report, code
     if ttype not in ("identity", "twist"):
         raise ConfigError(f"unknown solve target type {ttype!r}")
+    max_len = _max_word_len(config) if ttype == "twist" else None
 
     sigma = octagon_representation()
     rho = sigma if ttype == "identity" else _build_rep({"twist": target})
@@ -275,10 +284,13 @@ def cmd_solve(config: dict, outdir: str):
     done_stages = {}
     init = None
     if os.path.exists(ck_path):
-        with np.load(ck_path) as ck:
-            if str(ck["config_hash"]) == report["config_hash"]:
-                for p in ck["stages"]:
-                    done_stages[int(p)] = ck[f"class_points_p{int(p)}"]
+        try:
+            with np.load(ck_path) as ck:
+                if str(ck["config_hash"]) == report["config_hash"]:
+                    for p in ck["stages"]:
+                        done_stages[int(p)] = ck[f"class_points_p{int(p)}"]
+        except (zipfile.BadZipFile, EOFError, OSError, KeyError, ValueError) as exc:
+            raise ConfigError(f"unreadable checkpoint {ck_path}: {exc!r}")
 
     stage_rows = []
     failures = False
@@ -329,7 +341,7 @@ def cmd_solve(config: dict, outdir: str):
         )
     )
     if ttype == "twist":
-        words = fuchsian.enumerate_words(int(config.get("max_word_len", 6)))
+        words = fuchsian.enumerate_words(max_len)
         report["k_lower_bound"] = float(fuchsian.k_lower_bound(words, sigma, rho))
     _write_json(outdir, "solve_summary.json", report)
     return report, EXIT_NUMERIC if failures else EXIT_OK

@@ -17,6 +17,13 @@ short words of systole trace; they form a homology basis, hence generate the
 whole group).  Generator matrices are computed once at 50-digit precision and
 rounded, and words are evaluated with extended-precision accumulation so that
 the relator residual sits at ~1e-12, well below the 1e-9 invariant.
+
+The word search behind the lower bound for K works on letter codes:
+code = 2 * generator + (exponent < 0), in the order a1, a1^-1, b1, b1^-1,
+a2, a2^-1, b2, b2^-1, so the inverse of a code is code ^ 1.  Enumeration
+extends all words of one length at a time and tests cyclic reduction on
+arrays of first and last codes; k_lower_bound evaluates all words of one
+length with one batched matmul per letter position.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -70,6 +78,13 @@ class Word:
 
     def __init__(self, letters=()):
         self.letters = _free_reduce(tuple(letters))
+
+    @classmethod
+    def _reduced(cls, letters: tuple) -> "Word":
+        """A word from a tuple of letters that is already freely reduced."""
+        w = cls.__new__(cls)
+        w.letters = letters
+        return w
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -134,6 +149,13 @@ def _free_reduce(letters):
 
 
 RELATOR = Word.parse("a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1")
+
+# letter codes (see the module docstring): _LETTERS[code] is the letter
+_LETTERS = tuple((n, e) for n in GENERATOR_NAMES for e in (1, -1))
+_CODES = {letter: code for code, letter in enumerate(_LETTERS)}
+# _NEXT[c]: the seven codes that may follow c in a freely reduced word
+_NEXT = np.array([[d for d in range(8) if d != c ^ 1] for c in range(8)], dtype=np.int8)
+_NEXT_LETTERS = [tuple((_LETTERS[d],) for d in row) for row in _NEXT]
 
 
 @dataclass
@@ -369,62 +391,73 @@ def stretch_ratio(word, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
 
 
 def enumerate_words(max_len: int, cyclically_reduced: bool = True) -> list:
-    """Freely (and optionally cyclically) reduced nonempty words up to max_len."""
+    """Freely (and optionally cyclically) reduced nonempty words up to max_len.
+
+    The words come length by length; within one length they are in
+    lexicographic order of their letter codes (a1 < a1^-1 < b1 < ... < b2^-1).
+    Each length extends every word of the previous one by the seven letters
+    that do not cancel its last letter.  A word is cyclically reduced when
+    its first code is not the inverse of its last, so only those two codes
+    are kept as arrays.
+    """
     out = []
-    letters = [(n, e) for n in GENERATOR_NAMES for e in (1, -1)]
-
-    def rec(seq):
-        if seq:
-            w = Word(seq)
-            if not cyclically_reduced or len(w.cyclically_reduced()) == len(w):
-                out.append(w)
-        if len(seq) == max_len:
-            return
-        for n, e in letters:
-            if seq and seq[-1][0] == n and seq[-1][1] == -e:
-                continue
-            rec(seq + [(n, e)])
-
-    rec([])
+    spelled = [(x,) for x in _LETTERS]
+    first = last = np.arange(8, dtype=np.int8)
+    for length in range(1, max_len + 1):
+        if length > 1:
+            spelled = [w + x for w, c in zip(spelled, last.tolist()) for x in _NEXT_LETTERS[c]]
+            first, last = np.repeat(first, 7), _NEXT[last].ravel()
+        kept = compress(spelled, (first != last ^ 1).tolist()) if cyclically_reduced else spelled
+        out.extend(map(Word._reduced, kept))
     return out
+
+
+def _letter_table(rep: SurfaceGroupRep) -> np.ndarray:
+    """(8, 3, 3) float64 images of the letters, indexed by letter code."""
+    return np.array([rep.generator(n) if e > 0 else group_inv(rep.generator(n)) for n, e in _LETTERS])
+
+
+def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Traces of the products of table[codes[i]], multiplied left to right."""
+    n, length = codes.shape
+    if length == 0:
+        return np.full(n, 3.0)
+    m = table[codes[:, 0]]
+    for j in range(1, length):
+        m = m @ table[codes[:, j]]
+    return m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
 
 
 def k_lower_bound(words, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
     """max over the word list of l_rho/l_sigma (a certified lower bound for K).
 
-    Words that are not hyperbolic in either rep are skipped with a warning.
-    Conjugates are deduplicated through their (trace_sigma, trace_rho) pair,
-    which determines the ratio.
+    Words are evaluated in float64 (traces only need ~1e-9 accuracy here),
+    all words of one length at a time, with one batched matmul per letter
+    position in each rep.  Conjugates are not merged.  Words that are not
+    hyperbolic in either rep are skipped; the warning counts the distinct
+    skipped (trace_sigma, trace_rho) pairs, rounded to 9 decimals.
     """
-    # incremental evaluation in float64; traces only need ~1e-9 accuracy here
-    sig = {n: sigma.generator(n) for n in GENERATOR_NAMES}
-    rh = {n: rho.generator(n) for n in GENERATOR_NAMES}
-    for n in GENERATOR_NAMES:
-        sig[(n, -1)] = group_inv(sig[n])
-        rh[(n, -1)] = group_inv(rh[n])
+    letters = [as_word(w).letters for w in words]
+    lengths = np.fromiter(map(len, letters), dtype=np.intp, count=len(letters))
+    flat = np.fromiter(
+        map(_CODES.__getitem__, chain.from_iterable(letters)), dtype=np.int8, count=int(lengths.sum())
+    )
+    starts = np.cumsum(lengths) - lengths
+    tables = _letter_table(sigma), _letter_table(rho)
+    threshold = 1.0 + HYPERBOLIC_TRACE_TOL / 2.0
 
     best = 0.0
-    seen = set()
-    skipped = 0
-    for w in words:
-        w = as_word(w)
-        ms = np.eye(3)
-        mr = np.eye(3)
-        for n, e in w.letters:
-            ms = ms @ (sig[n] if e > 0 else sig[(n, -1)])
-            mr = mr @ (rh[n] if e > 0 else rh[(n, -1)])
-        key = (round(float(np.trace(ms)), 9), round(float(np.trace(mr)), 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            r = translation_length(mr) / translation_length(ms)
-        except NonHyperbolicError:
-            skipped += 1
-            continue
-        best = max(best, r)
+    skipped = set()
+    for length in np.unique(lengths).tolist():
+        codes = flat[starts[lengths == length][:, None] + np.arange(length)]
+        tr_s, tr_r = (_traces(table, codes) for table in tables)
+        c_s, c_r = (tr_s - 1.0) / 2.0, (tr_r - 1.0) / 2.0
+        ok = (c_s > threshold) & (c_r > threshold)
+        if ok.any():
+            best = max(best, float(np.max(np.arccosh(c_r[ok]) / np.arccosh(c_s[ok]))))
+        skipped.update((round(a, 9), round(b, 9)) for a, b in zip(tr_s[~ok].tolist(), tr_r[~ok].tolist()))
     if skipped:
-        warnings.warn(f"k_lower_bound skipped {skipped} non-hyperbolic words")
+        warnings.warn(f"k_lower_bound skipped {len(skipped)} non-hyperbolic words")
     return best
 
 

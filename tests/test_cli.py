@@ -87,6 +87,10 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["rep", "--config", str(bad), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    for max_len in (0, 2.5, "6"):
+        assert run(tmp_path, "kbound", {"max_word_len": max_len}) == cli.EXIT_CONFIG
+        twist_cfg = {"target": {"type": "twist", "curve": "a1", "t": 0.5}, "max_word_len": max_len}
+        assert run(tmp_path, "solve", twist_cfg) == cli.EXIT_CONFIG
 
 
 def test_solve_cylinder(tmp_path):
@@ -122,6 +126,24 @@ def test_solve_twist_with_resume_and_report(tmp_path):
     assert run(tmp_path, "report", {"dir": str(tmp_path / "out")}) == 0
     agg = read_report(tmp_path, "report.json")
     assert "solve_summary.json" in agg["collected"]
+
+
+def test_solve_unreadable_checkpoint_is_config_error(tmp_path, capsys):
+    cfg = {
+        "target": {"type": "twist", "curve": "a1", "t": 0.5},
+        "mesh_level": 1,
+        "p_schedule": [2],
+        "max_iter": 5,
+        "max_word_len": 2,
+    }
+    assert run(tmp_path, "solve", cfg) == 0
+    ck = tmp_path / "out" / "checkpoint.npz"
+    data = ck.read_bytes()
+    ck.write_bytes(data[: len(data) // 2])
+    capsys.readouterr()
+    assert run(tmp_path, "solve", cfg) == cli.EXIT_CONFIG
+    assert f"config error: unreadable checkpoint {ck}" in capsys.readouterr().err
+    assert ck.read_bytes() == data[: len(data) // 2]
 
 
 def test_solve_rejects_unknown_target(tmp_path):

@@ -1,7 +1,11 @@
 import json
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stretchlab import fuchsian, lorentz
 from stretchlab.fuchsian import (
@@ -18,6 +22,53 @@ from stretchlab.fuchsian import (
 )
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.lorentz import B_STD, exp_so21, group_inv, killing
+
+LETTERS = [(n, e) for n in fuchsian.GENERATOR_NAMES for e in (1, -1)]
+
+
+def enumerate_words_oracle(max_len, cyclically_reduced=True):
+    """Depth-first enumeration of reduced words, one Word at a time."""
+    out = []
+
+    def rec(seq):
+        if seq:
+            w = Word(seq)
+            if not cyclically_reduced or len(w.cyclically_reduced()) == len(w):
+                out.append(w)
+        if len(seq) == max_len:
+            return
+        for n, e in LETTERS:
+            if seq and seq[-1][0] == n and seq[-1][1] == -e:
+                continue
+            rec(seq + [(n, e)])
+
+    rec([])
+    return out
+
+
+def k_lower_bound_oracle(words, sigma, rho):
+    """Largest l_rho/l_sigma, each word multiplied out on its own in float64.
+
+    Every word counts: conjugates agree only to the float64 noise of their
+    products (~1e-11 relative for length-6 commutator words), so keeping one
+    word per rounded (trace_sigma, trace_rho) pair would move the max.
+    """
+    sig = {(n, 1): sigma.generator(n) for n in fuchsian.GENERATOR_NAMES}
+    rh = {(n, 1): rho.generator(n) for n in fuchsian.GENERATOR_NAMES}
+    for n in fuchsian.GENERATOR_NAMES:
+        sig[(n, -1)] = group_inv(sig[(n, 1)])
+        rh[(n, -1)] = group_inv(rh[(n, 1)])
+    best = 0.0
+    for w in words:
+        ms, mr = np.eye(3), np.eye(3)
+        for letter in fuchsian.as_word(w).letters:
+            ms = ms @ sig[letter]
+            mr = mr @ rh[letter]
+        try:
+            best = max(best, translation_length(mr) / translation_length(ms))
+        except NonHyperbolicError:
+            pass
+    return best
 
 
 def test_word_parse_and_reduce():
@@ -152,6 +203,56 @@ def test_enumerate_words_counts():
     # length 3: freely reduced 8*7*7, minus the 8*6 with last = first^-1
     w3 = [w for w in enumerate_words(3) if len(w) == 3]
     assert len(w3) == 8 * 7 * 7 - 8 * 6
+    for max_len in range(1, 6):
+        for cyclic in (True, False):
+            got = enumerate_words(max_len, cyclically_reduced=cyclic)
+            want = enumerate_words_oracle(max_len, cyclically_reduced=cyclic)
+            assert len(got) == len(set(got))
+            # depth-first order restricted to one length is lexicographic
+            assert got == sorted(want, key=len)
+    assert len(enumerate_words(0)) == 0
+
+
+@pytest.mark.parametrize("curve", fuchsian.GENERATOR_NAMES)
+def test_k_lower_bound_matches_word_loop(octagon, curve):
+    rho = twist(octagon, TwistSpec(curve, 0.5))
+    words = enumerate_words(5)
+    assert k_lower_bound(words, octagon, rho) == pytest.approx(
+        k_lower_bound_oracle(words, octagon, rho), rel=1e-12, abs=0
+    )
+    # one word at a time: the max over a list closed under reversal would
+    # not see a product taken right to left
+    for w in words[-40::7]:
+        assert k_lower_bound([w], octagon, rho) == pytest.approx(
+            k_lower_bound_oracle([w], octagon, rho), rel=1e-12, abs=0
+        )
+
+
+def test_k_lower_bound_skips_non_hyperbolic(octagon):
+    rho = twist(octagon, TwistSpec("a1", 0.5))
+    with pytest.warns(UserWarning, match="skipped 1 non-hyperbolic"):
+        klb = k_lower_bound([Word(), "b1", Word()], octagon, rho)
+    assert klb == stretch_ratio("b1", octagon, rho)
+    with pytest.warns(UserWarning, match="skipped 1 non-hyperbolic"):
+        assert k_lower_bound([Word()], octagon, rho) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert k_lower_bound([], octagon, rho) == 0.0
+
+
+@lru_cache(maxsize=1)
+def _words_up_to_4():
+    return frozenset(enumerate_words(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS), max_size=5))
+def test_word_reduction_properties(seq):
+    w = Word(seq)
+    assert all(a[0] != b[0] or a[1] != -b[1] for a, b in zip(w.letters, w.letters[1:]))
+    assert w * w.inverse() == Word()
+    if 0 < len(w) <= 4 and len(w.cyclically_reduced()) == len(w):
+        assert w in _words_up_to_4()
 
 
 def test_rep_json_round_trip(octagon, tmp_path):
