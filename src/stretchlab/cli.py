@@ -315,6 +315,7 @@ def cmd_solve(config: dict, outdir: str):
                 "converged": bool(res.converged),
                 "line_search_failure": bool(res.line_search_failure),
                 "grad_norm": res.grad_norm,
+                "energy_evals": res.energy_evals, "grad_evals": res.grad_evals,
                 "residuals": {k: float(v) for k, v in res.residuals.items()},
             }
         )

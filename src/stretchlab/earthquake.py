@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import Cocycle, differentiate_family, evaluate_cocycle
+from .cocycle import Cocycle, evaluate_cocycle
 from .fuchsian import GENERATOR_NAMES, SurfaceGroupRep, axis_generator, translation_length
 from .lamination import WeightedMulticurve, length
 from .lorentz import exp_so21, group_inv, killing
@@ -130,11 +130,6 @@ def duality_check(
         rel_err=_rel_err(lhs, rhs),
         config={"curve": curve, "weight": weight, "step": step, "mc": mc.to_json()},
     )
-
-
-def finite_difference_cocycle(rep: SurfaceGroupRep, curve: str, weight: float = 1.0, step: float = FD_STEP) -> Cocycle:
-    """differentiate_family applied to the exact twist family (test oracle)."""
-    return differentiate_family(lambda t: twist(rep, TwistSpec(curve, weight * t)), rep, step)
 
 
 def wolpert_reciprocity(rep: SurfaceGroupRep, curve1: str, curve2: str, step: float = FD_STEP) -> DualityReport:

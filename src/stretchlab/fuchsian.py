@@ -429,11 +429,12 @@ def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def k_lower_bound(words, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
-    """max over the word list of l_rho/l_sigma (a certified lower bound for K).
+    """max over the word list of l_rho/l_sigma: a lower bound for K up to rounding.
 
-    Words are evaluated in float64 (traces only need ~1e-9 accuracy here),
-    all words of one length at a time, with one batched matmul per letter
-    position in each rep.  Conjugates are not merged.  Words that are not
+    Words are evaluated in float64, all words of one length at a time, with
+    one batched matmul per letter position in each rep.  Conjugates are not
+    merged; their ratios differ by float64 noise (~1e-11 relative at length
+    6), so the max can sit that far above the true ratio.  Words that are not
     hyperbolic in either rep are skipped; the warning counts the distinct
     skipped (trace_sigma, trace_rho) pairs, rounded to 9 decimals.
     """

@@ -165,16 +165,6 @@ def exp_so21(A: np.ndarray) -> np.ndarray:
     return np.eye(3, dtype=A.dtype) + f1 * A + f2 * A2
 
 
-def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
-    """Plain power-series exponential; independent oracle for tests."""
-    out = np.eye(3)
-    term = np.eye(3)
-    for n in range(1, terms + 1):
-        term = term @ A / n
-        out = out + term
-    return out
-
-
 def log_so21(g: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Inverse of exp_so21 on SO+(2,1).
 

@@ -12,6 +12,8 @@ One descent loop, `_descend`, serves both the surface solver and the
 cylinder rig: projected gradient with Armijo backtracking on a product of
 hyperboloids (retraction: renormalize to the sheet; exact exponential step
 when the normalization would leave it), with a Barzilai-Borwein initial step.
+Armijo trials evaluate the energy alone; the gradient is built once per
+accepted step, from the intermediates that the accepted trial returned.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id, assembled as
@@ -100,6 +102,8 @@ class SolveResult:
     converged: bool = True
     line_search_failure: bool = False
     grad_norm: float = float("nan")
+    energy_evals: int = 0
+    grad_evals: int = 0
     energy_log: list = field(default_factory=list)
 
     @property
@@ -224,11 +228,17 @@ def _singular_values(m):
     return np.sqrt(lam1), np.sqrt(lam2)
 
 
-def _energy_and_grad(ctx: _Context, Z: np.ndarray, p: int):
+def _energy_and_grad(ctx: _Context, Z: np.ndarray, p: int, want_grad=True):
+    """(J_p, Euclidean gradient, intermediates m) at Z, or (J_p, m) without
+    want_grad; `_grad_from_metric(ctx, m, p)` builds the same gradient later."""
     m = _tri_metric(ctx, Z)
-    e, du, dv = _newton_power(m["t"], m["d"], p // 2, want_grads=True)
-    J = float(np.dot(ctx.areas, e))
+    J = float(np.dot(ctx.areas, _newton_power(m["t"], m["d"], p // 2)))
+    return (J, _grad_from_metric(ctx, m, p), m) if want_grad else (J, m)
 
+
+def _grad_from_metric(ctx: _Context, m: dict, p: int) -> np.ndarray:
+    """Euclidean gradient of J_p per class point, from _tri_metric's output."""
+    _, du, dv = _newton_power(m["t"], m["d"], p // 2, want_grads=True)
     M = m["M"]
     adjM = np.empty_like(M)
     adjM[:, 0, 0] = M[:, 1, 1]
@@ -258,10 +268,10 @@ def _energy_and_grad(ctx: _Context, Z: np.ndarray, p: int):
     gS = (gYb + (E_SHARP @ Yb.T).T * np.einsum("ta,ta->t", Yb, gYb)[:, None]) / nu[:, None]
     gY = gY + gS[:, None, :] / 3.0
 
-    g_chart = np.einsum("tcab,tca->tcb", ctx.lift, gY)             # lift^T applied
-    g_class = np.zeros((ctx.nc, 3))
-    np.add.at(g_class, ctx.tri_class.ravel(), g_chart.reshape(-1, 3))
-    return J, g_class, m
+    g_chart = np.einsum("tcab,tca->tcb", ctx.lift, gY).reshape(-1, 3)  # lift^T applied
+    # one bincount per coordinate, summing each class's corners in array order
+    idx = ctx.tri_class.ravel()
+    return np.stack([np.bincount(idx, weights=w, minlength=ctx.nc) for w in g_chart.T], axis=1)
 
 
 def _riemannian_grad(Z: np.ndarray, g_euclid: np.ndarray) -> np.ndarray:
@@ -292,18 +302,21 @@ def _retract(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
     return N / np.sqrt(q)[:, None]
 
 
-def _descend(energy_grad, Z: np.ndarray, tau0, opts: SolveOptions):
+def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
     """Projected gradient with a Barzilai-Borwein step and Armijo backtracking.
 
-    energy_grad(Z) returns (J, euclidean gradient, extra); tau0(extra) gives
-    the first trial step from the initial evaluation.  Energy never increases
+    energy(Z) returns (J, extra) without a gradient, so an Armijo trial
+    costs one energy evaluation; grad(extra) builds the Euclidean gradient
+    once per iterate, from the extra of the start point or of the accepted
+    trial.  tau0(extra) gives the first trial step.  Energy never increases
     across accepted steps.  The tolerance test runs at every iterate,
     including the last one after the budget is spent, so a budget of 0
     reports whether the start point is stationary.  Returns the last
     iterate, its energy and extra, and the run statistics.
     """
-    J, g_euc, extra = energy_grad(Z)
-    G = _riemannian_grad(Z, g_euc)
+    J, extra = energy(Z)
+    G = _riemannian_grad(Z, grad(extra))
+    energy_evals = grad_evals = 1
     gnorm2 = float(np.einsum("ca,cb,ab->", G, G, E_SHARP))
     log = [J]
     tau = float(np.clip(tau0(extra), 1e-12, opts.step_cap))
@@ -332,7 +345,8 @@ def _descend(energy_grad, Z: np.ndarray, tau0, opts: SolveOptions):
         t_try = tau
         for _ in range(opts.max_backtracks):
             Z_new = _retract(Z, t_try * G)
-            J_new, g_new, extra_new = energy_grad(Z_new)
+            J_new, extra_new = energy(Z_new)
+            energy_evals += 1
             if J_new <= J - opts.armijo_c1 * t_try * gnorm2:
                 accepted = True
                 break
@@ -355,8 +369,9 @@ def _descend(energy_grad, Z: np.ndarray, tau0, opts: SolveOptions):
                 ls_failure = True
             break
         Z_prev, G_prev = Z, G
-        Z, J, g_euc, extra = Z_new, J_new, g_new, extra_new
-        G = _riemannian_grad(Z, g_euc)
+        Z, J, extra = Z_new, J_new, extra_new
+        G = _riemannian_grad(Z, grad(extra))
+        grad_evals += 1
         gnorm2 = float(np.einsum("ca,cb,ab->", G, G, E_SHARP))
         tau = t_try
         log.append(J)
@@ -366,6 +381,8 @@ def _descend(energy_grad, Z: np.ndarray, tau0, opts: SolveOptions):
         "converged": converged,
         "line_search_failure": ls_failure,
         "grad_norm": float(np.sqrt(gnorm2)),
+        "energy_evals": energy_evals,
+        "grad_evals": grad_evals,
         "energy_log": log,
     }
     return Z, J, extra, stats
@@ -393,7 +410,8 @@ def minimize(
         smax = float(np.sqrt(max(m["t"].max(), 1.0)))
         return opts.step_cap / max(1.0, smax ** (p - 2))
 
-    Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p), u.class_points.copy(), tau0, opts)
+    Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p, want_grad=False),
+                              lambda m: _grad_from_metric(ctx, m, p), u.class_points.copy(), tau0, opts)
     s1, s2 = _singular_values(m)
     return SolveResult(
         map=EquivariantMap(mesh, rho, Z),
@@ -420,8 +438,8 @@ def gradient_fd_check(mesh, rho, p, u: EquivariantMap, n_probes: int = 20, h: fl
         v /= np.sqrt(mink_dot(v, v))
         dZ = np.zeros_like(Z)
         dZ[c] = v
-        Jp = _energy_and_grad(ctx, _retract(Z, -h * dZ), p)[0]
-        Jm = _energy_and_grad(ctx, _retract(Z, h * dZ), p)[0]
+        Jp = _energy_and_grad(ctx, _retract(Z, -h * dZ), p, want_grad=False)[0]
+        Jm = _energy_and_grad(ctx, _retract(Z, h * dZ), p, want_grad=False)[0]
         fd = (Jp - Jm) / (2 * h)
         an = float(mink_dot(G[c], v))  # directional derivative (G_c, v)#
         scale = max(abs(fd), abs(an), 1e-12)
@@ -658,51 +676,46 @@ class CylinderRig:
     def holonomy(self) -> np.ndarray:
         return exp_so21(self.b_len * lorentz.B_STD)
 
-    def segment_lengths(self, pts=None) -> np.ndarray:
-        pts = self.points if pts is None else pts
-        nxt = np.vstack([pts[1:], (self.holonomy @ pts[0])])
-        c = -np.einsum("ia,ab,ib->i", pts, E_SHARP, nxt)
-        return np.arccosh(np.maximum(c, 1.0))
-
 
 def cylinder_energy(rig: CylinderRig, p: int, pts=None) -> float:
     """J_p = sum dt (d_i/dt)^p per unit transverse length (s2 = 0 exactly)."""
     _check_p(p)
-    dt = rig.a_len / rig.n
-    d = rig.segment_lengths(pts)
-    return float(np.sum(dt * (d / dt) ** p))
+    return _cylinder_energy(rig, p, rig.points if pts is None else pts)[0]
 
 
-def _cylinder_energy_grad(rig: CylinderRig, p: int, pts):
+def _cylinder_energy(rig: CylinderRig, p: int, pts):
+    """J_p at pts, and the intermediates `_cylinder_grad` builds the gradient from."""
     dt = rig.a_len / rig.n
     hol = rig.holonomy
     nxt = np.vstack([pts[1:], (hol @ pts[0])])
-    c = -np.einsum("ia,ab,ib->i", pts, E_SHARP, nxt)
-    c = np.maximum(c, 1.0 + 1e-300)
+    c = np.maximum(-np.einsum("ia,ab,ib->i", pts, E_SHARP, nxt), 1.0)
     d = np.arccosh(c)
-    J = float(np.sum(dt * (d / dt) ** p))
+    return float(np.sum(dt * (d / dt) ** p)), (pts, hol, nxt, c, d, dt)
+
+
+def _cylinder_grad(p: int, parts) -> np.ndarray:
+    pts, hol, nxt, c, d, dt = parts
     # dJ/dd_i = p d^{p-1} / dt^{p-1}; dd/dc = 1/sqrt(c^2-1); dc = -(E nxt, dpt) ...
     coef = p * (d / dt) ** (p - 1) / np.sqrt(np.maximum(c * c - 1.0, 1e-30))
-    g = np.zeros_like(pts)
-    g += coef[:, None] * (-(nxt @ E_SHARP))
+    g = coef[:, None] * (-(nxt @ E_SHARP))
     prev_coef = np.roll(coef, 1)[:, None]
     prev_pts = np.roll(pts, 1, axis=0)
     prev_pts[0] = pts[-1]
     back = -(prev_pts @ E_SHARP)
     back[0] = back[0] @ hol  # chain through the twisted closure: c_0 uses hol @ pts[0]
     g += prev_coef * back
-    return J, g
+    return g
 
 
 def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None):
     """The shared projected-gradient descent on the rig's product of hyperboloids."""
     _check_p(p)
     opts = opts or SolveOptions()
-    Z, J, _, stats = _descend(
-        lambda Z: (*_cylinder_energy_grad(rig, p, Z), None), rig.points.copy(), lambda _: 1e-2, opts
-    )
+    Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
+                              lambda parts: _cylinder_grad(p, parts),
+                              rig.points.copy(), lambda _: 1e-2, opts)
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z)
-    stretch = float((cylinder_energy(out, p) / rig.a_len) ** (1.0 / p))
+    stretch = float((J / rig.a_len) ** (1.0 / p))
     return out, {"J_p": J, "stretch": stretch,
                  "converged": stats["converged"], "iterations": stats["iterations"]}
 

@@ -128,6 +128,31 @@ def test_solve_twist_with_resume_and_report(tmp_path):
     assert "solve_summary.json" in agg["collected"]
 
 
+def test_solve_reports_evaluation_counters(tmp_path):
+    cfg = {
+        "target": {"type": "twist", "curve": "a1", "t": 0.5},
+        "mesh_level": 2,
+        "p_schedule": [2, 4, 8],
+        "max_word_len": 2,
+    }
+    assert run(tmp_path, "solve", cfg) == 0
+    stages = read_report(tmp_path, "solve_summary.json")["stages"]
+    assert [s["iterations"] for s in stages] == [66, 37, 37]
+    for s in stages:
+        # one gradient at the start point and one per accepted step; every
+        # Armijo trial costs one energy evaluation
+        assert s["energy_evals"] >= s["grad_evals"]
+        assert s["grad_evals"] <= s["iterations"] + 1
+    # p=2 takes a step on every iteration; at p=4 and p=8 three line searches
+    # fail and restart the Barzilai-Borwein estimate without a step
+    assert stages[0]["grad_evals"] == stages[0]["iterations"] + 1
+    assert [s["grad_evals"] for s in stages[1:]] == [34, 34]
+    # a resumed stage evaluates the loaded point once
+    assert run(tmp_path, "solve", cfg) == 0
+    for s in read_report(tmp_path, "solve_summary.json")["stages"]:
+        assert (s["iterations"], s["energy_evals"], s["grad_evals"]) == (0, 1, 1)
+
+
 def test_solve_unreadable_checkpoint_is_config_error(tmp_path, capsys):
     cfg = {
         "target": {"type": "twist", "curve": "a1", "t": 0.5},

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import finite_difference_cocycle
 from stretchlab import lorentz
 from stretchlab.cocycle import coboundary, relator_tangency
 from stretchlab.earthquake import (
@@ -8,7 +9,6 @@ from stretchlab.earthquake import (
     TwistSpec,
     duality_check,
     earthquake_cocycle,
-    finite_difference_cocycle,
     length_derivative,
     twist,
     wolpert_reciprocity,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import exp_series_oracle
 from stretchlab import lorentz
 from stretchlab.lorentz import (
     B_STD,
@@ -10,7 +11,6 @@ from stretchlab.lorentz import (
     NHAT_STD,
     X0,
     cross,
-    exp_series_oracle,
     exp_so21,
     frame_at,
     geodesic,

@@ -134,6 +134,17 @@ def test_cylinder_minimize_recovers_stretch():
     assert float(np.abs(rig.points[:, 0]).max()) < 1e-4
 
 
+def test_cylinder_iterations_are_pinned():
+    # iteration counts of the fused energy-and-gradient evaluation, which the
+    # energy-only line search must reproduce
+    for args, iterations in (((64, (2, 4, 8), 1), [632, 10, 4]), ((48, (2, 8), 0), [554, 8])):
+        n, schedule, seed = args
+        _, reports = cylinder_continuation(2.0, 3.0, n=n, schedule=schedule, seed=seed)
+        assert [r["iterations"] for r in reports] == iterations
+        for rep in reports:
+            assert rep["stretch"] == pytest.approx(1.5, abs=1.1e-10)
+
+
 def test_cylinder_stage_values_stay_at_stretch():
     _, reports = cylinder_continuation(2.0, 3.0, n=48, schedule=(2, 8, 32, 64), seed=2)
     for rep in reports:
@@ -144,6 +155,8 @@ def test_minimize_descends_and_stays_equivariant(mesh2, rho_twist):
     res = minimize(mesh2, rho_twist, 4, opts=SolveOptions(max_iter=500))
     log = res.energy_log
     assert all(a >= b - 1e-12 for a, b in zip(log, log[1:]))
+    # one gradient per logged iterate
+    assert res.grad_evals == len(log) <= res.energy_evals
     res.map.validate(tol=1e-10)
     init = identity_map(mesh2, rho_twist)
     assert res.J_p <= energy_Jp(init, 4) + 1e-12
@@ -181,6 +194,23 @@ def test_gradient_against_finite_differences(mesh2, rho_twist, rng):
     u = EquivariantMap(m1, rho_twist, _retract(Z, -(V + dots[:, None] * Z)))
     for p in (2, 8, 16):
         assert gradient_fd_check(m1, rho_twist, p, u, rng=np.random.default_rng(7)) <= 1e-6
+
+
+@pytest.mark.parametrize("p", [2, 64])
+def test_gradient_from_trial_matches_fused_evaluation(mesh2, rho_twist, rng, p):
+    from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _retract
+
+    ctx = _Context(mesh2, rho_twist)
+    Z = identity_map(mesh2, rho_twist).class_points
+    V = rng.standard_normal(Z.shape) * 0.05
+    dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
+    Z1 = _retract(Z, -(V + dots[:, None] * Z))
+    J1, m1 = _energy_and_grad(ctx, Z1, p, want_grad=False)
+    # a later trial must not disturb the intermediates of an earlier one
+    _energy_and_grad(ctx, Z, p, want_grad=False)
+    J, g, _ = _energy_and_grad(ctx, Z1, p)
+    assert J1 == J
+    assert np.array_equal(_grad_from_metric(ctx, m1, p), g)
 
 
 def test_continuation_requires_increasing_schedule(mesh2, octagon):
