@@ -109,7 +109,7 @@ def _write_json(outdir, name, data):
 def cmd_rep(config: dict, outdir: str):
     report = _report_skeleton(config)
     sigma = octagon_representation()
-    fuchsian.rep_to_json_file(sigma, os.path.join(_ensure(outdir), "sigma.json"))
+    _write_json(outdir, "sigma.json", sigma.to_json())
     report["sigma"] = {
         "relator_residual": sigma.relator_residual(),
         "generator_lengths": {
@@ -120,7 +120,7 @@ def cmd_rep(config: dict, outdir: str):
     }
     if "target" in config:
         rho = _build_rep(config["target"]).with_label("rho")
-        fuchsian.rep_to_json_file(rho, os.path.join(outdir, "rho.json"))
+        _write_json(outdir, "rho.json", rho.to_json())
         report["rho"] = {"relator_residual": rho.relator_residual(), "label": rho.label}
     code = EXIT_OK if report["sigma"]["relator_residual"] <= 1e-9 else EXIT_THRESHOLD
     _write_json(outdir, "rep_report.json", report)
@@ -233,11 +233,6 @@ def cmd_wolpert(config: dict, outdir: str):
     return report, EXIT_OK if worst <= threshold else EXIT_THRESHOLD
 
 
-def _ensure(outdir):
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
-
-
 def _write_stage_csv(outdir, res, mesh):
     path = os.path.join(outdir, f"solve_stage_p{res.p}.csv")
     with open(path, "w", newline="") as fh:
@@ -251,7 +246,7 @@ def _write_stage_csv(outdir, res, mesh):
 
 def cmd_solve(config: dict, outdir: str):
     report = _report_skeleton(config)
-    _ensure(outdir)
+    os.makedirs(outdir, exist_ok=True)
     target = config.get("target", {"type": "identity"})
     schedule = [int(p) for p in config.get("p_schedule", [2, 4, 8, 16, 32, 64])]
     opts = SolveOptions(

@@ -9,7 +9,6 @@ equality is always tested by pairing against multicurve measures.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,13 +169,3 @@ def differentiate_family(
         a = 0.5 * (a - sharp_adj(a))  # project to so(2,1)
         vals.append(a - np.trace(a) / 3.0 * np.eye(3))
     return Cocycle(rep, np.array(vals))
-
-
-def cocycle_to_json_file(alpha: Cocycle, path):
-    with open(path, "w") as fh:
-        json.dump(alpha.to_json(), fh, indent=1)
-
-
-def cocycle_from_json_file(path) -> Cocycle:
-    with open(path) as fh:
-        return Cocycle.from_json(json.load(fh))

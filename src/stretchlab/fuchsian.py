@@ -462,11 +462,6 @@ def k_lower_bound(words, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
     return best
 
 
-def rep_to_json_file(rep: SurfaceGroupRep, path):
-    with open(path, "w") as fh:
-        json.dump(rep.to_json(), fh, indent=1)
-
-
 def rep_from_json_file(path) -> SurfaceGroupRep:
     with open(path) as fh:
         return SurfaceGroupRep.from_json(json.load(fh))

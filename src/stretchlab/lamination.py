@@ -13,7 +13,6 @@ are evaluated on whatever data the caller supplies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,13 +204,3 @@ def frame_invariance_defect(
     M = g @ A @ lorentz.group_inv(g)
     D = M - cross(M @ X, X)
     return float(np.sqrt(abs(killing(D, D))))
-
-
-def multicurve_from_json_file(rep: SurfaceGroupRep, path) -> WeightedMulticurve:
-    with open(path) as fh:
-        return WeightedMulticurve.from_json(rep, json.load(fh))
-
-
-def measure_to_json_file(m: LieValuedMeasure, path):
-    with open(path, "w") as fh:
-        json.dump(m.to_json(), fh, indent=1)

@@ -29,21 +29,19 @@ NHAT_STD = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 # default tolerances; every consumer may pass its own
 ATOL = 1e-10
 EXP_SERIES_CUTOFF = 1e-8
-PARABOLIC_TOL = 1e-10
 
 
 class FrameError(ValueError):
     """Raised when (B, X) do not describe a unit-speed axis through X."""
 
 
-def mink_dot(X: np.ndarray, Y: np.ndarray) -> float:
-    """Inner product (X,Y)# = x1 y1 + x2 y2 - x3 y3."""
-    return float(X[0] * Y[0] + X[1] * Y[1] - X[2] * Y[2])
+def mink_dot(X: np.ndarray, Y: np.ndarray):
+    """Inner product (X,Y)# = x1 y1 + x2 y2 - x3 y3.
 
-
-def sharp_vec(X: np.ndarray) -> np.ndarray:
-    """Row vector X# = (e# X)^T, as a 1d array."""
-    return E_SHARP @ X
+    Broadcasts over leading axes; two vectors give a float.
+    """
+    d = X[..., 0] * Y[..., 0] + X[..., 1] * Y[..., 1] - X[..., 2] * Y[..., 2]
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def sharp_adj(M: np.ndarray) -> np.ndarray:
@@ -61,12 +59,12 @@ def is_on_hyperboloid(X: np.ndarray, tol: float = ATOL) -> bool:
 
 
 def normalize_to_hyperboloid(X: np.ndarray) -> np.ndarray:
-    """Rescale a timelike vector onto the upper sheet."""
+    """Rescale timelike vectors onto the upper sheet; broadcasts over leading axes."""
     q = -mink_dot(X, X)
-    if q <= 0:
+    if np.any(q <= 0):
         raise ValueError("vector is not timelike")
-    Y = X / np.sqrt(q)
-    return Y if Y[2] > 0 else -Y
+    Y = X / np.sqrt(q)[..., None]
+    return np.where(Y[..., 2:] > 0, Y, -Y)
 
 
 def cross(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -96,13 +94,6 @@ def killing(A: np.ndarray, B: np.ndarray):
     return np.tensordot(A, B.T, axes=2)
 
 
-def is_lie_alg(A: np.ndarray, tol: float = ATOL) -> bool:
-    return (
-        abs(np.trace(A)) <= tol
-        and float(np.abs(sharp_adj(A) + A).max()) <= tol
-    )
-
-
 def is_group_elem(g: np.ndarray, tol: float = 1e-12) -> bool:
     """gT e# g = e# to tol, det g = 1 and g preserves the upper sheet."""
     if float(np.abs(g.T @ E_SHARP @ g - E_SHARP).max()) > tol:
@@ -125,15 +116,6 @@ def project_tangent(X: np.ndarray, v: np.ndarray, tol: float = ATOL) -> np.ndarr
 def lie_from_frame_coords(b: float, a: float, z: float) -> np.ndarray:
     """A = b B_STD + a BPERP_STD + z NHAT_STD."""
     return b * B_STD + a * BPERP_STD + z * NHAT_STD
-
-
-def frame_coords(A: np.ndarray, frame=None) -> tuple[float, float, float]:
-    """Coordinates (b, a, z) of A in a (B, Bperp, nhat) frame.
-
-    Uses the Killing Gram diag(2, 2, -2) of the frame.
-    """
-    B, Bp, nh = frame if frame is not None else (B_STD, BPERP_STD, NHAT_STD)
-    return (killing(A, B) / 2.0, killing(A, Bp) / 2.0, -killing(A, nh) / 2.0)
 
 
 def _exp_coeffs(k):
@@ -207,12 +189,15 @@ def hyperbolic_distance(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def log_map(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Tangent vector at X pointing to Y with |v| = d(X, Y)."""
-    c = max(-mink_dot(X, Y), 1.0)
+    """Tangent vector at X pointing to Y with |v| = d(X, Y).
+
+    Broadcasts over leading axes; coincident points (d < 1e-12) give zero.
+    """
+    c = np.maximum(-mink_dot(X, Y), 1.0)
     th = np.arccosh(c)
-    if th < 1e-12:
-        return np.zeros(3)
-    return th * (Y - c * X) / np.sinh(th)
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 where th = 0, masked below
+        v = th[..., None] * (Y - c[..., None] * X) / np.sinh(th)[..., None]
+    return np.where(th[..., None] < 1e-12, 0.0, v)
 
 
 def frame_at(B: np.ndarray, X: np.ndarray, tol: float = 1e-8):
@@ -258,18 +243,6 @@ def axis_point(B: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         raise FrameError("no timelike direction in the axis plane")
     X = evecs[0, 0] * u + evecs[1, 0] * w
     return normalize_to_hyperboloid(X)
-
-
-def classify(g: np.ndarray, tol: float = PARABOLIC_TOL) -> str:
-    """'hyperbolic', 'elliptic', 'parabolic' or 'identity' by the trace."""
-    tr = float(np.trace(g))
-    if float(np.abs(g - np.eye(3)).max()) <= tol:
-        return "identity"
-    if tr > 3.0 + tol:
-        return "hyperbolic"
-    if tr < 3.0 - tol:
-        return "elliptic"
-    return "parabolic"
 
 
 def random_lie_alg(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -8,6 +8,13 @@ literal matrix transport: a discrete ad-valued 1-form has one value per chart
 edge, and crossing the paired boundary conjugates by the pairing word's image
 (in whichever representation the form is equivariant for).
 
+The pairing x_k maps side k+4 onto side k and reverses its direction, so the
+i-th vertex of side k+4 is paired with the i-th vertex from the end of side
+k.  The mesh is the one place that knows this: it stores the paired vertices
+(`boundary_pairs`) and the paired edges with their orientation signs
+(`edge_twins`) once, at build time, and every consumer reads those arrays.
+
+Every geometry array is built once, by array code over the triangle corners.
 Per-triangle areas are exact (hyperbolic angle defect), so the total is 4 pi
 at every level; the first-order chord areas are kept alongside for
 convergence diagnostics.  Edge data (Maurer-Cartan form, solver currents) are
@@ -16,16 +23,14 @@ first-order midpoint discretizations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lorentz
 from .fuchsian import SurfaceGroupRep, Word, as_word, octagon_model, octagon_representation
-from .lorentz import cross, log_map, mink_cross_vec, mink_dot
+from .lorentz import cross, log_map, mink_cross_vec, mink_dot, normalize_to_hyperboloid
 
-MATCH_TOL = 1e-9
 PAIRING_TOL = 1e-10
 
 
@@ -40,16 +45,17 @@ def _midpoint(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     sheet is always future timelike, so no sign or timelike check is needed.
     """
     M = 0.5 * (X + Y)
-    q = -(M[..., 0] * M[..., 0] + M[..., 1] * M[..., 1] - M[..., 2] * M[..., 2])
-    return M / np.sqrt(q)[..., None]
+    return M / np.sqrt(-mink_dot(M, M))[..., None]
 
 
-def _triangle_angles(X1, X2, X3):
-    out = []
-    for A, B, C in ((X1, X2, X3), (X2, X3, X1), (X3, X1, X2)):
-        u, v = log_map(A, B), log_map(A, C)
-        cu = mink_dot(u, v) / np.sqrt(mink_dot(u, u) * mink_dot(v, v))
-        out.append(float(np.arccos(np.clip(cu, -1.0, 1.0))))
+def _word_matrices(rep: SurfaceGroupRep, words) -> np.ndarray:
+    """(n, 3, 3) images of `words` under `rep`, one evaluation per distinct word."""
+    cache = {}
+    out = np.empty((len(words), 3, 3))
+    for i, w in enumerate(words):
+        if w.letters not in cache:
+            cache[w.letters] = rep.evaluate(w)
+        out[i] = cache[w.letters]
     return out
 
 
@@ -63,7 +69,8 @@ class FundamentalMesh:
     vertex_lift: list             # (nv,) Words: pos_i = sigma(w_i) pos_rep(class)
     class_rep_vertex: np.ndarray  # (nc,) chart index of each class representative
     side_chains: list             # 8 ordered vertex-index chains along the sides
-    boundary_pairs: list          # (u, v, k): sigma(x_k) pos_u = pos_v
+    boundary_pairs: np.ndarray    # (nb, 3) rows (u, v, k): sigma(x_k) pos_u = pos_v, u on side k+4
+    edge_twins: tuple             # per pairing k: (edge ids on side k+4, twin ids on side k, signs)
     pairing_words: tuple          # 8 Words (x_k in the generators)
     areas: np.ndarray             # (nt,) exact angle-defect areas
     chord_areas: np.ndarray       # (nt,) embedded flat areas (first order)
@@ -92,33 +99,25 @@ class FundamentalMesh:
 
     def lift_matrices(self, rep: SurfaceGroupRep) -> np.ndarray:
         """(nv, 3, 3) images of the vertex lift words under `rep`."""
-        cache = {}
-        out = np.empty((self.n_vertices, 3, 3))
-        for i, w in enumerate(self.vertex_lift):
-            key = w.letters
-            if key not in cache:
-                cache[key] = rep.evaluate(w)
-            out[i] = cache[key]
-        return out
+        return _word_matrices(rep, self.vertex_lift)
 
-    def boundary_vertex_set(self) -> set:
-        out = set()
-        for ch in self.side_chains:
-            out.update(ch)
-        return out
+    def pairing_drift(self, points: np.ndarray, rep: SurfaceGroupRep) -> float:
+        """Max |rep(x_k) points[u] - points[v]| over the boundary pairs (u, v, k)."""
+        u, v, k = self.boundary_pairs.T
+        drift = 0.0
+        for j in range(4):
+            g = rep.evaluate(self.pairing_words[j])
+            sel = k == j
+            drift = max(drift, float(np.abs(points[u[sel]] @ g.T - points[v[sel]]).max()))
+        return drift
 
     def validate(self, tol: float = PAIRING_TOL):
-        for u, v, k in self.boundary_pairs:
-            g = self.rep.evaluate(self.pairing_words[k])
-            if float(np.abs(g @ self.vertices[u] - self.vertices[v]).max()) > tol:
-                raise MeshError("paired boundary vertices do not match under the pairing isometry")
-        for i, w in enumerate(self.vertex_lift):
-            root = self.class_rep_vertex[self.vertex_class[i]]
-            drift = np.abs(
-                self.rep.evaluate(w) @ self.vertices[root] - self.vertices[i]
-            ).max()
-            if drift > tol:
-                raise MeshError("vertex lift word does not reproduce the chart position")
+        if self.pairing_drift(self.vertices, self.rep) > tol:
+            raise MeshError("paired boundary vertices do not match under the pairing isometry")
+        lifts = _word_matrices(self.rep, self.vertex_lift)
+        roots = self.vertices[self.class_rep_vertex[self.vertex_class]]
+        if float(np.abs(np.einsum("vab,vb->va", lifts, roots) - self.vertices).max()) > tol:
+            raise MeshError("vertex lift word does not reproduce the chart position")
         dets = np.linalg.det(self.vertices[self.triangles].transpose(0, 2, 1))
         if not (dets > 0).all():
             raise MeshError("negatively oriented triangle")
@@ -204,25 +203,32 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
 
     vertices = np.array(verts)
     triangles = np.array(tris, dtype=int)
+    nt = len(triangles)
 
-    # twin matching along paired sides: x_k maps side k+4 onto side k
+    edge_index = {}
+    tri_edges = np.empty((nt, 3), dtype=int)
+    for t, (i, j, k) in enumerate(triangles):
+        for s, (a, b) in enumerate(((i, j), (j, k), (k, i))):
+            tri_edges[t, s] = edge_index.setdefault((min(a, b), max(a, b)), len(edge_index))
+    edges = np.array(sorted(edge_index, key=edge_index.get), dtype=int)
+    tri_edge_sign = np.where(triangles < np.roll(triangles, -1, axis=1), 1.0, -1.0)
+
+    def edge_ids(chain):
+        return np.array([edge_index[(min(a, b), max(a, b))] for a, b in zip(chain, chain[1:])])
+
+    # x_k maps side k+4 onto side k and reverses its direction, so the i-th
+    # vertex of side k+4 pairs with the i-th from the end of side k
     uf = _UnionFind(len(verts))
-    boundary_pairs = []
+    boundary_pairs, edge_twins = [], []
     for k in range(4):
-        g = model.pairing_mats[k]
-        w_inv = model.pairing_words[(k + 4) % 8]  # word of x_k^-1
-        targets = {u: vertices[u] for u in chains[k]}
-        for u in chains[(k + 4) % 8]:
-            img = g @ vertices[u]
-            match = None
-            for v, pos in targets.items():
-                if np.abs(img - pos).max() <= MATCH_TOL:
-                    match = v
-                    break
-            if match is None:
-                raise MeshError(f"no twin on side {k} for boundary vertex {u}")
-            boundary_pairs.append((u, match, k))
-            uf.union(u, match, w_inv)  # pos(u) = sigma(x_k^-1) pos(match)
+        w_inv = model.pairing_words[k + 4]  # word of x_k^-1
+        far, near = chains[k + 4], chains[k][::-1]
+        for u, v in zip(far, near):
+            boundary_pairs.append((u, v, k))
+            uf.union(u, v, w_inv)  # pos(u) = sigma(x_k^-1) pos(v)
+        # paired edges; the sign is -1 where x_k reverses the canonical orientation
+        far_dir, near_dir = np.diff(far) > 0, np.diff(near) > 0
+        edge_twins.append((edge_ids(far), edge_ids(near), np.where(far_dir == near_dir, 1.0, -1.0)))
 
     roots = {}
     vertex_class = np.empty(len(verts), dtype=int)
@@ -237,44 +243,32 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
     for root, cid in roots.items():
         class_rep_vertex[cid] = root
 
-    # geometry caches
-    nt = len(triangles)
-    areas = np.empty(nt)
-    chord_areas = np.empty(nt)
-    circum = np.empty((nt, 3))
-    frames = np.empty((nt, 2, 3))
-    tri_coords = np.empty((nt, 3, 2))
-    tri_dxinv = np.empty((nt, 2, 2))
-    min_angle = np.inf
-    for t, (i, j, k) in enumerate(triangles):
-        X1, X2, X3 = vertices[i], vertices[j], vertices[k]
-        ang = _triangle_angles(X1, X2, X3)
-        min_angle = min(min_angle, *ang)
-        areas[t] = np.pi - sum(ang)
-        u, w = X2 - X1, X3 - X1
-        G = np.array([[mink_dot(u, u), mink_dot(u, w)], [mink_dot(w, u), mink_dot(w, w)]])
-        chord_areas[t] = 0.5 * np.sqrt(max(np.linalg.det(G), 0.0))
-        C = _circumcenter(X1, X2, X3)
-        circum[t] = C
-        E1 = log_map(C, X1)
-        E1 = E1 / np.sqrt(mink_dot(E1, E1))
-        E2 = mink_cross_vec(C, E1)  # +90 degrees: (E1, E2) positively oriented
-        frames[t] = [E1, E2]
-        for c, X in enumerate((X1, X2, X3)):
-            v = log_map(C, X)
-            tri_coords[t, c] = [mink_dot(v, E1), mink_dot(v, E2)]
-        D = np.column_stack([tri_coords[t, 1] - tri_coords[t, 0], tri_coords[t, 2] - tri_coords[t, 0]])
-        if np.linalg.det(D) <= 0:
-            raise MeshError("triangle chart coordinates are not positively oriented")
-        tri_dxinv[t] = np.linalg.inv(D)
+    # geometry, over the corners P[:, c] of every triangle
+    P = vertices[triangles]                                        # (nt, 3, 3)
+    u, v = log_map(P, np.roll(P, -1, axis=1)), log_map(P, np.roll(P, -2, axis=1))
+    cu = mink_dot(u, v) / np.sqrt(mink_dot(u, u) * mink_dot(v, v))
+    angles = np.arccos(np.clip(cu, -1.0, 1.0))                     # (nt, 3) at each corner
+    areas = np.pi - (angles[:, 0] + angles[:, 1] + angles[:, 2])
 
-    edge_index = {}
-    tri_edges = np.empty((nt, 3), dtype=int)
-    for t, (i, j, k) in enumerate(triangles):
-        for s, (a, b) in enumerate(((i, j), (j, k), (k, i))):
-            tri_edges[t, s] = edge_index.setdefault((min(a, b), max(a, b)), len(edge_index))
-    edges = np.array(sorted(edge_index, key=edge_index.get), dtype=int)
-    tri_edge_sign = np.where(triangles < np.roll(triangles, -1, axis=1), 1.0, -1.0)
+    u, w = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    uw = mink_dot(u, w)
+    G = np.stack([np.stack([mink_dot(u, u), uw], -1), np.stack([uw, mink_dot(w, w)], -1)], -2)
+    chord_areas = 0.5 * np.sqrt(np.maximum(np.linalg.det(G), 0.0))
+
+    # hyperbolic circumcenter: the timelike direction orthogonal to the chordal
+    # edge vectors; the normalized barycenter for obtuse/degenerate data
+    normal = mink_cross_vec(u, w)
+    bary = (P[:, 0] + P[:, 1] + P[:, 2]) / 3.0
+    circum = normalize_to_hyperboloid(np.where((mink_dot(normal, normal) < 0)[:, None], normal, bary))
+    V = log_map(circum[:, None], P)                                # (nt, 3, 3)
+    E1 = V[:, 0] / np.sqrt(mink_dot(V[:, 0], V[:, 0]))[:, None]
+    E2 = mink_cross_vec(circum, E1)  # +90 degrees: (E1, E2) positively oriented
+    frames = np.stack([E1, E2], axis=1)
+    tri_coords = np.stack([mink_dot(V, E1[:, None]), mink_dot(V, E2[:, None])], axis=-1)
+    D = (tri_coords[:, 1:] - tri_coords[:, :1]).transpose(0, 2, 1)  # columns: corner - corner 0
+    if not (np.linalg.det(D) > 0).all():
+        raise MeshError("triangle chart coordinates are not positively oriented")
+    tri_dxinv = np.linalg.inv(D)
 
     mesh = FundamentalMesh(
         rep=base,
@@ -285,7 +279,8 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
         vertex_lift=vertex_lift,
         class_rep_vertex=class_rep_vertex,
         side_chains=chains,
-        boundary_pairs=boundary_pairs,
+        boundary_pairs=np.array(boundary_pairs),
+        edge_twins=tuple(edge_twins),
         pairing_words=model.pairing_words,
         areas=areas,
         chord_areas=chord_areas,
@@ -297,20 +292,9 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
         tri_dxinv=tri_dxinv,
         circumcenters=circum,
         frames=frames,
-        min_angle=float(np.degrees(min_angle)),
+        min_angle=float(np.degrees(angles.min())),
     )
     return mesh.validate()
-
-
-def _circumcenter(X1, X2, X3):
-    """Hyperbolic circumcenter: the timelike direction orthogonal to the
-    chordal edge vectors; falls back to the normalized barycenter for
-    obtuse/degenerate data."""
-    w = mink_cross_vec(X2 - X1, X3 - X1)
-    q = mink_dot(w, w)
-    if q < 0:
-        return lorentz.normalize_to_hyperboloid(w)
-    return lorentz.normalize_to_hyperboloid((X1 + X2 + X3) / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +453,11 @@ def loop_integral(
     # per-pairing single-crossing integrals
     incr = {}
     mats = {}
-    twin_of = {}
-    for u, v, k in mesh.boundary_pairs:
-        twin_of.setdefault(k, {})[v] = u  # y on side k -> y' on side k+4
+    far, near, pairing = mesh.boundary_pairs.T
     for k in range(4):
         chain = mesh.side_chains[k]
         y = chain[len(chain) // 2]
-        yp = twin_of[k][y]
+        yp = int(far[(pairing == k) & (near == y)][0])
         g = rep.evaluate(mesh.pairing_words[k])
         P1 = _path_sum(form, _bfs_path(mesh, base_vertex, y))
         P2 = _path_sum(form, _bfs_path(mesh, yp, base_vertex))
@@ -511,8 +493,3 @@ def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None, b
     rep = rep if rep is not None else form.mesh.rep
     vals = np.array([loop_integral(form, n, rep, base_vertex) for n in GENERATOR_NAMES])
     return Cocycle(rep, vals)
-
-
-def mesh_to_json_file(mesh: FundamentalMesh, path):
-    with open(path, "w") as fh:
-        json.dump(mesh.to_json(), fh)

@@ -57,12 +57,8 @@ class EquivariantMap:
         if float(np.abs(q + 1.0).max()) > tol:
             raise ValueError("class points are not on the hyperboloid")
         # boundary equivariance is structural; verify on the paired vertices
-        lifts = self.mesh.lift_matrices(self.rho)
-        pts = self.chart_points(lifts)
-        for u, v, k in self.mesh.boundary_pairs:
-            g = self.rho.evaluate(self.mesh.pairing_words[k])
-            if float(np.abs(g @ pts[u] - pts[v]).max()) > tol * 10:
-                raise ValueError("map is not equivariant across a paired boundary")
+        if self.mesh.pairing_drift(self.chart_points(), self.rho) > tol * 10:
+            raise ValueError("map is not equivariant across a paired boundary")
         return self
 
 
@@ -71,13 +67,17 @@ def identity_map(mesh: FundamentalMesh, rho: SurfaceGroupRep) -> EquivariantMap:
     return EquivariantMap(mesh, rho, mesh.vertices[mesh.class_rep_vertex].copy())
 
 
+# line search: steps at most STEP_CAP, Armijo sufficient-decrease constant,
+# and the number of halvings before a line search fails
+STEP_CAP = 1.0
+ARMIJO_C1 = 1e-4
+MAX_BACKTRACKS = 60
+
+
 @dataclass
 class SolveOptions:
     tol: float = 1e-7          # stationarity: |grad| <= tol * max(1, J_p)
     max_iter: int = 4000
-    step_cap: float = 1.0
-    armijo_c1: float = 1e-4
-    max_backtracks: int = 60
 
 
 @dataclass
@@ -319,7 +319,7 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
     energy_evals = grad_evals = 1
     gnorm2 = float(np.einsum("ca,cb,ab->", G, G, E_SHARP))
     log = [J]
-    tau = float(np.clip(tau0(extra), 1e-12, opts.step_cap))
+    tau = float(np.clip(tau0(extra), 1e-12, STEP_CAP))
 
     iterations = 0
     converged = False
@@ -340,14 +340,14 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
             dG = G - G_prev
             denom = float((dZ * dG).sum())
             if denom > 1e-300:
-                tau = float(np.clip((dZ * dZ).sum() / denom, 1e-12, opts.step_cap))
+                tau = float(np.clip((dZ * dZ).sum() / denom, 1e-12, STEP_CAP))
         accepted = False
         t_try = tau
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             Z_new = _retract(Z, t_try * G)
             J_new, extra_new = energy(Z_new)
             energy_evals += 1
-            if J_new <= J - opts.armijo_c1 * t_try * gnorm2:
+            if J_new <= J - ARMIJO_C1 * t_try * gnorm2:
                 accepted = True
                 break
             t_try *= 0.5
@@ -358,7 +358,7 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
                 resets += 1
                 Z_prev = G_prev = None
                 tau = max(
-                    min(opts.step_cap, J / max(gnorm2, 1e-300)) * 1e-3, 1e-10
+                    min(STEP_CAP, J / max(gnorm2, 1e-300)) * 1e-3, 1e-10
                 )
                 continue
             # certified decrease fell below float resolution; near-stationary
@@ -408,7 +408,7 @@ def minimize(
     def tau0(m):
         # initial step scaled down by the large-p conditioning s1^{p-2}
         smax = float(np.sqrt(max(m["t"].max(), 1.0)))
-        return opts.step_cap / max(1.0, smax ** (p - 2))
+        return STEP_CAP / max(1.0, smax ** (p - 2))
 
     Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p, want_grad=False),
                               lambda m: _grad_from_metric(ctx, m, p), u.class_points.copy(), tau0, opts)
@@ -453,9 +453,9 @@ def p_continuation(
     schedule=(2, 4, 8, 16, 32, 64),
     opts: SolveOptions | None = None,
     init: EquivariantMap | None = None,
-    enrich: bool = True,
 ) -> list:
-    """Warm-started continuation in p; each stage reports (J_p/Area)^{1/p}.
+    """Warm-started continuation in p; each stage reports (J_p/Area)^{1/p} and
+    carries its densities and currents (`density_and_currents`).
 
     Monotonicity of the stage values in p is reported (not asserted): the
     normalized mixed norm has an l^p factor in (s1, s2) that decreases in p,
@@ -468,8 +468,7 @@ def p_continuation(
     u = init if init is not None else identity_map(mesh, rho)
     for p in schedule:
         res = minimize(mesh, rho, int(p), init=u, opts=opts)
-        if enrich:
-            density_and_currents(res)
+        density_and_currents(res)
         results.append(res)
         u = res.map
     return results
@@ -539,13 +538,12 @@ def _assemble_edge_currents(result: SolveResult):
 
     # every edge gets two contributions: its two triangles in the chart, or
     # its one triangle and the transported twin across the paired boundary
-    twins = _boundary_edge_twins(mesh)
     out = []
     for contrib, rep in contribs:
         own = np.zeros((len(mesh.edges), 3, 3))
         np.add.at(own, mesh.tri_edges.ravel(), contrib.reshape(-1, 3, 3))
         total = own.copy()
-        for k, (far, near, sign) in enumerate(twins):
+        for k, (far, near, sign) in enumerate(mesh.edge_twins):
             # pulling the side-k value back to side k+4 uses Ad(x_k)^-1,
             # pushing side k+4 to side k uses Ad(x_k)
             g = rep.evaluate(mesh.pairing_words[k])
@@ -553,28 +551,6 @@ def _assemble_edge_currents(result: SolveResult):
             total[far] += sign[:, None, None] * (g_inv @ own[near] @ g)
             total[near] += sign[:, None, None] * (g @ own[far] @ g_inv)
         out.append(0.5 * total)
-    return out
-
-
-def _boundary_edge_twins(mesh):
-    """Per pairing k: (edge ids on side k+4, their twin ids on side k, signs).
-
-    The sign is -1 where the canonical orientations disagree under the
-    pairing map.
-    """
-    twin_vertex = {}
-    for u, v, k in mesh.boundary_pairs:
-        twin_vertex.setdefault(k, {})[u] = v  # side k+4 -> side k
-    out = []
-    for k in range(4):
-        chain = mesh.side_chains[(k + 4) % 8]
-        far, near, sign = [], [], []
-        for a, b in zip(chain, chain[1:]):
-            ta, tb = twin_vertex[k][a], twin_vertex[k][b]
-            far.append(mesh.edge_index[(min(a, b), max(a, b))])
-            near.append(mesh.edge_index[(min(ta, tb), max(ta, tb))])
-            sign.append(1.0 if (a < b) == (ta < tb) else -1.0)
-        out.append((np.array(far), np.array(near), np.array(sign)))
     return out
 
 

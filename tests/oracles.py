@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from stretchlab import lorentz
 from stretchlab.cocycle import Cocycle, differentiate_family
 from stretchlab.earthquake import FD_STEP, TwistSpec, twist
-from stretchlab.fuchsian import SurfaceGroupRep
+from stretchlab.fuchsian import SurfaceGroupRep, octagon_model
+from stretchlab.lorentz import log_map, mink_cross_vec, mink_dot
 
 
 def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -20,3 +22,101 @@ def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
 def finite_difference_cocycle(rep: SurfaceGroupRep, curve: str, weight: float = 1.0, step: float = FD_STEP) -> Cocycle:
     """differentiate_family applied to the exact twist family."""
     return differentiate_family(lambda t: twist(rep, TwistSpec(curve, weight * t)), rep, step)
+
+
+# the per-triangle geometry loop and the boundary twin search that
+# build_octagon_mesh used before its array code
+
+
+def _triangle_angles(X1, X2, X3):
+    out = []
+    for A, B, C in ((X1, X2, X3), (X2, X3, X1), (X3, X1, X2)):
+        u, v = log_map(A, B), log_map(A, C)
+        cu = mink_dot(u, v) / np.sqrt(mink_dot(u, u) * mink_dot(v, v))
+        out.append(float(np.arccos(np.clip(cu, -1.0, 1.0))))
+    return out
+
+
+def _circumcenter(X1, X2, X3):
+    """Hyperbolic circumcenter: the timelike direction orthogonal to the
+    chordal edge vectors; falls back to the normalized barycenter for
+    obtuse/degenerate data."""
+    w = mink_cross_vec(X2 - X1, X3 - X1)
+    q = mink_dot(w, w)
+    if q < 0:
+        return lorentz.normalize_to_hyperboloid(w)
+    return lorentz.normalize_to_hyperboloid((X1 + X2 + X3) / 3.0)
+
+
+def mesh_geometry_oracle(vertices: np.ndarray, triangles: np.ndarray) -> dict:
+    """Per-triangle loop over the corners of every triangle."""
+    nt = len(triangles)
+    areas = np.empty(nt)
+    chord_areas = np.empty(nt)
+    circum = np.empty((nt, 3))
+    frames = np.empty((nt, 2, 3))
+    tri_coords = np.empty((nt, 3, 2))
+    tri_dxinv = np.empty((nt, 2, 2))
+    min_angle = np.inf
+    for t, (i, j, k) in enumerate(triangles):
+        X1, X2, X3 = vertices[i], vertices[j], vertices[k]
+        ang = _triangle_angles(X1, X2, X3)
+        min_angle = min(min_angle, *ang)
+        areas[t] = np.pi - sum(ang)
+        u, w = X2 - X1, X3 - X1
+        G = np.array([[mink_dot(u, u), mink_dot(u, w)], [mink_dot(w, u), mink_dot(w, w)]])
+        chord_areas[t] = 0.5 * np.sqrt(max(np.linalg.det(G), 0.0))
+        C = _circumcenter(X1, X2, X3)
+        circum[t] = C
+        E1 = log_map(C, X1)
+        E1 = E1 / np.sqrt(mink_dot(E1, E1))
+        E2 = mink_cross_vec(C, E1)  # +90 degrees: (E1, E2) positively oriented
+        frames[t] = [E1, E2]
+        for c, X in enumerate((X1, X2, X3)):
+            v = log_map(C, X)
+            tri_coords[t, c] = [mink_dot(v, E1), mink_dot(v, E2)]
+        D = np.column_stack([tri_coords[t, 1] - tri_coords[t, 0], tri_coords[t, 2] - tri_coords[t, 0]])
+        assert np.linalg.det(D) > 0, "triangle chart coordinates are not positively oriented"
+        tri_dxinv[t] = np.linalg.inv(D)
+    return {
+        "areas": areas, "chord_areas": chord_areas, "circumcenters": circum, "frames": frames,
+        "tri_coords": tri_coords, "tri_dxinv": tri_dxinv, "min_angle": float(np.degrees(min_angle)),
+    }
+
+
+def boundary_pairs_oracle(vertices: np.ndarray, chains: list, match_tol: float = 1e-9) -> list:
+    """Twin search: the vertex of side k within match_tol of x_k applied to each
+    vertex of side k+4, as (u, v, k)."""
+    model = octagon_model()
+    boundary_pairs = []
+    for k in range(4):
+        g = model.pairing_mats[k]
+        targets = {u: vertices[u] for u in chains[k]}
+        for u in chains[(k + 4) % 8]:
+            img = g @ vertices[u]
+            match = None
+            for v, pos in targets.items():
+                if np.abs(img - pos).max() <= match_tol:
+                    match = v
+                    break
+            assert match is not None, f"no twin on side {k} for boundary vertex {u}"
+            boundary_pairs.append((u, match, k))
+    return boundary_pairs
+
+
+def edge_twins_oracle(boundary_pairs: list, chains: list, edge_index: dict) -> list:
+    """Per pairing k: (edge ids on side k+4, their twin ids on side k, signs)."""
+    twin_vertex = {}
+    for u, v, k in boundary_pairs:
+        twin_vertex.setdefault(k, {})[u] = v  # side k+4 -> side k
+    out = []
+    for k in range(4):
+        chain = chains[(k + 4) % 8]
+        far, near, sign = [], [], []
+        for a, b in zip(chain, chain[1:]):
+            ta, tb = twin_vertex[k][a], twin_vertex[k][b]
+            far.append(edge_index[(min(a, b), max(a, b))])
+            near.append(edge_index[(min(ta, tb), max(ta, tb))])
+            sign.append(1.0 if (a < b) == (ta < tb) else -1.0)
+        out.append((np.array(far), np.array(near), np.array(sign)))
+    return out

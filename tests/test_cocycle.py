@@ -143,12 +143,14 @@ def test_differentiate_conjugation_family_is_coboundary_class(octagon, rng):
 
 
 def test_cocycle_json_round_trip(octagon, rng, tmp_path):
-    from stretchlab.cocycle import cocycle_from_json_file, cocycle_to_json_file
+    import json
+
+    from stretchlab.cli import _write_json
 
     alpha = earthquake_cocycle(octagon, "a1")
     path = tmp_path / "cocycle.json"
-    cocycle_to_json_file(alpha, path)
-    back = cocycle_from_json_file(path)
+    _write_json(tmp_path, "cocycle.json", alpha.to_json())
+    back = Cocycle.from_json(json.loads(path.read_text()))
     np.testing.assert_allclose(back.values.astype(float), alpha.values.astype(float), atol=1e-15)
 
 

@@ -256,8 +256,10 @@ def test_word_reduction_properties(seq):
 
 
 def test_rep_json_round_trip(octagon, tmp_path):
+    from stretchlab.cli import _write_json
+
     path = tmp_path / "rep.json"
-    fuchsian.rep_to_json_file(octagon, path)
+    _write_json(tmp_path, "rep.json", octagon.to_json())
     rep = fuchsian.rep_from_json_file(path)
     np.testing.assert_allclose(rep.generators, octagon.generators, atol=1e-15)
     data = json.loads(path.read_text())

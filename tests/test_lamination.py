@@ -201,10 +201,10 @@ def test_measure_json_round_trip(octagon, tmp_path):
     import json
 
     m = standard_measure(mc_of(octagon, ("a1", 1.0), ("b1", 0.5)))
-    from stretchlab.lamination import measure_to_json_file
+    from stretchlab.cli import _write_json
 
     path = tmp_path / "measure.json"
-    measure_to_json_file(m, path)
+    _write_json(tmp_path, "measure.json", m.to_json())
     data = json.loads(path.read_text())
     assert len(data) == 2
     assert set(data[0]) == {"word", "weight", "length", "generator"}
@@ -216,9 +216,7 @@ def test_multicurve_json(octagon, tmp_path):
     mc = mc_of(octagon, ("a1", 1.0), ("a2 b2", 0.25))
     path = tmp_path / "mc.json"
     path.write_text(json.dumps(mc.to_json()))
-    from stretchlab.lamination import multicurve_from_json_file
-
-    back = multicurve_from_json_file(octagon, path)
+    back = WeightedMulticurve.from_json(octagon, json.loads(path.read_text()))
     assert [(str(w), b) for w, b in back.items] == [(str(w), b) for w, b in mc.items]
 
 

@@ -76,6 +76,26 @@ def test_cross_ad_equivariance(rng):
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.abs(rhs).max()))
 
 
+def test_log_map_and_normalize_broadcast_rowwise(rng):
+    # a batched call gives, row by row, the one-vector formula's bits
+    X = np.array([lorentz.random_group_elem(rng) @ X0 for _ in range(6)])
+    Y = np.array([lorentz.random_group_elem(rng) @ X0 for _ in range(6)])
+    Y[0] = X[0]  # coincident points give the zero vector
+    V = lorentz.log_map(X, Y)
+    for x, y, v in zip(X, Y, V):
+        c = max(-mink_dot(x, y), 1.0)
+        th = np.arccosh(c)
+        assert np.array_equal(v, np.zeros(3) if th < 1e-12 else th * (y - c * x) / np.sinh(th))
+    assert np.array_equal(mink_dot(V, V), [mink_dot(v, v) for v in V])
+    W = np.array([-2.0, 3.0, -0.5, 1.0, -1.0, 2.0])[:, None] * X  # both time directions
+    N = lorentz.normalize_to_hyperboloid(W)
+    for w, n in zip(W, N):
+        m = w / np.sqrt(-mink_dot(w, w))
+        assert np.array_equal(n, m if m[2] > 0 else -m)
+    with pytest.raises(ValueError):
+        lorentz.normalize_to_hyperboloid(np.vstack([X, [1.0, 0.0, 0.0]]))
+
+
 def test_project_tangent_examples():
     np.testing.assert_allclose(project_tangent(X0, np.array([0.0, 0.0, 1.0])), 0.0, atol=1e-15)
     v = np.array([1.0, 0.0, 0.0])

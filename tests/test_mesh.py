@@ -6,6 +6,7 @@ from stretchlab.cocycle import relator_tangency
 from stretchlab.fuchsian import RELATOR, Word
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import B_STD, X0, killing, mink_dot
+from oracles import boundary_pairs_oracle, edge_twins_oracle, mesh_geometry_oracle
 from stretchlab.mesh import (
     DiscreteOneForm,
     MeshError,
@@ -43,6 +44,24 @@ def test_chord_area_convergence(meshes):
     errs = [abs(meshes[lvl].chord_areas.sum() - 4 * np.pi) for lvl in LEVELS]
     for a, b in zip(errs, errs[1:]):
         assert b < a / 2.5  # O(4^{-level}) in practice
+
+
+@pytest.mark.parametrize("level", (0, 1, 2, 3, 4))
+def test_mesh_arrays_match_triangle_loop(octagon, level):
+    # the array geometry and the positional pairing against the per-triangle
+    # loop and the tolerance twin search they replaced, bit for bit
+    m = build_octagon_mesh(octagon, level)
+    ref = mesh_geometry_oracle(m.vertices, m.triangles)
+    for name in ("areas", "chord_areas", "circumcenters", "frames", "tri_coords", "tri_dxinv"):
+        assert np.array_equal(getattr(m, name), ref[name]), name
+    assert m.min_angle == ref["min_angle"]
+    pairs = boundary_pairs_oracle(m.vertices, m.side_chains)
+    assert np.array_equal(m.boundary_pairs, np.array(pairs))
+    twins = edge_twins_oracle(pairs, m.side_chains, m.edge_index)
+    assert len(m.edge_twins) == len(twins) == 4
+    for got, want in zip(m.edge_twins, twins):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_boundary_pairs_match(meshes):
@@ -274,10 +293,10 @@ def test_loop_integral_cocycle_rule(meshes):
 def test_mesh_json_export(meshes, tmp_path):
     import json
 
-    from stretchlab.mesh import mesh_to_json_file
+    from stretchlab.cli import _write_json
 
     path = tmp_path / "mesh.json"
-    mesh_to_json_file(meshes[1], path)
+    _write_json(tmp_path, "mesh.json", meshes[1].to_json())
     data = json.loads(path.read_text())
     assert data["level"] == 1
     assert len(data["pairings"]) == 8

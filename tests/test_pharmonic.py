@@ -43,7 +43,7 @@ def rho_twist(octagon):
 @pytest.fixture(scope="module")
 def twist_solution(mesh2, rho_twist):
     results = p_continuation(
-        mesh2, rho_twist, schedule=(2, 4, 8), opts=SolveOptions(max_iter=3000), enrich=True
+        mesh2, rho_twist, schedule=(2, 4, 8), opts=SolveOptions(max_iter=3000)
     )
     for res in results:
         relation_checks(res)
@@ -255,7 +255,7 @@ def test_currents_closedness_improves_under_refinement(octagon, rho_twist):
     for lvl in (2, 3):
         m = build_octagon_mesh(octagon, lvl)
         rs = p_continuation(m, rho_twist, schedule=(2, 4, 8),
-                            opts=SolveOptions(max_iter=4000), enrich=True)
+                            opts=SolveOptions(max_iter=4000))
         residuals.append(rs[-1].residuals["V_closedness"])
     assert residuals[1] < residuals[0]
 
