@@ -239,8 +239,7 @@ def _write_stage_csv(outdir, res, mesh):
         w = csv.writer(fh)
         w.writerow(["triangle", "area", "s1", "s2", "density"])
         dens = res.density if res.density is not None else np.full(mesh.n_triangles, np.nan)
-        for t in range(mesh.n_triangles):
-            w.writerow([t, mesh.areas[t], res.s1[t], res.s2[t], dens[t]])
+        w.writerows(zip(range(mesh.n_triangles), mesh.areas, res.s1, res.s2, dens))
     return path
 
 
@@ -263,7 +262,8 @@ def cmd_solve(config: dict, outdir: str):
         report["stages"] = stages
         report["final_stretch"] = stages[-1]["stretch"]
         _write_json(outdir, "solve_summary.json", report)
-        code = EXIT_OK if all(np.isfinite(s["J_p"]) for s in stages) else EXIT_NUMERIC
+        failed = any(s["line_search_failure"] or not np.isfinite(s["J_p"]) for s in stages)
+        code = EXIT_NUMERIC if failed else EXIT_OK
         return report, code
     if ttype not in ("identity", "twist"):
         raise ConfigError(f"unknown solve target type {ttype!r}")

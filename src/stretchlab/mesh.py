@@ -3,10 +3,12 @@
 All mesh data lives in one fundamental-domain chart (a triangulated copy of
 the regular octagon on the hyperboloid); equivariance is imposed through
 vertex classes: every chart vertex i carries a lift word w_i with
-position(i) = sigma(w_i) . position(representative).  The flat connection is
-literal matrix transport: a discrete ad-valued 1-form has one value per chart
-edge, and crossing the paired boundary conjugates by the pairing word's image
-(in whichever representation the form is equivariant for).
+position(i) = sigma(w_i) . position(representative).  The words are stored
+as a table of the distinct ones (11 at any level >= 1) and one index per
+vertex.  The flat connection is literal matrix transport: a discrete
+ad-valued 1-form has one value per chart edge, and crossing the paired
+boundary conjugates by the pairing word's image (in whichever
+representation the form is equivariant for).
 
 The pairing x_k maps side k+4 onto side k and reverses its direction, so the
 i-th vertex of side k+4 is paired with the i-th vertex from the end of side
@@ -14,7 +16,8 @@ k.  The mesh is the one place that knows this: it stores the paired vertices
 (`boundary_pairs`) and the paired edges with their orientation signs
 (`edge_twins`) once, at build time, and every consumer reads those arrays.
 
-Every geometry array is built once, by array code over the triangle corners.
+Every subdivision level (`_refine`), the edge table (`_edge_table`) and every
+geometry array are built once, by array code over the triangle corners.
 Per-triangle areas are exact (hyperbolic angle defect), so the total is 4 pi
 at every level; the first-order chord areas are kept alongside for
 convergence diagnostics.  Edge data (Maurer-Cartan form, solver currents) are
@@ -48,15 +51,57 @@ def _midpoint(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return M / np.sqrt(-mink_dot(M, M))[..., None]
 
 
-def _word_matrices(rep: SurfaceGroupRep, words) -> np.ndarray:
-    """(n, 3, 3) images of `words` under `rep`, one evaluation per distinct word."""
-    cache = {}
-    out = np.empty((len(words), 3, 3))
-    for i, w in enumerate(words):
-        if w.letters not in cache:
-            cache[w.letters] = rep.evaluate(w)
-        out[i] = cache[w.letters]
-    return out
+def _first_appearance(keys: np.ndarray):
+    """Ids 0, 1, ... for the distinct keys in the order they first occur, and
+    the position of each key's first occurrence, in id order."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _edge_code(a, b):
+    return np.minimum(a, b) * (1 << 32) + np.maximum(a, b)
+
+
+def _edge_table(tris: np.ndarray):
+    """Number the corner-slot edges (i,j), (j,k), (k,i) of every triangle in
+    first-appearance order: (edges (ne, 2) as sorted pairs, tri_edges (nt, 3),
+    tri_edge_sign (nt, 3), +1 where the slot runs from the lower id)."""
+    head = np.roll(tris, -1, axis=1)
+    tri_edges, first = _first_appearance(_edge_code(tris, head).ravel())
+    slots = np.stack([np.minimum(tris, head), np.maximum(tris, head)], axis=-1).reshape(-1, 2)
+    return slots[first], tri_edges.reshape(tris.shape), np.where(tris < head, 1.0, -1.0)
+
+
+def _edge_ids(edges: np.ndarray, a, b):
+    """Ids in `edges` of the vertex pairs {a, b}, and the sign +1 where a < b."""
+    a, b = np.asarray(a), np.asarray(b)
+    codes = _edge_code(edges[:, 0], edges[:, 1])
+    order = np.argsort(codes)
+    want = _edge_code(a, b)
+    ids = order[np.minimum(np.searchsorted(codes, want, sorter=order), len(codes) - 1)]
+    if not np.array_equal(codes[ids], want):
+        raise MeshError("vertex pair is not a mesh edge")
+    return ids, np.where(a < b, 1.0, -1.0)
+
+
+def _refine(verts: np.ndarray, tris: np.ndarray, chains: np.ndarray):
+    """One 1:4 subdivision: every edge gains its geodesic midpoint, every
+    triangle (i, j, k) becomes (i, a, c), (a, j, b), (c, b, k), (a, b, c) with
+    a, b, c the midpoints of its slots (i,j), (j,k), (k,i), and every side
+    chain gains the midpoints of its edges.  The midpoint of parent edge e,
+    the returned `edges[e]`, is vertex len(verts) + e (the prolongation map)."""
+    edges, tri_edges, _ = _edge_table(tris)
+    n = len(verts)
+    verts = np.concatenate([verts, _midpoint(verts[edges[:, 0]], verts[edges[:, 1]])])
+    (i, j, k), (a, b, c) = tris.T, (n + tri_edges).T
+    tris = np.stack([i, a, c, a, j, b, c, b, k, a, b, c], axis=1).reshape(-1, 3)
+    refined = np.empty((len(chains), 2 * chains.shape[1] - 1), dtype=chains.dtype)
+    refined[:, ::2] = chains
+    refined[:, 1::2] = n + _edge_ids(edges, chains[:, :-1], chains[:, 1:])[0]
+    return verts, tris, refined, edges
 
 
 @dataclass
@@ -66,16 +111,16 @@ class FundamentalMesh:
     vertices: np.ndarray          # (nv, 3) chart positions on the hyperboloid
     triangles: np.ndarray         # (nt, 3) positively oriented corner indices
     vertex_class: np.ndarray      # (nv,) class ids
-    vertex_lift: list             # (nv,) Words: pos_i = sigma(w_i) pos_rep(class)
+    lift_words: tuple             # distinct lift Words
+    lift_id: np.ndarray           # (nv,) pos_i = sigma(lift_words[lift_id[i]]) pos_rep(class)
     class_rep_vertex: np.ndarray  # (nc,) chart index of each class representative
-    side_chains: list             # 8 ordered vertex-index chains along the sides
+    side_chains: np.ndarray       # (8, m) ordered vertex ids along the sides
     boundary_pairs: np.ndarray    # (nb, 3) rows (u, v, k): sigma(x_k) pos_u = pos_v, u on side k+4
     edge_twins: tuple             # per pairing k: (edge ids on side k+4, twin ids on side k, signs)
     pairing_words: tuple          # 8 Words (x_k in the generators)
     areas: np.ndarray             # (nt,) exact angle-defect areas
     chord_areas: np.ndarray       # (nt,) embedded flat areas (first order)
     edges: np.ndarray             # (ne, 2) sorted vertex pairs
-    edge_index: dict              # (i, j) i<j -> edge id
     tri_edges: np.ndarray         # (nt, 3) edge ids of the corner-slot edges (i,j), (j,k), (k,i)
     tri_edge_sign: np.ndarray     # (nt, 3) +1 where that directed edge has the canonical orientation
     tri_coords: np.ndarray        # (nt, 3, 2) corner coordinates in the domain chart
@@ -99,7 +144,11 @@ class FundamentalMesh:
 
     def lift_matrices(self, rep: SurfaceGroupRep) -> np.ndarray:
         """(nv, 3, 3) images of the vertex lift words under `rep`."""
-        return _word_matrices(rep, self.vertex_lift)
+        return np.array([rep.evaluate(w) for w in self.lift_words])[self.lift_id]
+
+    def edge_ids(self, a, b):
+        """Edge ids of the vertex pairs (a, b) and the signs, +1 where a < b."""
+        return _edge_ids(self.edges, a, b)
 
     def pairing_drift(self, points: np.ndarray, rep: SurfaceGroupRep) -> float:
         """Max |rep(x_k) points[u] - points[v]| over the boundary pairs (u, v, k)."""
@@ -114,7 +163,7 @@ class FundamentalMesh:
     def validate(self, tol: float = PAIRING_TOL):
         if self.pairing_drift(self.vertices, self.rep) > tol:
             raise MeshError("paired boundary vertices do not match under the pairing isometry")
-        lifts = _word_matrices(self.rep, self.vertex_lift)
+        lifts = np.array([self.rep.evaluate(w) for w in self.lift_words])[self.lift_id]
         roots = self.vertices[self.class_rep_vertex[self.vertex_class]]
         if float(np.abs(np.einsum("vab,vb->va", lifts, roots) - self.vertices).max()) > tol:
             raise MeshError("vertex lift word does not reproduce the chart position")
@@ -142,13 +191,12 @@ class FundamentalMesh:
 class _UnionFind:
     """Union-find whose edges carry words: pos(i) = sigma(word_i) pos(root)."""
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.word = [Word() for _ in range(n)]
+    def __init__(self):
+        self.parent, self.word = {}, {}
 
     def find(self, i):
-        if self.parent[i] == i:
-            return i, self.word[i]
+        if i not in self.parent:
+            return i, Word()
         root, w = self.find(self.parent[i])
         self.parent[i] = root
         self.word[i] = self.word[i] * w
@@ -176,72 +224,34 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
         raise MeshError("mesh construction requires the octagon representation")
     model = octagon_model()
 
-    verts = [np.array([0.0, 0.0, 1.0])] + [model.vertices[j] for j in range(8)]
-    corners = list(range(1, 9))
-    tris = [(0, corners[(j - 1) % 8], corners[j]) for j in range(8)]
-    chains = [[corners[(j - 1) % 8], corners[j]] for j in range(8)]
-
+    corners = np.arange(1, 9)
+    vertices = np.concatenate([[[0.0, 0.0, 1.0]], model.vertices[:8]])
+    triangles = np.stack([np.zeros(8, dtype=int), np.roll(corners, 1), corners], axis=1)
+    chains = np.stack([np.roll(corners, 1), corners], axis=1)
     for _ in range(level):
-        mid = {}
-
-        def midpoint_index(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in mid:
-                verts.append(_midpoint(verts[i], verts[j]))
-                mid[key] = len(verts) - 1
-            return mid[key]
-
-        new_tris = []
-        for (i, j, k) in tris:
-            a, b, c = midpoint_index(i, j), midpoint_index(j, k), midpoint_index(k, i)
-            new_tris.extend([(i, a, c), (a, j, b), (c, b, k), (a, b, c)])
-        tris = new_tris
-        chains = [
-            [x for pair in zip(ch, ch[1:]) for x in (pair[0], midpoint_index(*pair))] + [ch[-1]]
-            for ch in chains
-        ]
-
-    vertices = np.array(verts)
-    triangles = np.array(tris, dtype=int)
-    nt = len(triangles)
-
-    edge_index = {}
-    tri_edges = np.empty((nt, 3), dtype=int)
-    for t, (i, j, k) in enumerate(triangles):
-        for s, (a, b) in enumerate(((i, j), (j, k), (k, i))):
-            tri_edges[t, s] = edge_index.setdefault((min(a, b), max(a, b)), len(edge_index))
-    edges = np.array(sorted(edge_index, key=edge_index.get), dtype=int)
-    tri_edge_sign = np.where(triangles < np.roll(triangles, -1, axis=1), 1.0, -1.0)
-
-    def edge_ids(chain):
-        return np.array([edge_index[(min(a, b), max(a, b))] for a, b in zip(chain, chain[1:])])
+        vertices, triangles, chains, _ = _refine(vertices, triangles, chains)
+    edges, tri_edges, tri_edge_sign = _edge_table(triangles)
 
     # x_k maps side k+4 onto side k and reverses its direction, so the i-th
     # vertex of side k+4 pairs with the i-th from the end of side k
-    uf = _UnionFind(len(verts))
-    boundary_pairs, edge_twins = [], []
-    for k in range(4):
-        w_inv = model.pairing_words[k + 4]  # word of x_k^-1
-        far, near = chains[k + 4], chains[k][::-1]
-        for u, v in zip(far, near):
-            boundary_pairs.append((u, v, k))
-            uf.union(u, v, w_inv)  # pos(u) = sigma(x_k^-1) pos(v)
-        # paired edges; the sign is -1 where x_k reverses the canonical orientation
-        far_dir, near_dir = np.diff(far) > 0, np.diff(near) > 0
-        edge_twins.append((edge_ids(far), edge_ids(near), np.where(far_dir == near_dir, 1.0, -1.0)))
+    far, near = chains[4:], chains[:4, ::-1]
+    boundary_pairs = np.stack([far, near, np.broadcast_to(np.arange(4)[:, None], far.shape)], axis=-1)
+    # paired edges; the sign is -1 where x_k reverses the canonical orientation
+    (far_ids, far_sign), (near_ids, near_sign) = (_edge_ids(edges, c[:, :-1], c[:, 1:]) for c in (far, near))
+    edge_twins = tuple(zip(far_ids, near_ids, far_sign * near_sign))
 
-    roots = {}
-    vertex_class = np.empty(len(verts), dtype=int)
-    vertex_lift = [None] * len(verts)
-    for i in range(len(verts)):
-        root, w = uf.find(i)
-        if root not in roots:
-            roots[root] = len(roots)
-        vertex_class[i] = roots[root]
-        vertex_lift[i] = w
-    class_rep_vertex = np.empty(len(roots), dtype=int)
-    for root, cid in roots.items():
-        class_rep_vertex[cid] = root
+    # vertex classes and lift words; interior vertices are classes of their own
+    uf = _UnionFind()
+    for k in range(4):
+        for u, v in zip(far[k].tolist(), near[k].tolist()):
+            uf.union(u, v, model.pairing_words[k + 4])  # pos(u) = sigma(x_k^-1) pos(v)
+    root = np.arange(len(vertices))
+    lift_id = np.zeros(len(vertices), dtype=int)
+    lift_index = {Word(): 0}
+    for i in sorted(set(chains.ravel().tolist())):
+        root[i], w = uf.find(i)
+        lift_id[i] = lift_index.setdefault(w, len(lift_index))
+    vertex_class, first = _first_appearance(root)
 
     # geometry, over the corners P[:, c] of every triangle
     P = vertices[triangles]                                        # (nt, 3, 3)
@@ -276,16 +286,16 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
         vertices=vertices,
         triangles=triangles,
         vertex_class=vertex_class,
-        vertex_lift=vertex_lift,
-        class_rep_vertex=class_rep_vertex,
+        lift_words=tuple(lift_index),
+        lift_id=lift_id,
+        class_rep_vertex=root[first],
         side_chains=chains,
-        boundary_pairs=np.array(boundary_pairs),
-        edge_twins=tuple(edge_twins),
+        boundary_pairs=boundary_pairs.reshape(-1, 3),
+        edge_twins=edge_twins,
         pairing_words=model.pairing_words,
         areas=areas,
         chord_areas=chord_areas,
         edges=edges,
-        edge_index=edge_index,
         tri_edges=tri_edges,
         tri_edge_sign=tri_edge_sign,
         tri_coords=tri_coords,
@@ -314,9 +324,8 @@ class DiscreteOneForm:
     kind: str = "lie"
 
     def value(self, i: int, j: int) -> np.ndarray:
-        key = (min(i, j), max(i, j))
-        v = self.values[self.mesh.edge_index[key]]
-        return v if i < j else -v
+        e, sign = self.mesh.edge_ids(i, j)
+        return sign * self.values[e]
 
     def tri_values(self) -> np.ndarray:
         """(nt, 3, ...) values on each triangle's directed edges (i,j), (j,k), (k,i)."""
@@ -425,10 +434,10 @@ def _bfs_path(mesh: FundamentalMesh, start: int, goal: int) -> list:
 
 
 def _path_sum(form: DiscreteOneForm, path: list) -> np.ndarray:
-    total = np.zeros_like(form.values[0])
-    for a, b in zip(path, path[1:]):
-        total = total + form.value(a, b)
-    return total
+    path = np.asarray(path)
+    ids, sign = form.mesh.edge_ids(path[:-1], path[1:])
+    signed = sign.reshape(sign.shape + (1,) * (form.values.ndim - 1)) * form.values[ids]
+    return signed.sum(axis=0, initial=0.0)
 
 
 def loop_integral(

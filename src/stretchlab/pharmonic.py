@@ -289,15 +289,13 @@ def _retract(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
     bad = ~(q >= 0.25)  # catches NaN/inf trial steps as well
     if bad.any():
         # exact exponential step where the normalization would leave the
-        # sheet; clamp absurd trial steps (they get rejected by Armijo)
-        for i in np.nonzero(bad)[0]:
-            v = -step[i]
-            if not np.isfinite(v).all():
-                N[i] = Z[i]
-                continue
-            nv = np.sqrt(max(mink_dot(v, v), 1e-300))
-            s = min(nv, 20.0)
-            N[i] = np.cosh(s) * Z[i] + np.sinh(s) * v / nv
+        # sheet; clamp absurd trial steps (they get rejected by Armijo) and
+        # keep the old point where the step is not finite
+        v, Zb = -step[bad], Z[bad]
+        nv = np.sqrt(np.maximum(mink_dot(v, v), 1e-300))
+        s = np.minimum(nv, 20.0)
+        expo = np.cosh(s)[:, None] * Zb + np.sinh(s)[:, None] * v / nv[:, None]
+        N[bad] = np.where(np.isfinite(v).all(axis=1)[:, None], expo, Zb)
         q = -(N[:, 0] ** 2 + N[:, 1] ** 2 - N[:, 2] ** 2)
     return N / np.sqrt(q)[:, None]
 
@@ -608,17 +606,6 @@ def relation_checks(result: SolveResult) -> dict:
     return report
 
 
-def extract_cocycle_from_current(V: DiscreteOneForm, mesh: FundamentalMesh, rho: SurfaceGroupRep,
-                                 residual_flag: float = 0.5):
-    """Cocycle alpha(g) = loop_integral(V, g) over rho; flags weak closedness."""
-    from .mesh import extract_cocycle
-
-    res = closedness_residual(V)
-    alpha = extract_cocycle(V, rho)
-    flagged = res > residual_flag
-    return alpha, {"closedness_residual": res, "flagged": flagged}
-
-
 # ---------------------------------------------------------------------------
 # cylinder rig: abelian domain group, geodesic target (closed-form minimizer)
 # ---------------------------------------------------------------------------
@@ -692,8 +679,8 @@ def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None
                               rig.points.copy(), lambda _: 1e-2, opts)
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z)
     stretch = float((J / rig.a_len) ** (1.0 / p))
-    return out, {"J_p": J, "stretch": stretch,
-                 "converged": stats["converged"], "iterations": stats["iterations"]}
+    return out, {"J_p": J, "stretch": stretch, "converged": stats["converged"],
+                 "line_search_failure": stats["line_search_failure"], "iterations": stats["iterations"]}
 
 
 def cylinder_continuation(a_len: float, b_len: float, n: int = 64,

@@ -5,8 +5,9 @@ import numpy as np
 from stretchlab import lorentz
 from stretchlab.cocycle import Cocycle, differentiate_family
 from stretchlab.earthquake import FD_STEP, TwistSpec, twist
-from stretchlab.fuchsian import SurfaceGroupRep, octagon_model
+from stretchlab.fuchsian import SurfaceGroupRep, Word, octagon_model
 from stretchlab.lorentz import log_map, mink_cross_vec, mink_dot
+from stretchlab.mesh import _midpoint
 
 
 def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -104,8 +105,9 @@ def boundary_pairs_oracle(vertices: np.ndarray, chains: list, match_tol: float =
     return boundary_pairs
 
 
-def edge_twins_oracle(boundary_pairs: list, chains: list, edge_index: dict) -> list:
-    """Per pairing k: (edge ids on side k+4, their twin ids on side k, signs)."""
+def edge_twins_oracle(boundary_pairs: list, chains: list, edge_ids) -> list:
+    """Per pairing k: (edge ids on side k+4, their twin ids on side k, signs);
+    edge_ids(a, b) returns the id of edge {a, b} first."""
     twin_vertex = {}
     for u, v, k in boundary_pairs:
         twin_vertex.setdefault(k, {})[u] = v  # side k+4 -> side k
@@ -115,8 +117,128 @@ def edge_twins_oracle(boundary_pairs: list, chains: list, edge_index: dict) -> l
         far, near, sign = [], [], []
         for a, b in zip(chain, chain[1:]):
             ta, tb = twin_vertex[k][a], twin_vertex[k][b]
-            far.append(edge_index[(min(a, b), max(a, b))])
-            near.append(edge_index[(min(ta, tb), max(ta, tb))])
+            far.append(int(edge_ids(a, b)[0]))
+            near.append(int(edge_ids(ta, tb)[0]))
             sign.append(1.0 if (a < b) == (ta < tb) else -1.0)
         out.append((np.array(far), np.array(near), np.array(sign)))
     return out
+
+
+# the dict subdivision, the setdefault edge numbering and the Word union-find
+# that build_octagon_mesh used before its array code
+
+
+class _UnionFind:
+    """Union-find whose edges carry words: pos(i) = sigma(word_i) pos(root)."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.word = [Word() for _ in range(n)]
+
+    def find(self, i):
+        if self.parent[i] == i:
+            return i, self.word[i]
+        root, w = self.find(self.parent[i])
+        self.parent[i] = root
+        self.word[i] = self.word[i] * w
+        return root, self.word[i]
+
+    def union(self, i, j, w_ij):
+        """Declare pos(i) = sigma(w_ij) pos(j)."""
+        ri, wi = self.find(i)
+        rj, wj = self.find(j)
+        if ri == rj:
+            return
+        # pos(ri) = sigma(wi^-1 w_ij wj) pos(rj)
+        self.parent[ri] = rj
+        self.word[ri] = wi.inverse() * w_ij * wj
+
+
+def mesh_topology_oracle(level: int) -> dict:
+    """Fan-triangulated octagon refined `level` times, one triangle at a time."""
+    model = octagon_model()
+
+    verts = [np.array([0.0, 0.0, 1.0])] + [model.vertices[j] for j in range(8)]
+    corners = list(range(1, 9))
+    tris = [(0, corners[(j - 1) % 8], corners[j]) for j in range(8)]
+    chains = [[corners[(j - 1) % 8], corners[j]] for j in range(8)]
+
+    for _ in range(level):
+        mid = {}
+
+        def midpoint_index(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in mid:
+                verts.append(_midpoint(verts[i], verts[j]))
+                mid[key] = len(verts) - 1
+            return mid[key]
+
+        new_tris = []
+        for (i, j, k) in tris:
+            a, b, c = midpoint_index(i, j), midpoint_index(j, k), midpoint_index(k, i)
+            new_tris.extend([(i, a, c), (a, j, b), (c, b, k), (a, b, c)])
+        tris = new_tris
+        chains = [
+            [x for pair in zip(ch, ch[1:]) for x in (pair[0], midpoint_index(*pair))] + [ch[-1]]
+            for ch in chains
+        ]
+
+    vertices = np.array(verts)
+    triangles = np.array(tris, dtype=int)
+    nt = len(triangles)
+
+    edge_index = {}
+    tri_edges = np.empty((nt, 3), dtype=int)
+    for t, (i, j, k) in enumerate(triangles):
+        for s, (a, b) in enumerate(((i, j), (j, k), (k, i))):
+            tri_edges[t, s] = edge_index.setdefault((min(a, b), max(a, b)), len(edge_index))
+    edges = np.array(sorted(edge_index, key=edge_index.get), dtype=int)
+    tri_edge_sign = np.where(triangles < np.roll(triangles, -1, axis=1), 1.0, -1.0)
+
+    uf = _UnionFind(len(verts))
+    for k in range(4):
+        w_inv = model.pairing_words[k + 4]  # word of x_k^-1
+        far, near = chains[k + 4], chains[k][::-1]
+        for u, v in zip(far, near):
+            uf.union(u, v, w_inv)  # pos(u) = sigma(x_k^-1) pos(v)
+
+    roots = {}
+    vertex_class = np.empty(len(verts), dtype=int)
+    vertex_lift = [None] * len(verts)
+    for i in range(len(verts)):
+        root, w = uf.find(i)
+        if root not in roots:
+            roots[root] = len(roots)
+        vertex_class[i] = roots[root]
+        vertex_lift[i] = w
+    class_rep_vertex = np.empty(len(roots), dtype=int)
+    for root, cid in roots.items():
+        class_rep_vertex[cid] = root
+    return {
+        "vertices": vertices, "triangles": triangles, "side_chains": np.array(chains), "edges": edges,
+        "tri_edges": tri_edges, "tri_edge_sign": tri_edge_sign, "vertex_class": vertex_class,
+        "class_rep_vertex": class_rep_vertex, "vertex_lift": vertex_lift,
+    }
+
+
+# the per-row fallback loop that pharmonic._retract used before its array code
+
+
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def retract_oracle(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
+    N = Z - step
+    q = -(N[:, 0] ** 2 + N[:, 1] ** 2 - N[:, 2] ** 2)
+    bad = ~(q >= 0.25)  # catches NaN/inf trial steps as well
+    if bad.any():
+        # exact exponential step where the normalization would leave the
+        # sheet; clamp absurd trial steps (they get rejected by Armijo)
+        for i in np.nonzero(bad)[0]:
+            v = -step[i]
+            if not np.isfinite(v).all():
+                N[i] = Z[i]
+                continue
+            nv = np.sqrt(max(mink_dot(v, v), 1e-300))
+            s = min(nv, 20.0)
+            N[i] = np.cosh(s) * Z[i] + np.sinh(s) * v / nv
+        q = -(N[:, 0] ** 2 + N[:, 1] ** 2 - N[:, 2] ** 2)
+    return N / np.sqrt(q)[:, None]

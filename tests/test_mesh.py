@@ -6,7 +6,7 @@ from stretchlab.cocycle import relator_tangency
 from stretchlab.fuchsian import RELATOR, Word
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import B_STD, X0, killing, mink_dot
-from oracles import boundary_pairs_oracle, edge_twins_oracle, mesh_geometry_oracle
+from oracles import boundary_pairs_oracle, edge_twins_oracle, mesh_geometry_oracle, mesh_topology_oracle
 from stretchlab.mesh import (
     DiscreteOneForm,
     MeshError,
@@ -48,20 +48,40 @@ def test_chord_area_convergence(meshes):
 
 @pytest.mark.parametrize("level", (0, 1, 2, 3, 4))
 def test_mesh_arrays_match_triangle_loop(octagon, level):
-    # the array geometry and the positional pairing against the per-triangle
-    # loop and the tolerance twin search they replaced, bit for bit
+    # the array subdivision, edge table, lift table, geometry and positional
+    # pairing against the per-triangle loops, dict numbering, Word union-find
+    # and tolerance twin search they replaced, bit for bit
     m = build_octagon_mesh(octagon, level)
+    topo = mesh_topology_oracle(level)
+    for name in ("vertices", "triangles", "side_chains", "edges", "tri_edges", "tri_edge_sign",
+                 "vertex_class", "class_rep_vertex"):
+        got, want = getattr(m, name), topo[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert [m.lift_words[i] for i in m.lift_id] == topo["vertex_lift"]
     ref = mesh_geometry_oracle(m.vertices, m.triangles)
     for name in ("areas", "chord_areas", "circumcenters", "frames", "tri_coords", "tri_dxinv"):
         assert np.array_equal(getattr(m, name), ref[name]), name
     assert m.min_angle == ref["min_angle"]
     pairs = boundary_pairs_oracle(m.vertices, m.side_chains)
     assert np.array_equal(m.boundary_pairs, np.array(pairs))
-    twins = edge_twins_oracle(pairs, m.side_chains, m.edge_index)
+    twins = edge_twins_oracle(pairs, m.side_chains, m.edge_ids)
     assert len(m.edge_twins) == len(twins) == 4
     for got, want in zip(m.edge_twins, twins):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_edge_ids_lookup(meshes):
+    m = meshes[2]
+    a, b = m.edges.T
+    ids, sign = m.edge_ids(a, b)
+    assert np.array_equal(ids, np.arange(len(m.edges))) and (sign == 1.0).all()
+    ids, sign = m.edge_ids(b, a)
+    assert np.array_equal(ids, np.arange(len(m.edges))) and (sign == -1.0).all()
+    i, j, k = m.triangles[5]
+    assert np.array_equal(m.edge_ids([i, j, k], [j, k, i])[0], m.tri_edges[5])
+    with pytest.raises(MeshError):
+        m.edge_ids(m.triangles[0, 0], m.triangles[-1, 0])
 
 
 def test_boundary_pairs_match(meshes):
@@ -73,9 +93,10 @@ def test_boundary_pairs_match(meshes):
 
 def test_vertex_lifts_reproduce_positions(meshes):
     m = meshes[2]
-    for i, w in enumerate(m.vertex_lift):
+    assert len(set(m.lift_words)) == len(m.lift_words)
+    for i, w in enumerate(m.lift_id):
         root = m.class_rep_vertex[m.vertex_class[i]]
-        assert np.abs(m.rep.evaluate(w) @ m.vertices[root] - m.vertices[i]).max() <= 1e-10
+        assert np.abs(m.rep.evaluate(m.lift_words[w]) @ m.vertices[root] - m.vertices[i]).max() <= 1e-10
 
 
 def test_corner_classes_glue_to_one_point(meshes):

@@ -6,7 +6,8 @@ from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.fuchsian import octagon_representation
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import X0
-from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh
+from oracles import retract_oracle
+from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual, extract_cocycle
 from stretchlab.pharmonic import (
     CylinderRig,
     EquivariantMap,
@@ -15,7 +16,6 @@ from stretchlab.pharmonic import (
     cylinder_energy,
     density_and_currents,
     energy_Jp,
-    extract_cocycle_from_current,
     gradient_fd_check,
     identity_map,
     minimize,
@@ -196,6 +196,31 @@ def test_gradient_against_finite_differences(mesh2, rho_twist, rng):
         assert gradient_fd_check(m1, rho_twist, p, u, rng=np.random.default_rng(7)) <= 1e-6
 
 
+def test_retract_matches_row_loop(rng):
+    # the array fallback against the per-row loop it replaced, bit for bit:
+    # ordinary rows, exponential steps below and above the s = 20 clamp, and
+    # rows with NaN or inf steps (which keep the old point); a finite step
+    # whose Minkowski norm overflows gives NaN in both
+    from stretchlab.pharmonic import _retract
+
+    Z = identity_map(build_octagon_mesh(octagon_representation(), 1), octagon_representation()).class_points
+    n = len(Z)
+    V = rng.standard_normal(Z.shape)
+    tangent = V + np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)[:, None] * Z
+    scale = np.resize([1e-3, 0.5, 3.0, 15.0, 40.0, 1e3], n)
+    step = -scale[:, None] * tangent
+    step[1] = [np.nan, 0.0, 0.0]
+    step[4] = [0.0, np.inf, 1.0]
+    step[7] = [-np.inf, np.inf, np.nan]
+    step[10] = [1e200, 0.0, 1e200]
+    got, want = _retract(Z, step), retract_oracle(Z, step)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isfinite(got[[1, 4, 7]]).all() and np.isnan(got[10]).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        N = Z - step
+        assert (~(-(N[:, 0] ** 2 + N[:, 1] ** 2 - N[:, 2] ** 2) >= 0.25)).sum() >= n // 2
+
+
 @pytest.mark.parametrize("p", [2, 64])
 def test_gradient_from_trial_matches_fused_evaluation(mesh2, rho_twist, rng, p):
     from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _retract
@@ -262,15 +287,15 @@ def test_currents_closedness_improves_under_refinement(octagon, rho_twist):
 
 def test_extract_zero_form_gives_zero_cocycle(mesh2, rho_twist):
     zero = DiscreteOneForm(mesh2, np.zeros((len(mesh2.edges), 3, 3)))
-    alpha, info = extract_cocycle_from_current(zero, mesh2, rho_twist)
+    alpha = extract_cocycle(zero, rho_twist)
     assert np.abs(alpha.values.astype(float)).max() == 0.0
-    assert not info["flagged"]
+    assert closedness_residual(zero) == 0.0
 
 
 def test_extract_from_solver_current(twist_solution, mesh2, rho_twist):
     res = twist_solution[-1]
-    alpha, info = extract_cocycle_from_current(res.V_q, mesh2, rho_twist)
-    assert info["closedness_residual"] == res.residuals["V_closedness"]
+    alpha = extract_cocycle(res.V_q, rho_twist)
+    assert closedness_residual(res.V_q) == res.residuals["V_closedness"]
     # diagnostics: pairing against the handle-curve measures is finite and
     # dominated by the O(h) discretization, not blowing up
     for c in ("a1", "b1", "a2", "b2"):
