@@ -449,7 +449,7 @@ def k_lower_bound(words, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
 
     best = 0.0
     skipped = set()
-    for length in np.unique(lengths).tolist():
+    for length in sorted(set(lengths.tolist())):
         codes = flat[starts[lengths == length][:, None] + np.arange(length)]
         tr_s, tr_r = (_traces(table, codes) for table in tables)
         c_s, c_r = (tr_s - 1.0) / 2.0, (tr_r - 1.0) / 2.0

@@ -22,16 +22,31 @@ Per-triangle areas are exact (hyperbolic angle defect), so the total is 4 pi
 at every level; the first-order chord areas are kept alongside for
 convergence diagnostics.  Edge data (Maurer-Cartan form, solver currents) are
 first-order midpoint discretizations.
+
+Cocycle extraction rests on one tree primitive per form: F(v) is the form
+summed along a breadth-first tree from the octagon centre.  For each pairing
+x_k, the crossing integral is I(x_k) = F(y) - Ad(rep(x_k)) F(y'), with y the
+middle vertex of side k and y' its twin on side k+4; a word's value composes
+these along its pairing letters by the cocycle rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lorentz
-from .fuchsian import SurfaceGroupRep, Word, as_word, octagon_model, octagon_representation
+from .cocycle import Cocycle
+from .fuchsian import (
+    _GENERATOR_X_WORDS,
+    GENERATOR_NAMES,
+    SurfaceGroupRep,
+    Word,
+    as_word,
+    octagon_model,
+    octagon_representation,
+)
 from .lorentz import cross, log_map, mink_cross_vec, mink_dot, normalize_to_hyperboloid
 
 PAIRING_TOL = 1e-10
@@ -128,7 +143,6 @@ class FundamentalMesh:
     circumcenters: np.ndarray     # (nt, 3)
     frames: np.ndarray            # (nt, 2, 3) orthonormal oriented frame at the circumcenter
     min_angle: float
-    path_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -313,50 +327,43 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
 
 @dataclass
 class DiscreteOneForm:
-    """One value per directed chart edge, antisymmetric under reversal.
+    """One so(2,1) value per directed chart edge, antisymmetric under reversal.
 
-    kind: "lie" for so(2,1)-valued (3,3) entries, "vec" for R^{2,1} values.
     Stored on the canonical orientation (i < j).
     """
 
     mesh: FundamentalMesh
-    values: np.ndarray  # (ne, 3, 3) or (ne, 3)
-    kind: str = "lie"
+    values: np.ndarray  # (ne, 3, 3)
 
     def value(self, i: int, j: int) -> np.ndarray:
         e, sign = self.mesh.edge_ids(i, j)
         return sign * self.values[e]
 
     def tri_values(self) -> np.ndarray:
-        """(nt, 3, ...) values on each triangle's directed edges (i,j), (j,k), (k,i)."""
-        sign = self.mesh.tri_edge_sign.reshape(self.mesh.tri_edge_sign.shape + (1,) * (self.values.ndim - 1))
-        return sign * self.values[self.mesh.tri_edges]
+        """(nt, 3, 3, 3) values on each triangle's directed edges (i,j), (j,k), (k,i)."""
+        return self.mesh.tri_edge_sign[..., None, None] * self.values[self.mesh.tri_edges]
 
     def __add__(self, other):
-        return DiscreteOneForm(self.mesh, self.values + other.values, self.kind)
+        return DiscreteOneForm(self.mesh, self.values + other.values)
 
     def __sub__(self, other):
-        return DiscreteOneForm(self.mesh, self.values - other.values, self.kind)
+        return DiscreteOneForm(self.mesh, self.values - other.values)
 
     def __mul__(self, c: float):
-        return DiscreteOneForm(self.mesh, c * self.values, self.kind)
+        return DiscreteOneForm(self.mesh, c * self.values)
 
     __rmul__ = __mul__
 
 
-def form_from_edge_function(mesh: FundamentalMesh, fn, kind: str = "lie") -> DiscreteOneForm:
+def form_from_edge_function(mesh: FundamentalMesh, fn) -> DiscreteOneForm:
     """Build a form from fn(i, j) evaluated on canonical edge orientations."""
-    shape = (len(mesh.edges), 3, 3) if kind == "lie" else (len(mesh.edges), 3)
-    values = np.empty(shape)
-    for e, (i, j) in enumerate(mesh.edges):
-        values[e] = fn(int(i), int(j))
-    return DiscreteOneForm(mesh, values, kind)
+    return DiscreteOneForm(mesh, np.array([fn(int(i), int(j)) for i, j in mesh.edges], dtype=float))
 
 
 def maurer_cartan(mesh: FundamentalMesh) -> DiscreteOneForm:
     """First-order discrete dx cross x: edge value (head - tail) x midpoint."""
     tail, head = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
-    return DiscreteOneForm(mesh, cross(head - tail, _midpoint(tail, head)), "lie")
+    return DiscreteOneForm(mesh, cross(head - tail, _midpoint(tail, head)))
 
 
 def closedness_residual(form: DiscreteOneForm) -> float:
@@ -401,92 +408,51 @@ def triangle_wedge_density(phi: DiscreteOneForm, psi: DiscreteOneForm) -> np.nda
 # loop integrals / cocycle extraction
 # ---------------------------------------------------------------------------
 
-def _bfs_path(mesh: FundamentalMesh, start: int, goal: int) -> list:
-    """Vertex path along chart edges from start to goal (cached per mesh)."""
-    if start == goal:
-        return [start]
-    if (start, goal) in mesh.path_cache:
-        return mesh.path_cache[(start, goal)]
-    if "adj" not in mesh.path_cache:
-        adj = {}
-        for i, j in mesh.edges:
-            adj.setdefault(int(i), []).append(int(j))
-            adj.setdefault(int(j), []).append(int(i))
-        mesh.path_cache["adj"] = adj
-    adj = mesh.path_cache["adj"]
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    if v == goal:
-                        path = [v]
-                        while prev[path[-1]] is not None:
-                            path.append(prev[path[-1]])
-                        mesh.path_cache[(start, goal)] = path[::-1]
-                        return mesh.path_cache[(start, goal)]
-                    nxt.append(v)
-        queue = nxt
-    raise MeshError("mesh is not edge-connected")
-
-
-def _path_sum(form: DiscreteOneForm, path: list) -> np.ndarray:
-    path = np.asarray(path)
-    ids, sign = form.mesh.edge_ids(path[:-1], path[1:])
-    signed = sign.reshape(sign.shape + (1,) * (form.values.ndim - 1)) * form.values[ids]
-    return signed.sum(axis=0, initial=0.0)
-
-
-def loop_integral(
-    form: DiscreteOneForm,
-    word,
-    rep: SurfaceGroupRep | None = None,
-    base_vertex: int = 0,
-) -> np.ndarray:
-    """alpha(word): transported primitive increments along a lattice loop.
-
-    rep is the representation whose Ad transports the form across the
-    boundary (mesh.rep for sigma-equivariant data like the Maurer-Cartan
-    form, the solver's target rep for V_q).  For each octagon pairing x_k,
-    I(x_k) = P(base -> y) + Ad(rep(x_k)) P(y' -> base), with y on side k and
-    y' its twin on side k+4; letters compose by the cocycle rule, so the
-    result satisfies it up to the discretization error of the form.
-    """
+def _primitive(form: DiscreteOneForm) -> np.ndarray:
+    """(nv, 3, 3) F(v): the form summed along a breadth-first tree from
+    vertex 0, the octagon centre.  Each BFS depth is one frontier step over
+    the edge table, in which every new vertex takes its first candidate edge."""
     mesh = form.mesh
-    rep = rep if rep is not None else mesh.rep
-    word = as_word(word)
+    i, j = mesh.edges.T
+    F = np.zeros((mesh.n_vertices, 3, 3))
+    seen = np.zeros(mesh.n_vertices, dtype=bool)
+    seen[0] = True
+    while not seen.all():
+        # in a breadth-first sweep every edge with one seen end leaves the frontier
+        step = np.nonzero(seen[i] != seen[j])[0]
+        if not len(step):
+            raise MeshError("mesh is not edge-connected")
+        forward = seen[i[step]]  # the edge runs from its seen end to the new vertex
+        new, first = np.unique(np.where(forward, j[step], i[step]), return_index=True)
+        old = np.where(forward, i[step], j[step])[first]
+        sign = np.where(forward, 1.0, -1.0)[first]
+        F[new] = F[old] + sign[:, None, None] * form.values[step[first]]
+        seen[new] = True
+    return F
 
-    # per-pairing single-crossing integrals
-    incr = {}
-    mats = {}
+
+def _crossings(form: DiscreteOneForm, rep: SurfaceGroupRep):
+    """Crossing integrals and images of the pairing letters: x_k at index k,
+    x_k^-1 at k + 4, with I(x_k^-1) = -Ad(rep(x_k)^-1) I(x_k)."""
+    mesh = form.mesh
+    F = _primitive(form)
     far, near, pairing = mesh.boundary_pairs.T
+    incr, mats = [None] * 8, [None] * 8
     for k in range(4):
         chain = mesh.side_chains[k]
         y = chain[len(chain) // 2]
-        yp = int(far[(pairing == k) & (near == y)][0])
+        yp = far[(pairing == k) & (near == y)][0]
         g = rep.evaluate(mesh.pairing_words[k])
-        P1 = _path_sum(form, _bfs_path(mesh, base_vertex, y))
-        P2 = _path_sum(form, _bfs_path(mesh, yp, base_vertex))
-        incr[k] = P1 + g @ P2 @ lorentz.group_inv(g)
-        mats[k] = g
-        incr[k + 4] = -(lorentz.group_inv(g) @ incr[k] @ g)
-        mats[k + 4] = lorentz.group_inv(g)
+        g_inv = lorentz.group_inv(g)
+        incr[k] = F[y] - g @ F[yp] @ g_inv
+        incr[k + 4] = -(g_inv @ incr[k] @ g)
+        mats[k], mats[k + 4] = g, g_inv
+    return incr, mats
 
-    # expand the generator word into pairing letters
-    from .fuchsian import _GENERATOR_X_WORDS
 
-    letters = []
-    for n, e in word.letters:
-        xw = _GENERATOR_X_WORDS[n]
-        if e > 0:
-            letters.extend(xw)
-        else:
-            letters.extend((k + 4) % 8 for k in reversed(xw))
-
-    total = np.zeros_like(form.values[0])
+def _compose(letters, incr, mats) -> np.ndarray:
+    """The cocycle rule over a word in pairing letters."""
+    total = np.zeros((3, 3))
     prefix = np.eye(3)
     for k in letters:
         total = total + prefix @ incr[k] @ lorentz.group_inv(prefix)
@@ -494,11 +460,23 @@ def loop_integral(
     return total
 
 
-def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None, base_vertex: int = 0):
-    """Cocycle from generator loop integrals (deferred import avoids a cycle)."""
-    from .cocycle import Cocycle
-    from .fuchsian import GENERATOR_NAMES
+def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = None) -> np.ndarray:
+    """alpha(word): the crossing integrals composed along the word's pairing letters.
 
+    rep is the representation whose Ad transports the form across the
+    boundary (mesh.rep for sigma-equivariant data like the Maurer-Cartan
+    form, the solver's target rep for V_q).  The result satisfies the
+    cocycle rule up to the discretization error of the form.
+    """
+    letters = []
+    for n, e in as_word(word).letters:
+        xw = _GENERATOR_X_WORDS[n]
+        letters.extend(xw if e > 0 else ((k + 4) % 8 for k in reversed(xw)))
+    return _compose(letters, *_crossings(form, rep if rep is not None else form.mesh.rep))
+
+
+def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None) -> Cocycle:
+    """Cocycle from the generator loop integrals, over one set of crossings."""
     rep = rep if rep is not None else form.mesh.rep
-    vals = np.array([loop_integral(form, n, rep, base_vertex) for n in GENERATOR_NAMES])
-    return Cocycle(rep, vals)
+    crossings = _crossings(form, rep)
+    return Cocycle(rep, np.array([_compose(_GENERATOR_X_WORDS[n], *crossings) for n in GENERATOR_NAMES]))

@@ -513,8 +513,8 @@ def density_and_currents(result: SolveResult) -> SolveResult:
     result.residuals["density_mass"] = float(np.dot(mesh.areas, density))
 
     V_vals, W_vals = _assemble_edge_currents(result)
-    result.V_q = DiscreteOneForm(mesh, V_vals, "lie")
-    result.W_q = DiscreteOneForm(mesh, W_vals, "lie")
+    result.V_q = DiscreteOneForm(mesh, V_vals)
+    result.W_q = DiscreteOneForm(mesh, W_vals)
     result.residuals["V_closedness"] = closedness_residual(result.V_q)
     result.residuals["W_closedness"] = closedness_residual(result.W_q)
     return result
@@ -679,8 +679,8 @@ def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None
                               rig.points.copy(), lambda _: 1e-2, opts)
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z)
     stretch = float((J / rig.a_len) ** (1.0 / p))
-    return out, {"J_p": J, "stretch": stretch, "converged": stats["converged"],
-                 "line_search_failure": stats["line_search_failure"], "iterations": stats["iterations"]}
+    del stats["energy_log"]
+    return out, {"J_p": J, "stretch": stretch, **stats}
 
 
 def cylinder_continuation(a_len: float, b_len: float, n: int = 64,

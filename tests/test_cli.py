@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from stretchlab import cli
@@ -102,6 +103,13 @@ def test_solve_cylinder(tmp_path):
     assert rep["final_stretch"] == pytest.approx(1.5, abs=1e-3)
     assert [s["line_search_failure"] for s in rep["stages"]] == [False, True]
     assert not rep["stages"][1]["converged"]
+    # cylinder rows carry the surface rows' evaluation counters, so the
+    # summary shows how far from tol the failing stage stopped
+    for s in rep["stages"]:
+        assert {"grad_norm", "energy_evals", "grad_evals"} <= set(s)
+        assert s["grad_evals"] <= s["energy_evals"]
+    p8 = rep["stages"][1]
+    assert p8["grad_norm"] > 1e-7 * max(1.0, p8["J_p"])
 
 
 def test_solve_twist_with_resume_and_report(tmp_path):
@@ -155,6 +163,26 @@ def test_solve_reports_evaluation_counters(tmp_path):
     assert run(tmp_path, "solve", cfg) == 0
     for s in read_report(tmp_path, "solve_summary.json")["stages"]:
         assert (s["iterations"], s["energy_evals"], s["grad_evals"]) == (0, 1, 1)
+
+
+def test_solve_ignores_checkpoint_from_another_config(tmp_path):
+    cfg_a = {
+        "target": {"type": "twist", "curve": "a1", "t": 0.5},
+        "mesh_level": 1,
+        "p_schedule": [2, 4],
+        "max_iter": 5,
+        "max_word_len": 2,
+    }
+    cfg_b = dict(cfg_a, max_iter=7)
+    assert run(tmp_path, "solve", cfg_a) == 0
+    hash_a = read_report(tmp_path, "solve_summary.json")["config_hash"]
+    # B's stages are solved afresh, not loaded from A's checkpoint
+    assert run(tmp_path, "solve", cfg_b) == 0
+    rep_b = read_report(tmp_path, "solve_summary.json")
+    assert rep_b["config_hash"] != hash_a
+    assert [s["iterations"] for s in rep_b["stages"]] == [cfg_b["max_iter"]] * 2
+    with np.load(tmp_path / "out" / "checkpoint.npz") as ck:
+        assert str(ck["config_hash"]) == rep_b["config_hash"]
 
 
 def test_solve_unreadable_checkpoint_is_config_error(tmp_path, capsys):

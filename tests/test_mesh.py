@@ -6,7 +6,13 @@ from stretchlab.cocycle import relator_tangency
 from stretchlab.fuchsian import RELATOR, Word
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import B_STD, X0, killing, mink_dot
-from oracles import boundary_pairs_oracle, edge_twins_oracle, mesh_geometry_oracle, mesh_topology_oracle
+from oracles import (
+    assert_extraction_matches_oracle,
+    boundary_pairs_oracle,
+    edge_twins_oracle,
+    mesh_geometry_oracle,
+    mesh_topology_oracle,
+)
 from stretchlab.mesh import (
     DiscreteOneForm,
     MeshError,
@@ -283,6 +289,31 @@ def _bump_gradient_form(m, A0, Pv, width=10.0):
     bump = np.exp(-width * d0**2)
     fvals = A0[None] + bump[:, None, None] * Pv[None]
     return _gradient_form(m, fvals)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("form_name", ["maurer_cartan", "bump_gradient"])
+def test_extraction_matches_bfs_path_oracle(meshes, level, form_name):
+    # the tree primitive against per-crossing BFS paths: where the paths
+    # differ, so do the sums, by the form's discretization error
+    m = meshes[level]
+    if form_name == "maurer_cartan":
+        form = maurer_cartan(m)
+    else:
+        form = _bump_gradient_form(
+            m, lorentz.lie_from_frame_coords(0.3, -0.2, 0.5), lorentz.lie_from_frame_coords(-0.4, 0.7, 0.1)
+        )
+    assert_extraction_matches_oracle(form)
+
+
+def test_extraction_requires_connected_mesh(meshes):
+    # a mesh whose edge table misses every edge at vertex 1 cannot be swept
+    from dataclasses import replace
+
+    m = meshes[1]
+    cut = replace(m, edges=m.edges[(m.edges != 1).all(axis=1)])
+    with pytest.raises(MeshError, match="not edge-connected"):
+        extract_cocycle(DiscreteOneForm(cut, np.zeros((len(cut.edges), 3, 3))))
 
 
 def test_loop_integral_relator_residual_for_closed_forms(meshes):

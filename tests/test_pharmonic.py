@@ -6,7 +6,7 @@ from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.fuchsian import octagon_representation
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import X0
-from oracles import retract_oracle
+from oracles import assert_extraction_matches_oracle, retract_oracle
 from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual, extract_cocycle
 from stretchlab.pharmonic import (
     CylinderRig,
@@ -296,6 +296,7 @@ def test_extract_from_solver_current(twist_solution, mesh2, rho_twist):
     res = twist_solution[-1]
     alpha = extract_cocycle(res.V_q, rho_twist)
     assert closedness_residual(res.V_q) == res.residuals["V_closedness"]
+    assert_extraction_matches_oracle(res.V_q, rho_twist)
     # diagnostics: pairing against the handle-curve measures is finite and
     # dominated by the O(h) discretization, not blowing up
     for c in ("a1", "b1", "a2", "b2"):
