@@ -34,6 +34,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_THRESHOLD = 4
 
+# kbound at length 9 would enumerate ~46M words, over 1 GB of letter codes
+MAX_WORD_LEN = 8
+
 DEFAULT_TOLERANCES = {
     "relator_residual": 1e-9,
     "duality_rel_err": 1e-6,
@@ -89,8 +92,8 @@ def _multicurve(rep, data) -> WeightedMulticurve:
 
 def _max_word_len(config: dict) -> int:
     value = config.get("max_word_len", 6)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"max_word_len must be a positive integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_WORD_LEN:
+        raise ConfigError(f"max_word_len must be an integer in 1..{MAX_WORD_LEN}, got {value!r}")
     return value
 
 
@@ -147,8 +150,7 @@ def cmd_kbound(config: dict, outdir: str):
     rho = _build_rep(config.get("target"))
     max_len = _max_word_len(config)
     words = fuchsian.enumerate_words(max_len)
-    klb = fuchsian.k_lower_bound(words, sigma, rho)
-    report["k_lower_bound"] = float(klb)
+    report["k_lower_bound"] = fuchsian.k_lower_bound(words, sigma, rho)
     report["max_word_len"] = max_len
     report["n_words"] = len(words)
     _write_json(outdir, "kbound_report.json", report)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuchsian import GENERATOR_NAMES, RELATOR, SurfaceGroupRep, as_word
+from .fuchsian import _CODES, GENERATOR_NAMES, RELATOR, SurfaceGroupRep, as_word
 from .lorentz import group_inv, sharp_adj
 
 RELATOR_TANGENCY_TOL = 1e-8
@@ -93,22 +93,26 @@ def zero_cocycle(rep: SurfaceGroupRep) -> Cocycle:
     return Cocycle(rep, np.zeros((4, 3, 3)))
 
 
-def _evaluate_cocycle_ld(alpha: Cocycle, word) -> np.ndarray:
-    word = as_word(word)
-    sig = alpha.rep
-    total = np.zeros((3, 3), dtype=np.longdouble)
-    prefix = np.eye(3, dtype=np.longdouble)
-    for n, e in word.letters:
-        g = sig.generator_ld(n)
-        v = alpha.value(n).astype(np.longdouble)
-        if e > 0:
-            total = total + prefix @ v @ group_inv(prefix)
-            prefix = prefix @ g
-        else:
-            gi = group_inv(g)
-            total = total + prefix @ (-(gi @ v @ g)) @ group_inv(prefix)
-            prefix = prefix @ gi
+def compose(letters, incr: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The cocycle rule over letter indices: the sum of Ad(prefix) incr[k],
+    prefix the product of mats over the letters before k, in the tables' dtype."""
+    total = np.zeros((3, 3), dtype=incr.dtype)
+    prefix = np.eye(3, dtype=mats.dtype)
+    for k in letters:
+        total = total + prefix @ incr[k] @ group_inv(prefix)
+        prefix = prefix @ mats[k]
     return total
+
+
+def _evaluate_cocycle_ld(alpha: Cocycle, word) -> np.ndarray:
+    incr, mats = [], []
+    for n in GENERATOR_NAMES:
+        g = alpha.rep.generator_ld(n)
+        gi = group_inv(g)
+        v = alpha.value(n).astype(np.longdouble)
+        incr += [v, -(gi @ v @ g)]
+        mats += [g, gi]
+    return compose([_CODES[x] for x in as_word(word).letters], np.array(incr), np.array(mats))
 
 
 def evaluate_cocycle(alpha: Cocycle, word) -> np.ndarray:

@@ -18,12 +18,13 @@ whole group).  Generator matrices are computed once at 50-digit precision and
 rounded, and words are evaluated with extended-precision accumulation so that
 the relator residual sits at ~1e-12, well below the 1e-9 invariant.
 
-The word search behind the lower bound for K works on letter codes:
+The word search behind the lower bound for K works on letter codes only:
 code = 2 * generator + (exponent < 0), in the order a1, a1^-1, b1, b1^-1,
-a2, a2^-1, b2, b2^-1, so the inverse of a code is code ^ 1.  Enumeration
-extends all words of one length at a time and tests cyclic reduction on
-arrays of first and last codes; k_lower_bound evaluates all words of one
-length with one batched matmul per letter position.
+a2, a2^-1, b2, b2^-1, so the inverse of a code is code ^ 1.  A list of words
+is an (n, width) int8 array of codes, each row right-padded with PAD, the
+code of the identity.  k_lower_bound evaluates the rows in chunks of _CHUNK,
+with one batched matmul per column, so only the int8 array grows with the
+number of words.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import chain, compress
 
 import numpy as np
 
@@ -42,6 +42,11 @@ GENERATOR_NAMES = ("a1", "b1", "a2", "b2")
 
 RELATOR_TOL = 1e-9
 HYPERBOLIC_TRACE_TOL = 1e-10
+# k_lower_bound skips words with cosh(l_sigma) - 1 at or below this floor as
+# trivial in pi_1: relator rotations miss the identity by float64 noise up to
+# 1.1e-8 (measured in sigma and three twists), while the smallest genuine
+# value over all words up to length 7 is cosh(l8) - 1 = 9.657, l8 the systole.
+TRIVIAL_COSH_FLOOR = 1e-6
 
 # translation length of the octagon side-pairing translations
 OCTAGON_LENGTH = 2.0 * np.arccosh(1.0 / np.tan(np.pi / 8.0))
@@ -78,13 +83,6 @@ class Word:
 
     def __init__(self, letters=()):
         self.letters = _free_reduce(tuple(letters))
-
-    @classmethod
-    def _reduced(cls, letters: tuple) -> "Word":
-        """A word from a tuple of letters that is already freely reduced."""
-        w = cls.__new__(cls)
-        w.letters = letters
-        return w
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -153,9 +151,12 @@ RELATOR = Word.parse("a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1")
 # letter codes (see the module docstring): _LETTERS[code] is the letter
 _LETTERS = tuple((n, e) for n in GENERATOR_NAMES for e in (1, -1))
 _CODES = {letter: code for code, letter in enumerate(_LETTERS)}
+# the code that pads short words; it stands for the identity
+PAD = 8
 # _NEXT[c]: the seven codes that may follow c in a freely reduced word
 _NEXT = np.array([[d for d in range(8) if d != c ^ 1] for c in range(8)], dtype=np.int8)
-_NEXT_LETTERS = [tuple((_LETTERS[d],) for d in row) for row in _NEXT]
+# rows per batched evaluation in k_lower_bound
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -390,72 +391,72 @@ def stretch_ratio(word, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
     return translation_length(rho.evaluate(w)) / translation_length(sigma.evaluate(w))
 
 
-def enumerate_words(max_len: int, cyclically_reduced: bool = True) -> list:
+def enumerate_words(max_len: int, cyclically_reduced: bool = True) -> np.ndarray:
     """Freely (and optionally cyclically) reduced nonempty words up to max_len.
 
-    The words come length by length; within one length they are in
-    lexicographic order of their letter codes (a1 < a1^-1 < b1 < ... < b2^-1).
-    Each length extends every word of the previous one by the seven letters
-    that do not cancel its last letter.  A word is cyclically reduced when
-    its first code is not the inverse of its last, so only those two codes
-    are kept as arrays.
+    Returns an (n, max_len) int8 array of letter codes, shorter words padded
+    with PAD.  The words come length by length; within one length they are
+    in lexicographic order of their codes (a1 < a1^-1 < b1 < ... < b2^-1).
+    Each length repeats every word of the previous one seven times and
+    appends the seven codes that do not cancel its last letter; a word is
+    cyclically reduced when its first code is not the inverse of its last.
     """
-    out = []
-    spelled = [(x,) for x in _LETTERS]
-    first = last = np.arange(8, dtype=np.int8)
+    blocks = [np.empty((0, max_len), dtype=np.int8)]
+    free = np.arange(8, dtype=np.int8)[:, None]
     for length in range(1, max_len + 1):
         if length > 1:
-            spelled = [w + x for w, c in zip(spelled, last.tolist()) for x in _NEXT_LETTERS[c]]
-            first, last = np.repeat(first, 7), _NEXT[last].ravel()
-        kept = compress(spelled, (first != last ^ 1).tolist()) if cyclically_reduced else spelled
-        out.extend(map(Word._reduced, kept))
-    return out
+            free = np.column_stack([np.repeat(free, 7, axis=0), _NEXT[free[:, -1]].ravel()])
+        kept = free[free[:, 0] != free[:, -1] ^ 1] if cyclically_reduced else free
+        blocks.append(np.pad(kept, ((0, 0), (0, max_len - length)), constant_values=PAD))
+    return np.concatenate(blocks)
+
+
+def word_codes(words) -> np.ndarray:
+    """Letter codes of a list of words or word strings, right-padded with PAD
+    to the longest word; an empty word is one row of PAD (width at least 1)."""
+    letters = [as_word(w).letters for w in words]
+    codes = np.full((len(letters), max([1, *map(len, letters)])), PAD, dtype=np.int8)
+    for row, word in zip(codes, letters):
+        row[: len(word)] = [_CODES[x] for x in word]
+    return codes
 
 
 def _letter_table(rep: SurfaceGroupRep) -> np.ndarray:
-    """(8, 3, 3) float64 images of the letters, indexed by letter code."""
-    return np.array([rep.generator(n) if e > 0 else group_inv(rep.generator(n)) for n, e in _LETTERS])
+    """(9, 3, 3) float64 images of the letters, indexed by code; PAD is I."""
+    images = [rep.generator(n) if e > 0 else group_inv(rep.generator(n)) for n, e in _LETTERS]
+    return np.array([*images, np.eye(3)])
 
 
 def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Traces of the products of table[codes[i]], multiplied left to right."""
-    n, length = codes.shape
-    if length == 0:
-        return np.full(n, 3.0)
     m = table[codes[:, 0]]
-    for j in range(1, length):
+    for j in range(1, codes.shape[1]):
         m = m @ table[codes[:, j]]
     return m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
 
 
 def k_lower_bound(words, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
-    """max over the word list of l_rho/l_sigma: a lower bound for K up to rounding.
+    """max over the words of l_rho/l_sigma: a lower bound for K up to rounding.
 
-    Words are evaluated in float64, all words of one length at a time, with
-    one batched matmul per letter position in each rep.  Conjugates are not
-    merged; their ratios differ by float64 noise (~1e-11 relative at length
-    6), so the max can sit that far above the true ratio.  Words that are not
-    hyperbolic in either rep are skipped; the warning counts the distinct
-    skipped (trace_sigma, trace_rho) pairs, rounded to 9 decimals.
+    words: a letter-code array (enumerate_words) or a list of words or
+    strings.  Rows are multiplied out in float64, _CHUNK at a time, with one
+    batched matmul per column; PAD multiplies by an exact identity.
+    Conjugates are not merged, and float64 noise lifts the max up to 1.2e-10
+    relative above the true ratio at length 6 (2.7e-10 at length 8).
+    Words trivial in sigma (TRIVIAL_COSH_FLOOR) or not hyperbolic in either
+    rep are skipped; the warning counts the distinct skipped (trace_sigma,
+    trace_rho) pairs, rounded to 9 decimals.
     """
-    letters = [as_word(w).letters for w in words]
-    lengths = np.fromiter(map(len, letters), dtype=np.intp, count=len(letters))
-    flat = np.fromiter(
-        map(_CODES.__getitem__, chain.from_iterable(letters)), dtype=np.int8, count=int(lengths.sum())
-    )
-    starts = np.cumsum(lengths) - lengths
+    codes = words if isinstance(words, np.ndarray) else word_codes(words)
     tables = _letter_table(sigma), _letter_table(rho)
-    threshold = 1.0 + HYPERBOLIC_TRACE_TOL / 2.0
 
     best = 0.0
     skipped = set()
-    for length in sorted(set(lengths.tolist())):
-        codes = flat[starts[lengths == length][:, None] + np.arange(length)]
-        tr_s, tr_r = (_traces(table, codes) for table in tables)
+    for start in range(0, len(codes), _CHUNK):
+        tr_s, tr_r = (_traces(table, codes[start : start + _CHUNK]) for table in tables)
         c_s, c_r = (tr_s - 1.0) / 2.0, (tr_r - 1.0) / 2.0
-        ok = (c_s > threshold) & (c_r > threshold)
-        if ok.any():
-            best = max(best, float(np.max(np.arccosh(c_r[ok]) / np.arccosh(c_s[ok]))))
+        ok = (c_s > 1.0 + TRIVIAL_COSH_FLOOR) & (c_r > 1.0 + HYPERBOLIC_TRACE_TOL / 2.0)
+        best = max(best, float(np.max(np.arccosh(c_r[ok]) / np.arccosh(c_s[ok]), initial=0.0)))
         skipped.update((round(a, 9), round(b, 9)) for a, b in zip(tr_s[~ok].tolist(), tr_r[~ok].tolist()))
     if skipped:
         warnings.warn(f"k_lower_bound skipped {len(skipped)} non-hyperbolic words")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lorentz
-from .cocycle import Cocycle
+from .cocycle import Cocycle, compose
 from .fuchsian import (
     _GENERATOR_X_WORDS,
     GENERATOR_NAMES,
@@ -447,17 +447,7 @@ def _crossings(form: DiscreteOneForm, rep: SurfaceGroupRep):
         incr[k] = F[y] - g @ F[yp] @ g_inv
         incr[k + 4] = -(g_inv @ incr[k] @ g)
         mats[k], mats[k + 4] = g, g_inv
-    return incr, mats
-
-
-def _compose(letters, incr, mats) -> np.ndarray:
-    """The cocycle rule over a word in pairing letters."""
-    total = np.zeros((3, 3))
-    prefix = np.eye(3)
-    for k in letters:
-        total = total + prefix @ incr[k] @ lorentz.group_inv(prefix)
-        prefix = prefix @ mats[k]
-    return total
+    return np.array(incr), np.array(mats)
 
 
 def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = None) -> np.ndarray:
@@ -472,11 +462,11 @@ def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = Non
     for n, e in as_word(word).letters:
         xw = _GENERATOR_X_WORDS[n]
         letters.extend(xw if e > 0 else ((k + 4) % 8 for k in reversed(xw)))
-    return _compose(letters, *_crossings(form, rep if rep is not None else form.mesh.rep))
+    return compose(letters, *_crossings(form, rep if rep is not None else form.mesh.rep))
 
 
 def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None) -> Cocycle:
     """Cocycle from the generator loop integrals, over one set of crossings."""
     rep = rep if rep is not None else form.mesh.rep
     crossings = _crossings(form, rep)
-    return Cocycle(rep, np.array([_compose(_GENERATOR_X_WORDS[n], *crossings) for n in GENERATOR_NAMES]))
+    return Cocycle(rep, np.array([compose(_GENERATOR_X_WORDS[n], *crossings) for n in GENERATOR_NAMES]))

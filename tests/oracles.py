@@ -7,7 +7,9 @@ from stretchlab.cocycle import Cocycle, differentiate_family
 from stretchlab.earthquake import FD_STEP, TwistSpec, twist
 from stretchlab.fuchsian import (
     _GENERATOR_X_WORDS,
+    _LETTERS,
     GENERATOR_NAMES,
+    PAD,
     RELATOR,
     SurfaceGroupRep,
     Word,
@@ -26,6 +28,11 @@ def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
         term = term @ A / n
         out = out + term
     return out
+
+
+def words_from_codes(codes: np.ndarray) -> list:
+    """The Words spelled by the rows of a letter-code array, PAD dropped."""
+    return [Word(_LETTERS[c] for c in row if c != PAD) for row in codes.tolist()]
 
 
 def finite_difference_cocycle(rep: SurfaceGroupRep, curve: str, weight: float = 1.0, step: float = FD_STEP) -> Cocycle:

@@ -15,6 +15,8 @@ from stretchlab.earthquake import TwistSpec, earthquake_cocycle, twist
 from stretchlab.fuchsian import GENERATOR_NAMES, Word, enumerate_words
 from stretchlab.lorentz import group_inv
 
+from oracles import words_from_codes
+
 
 def random_values_cocycle(octagon, rng, scale=1.0):
     """Arbitrary generator values; extends by the cocycle rule regardless of
@@ -36,7 +38,7 @@ def test_zero_cocycle_any_word(octagon):
 
 def test_cocycle_rule_on_random_pairs(octagon, rng):
     alpha = random_values_cocycle(octagon, rng)
-    words = enumerate_words(3, cyclically_reduced=False)
+    words = words_from_codes(enumerate_words(3, cyclically_reduced=False))
     idx = rng.integers(0, len(words), size=200).reshape(100, 2)
     for i, j in idx:
         w1, w2 = words[i], words[j]

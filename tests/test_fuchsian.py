@@ -23,6 +23,8 @@ from stretchlab.fuchsian import (
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.lorentz import B_STD, exp_so21, group_inv, killing
 
+from oracles import words_from_codes
+
 LETTERS = [(n, e) for n in fuchsian.GENERATOR_NAMES for e in (1, -1)]
 
 
@@ -115,7 +117,7 @@ def test_octagon_validate(octagon):
 
 
 def test_evaluate_homomorphism(octagon, rng):
-    words = enumerate_words(3, cyclically_reduced=False)
+    words = words_from_codes(enumerate_words(3, cyclically_reduced=False))
     idx = rng.integers(0, len(words), size=200).reshape(100, 2)
     for i, j in idx:
         w1, w2 = words[i], words[j]
@@ -198,14 +200,14 @@ def test_k_lower_bound_twist(octagon):
 def test_enumerate_words_counts():
     # freely reduced words of length 2 are all cyclically reduced: 8 * 7
     assert len(enumerate_words(1)) == 8
-    w2 = enumerate_words(2)
+    w2 = words_from_codes(enumerate_words(2))
     assert len([w for w in w2 if len(w) == 2]) == 56
     # length 3: freely reduced 8*7*7, minus the 8*6 with last = first^-1
-    w3 = [w for w in enumerate_words(3) if len(w) == 3]
+    w3 = [w for w in words_from_codes(enumerate_words(3)) if len(w) == 3]
     assert len(w3) == 8 * 7 * 7 - 8 * 6
     for max_len in range(1, 6):
         for cyclic in (True, False):
-            got = enumerate_words(max_len, cyclically_reduced=cyclic)
+            got = words_from_codes(enumerate_words(max_len, cyclically_reduced=cyclic))
             want = enumerate_words_oracle(max_len, cyclically_reduced=cyclic)
             assert len(got) == len(set(got))
             # depth-first order restricted to one length is lexicographic
@@ -216,7 +218,7 @@ def test_enumerate_words_counts():
 @pytest.mark.parametrize("curve", fuchsian.GENERATOR_NAMES)
 def test_k_lower_bound_matches_word_loop(octagon, curve):
     rho = twist(octagon, TwistSpec(curve, 0.5))
-    words = enumerate_words(5)
+    words = words_from_codes(enumerate_words(5))
     assert k_lower_bound(words, octagon, rho) == pytest.approx(
         k_lower_bound_oracle(words, octagon, rho), rel=1e-12, abs=0
     )
@@ -240,9 +242,32 @@ def test_k_lower_bound_skips_non_hyperbolic(octagon):
         assert k_lower_bound([], octagon, rho) == 0.0
 
 
+def test_k_lower_bound_skips_relator_rotations(octagon):
+    # the identity in pi_1, but float64 products miss trace 3 by ~1e-8
+    rho = twist(octagon, TwistSpec("a1", 0.5))
+    rotations = [Word(v) for v in RELATOR.cyclic_variants()]
+    assert len(set(rotations)) == 16
+    with pytest.warns(UserWarning, match="non-hyperbolic"):
+        assert k_lower_bound(rotations, octagon, rho) == 0.0
+
+
+def test_enumerate_words_codes_round_trip():
+    codes = enumerate_words(6)
+    assert codes.dtype == np.int8 and codes.shape == (137280, 6)
+    np.testing.assert_array_equal(fuchsian.word_codes(words_from_codes(codes)), codes)
+
+
+def test_k_lower_bound_chunks_are_exact(octagon, monkeypatch):
+    rho = twist(octagon, TwistSpec("b2", 0.5))
+    codes = enumerate_words(5)
+    whole = k_lower_bound(codes, octagon, rho)
+    monkeypatch.setattr(fuchsian, "_CHUNK", 1000)
+    assert k_lower_bound(codes, octagon, rho) == whole
+
+
 @lru_cache(maxsize=1)
 def _words_up_to_4():
-    return frozenset(enumerate_words(4))
+    return frozenset(words_from_codes(enumerate_words(4)))
 
 
 @settings(max_examples=300, deadline=None)
