@@ -64,8 +64,8 @@ def _report_skeleton(config: dict) -> dict:
     }
 
 
-def _build_rep(spec, base: SurfaceGroupRep | None = None) -> SurfaceGroupRep:
-    base = base if base is not None else octagon_representation()
+def _build_rep(spec) -> SurfaceGroupRep:
+    base = octagon_representation()
     if spec in (None, "octagon", "sigma"):
         return base
     if isinstance(spec, dict) and "file" in spec:
@@ -240,8 +240,7 @@ def _write_stage_csv(outdir, res, mesh):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["triangle", "area", "s1", "s2", "density"])
-        dens = res.density if res.density is not None else np.full(mesh.n_triangles, np.nan)
-        w.writerows(zip(range(mesh.n_triangles), mesh.areas, res.s1, res.s2, dens))
+        w.writerows(zip(range(mesh.n_triangles), mesh.areas, res.s1, res.s2, res.density))
     return path
 
 

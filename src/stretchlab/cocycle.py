@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuchsian import _CODES, GENERATOR_NAMES, RELATOR, SurfaceGroupRep, as_word
+from .fuchsian import GENERATOR_NAMES, RELATOR, SurfaceGroupRep, as_word
 from .lorentz import group_inv, sharp_adj
 
 RELATOR_TANGENCY_TOL = 1e-8
@@ -33,10 +33,6 @@ class Cocycle:
         self.values = np.asarray(self.values)
         if self.values.shape != (4, 3, 3):
             raise ValueError("expected four 3x3 generator values")
-        self._by_name = {n: self.values[i] for i, n in enumerate(GENERATOR_NAMES)}
-
-    def value(self, name: str) -> np.ndarray:
-        return self._by_name[name]
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
         _check_same_rep(self.rep, other.rep)
@@ -57,25 +53,13 @@ class Cocycle:
             raise ValueError(f"relator tangency {res:.3e} exceeds {tol:.1e}")
         return self
 
-    def to_json(self, rep_file: str | None = None) -> dict:
-        """Generator values as 3x3 arrays; the base rep inline or by file."""
-        out = {"values": [v.tolist() for v in self.values.astype(float)]}
-        if rep_file is not None:
-            out["rep_file"] = str(rep_file)
-        else:
-            out["rep"] = self.rep.to_json()
-        return out
+    def to_json(self) -> dict:
+        """Generator values as 3x3 arrays, with the base rep inline."""
+        return {"values": [v.tolist() for v in self.values.astype(float)], "rep": self.rep.to_json()}
 
     @classmethod
-    def from_json(cls, data: dict, rep: "SurfaceGroupRep | None" = None) -> "Cocycle":
-        if rep is None:
-            if "rep_file" in data:
-                from .fuchsian import rep_from_json_file
-
-                rep = rep_from_json_file(data["rep_file"])
-            else:
-                rep = SurfaceGroupRep.from_json(data["rep"])
-        return cls(rep, np.array(data["values"], dtype=float))
+    def from_json(cls, data: dict) -> "Cocycle":
+        return cls(SurfaceGroupRep.from_json(data["rep"]), np.array(data["values"], dtype=float))
 
 
 class RepMismatchError(ValueError):
@@ -105,14 +89,11 @@ def compose(letters, incr: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_cocycle_ld(alpha: Cocycle, word) -> np.ndarray:
-    incr, mats = [], []
-    for n in GENERATOR_NAMES:
-        g = alpha.rep.generator_ld(n)
-        gi = group_inv(g)
-        v = alpha.value(n).astype(np.longdouble)
-        incr += [v, -(gi @ v @ g)]
-        mats += [g, gi]
-    return compose([_CODES[x] for x in as_word(word).letters], np.array(incr), np.array(mats))
+    mats = alpha.rep.letter_table
+    v = alpha.values.astype(np.longdouble)
+    # alpha(g^-1) = -Ad(g^-1) alpha(g) at the odd codes
+    incr = np.stack([v, -(mats[1::2] @ v @ mats[::2])], axis=1).reshape(8, 3, 3)
+    return compose(as_word(word).letters, incr, mats)
 
 
 def evaluate_cocycle(alpha: Cocycle, word) -> np.ndarray:

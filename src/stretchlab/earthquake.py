@@ -43,13 +43,8 @@ class TwistSpec:
             raise ValueError(f"unsupported twist curve {self.curve!r}")
 
 
-def twist(rep: SurfaceGroupRep, spec: TwistSpec | None = None, curve: str | None = None, amount: float | None = None) -> SurfaceGroupRep:
-    """Fenchel-Nielsen deformation of rep along a handle curve.
-
-    twist(rep, TwistSpec("a1", t)) or twist(rep, curve="a1", amount=t).
-    """
-    if spec is None:
-        spec = TwistSpec(curve, amount)
+def twist(rep: SurfaceGroupRep, spec: TwistSpec) -> SurfaceGroupRep:
+    """Fenchel-Nielsen deformation of rep along a handle curve: twist(rep, TwistSpec("a1", t))."""
     # extended precision keeps the exactly-preserved relator at its residual
     B = axis_generator(rep.generator_ld(spec.curve))
     partner = TWIST_PARTNER[spec.curve]

@@ -18,13 +18,16 @@ whole group).  Generator matrices are computed once at 50-digit precision and
 rounded, and words are evaluated with extended-precision accumulation so that
 the relator residual sits at ~1e-12, well below the 1e-9 invariant.
 
-The word search behind the lower bound for K works on letter codes only:
+A letter is an int code, the only letter format in the package:
 code = 2 * generator + (exponent < 0), in the order a1, a1^-1, b1, b1^-1,
-a2, a2^-1, b2, b2^-1, so the inverse of a code is code ^ 1.  A list of words
-is an (n, width) int8 array of codes, each row right-padded with PAD, the
-code of the identity.  k_lower_bound evaluates the rows in chunks of _CHUNK,
-with one batched matmul per column, so only the int8 array grows with the
-number of words.
+a2, a2^-1, b2, b2^-1, so the inverse of a code is code ^ 1.  A Word stores a
+tuple of codes, and each rep builds one table of its eight letter images,
+indexed by code, that words, cocycles and the word search multiply out.  A
+list of words is an (n, width) int8 array of codes, each row right-padded
+with PAD, the code of the identity; a row without its PAD is the letters of
+a Word.  k_lower_bound evaluates the rows in chunks of _CHUNK, with one
+batched matmul per column, so only the int8 array grows with the number of
+words.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lorentz
-from .lorentz import group_inv, sharp_adj
+from .lorentz import sharp_adj
 
 GENERATOR_NAMES = ("a1", "b1", "a2", "b2")
 
@@ -51,8 +54,11 @@ TRIVIAL_COSH_FLOOR = 1e-6
 # translation length of the octagon side-pairing translations
 OCTAGON_LENGTH = 2.0 * np.arccosh(1.0 / np.tan(np.pi / 8.0))
 
-# words in the eight octagon translations (letter k = x_k, k+4 = x_k^-1)
-_GENERATOR_X_WORDS = {"a1": (0,), "b1": (3,), "a2": (3, 0, 5), "b2": (1, 6)}
+# letter names, indexed by code
+_LETTER_NAMES = tuple(n + e for n in GENERATOR_NAMES for e in ("", "^-1"))
+# each letter as a word in the eight octagon translations (x_k is k, x_k^-1
+# is k + 4), indexed by code: a1 = x0, b1 = x3, a2 = x3 x0 x1^-1, b2 = x1 x2^-1
+LETTER_X_WORDS = ((0,), (4,), (3,), (7,), (3, 0, 5), (1, 4, 7), (1, 6), (2, 5))
 # the inverse change of basis, used by the mesh for side-pairing transports:
 #   x0 = a1, x1 = a2^-1 b1 a1, x2 = b2^-1 a2^-1 b1 a1, x3 = b1
 _X_GENERATOR_WORDS = (
@@ -74,15 +80,22 @@ class WordError(ValueError):
 class Word:
     """Freely reduced word in the generators a1, b1, a2, b2.
 
-    Stored as a tuple of (name, exponent) with exponent +-1; construction
-    reduces xx^-1 pairs.  Parsed from strings like "a1", "b1^-1 a2" or
-    "a1.b1^-1" (separators: whitespace, '.', '*').
+    Stored as a tuple of letter codes (see the module docstring);
+    construction cancels each code that meets its inverse.  Parsed from
+    strings like "a1", "b1^-1 a2" or "a1.b1^-1" (separators: whitespace,
+    '.', '*').
     """
 
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        self.letters = _free_reduce(tuple(letters))
+        out = []
+        for c in map(int, letters):
+            if out and out[-1] == c ^ 1:
+                out.pop()
+            else:
+                out.append(c)
+        self.letters = tuple(out)
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -92,23 +105,23 @@ class Word:
             if name not in GENERATOR_NAMES:
                 raise WordError(f"unknown generator {name!r} in word {text!r}")
             if exp in ("", "1", "+1"):
-                e = 1
+                inverse = 0
             elif exp == "-1":
-                e = -1
+                inverse = 1
             else:
                 raise WordError(f"unsupported exponent {exp!r} in word {text!r}")
-            letters.append((name, e))
+            letters.append(2 * GENERATOR_NAMES.index(name) + inverse)
         return cls(letters)
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((n, -e) for n, e in reversed(self.letters)))
+        return Word(c ^ 1 for c in reversed(self.letters))
 
     def cyclically_reduced(self) -> "Word":
-        letters = list(self.letters)
-        while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
+        letters = self.letters
+        while len(letters) >= 2 and letters[0] == letters[-1] ^ 1:
             letters = letters[1:-1]
         return Word(letters)
 
@@ -130,27 +143,14 @@ class Word:
     def __str__(self):
         if not self.letters:
             return "<id>"
-        return " ".join(n if e > 0 else f"{n}^-1" for n, e in self.letters)
+        return " ".join(_LETTER_NAMES[c] for c in self.letters)
 
     def __repr__(self):
         return f"Word({str(self)!r})"
 
 
-def _free_reduce(letters):
-    out = []
-    for n, e in letters:
-        if out and out[-1][0] == n and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((n, e))
-    return tuple(out)
-
-
 RELATOR = Word.parse("a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1")
 
-# letter codes (see the module docstring): _LETTERS[code] is the letter
-_LETTERS = tuple((n, e) for n in GENERATOR_NAMES for e in (1, -1))
-_CODES = {letter: code for code, letter in enumerate(_LETTERS)}
 # the code that pads short words; it stands for the identity
 PAD = 8
 # _NEXT[c]: the seven codes that may follow c in a freely reduced word
@@ -171,6 +171,8 @@ class SurfaceGroupRep:
     in bare float64 cannot certify the 1e-9 relator-residual invariant.
     Construction from a longdouble array preserves it; construction from
     float64 upcasts (and inherits whatever residual that data has).
+    letter_table (8, 3, 3), longdouble: the image of each letter, indexed by
+    code (g and sharp_adj(g) = g^-1 for each generator).
     """
 
     generators: np.ndarray
@@ -182,22 +184,19 @@ class SurfaceGroupRep:
             raise ValueError("expected four 3x3 generator matrices")
         self._gen_ld = arr.astype(np.longdouble)
         self.generators = arr.astype(float)
-        self._by_name = {n: self.generators[i] for i, n in enumerate(GENERATOR_NAMES)}
-        self._by_name_ld = {n: self._gen_ld[i] for i, n in enumerate(GENERATOR_NAMES)}
+        self.letter_table = np.array([m for g in self._gen_ld for m in (g, sharp_adj(g))])
 
     def generator(self, name: str) -> np.ndarray:
-        return self._by_name[name]
+        return self.generators[GENERATOR_NAMES.index(name)]
 
     def generator_ld(self, name: str) -> np.ndarray:
-        return self._by_name_ld[name]
+        return self._gen_ld[GENERATOR_NAMES.index(name)]
 
     def evaluate_ld(self, word) -> np.ndarray:
         """Image of a word, accumulated and returned in extended precision."""
-        word = as_word(word)
         m = np.eye(3, dtype=np.longdouble)
-        for n, e in word.letters:
-            g = self._by_name_ld[n]
-            m = m @ (g if e > 0 else sharp_adj(g))
+        for c in as_word(word).letters:
+            m = m @ self.letter_table[c]
         return m
 
     def evaluate(self, word) -> np.ndarray:
@@ -211,8 +210,7 @@ class SurfaceGroupRep:
         res = self.relator_residual()
         if res > tol:
             raise ValueError(f"relator residual {res:.3e} exceeds {tol:.1e}")
-        for n in GENERATOR_NAMES:
-            g = self._by_name[n]
+        for n, g in zip(GENERATOR_NAMES, self.generators):
             if not lorentz.is_group_elem(g):
                 raise ValueError(f"generator {n} is not in SO+(2,1)")
             if np.trace(g) <= 3.0 + HYPERBOLIC_TRACE_TOL:
@@ -302,7 +300,7 @@ def _octagon_generators_exact() -> np.ndarray:
                 m = m * xs[k]
             return m
 
-        gens = [ev(_GENERATOR_X_WORDS[n]) for n in GENERATOR_NAMES]
+        gens = [ev(w) for w in LETTER_X_WORDS[::2]]
         return np.array(
             [
                 [[np.longdouble(mp.nstr(g[i, j], 25)) for j in range(3)] for i in range(3)]
@@ -397,18 +395,36 @@ def enumerate_words(max_len: int, cyclically_reduced: bool = True) -> np.ndarray
     Returns an (n, max_len) int8 array of letter codes, shorter words padded
     with PAD.  The words come length by length; within one length they are
     in lexicographic order of their codes (a1 < a1^-1 < b1 < ... < b2^-1).
-    Each length repeats every word of the previous one seven times and
-    appends the seven codes that do not cancel its last letter; a word is
-    cyclically reduced when its first code is not the inverse of its last.
+    Each length repeats every free word of the previous one seven times and
+    appends the seven codes that do not cancel its last letter, _CHUNK
+    words of the previous length at a time; a word is cyclically reduced
+    when its first code is not the inverse of its last.  Kept rows go
+    straight into the result, preallocated from powers of the letter
+    transition matrix, so only one length's free words are held beside it.
     """
-    blocks = [np.empty((0, max_len), dtype=np.int8)]
+    if max_len == 0:
+        return np.empty((0, 0), dtype=np.int8)
+    step = 1 - np.eye(8, dtype=np.int64)[np.arange(8) ^ 1]  # step[c, d]: d may follow c
+    ends = step.astype(bool) if cyclically_reduced else np.ones((8, 8), dtype=bool)
+    counts = [int(np.linalg.matrix_power(step, n - 1)[ends].sum()) for n in range(1, max_len + 1)]
+    out = np.full((sum(counts), max_len), PAD, dtype=np.int8)
     free = np.arange(8, dtype=np.int8)[:, None]
-    for length in range(1, max_len + 1):
-        if length > 1:
-            free = np.column_stack([np.repeat(free, 7, axis=0), _NEXT[free[:, -1]].ravel()])
-        kept = free[free[:, 0] != free[:, -1] ^ 1] if cyclically_reduced else free
-        blocks.append(np.pad(kept, ((0, 0), (0, max_len - length)), constant_values=PAD))
-    return np.concatenate(blocks)
+    out[:8, :1] = free
+    row = 8
+    for length in range(2, max_len + 1):
+        # the free words of this length, kept only when a longer length needs them
+        grown = np.empty((7 * len(free), length), dtype=np.int8) if length < max_len else None
+        for start in range(0, len(free), _CHUNK):
+            parents = free[start : start + _CHUNK]
+            words = np.column_stack([np.repeat(parents, 7, axis=0), _NEXT[parents[:, -1]].ravel()])
+            if grown is not None:
+                grown[7 * start : 7 * start + len(words)] = words
+            if cyclically_reduced:
+                words = words[words[:, 0] != words[:, -1] ^ 1]
+            out[row : row + len(words), :length] = words
+            row += len(words)
+        free = grown
+    return out
 
 
 def word_codes(words) -> np.ndarray:
@@ -417,14 +433,13 @@ def word_codes(words) -> np.ndarray:
     letters = [as_word(w).letters for w in words]
     codes = np.full((len(letters), max([1, *map(len, letters)])), PAD, dtype=np.int8)
     for row, word in zip(codes, letters):
-        row[: len(word)] = [_CODES[x] for x in word]
+        row[: len(word)] = word
     return codes
 
 
 def _letter_table(rep: SurfaceGroupRep) -> np.ndarray:
     """(9, 3, 3) float64 images of the letters, indexed by code; PAD is I."""
-    images = [rep.generator(n) if e > 0 else group_inv(rep.generator(n)) for n, e in _LETTERS]
-    return np.array([*images, np.eye(3)])
+    return np.array([*rep.letter_table.astype(float), np.eye(3)])
 
 
 def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:

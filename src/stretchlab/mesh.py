@@ -39,8 +39,7 @@ import numpy as np
 from . import lorentz
 from .cocycle import Cocycle, compose
 from .fuchsian import (
-    _GENERATOR_X_WORDS,
-    GENERATOR_NAMES,
+    LETTER_X_WORDS,
     SurfaceGroupRep,
     Word,
     as_word,
@@ -458,10 +457,7 @@ def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = Non
     form, the solver's target rep for V_q).  The result satisfies the
     cocycle rule up to the discretization error of the form.
     """
-    letters = []
-    for n, e in as_word(word).letters:
-        xw = _GENERATOR_X_WORDS[n]
-        letters.extend(xw if e > 0 else ((k + 4) % 8 for k in reversed(xw)))
+    letters = [k for c in as_word(word).letters for k in LETTER_X_WORDS[c]]
     return compose(letters, *_crossings(form, rep if rep is not None else form.mesh.rep))
 
 
@@ -469,4 +465,4 @@ def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None) -
     """Cocycle from the generator loop integrals, over one set of crossings."""
     rep = rep if rep is not None else form.mesh.rep
     crossings = _crossings(form, rep)
-    return Cocycle(rep, np.array([compose(_GENERATOR_X_WORDS[n], *crossings) for n in GENERATOR_NAMES]))
+    return Cocycle(rep, np.array([compose(w, *crossings) for w in LETTER_X_WORDS[::2]]))

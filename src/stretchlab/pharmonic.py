@@ -47,8 +47,8 @@ class EquivariantMap:
     rho: SurfaceGroupRep
     class_points: np.ndarray  # (nc, 3)
 
-    def chart_points(self, lifts: np.ndarray | None = None) -> np.ndarray:
-        lifts = lifts if lifts is not None else self.mesh.lift_matrices(self.rho)
+    def chart_points(self) -> np.ndarray:
+        lifts = self.mesh.lift_matrices(self.rho)
         return np.einsum("vab,vb->va", lifts, self.class_points[self.mesh.vertex_class])
 
     def validate(self, tol: float = 1e-10):
@@ -422,23 +422,29 @@ def minimize(
     )
 
 
-def gradient_fd_check(mesh, rho, p, u: EquivariantMap, n_probes: int = 20, h: float = 3e-6, rng=None):
-    """Max relative error of the analytic directional derivative vs central FD."""
+# probes and central-difference step of gradient_fd_check
+FD_PROBES = 20
+FD_H = 3e-6
+
+
+def gradient_fd_check(mesh, rho, p, u: EquivariantMap, rng=None):
+    """Max relative error of the analytic directional derivative vs central FD,
+    over FD_PROBES random one-class directions with step FD_H."""
     rng = rng or np.random.default_rng(0)
     ctx = _Context(mesh, rho)
     Z = u.class_points
     J, g_euc, _ = _energy_and_grad(ctx, Z, p)
     G = _riemannian_grad(Z, g_euc)
     worst = 0.0
-    for _ in range(n_probes):
+    for _ in range(FD_PROBES):
         c = int(rng.integers(0, mesh.n_classes))
         v = lorentz.project_tangent(Z[c], rng.standard_normal(3))
         v /= np.sqrt(mink_dot(v, v))
         dZ = np.zeros_like(Z)
         dZ[c] = v
-        Jp = _energy_and_grad(ctx, _retract(Z, -h * dZ), p, want_grad=False)[0]
-        Jm = _energy_and_grad(ctx, _retract(Z, h * dZ), p, want_grad=False)[0]
-        fd = (Jp - Jm) / (2 * h)
+        Jp = _energy_and_grad(ctx, _retract(Z, -FD_H * dZ), p, want_grad=False)[0]
+        Jm = _energy_and_grad(ctx, _retract(Z, FD_H * dZ), p, want_grad=False)[0]
+        fd = (Jp - Jm) / (2 * FD_H)
         an = float(mink_dot(G[c], v))  # directional derivative (G_c, v)#
         scale = max(abs(fd), abs(an), 1e-12)
         worst = max(worst, abs(fd - an) / scale)
@@ -610,6 +616,10 @@ def relation_checks(result: SolveResult) -> dict:
 # cylinder rig: abelian domain group, geodesic target (closed-form minimizer)
 # ---------------------------------------------------------------------------
 
+# largest geodesic offset of a CylinderRig.initial point from the target axis
+CYLINDER_WOBBLE = 0.3
+
+
 @dataclass
 class CylinderRig:
     """Periodic 1d mesh for maps of the cylinder of core length a onto the
@@ -623,7 +633,7 @@ class CylinderRig:
     points: np.ndarray  # (n, 3)
 
     @classmethod
-    def initial(cls, a_len: float, b_len: float, n: int, wobble: float = 0.3, seed: int = 0):
+    def initial(cls, a_len: float, b_len: float, n: int, seed: int = 0):
         rng = np.random.default_rng(seed)
         ts = np.arange(n) / n * b_len
         pts = np.empty((n, 3))
@@ -631,7 +641,7 @@ class CylinderRig:
             X = lorentz.geodesic(lorentz.X0, np.array([0.0, 1.0, 0.0]), t)
             v = lorentz.project_tangent(X, rng.standard_normal(3))
             nv = np.sqrt(max(mink_dot(v, v), 1e-30))
-            s = wobble * rng.uniform(-1, 1)
+            s = CYLINDER_WOBBLE * rng.uniform(-1, 1)
             pts[i] = np.cosh(s) * X + np.sinh(s) * (v / nv)
         return cls(a_len, b_len, n, pts)
 
@@ -640,10 +650,10 @@ class CylinderRig:
         return exp_so21(self.b_len * lorentz.B_STD)
 
 
-def cylinder_energy(rig: CylinderRig, p: int, pts=None) -> float:
+def cylinder_energy(rig: CylinderRig, p: int) -> float:
     """J_p = sum dt (d_i/dt)^p per unit transverse length (s2 = 0 exactly)."""
     _check_p(p)
-    return _cylinder_energy(rig, p, rig.points if pts is None else pts)[0]
+    return _cylinder_energy(rig, p, rig.points)[0]
 
 
 def _cylinder_energy(rig: CylinderRig, p: int, pts):

@@ -6,9 +6,8 @@ from stretchlab import lorentz
 from stretchlab.cocycle import Cocycle, differentiate_family
 from stretchlab.earthquake import FD_STEP, TwistSpec, twist
 from stretchlab.fuchsian import (
-    _GENERATOR_X_WORDS,
-    _LETTERS,
     GENERATOR_NAMES,
+    LETTER_X_WORDS,
     PAD,
     RELATOR,
     SurfaceGroupRep,
@@ -32,7 +31,7 @@ def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
 
 def words_from_codes(codes: np.ndarray) -> list:
     """The Words spelled by the rows of a letter-code array, PAD dropped."""
-    return [Word(_LETTERS[c] for c in row if c != PAD) for row in codes.tolist()]
+    return [Word(c for c in row if c != PAD) for row in codes.tolist()]
 
 
 def finite_difference_cocycle(rep: SurfaceGroupRep, curve: str, weight: float = 1.0, step: float = FD_STEP) -> Cocycle:
@@ -327,11 +326,12 @@ def loop_integral_oracle(form, word, rep: SurfaceGroupRep | None = None, base_ve
         incr[k + 4] = -(lorentz.group_inv(g) @ incr[k] @ g)
         mats[k + 4] = lorentz.group_inv(g)
 
-    # expand the generator word into pairing letters
+    # expand the generator word into pairing letters; an inverse letter
+    # (odd code) is its generator's x-word inverted here, not read from the table
     letters = []
-    for n, e in word.letters:
-        xw = _GENERATOR_X_WORDS[n]
-        if e > 0:
+    for c in word.letters:
+        xw = LETTER_X_WORDS[c & ~1]
+        if c % 2 == 0:
             letters.extend(xw)
         else:
             letters.extend((k + 4) % 8 for k in reversed(xw))

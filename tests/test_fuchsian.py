@@ -25,7 +25,8 @@ from stretchlab.lorentz import B_STD, exp_so21, group_inv, killing
 
 from oracles import words_from_codes
 
-LETTERS = [(n, e) for n in fuchsian.GENERATOR_NAMES for e in (1, -1)]
+# letter codes: 2 * generator + (exponent < 0)
+LETTERS = list(range(8))
 
 
 def enumerate_words_oracle(max_len, cyclically_reduced=True):
@@ -39,10 +40,10 @@ def enumerate_words_oracle(max_len, cyclically_reduced=True):
                 out.append(w)
         if len(seq) == max_len:
             return
-        for n, e in LETTERS:
-            if seq and seq[-1][0] == n and seq[-1][1] == -e:
+        for c in LETTERS:
+            if seq and seq[-1] == c ^ 1:
                 continue
-            rec(seq + [(n, e)])
+            rec(seq + [c])
 
     rec([])
     return out
@@ -55,11 +56,11 @@ def k_lower_bound_oracle(words, sigma, rho):
     products (~1e-11 relative for length-6 commutator words), so keeping one
     word per rounded (trace_sigma, trace_rho) pair would move the max.
     """
-    sig = {(n, 1): sigma.generator(n) for n in fuchsian.GENERATOR_NAMES}
-    rh = {(n, 1): rho.generator(n) for n in fuchsian.GENERATOR_NAMES}
-    for n in fuchsian.GENERATOR_NAMES:
-        sig[(n, -1)] = group_inv(sig[(n, 1)])
-        rh[(n, -1)] = group_inv(rh[(n, 1)])
+    sig = {2 * i: sigma.generator(n) for i, n in enumerate(fuchsian.GENERATOR_NAMES)}
+    rh = {2 * i: rho.generator(n) for i, n in enumerate(fuchsian.GENERATOR_NAMES)}
+    for c in range(0, 8, 2):
+        sig[c + 1] = group_inv(sig[c])
+        rh[c + 1] = group_inv(rh[c])
     best = 0.0
     for w in words:
         ms, mr = np.eye(3), np.eye(3)
@@ -78,6 +79,13 @@ def test_word_parse_and_reduce():
     assert w == Word.parse("b1")
     assert len(Word.parse("a1 b1 b1^-1 a1^-1")) == 0
     assert str(Word.parse("a2^-1 b2")) == "a2^-1 b2"
+
+
+def test_word_letters_are_codes():
+    assert Word.parse("a1 b1^-1 b2").letters == (0, 3, 6)
+    codes = enumerate_words(4)
+    for row, w in zip(codes.tolist(), words_from_codes(codes)):
+        assert Word.parse(str(w)).letters == tuple(c for c in row if c != fuchsian.PAD)
 
 
 def test_word_inverse_and_cyclic_reduction():
@@ -265,6 +273,13 @@ def test_k_lower_bound_chunks_are_exact(octagon, monkeypatch):
     assert k_lower_bound(codes, octagon, rho) == whole
 
 
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_enumerate_words_chunks_are_exact(monkeypatch, cyclic):
+    whole = enumerate_words(6, cyclic)
+    monkeypatch.setattr(fuchsian, "_CHUNK", 1000)
+    np.testing.assert_array_equal(enumerate_words(6, cyclic), whole)
+
+
 @lru_cache(maxsize=1)
 def _words_up_to_4():
     return frozenset(words_from_codes(enumerate_words(4)))
@@ -274,7 +289,7 @@ def _words_up_to_4():
 @given(st.lists(st.sampled_from(LETTERS), max_size=5))
 def test_word_reduction_properties(seq):
     w = Word(seq)
-    assert all(a[0] != b[0] or a[1] != -b[1] for a, b in zip(w.letters, w.letters[1:]))
+    assert all(b != a ^ 1 for a, b in zip(w.letters, w.letters[1:]))
     assert w * w.inverse() == Word()
     if 0 < len(w) <= 4 and len(w.cyclically_reduced()) == len(w):
         assert w in _words_up_to_4()
