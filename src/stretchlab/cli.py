@@ -244,6 +244,12 @@ def _write_stage_csv(outdir, res, mesh):
     return path
 
 
+def _solve_exit_code(stages) -> int:
+    """EXIT_NUMERIC when a stage ends on a line-search failure or a non-finite J_p."""
+    failed = any(s["line_search_failure"] or not np.isfinite(s["J_p"]) for s in stages)
+    return EXIT_NUMERIC if failed else EXIT_OK
+
+
 def cmd_solve(config: dict, outdir: str):
     report = _report_skeleton(config)
     os.makedirs(outdir, exist_ok=True)
@@ -263,9 +269,7 @@ def cmd_solve(config: dict, outdir: str):
         report["stages"] = stages
         report["final_stretch"] = stages[-1]["stretch"]
         _write_json(outdir, "solve_summary.json", report)
-        failed = any(s["line_search_failure"] or not np.isfinite(s["J_p"]) for s in stages)
-        code = EXIT_NUMERIC if failed else EXIT_OK
-        return report, code
+        return report, _solve_exit_code(stages)
     if ttype not in ("identity", "twist"):
         raise ConfigError(f"unknown solve target type {ttype!r}")
     max_len = _max_word_len(config) if ttype == "twist" else None
@@ -273,7 +277,7 @@ def cmd_solve(config: dict, outdir: str):
     sigma = octagon_representation()
     rho = sigma if ttype == "identity" else _build_rep({"twist": target})
     level = int(config.get("mesh_level", 3))
-    mesh = build_octagon_mesh(sigma, level)
+    mesh = build_octagon_mesh(level)
 
     # checkpoint/resume keyed by the config hash
     ck_path = os.path.join(outdir, "checkpoint.npz")
@@ -289,7 +293,6 @@ def cmd_solve(config: dict, outdir: str):
             raise ConfigError(f"unreadable checkpoint {ck_path}: {exc!r}")
 
     stage_rows = []
-    failures = False
     u = None
     for p in schedule:
         if p in done_stages:
@@ -315,7 +318,6 @@ def cmd_solve(config: dict, outdir: str):
                 "residuals": {k: float(v) for k, v in res.residuals.items()},
             }
         )
-        failures = failures or res.line_search_failure
         _write_stage_csv(outdir, res, mesh)
         done_stages[p] = res.map.class_points
         # write then rename, so an interrupted run never leaves a torn checkpoint
@@ -341,7 +343,7 @@ def cmd_solve(config: dict, outdir: str):
         words = fuchsian.enumerate_words(max_len)
         report["k_lower_bound"] = float(fuchsian.k_lower_bound(words, sigma, rho))
     _write_json(outdir, "solve_summary.json", report)
-    return report, EXIT_NUMERIC if failures else EXIT_OK
+    return report, _solve_exit_code(stage_rows)
 
 
 def cmd_report(config: dict, outdir: str):

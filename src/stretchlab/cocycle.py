@@ -66,10 +66,10 @@ class RepMismatchError(ValueError):
     """Raised when cocycles/measures over different base reps are combined."""
 
 
-def _check_same_rep(a: SurfaceGroupRep, b: SurfaceGroupRep, tol: float = 1e-12):
+def _check_same_rep(a: SurfaceGroupRep, b: SurfaceGroupRep):
     if a is b:
         return
-    if float(np.abs(a.generators - b.generators).max()) > tol:
+    if float(np.abs(a.generators - b.generators).max()) > 1e-12:
         raise RepMismatchError("objects live over different base representations")
 
 

@@ -18,6 +18,13 @@ whole group).  Generator matrices are computed once at 50-digit precision and
 rounded, and words are evaluated with extended-precision accumulation so that
 the relator residual sits at ~1e-12, well below the 1e-9 invariant.
 
+The octagon's geometry is constant: OCTAGON_VERTICES holds its eight
+corners, and PAIRING_WORDS the side pairings as words in the generators, x_k
+at index k and x_k^-1 at k + 4.  Each rep's pairing_images() is the one
+(8, 3, 3) table of their images; the mesh, its cocycle extraction and the
+solver currents cross the paired sides through it and evaluate no pairing
+word themselves.
+
 A letter is an int code, the only letter format in the package:
 code = 2 * generator + (exponent < 0), in the order a1, a1^-1, b1, b1^-1,
 a2, a2^-1, b2, b2^-1, so the inverse of a code is code ^ 1.  A Word stores a
@@ -32,6 +39,7 @@ words.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -53,14 +61,21 @@ TRIVIAL_COSH_FLOOR = 1e-6
 
 # translation length of the octagon side-pairing translations
 OCTAGON_LENGTH = 2.0 * np.arccosh(1.0 / np.tan(np.pi / 8.0))
+# the octagon's corners: corner j at angle (2j+1) pi/8 and circumradius
+# arccosh(cot^2 pi/8); side j runs from corner j-1 to corner j
+_CIRCUMRADIUS = np.arccosh(1.0 / np.tan(np.pi / 8.0) ** 2)
+OCTAGON_VERTICES = np.array([
+    [np.sinh(_CIRCUMRADIUS) * np.cos(a), np.sinh(_CIRCUMRADIUS) * np.sin(a), np.cosh(_CIRCUMRADIUS)]
+    for a in ((2 * j + 1) * np.pi / 8 for j in range(8))
+])
 
 # letter names, indexed by code
 _LETTER_NAMES = tuple(n + e for n in GENERATOR_NAMES for e in ("", "^-1"))
 # each letter as a word in the eight octagon translations (x_k is k, x_k^-1
 # is k + 4), indexed by code: a1 = x0, b1 = x3, a2 = x3 x0 x1^-1, b2 = x1 x2^-1
 LETTER_X_WORDS = ((0,), (4,), (3,), (7,), (3, 0, 5), (1, 4, 7), (1, 6), (2, 5))
-# the inverse change of basis, used by the mesh for side-pairing transports:
-#   x0 = a1, x1 = a2^-1 b1 a1, x2 = b2^-1 a2^-1 b1 a1, x3 = b1
+# the inverse change of basis, x0 = a1, x1 = a2^-1 b1 a1,
+# x2 = b2^-1 a2^-1 b1 a1, x3 = b1: the words of PAIRING_WORDS
 _X_GENERATOR_WORDS = (
     "a1",
     "a2^-1 b1 a1",
@@ -151,6 +166,11 @@ class Word:
 
 RELATOR = Word.parse("a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1")
 
+# the side pairings in the generators: x_k at index k maps side k+4 onto
+# side k, and x_k^-1 at index k + 4 (the index convention of LETTER_X_WORDS)
+_X_WORDS = tuple(Word.parse(w) for w in _X_GENERATOR_WORDS)
+PAIRING_WORDS = _X_WORDS + tuple(w.inverse() for w in _X_WORDS)
+
 # the code that pads short words; it stands for the identity
 PAD = 8
 # _NEXT[c]: the seven codes that may follow c in a freely reduced word
@@ -201,6 +221,12 @@ class SurfaceGroupRep:
 
     def evaluate(self, word) -> np.ndarray:
         return self.evaluate_ld(word).astype(float)
+
+    def pairing_images(self) -> np.ndarray:
+        """(8, 3, 3) float64 images of the pairing letters:
+        evaluate(PAIRING_WORDS[k]) at k < 4 and its group inverse at k + 4."""
+        xs = [self.evaluate(w) for w in PAIRING_WORDS[:4]]
+        return np.array([*xs, *map(lorentz.group_inv, xs)])
 
     def relator_residual(self) -> float:
         r = self.evaluate_ld(RELATOR) - np.eye(3, dtype=np.longdouble)
@@ -258,27 +284,8 @@ def as_word(word) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# octagon model
+# the octagon representation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class OctagonModel:
-    """Geometry shared by the representation and the fundamental-domain mesh.
-
-    vertices[j] sits at angle (2j+1) pi/8 and circumradius arccosh(cot^2 pi/8);
-    side j runs from vertices[j-1] to vertices[j] with midpoint in direction
-    j pi/4, and is paired with side j+4 by the translation x_j (a word in the
-    generators, pairing_words[j], mapping side j+4 onto side j).
-    """
-
-    rep: SurfaceGroupRep
-    vertices: np.ndarray          # (8, 3) octagon corners
-    pairing_words: tuple          # 8 Words; pairing_words[k] maps side k+4 -> side k
-    pairing_mats: np.ndarray      # (8, 3, 3) their sigma-images
-
-    def side_vertices(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices[(k - 1) % 8], self.vertices[k % 8]
-
 
 def _octagon_generators_exact() -> np.ndarray:
     """Generator matrices from 50-digit arithmetic, rounded to longdouble."""
@@ -310,9 +317,7 @@ def _octagon_generators_exact() -> np.ndarray:
         )
 
 
-_OCTAGON_CACHE: dict = {}
-
-
+@functools.cache
 def octagon_representation() -> SurfaceGroupRep:
     """The genus-2 octagon representation (see module docstring).
 
@@ -320,56 +325,32 @@ def octagon_representation() -> SurfaceGroupRep:
     2 arccosh(cot pi/8) and the relator [a1,b1][a2,b2] evaluates to I within
     1e-9.  Construction failure is an assertion, not a recoverable error.
     """
-    if "rep" not in _OCTAGON_CACHE:
-        rep = SurfaceGroupRep(_octagon_generators_exact(), label="sigma")
-        res = rep.relator_residual()
-        assert res <= RELATOR_TOL, f"octagon relator residual {res:.3e}"
-        for n in GENERATOR_NAMES:
-            err = abs(translation_length(rep.generator(n)) - OCTAGON_LENGTH)
-            assert err <= 1e-9, f"octagon generator {n} length off by {err:.3e}"
-        _OCTAGON_CACHE["rep"] = rep
-    return _OCTAGON_CACHE["rep"]
-
-
-def octagon_model() -> OctagonModel:
-    """Octagon geometry + side pairings of the base octagon representation.
-
-    The pairing matrices are always sigma-images; consumers that transport
-    data in another rep evaluate pairing_words there.
-    """
-    rep = octagon_representation()
-    r = np.arccosh(1.0 / np.tan(np.pi / 8.0) ** 2)
-    sr, cr = np.sinh(r), np.cosh(r)
-    verts = np.array(
-        [[sr * np.cos((2 * j + 1) * np.pi / 8), sr * np.sin((2 * j + 1) * np.pi / 8), cr] for j in range(8)]
-    )
-    words = []
-    for k in range(8):
-        w = Word.parse(_X_GENERATOR_WORDS[k % 4])
-        if k >= 4:
-            w = w.inverse()
-        words.append(w)
-    mats = np.array([rep.evaluate(w) for w in words])
-    return OctagonModel(rep=rep, vertices=verts, pairing_words=tuple(words), pairing_mats=mats)
+    rep = SurfaceGroupRep(_octagon_generators_exact(), label="sigma")
+    res = rep.relator_residual()
+    assert res <= RELATOR_TOL, f"octagon relator residual {res:.3e}"
+    for n in GENERATOR_NAMES:
+        err = abs(translation_length(rep.generator(n)) - OCTAGON_LENGTH)
+        assert err <= 1e-9, f"octagon generator {n} length off by {err:.3e}"
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # lengths, axes, stretch ratios
 # ---------------------------------------------------------------------------
 
-def translation_length(g: np.ndarray, tol: float = HYPERBOLIC_TRACE_TOL):
+def translation_length(g: np.ndarray):
     """l with Tr g = 1 + 2 cosh l; raises NonHyperbolicError otherwise.
 
     Returns a numpy scalar in the input dtype (longdouble passes through).
     """
     c = (np.trace(g) - 1.0) / 2.0
-    if float(c) <= 1.0 + tol / 2.0:
-        kind = "parabolic" if abs(float(c) - 1.0) <= tol / 2.0 else "elliptic"
+    if float(c) <= 1.0 + HYPERBOLIC_TRACE_TOL / 2.0:
+        kind = "parabolic" if abs(float(c) - 1.0) <= HYPERBOLIC_TRACE_TOL / 2.0 else "elliptic"
         raise NonHyperbolicError(f"element is {kind} (trace {2 * float(c) + 1:.6f})")
     return np.arccosh(c)
 
 
-def axis_generator(g: np.ndarray, tol: float = HYPERBOLIC_TRACE_TOL) -> np.ndarray:
+def axis_generator(g: np.ndarray) -> np.ndarray:
     """Killing-normalized generator B with exp(l B) = g, Ad(g) B = B.
 
     For hyperbolic g = exp(l B) the sharp-antisymmetrization kills the B^2
@@ -377,7 +358,7 @@ def axis_generator(g: np.ndarray, tol: float = HYPERBOLIC_TRACE_TOL) -> np.ndarr
     killing(B,B) = 2; the sign translates in the +B direction (exp(lB) = g
     with l > 0).  Input dtype is preserved.
     """
-    l = translation_length(g, tol)
+    l = translation_length(g)
     B = (g - sharp_adj(g)) / (2.0 * np.sinh(l))
     B = B * np.sqrt(2.0 / lorentz.killing(B, B))
     return B

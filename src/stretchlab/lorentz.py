@@ -26,9 +26,10 @@ B_STD = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 BPERP_STD = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 NHAT_STD = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-# default tolerances; every consumer may pass its own
+# tolerances of the hyperboloid tests, the exponential's series branch and the axis tests
 ATOL = 1e-10
 EXP_SERIES_CUTOFF = 1e-8
+AXIS_TOL = 1e-8
 
 
 class FrameError(ValueError):
@@ -94,21 +95,21 @@ def killing(A: np.ndarray, B: np.ndarray):
     return np.tensordot(A, B.T, axes=2)
 
 
-def is_group_elem(g: np.ndarray, tol: float = 1e-12) -> bool:
-    """gT e# g = e# to tol, det g = 1 and g preserves the upper sheet."""
-    if float(np.abs(g.T @ E_SHARP @ g - E_SHARP).max()) > tol:
+def is_group_elem(g: np.ndarray) -> bool:
+    """gT e# g = e# to 1e-12, det g = 1 to 1e-9 and g preserves the upper sheet."""
+    if float(np.abs(g.T @ E_SHARP @ g - E_SHARP).max()) > 1e-12:
         return False
-    if abs(np.linalg.det(g) - 1.0) > max(tol, 1e-9):
+    if abs(np.linalg.det(g) - 1.0) > 1e-9:
         return False
     return (g @ X0)[2] > 0
 
 
-def project_tangent(X: np.ndarray, v: np.ndarray, tol: float = ATOL) -> np.ndarray:
+def project_tangent(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection Pi(X) v = v + (v,X)# X onto T_X H.
 
     X must lie on the hyperboloid.
     """
-    if not is_on_hyperboloid(X, tol):
+    if not is_on_hyperboloid(X):
         raise ValueError("projection base point is not on the hyperboloid")
     return v + mink_dot(v, X) * X
 
@@ -147,7 +148,7 @@ def exp_so21(A: np.ndarray) -> np.ndarray:
     return np.eye(3, dtype=A.dtype) + f1 * A + f2 * A2
 
 
-def log_so21(g: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def log_so21(g: np.ndarray) -> np.ndarray:
     """Inverse of exp_so21 on SO+(2,1).
 
     Writes g = I + f1(k) A + f2(k) A^2 and recovers A = (g - g#)/(2 f1).  The
@@ -156,10 +157,10 @@ def log_so21(g: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """
     c = (float(np.trace(g)) - 1.0) / 2.0
     m = 0.5 * (g - sharp_adj(g))
-    if c > 1.0 + tol:
+    if c > 1.0 + 1e-12:
         w = np.arccosh(c)
         f1 = np.sinh(w) / w
-    elif c < 1.0 - tol:
+    elif c < 1.0 - 1e-12:
         w = np.arccos(max(c, -1.0))
         s = np.sin(w)
         if abs(s) < 1e-6:
@@ -172,14 +173,14 @@ def log_so21(g: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return m / f1
 
 
-def geodesic(X: np.ndarray, v: np.ndarray, t: float, tol: float = ATOL) -> np.ndarray:
+def geodesic(X: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """Unit-speed geodesic cosh(t) X + sinh(t) v = exp(t v x X) X.
 
     Requires (X,X)# = -1, (v,v)# = 1, (v,X)# = 0.
     """
-    if not is_on_hyperboloid(X, tol):
+    if not is_on_hyperboloid(X):
         raise ValueError("geodesic base point is not on the hyperboloid")
-    if abs(mink_dot(v, v) - 1.0) > tol or abs(mink_dot(v, X)) > tol:
+    if abs(mink_dot(v, v) - 1.0) > ATOL or abs(mink_dot(v, X)) > ATOL:
         raise ValueError("geodesic direction is not a unit tangent at X")
     return np.cosh(t) * X + np.sinh(t) * v
 
@@ -200,7 +201,7 @@ def log_map(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.where(th[..., None] < 1e-12, 0.0, v)
 
 
-def frame_at(B: np.ndarray, X: np.ndarray, tol: float = 1e-8):
+def frame_at(B: np.ndarray, X: np.ndarray):
     """Frame (B, Bperp, nhat) of so(2,1) adapted to the axis of B through X.
 
     B must be a hyperbolic generator with killing(B,B) = 2 whose axis passes
@@ -208,11 +209,11 @@ def frame_at(B: np.ndarray, X: np.ndarray, tol: float = 1e-8):
     axis, Bperp = (the 90-degree rotated tangent) x X and nhat = Bperp B - B Bperp
     spans the Killing-negative direction.  The Gram matrix is diag(2, 2, -2).
     """
-    if abs(killing(B, B) - 2.0) > tol:
+    if abs(killing(B, B) - 2.0) > AXIS_TOL:
         raise FrameError("generator is not killing-normalized to (B,B)# = 2")
-    if not is_on_hyperboloid(X, max(tol, ATOL)):
+    if not is_on_hyperboloid(X, max(AXIS_TOL, ATOL)):
         raise FrameError("frame base point is not on the hyperboloid")
-    if float(np.abs(B @ B @ X - X).max()) > tol:
+    if float(np.abs(B @ B @ X - X).max()) > AXIS_TOL:
         raise FrameError("base point is not on the axis of B")
     t = B @ X  # unit tangent along the axis
     n_vec = mink_cross_vec(t, X)  # in-plane unit normal (tangent rotated by -90)
@@ -221,18 +222,18 @@ def frame_at(B: np.ndarray, X: np.ndarray, tol: float = 1e-8):
     return B, Bp, nh
 
 
-def axis_point(B: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def axis_point(B: np.ndarray) -> np.ndarray:
     """A point on the axis of a hyperbolic generator B (killing(B,B) = 2).
 
     The axis is the hyperboloid trace of the +1-eigenplane of B^2; the
     timelike direction in that nullspace of (B^2 - I) is extracted by
     diagonalizing the restricted form.
     """
-    if abs(killing(B, B) - 2.0) > tol:
+    if abs(killing(B, B) - 2.0) > AXIS_TOL:
         raise FrameError("generator is not killing-normalized to (B,B)# = 2")
     M = B @ B - np.eye(3)
     _, s, vt = np.linalg.svd(M)
-    null = vt[s < max(tol, s[0] * 1e-9)]
+    null = vt[s < max(AXIS_TOL, s[0] * 1e-9)]
     if null.shape[0] != 2:
         raise FrameError("axis eigenplane is not two-dimensional")
     u, w = null
@@ -251,8 +252,8 @@ def random_lie_alg(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     return lie_from_frame_coords(b, a, z)
 
 
-def random_group_elem(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return exp_so21(random_lie_alg(rng, scale))
+def random_group_elem(rng: np.random.Generator) -> np.ndarray:
+    return exp_so21(random_lie_alg(rng))
 
 
 def random_tangent(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:

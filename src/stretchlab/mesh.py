@@ -7,8 +7,10 @@ position(i) = sigma(w_i) . position(representative).  The words are stored
 as a table of the distinct ones (11 at any level >= 1) and one index per
 vertex.  The flat connection is literal matrix transport: a discrete
 ad-valued 1-form has one value per chart edge, and crossing the paired
-boundary conjugates by the pairing word's image (in whichever
-representation the form is equivariant for).
+boundary conjugates by the pairing letter's image in the pairing_images()
+table of whichever representation the form is equivariant for.  The mesh
+stores no pairing words; its corners and union-find words are fuchsian's
+OCTAGON_VERTICES and PAIRING_WORDS.
 
 The pairing x_k maps side k+4 onto side k and reverses its direction, so the
 i-th vertex of side k+4 is paired with the i-th vertex from the end of side
@@ -36,14 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lorentz
 from .cocycle import Cocycle, compose
 from .fuchsian import (
     LETTER_X_WORDS,
+    OCTAGON_VERTICES,
+    PAIRING_WORDS,
     SurfaceGroupRep,
     Word,
     as_word,
-    octagon_model,
     octagon_representation,
 )
 from .lorentz import cross, log_map, mink_cross_vec, mink_dot, normalize_to_hyperboloid
@@ -131,7 +133,6 @@ class FundamentalMesh:
     side_chains: np.ndarray       # (8, m) ordered vertex ids along the sides
     boundary_pairs: np.ndarray    # (nb, 3) rows (u, v, k): sigma(x_k) pos_u = pos_v, u on side k+4
     edge_twins: tuple             # per pairing k: (edge ids on side k+4, twin ids on side k, signs)
-    pairing_words: tuple          # 8 Words (x_k in the generators)
     areas: np.ndarray             # (nt,) exact angle-defect areas
     chord_areas: np.ndarray       # (nt,) embedded flat areas (first order)
     edges: np.ndarray             # (ne, 2) sorted vertex pairs
@@ -166,12 +167,8 @@ class FundamentalMesh:
     def pairing_drift(self, points: np.ndarray, rep: SurfaceGroupRep) -> float:
         """Max |rep(x_k) points[u] - points[v]| over the boundary pairs (u, v, k)."""
         u, v, k = self.boundary_pairs.T
-        drift = 0.0
-        for j in range(4):
-            g = rep.evaluate(self.pairing_words[j])
-            sel = k == j
-            drift = max(drift, float(np.abs(points[u[sel]] @ g.T - points[v[sel]]).max()))
-        return drift
+        mats = rep.pairing_images()
+        return max(float(np.abs(points[u[k == j]] @ mats[j].T - points[v[k == j]]).max()) for j in range(4))
 
     def validate(self, tol: float = PAIRING_TOL):
         if self.pairing_drift(self.vertices, self.rep) > tol:
@@ -191,8 +188,8 @@ class FundamentalMesh:
             "vertices": self.vertices.tolist(),
             "triangles": self.triangles.tolist(),
             "pairings": [
-                {"side": k, "word": str(w), "matrix": self.rep.evaluate(w).tolist()}
-                for k, w in enumerate(self.pairing_words)
+                {"side": k, "word": str(w), "matrix": g.tolist()}
+                for k, (w, g) in enumerate(zip(PAIRING_WORDS, self.rep.pairing_images()))
             ],
         }
 
@@ -226,19 +223,15 @@ class _UnionFind:
         self.word[ri] = wi.inverse() * w_ij * wj
 
 
-def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
+def build_octagon_mesh(level: int) -> FundamentalMesh:
     """Fan-triangulated regular octagon, `level` rounds of 1:4 subdivision.
 
-    rep must be the octagon representation (the mesh geometry belongs to it);
-    a PairingError-grade mismatch raises MeshError.
+    The mesh belongs to the octagon representation, its `rep`; it stores no
+    pairing words, and readers take the pairing images from a rep's
+    pairing_images().  A pairing mismatch raises MeshError.
     """
-    base = octagon_representation()
-    if float(np.abs(rep.generators - base.generators).max()) > 1e-8:
-        raise MeshError("mesh construction requires the octagon representation")
-    model = octagon_model()
-
     corners = np.arange(1, 9)
-    vertices = np.concatenate([[[0.0, 0.0, 1.0]], model.vertices[:8]])
+    vertices = np.concatenate([[[0.0, 0.0, 1.0]], OCTAGON_VERTICES])
     triangles = np.stack([np.zeros(8, dtype=int), np.roll(corners, 1), corners], axis=1)
     chains = np.stack([np.roll(corners, 1), corners], axis=1)
     for _ in range(level):
@@ -257,7 +250,7 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
     uf = _UnionFind()
     for k in range(4):
         for u, v in zip(far[k].tolist(), near[k].tolist()):
-            uf.union(u, v, model.pairing_words[k + 4])  # pos(u) = sigma(x_k^-1) pos(v)
+            uf.union(u, v, PAIRING_WORDS[k + 4])  # pos(u) = sigma(x_k^-1) pos(v)
     root = np.arange(len(vertices))
     lift_id = np.zeros(len(vertices), dtype=int)
     lift_index = {Word(): 0}
@@ -294,7 +287,7 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
     tri_dxinv = np.linalg.inv(D)
 
     mesh = FundamentalMesh(
-        rep=base,
+        rep=octagon_representation(),
         level=level,
         vertices=vertices,
         triangles=triangles,
@@ -305,7 +298,6 @@ def build_octagon_mesh(rep: SurfaceGroupRep, level: int) -> FundamentalMesh:
         side_chains=chains,
         boundary_pairs=boundary_pairs.reshape(-1, 3),
         edge_twins=edge_twins,
-        pairing_words=model.pairing_words,
         areas=areas,
         chord_areas=chord_areas,
         edges=edges,
@@ -436,17 +428,16 @@ def _crossings(form: DiscreteOneForm, rep: SurfaceGroupRep):
     mesh = form.mesh
     F = _primitive(form)
     far, near, pairing = mesh.boundary_pairs.T
-    incr, mats = [None] * 8, [None] * 8
+    mats = rep.pairing_images()
+    incr = [None] * 8
     for k in range(4):
         chain = mesh.side_chains[k]
         y = chain[len(chain) // 2]
         yp = far[(pairing == k) & (near == y)][0]
-        g = rep.evaluate(mesh.pairing_words[k])
-        g_inv = lorentz.group_inv(g)
+        g, g_inv = mats[k], mats[k + 4]
         incr[k] = F[y] - g @ F[yp] @ g_inv
         incr[k + 4] = -(g_inv @ incr[k] @ g)
-        mats[k], mats[k + 4] = g, g_inv
-    return np.array(incr), np.array(mats)
+    return np.array(incr), mats
 
 
 def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = None) -> np.ndarray:

@@ -13,7 +13,8 @@ cylinder rig: projected gradient with Armijo backtracking on a product of
 hyperboloids (retraction: renormalize to the sheet; exact exponential step
 when the normalization would leave it), with a Barzilai-Borwein initial step.
 Armijo trials evaluate the energy alone; the gradient is built once per
-accepted step, from the intermediates that the accepted trial returned.
+accepted step, from the intermediates that the accepted trial returned,
+its power sums p_k included.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id, assembled as
@@ -177,27 +178,23 @@ def _tri_metric(ctx: _Context, Z: np.ndarray):
     }
 
 
-def _newton_power(t, d, half_p, want_grads=False):
-    """p_k = tr(M^k) via p_k = t p_{k-1} - d p_{k-2}; optional d/dt, d/dd."""
-    pkm2 = np.full_like(t, 2.0)
-    pkm1 = t.copy()
-    ukm2 = np.zeros_like(t)
-    ukm1 = np.ones_like(t)
-    vkm2 = np.zeros_like(t)
-    vkm1 = np.zeros_like(t)
-    if half_p == 0:
-        return (pkm2, ukm2, vkm2) if want_grads else pkm2
-    for k in range(2, half_p + 1):
-        pk = t * pkm1 - d * pkm2
-        if want_grads:
-            uk = pkm1 + t * ukm1 - d * ukm2
-            vk = t * vkm1 - pkm2 - d * vkm2
-            ukm2, ukm1 = ukm1, uk
-            vkm2, vkm1 = vkm1, vk
-        pkm2, pkm1 = pkm1, pk
-    if want_grads:
-        return pkm1, ukm1, vkm1
-    return pkm1
+def _newton_power(t, d, half_p):
+    """[p_0, ..., p_{half_p}] with p_k = tr(M^k) = t p_{k-1} - d p_{k-2}."""
+    P = [np.full_like(t, 2.0), t]
+    for _ in range(half_p - 1):
+        P.append(t * P[-1] - d * P[-2])
+    return P[: half_p + 1]
+
+
+def _power_derivatives(t, d, P):
+    """d/dt and d/dd of the last power sum in P = [p_0, ..., p_n], through
+    the derivatives of the recurrence over the stored p_k."""
+    U = [np.zeros_like(t), np.ones_like(t)]
+    V = [np.zeros_like(t), np.zeros_like(t)]
+    for k in range(2, len(P)):
+        U.append(P[k - 1] + t * U[-1] - d * U[-2])
+        V.append(t * V[-1] - P[k - 2] - d * V[-2])
+    return U[len(P) - 1], V[len(P) - 1]
 
 
 def _check_p(p):
@@ -210,10 +207,7 @@ def energy_Jp(u: EquivariantMap, p: int) -> float:
     _check_p(p)
     if float(u.mesh.areas.min()) <= 0.0:
         raise ValueError("mesh contains a degenerate (nonpositive-area) triangle")
-    ctx = _Context(u.mesh, u.rho)
-    m = _tri_metric(ctx, u.class_points)
-    e = _newton_power(m["t"], m["d"], p // 2)
-    return float(np.dot(ctx.areas, e))
+    return _energy_and_grad(_Context(u.mesh, u.rho), u.class_points, p)[0]
 
 
 def singular_values(u: EquivariantMap) -> tuple[np.ndarray, np.ndarray]:
@@ -228,17 +222,18 @@ def _singular_values(m):
     return np.sqrt(lam1), np.sqrt(lam2)
 
 
-def _energy_and_grad(ctx: _Context, Z: np.ndarray, p: int, want_grad=True):
-    """(J_p, Euclidean gradient, intermediates m) at Z, or (J_p, m) without
-    want_grad; `_grad_from_metric(ctx, m, p)` builds the same gradient later."""
+def _energy_and_grad(ctx: _Context, Z: np.ndarray, p: int):
+    """(J_p, m) at Z: m holds _tri_metric's intermediates and the power sums
+    m["P"] = [p_0, ..., p_{p/2}], from which `_grad_from_metric(ctx, m)`
+    builds the gradient."""
     m = _tri_metric(ctx, Z)
-    J = float(np.dot(ctx.areas, _newton_power(m["t"], m["d"], p // 2)))
-    return (J, _grad_from_metric(ctx, m, p), m) if want_grad else (J, m)
+    m["P"] = _newton_power(m["t"], m["d"], p // 2)
+    return float(np.dot(ctx.areas, m["P"][-1])), m
 
 
-def _grad_from_metric(ctx: _Context, m: dict, p: int) -> np.ndarray:
-    """Euclidean gradient of J_p per class point, from _tri_metric's output."""
-    _, du, dv = _newton_power(m["t"], m["d"], p // 2, want_grads=True)
+def _grad_from_metric(ctx: _Context, m: dict) -> np.ndarray:
+    """Euclidean gradient of J_p per class point, from _energy_and_grad's m."""
+    du, dv = _power_derivatives(m["t"], m["d"], m["P"])
     M = m["M"]
     adjM = np.empty_like(M)
     adjM[:, 0, 0] = M[:, 1, 1]
@@ -408,8 +403,8 @@ def minimize(
         smax = float(np.sqrt(max(m["t"].max(), 1.0)))
         return STEP_CAP / max(1.0, smax ** (p - 2))
 
-    Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p, want_grad=False),
-                              lambda m: _grad_from_metric(ctx, m, p), u.class_points.copy(), tau0, opts)
+    Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p),
+                              lambda m: _grad_from_metric(ctx, m), u.class_points.copy(), tau0, opts)
     s1, s2 = _singular_values(m)
     return SolveResult(
         map=EquivariantMap(mesh, rho, Z),
@@ -433,8 +428,7 @@ def gradient_fd_check(mesh, rho, p, u: EquivariantMap, rng=None):
     rng = rng or np.random.default_rng(0)
     ctx = _Context(mesh, rho)
     Z = u.class_points
-    J, g_euc, _ = _energy_and_grad(ctx, Z, p)
-    G = _riemannian_grad(Z, g_euc)
+    G = _riemannian_grad(Z, _grad_from_metric(ctx, _energy_and_grad(ctx, Z, p)[1]))
     worst = 0.0
     for _ in range(FD_PROBES):
         c = int(rng.integers(0, mesh.n_classes))
@@ -442,8 +436,8 @@ def gradient_fd_check(mesh, rho, p, u: EquivariantMap, rng=None):
         v /= np.sqrt(mink_dot(v, v))
         dZ = np.zeros_like(Z)
         dZ[c] = v
-        Jp = _energy_and_grad(ctx, _retract(Z, -FD_H * dZ), p, want_grad=False)[0]
-        Jm = _energy_and_grad(ctx, _retract(Z, FD_H * dZ), p, want_grad=False)[0]
+        Jp = _energy_and_grad(ctx, _retract(Z, -FD_H * dZ), p)[0]
+        Jm = _energy_and_grad(ctx, _retract(Z, FD_H * dZ), p)[0]
         fd = (Jp - Jm) / (2 * FD_H)
         an = float(mink_dot(G[c], v))  # directional derivative (G_c, v)#
         scale = max(abs(fd), abs(an), 1e-12)
@@ -456,10 +450,9 @@ def p_continuation(
     rho: SurfaceGroupRep,
     schedule=(2, 4, 8, 16, 32, 64),
     opts: SolveOptions | None = None,
-    init: EquivariantMap | None = None,
 ) -> list:
-    """Warm-started continuation in p; each stage reports (J_p/Area)^{1/p} and
-    carries its densities and currents (`density_and_currents`).
+    """Warm-started continuation in p from the identity map; each stage reports
+    (J_p/Area)^{1/p} and carries its densities and currents (`density_and_currents`).
 
     Monotonicity of the stage values in p is reported (not asserted): the
     normalized mixed norm has an l^p factor in (s1, s2) that decreases in p,
@@ -469,7 +462,7 @@ def p_continuation(
         raise ValueError("p schedule must be increasing")
     opts = opts or SolveOptions()
     results = []
-    u = init if init is not None else identity_map(mesh, rho)
+    u = identity_map(mesh, rho)
     for p in schedule:
         res = minimize(mesh, rho, int(p), init=u, opts=opts)
         density_and_currents(res)
@@ -547,11 +540,11 @@ def _assemble_edge_currents(result: SolveResult):
         own = np.zeros((len(mesh.edges), 3, 3))
         np.add.at(own, mesh.tri_edges.ravel(), contrib.reshape(-1, 3, 3))
         total = own.copy()
+        mats = rep.pairing_images()
         for k, (far, near, sign) in enumerate(mesh.edge_twins):
             # pulling the side-k value back to side k+4 uses Ad(x_k)^-1,
             # pushing side k+4 to side k uses Ad(x_k)
-            g = rep.evaluate(mesh.pairing_words[k])
-            g_inv = lorentz.group_inv(g)
+            g, g_inv = mats[k], mats[k + 4]
             total[far] += sign[:, None, None] * (g_inv @ own[near] @ g)
             total[near] += sign[:, None, None] * (g @ own[far] @ g_inv)
         out.append(0.5 * total)
@@ -587,7 +580,9 @@ def relation_checks(result: SolveResult) -> dict:
 
     exact = lhs - (rhs + (2.0 / p) * result.density[:, None, None] * eye)
 
-    # (b) discrete *(omega_mc wedge W) vs 2 |S|
+    # (b) discrete *(omega_mc wedge W) vs 2 |S|; imported here, not at the
+    # top, so that a wrapper patched onto the mesh module after import sees
+    # the call (the benchmark's tracer times triangle_wedge_density so)
     from .mesh import triangle_wedge_density
 
     omega = maurer_cartan(mesh)

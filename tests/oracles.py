@@ -8,12 +8,14 @@ from stretchlab.earthquake import FD_STEP, TwistSpec, twist
 from stretchlab.fuchsian import (
     GENERATOR_NAMES,
     LETTER_X_WORDS,
+    OCTAGON_VERTICES,
     PAD,
+    PAIRING_WORDS,
     RELATOR,
     SurfaceGroupRep,
     Word,
     as_word,
-    octagon_model,
+    octagon_representation,
 )
 from stretchlab.lorentz import log_map, mink_cross_vec, mink_dot
 from stretchlab.mesh import _midpoint, extract_cocycle, loop_integral
@@ -102,10 +104,10 @@ def mesh_geometry_oracle(vertices: np.ndarray, triangles: np.ndarray) -> dict:
 def boundary_pairs_oracle(vertices: np.ndarray, chains: list, match_tol: float = 1e-9) -> list:
     """Twin search: the vertex of side k within match_tol of x_k applied to each
     vertex of side k+4, as (u, v, k)."""
-    model = octagon_model()
+    sigma = octagon_representation()
     boundary_pairs = []
     for k in range(4):
-        g = model.pairing_mats[k]
+        g = sigma.evaluate(PAIRING_WORDS[k])
         targets = {u: vertices[u] for u in chains[k]}
         for u in chains[(k + 4) % 8]:
             img = g @ vertices[u]
@@ -170,9 +172,7 @@ class _UnionFind:
 
 def mesh_topology_oracle(level: int) -> dict:
     """Fan-triangulated octagon refined `level` times, one triangle at a time."""
-    model = octagon_model()
-
-    verts = [np.array([0.0, 0.0, 1.0])] + [model.vertices[j] for j in range(8)]
+    verts = [np.array([0.0, 0.0, 1.0])] + [OCTAGON_VERTICES[j] for j in range(8)]
     corners = list(range(1, 9))
     tris = [(0, corners[(j - 1) % 8], corners[j]) for j in range(8)]
     chains = [[corners[(j - 1) % 8], corners[j]] for j in range(8)]
@@ -211,7 +211,7 @@ def mesh_topology_oracle(level: int) -> dict:
 
     uf = _UnionFind(len(verts))
     for k in range(4):
-        w_inv = model.pairing_words[k + 4]  # word of x_k^-1
+        w_inv = PAIRING_WORDS[k + 4]  # word of x_k^-1
         far, near = chains[k + 4], chains[k][::-1]
         for u, v in zip(far, near):
             uf.union(u, v, w_inv)  # pos(u) = sigma(x_k^-1) pos(v)
@@ -256,6 +256,33 @@ def retract_oracle(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
             N[i] = np.cosh(s) * Z[i] + np.sinh(s) * v / nv
         q = -(N[:, 0] ** 2 + N[:, 1] ** 2 - N[:, 2] ** 2)
     return N / np.sqrt(q)[:, None]
+
+
+# the fused power-sum recurrence with derivatives that pharmonic's gradient
+# ran before it read the accepted trial's power sums
+
+
+def newton_power_oracle(t, d, half_p, want_grads=False):
+    """p_k = tr(M^k) via p_k = t p_{k-1} - d p_{k-2}; optional d/dt, d/dd."""
+    pkm2 = np.full_like(t, 2.0)
+    pkm1 = t.copy()
+    ukm2 = np.zeros_like(t)
+    ukm1 = np.ones_like(t)
+    vkm2 = np.zeros_like(t)
+    vkm1 = np.zeros_like(t)
+    if half_p == 0:
+        return (pkm2, ukm2, vkm2) if want_grads else pkm2
+    for k in range(2, half_p + 1):
+        pk = t * pkm1 - d * pkm2
+        if want_grads:
+            uk = pkm1 + t * ukm1 - d * ukm2
+            vk = t * vkm1 - pkm2 - d * vkm2
+            ukm2, ukm1 = ukm1, uk
+            vkm2, vkm1 = vkm1, vk
+        pkm2, pkm1 = pkm1, pk
+    if want_grads:
+        return pkm1, ukm1, vkm1
+    return pkm1
 
 
 # the BFS-path loop integrals that mesh.loop_integral and
@@ -318,7 +345,7 @@ def loop_integral_oracle(form, word, rep: SurfaceGroupRep | None = None, base_ve
         chain = mesh.side_chains[k]
         y = chain[len(chain) // 2]
         yp = int(far[(pairing == k) & (near == y)][0])
-        g = rep.evaluate(mesh.pairing_words[k])
+        g = rep.evaluate(PAIRING_WORDS[k])
         P1 = _path_sum(form, _bfs_path(mesh, base_vertex, y))
         P2 = _path_sum(form, _bfs_path(mesh, yp, base_vertex))
         incr[k] = P1 + g @ P2 @ lorentz.group_inv(g)

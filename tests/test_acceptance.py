@@ -77,7 +77,7 @@ def rho_twist(octagon):
 
 @pytest.fixture(scope="module")
 def identity_run(octagon):
-    mesh = build_octagon_mesh(octagon, 3)
+    mesh = build_octagon_mesh(3)
     with _Timer() as t:
         results = p_continuation(
             mesh, octagon, schedule=(2, 4, 8, 16, 32, 64), opts=SolveOptions(max_iter=6000)
@@ -87,7 +87,7 @@ def identity_run(octagon):
 
 @pytest.fixture(scope="module")
 def twist_run(octagon, rho_twist):
-    mesh = build_octagon_mesh(octagon, 3)
+    mesh = build_octagon_mesh(3)
     with _Timer() as t:
         results = p_continuation(
             mesh, rho_twist, schedule=(2, 4, 8, 16, 32, 64), opts=SolveOptions(max_iter=8000)
@@ -267,7 +267,7 @@ def test_criterion_9_twisted_target(octagon, rho_twist, twist_run):
             assert res.residuals["minus2T_exact_identity"] <= 1e-10
             assert res.residuals["minus2T_tracefree_gap"] <= 1e-10
         # one refinement at fixed p = 8: closedness residuals drop >= 1.5x
-        mesh4 = build_octagon_mesh(octagon, 4)
+        mesh4 = build_octagon_mesh(4)
         fine = p_continuation(
             mesh4, rho_twist, schedule=(2, 4, 8), opts=SolveOptions(max_iter=8000)
         )
@@ -328,7 +328,7 @@ def test_criterion_10_cocycle_extraction(octagon):
         tangencies = []
         pairings = []
         for lvl in (1, 2, 3):
-            mesh = build_octagon_mesh(octagon, lvl)
+            mesh = build_octagon_mesh(lvl)
 
             def fn(i, j, mesh=mesh):
                 Xi, Xj = mesh.vertices[i], mesh.vertices[j]

@@ -203,6 +203,38 @@ def test_solve_unreadable_checkpoint_is_config_error(tmp_path, capsys):
     assert ck.read_bytes() == data[: len(data) // 2]
 
 
+def test_solve_resumed_nan_map_is_numeric_failure(tmp_path):
+    # a checkpoint whose class points are NaN resumes to a non-finite J_p
+    cfg = {
+        "target": {"type": "twist", "curve": "a1", "t": 0.5},
+        "mesh_level": 1,
+        "p_schedule": [2, 4],
+        "max_word_len": 3,
+    }
+    assert run(tmp_path, "solve", cfg) == 0
+    ck = tmp_path / "out" / "checkpoint.npz"
+    with np.load(ck) as data:
+        arrays = {k: data[k] for k in data.files}
+    for p in (2, 4):
+        arrays[f"class_points_p{p}"] = np.full_like(arrays[f"class_points_p{p}"], np.nan)
+    np.savez(ck, **arrays)
+    assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
+    stages = read_report(tmp_path, "solve_summary.json")["stages"]
+    assert [s["p"] for s in stages] == [2, 4]
+    assert all(not np.isfinite(s["J_p"]) for s in stages)
+
+
+def test_solve_large_twist_is_numeric_failure(tmp_path):
+    # the rep overflows float64, so the stage ends on a line-search failure at J_p = NaN
+    cfg = {
+        "target": {"type": "twist", "curve": "a1", "t": 1e3},
+        "mesh_level": 1,
+        "p_schedule": [2],
+        "max_word_len": 3,
+    }
+    assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
+
+
 def test_solve_rejects_unknown_target(tmp_path):
     assert run(tmp_path, "solve", {"target": {"type": "nonsense"}}) == cli.EXIT_CONFIG
 

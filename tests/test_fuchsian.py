@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from stretchlab import fuchsian, lorentz
 from stretchlab.fuchsian import (
     OCTAGON_LENGTH,
+    OCTAGON_VERTICES,
+    PAIRING_WORDS,
     RELATOR,
     NonHyperbolicError,
     Word,
     axis_generator,
     enumerate_words,
     k_lower_bound,
-    octagon_model,
     stretch_ratio,
     translation_length,
 )
@@ -316,16 +317,27 @@ def test_rep_json_loader_reverifies(tmp_path):
 
 
 def test_octagon_model_side_pairings(octagon):
-    model = octagon_model()
+    mats = [octagon.evaluate(w) for w in PAIRING_WORDS]
     for k in range(8):
-        g = model.pairing_mats[k]
-        tail, head = model.side_vertices((k + 4) % 8)
-        tail2, head2 = model.side_vertices(k)
+        g = mats[k]
+        # side j runs from corner j-1 to corner j
+        tail, head = OCTAGON_VERTICES[(k + 3) % 8], OCTAGON_VERTICES[(k + 4) % 8]
+        tail2, head2 = OCTAGON_VERTICES[(k - 1) % 8], OCTAGON_VERTICES[k]
         # x_k maps side k+4 onto side k (as a set; endpoints swap orientation)
         got = {tuple(np.round(g @ tail, 8)), tuple(np.round(g @ head, 8))}
         want = {tuple(np.round(tail2, 8)), tuple(np.round(head2, 8))}
         assert got == want
     # pairing words invert each other
     for k in range(4):
-        prod = model.pairing_mats[k] @ model.pairing_mats[k + 4]
+        prod = mats[k] @ mats[k + 4]
         np.testing.assert_allclose(prod, np.eye(3), atol=1e-9)
+
+
+@pytest.mark.parametrize("twisted", (False, True))
+def test_pairing_images_are_the_evaluated_pairing_words(octagon, twisted):
+    rep = twist(octagon, TwistSpec("a1", 0.5)) if twisted else octagon
+    table = rep.pairing_images()
+    assert table.shape == (8, 3, 3) and table.dtype == np.float64
+    for k in range(4):
+        assert np.array_equal(table[k], rep.evaluate(PAIRING_WORDS[k]))
+        np.testing.assert_allclose(table[k + 4], rep.evaluate(PAIRING_WORDS[k + 4]), rtol=0, atol=1e-12)

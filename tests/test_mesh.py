@@ -3,7 +3,7 @@ import pytest
 
 from stretchlab import lorentz
 from stretchlab.cocycle import relator_tangency
-from stretchlab.fuchsian import RELATOR, Word
+from stretchlab.fuchsian import PAIRING_WORDS, RELATOR, Word
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import B_STD, X0, killing, mink_dot
 from oracles import (
@@ -30,8 +30,8 @@ LEVELS = (0, 1, 2, 3)
 
 
 @pytest.fixture(scope="module")
-def meshes(octagon):
-    return {lvl: build_octagon_mesh(octagon, lvl) for lvl in LEVELS}
+def meshes():
+    return {lvl: build_octagon_mesh(lvl) for lvl in LEVELS}
 
 
 def test_triangle_counts_and_refinement(meshes):
@@ -53,11 +53,11 @@ def test_chord_area_convergence(meshes):
 
 
 @pytest.mark.parametrize("level", (0, 1, 2, 3, 4))
-def test_mesh_arrays_match_triangle_loop(octagon, level):
+def test_mesh_arrays_match_triangle_loop(level):
     # the array subdivision, edge table, lift table, geometry and positional
     # pairing against the per-triangle loops, dict numbering, Word union-find
     # and tolerance twin search they replaced, bit for bit
-    m = build_octagon_mesh(octagon, level)
+    m = build_octagon_mesh(level)
     topo = mesh_topology_oracle(level)
     for name in ("vertices", "triangles", "side_chains", "edges", "tri_edges", "tri_edge_sign",
                  "vertex_class", "class_rep_vertex"):
@@ -93,7 +93,7 @@ def test_edge_ids_lookup(meshes):
 def test_boundary_pairs_match(meshes):
     m = meshes[2]
     for u, v, k in m.boundary_pairs:
-        g = m.rep.evaluate(m.pairing_words[k])
+        g = m.rep.evaluate(PAIRING_WORDS[k])
         assert np.abs(g @ m.vertices[u] - m.vertices[v]).max() <= 1e-10
 
 
@@ -122,13 +122,6 @@ def test_positively_oriented(meshes):
     assert (dets > 0).all()
 
 
-def test_mesh_rejects_wrong_rep(octagon):
-    from stretchlab.earthquake import TwistSpec, twist
-
-    with pytest.raises(MeshError):
-        build_octagon_mesh(twist(octagon, TwistSpec("a1", 0.5)), 1)
-
-
 def test_maurer_cartan_geodesic_edge(meshes):
     # along a unit-speed geodesic edge of length h at X0 in direction e2,
     # the edge value is ~ h B_std
@@ -153,7 +146,7 @@ def test_maurer_cartan_equivariance_across_pairings(meshes):
     for u, v, k in m.boundary_pairs:
         twin_vertex.setdefault(k, {})[u] = v
     for k in range(4):
-        g = m.rep.evaluate(m.pairing_words[k])
+        g = m.rep.evaluate(PAIRING_WORDS[k])
         chain = m.side_chains[(k + 4) % 8]
         for a, b in zip(chain, chain[1:]):
             ta, tb = twin_vertex[k][a], twin_vertex[k][b]

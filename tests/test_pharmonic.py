@@ -6,7 +6,7 @@ from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.fuchsian import octagon_representation
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import X0
-from oracles import assert_extraction_matches_oracle, retract_oracle
+from oracles import assert_extraction_matches_oracle, newton_power_oracle, retract_oracle
 from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual, extract_cocycle
 from stretchlab.pharmonic import (
     CylinderRig,
@@ -32,7 +32,7 @@ def octagon():
 
 @pytest.fixture(scope="module")
 def mesh2(octagon):
-    return build_octagon_mesh(octagon, 2)
+    return build_octagon_mesh(2)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ def test_p_must_be_even_integer(mesh2, octagon):
 
 def test_identity_energy_near_twice_area(octagon):
     # the "within 2%" claim is pinned at mesh level 3
-    m = build_octagon_mesh(octagon, 3)
+    m = build_octagon_mesh(3)
     u = identity_map(m, octagon)
     for p in (2, 4, 8):
         J = energy_Jp(u, p)
@@ -172,20 +172,20 @@ def test_identity_is_near_critical_under_refinement(octagon):
     # gradient norm of the identity map at rho = sigma drops with the mesh
     norms = []
     for lvl in (1, 2):
-        m = build_octagon_mesh(octagon, lvl)
-        from stretchlab.pharmonic import _Context, _energy_and_grad, _riemannian_grad
+        m = build_octagon_mesh(lvl)
+        from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _riemannian_grad
 
         ctx = _Context(m, octagon)
         u = identity_map(m, octagon)
-        J, g, _ = _energy_and_grad(ctx, u.class_points, 2)
-        G = _riemannian_grad(u.class_points, g)
+        J, mm = _energy_and_grad(ctx, u.class_points, 2)
+        G = _riemannian_grad(u.class_points, _grad_from_metric(ctx, mm))
         gn = float(np.sqrt(np.einsum("ca,cb,ab->", G, G, np.diag([1.0, 1.0, -1.0]))))
         norms.append(gn / J)
     assert norms[1] < norms[0]
 
 
 def test_gradient_against_finite_differences(mesh2, rho_twist, rng):
-    m1 = build_octagon_mesh(octagon_representation(), 1)
+    m1 = build_octagon_mesh(1)
     Z = identity_map(m1, rho_twist).class_points
     V = rng.standard_normal(Z.shape) * 0.1
     dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
@@ -203,7 +203,7 @@ def test_retract_matches_row_loop(rng):
     # whose Minkowski norm overflows gives NaN in both
     from stretchlab.pharmonic import _retract
 
-    Z = identity_map(build_octagon_mesh(octagon_representation(), 1), octagon_representation()).class_points
+    Z = identity_map(build_octagon_mesh(1), octagon_representation()).class_points
     n = len(Z)
     V = rng.standard_normal(Z.shape)
     tangent = V + np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)[:, None] * Z
@@ -230,12 +230,33 @@ def test_gradient_from_trial_matches_fused_evaluation(mesh2, rho_twist, rng, p):
     V = rng.standard_normal(Z.shape) * 0.05
     dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
     Z1 = _retract(Z, -(V + dots[:, None] * Z))
-    J1, m1 = _energy_and_grad(ctx, Z1, p, want_grad=False)
+    J1, m1 = _energy_and_grad(ctx, Z1, p)
     # a later trial must not disturb the intermediates of an earlier one
-    _energy_and_grad(ctx, Z, p, want_grad=False)
-    J, g, _ = _energy_and_grad(ctx, Z1, p)
+    _energy_and_grad(ctx, Z, p)
+    J, m = _energy_and_grad(ctx, Z1, p)
     assert J1 == J
-    assert np.array_equal(_grad_from_metric(ctx, m1, p), g)
+    assert np.array_equal(_grad_from_metric(ctx, m1), _grad_from_metric(ctx, m))
+
+
+@pytest.mark.parametrize("p", [2, 8, 64])
+def test_power_sums_match_fused_recurrence(mesh2, rho_twist, rng, p):
+    # the stored power sums and the derivative recurrence over them against
+    # the fused recurrence they replaced, bit for bit
+    from stretchlab.pharmonic import _Context, _energy_and_grad, _power_derivatives, _retract
+
+    ctx = _Context(mesh2, rho_twist)
+    Z = identity_map(mesh2, rho_twist).class_points
+    V = rng.standard_normal(Z.shape) * 0.05
+    dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
+    J, m = _energy_and_grad(ctx, _retract(Z, -(V + dots[:, None] * Z)), p)
+    t, d = m["t"], m["d"]
+    assert len(m["P"]) == p // 2 + 1
+    want_p, want_u, want_v = newton_power_oracle(t, d, p // 2, want_grads=True)
+    assert np.array_equal(m["P"][-1], want_p)
+    assert np.array_equal(m["P"][-1], newton_power_oracle(t, d, p // 2))
+    got_u, got_v = _power_derivatives(t, d, m["P"])
+    assert np.array_equal(got_u, want_u) and np.array_equal(got_v, want_v)
+    assert J == float(np.dot(ctx.areas, want_p))
 
 
 def test_continuation_requires_increasing_schedule(mesh2, octagon):
@@ -278,7 +299,7 @@ def test_omega_wedge_trend_and_concentration(twist_solution):
 def test_currents_closedness_improves_under_refinement(octagon, rho_twist):
     residuals = []
     for lvl in (2, 3):
-        m = build_octagon_mesh(octagon, lvl)
+        m = build_octagon_mesh(lvl)
         rs = p_continuation(m, rho_twist, schedule=(2, 4, 8),
                             opts=SolveOptions(max_iter=4000))
         residuals.append(rs[-1].residuals["V_closedness"])
