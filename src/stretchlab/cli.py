@@ -73,9 +73,15 @@ def _build_rep(spec) -> SurfaceGroupRep:
     if isinstance(spec, dict) and "twist" in spec:
         tw = spec["twist"]
         try:
-            return twist(base, TwistSpec(tw["curve"], float(tw["t"])))
+            rep = twist(base, TwistSpec(tw["curve"], float(tw["t"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad twist spec {tw!r}: {exc}")
+        # a large twist loses the relator to rounding or overflows float64;
+        # either is a numeric failure, raised before any word is evaluated
+        res = rep.relator_residual()
+        if not (np.isfinite(rep.generators).all() and res <= fuchsian.RELATOR_TOL):
+            raise ValueError(f"twist {tw!r} gives non-finite generators or relator residual {res:.3e}")
+        return rep
     raise ConfigError(f"cannot interpret rep spec {spec!r}")
 
 
@@ -311,6 +317,7 @@ def cmd_solve(config: dict, outdir: str):
                 "kappa_p": res.kappa_p,
                 "stage_value": res.normalized_stage_value(),
                 "iterations": res.iterations,
+                "bb_restarts": res.bb_restarts,
                 "converged": bool(res.converged),
                 "line_search_failure": bool(res.line_search_failure),
                 "grad_norm": res.grad_norm,

@@ -73,10 +73,6 @@ def _check_same_rep(a: SurfaceGroupRep, b: SurfaceGroupRep):
         raise RepMismatchError("objects live over different base representations")
 
 
-def zero_cocycle(rep: SurfaceGroupRep) -> Cocycle:
-    return Cocycle(rep, np.zeros((4, 3, 3)))
-
-
 def compose(letters, incr: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """The cocycle rule over letter indices: the sum of Ad(prefix) incr[k],
     prefix the product of mats over the letters before k, in the tables' dtype."""

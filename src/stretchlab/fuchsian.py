@@ -234,7 +234,7 @@ class SurfaceGroupRep:
 
     def validate(self, tol: float = RELATOR_TOL):
         res = self.relator_residual()
-        if res > tol:
+        if not res <= tol:  # NaN fails too
             raise ValueError(f"relator residual {res:.3e} exceeds {tol:.1e}")
         for n, g in zip(GENERATOR_NAMES, self.generators):
             if not lorentz.is_group_elem(g):

@@ -185,10 +185,6 @@ def geodesic(X: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return np.cosh(t) * X + np.sinh(t) * v
 
 
-def hyperbolic_distance(X: np.ndarray, Y: np.ndarray) -> float:
-    return float(np.arccosh(max(-mink_dot(X, Y), 1.0)))
-
-
 def log_map(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Tangent vector at X pointing to Y with |v| = d(X, Y).
 
@@ -244,19 +240,3 @@ def axis_point(B: np.ndarray) -> np.ndarray:
         raise FrameError("no timelike direction in the axis plane")
     X = evecs[0, 0] * u + evecs[1, 0] * w
     return normalize_to_hyperboloid(X)
-
-
-def random_lie_alg(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random so(2,1) element, uniform frame coordinates in [-scale, scale]."""
-    b, a, z = rng.uniform(-scale, scale, size=3)
-    return lie_from_frame_coords(b, a, z)
-
-
-def random_group_elem(rng: np.random.Generator) -> np.ndarray:
-    return exp_so21(random_lie_alg(rng))
-
-
-def random_tangent(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
-    """Random unit tangent vector at X."""
-    v = project_tangent(X, rng.standard_normal(3))
-    return v / np.sqrt(mink_dot(v, v))

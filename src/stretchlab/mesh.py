@@ -173,7 +173,7 @@ class FundamentalMesh:
     def validate(self, tol: float = PAIRING_TOL):
         if self.pairing_drift(self.vertices, self.rep) > tol:
             raise MeshError("paired boundary vertices do not match under the pairing isometry")
-        lifts = np.array([self.rep.evaluate(w) for w in self.lift_words])[self.lift_id]
+        lifts = self.lift_matrices(self.rep)
         roots = self.vertices[self.class_rep_vertex[self.vertex_class]]
         if float(np.abs(np.einsum("vab,vb->va", lifts, roots) - self.vertices).max()) > tol:
             raise MeshError("vertex lift word does not reproduce the chart position")

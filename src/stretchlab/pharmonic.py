@@ -19,9 +19,12 @@ its power sums p_k included.
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id, assembled as
 per-edge forms by averaging adjacent triangle contributions (with Ad
-transport across the paired boundary).  `density_and_currents` is the one
-place that builds the per-triangle block (target frames, U, S_{p-1}, T_q);
-`relation_checks` reads it back from the result.
+transport across the paired boundary).  `minimize` builds the per-triangle
+block (density, T_q, U, S_{p-1}) from the metric M = D^T D and the power
+sums of its final iterate, with no target frame: U^T U = kappa_p^2 M, and
+M^{p/2-1} = (2/p)(du I + dv adj M) with du, dv the derivatives of
+tr(M^{p/2}) in (tr, det) that the gradient uses.  `density_and_currents`
+assembles the edge currents from that block; `relation_checks` reads it back.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import lorentz
 from .fuchsian import SurfaceGroupRep
-from .lorentz import E_SHARP, cross, exp_so21, mink_cross_vec, mink_dot
+from .lorentz import E_SHARP, cross, exp_so21, mink_dot
 from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, maurer_cartan
 
 
@@ -89,17 +92,18 @@ class SolveResult:
     kappa_p: float
     s1: np.ndarray
     s2: np.ndarray
-    density: np.ndarray | None = None
+    # per-triangle block: the kappa_p-normalized density and T_q, the target
+    # barycenter u and the columns U e_a, S_{p-1} e_a as vectors of R^{2,1}
+    density: np.ndarray  # (nt,)
+    T_q: np.ndarray      # (nt, 2, 2)
+    u_bar: np.ndarray    # (nt, 3)
+    U_amb: np.ndarray    # (nt, 2, 3)
+    S_amb: np.ndarray    # (nt, 2, 3)
     V_q: DiscreteOneForm | None = None
     W_q: DiscreteOneForm | None = None
-    T_q: np.ndarray | None = None
-    # per-triangle block kept for relation_checks: the target barycenter u and
-    # the columns U e_a, S_{p-1} e_a pushed into R^{2,1} by the target frame
-    u_bar: np.ndarray | None = None   # (nt, 3)
-    U_amb: np.ndarray | None = None   # (nt, 2, 3)
-    S_amb: np.ndarray | None = None   # (nt, 2, 3)
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
+    bb_restarts: int = 0
     converged: bool = True
     line_search_failure: bool = False
     grad_norm: float = float("nan")
@@ -123,6 +127,8 @@ class SolveResult:
 
 class _Context:
     def __init__(self, mesh: FundamentalMesh, rho: SurfaceGroupRep):
+        if float(mesh.areas.min()) <= 0.0:
+            raise ValueError("mesh contains a degenerate (nonpositive-area) triangle")
         tri = mesh.triangles
         self.tri_class = mesh.vertex_class[tri]                    # (nt, 3)
         lifts = mesh.lift_matrices(rho)
@@ -202,18 +208,6 @@ def _check_p(p):
         raise ValueError("p must be an even integer >= 2")
 
 
-def energy_Jp(u: EquivariantMap, p: int) -> float:
-    """J_p = sum_T area_T (s1^p + s2^p) with s_i the singular values of D."""
-    _check_p(p)
-    if float(u.mesh.areas.min()) <= 0.0:
-        raise ValueError("mesh contains a degenerate (nonpositive-area) triangle")
-    return _energy_and_grad(_Context(u.mesh, u.rho), u.class_points, p)[0]
-
-
-def singular_values(u: EquivariantMap) -> tuple[np.ndarray, np.ndarray]:
-    return _singular_values(_tri_metric(_Context(u.mesh, u.rho), u.class_points))
-
-
 def _singular_values(m):
     t, d = m["t"], np.maximum(m["d"], 0.0)
     disc = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
@@ -231,16 +225,20 @@ def _energy_and_grad(ctx: _Context, Z: np.ndarray, p: int):
     return float(np.dot(ctx.areas, m["P"][-1])), m
 
 
-def _grad_from_metric(ctx: _Context, m: dict) -> np.ndarray:
-    """Euclidean gradient of J_p per class point, from _energy_and_grad's m."""
-    du, dv = _power_derivatives(m["t"], m["d"], m["P"])
-    M = m["M"]
+def _adjugate(M: np.ndarray) -> np.ndarray:
+    """adj M of each 2x2 block, so that M adj M = det M I."""
     adjM = np.empty_like(M)
     adjM[:, 0, 0] = M[:, 1, 1]
     adjM[:, 1, 1] = M[:, 0, 0]
     adjM[:, 0, 1] = -M[:, 0, 1]
     adjM[:, 1, 0] = -M[:, 1, 0]
-    dEdM = (ctx.areas * du)[:, None, None] * np.eye(2) + (ctx.areas * dv)[:, None, None] * adjM
+    return adjM
+
+
+def _grad_from_metric(ctx: _Context, m: dict) -> np.ndarray:
+    """Euclidean gradient of J_p per class point, from _energy_and_grad's m."""
+    du, dv = _power_derivatives(m["t"], m["d"], m["P"])
+    dEdM = (ctx.areas * du)[:, None, None] * np.eye(2) + (ctx.areas * dv)[:, None, None] * _adjugate(m["M"])
     W = ctx.Ki @ dEdM @ ctx.KiT                                    # dE/dG, symmetric
 
     d2, d3 = m["d2"], m["d3"]
@@ -275,6 +273,12 @@ def _riemannian_grad(Z: np.ndarray, g_euclid: np.ndarray) -> np.ndarray:
     return R + dot[:, None] * Z
 
 
+def _norm2(G: np.ndarray) -> float:
+    """Squared norm of tangent vectors, which rounding can take below 0 at a
+    stationary point."""
+    return max(float(np.einsum("ca,cb,ab->", G, G, E_SHARP)), 0.0)
+
+
 # garbage trial steps (inf/NaN from an oversized Barzilai-Borwein guess)
 # produce non-finite energies and are rejected by the line search
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
@@ -301,32 +305,34 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
     energy(Z) returns (J, extra) without a gradient, so an Armijo trial
     costs one energy evaluation; grad(extra) builds the Euclidean gradient
     once per iterate, from the extra of the start point or of the accepted
-    trial.  tau0(extra) gives the first trial step.  Energy never increases
-    across accepted steps.  The tolerance test runs at every iterate,
-    including the last one after the budget is spent, so a budget of 0
-    reports whether the start point is stationary.  Returns the last
-    iterate, its energy and extra, and the run statistics.
+    trial.  tau0(extra) gives the first trial step.  `iterations` counts
+    accepted steps, so grad_evals == iterations + 1; a failed line search
+    restarts the step estimate up to three times (`bb_restarts`), and the
+    budget counts both.  Energy never increases across accepted steps.
+    The tolerance test runs at every iterate, including the last one after
+    the budget is spent, so a budget of 0 reports whether the start point
+    is stationary.  Returns the last iterate, its energy and extra, and the
+    run statistics.
     """
     J, extra = energy(Z)
     G = _riemannian_grad(Z, grad(extra))
     energy_evals = grad_evals = 1
-    gnorm2 = float(np.einsum("ca,cb,ab->", G, G, E_SHARP))
+    gnorm2 = _norm2(G)
     log = [J]
     tau = float(np.clip(tau0(extra), 1e-12, STEP_CAP))
 
-    iterations = 0
+    iterations = 0  # accepted steps
+    restarts = 0
     converged = False
     ls_failure = False
     Z_prev = None
     G_prev = None
-    resets = 0
     while True:
         if np.sqrt(gnorm2) <= opts.tol * max(1.0, J):
             converged = True
             break
-        if iterations >= opts.max_iter:
+        if iterations + restarts >= opts.max_iter:
             break
-        iterations += 1
         # Barzilai-Borwein initial step, Armijo safeguarded
         if Z_prev is not None:
             dZ = Z - Z_prev
@@ -347,8 +353,8 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
         if not accepted:
             # a failed BB history can poison the step; restart the step-size
             # estimate a few times before giving up
-            if resets < 3:
-                resets += 1
+            if restarts < 3:
+                restarts += 1
                 Z_prev = G_prev = None
                 tau = max(
                     min(STEP_CAP, J / max(gnorm2, 1e-300)) * 1e-3, 1e-10
@@ -361,16 +367,18 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
             else:
                 ls_failure = True
             break
+        iterations += 1
         Z_prev, G_prev = Z, G
         Z, J, extra = Z_new, J_new, extra_new
         G = _riemannian_grad(Z, grad(extra))
         grad_evals += 1
-        gnorm2 = float(np.einsum("ca,cb,ab->", G, G, E_SHARP))
+        gnorm2 = _norm2(G)
         tau = t_try
         log.append(J)
 
     stats = {
         "iterations": iterations,
+        "bb_restarts": restarts,
         "converged": converged,
         "line_search_failure": ls_failure,
         "grad_norm": float(np.sqrt(gnorm2)),
@@ -391,7 +399,8 @@ def minimize(
     """Projected-gradient minimization of J_p over equivariant maps.
 
     Energy never increases across accepted steps; returns the best iterate
-    with flags on line-search failure or hitting the iteration budget.
+    with flags on line-search failure or hitting the iteration budget, and
+    the per-triangle block at it.  A budget of 0 measures `init` as it is.
     """
     _check_p(p)
     opts = opts or SolveOptions()
@@ -406,43 +415,28 @@ def minimize(
     Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p),
                               lambda m: _grad_from_metric(ctx, m), u.class_points.copy(), tau0, opts)
     s1, s2 = _singular_values(m)
+    kappa = float(J ** (-1.0 / p))
+    # the block at the final iterate, from its metric M and power sums:
+    # U^T U = kappa^2 M and M^{p/2-1} = (2/p)(du I + dv adj M)
+    M = m["M"]
+    du, dv = _power_derivatives(m["t"], m["d"], m["P"])
+    M_pow = (2.0 / p) * (du[:, None, None] * np.eye(2) + dv[:, None, None] * _adjugate(M))
+    density = kappa ** p * m["P"][-1]                              # TrQ(U)^p
+    U_amb = kappa * np.einsum("tja,tjx->tax", ctx.Ki, np.stack([m["d2"], m["d3"]], axis=1))
     return SolveResult(
         map=EquivariantMap(mesh, rho, Z),
         p=int(p),
         J_p=J,
-        kappa_p=float(J ** (-1.0 / p)),
+        kappa_p=kappa,
         s1=s1,
         s2=s2,
+        density=density,
+        T_q=kappa ** p * (M @ M_pow) - (density / p)[:, None, None] * np.eye(2),
+        u_bar=m["Yb"],
+        U_amb=U_amb,
+        S_amb=kappa ** (p - 2) * (M_pow @ U_amb),                # U M^{p/2-1}, columns as rows
         **stats,
     )
-
-
-# probes and central-difference step of gradient_fd_check
-FD_PROBES = 20
-FD_H = 3e-6
-
-
-def gradient_fd_check(mesh, rho, p, u: EquivariantMap, rng=None):
-    """Max relative error of the analytic directional derivative vs central FD,
-    over FD_PROBES random one-class directions with step FD_H."""
-    rng = rng or np.random.default_rng(0)
-    ctx = _Context(mesh, rho)
-    Z = u.class_points
-    G = _riemannian_grad(Z, _grad_from_metric(ctx, _energy_and_grad(ctx, Z, p)[1]))
-    worst = 0.0
-    for _ in range(FD_PROBES):
-        c = int(rng.integers(0, mesh.n_classes))
-        v = lorentz.project_tangent(Z[c], rng.standard_normal(3))
-        v /= np.sqrt(mink_dot(v, v))
-        dZ = np.zeros_like(Z)
-        dZ[c] = v
-        Jp = _energy_and_grad(ctx, _retract(Z, -FD_H * dZ), p)[0]
-        Jm = _energy_and_grad(ctx, _retract(Z, FD_H * dZ), p)[0]
-        fd = (Jp - Jm) / (2 * FD_H)
-        an = float(mink_dot(G[c], v))  # directional derivative (G_c, v)#
-        scale = max(abs(fd), abs(an), 1e-12)
-        worst = max(worst, abs(fd - an) / scale)
-    return worst
 
 
 def p_continuation(
@@ -475,42 +469,11 @@ def p_continuation(
 # densities, currents, identities
 # ---------------------------------------------------------------------------
 
-def _target_frames(Yb, d2, d3):
-    """(nt, 2, 3) oriented orthonormal frame of T_u H along the first edge."""
-    F1 = d2.copy()
-    small = np.sqrt(np.abs(np.einsum("ta,ab,tb->t", F1, E_SHARP, F1))) < 1e-12
-    F1[small] = d3[small]
-    F1 = F1 / np.sqrt(np.einsum("ta,ab,tb->t", F1, E_SHARP, F1))[:, None]
-    return np.stack([F1, mink_cross_vec(Yb, F1)], axis=1)
-
-
 def density_and_currents(result: SolveResult) -> SolveResult:
-    """Fill the kappa_p-normalized density, V_q, W_q, T_q and residuals."""
+    """Fill V_q, W_q, the density mass and the closedness residuals from the
+    per-triangle block that `minimize` built."""
     mesh = result.map.mesh
-    p = result.p
-    m = _tri_metric(_Context(mesh, result.map.rho), result.map.class_points)
-
-    # target-frame differential D (2x2, domain chart -> target chart)
-    F = _target_frames(m["Yb"], m["d2"], m["d3"])
-    dy = np.einsum("tia,ab,tjb->tij", F, E_SHARP, np.stack([m["d2"], m["d3"]], axis=1))
-    U = result.kappa_p * (dy @ mesh.tri_dxinv)                     # (nt, 2, 2)
-
-    evals, evecs = np.linalg.eigh(U @ U.transpose(0, 2, 1))
-    evals = np.maximum(evals, 0.0)
-    N = np.einsum(
-        "tab,tb,tcb->tac", evecs, evals ** ((p - 2) // 2), evecs
-    )                                                              # (U U^T)^{(p-2)/2}
-    S = N @ U                                                      # S_{p-1}(U)
-    density = (evals ** (p // 2)).sum(axis=1)                      # TrQ(U)^p
-    T = U.transpose(0, 2, 1) @ N @ U - (density / p)[:, None, None] * np.eye(2)
-
-    result.density = density
-    result.T_q = T
-    result.u_bar = m["Yb"]
-    result.U_amb = np.einsum("tia,tix->tax", U, F)
-    result.S_amb = np.einsum("tia,tix->tax", S, F)
-    result.residuals["density_mass"] = float(np.dot(mesh.areas, density))
-
+    result.residuals["density_mass"] = float(np.dot(mesh.areas, result.density))
     V_vals, W_vals = _assemble_edge_currents(result)
     result.V_q = DiscreteOneForm(mesh, V_vals)
     result.W_q = DiscreteOneForm(mesh, W_vals)
@@ -562,7 +525,7 @@ def relation_checks(result: SolveResult) -> dict:
         gap shrinks as p grows).
     (c) density mass fraction on triangles with s1 >= 0.9 max(s1).
     """
-    if result.density is None:
+    if result.W_q is None:
         raise ValueError("run density_and_currents first")
     mesh = result.map.mesh
     p = result.p
@@ -643,12 +606,6 @@ class CylinderRig:
     @property
     def holonomy(self) -> np.ndarray:
         return exp_so21(self.b_len * lorentz.B_STD)
-
-
-def cylinder_energy(rig: CylinderRig, p: int) -> float:
-    """J_p = sum dt (d_i/dt)^p per unit transverse length (s2 = 0 exactly)."""
-    _check_p(p)
-    return _cylinder_energy(rig, p, rig.points)[0]
 
 
 def _cylinder_energy(rig: CylinderRig, p: int, pts):

@@ -17,8 +17,9 @@ from stretchlab.fuchsian import (
     as_word,
     octagon_representation,
 )
-from stretchlab.lorentz import log_map, mink_cross_vec, mink_dot
+from stretchlab.lorentz import E_SHARP, exp_so21, lie_from_frame_coords, log_map, mink_cross_vec, mink_dot, project_tangent
 from stretchlab.mesh import _midpoint, extract_cocycle, loop_integral
+from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _retract, _riemannian_grad, _tri_metric
 
 
 def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -29,6 +30,33 @@ def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
         term = term @ A / n
         out = out + term
     return out
+
+
+# random draws and helpers that only the tests use
+
+
+def random_lie_alg(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """Random so(2,1) element, uniform frame coordinates in [-scale, scale]."""
+    b, a, z = rng.uniform(-scale, scale, size=3)
+    return lie_from_frame_coords(b, a, z)
+
+
+def random_group_elem(rng: np.random.Generator) -> np.ndarray:
+    return exp_so21(random_lie_alg(rng))
+
+
+def random_tangent(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
+    """Random unit tangent vector at X."""
+    v = project_tangent(X, rng.standard_normal(3))
+    return v / np.sqrt(mink_dot(v, v))
+
+
+def hyperbolic_distance(X: np.ndarray, Y: np.ndarray) -> float:
+    return float(np.arccosh(max(-mink_dot(X, Y), 1.0)))
+
+
+def zero_cocycle(rep: SurfaceGroupRep) -> Cocycle:
+    return Cocycle(rep, np.zeros((4, 3, 3)))
 
 
 def words_from_codes(codes: np.ndarray) -> list:
@@ -388,3 +416,70 @@ def assert_extraction_matches_oracle(form, rep: SurfaceGroupRep | None = None):
         np.testing.assert_allclose(
             loop_integral(form, word, rep), loop_integral_oracle(form, word, rep), rtol=0, atol=1e-9 * scale
         )
+
+
+# probes and central-difference step of gradient_fd_check
+FD_PROBES = 20
+FD_H = 3e-6
+
+
+def gradient_fd_check(mesh, rho, p, u, rng):
+    """Max relative error of the analytic directional derivative vs central FD,
+    over FD_PROBES random one-class directions with step FD_H."""
+    ctx = _Context(mesh, rho)
+    Z = u.class_points
+    G = _riemannian_grad(Z, _grad_from_metric(ctx, _energy_and_grad(ctx, Z, p)[1]))
+    worst = 0.0
+    for _ in range(FD_PROBES):
+        c = int(rng.integers(0, mesh.n_classes))
+        v = project_tangent(Z[c], rng.standard_normal(3))
+        v /= np.sqrt(mink_dot(v, v))
+        dZ = np.zeros_like(Z)
+        dZ[c] = v
+        Jp = _energy_and_grad(ctx, _retract(Z, -FD_H * dZ), p)[0]
+        Jm = _energy_and_grad(ctx, _retract(Z, FD_H * dZ), p)[0]
+        fd = (Jp - Jm) / (2 * FD_H)
+        an = float(mink_dot(G[c], v))  # directional derivative (G_c, v)#
+        scale = max(abs(fd), abs(an), 1e-12)
+        worst = max(worst, abs(fd - an) / scale)
+    return worst
+
+
+# the target-frame and eigh construction of the per-triangle block that
+# pharmonic.density_and_currents ran before minimize built the block from
+# the solver's power sums
+
+
+def _target_frames(Yb, d2, d3):
+    """(nt, 2, 3) oriented orthonormal frame of T_u H along the first edge."""
+    F1 = d2.copy()
+    small = np.sqrt(np.abs(np.einsum("ta,ab,tb->t", F1, E_SHARP, F1))) < 1e-12
+    F1[small] = d3[small]
+    F1 = F1 / np.sqrt(np.einsum("ta,ab,tb->t", F1, E_SHARP, F1))[:, None]
+    return np.stack([F1, mink_cross_vec(Yb, F1)], axis=1)
+
+
+def current_block_oracle(result) -> dict:
+    """density, T_q, u_bar, U_amb and S_amb of a solve result, re-evaluated at
+    its map through target frames and eigh of U U^T."""
+    mesh = result.map.mesh
+    p = result.p
+    m = _tri_metric(_Context(mesh, result.map.rho), result.map.class_points)
+
+    # target-frame differential D (2x2, domain chart -> target chart)
+    F = _target_frames(m["Yb"], m["d2"], m["d3"])
+    dy = np.einsum("tia,ab,tjb->tij", F, E_SHARP, np.stack([m["d2"], m["d3"]], axis=1))
+    U = result.kappa_p * (dy @ mesh.tri_dxinv)                     # (nt, 2, 2)
+
+    evals, evecs = np.linalg.eigh(U @ U.transpose(0, 2, 1))
+    evals = np.maximum(evals, 0.0)
+    N = np.einsum(
+        "tab,tb,tcb->tac", evecs, evals ** ((p - 2) // 2), evecs
+    )                                                              # (U U^T)^{(p-2)/2}
+    S = N @ U                                                      # S_{p-1}(U)
+    density = (evals ** (p // 2)).sum(axis=1)                      # TrQ(U)^p
+    T = U.transpose(0, 2, 1) @ N @ U - (density / p)[:, None, None] * np.eye(2)
+    return {
+        "density": density, "T_q": T, "u_bar": m["Yb"],
+        "U_amb": np.einsum("tia,tix->tax", U, F), "S_amb": np.einsum("tia,tix->tax", S, F),
+    }

@@ -9,19 +9,18 @@ from stretchlab.cocycle import (
     differentiate_family,
     evaluate_cocycle,
     relator_tangency,
-    zero_cocycle,
 )
 from stretchlab.earthquake import TwistSpec, earthquake_cocycle, twist
 from stretchlab.fuchsian import GENERATOR_NAMES, Word, enumerate_words
 from stretchlab.lorentz import group_inv
 
-from oracles import words_from_codes
+from oracles import random_lie_alg, words_from_codes, zero_cocycle
 
 
 def random_values_cocycle(octagon, rng, scale=1.0):
     """Arbitrary generator values; extends by the cocycle rule regardless of
     tangency (the rule defines an extension on the free group)."""
-    vals = np.array([lorentz.random_lie_alg(rng, scale) for _ in range(4)])
+    vals = np.array([random_lie_alg(rng, scale) for _ in range(4)])
     return Cocycle(octagon, vals.astype(np.longdouble))
 
 
@@ -84,7 +83,7 @@ def test_coboundary_of_zero(octagon):
 
 
 def test_coboundary_tangency_and_expansion(octagon, rng):
-    A0 = lorentz.random_lie_alg(rng)
+    A0 = random_lie_alg(rng)
     cob = coboundary(A0, octagon)
     assert relator_tangency(cob) <= 1e-8
     cob.validate()
@@ -128,7 +127,7 @@ def test_differentiate_twist_family_matches_closed_form(octagon):
 def test_differentiate_conjugation_family_is_coboundary_class(octagon, rng):
     # pairing-based class test lives in test_lamination; here: tangency and
     # direct comparison against the closed-form coboundary
-    A0 = lorentz.random_lie_alg(rng)
+    A0 = random_lie_alg(rng)
 
     def fam(s):
         g = lorentz.exp_so21(s * A0)

@@ -24,7 +24,7 @@ from stretchlab.fuchsian import (
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.lorentz import B_STD, exp_so21, group_inv, killing
 
-from oracles import words_from_codes
+from oracles import random_group_elem, words_from_codes
 
 # letter codes: 2 * generator + (exponent < 0)
 LETTERS = list(range(8))
@@ -125,6 +125,13 @@ def test_octagon_validate(octagon):
     octagon.validate()
 
 
+def test_validate_rejects_nan_relator_residual(octagon):
+    gens = octagon.generators.copy()
+    gens[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="relator residual"):
+        fuchsian.SurfaceGroupRep(gens).validate()
+
+
 def test_evaluate_homomorphism(octagon, rng):
     words = words_from_codes(enumerate_words(3, cyclically_reduced=False))
     idx = rng.integers(0, len(words), size=200).reshape(100, 2)
@@ -156,7 +163,7 @@ def test_translation_length_conjugation_invariant(octagon, rng):
     g = octagon.evaluate("a1 b2^-1")
     l = translation_length(g)
     for _ in range(10):
-        h = lorentz.random_group_elem(rng)
+        h = random_group_elem(rng)
         assert translation_length(h @ g @ group_inv(h)) == pytest.approx(l, abs=1e-9)
 
 
@@ -176,7 +183,7 @@ def test_axis_generator_properties(octagon, rng):
         np.testing.assert_allclose(exp_so21(translation_length(g) * B), g, atol=1e-9)
     # equivariance under conjugation
     g = octagon.generator("b1")
-    h = lorentz.random_group_elem(rng)
+    h = random_group_elem(rng)
     np.testing.assert_allclose(
         axis_generator(h @ g @ group_inv(h)), h @ axis_generator(g) @ group_inv(h), atol=1e-9
     )

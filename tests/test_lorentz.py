@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import exp_series_oracle
+from oracles import exp_series_oracle, hyperbolic_distance, random_group_elem, random_lie_alg, random_tangent
 from stretchlab import lorentz
 from stretchlab.lorentz import (
     B_STD,
@@ -14,7 +14,6 @@ from stretchlab.lorentz import (
     exp_so21,
     frame_at,
     geodesic,
-    hyperbolic_distance,
     killing,
     log_so21,
     mink_dot,
@@ -69,7 +68,7 @@ def test_cross_antisymmetric_and_lie_valued(xs, ys):
 
 def test_cross_ad_equivariance(rng):
     for _ in range(20):
-        g = lorentz.random_group_elem(rng)
+        g = random_group_elem(rng)
         X, Y = rng.standard_normal(3), rng.standard_normal(3)
         lhs = cross(g @ X, g @ Y)
         rhs = g @ cross(X, Y) @ lorentz.group_inv(g)
@@ -78,8 +77,8 @@ def test_cross_ad_equivariance(rng):
 
 def test_log_map_and_normalize_broadcast_rowwise(rng):
     # a batched call gives, row by row, the one-vector formula's bits
-    X = np.array([lorentz.random_group_elem(rng) @ X0 for _ in range(6)])
-    Y = np.array([lorentz.random_group_elem(rng) @ X0 for _ in range(6)])
+    X = np.array([random_group_elem(rng) @ X0 for _ in range(6)])
+    Y = np.array([random_group_elem(rng) @ X0 for _ in range(6)])
     Y[0] = X[0]  # coincident points give the zero vector
     V = lorentz.log_map(X, Y)
     for x, y, v in zip(X, Y, V):
@@ -110,7 +109,7 @@ def test_project_tangent_requires_hyperboloid_point():
 
 def test_project_tangent_idempotent_and_self_adjoint(rng):
     for _ in range(20):
-        X = lorentz.random_group_elem(rng) @ X0
+        X = random_group_elem(rng) @ X0
         v, w = rng.standard_normal(3), rng.standard_normal(3)
         pv = project_tangent(X, v)
         np.testing.assert_allclose(project_tangent(X, pv), pv, atol=1e-12)
@@ -154,7 +153,7 @@ def test_exp_rotation_quarter_turn():
 
 def test_exp_matches_series_oracle(rng):
     for _ in range(40):
-        A = lorentz.random_lie_alg(rng, scale=2.0)
+        A = random_lie_alg(rng, scale=2.0)
         nrm = np.sqrt(abs(killing(A, A)))
         if nrm > 5.0:
             A = A * (5.0 / nrm)
@@ -162,7 +161,7 @@ def test_exp_matches_series_oracle(rng):
 
 
 def test_exp_one_parameter_group(rng):
-    A = lorentz.random_lie_alg(rng)
+    A = random_lie_alg(rng)
     s, t = 0.7, -1.3
     np.testing.assert_allclose(
         exp_so21((s + t) * A), exp_so21(s * A) @ exp_so21(t * A), atol=1e-12
@@ -178,7 +177,7 @@ def test_exp_near_parabolic_branch():
 
 def test_log_round_trip(rng):
     for _ in range(40):
-        A = lorentz.random_lie_alg(rng, scale=1.5)
+        A = random_lie_alg(rng, scale=1.5)
         g = exp_so21(A)
         np.testing.assert_allclose(exp_so21(log_so21(g)), g, atol=1e-10)
 
@@ -196,8 +195,8 @@ def test_geodesic_examples():
 
 
 def test_geodesic_distance_and_generator(rng):
-    X = lorentz.random_group_elem(rng) @ X0
-    v = lorentz.random_tangent(rng, X)
+    X = random_group_elem(rng) @ X0
+    v = random_tangent(rng, X)
     g0, g2 = geodesic(X, v, 0.0), geodesic(X, v, 2.0)
     assert hyperbolic_distance(g0, g2) == pytest.approx(2.0, abs=1e-10)
     # generator cross(v, X) is constant along the curve
@@ -222,7 +221,7 @@ def test_frame_at_standard():
 
 
 def test_frame_killing_gram(rng):
-    g = lorentz.random_group_elem(rng)
+    g = random_group_elem(rng)
     B = g @ B_STD @ lorentz.group_inv(g)
     X = g @ X0
     fr = frame_at(B, X)
@@ -232,7 +231,7 @@ def test_frame_killing_gram(rng):
 
 def test_frame_equivariance(rng):
     for _ in range(10):
-        g = lorentz.random_group_elem(rng)
+        g = random_group_elem(rng)
         B0, Bp0, nh0 = frame_at(B_STD, X0)
         fr = frame_at(g @ B_STD @ lorentz.group_inv(g), g @ X0)
         for got, base in zip(fr, (B0, Bp0, nh0)):
@@ -248,7 +247,7 @@ def test_frame_rejects_elliptic_generator():
 
 def test_axis_point(rng):
     for _ in range(10):
-        g = lorentz.random_group_elem(rng)
+        g = random_group_elem(rng)
         B = g @ B_STD @ lorentz.group_inv(g)
         X = lorentz.axis_point(B)
         assert lorentz.is_on_hyperboloid(X, 1e-9)

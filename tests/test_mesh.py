@@ -12,6 +12,7 @@ from oracles import (
     edge_twins_oracle,
     mesh_geometry_oracle,
     mesh_topology_oracle,
+    random_lie_alg,
 )
 from stretchlab.mesh import (
     DiscreteOneForm,
@@ -161,13 +162,13 @@ def _gradient_form(mesh, fvals):
 def test_closedness_residual_cases(meshes, rng):
     m = meshes[2]
     # exact differences of vertex data: identically closed in the chart
-    fvals = np.array([lorentz.random_lie_alg(rng) for _ in range(m.n_vertices)])
+    fvals = np.array([random_lie_alg(rng) for _ in range(m.n_vertices)])
     assert closedness_residual(_gradient_form(m, fvals)) <= 1e-12
     # zero form
     zero = DiscreteOneForm(m, np.zeros((len(m.edges), 3, 3)))
     assert closedness_residual(zero) == 0.0
     # random form: O(1)
-    rand = DiscreteOneForm(m, np.array([lorentz.random_lie_alg(rng) for _ in m.edges]))
+    rand = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
     assert closedness_residual(rand) > 0.05
 
 
@@ -199,8 +200,8 @@ def test_closedness_residual_midpoint_sampled_gradient(meshes):
 
 def test_wedge_antisymmetry_and_bilinearity(meshes, rng):
     m = meshes[1]
-    phi = DiscreteOneForm(m, np.array([lorentz.random_lie_alg(rng) for _ in m.edges]))
-    psi = DiscreteOneForm(m, np.array([lorentz.random_lie_alg(rng) for _ in m.edges]))
+    phi = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
+    psi = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
     assert wedge_pair(phi, phi) == pytest.approx(0.0, abs=1e-12)
     assert wedge_pair(phi, psi) == pytest.approx(-wedge_pair(psi, phi), abs=1e-12)
     assert wedge_pair(2.5 * phi, psi) == pytest.approx(2.5 * wedge_pair(phi, psi), rel=1e-12)
@@ -236,8 +237,8 @@ def test_wedge_against_quadrature_on_one_triangle(meshes):
 def test_array_kernels_match_triangle_loops(meshes, rng):
     # per-triangle loop references for the closedness residual and the wedge
     m = meshes[2]
-    phi = DiscreteOneForm(m, np.array([lorentz.random_lie_alg(rng) for _ in m.edges]))
-    psi = DiscreteOneForm(m, np.array([lorentz.random_lie_alg(rng) for _ in m.edges]))
+    phi = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
+    psi = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
     worst, wedges = 0.0, []
     for i, j, k in m.triangles:
         a = [phi.value(x, y) for x, y in ((i, j), (j, k), (k, i))]

@@ -6,22 +6,25 @@ from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.fuchsian import octagon_representation
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import X0
-from oracles import assert_extraction_matches_oracle, newton_power_oracle, retract_oracle
+from oracles import (
+    assert_extraction_matches_oracle,
+    current_block_oracle,
+    gradient_fd_check,
+    newton_power_oracle,
+    retract_oracle,
+)
 from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual, extract_cocycle
 from stretchlab.pharmonic import (
     CylinderRig,
     EquivariantMap,
     SolveOptions,
     cylinder_continuation,
-    cylinder_energy,
+    cylinder_minimize,
     density_and_currents,
-    energy_Jp,
-    gradient_fd_check,
     identity_map,
     minimize,
     p_continuation,
     relation_checks,
-    singular_values,
 )
 
 
@@ -51,17 +54,17 @@ def twist_solution(mesh2, rho_twist):
 
 
 # the reference twist at level 2 as the per-triangle loop implementation
-# solved it: (iterations, J_p, residuals) per p-stage
+# solved it: (accepted steps, BB restarts, J_p, residuals) per p-stage
 PINNED_TWIST_STAGES = {
-    2: (66, 26.054221272616594, {
+    2: (66, 0, 26.054221272616594, {
         "V_closedness": 0.07930105024968703, "W_closedness": 0.4440266601259358,
         "minus2T_literal_gap": 0.08401630656923408, "omega_wedge_W_l1_gap": 0.9975500262704594,
         "concentration_fraction": 0.6931643490372991}),
-    4: (37, 28.053761387044776, {
+    4: (33, 3, 28.053761387044776, {
         "V_closedness": 0.11584811863662547, "W_closedness": 0.1693232499318837,
         "minus2T_literal_gap": 0.04447313974156632, "omega_wedge_W_l1_gap": 0.4672240144676768,
         "concentration_fraction": 0.7602196653850327}),
-    8: (37, 35.80062069337947, {
+    8: (33, 3, 35.80062069337947, {
         "V_closedness": 0.16637372464725703, "W_closedness": 0.1801672821341833,
         "minus2T_literal_gap": 0.025892179462922528, "omega_wedge_W_l1_gap": 0.21851652749798847,
         "concentration_fraction": 0.9526514722817696}),
@@ -72,30 +75,37 @@ def test_twist_solution_is_pinned(twist_solution):
     # the shared descent loop takes the same steps; the array current kernel
     # matches the loops to rounding
     for res in twist_solution:
-        iterations, J_p, residuals = PINNED_TWIST_STAGES[res.p]
-        assert res.iterations == iterations
+        iterations, restarts, J_p, residuals = PINNED_TWIST_STAGES[res.p]
+        assert (res.iterations, res.bb_restarts) == (iterations, restarts)
+        assert res.grad_evals == res.iterations + 1
         assert res.J_p == pytest.approx(J_p, rel=1e-12)
         for name, value in residuals.items():
             assert res.residuals[name] == pytest.approx(value, rel=1e-9)
+
+
+# a budget of 0 evaluates a given map without moving it
+MEASURE = SolveOptions(max_iter=0)
+
+
+def _measured_cylinder_J(rig, p):
+    return cylinder_minimize(rig, p, MEASURE)[1]["J_p"]
 
 
 def test_p_must_be_even_integer(mesh2, octagon):
     u = identity_map(mesh2, octagon)
     for bad in (3, 2.5, 1, 0):
         with pytest.raises(ValueError):
-            energy_Jp(u, bad)
+            minimize(mesh2, octagon, bad, init=u, opts=MEASURE)
 
 
 def test_identity_energy_near_twice_area(octagon):
     # the "within 2%" claim is pinned at mesh level 3
     m = build_octagon_mesh(3)
-    u = identity_map(m, octagon)
     for p in (2, 4, 8):
-        J = energy_Jp(u, p)
-        assert J == pytest.approx(2.0 * m.areas.sum(), rel=0.02)
-    s1, s2 = singular_values(u)
-    assert float(np.abs(s1 - 1.0).max()) < 0.02
-    assert float(np.abs(s2 - 1.0).max()) < 0.02
+        res = minimize(m, octagon, p, opts=MEASURE)
+        assert res.J_p == pytest.approx(2.0 * m.areas.sum(), rel=0.02)
+    assert float(np.abs(res.s1 - 1.0).max()) < 0.02
+    assert float(np.abs(res.s2 - 1.0).max()) < 0.02
 
 
 def test_degenerate_triangle_raises(mesh2, octagon):
@@ -106,8 +116,8 @@ def test_degenerate_triangle_raises(mesh2, octagon):
     broken.areas = mesh2.areas.copy()
     broken.areas[0] = 0.0
     u_broken = EquivariantMap(broken, octagon, u.class_points)
-    with pytest.raises(ValueError):
-        energy_Jp(u_broken, 2)
+    with pytest.raises(ValueError, match="nonpositive-area"):
+        minimize(broken, octagon, 2, init=u_broken, opts=MEASURE)
 
 
 def test_cylinder_energy_closed_form():
@@ -117,14 +127,14 @@ def test_cylinder_energy_closed_form():
     pts = np.array([lorentz.geodesic(X0, np.array([0.0, 1.0, 0.0]), t) for t in ts])
     rig = CylinderRig(a, b, n, pts)
     for p in (2, 4, 8):
-        assert cylinder_energy(rig, p) == pytest.approx(a * (b / a) ** p, rel=1e-10)
-    assert cylinder_energy(rig, 4) == pytest.approx(a * (1.5**4 + 0.0**4), rel=1e-10)
+        assert _measured_cylinder_J(rig, p) == pytest.approx(a * (b / a) ** p, rel=1e-10)
+    assert _measured_cylinder_J(rig, 4) == pytest.approx(a * (1.5**4 + 0.0**4), rel=1e-10)
 
 
 def test_cylinder_constant_map_zero_energy_without_twist():
     # degenerate rig with no twist: all points equal, all segments length 0
     rig = CylinderRig(2.0, 0.0, 16, np.tile(X0, (16, 1)))
-    assert cylinder_energy(rig, 4) == 0.0
+    assert _measured_cylinder_J(rig, 4) == 0.0
 
 
 def test_cylinder_minimize_recovers_stretch():
@@ -137,7 +147,7 @@ def test_cylinder_minimize_recovers_stretch():
 def test_cylinder_iterations_are_pinned():
     # iteration counts of the fused energy-and-gradient evaluation, which the
     # energy-only line search must reproduce
-    for args, iterations in (((64, (2, 4, 8), 1), [632, 10, 4]), ((48, (2, 8), 0), [554, 8])):
+    for args, iterations in (((64, (2, 4, 8), 1), [628, 6, 0]), ((48, (2, 8), 0), [550, 4])):
         n, schedule, seed = args
         _, reports = cylinder_continuation(2.0, 3.0, n=n, schedule=schedule, seed=seed)
         assert [r["iterations"] for r in reports] == iterations
@@ -158,8 +168,7 @@ def test_minimize_descends_and_stays_equivariant(mesh2, rho_twist):
     # one gradient per logged iterate
     assert res.grad_evals == len(log) <= res.energy_evals
     res.map.validate(tol=1e-10)
-    init = identity_map(mesh2, rho_twist)
-    assert res.J_p <= energy_Jp(init, 4) + 1e-12
+    assert res.J_p <= minimize(mesh2, rho_twist, 4, opts=MEASURE).J_p + 1e-12
 
 
 def test_minimize_zero_iterations_keeps_init(mesh2, rho_twist):
@@ -193,7 +202,7 @@ def test_gradient_against_finite_differences(mesh2, rho_twist, rng):
 
     u = EquivariantMap(m1, rho_twist, _retract(Z, -(V + dots[:, None] * Z)))
     for p in (2, 8, 16):
-        assert gradient_fd_check(m1, rho_twist, p, u, rng=np.random.default_rng(7)) <= 1e-6
+        assert gradient_fd_check(m1, rho_twist, p, u, np.random.default_rng(7)) <= 1e-6
 
 
 def test_retract_matches_row_loop(rng):
@@ -257,6 +266,26 @@ def test_power_sums_match_fused_recurrence(mesh2, rho_twist, rng, p):
     got_u, got_v = _power_derivatives(t, d, m["P"])
     assert np.array_equal(got_u, want_u) and np.array_equal(got_v, want_v)
     assert J == float(np.dot(ctx.areas, want_p))
+
+
+@pytest.mark.parametrize("p", [2, 8, 64])
+def test_current_block_matches_frame_oracle(mesh2, rho_twist, rng, p):
+    # the block from the solver's metric and power sums against target
+    # frames and eigh of U U^T, at a perturbed map measured with a budget of 0
+    from stretchlab.pharmonic import _retract
+
+    Z = identity_map(mesh2, rho_twist).class_points
+    V = rng.standard_normal(Z.shape) * 0.05
+    dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
+    init = EquivariantMap(mesh2, rho_twist, _retract(Z, -(V + dots[:, None] * Z)))
+    res = minimize(mesh2, rho_twist, p, init=init, opts=MEASURE)
+    want = current_block_oracle(res)
+    for name in ("density", "T_q", "U_amb", "S_amb"):
+        scale = float(np.abs(want[name]).max())
+        np.testing.assert_allclose(getattr(res, name), want[name], rtol=0, atol=1e-12 * scale, err_msg=name)
+    assert np.array_equal(res.u_bar, want["u_bar"])
+    kp = res.kappa_p ** p
+    np.testing.assert_allclose(res.density, kp * (res.s1 ** p + res.s2 ** p), rtol=1e-12, atol=0)
 
 
 def test_continuation_requires_increasing_schedule(mesh2, octagon):
