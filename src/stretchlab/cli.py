@@ -251,8 +251,9 @@ def _write_stage_csv(outdir, res, mesh):
 
 
 def _solve_exit_code(stages) -> int:
-    """EXIT_NUMERIC when a stage ends on a line-search failure or a non-finite J_p."""
-    failed = any(s["line_search_failure"] or not np.isfinite(s["J_p"]) for s in stages)
+    """EXIT_NUMERIC when a stage misses tol (a budget stop or a line-search
+    failure) or ends on a non-finite J_p."""
+    failed = any(not s["converged"] or not np.isfinite(s["J_p"]) for s in stages)
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
@@ -317,7 +318,7 @@ def cmd_solve(config: dict, outdir: str):
                 "kappa_p": res.kappa_p,
                 "stage_value": res.normalized_stage_value(),
                 "iterations": res.iterations,
-                "bb_restarts": res.bb_restarts,
+                "restarts": res.restarts, "wolfe_rejections": res.wolfe_rejections,
                 "converged": bool(res.converged),
                 "line_search_failure": bool(res.line_search_failure),
                 "grad_norm": res.grad_norm,

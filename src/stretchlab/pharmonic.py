@@ -9,12 +9,12 @@ evaluated as Tr((D^T D)^{p/2}) through the Newton power recurrence in
 (tr, det), which is polynomial for even p and keeps gradients smooth.
 
 One descent loop, `_descend`, serves both the surface solver and the
-cylinder rig: projected gradient with Armijo backtracking on a product of
-hyperboloids (retraction: renormalize to the sheet; exact exponential step
-when the normalization would leave it), with a Barzilai-Borwein initial step.
-Armijo trials evaluate the energy alone; the gradient is built once per
-accepted step, from the intermediates that the accepted trial returned,
-its power sums p_k included.
+cylinder rig: Riemannian L-BFGS on a product of hyperboloids (retraction:
+renormalize to the sheet, exact exponential step where that would leave it;
+vector transport: tangent projection) with an approximate-Wolfe line search.
+Line-search trials evaluate the energy alone; a gradient is built from the
+intermediates of the trial, its power sums p_k included, once it passes
+Armijo or once J is within WOLFE_EPS |J| of the start, for the slope test.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id, assembled as
@@ -71,11 +71,14 @@ def identity_map(mesh: FundamentalMesh, rho: SurfaceGroupRep) -> EquivariantMap:
     return EquivariantMap(mesh, rho, mesh.vertices[mesh.class_rep_vertex].copy())
 
 
-# line search: steps at most STEP_CAP, Armijo sufficient-decrease constant,
-# and the number of halvings before a line search fails
+# descent: gradient steps at most STEP_CAP, Armijo constant, halvings before
+# a line search fails, the relative rise of J within which a trial may pass
+# on its slope (approximate Wolfe), and the number of L-BFGS pairs kept
 STEP_CAP = 1.0
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
+WOLFE_EPS = 1e-10
+LBFGS_MEMORY = 8
 
 
 @dataclass
@@ -99,17 +102,19 @@ class SolveResult:
     u_bar: np.ndarray    # (nt, 3)
     U_amb: np.ndarray    # (nt, 2, 3)
     S_amb: np.ndarray    # (nt, 2, 3)
+    # the run statistics of `_descend`
+    iterations: int
+    restarts: int
+    wolfe_rejections: int
+    converged: bool
+    line_search_failure: bool
+    grad_norm: float
+    energy_evals: int
+    grad_evals: int
+    energy_log: list
     V_q: DiscreteOneForm | None = None
     W_q: DiscreteOneForm | None = None
     residuals: dict = field(default_factory=dict)
-    iterations: int = 0
-    bb_restarts: int = 0
-    converged: bool = True
-    line_search_failure: bool = False
-    grad_norm: float = float("nan")
-    energy_evals: int = 0
-    grad_evals: int = 0
-    energy_log: list = field(default_factory=list)
 
     @property
     def q(self) -> float:
@@ -267,20 +272,28 @@ def _grad_from_metric(ctx: _Context, m: dict) -> np.ndarray:
     return np.stack([np.bincount(idx, weights=w, minlength=ctx.nc) for w in g_chart.T], axis=1)
 
 
+def _project(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Rows of V projected onto the tangent planes at Z: v + (v, z)# z."""
+    return V + (V[:, 0] * Z[:, 0] + V[:, 1] * Z[:, 1] - V[:, 2] * Z[:, 2])[:, None] * Z
+
+
 def _riemannian_grad(Z: np.ndarray, g_euclid: np.ndarray) -> np.ndarray:
-    R = g_euclid @ E_SHARP
-    dot = np.einsum("ca,ca->c", R @ E_SHARP, Z)  # (R, Z)#
-    return R + dot[:, None] * Z
+    return _project(Z, g_euclid @ E_SHARP)
+
+
+def _mdot(A: np.ndarray, B: np.ndarray) -> float:
+    """(A, B)# summed over rows; positive definite on tangent vectors."""
+    return float(np.einsum("ca,ca->", A @ E_SHARP, B))
 
 
 def _norm2(G: np.ndarray) -> float:
     """Squared norm of tangent vectors, which rounding can take below 0 at a
     stationary point."""
-    return max(float(np.einsum("ca,cb,ab->", G, G, E_SHARP)), 0.0)
+    return max(_mdot(G, G), 0.0)
 
 
-# garbage trial steps (inf/NaN from an oversized Barzilai-Borwein guess)
-# produce non-finite energies and are rejected by the line search
+# trial steps that leave the sheet or are not finite produce non-finite or
+# large energies and are rejected by the line search
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _retract(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
     N = Z - step
@@ -299,86 +312,92 @@ def _retract(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
     return N / np.sqrt(q)[:, None]
 
 
-def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
-    """Projected gradient with a Barzilai-Borwein step and Armijo backtracking.
+def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, pairs: list) -> np.ndarray:
+    """H G by the L-BFGS two-loop recursion in (., .)# over (s, y, (s, y)#), oldest
+    first, scaled by (s, y)#/(y, y)# of the newest and projected on T_Z."""
+    q, alphas = G, []
+    for s, y, sy in reversed(pairs):
+        alphas.append(_mdot(s, q) / sy)
+        q = q - alphas[-1] * y
+    s, y, sy = pairs[-1]
+    r = (sy / _mdot(y, y)) * q
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        r = r + (a - _mdot(y, r) / sy) * s
+    return _project(Z, r)
 
-    energy(Z) returns (J, extra) without a gradient, so an Armijo trial
-    costs one energy evaluation; grad(extra) builds the Euclidean gradient
-    once per iterate, from the extra of the start point or of the accepted
-    trial.  tau0(extra) gives the first trial step.  `iterations` counts
-    accepted steps, so grad_evals == iterations + 1; a failed line search
-    restarts the step estimate up to three times (`bb_restarts`), and the
-    budget counts both.  Energy never increases across accepted steps.
-    The tolerance test runs at every iterate, including the last one after
-    the budget is spent, so a budget of 0 reports whether the start point
-    is stationary.  Returns the last iterate, its energy and extra, and the
+
+def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
+    """Riemannian L-BFGS with an approximate-Wolfe line search.
+
+    energy(Z) returns (J, extra) without a gradient, so a line-search trial
+    costs one energy evaluation; grad(extra) builds the Euclidean gradient.
+    A trial is _retract(Z, t r), r = `_lbfgs_direction` or, with an empty
+    memory, tau0(extra) G, and t = 1 halved up to MAX_BACKTRACKS times.  It
+    passes on Armijo decrease, or, if J rose by at most WOLFE_EPS |J| (the
+    float resolution of J), when its gradient G+, then reused, has
+    (G+, r)# in [-0.8, 0.9] (G, r)#; a failed slope test costs a gradient
+    (`wolfe_rejections`), so grad_evals == iterations + 1 + wolfe_rejections.
+    So J rises by at most WOLFE_EPS |J| across an accepted step.  The pairs
+    s = Z+ - Z, y = G+ - G are projected on T_Z+ (the vector transport)
+    after each step and kept while (s, y)# > 0.  A failed line search clears
+    the memory and retries along the gradient (`restarts`, counted in the
+    budget with the accepted steps `iterations`); failing there is a
+    line-search failure.  `converged` means |G| <= tol max(1, J), tested at
+    every iterate, so a budget of 0 reports whether the start point is
+    stationary.  Returns the last iterate, its energy and extra, and the
     run statistics.
     """
     J, extra = energy(Z)
     G = _riemannian_grad(Z, grad(extra))
     energy_evals = grad_evals = 1
-    gnorm2 = _norm2(G)
-    log = [J]
-    tau = float(np.clip(tau0(extra), 1e-12, STEP_CAP))
-
-    iterations = 0  # accepted steps
-    restarts = 0
-    converged = False
-    ls_failure = False
-    Z_prev = None
-    G_prev = None
+    log, pairs = [J], []
+    iterations = restarts = wolfe_rejections = 0
+    converged = ls_failure = False
     while True:
+        gnorm2 = _norm2(G)
         if np.sqrt(gnorm2) <= opts.tol * max(1.0, J):
             converged = True
             break
         if iterations + restarts >= opts.max_iter:
             break
-        # Barzilai-Borwein initial step, Armijo safeguarded
-        if Z_prev is not None:
-            dZ = Z - Z_prev
-            dG = G - G_prev
-            denom = float((dZ * dG).sum())
-            if denom > 1e-300:
-                tau = float(np.clip((dZ * dZ).sum() / denom, 1e-12, STEP_CAP))
-        accepted = False
-        t_try = tau
-        for _ in range(MAX_BACKTRACKS):
-            Z_new = _retract(Z, t_try * G)
+        r = _lbfgs_direction(Z, G, pairs) if pairs else float(np.clip(tau0(extra), 1e-12, STEP_CAP)) * G
+        slope = _mdot(G, r)
+        t = 1.0
+        # a direction that does not descend fails without a trial
+        for _ in range(MAX_BACKTRACKS if slope > 0.0 else 0):
+            Z_new = _retract(Z, t * r)
             J_new, extra_new = energy(Z_new)
             energy_evals += 1
-            if J_new <= J - ARMIJO_C1 * t_try * gnorm2:
-                accepted = True
+            G_new = None
+            if J_new <= J - ARMIJO_C1 * t * slope:
                 break
-            t_try *= 0.5
-        if not accepted:
-            # a failed BB history can poison the step; restart the step-size
-            # estimate a few times before giving up
-            if restarts < 3:
+            if J_new <= J + WOLFE_EPS * abs(J):
+                G_new = _riemannian_grad(Z_new, grad(extra_new))
+                grad_evals += 1
+                if -0.8 * slope <= _mdot(G_new, r) <= 0.9 * slope:
+                    break
+                wolfe_rejections += 1
+            t *= 0.5
+        else:
+            if pairs:
+                pairs = []
                 restarts += 1
-                Z_prev = G_prev = None
-                tau = max(
-                    min(STEP_CAP, J / max(gnorm2, 1e-300)) * 1e-3, 1e-10
-                )
                 continue
-            # certified decrease fell below float resolution; near-stationary
-            # iterates are convergence, anything else is a genuine failure
-            if np.sqrt(gnorm2) <= 100.0 * opts.tol * max(1.0, J):
-                converged = True
-            else:
-                ls_failure = True
+            ls_failure = True
             break
+        if G_new is None:
+            G_new = _riemannian_grad(Z_new, grad(extra_new))
+            grad_evals += 1
+        pairs = [(_project(Z_new, s), _project(Z_new, y)) for s, y, _ in pairs + [(Z_new - Z, G_new - G, None)]]
+        pairs = [(s, y, sy) for s, y in pairs if (sy := _mdot(s, y)) > 0.0][-LBFGS_MEMORY:]
+        Z, J, extra, G = Z_new, J_new, extra_new, G_new
         iterations += 1
-        Z_prev, G_prev = Z, G
-        Z, J, extra = Z_new, J_new, extra_new
-        G = _riemannian_grad(Z, grad(extra))
-        grad_evals += 1
-        gnorm2 = _norm2(G)
-        tau = t_try
         log.append(J)
 
     stats = {
         "iterations": iterations,
-        "bb_restarts": restarts,
+        "restarts": restarts,
+        "wolfe_rejections": wolfe_rejections,
         "converged": converged,
         "line_search_failure": ls_failure,
         "grad_norm": float(np.sqrt(gnorm2)),
@@ -396,11 +415,11 @@ def minimize(
     init: EquivariantMap | None = None,
     opts: SolveOptions | None = None,
 ) -> SolveResult:
-    """Projected-gradient minimization of J_p over equivariant maps.
+    """Minimization of J_p over equivariant maps by `_descend`.
 
-    Energy never increases across accepted steps; returns the best iterate
-    with flags on line-search failure or hitting the iteration budget, and
-    the per-triangle block at it.  A budget of 0 measures `init` as it is.
+    Returns the last iterate with flags on line-search failure or hitting
+    the iteration budget, and the per-triangle block at it.  A budget of 0
+    measures `init` as it is.
     """
     _check_p(p)
     opts = opts or SolveOptions()
@@ -633,7 +652,7 @@ def _cylinder_grad(p: int, parts) -> np.ndarray:
 
 
 def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None):
-    """The shared projected-gradient descent on the rig's product of hyperboloids."""
+    """The shared descent, `_descend`, on the rig's product of hyperboloids."""
     _check_p(p)
     opts = opts or SolveOptions()
     Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
