@@ -38,12 +38,11 @@ EXIT_THRESHOLD = 4
 MAX_WORD_LEN = 8
 
 DEFAULT_TOLERANCES = {
-    "relator_residual": 1e-9,
+    "relator_residual": fuchsian.RELATOR_TOL,
     "duality_rel_err": 1e-6,
     "wolpert_rel_err": 1e-5,
     "mass_exact": 1e-12,
     "mass_duality": 1e-9,
-    "coboundary_pairing": 1e-10,
 }
 
 
@@ -96,10 +95,12 @@ def _multicurve(rep, data) -> WeightedMulticurve:
         raise ConfigError(f"bad multicurve: {exc}")
 
 
-def _max_word_len(config: dict) -> int:
-    value = config.get("max_word_len", 6)
-    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_WORD_LEN:
-        raise ConfigError(f"max_word_len must be an integer in 1..{MAX_WORD_LEN}, got {value!r}")
+def _int_setting(config: dict, key: str, default: int, lo: int, hi: int | None = None) -> int:
+    """config[key] (or default), an integer in lo..hi; bools are rejected."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        bounds = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        raise ConfigError(f"{key} must be an integer {bounds}, got {value!r}")
     return value
 
 
@@ -131,7 +132,7 @@ def cmd_rep(config: dict, outdir: str):
         rho = _build_rep(config["target"]).with_label("rho")
         _write_json(outdir, "rho.json", rho.to_json())
         report["rho"] = {"relator_residual": rho.relator_residual(), "label": rho.label}
-    code = EXIT_OK if report["sigma"]["relator_residual"] <= 1e-9 else EXIT_THRESHOLD
+    code = EXIT_OK if report["sigma"]["relator_residual"] <= DEFAULT_TOLERANCES["relator_residual"] else EXIT_THRESHOLD
     _write_json(outdir, "rep_report.json", report)
     return report, code
 
@@ -154,7 +155,7 @@ def cmd_kbound(config: dict, outdir: str):
     report = _report_skeleton(config)
     sigma = _build_rep(config.get("rep"))
     rho = _build_rep(config.get("target"))
-    max_len = _max_word_len(config)
+    max_len = _int_setting(config, "max_word_len", 6, 1, MAX_WORD_LEN)
     words = fuchsian.enumerate_words(max_len)
     report["k_lower_bound"] = fuchsian.k_lower_bound(words, sigma, rho)
     report["max_word_len"] = max_len
@@ -260,18 +261,25 @@ def _solve_exit_code(stages) -> int:
 def cmd_solve(config: dict, outdir: str):
     report = _report_skeleton(config)
     os.makedirs(outdir, exist_ok=True)
+    # the settings are checked before a mesh is built or a checkpoint read
     target = config.get("target", {"type": "identity"})
-    schedule = [int(p) for p in config.get("p_schedule", [2, 4, 8, 16, 32, 64])]
-    opts = SolveOptions(
-        tol=float(config.get("tol", 1e-7)),
-        max_iter=int(config.get("max_iter", 6000)),
-    )
+    if not isinstance(target, dict):
+        raise ConfigError(f"solve target must be an object, got {target!r}")
+    try:
+        schedule = pharmonic.check_schedule(config.get("p_schedule", [2, 4, 8, 16, 32, 64]))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    tol = config.get("tol", 1e-7)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
+        raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
+    opts = SolveOptions(tol=float(tol), max_iter=_int_setting(config, "max_iter", 6000, 0))
+    level = _int_setting(config, "mesh_level", 3, 0)
     ttype = target.get("type")
     if ttype == "cylinder":
         rig, stages = pharmonic.cylinder_continuation(
             float(target["a"]), float(target["b"]),
-            n=int(config.get("n_segments", 64)),
-            schedule=schedule, opts=opts, seed=int(config.get("seed", 0)),
+            n=_int_setting(config, "n_segments", 64, 1),
+            schedule=schedule, opts=opts, seed=_int_setting(config, "seed", 0, 0),
         )
         report["stages"] = stages
         report["final_stretch"] = stages[-1]["stretch"]
@@ -279,17 +287,15 @@ def cmd_solve(config: dict, outdir: str):
         return report, _solve_exit_code(stages)
     if ttype not in ("identity", "twist"):
         raise ConfigError(f"unknown solve target type {ttype!r}")
-    max_len = _max_word_len(config) if ttype == "twist" else None
+    max_len = _int_setting(config, "max_word_len", 6, 1, MAX_WORD_LEN) if ttype == "twist" else None
 
     sigma = octagon_representation()
     rho = sigma if ttype == "identity" else _build_rep({"twist": target})
-    level = int(config.get("mesh_level", 3))
     mesh = build_octagon_mesh(level)
 
     # checkpoint/resume keyed by the config hash
     ck_path = os.path.join(outdir, "checkpoint.npz")
     done_stages = {}
-    init = None
     if os.path.exists(ck_path):
         try:
             with np.load(ck_path) as ck:
@@ -300,17 +306,16 @@ def cmd_solve(config: dict, outdir: str):
             raise ConfigError(f"unreadable checkpoint {ck_path}: {exc!r}")
 
     stage_rows = []
-    u = None
+    Z = None
     for p in schedule:
         if p in done_stages:
             # a budget of 0 re-measures the tolerance test at the loaded point
-            u = pharmonic.EquivariantMap(mesh, rho, done_stages[p])
-            res = minimize(mesh, rho, p, init=u, opts=SolveOptions(tol=opts.tol, max_iter=0))
+            res = minimize(mesh, rho, p, init=done_stages[p], opts=SolveOptions(tol=opts.tol, max_iter=0))
         else:
-            res = minimize(mesh, rho, p, init=u, opts=opts)
-        u = res.map
+            res = minimize(mesh, rho, p, init=Z, opts=opts)
+        Z = res.class_points
         density_and_currents(res)
-        rel = relation_checks(res)
+        relation_checks(res)
         stage_rows.append(
             {
                 "p": res.p,
@@ -327,7 +332,7 @@ def cmd_solve(config: dict, outdir: str):
             }
         )
         _write_stage_csv(outdir, res, mesh)
-        done_stages[p] = res.map.class_points
+        done_stages[p] = res.class_points
         # write then rename, so an interrupted run never leaves a torn checkpoint
         tmp_path = os.path.join(outdir, "checkpoint.tmp.npz")
         np.savez(
@@ -341,11 +346,8 @@ def cmd_solve(config: dict, outdir: str):
     report["stages"] = stage_rows
     report["mesh_level"] = level
     report["area"] = float(mesh.areas.sum())
-    report["stage_values_nondecreasing"] = bool(
-        all(
-            stage_rows[i + 1]["stage_value"] >= stage_rows[i]["stage_value"] - 1e-9
-            for i in range(len(stage_rows) - 1)
-        )
+    report["stage_values_nondecreasing"] = all(
+        b["stage_value"] >= a["stage_value"] - 1e-9 for a, b in zip(stage_rows, stage_rows[1:])
     )
     if ttype == "twist":
         words = fuchsian.enumerate_words(max_len)

@@ -16,7 +16,8 @@ The pairing x_k maps side k+4 onto side k and reverses its direction, so the
 i-th vertex of side k+4 is paired with the i-th vertex from the end of side
 k.  The mesh is the one place that knows this: it stores the paired vertices
 (`boundary_pairs`) and the paired edges with their orientation signs
-(`edge_twins`) once, at build time, and every consumer reads those arrays.
+(`edge_twins`) once, at build time, and no other module reads them:
+`edge_average` carries the solver's currents across the paired sides.
 
 Every subdivision level (`_refine`), the edge table (`_edge_table`) and every
 geometry array are built once, by array code over the triangle corners.
@@ -349,6 +350,23 @@ class DiscreteOneForm:
 def form_from_edge_function(mesh: FundamentalMesh, fn) -> DiscreteOneForm:
     """Build a form from fn(i, j) evaluated on canonical edge orientations."""
     return DiscreteOneForm(mesh, np.array([fn(int(i), int(j)) for i, j in mesh.edges], dtype=float))
+
+
+def edge_average(mesh: FundamentalMesh, tri_values: np.ndarray, rep: SurfaceGroupRep) -> DiscreteOneForm:
+    """The form whose edge value is the mean of its two slot values in
+    tri_values (nt, 3, 3, 3), on the canonical orientation: from its two
+    triangles, or from its one triangle and its twin's, carried by Ad(rep)."""
+    own = np.zeros((len(mesh.edges), 3, 3))
+    np.add.at(own, mesh.tri_edges.ravel(), tri_values.reshape(-1, 3, 3))
+    total = own.copy()
+    mats = rep.pairing_images()
+    for k, (far, near, sign) in enumerate(mesh.edge_twins):
+        # pulling the side-k value back to side k+4 uses Ad(x_k)^-1,
+        # pushing side k+4 to side k uses Ad(x_k)
+        g, g_inv = mats[k], mats[k + 4]
+        total[far] += sign[:, None, None] * (g_inv @ own[near] @ g)
+        total[near] += sign[:, None, None] * (g @ own[far] @ g_inv)
+    return DiscreteOneForm(mesh, 0.5 * total)
 
 
 def maurer_cartan(mesh: FundamentalMesh) -> DiscreteOneForm:

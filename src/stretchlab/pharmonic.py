@@ -1,12 +1,13 @@
 """Discrete equivariant p-Schatten harmonic map solver and its currents.
 
-Maps are stored as one hyperboloid point per vertex class; the chart value at
-vertex i is rho(w_i) applied to the class point, so equivariance is exact by
-construction.  The per-triangle differential D is the linear map between
-log-map charts (domain chart at the circumcenter, target chart at the
-projected barycenter), first-order consistent; TrQ(df)^p = s1^p + s2^p is
-evaluated as Tr((D^T D)^{p/2}) through the Newton power recurrence in
-(tr, det), which is polynomial for even p and keeps gradients smooth.
+A map is its (nc, 3) array of class points, one hyperboloid point per vertex
+class; the chart value at vertex i is rho(w_i) applied to its class point
+(`mesh.lift_matrices`), so equivariance is exact by construction.  The
+per-triangle differential D is the linear map between log-map charts (domain
+chart at the circumcenter, target chart at the projected barycenter),
+first-order consistent; TrQ(df)^p = s1^p + s2^p is evaluated as
+Tr((D^T D)^{p/2}) through the Newton power recurrence in (tr, det), which is
+polynomial for even p and keeps gradients smooth.
 
 One descent loop, `_descend`, serves both the surface solver and the
 cylinder rig: Riemannian L-BFGS on a product of hyperboloids (retraction:
@@ -17,14 +18,14 @@ intermediates of the trial, its power sums p_k included, once it passes
 Armijo or once J is within WOLFE_EPS |J| of the start, for the slope test.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
-T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id, assembled as
-per-edge forms by averaging adjacent triangle contributions (with Ad
-transport across the paired boundary).  `minimize` builds the per-triangle
-block (density, T_q, U, S_{p-1}) from the metric M = D^T D and the power
-sums of its final iterate, with no target frame: U^T U = kappa_p^2 M, and
-M^{p/2-1} = (2/p)(du I + dv adj M) with du, dv the derivatives of
-tr(M^{p/2}) in (tr, det) that the gradient uses.  `density_and_currents`
-assembles the edge currents from that block; `relation_checks` reads it back.
+T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id.  `minimize`
+builds the per-triangle block (density, T_q, U, S_{p-1}) from the metric
+M = D^T D and the power sums of its final iterate, with no target frame:
+U^T U = kappa_p^2 M, and M^{p/2-1} = (2/p)(du I + dv adj M) with du, dv the
+derivatives of tr(M^{p/2}) in (tr, det) that the gradient uses.
+`density_and_currents` averages that block's slot values onto the edges by
+`mesh.edge_average`, the solver's only crossing of the paired sides besides
+`mesh.lift_matrices`; `relation_checks` reads the block back.
 """
 
 from __future__ import annotations
@@ -36,40 +37,12 @@ import numpy as np
 from . import lorentz
 from .fuchsian import SurfaceGroupRep
 from .lorentz import E_SHARP, cross, exp_so21, mink_dot
-from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, maurer_cartan
+from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, edge_average, maurer_cartan
 
 
 # ---------------------------------------------------------------------------
-# map and options
+# options and result
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EquivariantMap:
-    """Hyperboloid point per vertex class, rho-equivariant chart extension."""
-
-    mesh: FundamentalMesh
-    rho: SurfaceGroupRep
-    class_points: np.ndarray  # (nc, 3)
-
-    def chart_points(self) -> np.ndarray:
-        lifts = self.mesh.lift_matrices(self.rho)
-        return np.einsum("vab,vb->va", lifts, self.class_points[self.mesh.vertex_class])
-
-    def validate(self, tol: float = 1e-10):
-        Z = self.class_points
-        q = Z[:, 0] ** 2 + Z[:, 1] ** 2 - Z[:, 2] ** 2
-        if float(np.abs(q + 1.0).max()) > tol:
-            raise ValueError("class points are not on the hyperboloid")
-        # boundary equivariance is structural; verify on the paired vertices
-        if self.mesh.pairing_drift(self.chart_points(), self.rho) > tol * 10:
-            raise ValueError("map is not equivariant across a paired boundary")
-        return self
-
-
-def identity_map(mesh: FundamentalMesh, rho: SurfaceGroupRep) -> EquivariantMap:
-    """Class points at the domain representatives (the natural warm start)."""
-    return EquivariantMap(mesh, rho, mesh.vertices[mesh.class_rep_vertex].copy())
-
 
 # descent: gradient steps at most STEP_CAP, Armijo constant, halvings before
 # a line search fails, the relative rise of J within which a trial may pass
@@ -89,7 +62,9 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
-    map: EquivariantMap
+    mesh: FundamentalMesh
+    rho: SurfaceGroupRep
+    class_points: np.ndarray  # (nc, 3) the map's hyperboloid point per vertex class
     p: int
     J_p: float
     kappa_p: float
@@ -116,13 +91,9 @@ class SolveResult:
     W_q: DiscreteOneForm | None = None
     residuals: dict = field(default_factory=dict)
 
-    @property
-    def q(self) -> float:
-        return self.p / (self.p - 1.0)
-
     def normalized_stage_value(self) -> float:
         """(J_p / Area)^{1/p}."""
-        area = float(self.map.mesh.areas.sum())
+        area = float(self.mesh.areas.sum())
         return float((self.J_p / area) ** (1.0 / self.p))
 
 
@@ -136,15 +107,11 @@ class _Context:
             raise ValueError("mesh contains a degenerate (nonpositive-area) triangle")
         tri = mesh.triangles
         self.tri_class = mesh.vertex_class[tri]                    # (nt, 3)
-        lifts = mesh.lift_matrices(rho)
-        self.lift = lifts[tri]                                     # (nt, 3, 3, 3)
+        self.lift = mesh.lift_matrices(rho)[tri]                   # (nt, 3, 3, 3)
         self.areas = mesh.areas
         self.Ki = mesh.tri_dxinv                                   # (nt, 2, 2)
         self.KiT = self.Ki.transpose(0, 2, 1)
         self.nc = mesh.n_classes
-
-    def chart_corners(self, Z: np.ndarray) -> np.ndarray:
-        return np.einsum("tcab,tcb->tca", self.lift, Z[self.tri_class])
 
 
 def _f_log(c):
@@ -163,7 +130,7 @@ def _f_log(c):
 
 def _tri_metric(ctx: _Context, Z: np.ndarray):
     """Per-triangle M = D^T D (as tr, det) plus the intermediates for grads."""
-    Y = ctx.chart_corners(Z)                     # (nt, 3, 3)
+    Y = np.einsum("tcab,tcb->tca", ctx.lift, Z[ctx.tri_class])  # (nt, 3, 3) chart corners
     S = Y.mean(axis=1)
     q = -(S[:, 0] ** 2 + S[:, 1] ** 2 - S[:, 2] ** 2)
     nu = np.sqrt(q)
@@ -208,9 +175,22 @@ def _power_derivatives(t, d, P):
     return U[len(P) - 1], V[len(P) - 1]
 
 
+def _even_p(p) -> bool:
+    return isinstance(p, (int, np.integer)) and p >= 2 and p % 2 == 0
+
+
 def _check_p(p):
-    if not (isinstance(p, (int, np.integer)) and p >= 2 and p % 2 == 0):
+    if not _even_p(p):
         raise ValueError("p must be an even integer >= 2")
+
+
+def check_schedule(schedule) -> list:
+    """The p-schedule as a list of ints; raises ValueError unless it is a
+    nonempty, strictly increasing list (or tuple) of even integers >= 2."""
+    if not (isinstance(schedule, (list, tuple)) and schedule and all(map(_even_p, schedule))
+            and all(a < b for a, b in zip(schedule, schedule[1:]))):
+        raise ValueError(f"p schedule must be a nonempty, strictly increasing list of even integers >= 2, got {schedule!r}")
+    return [int(p) for p in schedule]
 
 
 def _singular_values(m):
@@ -412,10 +392,11 @@ def minimize(
     mesh: FundamentalMesh,
     rho: SurfaceGroupRep,
     p: int,
-    init: EquivariantMap | None = None,
+    init: np.ndarray | None = None,
     opts: SolveOptions | None = None,
 ) -> SolveResult:
-    """Minimization of J_p over equivariant maps by `_descend`.
+    """Minimization of J_p over equivariant maps by `_descend`, from the
+    (nc, 3) class points `init`, by default the domain's own class points.
 
     Returns the last iterate with flags on line-search failure or hitting
     the iteration budget, and the per-triangle block at it.  A budget of 0
@@ -423,7 +404,7 @@ def minimize(
     """
     _check_p(p)
     opts = opts or SolveOptions()
-    u = init if init is not None else identity_map(mesh, rho)
+    Z0 = mesh.vertices[mesh.class_rep_vertex] if init is None else np.array(init, dtype=float)
     ctx = _Context(mesh, rho)
 
     def tau0(m):
@@ -432,7 +413,7 @@ def minimize(
         return STEP_CAP / max(1.0, smax ** (p - 2))
 
     Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p),
-                              lambda m: _grad_from_metric(ctx, m), u.class_points.copy(), tau0, opts)
+                              lambda m: _grad_from_metric(ctx, m), Z0, tau0, opts)
     s1, s2 = _singular_values(m)
     kappa = float(J ** (-1.0 / p))
     # the block at the final iterate, from its metric M and power sums:
@@ -443,7 +424,9 @@ def minimize(
     density = kappa ** p * m["P"][-1]                              # TrQ(U)^p
     U_amb = kappa * np.einsum("tja,tjx->tax", ctx.Ki, np.stack([m["d2"], m["d3"]], axis=1))
     return SolveResult(
-        map=EquivariantMap(mesh, rho, Z),
+        mesh=mesh,
+        rho=rho,
+        class_points=Z,
         p=int(p),
         J_p=J,
         kappa_p=kappa,
@@ -471,16 +454,13 @@ def p_continuation(
     normalized mixed norm has an l^p factor in (s1, s2) that decreases in p,
     so the power-mean trend holds only up to that factor.
     """
-    if list(schedule) != sorted(schedule):
-        raise ValueError("p schedule must be increasing")
-    opts = opts or SolveOptions()
     results = []
-    u = identity_map(mesh, rho)
-    for p in schedule:
-        res = minimize(mesh, rho, int(p), init=u, opts=opts)
+    Z = None
+    for p in check_schedule(schedule):
+        res = minimize(mesh, rho, p, init=Z, opts=opts)
         density_and_currents(res)
         results.append(res)
-        u = res.map
+        Z = res.class_points
     return results
 
 
@@ -490,47 +470,21 @@ def p_continuation(
 
 def density_and_currents(result: SolveResult) -> SolveResult:
     """Fill V_q, W_q, the density mass and the closedness residuals from the
-    per-triangle block that `minimize` built."""
-    mesh = result.map.mesh
+    per-triangle block that `minimize` built; `edge_average` takes each
+    current's slot values onto the edges, V_q's by rho and W_q's by sigma."""
+    mesh = result.mesh
     result.residuals["density_mass"] = float(np.dot(mesh.areas, result.density))
-    V_vals, W_vals = _assemble_edge_currents(result)
-    result.V_q = DiscreteOneForm(mesh, V_vals)
-    result.W_q = DiscreteOneForm(mesh, W_vals)
-    result.residuals["V_closedness"] = closedness_residual(result.V_q)
-    result.residuals["W_closedness"] = closedness_residual(result.W_q)
-    return result
-
-
-def _assemble_edge_currents(result: SolveResult):
-    """Average per-triangle constant forms onto edges, transporting twins."""
-    mesh, rho = result.map.mesh, result.map.rho
     # each triangle's edge vectors in canonical orientation (lower to higher
     # vertex id), rotated by -90 degrees: (x, y) -> (y, -x)
     xi = mesh.tri_edge_sign[..., None] * (np.roll(mesh.tri_coords, -1, axis=1) - mesh.tri_coords)
     r = np.stack([xi[..., 1], -xi[..., 0]], axis=-1)               # (nt, 3, 2)
     v3 = np.einsum("tsa,tax->tsx", r, result.S_amb)
     w3 = np.einsum("tia,tsa,tix->tsx", result.T_q, r, mesh.frames)
-    contribs = (
-        (cross(v3, result.u_bar[:, None]), rho),
-        (cross(w3, mesh.circumcenters[:, None]), mesh.rep),
-    )
-
-    # every edge gets two contributions: its two triangles in the chart, or
-    # its one triangle and the transported twin across the paired boundary
-    out = []
-    for contrib, rep in contribs:
-        own = np.zeros((len(mesh.edges), 3, 3))
-        np.add.at(own, mesh.tri_edges.ravel(), contrib.reshape(-1, 3, 3))
-        total = own.copy()
-        mats = rep.pairing_images()
-        for k, (far, near, sign) in enumerate(mesh.edge_twins):
-            # pulling the side-k value back to side k+4 uses Ad(x_k)^-1,
-            # pushing side k+4 to side k uses Ad(x_k)
-            g, g_inv = mats[k], mats[k + 4]
-            total[far] += sign[:, None, None] * (g_inv @ own[near] @ g)
-            total[near] += sign[:, None, None] * (g @ own[far] @ g_inv)
-        out.append(0.5 * total)
-    return out
+    result.V_q = edge_average(mesh, cross(v3, result.u_bar[:, None]), result.rho)
+    result.W_q = edge_average(mesh, cross(w3, mesh.circumcenters[:, None]), mesh.rep)
+    result.residuals["V_closedness"] = closedness_residual(result.V_q)
+    result.residuals["W_closedness"] = closedness_residual(result.W_q)
+    return result
 
 
 def relation_checks(result: SolveResult) -> dict:
@@ -546,7 +500,7 @@ def relation_checks(result: SolveResult) -> dict:
     """
     if result.W_q is None:
         raise ValueError("run density_and_currents first")
-    mesh = result.map.mesh
+    mesh = result.mesh
     p = result.p
 
     # (a) pointwise algebra through the 3x3 cross/Killing machinery:

@@ -423,11 +423,11 @@ FD_PROBES = 20
 FD_H = 3e-6
 
 
-def gradient_fd_check(mesh, rho, p, u, rng):
-    """Max relative error of the analytic directional derivative vs central FD,
-    over FD_PROBES random one-class directions with step FD_H."""
+def gradient_fd_check(mesh, rho, p, Z, rng):
+    """Max relative error of the analytic directional derivative vs central FD
+    at the class points Z, over FD_PROBES random one-class directions with
+    step FD_H."""
     ctx = _Context(mesh, rho)
-    Z = u.class_points
     G = _riemannian_grad(Z, _grad_from_metric(ctx, _energy_and_grad(ctx, Z, p)[1]))
     worst = 0.0
     for _ in range(FD_PROBES):
@@ -462,9 +462,9 @@ def _target_frames(Yb, d2, d3):
 def current_block_oracle(result) -> dict:
     """density, T_q, u_bar, U_amb and S_amb of a solve result, re-evaluated at
     its map through target frames and eigh of U U^T."""
-    mesh = result.map.mesh
+    mesh = result.mesh
     p = result.p
-    m = _tri_metric(_Context(mesh, result.map.rho), result.map.class_points)
+    m = _tri_metric(_Context(mesh, result.rho), result.class_points)
 
     # target-frame differential D (2x2, domain chart -> target chart)
     F = _target_frames(m["Yb"], m["d2"], m["d3"])

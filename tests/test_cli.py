@@ -92,6 +92,19 @@ def test_config_error_exit_code(tmp_path):
         assert run(tmp_path, "kbound", {"max_word_len": max_len}) == cli.EXIT_CONFIG
         twist_cfg = {"target": {"type": "twist", "curve": "a1", "t": 0.5}, "max_word_len": max_len}
         assert run(tmp_path, "solve", twist_cfg) == cli.EXIT_CONFIG
+    # solve settings, checked before a mesh is built or a checkpoint read
+    identity = {"target": {"type": "identity"}, "mesh_level": 1}
+    bad = [("p_schedule", v) for v in ([3], [2.5], [4, 2], [2, 2], [], 4, "2,4", [True, 4])]
+    bad += [("mesh_level", v) for v in (-1, True, "x", 1.0)]
+    bad += [("tol", v) for v in ("x", -1, 0, float("nan"), float("inf"), True)]
+    bad += [("max_iter", v) for v in (-1, 2.5, True)]
+    bad += [("target", "identity")]
+    for key, value in bad:
+        assert run(tmp_path, "solve", {**identity, key: value}) == cli.EXIT_CONFIG, (key, value)
+    cylinder = {"target": {"type": "cylinder", "a": 2.0, "b": 3.0}, "p_schedule": [2]}
+    bad = [("p_schedule", [3]), ("p_schedule", [4, 2]), ("n_segments", True), ("n_segments", 2.7), ("seed", -1)]
+    for key, value in bad:
+        assert run(tmp_path, "solve", {**cylinder, key: value}) == cli.EXIT_CONFIG, (key, value)
 
 
 def test_solve_cylinder(tmp_path):

@@ -19,6 +19,7 @@ from stretchlab.mesh import (
     MeshError,
     build_octagon_mesh,
     closedness_residual,
+    edge_average,
     extract_cocycle,
     form_from_edge_function,
     loop_integral,
@@ -153,6 +154,17 @@ def test_maurer_cartan_equivariance_across_pairings(meshes):
             ta, tb = twin_vertex[k][a], twin_vertex[k][b]
             lhs = g @ omega.value(a, b) @ lorentz.group_inv(g)
             np.testing.assert_allclose(lhs, omega.value(ta, tb), atol=1e-9)
+
+
+def test_edge_average_returns_the_maurer_cartan_form(meshes):
+    # omega's slot values average back to omega: an interior edge from its two
+    # triangles, a paired edge from its triangle and its twin's value carried
+    # across by Ad, so a reversed Ad direction fails here
+    for lvl in (1, 2, 3):
+        m = meshes[lvl]
+        omega = maurer_cartan(m)
+        got = edge_average(m, omega.values[m.tri_edges], m.rep).values
+        assert float(np.abs(got - omega.values).max()) <= 1e-12 * float(np.abs(omega.values).max())
 
 
 def _gradient_form(mesh, fvals):

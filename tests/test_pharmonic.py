@@ -16,12 +16,10 @@ from oracles import (
 from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual, extract_cocycle
 from stretchlab.pharmonic import (
     CylinderRig,
-    EquivariantMap,
     SolveOptions,
     cylinder_continuation,
     cylinder_minimize,
     density_and_currents,
-    identity_map,
     minimize,
     p_continuation,
     relation_checks,
@@ -92,10 +90,9 @@ def _measured_cylinder_J(rig, p):
 
 
 def test_p_must_be_even_integer(mesh2, octagon):
-    u = identity_map(mesh2, octagon)
     for bad in (3, 2.5, 1, 0):
         with pytest.raises(ValueError):
-            minimize(mesh2, octagon, bad, init=u, opts=MEASURE)
+            minimize(mesh2, octagon, bad, opts=MEASURE)
 
 
 def test_identity_energy_near_twice_area(octagon):
@@ -111,13 +108,11 @@ def test_identity_energy_near_twice_area(octagon):
 def test_degenerate_triangle_raises(mesh2, octagon):
     import copy
 
-    u = identity_map(mesh2, octagon)
     broken = copy.copy(mesh2)
     broken.areas = mesh2.areas.copy()
     broken.areas[0] = 0.0
-    u_broken = EquivariantMap(broken, octagon, u.class_points)
     with pytest.raises(ValueError, match="nonpositive-area"):
-        minimize(broken, octagon, 2, init=u_broken, opts=MEASURE)
+        minimize(broken, octagon, 2, opts=MEASURE)
 
 
 def test_cylinder_energy_closed_form():
@@ -168,7 +163,11 @@ def test_minimize_descends_and_stays_equivariant(mesh2, rho_twist):
     # one gradient per logged iterate, plus one per failed slope test
     assert res.grad_evals == len(log) + res.wolfe_rejections <= res.energy_evals
     assert res.grad_evals == res.iterations + 1 + res.wolfe_rejections
-    res.map.validate(tol=1e-10)
+    # class points on the sheet, and the chart map equivariant across the paired sides
+    Z = res.class_points
+    assert float(np.abs(Z[:, 0] ** 2 + Z[:, 1] ** 2 - Z[:, 2] ** 2 + 1.0).max()) <= 1e-10
+    chart = np.einsum("vab,vb->va", mesh2.lift_matrices(rho_twist), Z[mesh2.vertex_class])
+    assert mesh2.pairing_drift(chart, rho_twist) <= 1e-9
     assert res.J_p <= minimize(mesh2, rho_twist, 4, opts=MEASURE).J_p + 1e-12
 
 
@@ -205,9 +204,9 @@ def test_twist_draws_reach_tol(octagon, mesh2):
 
 
 def test_minimize_zero_iterations_keeps_init(mesh2, rho_twist):
-    init = identity_map(mesh2, rho_twist)
+    init = mesh2.vertices[mesh2.class_rep_vertex]
     res = minimize(mesh2, rho_twist, 2, init=init, opts=SolveOptions(max_iter=0))
-    np.testing.assert_allclose(res.map.class_points, init.class_points, atol=0)
+    np.testing.assert_allclose(res.class_points, init, atol=0)
 
 
 def test_identity_is_near_critical_under_refinement(octagon):
@@ -218,9 +217,9 @@ def test_identity_is_near_critical_under_refinement(octagon):
         from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _riemannian_grad
 
         ctx = _Context(m, octagon)
-        u = identity_map(m, octagon)
-        J, mm = _energy_and_grad(ctx, u.class_points, 2)
-        G = _riemannian_grad(u.class_points, _grad_from_metric(ctx, mm))
+        Z = m.vertices[m.class_rep_vertex]
+        J, mm = _energy_and_grad(ctx, Z, 2)
+        G = _riemannian_grad(Z, _grad_from_metric(ctx, mm))
         gn = float(np.sqrt(np.einsum("ca,cb,ab->", G, G, np.diag([1.0, 1.0, -1.0]))))
         norms.append(gn / J)
     assert norms[1] < norms[0]
@@ -228,14 +227,14 @@ def test_identity_is_near_critical_under_refinement(octagon):
 
 def test_gradient_against_finite_differences(mesh2, rho_twist, rng):
     m1 = build_octagon_mesh(1)
-    Z = identity_map(m1, rho_twist).class_points
+    Z = m1.vertices[m1.class_rep_vertex]
     V = rng.standard_normal(Z.shape) * 0.1
     dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
     from stretchlab.pharmonic import _retract
 
-    u = EquivariantMap(m1, rho_twist, _retract(Z, -(V + dots[:, None] * Z)))
+    Z = _retract(Z, -(V + dots[:, None] * Z))
     for p in (2, 8, 16):
-        assert gradient_fd_check(m1, rho_twist, p, u, np.random.default_rng(7)) <= 1e-6
+        assert gradient_fd_check(m1, rho_twist, p, Z, np.random.default_rng(7)) <= 1e-6
 
 
 def test_retract_matches_row_loop(rng):
@@ -245,7 +244,8 @@ def test_retract_matches_row_loop(rng):
     # whose Minkowski norm overflows gives NaN in both
     from stretchlab.pharmonic import _retract
 
-    Z = identity_map(build_octagon_mesh(1), octagon_representation()).class_points
+    m1 = build_octagon_mesh(1)
+    Z = m1.vertices[m1.class_rep_vertex]
     n = len(Z)
     V = rng.standard_normal(Z.shape)
     tangent = V + np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)[:, None] * Z
@@ -268,7 +268,7 @@ def test_gradient_from_trial_matches_fused_evaluation(mesh2, rho_twist, rng, p):
     from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _retract
 
     ctx = _Context(mesh2, rho_twist)
-    Z = identity_map(mesh2, rho_twist).class_points
+    Z = mesh2.vertices[mesh2.class_rep_vertex]
     V = rng.standard_normal(Z.shape) * 0.05
     dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
     Z1 = _retract(Z, -(V + dots[:, None] * Z))
@@ -287,7 +287,7 @@ def test_power_sums_match_fused_recurrence(mesh2, rho_twist, rng, p):
     from stretchlab.pharmonic import _Context, _energy_and_grad, _power_derivatives, _retract
 
     ctx = _Context(mesh2, rho_twist)
-    Z = identity_map(mesh2, rho_twist).class_points
+    Z = mesh2.vertices[mesh2.class_rep_vertex]
     V = rng.standard_normal(Z.shape) * 0.05
     dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
     J, m = _energy_and_grad(ctx, _retract(Z, -(V + dots[:, None] * Z)), p)
@@ -307,10 +307,10 @@ def test_current_block_matches_frame_oracle(mesh2, rho_twist, rng, p):
     # frames and eigh of U U^T, at a perturbed map measured with a budget of 0
     from stretchlab.pharmonic import _retract
 
-    Z = identity_map(mesh2, rho_twist).class_points
+    Z = mesh2.vertices[mesh2.class_rep_vertex]
     V = rng.standard_normal(Z.shape) * 0.05
     dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
-    init = EquivariantMap(mesh2, rho_twist, _retract(Z, -(V + dots[:, None] * Z)))
+    init = _retract(Z, -(V + dots[:, None] * Z))
     res = minimize(mesh2, rho_twist, p, init=init, opts=MEASURE)
     want = current_block_oracle(res)
     for name in ("density", "T_q", "U_amb", "S_amb"):
@@ -322,8 +322,10 @@ def test_current_block_matches_frame_oracle(mesh2, rho_twist, rng, p):
 
 
 def test_continuation_requires_increasing_schedule(mesh2, octagon):
-    with pytest.raises(ValueError):
-        p_continuation(mesh2, octagon, schedule=(4, 2))
+    # the rule the CLI applies to p_schedule as well
+    for bad in ((4, 2), (2, 2), (), (3,), (2, 4.0), (True, 4)):
+        with pytest.raises(ValueError):
+            p_continuation(mesh2, octagon, schedule=bad)
 
 
 def test_kappa_normalization(twist_solution):
