@@ -44,4 +44,4 @@ from .lamination import (
 )
 from .earthquake import TwistSpec, twist, earthquake_cocycle, length_derivative, duality_check
 from .mesh import FundamentalMesh, DiscreteOneForm, build_octagon_mesh
-from .pharmonic import SolveResult, minimize, p_continuation
+from .pharmonic import SolveResult, minimize

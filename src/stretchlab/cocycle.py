@@ -47,10 +47,10 @@ class Cocycle:
 
     __rmul__ = __mul__
 
-    def validate(self, tol: float = RELATOR_TANGENCY_TOL) -> "Cocycle":
+    def validate(self) -> "Cocycle":
         res = relator_tangency(self)
-        if res > tol:
-            raise ValueError(f"relator tangency {res:.3e} exceeds {tol:.1e}")
+        if res > RELATOR_TANGENCY_TOL:
+            raise ValueError(f"relator tangency {res:.3e} exceeds {RELATOR_TANGENCY_TOL:.1e}")
         return self
 
     def to_json(self) -> dict:

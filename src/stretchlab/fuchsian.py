@@ -232,10 +232,10 @@ class SurfaceGroupRep:
         r = self.evaluate_ld(RELATOR) - np.eye(3, dtype=np.longdouble)
         return float(np.sqrt((r * r).sum()))
 
-    def validate(self, tol: float = RELATOR_TOL):
+    def validate(self):
         res = self.relator_residual()
-        if not res <= tol:  # NaN fails too
-            raise ValueError(f"relator residual {res:.3e} exceeds {tol:.1e}")
+        if not res <= RELATOR_TOL:  # NaN fails too
+            raise ValueError(f"relator residual {res:.3e} exceeds {RELATOR_TOL:.1e}")
         for n, g in zip(GENERATOR_NAMES, self.generators):
             if not lorentz.is_group_elem(g):
                 raise ValueError(f"generator {n} is not in SO+(2,1)")

@@ -22,6 +22,8 @@ from .cocycle import Cocycle, _check_same_rep, evaluate_cocycle
 from .fuchsian import SurfaceGroupRep, as_word, axis_generator, translation_length
 from .lorentz import cross, exp_so21, killing
 
+KILLING_NORM_TOL = 1e-9  # an atom generator B has |killing(B, B) - 2| <= this
+
 
 @dataclass
 class WeightedMulticurve:
@@ -71,9 +73,9 @@ class LieValuedMeasure:
     rep: SurfaceGroupRep
     atoms: list
 
-    def validate(self, tol: float = 1e-9) -> "LieValuedMeasure":
+    def validate(self) -> "LieValuedMeasure":
         for at in self.atoms:
-            if abs(killing(at.generator, at.generator) - 2.0) > tol:
+            if abs(killing(at.generator, at.generator) - 2.0) > KILLING_NORM_TOL:
                 raise ValueError("atom generator is not killing-normalized")
             g = self.rep.evaluate(at.word)
             drift = float(np.abs(g @ at.generator @ lorentz.group_inv(g) - at.generator).max())

@@ -171,12 +171,12 @@ class FundamentalMesh:
         mats = rep.pairing_images()
         return max(float(np.abs(points[u[k == j]] @ mats[j].T - points[v[k == j]]).max()) for j in range(4))
 
-    def validate(self, tol: float = PAIRING_TOL):
-        if self.pairing_drift(self.vertices, self.rep) > tol:
+    def validate(self):
+        if self.pairing_drift(self.vertices, self.rep) > PAIRING_TOL:
             raise MeshError("paired boundary vertices do not match under the pairing isometry")
         lifts = self.lift_matrices(self.rep)
         roots = self.vertices[self.class_rep_vertex[self.vertex_class]]
-        if float(np.abs(np.einsum("vab,vb->va", lifts, roots) - self.vertices).max()) > tol:
+        if float(np.abs(np.einsum("vab,vb->va", lifts, roots) - self.vertices).max()) > PAIRING_TOL:
             raise MeshError("vertex lift word does not reproduce the chart position")
         dets = np.linalg.det(self.vertices[self.triangles].transpose(0, 2, 1))
         if not (dets > 0).all():

@@ -1,4 +1,5 @@
-"""Discrete equivariant p-Schatten harmonic map solver and its currents.
+"""Discrete equivariant p-Schatten harmonic map solver at one p, and its
+currents; `cli.p_continuation` runs the warm-started p-schedule.
 
 A map is its (nc, 3) array of class points, one hyperboloid point per vertex
 class; the chart value at vertex i is rho(w_i) applied to its class point
@@ -392,8 +393,8 @@ def minimize(
     mesh: FundamentalMesh,
     rho: SurfaceGroupRep,
     p: int,
+    opts: SolveOptions,
     init: np.ndarray | None = None,
-    opts: SolveOptions | None = None,
 ) -> SolveResult:
     """Minimization of J_p over equivariant maps by `_descend`, from the
     (nc, 3) class points `init`, by default the domain's own class points.
@@ -403,7 +404,6 @@ def minimize(
     measures `init` as it is.
     """
     _check_p(p)
-    opts = opts or SolveOptions()
     Z0 = mesh.vertices[mesh.class_rep_vertex] if init is None else np.array(init, dtype=float)
     ctx = _Context(mesh, rho)
 
@@ -439,29 +439,6 @@ def minimize(
         S_amb=kappa ** (p - 2) * (M_pow @ U_amb),                # U M^{p/2-1}, columns as rows
         **stats,
     )
-
-
-def p_continuation(
-    mesh: FundamentalMesh,
-    rho: SurfaceGroupRep,
-    schedule=(2, 4, 8, 16, 32, 64),
-    opts: SolveOptions | None = None,
-) -> list:
-    """Warm-started continuation in p from the identity map; each stage reports
-    (J_p/Area)^{1/p} and carries its densities and currents (`density_and_currents`).
-
-    Monotonicity of the stage values in p is reported (not asserted): the
-    normalized mixed norm has an l^p factor in (s1, s2) that decreases in p,
-    so the power-mean trend holds only up to that factor.
-    """
-    results = []
-    Z = None
-    for p in check_schedule(schedule):
-        res = minimize(mesh, rho, p, init=Z, opts=opts)
-        density_and_currents(res)
-        results.append(res)
-        Z = res.class_points
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +597,11 @@ def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None
 
 def cylinder_continuation(a_len: float, b_len: float, n: int = 64,
                           schedule=(2, 4, 8, 16, 32, 64), opts=None, seed: int = 0):
+    schedule = check_schedule(schedule)
     rig = CylinderRig.initial(a_len, b_len, n, seed=seed)
     reports = []
     for p in schedule:
-        rig, rep = cylinder_minimize(rig, int(p), opts)
-        rep["p"] = int(p)
+        rig, rep = cylinder_minimize(rig, p, opts)
+        rep["p"] = p
         reports.append(rep)
     return rig, reports

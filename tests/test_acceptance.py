@@ -12,6 +12,7 @@ import pytest
 
 from oracles import exp_series_oracle, random_group_elem, random_lie_alg, random_tangent
 from stretchlab import lorentz
+from stretchlab.cli import p_continuation
 from stretchlab.cocycle import coboundary, relator_tangency
 from stretchlab.earthquake import (
     TwistSpec,
@@ -40,13 +41,7 @@ from stretchlab.lamination import (
 )
 from stretchlab.lorentz import B_STD, E_SHARP, X0, killing, mink_dot
 from stretchlab.mesh import build_octagon_mesh, extract_cocycle, form_from_edge_function
-from stretchlab.pharmonic import (
-    SolveOptions,
-    cylinder_continuation,
-    density_and_currents,
-    p_continuation,
-    relation_checks,
-)
+from stretchlab.pharmonic import SolveOptions, cylinder_continuation
 
 CURVES = list(GENERATOR_NAMES)
 
@@ -79,9 +74,8 @@ def rho_twist(octagon):
 def identity_run(octagon):
     mesh = build_octagon_mesh(3)
     with _Timer() as t:
-        results = p_continuation(
-            mesh, octagon, schedule=(2, 4, 8, 16, 32, 64), opts=SolveOptions(max_iter=6000)
-        )
+        results = list(p_continuation(mesh, octagon, [2, 4, 8, 16, 32, 64],
+                                      SolveOptions(max_iter=6000), resumed={}))
     return mesh, results, t.seconds
 
 
@@ -89,11 +83,8 @@ def identity_run(octagon):
 def twist_run(octagon, rho_twist):
     mesh = build_octagon_mesh(3)
     with _Timer() as t:
-        results = p_continuation(
-            mesh, rho_twist, schedule=(2, 4, 8, 16, 32, 64), opts=SolveOptions(max_iter=8000)
-        )
-        for res in results:
-            relation_checks(res)
+        results = list(p_continuation(mesh, rho_twist, [2, 4, 8, 16, 32, 64],
+                                      SolveOptions(max_iter=8000), resumed={}))
     return mesh, results, t.seconds
 
 
@@ -242,7 +233,6 @@ def test_criterion_8_identity_target(identity_run):
         v64 = by_p[64].normalized_stage_value()
         assert 1.0 <= v64 <= 1.05
         for res in results:
-            density_and_currents(res)
             cv = float(np.std(res.density) / np.mean(res.density))
             assert cv <= 0.05, (res.p, cv)
     total = solve_seconds + t.seconds
@@ -268,9 +258,7 @@ def test_criterion_9_twisted_target(octagon, rho_twist, twist_run):
             assert res.residuals["minus2T_tracefree_gap"] <= 1e-10
         # one refinement at fixed p = 8: closedness residuals drop >= 1.5x
         mesh4 = build_octagon_mesh(4)
-        fine = p_continuation(
-            mesh4, rho_twist, schedule=(2, 4, 8), opts=SolveOptions(max_iter=8000)
-        )
+        fine = list(p_continuation(mesh4, rho_twist, [2, 4, 8], SolveOptions(max_iter=8000), resumed={}))
         coarse_res = by_p[8].residuals
         fine_res = fine[-1].residuals
         assert coarse_res["V_closedness"] >= 1.5 * fine_res["V_closedness"]

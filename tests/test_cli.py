@@ -61,6 +61,14 @@ def test_duality_threshold_breach_exit_code(tmp_path):
     assert run(tmp_path, "duality", {"threshold": 1e-16}) == cli.EXIT_THRESHOLD
 
 
+def test_non_finite_error_is_numeric_failure(tmp_path):
+    # a step of 1e3 gives NaN errors for some cases, which max() used to drop
+    for command in ("duality", "wolpert"):
+        assert run(tmp_path, command, {"step": 1e3}, out=command) == cli.EXIT_NUMERIC
+        rep = read_report(tmp_path, f"{command}_report.json", out=command)
+        assert not np.isfinite(rep["worst_rel_err"])
+
+
 def test_mass_command(tmp_path):
     cfg = {"multicurve": [{"word": "a1", "weight": 1.0}, {"word": "b2", "weight": 0.5}]}
     assert run(tmp_path, "mass", cfg) == 0
@@ -105,6 +113,24 @@ def test_config_error_exit_code(tmp_path):
     bad = [("p_schedule", [3]), ("p_schedule", [4, 2]), ("n_segments", True), ("n_segments", 2.7), ("seed", -1)]
     for key, value in bad:
         assert run(tmp_path, "solve", {**cylinder, key: value}) == cli.EXIT_CONFIG, (key, value)
+    # real-number settings: finite numbers, no bools or strings, a > 0 and step > 0
+    bad = [("a", v) for v in ("x", 0, -2, True, float("inf"))] + [("b", v) for v in ("x", float("nan"))]
+    for key, value in bad:
+        cfg = {**cylinder, "target": {**cylinder["target"], key: value}}
+        assert run(tmp_path, "solve", cfg) == cli.EXIT_CONFIG, (key, value)
+    for t in (True, "0.5", float("nan"), None):
+        tw = {"curve": "a1", "t": t}
+        assert run(tmp_path, "rep", {"target": {"twist": tw}}) == cli.EXIT_CONFIG, t
+        assert run(tmp_path, "kbound", {"target": {"twist": tw}, "max_word_len": 2}) == cli.EXIT_CONFIG, t
+        assert run(tmp_path, "solve", {**identity, "target": {"type": "twist", **tw}}) == cli.EXIT_CONFIG, t
+    bad = [("step", v) for v in ("x", 0, -1e-4, True)] + [("threshold", v) for v in ("x", True, float("nan"))]
+    for command in ("duality", "wolpert"):
+        for key, value in bad:
+            assert run(tmp_path, command, {key: value}) == cli.EXIT_CONFIG, (command, key, value)
+    multicurve = [{"word": "a1", "weight": 1.0}]
+    bad = [("samples", v) for v in (-3, True, 2.5)] + [("seed", v) for v in (-1, "0")]
+    for key, value in bad:
+        assert run(tmp_path, "mass", {"multicurve": multicurve, key: value}) == cli.EXIT_CONFIG, (key, value)
 
 
 def test_solve_cylinder(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stretchlab import lorentz
+from stretchlab.cli import p_continuation
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.fuchsian import octagon_representation
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
@@ -21,8 +22,6 @@ from stretchlab.pharmonic import (
     cylinder_minimize,
     density_and_currents,
     minimize,
-    p_continuation,
-    relation_checks,
 )
 
 
@@ -43,12 +42,7 @@ def rho_twist(octagon):
 
 @pytest.fixture(scope="module")
 def twist_solution(mesh2, rho_twist):
-    results = p_continuation(
-        mesh2, rho_twist, schedule=(2, 4, 8), opts=SolveOptions(max_iter=3000)
-    )
-    for res in results:
-        relation_checks(res)
-    return results
+    return list(p_continuation(mesh2, rho_twist, [2, 4, 8], SolveOptions(max_iter=3000), resumed={}))
 
 
 # the reference twist at level 2 as the L-BFGS descent solves it:
@@ -198,7 +192,8 @@ def test_twist_draws_reach_tol(octagon, mesh2):
     # each draw at t=0.6 reaches tol at every stage to p=64 without a restart
     opts = SolveOptions(max_iter=8000)
     for curve in ("a1", "b1", "a2", "b2"):
-        for res in p_continuation(mesh2, twist(octagon, TwistSpec(curve, 0.6)), opts=opts):
+        rho = twist(octagon, TwistSpec(curve, 0.6))
+        for res in p_continuation(mesh2, rho, [2, 4, 8, 16, 32, 64], opts, resumed={}):
             assert res.converged and res.restarts == 0, (curve, res.p)
             assert res.grad_norm <= opts.tol * max(1.0, res.J_p)
 
@@ -322,10 +317,13 @@ def test_current_block_matches_frame_oracle(mesh2, rho_twist, rng, p):
 
 
 def test_continuation_requires_increasing_schedule(mesh2, octagon):
-    # the rule the CLI applies to p_schedule as well
+    # the rule the CLI applies to p_schedule, for the surface and the cylinder
+    # rig; the continuation is a generator, so it raises once consumed
     for bad in ((4, 2), (2, 2), (), (3,), (2, 4.0), (True, 4)):
         with pytest.raises(ValueError):
-            p_continuation(mesh2, octagon, schedule=bad)
+            list(p_continuation(mesh2, octagon, bad, SolveOptions(), resumed={}))
+        with pytest.raises(ValueError):
+            cylinder_continuation(2.0, 3.0, schedule=bad)
 
 
 def test_kappa_normalization(twist_solution):
@@ -364,8 +362,7 @@ def test_currents_closedness_improves_under_refinement(octagon, rho_twist):
     residuals = []
     for lvl in (2, 3):
         m = build_octagon_mesh(lvl)
-        rs = p_continuation(m, rho_twist, schedule=(2, 4, 8),
-                            opts=SolveOptions(max_iter=4000))
+        rs = list(p_continuation(m, rho_twist, [2, 4, 8], SolveOptions(max_iter=4000), resumed={}))
         residuals.append(rs[-1].residuals["V_closedness"])
     assert residuals[1] < residuals[0]
 
