@@ -195,8 +195,12 @@ def cmd_duality(config: dict, outdir: str):
             for c2 in curves
             if c1 != c2
         ]
+    if not (isinstance(cases, list) and all(isinstance(c, dict) and c.get("curve") in fuchsian.GENERATOR_NAMES
+                                            for c in cases)):
+        raise ConfigError(f"cases must be a list of {{multicurve, curve, weight}} with a generator curve, got {cases!r}")
     checks = [
-        duality_check(rep, _multicurve(rep, c["multicurve"]), c["curve"], float(c.get("weight", 1.0)), step=step)
+        duality_check(rep, _multicurve(rep, c["multicurve"]), c["curve"], _real_setting(c, "weight", 1.0, -np.inf),
+                      step=step)
         for c in cases
     ]
     report["cases"] = [r.to_json() for r in checks]
@@ -243,6 +247,9 @@ def cmd_wolpert(config: dict, outdir: str):
     if pairs == "all":
         curves = list(fuchsian.GENERATOR_NAMES)
         pairs = [[a, b] for i, a in enumerate(curves) for b in curves[i:]]
+    if not (isinstance(pairs, list) and all(isinstance(pr, list) and len(pr) == 2
+                                            and all(c in fuchsian.GENERATOR_NAMES for c in pr) for pr in pairs)):
+        raise ConfigError(f"pairs must be a list of two names from {fuchsian.GENERATOR_NAMES}, got {pairs!r}")
     checks = [wolpert_reciprocity(rep, c1, c2, step=step) for c1, c2 in pairs]
     report["pairs"] = [r.to_json() for r in checks]
     # a pair whose derivatives both vanish is compared absolutely

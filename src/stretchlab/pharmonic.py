@@ -7,23 +7,28 @@ class; the chart value at vertex i is rho(w_i) applied to its class point
 per-triangle differential D is the linear map between log-map charts (domain
 chart at the circumcenter, target chart at the projected barycenter),
 first-order consistent; TrQ(df)^p = s1^p + s2^p is evaluated as
-Tr((D^T D)^{p/2}) through the Newton power recurrence in (tr, det), which is
-polynomial for even p and keeps gradients smooth.
+tr(M^n), M = D^T D and n = p/2, through the complete homogeneous sums
+h_k = t h_{k-1} - d h_{k-2} in (t, d) = (tr, det) M: tr(M^n) = t h_{n-1} -
+2d h_{n-2}, polynomial for even p, so gradients stay smooth.
 
+The kernel is coordinate-major: class points, chart points and every
+per-triangle 3-vector are columns of (3, ..., n) arrays, so each numpy op
+runs one contiguous loop; chart points are lifted once per vertex.
 One descent loop, `_descend`, serves both the surface solver and the
 cylinder rig: Riemannian L-BFGS on a product of hyperboloids (retraction:
 renormalize to the sheet, exact exponential step where that would leave it;
-vector transport: tangent projection) with an approximate-Wolfe line search.
-Line-search trials evaluate the energy alone; a gradient is built from the
-intermediates of the trial, its power sums p_k included, once it passes
-Armijo or once J is within WOLFE_EPS |J| of the start, for the slope test.
+vector transport: tangent projection of the stacked pairs) with an
+approximate-Wolfe line search.  Line-search trials evaluate the energy
+alone; a gradient is built from the intermediates of the trial, h_{n-1}
+and h_{n-2} included, once it passes Armijo or once J is within
+WOLFE_EPS |J| of the start, for the slope test.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id.  `minimize`
 builds the per-triangle block (density, T_q, U, S_{p-1}) from the metric
-M = D^T D and the power sums of its final iterate, with no target frame:
-U^T U = kappa_p^2 M, and M^{p/2-1} = (2/p)(du I + dv adj M) with du, dv the
-derivatives of tr(M^{p/2}) in (tr, det) that the gradient uses.
+M and the sums h of its final iterate, with no target frame:
+U^T U = kappa_p^2 M and M^{n-1} = h_{n-1} I - h_{n-2} adj M, the matrix
+whose multiple n M^{n-1} is the gradient's dJ/dM per unit area.
 `density_and_currents` averages that block's slot values onto the edges by
 `mesh.edge_average`, the solver's only crossing of the paired sides besides
 `mesh.lift_matrices`; `relation_checks` reads the block back.
@@ -37,7 +42,7 @@ import numpy as np
 
 from . import lorentz
 from .fuchsian import SurfaceGroupRep
-from .lorentz import E_SHARP, cross, exp_so21, mink_dot
+from .lorentz import cross, exp_so21, mink_dot
 from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, edge_average, maurer_cartan
 
 
@@ -99,81 +104,87 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# vectorized energy / gradient context
+# coordinate-major energy / gradient kernel
 # ---------------------------------------------------------------------------
 
+# E_SHARP's diagonal as a column: SIGN * v flips the last coordinate of every
+# column of a (3, n) array, so (v, w)# = (SIGN * v * w).sum(axis=0); SIGN3
+# does the same on a (3, k, n) array
+SIGN = np.array([[1.0], [1.0], [-1.0]])
+SIGN3 = SIGN[:, None]
+
+
 class _Context:
+    """The mesh data of the kernel, coordinate-major: a 3-vector is a column
+    of a (3, ..., n) array, so that every numpy op runs one contiguous loop."""
+
     def __init__(self, mesh: FundamentalMesh, rho: SurfaceGroupRep):
         if float(mesh.areas.min()) <= 0.0:
             raise ValueError("mesh contains a degenerate (nonpositive-area) triangle")
-        tri = mesh.triangles
-        self.tri_class = mesh.vertex_class[tri]                    # (nt, 3)
-        self.lift = mesh.lift_matrices(rho)[tri]                   # (nt, 3, 3, 3)
+        self.nv, self.nc = len(mesh.vertices), mesh.n_classes
+        self.lift = mesh.lift_matrices(rho).transpose(1, 2, 0).copy()  # (3, 3, nv)
+        coord = np.arange(3)[:, None]
+        # flat indices of a raveled (3, nc) class array per vertex, and of a
+        # raveled (3, nv) vertex array per (coordinate, corner, triangle)
+        self.vertex_at = coord * self.nc + mesh.vertex_class        # (3, nv)
+        self.corner_at = coord[:, None] * self.nv + mesh.triangles.T  # (3, 3, nt)
+        self.Ki = mesh.tri_dxinv.transpose(1, 2, 0).copy()            # (2, 2, nt)
         self.areas = mesh.areas
-        self.Ki = mesh.tri_dxinv                                   # (nt, 2, 2)
-        self.KiT = self.Ki.transpose(0, 2, 1)
-        self.nc = mesh.n_classes
 
 
 def _f_log(c):
-    """f(c) = arccosh(c)/sqrt(c^2-1) and f'(c), stable near c = 1."""
+    """f(c) = arccosh(c)/sqrt(c^2-1) and f'(c), by their series in w = c - 1
+    where w < 1e-6."""
     w = c - 1.0
-    small = w < 1e-6
     s2 = np.maximum(c * c - 1.0, 1e-300)
     s = np.sqrt(s2)
     th = np.arccosh(np.maximum(c, 1.0))
-    f_big = th / s
-    fp_big = (s - th * c) / (s2 * s)
-    f_small = 1.0 - w / 3.0 + (2.0 / 15.0) * w * w
-    fp_small = -1.0 / 3.0 + (4.0 / 15.0) * w
-    return np.where(small, f_small, f_big), np.where(small, fp_small, fp_big)
+    f, fp = th / s, (s - th * c) / (s2 * s)
+    small = w < 1e-6
+    if small.any():
+        f = np.where(small, 1.0 - w / 3.0 + (2.0 / 15.0) * w * w, f)
+        fp = np.where(small, -1.0 / 3.0 + (4.0 / 15.0) * w, fp)
+    return f, fp
 
 
 def _tri_metric(ctx: _Context, Z: np.ndarray):
-    """Per-triangle M = D^T D (as tr, det) plus the intermediates for grads."""
-    Y = np.einsum("tcab,tcb->tca", ctx.lift, Z[ctx.tri_class])  # (nt, 3, 3) chart corners
-    S = Y.mean(axis=1)
-    q = -(S[:, 0] ** 2 + S[:, 1] ** 2 - S[:, 2] ** 2)
-    nu = np.sqrt(q)
-    Yb = S / nu[:, None]
-    EYb = Yb @ E_SHARP
-    c = -np.einsum("ta,tca->tc", EYb, Y)         # (nt, 3), >= 1
+    """Per-triangle M = D^T D (with tr, det) at the (3, nc) class points Z,
+    plus the intermediates for grads; corners and columns on the middle axis."""
+    X = np.einsum("abv,bv->av", ctx.lift, Z.take(ctx.vertex_at))  # chart point per vertex
+    Y = X.take(ctx.corner_at)                                      # (3, 3, nt) chart corners
+    S = Y.sum(axis=1)
+    nu = np.sqrt(-(S[0] ** 2 + S[1] ** 2 - S[2] ** 2))
+    Yb = S / nu
+    c = -np.einsum("at,act->ct", SIGN * Yb, Y)                     # (3, nt), >= 1
     f, fp = _f_log(c)
-    eta = f[:, :, None] * (Y - c[:, :, None] * Yb[:, None, :])
-    d2 = eta[:, 1] - eta[:, 0]
-    d3 = eta[:, 2] - eta[:, 0]
-    Ed2 = d2 @ E_SHARP
-    Ed3 = d3 @ E_SHARP
-    G = np.empty((len(Y), 2, 2))
-    G[:, 0, 0] = np.einsum("ta,ta->t", Ed2, d2)
-    G[:, 0, 1] = G[:, 1, 0] = np.einsum("ta,ta->t", Ed2, d3)
-    G[:, 1, 1] = np.einsum("ta,ta->t", Ed3, d3)
-    M = ctx.KiT @ G @ ctx.Ki
+    R = Y - c * Yb[:, None]                                        # radial parts
+    eta = f * R
+    D = eta[:, 1:] - eta[:, :1]                                    # (3, 2, nt) columns d2, d3
+    u = np.einsum("xjt,jat->xat", D, ctx.Ki)                       # columns of D = (d2 d3) Ki
+    M = np.einsum("xat,xbt->abt", SIGN3 * u, u)                    # (2, 2, nt)
     return {
-        "Y": Y, "S": S, "nu": nu, "Yb": Yb, "c": c, "f": f, "fp": fp,
-        "eta": eta, "d2": d2, "d3": d3, "M": M,
-        "t": M[:, 0, 0] + M[:, 1, 1],
-        "d": M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0],
+        "Y": Y, "nu": nu, "Yb": Yb, "c": c, "f": f, "fp": fp, "R": R, "D": D, "u": u, "M": M,
+        "t": M[0, 0] + M[1, 1],
+        "d": M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0],
     }
 
 
-def _newton_power(t, d, half_p):
-    """[p_0, ..., p_{half_p}] with p_k = tr(M^k) = t p_{k-1} - d p_{k-2}."""
-    P = [np.full_like(t, 2.0), t]
-    for _ in range(half_p - 1):
-        P.append(t * P[-1] - d * P[-2])
-    return P[: half_p + 1]
+def _power_h(t, d, n):
+    """(h_{n-1}, h_{n-2}) of h_k = t h_{k-1} - d h_{k-2}, h_0 = 1, h_{-1} = 0:
+    the complete homogeneous sums of the eigenvalues of M.  Then tr(M^n) =
+    t h_{n-1} - 2d h_{n-2}, its derivatives in t and d are n h_{n-1} and
+    -n h_{n-2}, and M^{n-1} = h_{n-1} I - h_{n-2} adj M (`_power_block`)."""
+    h1, h2 = np.ones_like(t), np.zeros_like(t)
+    for _ in range(n - 1):
+        h1, h2 = t * h1 - d * h2, h1
+    return h1, h2
 
 
-def _power_derivatives(t, d, P):
-    """d/dt and d/dd of the last power sum in P = [p_0, ..., p_n], through
-    the derivatives of the recurrence over the stored p_k."""
-    U = [np.zeros_like(t), np.ones_like(t)]
-    V = [np.zeros_like(t), np.zeros_like(t)]
-    for k in range(2, len(P)):
-        U.append(P[k - 1] + t * U[-1] - d * U[-2])
-        V.append(t * V[-1] - P[k - 2] - d * V[-2])
-    return U[len(P) - 1], V[len(P) - 1]
+def _power_block(m: dict) -> np.ndarray:
+    """M^{n-1} = h_{n-1} I - h_{n-2} adj M as a (2, 2, nt) array."""
+    B = m["h2"] * m["M"]
+    B[0, 0], B[1, 1] = m["h1"] - B[1, 1], m["h1"] - B[0, 0]
+    return B
 
 
 def _even_p(p) -> bool:
@@ -203,74 +214,58 @@ def _singular_values(m):
 
 
 def _energy_and_grad(ctx: _Context, Z: np.ndarray, p: int):
-    """(J_p, m) at Z: m holds _tri_metric's intermediates and the power sums
-    m["P"] = [p_0, ..., p_{p/2}], from which `_grad_from_metric(ctx, m)`
-    builds the gradient."""
+    """(J_p, m) at Z: m holds _tri_metric's intermediates, n = p/2, h_{n-1},
+    h_{n-2} and the power sums P = tr(M^n), from which
+    `_grad_from_metric(ctx, m)` builds the gradient."""
     m = _tri_metric(ctx, Z)
-    m["P"] = _newton_power(m["t"], m["d"], p // 2)
-    return float(np.dot(ctx.areas, m["P"][-1])), m
-
-
-def _adjugate(M: np.ndarray) -> np.ndarray:
-    """adj M of each 2x2 block, so that M adj M = det M I."""
-    adjM = np.empty_like(M)
-    adjM[:, 0, 0] = M[:, 1, 1]
-    adjM[:, 1, 1] = M[:, 0, 0]
-    adjM[:, 0, 1] = -M[:, 0, 1]
-    adjM[:, 1, 0] = -M[:, 1, 0]
-    return adjM
+    m["n"] = n = p // 2
+    m["h1"], m["h2"] = _power_h(m["t"], m["d"], n)
+    m["P"] = m["t"] * m["h1"] - 2.0 * m["d"] * m["h2"]
+    return float(np.dot(ctx.areas, m["P"])), m
 
 
 def _grad_from_metric(ctx: _Context, m: dict) -> np.ndarray:
-    """Euclidean gradient of J_p per class point, from _energy_and_grad's m."""
-    du, dv = _power_derivatives(m["t"], m["d"], m["P"])
-    dEdM = (ctx.areas * du)[:, None, None] * np.eye(2) + (ctx.areas * dv)[:, None, None] * _adjugate(m["M"])
-    W = ctx.Ki @ dEdM @ ctx.KiT                                    # dE/dG, symmetric
+    """Euclidean gradient of J_p per class point, (3, nc), from _energy_and_grad's m."""
+    # dJ/dM = area n M^{n-1}, and M_ab = (u_a, u_b)#
+    W = (2.0 * m["n"] * ctx.areas) * _power_block(m)
+    gD = np.einsum("jat,xat->xjt", ctx.Ki, SIGN3 * np.einsum("abt,xbt->xat", W, m["u"]))
+    geta = np.concatenate([-gD.sum(axis=1, keepdims=True), gD], axis=1)  # (3, 3, nt)
 
-    d2, d3 = m["d2"], m["d3"]
-    gd2 = 2.0 * (W[:, 0, 0, None] * d2 + W[:, 0, 1, None] * d3) @ E_SHARP
-    gd3 = 2.0 * (W[:, 0, 1, None] * d2 + W[:, 1, 1, None] * d3) @ E_SHARP
-    geta = np.stack([-(gd2 + gd3), gd2, gd3], axis=1)              # (nt, 3, 3)
+    Y, Yb, c, f, R = m["Y"], m["Yb"], m["c"], m["f"], m["R"]
+    EYb = SIGN * Yb
+    s = m["fp"] * np.einsum("xct,xct->ct", geta, R) - f * np.einsum("xct,xt->ct", geta, Yb)  # dJ/dc
+    gYb = -SIGN * np.einsum("ct,xct->xt", s, Y) - np.einsum("ct,xct->xt", f * c, geta)
+    # through the normalized barycenter: dYb = (I + Yb (E Yb)^T)/nu dS, dS = sum dY
+    gS = (gYb + EYb * np.einsum("xt,xt->t", Yb, gYb)) / m["nu"]
+    gY = f * geta + (gS[:, None] - s * EYb[:, None])
 
-    Y, Yb, c, f, fp, nu = m["Y"], m["Yb"], m["c"], m["f"], m["fp"], m["nu"]
-    EYb = Yb @ E_SHARP
-    radial = Y - c[:, :, None] * Yb[:, None, :]
-    dot_rad = np.einsum("tca,tca->tc", geta, radial)
-    dot_Yb = np.einsum("tca,ta->tc", geta, Yb)
-    s_coef = fp * dot_rad - f * dot_Yb                             # (nt, 3)
-
-    gY = f[:, :, None] * geta + s_coef[:, :, None] * (-EYb)[:, None, :]
-    gYb = np.einsum("tc,tca->ta", s_coef, -(Y @ E_SHARP)) - np.einsum(
-        "tc,tca->ta", f * c, geta
-    )
-    # through the normalized barycenter: dYb = (I + Yb (E Yb)^T)/nu dS, dS = mean dY
-    gS = (gYb + (E_SHARP @ Yb.T).T * np.einsum("ta,ta->t", Yb, gYb)[:, None]) / nu[:, None]
-    gY = gY + gS[:, None, :] / 3.0
-
-    g_chart = np.einsum("tcab,tca->tcb", ctx.lift, gY).reshape(-1, 3)  # lift^T applied
-    # one bincount per coordinate, summing each class's corners in array order
-    idx = ctx.tri_class.ravel()
-    return np.stack([np.bincount(idx, weights=w, minlength=ctx.nc) for w in g_chart.T], axis=1)
+    # corners onto vertices, lift^T per vertex, vertices onto classes
+    gX = np.bincount(ctx.corner_at.ravel(), gY.ravel(), 3 * ctx.nv).reshape(3, -1)
+    gV = np.einsum("abv,av->bv", ctx.lift, gX)
+    return np.bincount(ctx.vertex_at.ravel(), gV.ravel(), 3 * ctx.nc).reshape(3, -1)
 
 
 def _project(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Rows of V projected onto the tangent planes at Z: v + (v, z)# z."""
-    return V + (V[:, 0] * Z[:, 0] + V[:, 1] * Z[:, 1] - V[:, 2] * Z[:, 2])[:, None] * Z
+    """V, (3, n) or a stack (..., 3, n), projected in place on the tangent
+    planes at the columns of Z: v + (v, z)# z."""
+    V += np.einsum("...an,an->...n", V, SIGN * Z)[..., None, :] * Z
+    return V
 
 
 def _riemannian_grad(Z: np.ndarray, g_euclid: np.ndarray) -> np.ndarray:
-    return _project(Z, g_euclid @ E_SHARP)
+    return _project(Z, SIGN * g_euclid)
 
 
-def _mdot(A: np.ndarray, B: np.ndarray) -> float:
-    """(A, B)# summed over rows; positive definite on tangent vectors."""
-    return float(np.einsum("ca,ca->", A @ E_SHARP, B))
+def _mdot(A: np.ndarray, B: np.ndarray):
+    """(A, B)# summed over columns, one value per (3, n) array of a stack;
+    positive definite on tangent vectors."""
+    return np.einsum("...an,...an->...a", A, B) @ SIGN[:, 0]
 
 
 def _norm2(G: np.ndarray) -> float:
     """Squared norm of tangent vectors, which rounding can take below 0 at a
     stationary point."""
-    return max(_mdot(G, G), 0.0)
+    return max(float(_mdot(G, G)), 0.0)
 
 
 # trial steps that leave the sheet or are not finite produce non-finite or
@@ -278,37 +273,39 @@ def _norm2(G: np.ndarray) -> float:
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _retract(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
     N = Z - step
-    q = -(N[:, 0] ** 2 + N[:, 1] ** 2 - N[:, 2] ** 2)
+    q = -(N[0] ** 2 + N[1] ** 2 - N[2] ** 2)
     bad = ~(q >= 0.25)  # catches NaN/inf trial steps as well
     if bad.any():
         # exact exponential step where the normalization would leave the
         # sheet; clamp absurd trial steps (they get rejected by Armijo) and
         # keep the old point where the step is not finite
-        v, Zb = -step[bad], Z[bad]
-        nv = np.sqrt(np.maximum(mink_dot(v, v), 1e-300))
+        v, Zb = -step[:, bad], Z[:, bad]
+        nv = np.sqrt(np.maximum(v[0] * v[0] + v[1] * v[1] - v[2] * v[2], 1e-300))
         s = np.minimum(nv, 20.0)
-        expo = np.cosh(s)[:, None] * Zb + np.sinh(s)[:, None] * v / nv[:, None]
-        N[bad] = np.where(np.isfinite(v).all(axis=1)[:, None], expo, Zb)
-        q = -(N[:, 0] ** 2 + N[:, 1] ** 2 - N[:, 2] ** 2)
-    return N / np.sqrt(q)[:, None]
+        expo = np.cosh(s) * Zb + np.sinh(s) * v / nv
+        N[:, bad] = np.where(np.isfinite(v).all(axis=0), expo, Zb)
+        q = -(N[0] ** 2 + N[1] ** 2 - N[2] ** 2)
+    return N / np.sqrt(q)
 
 
-def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, pairs: list) -> np.ndarray:
-    """H G by the L-BFGS two-loop recursion in (., .)# over (s, y, (s, y)#), oldest
-    first, scaled by (s, y)#/(y, y)# of the newest and projected on T_Z."""
+def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, pairs: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """H G by the L-BFGS two-loop recursion in (., .)# over the stacked pairs
+    (s, y) = pairs[:, i], oldest first, with sy[i] = (s, y)#, scaled by
+    (s, y)#/(y, y)# of the newest and projected on T_Z."""
+    S, Y = pairs
     q, alphas = G, []
-    for s, y, sy in reversed(pairs):
-        alphas.append(_mdot(s, q) / sy)
-        q = q - alphas[-1] * y
-    s, y, sy = pairs[-1]
-    r = (sy / _mdot(y, y)) * q
-    for (s, y, sy), a in zip(pairs, reversed(alphas)):
-        r = r + (a - _mdot(y, r) / sy) * s
+    for i in reversed(range(len(sy))):
+        alphas.append(_mdot(S[i], q) / sy[i])
+        q = q - alphas[-1] * Y[i]
+    r = (sy[-1] / _mdot(Y[-1], Y[-1])) * q
+    for i, a in enumerate(reversed(alphas)):
+        r = r + (a - _mdot(Y[i], r) / sy[i]) * S[i]
     return _project(Z, r)
 
 
 def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
-    """Riemannian L-BFGS with an approximate-Wolfe line search.
+    """Riemannian L-BFGS with an approximate-Wolfe line search on (3, n)
+    points Z, one hyperboloid point per column.
 
     energy(Z) returns (J, extra) without a gradient, so a line-search trial
     costs one energy evaluation; grad(extra) builds the Euclidean gradient.
@@ -319,19 +316,19 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
     (G+, r)# in [-0.8, 0.9] (G, r)#; a failed slope test costs a gradient
     (`wolfe_rejections`), so grad_evals == iterations + 1 + wolfe_rejections.
     So J rises by at most WOLFE_EPS |J| across an accepted step.  The pairs
-    s = Z+ - Z, y = G+ - G are projected on T_Z+ (the vector transport)
-    after each step and kept while (s, y)# > 0.  A failed line search clears
-    the memory and retries along the gradient (`restarts`, counted in the
-    budget with the accepted steps `iterations`); failing there is a
-    line-search failure.  `converged` means |G| <= tol max(1, J), tested at
-    every iterate, so a budget of 0 reports whether the start point is
-    stationary.  Returns the last iterate, its energy and extra, and the
-    run statistics.
+    s = Z+ - Z, y = G+ - G are kept as one (2, k, 3, n) stack, projected on
+    T_Z+ in one call (the vector transport) after each step, and kept while
+    (s, y)# > 0.  A failed line search clears the memory and retries along
+    the gradient (`restarts`, counted in the budget with the accepted steps
+    `iterations`); failing there is a line-search failure.  `converged`
+    means |G| <= tol max(1, J), tested at every iterate, so a budget of 0
+    reports whether the start point is stationary.  Returns the last
+    iterate, its energy and extra, and the run statistics.
     """
     J, extra = energy(Z)
     G = _riemannian_grad(Z, grad(extra))
     energy_evals = grad_evals = 1
-    log, pairs = [J], []
+    log, pairs, sy = [J], np.empty((2, 0) + Z.shape), np.empty(0)
     iterations = restarts = wolfe_rejections = 0
     converged = ls_failure = False
     while True:
@@ -341,8 +338,8 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
             break
         if iterations + restarts >= opts.max_iter:
             break
-        r = _lbfgs_direction(Z, G, pairs) if pairs else float(np.clip(tau0(extra), 1e-12, STEP_CAP)) * G
-        slope = _mdot(G, r)
+        r = _lbfgs_direction(Z, G, pairs, sy) if len(sy) else float(np.clip(tau0(extra), 1e-12, STEP_CAP)) * G
+        slope = float(_mdot(G, r))
         t = 1.0
         # a direction that does not descend fails without a trial
         for _ in range(MAX_BACKTRACKS if slope > 0.0 else 0):
@@ -360,8 +357,8 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
                 wolfe_rejections += 1
             t *= 0.5
         else:
-            if pairs:
-                pairs = []
+            if len(sy):
+                pairs, sy = pairs[:, :0], sy[:0]
                 restarts += 1
                 continue
             ls_failure = True
@@ -369,23 +366,18 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
         if G_new is None:
             G_new = _riemannian_grad(Z_new, grad(extra_new))
             grad_evals += 1
-        pairs = [(_project(Z_new, s), _project(Z_new, y)) for s, y, _ in pairs + [(Z_new - Z, G_new - G, None)]]
-        pairs = [(s, y, sy) for s, y in pairs if (sy := _mdot(s, y)) > 0.0][-LBFGS_MEMORY:]
+        pairs = _project(Z_new, np.concatenate([pairs, [[Z_new - Z], [G_new - G]]], axis=1))
+        sy = _mdot(pairs[0], pairs[1])
+        if not (sy > 0.0).all():
+            pairs, sy = pairs[:, sy > 0.0], sy[sy > 0.0]
+        pairs, sy = pairs[:, -LBFGS_MEMORY:], sy[-LBFGS_MEMORY:]
         Z, J, extra, G = Z_new, J_new, extra_new, G_new
         iterations += 1
         log.append(J)
 
-    stats = {
-        "iterations": iterations,
-        "restarts": restarts,
-        "wolfe_rejections": wolfe_rejections,
-        "converged": converged,
-        "line_search_failure": ls_failure,
-        "grad_norm": float(np.sqrt(gnorm2)),
-        "energy_evals": energy_evals,
-        "grad_evals": grad_evals,
-        "energy_log": log,
-    }
+    stats = dict(iterations=iterations, restarts=restarts, wolfe_rejections=wolfe_rejections,
+                 converged=converged, line_search_failure=ls_failure, grad_norm=float(np.sqrt(gnorm2)),
+                 energy_evals=energy_evals, grad_evals=grad_evals, energy_log=log)
     return Z, J, extra, stats
 
 
@@ -404,7 +396,7 @@ def minimize(
     measures `init` as it is.
     """
     _check_p(p)
-    Z0 = mesh.vertices[mesh.class_rep_vertex] if init is None else np.array(init, dtype=float)
+    Z0 = mesh.vertices[mesh.class_rep_vertex] if init is None else np.asarray(init, dtype=float)
     ctx = _Context(mesh, rho)
 
     def tau0(m):
@@ -413,30 +405,27 @@ def minimize(
         return STEP_CAP / max(1.0, smax ** (p - 2))
 
     Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p),
-                              lambda m: _grad_from_metric(ctx, m), Z0, tau0, opts)
+                              lambda m: _grad_from_metric(ctx, m), Z0.T.copy(), tau0, opts)
     s1, s2 = _singular_values(m)
     kappa = float(J ** (-1.0 / p))
-    # the block at the final iterate, from its metric M and power sums:
-    # U^T U = kappa^2 M and M^{p/2-1} = (2/p)(du I + dv adj M)
-    M = m["M"]
-    du, dv = _power_derivatives(m["t"], m["d"], m["P"])
-    M_pow = (2.0 / p) * (du[:, None, None] * np.eye(2) + dv[:, None, None] * _adjugate(M))
-    density = kappa ** p * m["P"][-1]                              # TrQ(U)^p
-    U_amb = kappa * np.einsum("tja,tjx->tax", ctx.Ki, np.stack([m["d2"], m["d3"]], axis=1))
+    # the block at the final iterate from M, its power M^{p/2-1} and the
+    # columns u of D: U = kappa u, U^T U = kappa^2 M
+    B = _power_block(m)
+    density = kappa ** p * m["P"]                                  # TrQ(U)^p
     return SolveResult(
         mesh=mesh,
         rho=rho,
-        class_points=Z,
+        class_points=Z.T.copy(),
         p=int(p),
         J_p=J,
         kappa_p=kappa,
         s1=s1,
         s2=s2,
         density=density,
-        T_q=kappa ** p * (M @ M_pow) - (density / p)[:, None, None] * np.eye(2),
-        u_bar=m["Yb"],
-        U_amb=U_amb,
-        S_amb=kappa ** (p - 2) * (M_pow @ U_amb),                # U M^{p/2-1}, columns as rows
+        T_q=kappa ** p * np.einsum("abt,bct->tac", m["M"], B) - (density / p)[:, None, None] * np.eye(2),
+        u_bar=m["Yb"].T,
+        U_amb=kappa * m["u"].T,
+        S_amb=kappa ** (p - 1) * np.einsum("abt,xbt->tax", B, m["u"]),  # U M^{p/2-1}, columns as rows
         **stats,
     )
 
@@ -559,11 +548,12 @@ class CylinderRig:
 
 
 def _cylinder_energy(rig: CylinderRig, p: int, pts):
-    """J_p at pts, and the intermediates `_cylinder_grad` builds the gradient from."""
+    """J_p at the (3, n) points pts, and the intermediates `_cylinder_grad`
+    builds the gradient from."""
     dt = rig.a_len / rig.n
     hol = rig.holonomy
-    nxt = np.vstack([pts[1:], (hol @ pts[0])])
-    c = np.maximum(-np.einsum("ia,ab,ib->i", pts, E_SHARP, nxt), 1.0)
+    nxt = np.hstack([pts[:, 1:], hol @ pts[:, :1]])
+    c = np.maximum(-(SIGN * pts * nxt).sum(axis=0), 1.0)
     d = np.arccosh(c)
     return float(np.sum(dt * (d / dt) ** p)), (pts, hol, nxt, c, d, dt)
 
@@ -572,14 +562,9 @@ def _cylinder_grad(p: int, parts) -> np.ndarray:
     pts, hol, nxt, c, d, dt = parts
     # dJ/dd_i = p d^{p-1} / dt^{p-1}; dd/dc = 1/sqrt(c^2-1); dc = -(E nxt, dpt) ...
     coef = p * (d / dt) ** (p - 1) / np.sqrt(np.maximum(c * c - 1.0, 1e-30))
-    g = coef[:, None] * (-(nxt @ E_SHARP))
-    prev_coef = np.roll(coef, 1)[:, None]
-    prev_pts = np.roll(pts, 1, axis=0)
-    prev_pts[0] = pts[-1]
-    back = -(prev_pts @ E_SHARP)
-    back[0] = back[0] @ hol  # chain through the twisted closure: c_0 uses hol @ pts[0]
-    g += prev_coef * back
-    return g
+    back = -SIGN * np.roll(pts, 1, axis=1)
+    back[:, 0] = hol.T @ back[:, 0]  # chain through the twisted closure: c_0 uses hol @ pts[:, 0]
+    return coef * (-SIGN * nxt) + np.roll(coef, 1) * back
 
 
 def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None):
@@ -588,8 +573,8 @@ def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None
     opts = opts or SolveOptions()
     Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
                               lambda parts: _cylinder_grad(p, parts),
-                              rig.points.copy(), lambda _: 1e-2, opts)
-    out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z)
+                              rig.points.T.copy(), lambda _: 1e-2, opts)
+    out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z.T.copy())
     stretch = float((J / rig.a_len) ** (1.0 / p))
     del stats["energy_log"]
     return out, {"J_p": J, "stretch": stretch, **stats}

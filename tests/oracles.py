@@ -286,8 +286,8 @@ def retract_oracle(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
     return N / np.sqrt(q)[:, None]
 
 
-# the fused power-sum recurrence with derivatives that pharmonic's gradient
-# ran before it read the accepted trial's power sums
+# the fused Newton power-sum recurrence with derivatives in (tr, det) that
+# pharmonic ran before the complete homogeneous recurrence
 
 
 def newton_power_oracle(t, d, half_p, want_grads=False):
@@ -311,6 +311,70 @@ def newton_power_oracle(t, d, half_p, want_grads=False):
     if want_grads:
         return pkm1, ukm1, vkm1
     return pkm1
+
+
+# the per-corner (nt, 3, 3) kernel that pharmonic ran before its
+# coordinate-major form, with the fused recurrence above for tr(M^{p/2}) and
+# its derivatives in (tr, det)
+
+
+def _f_log_oracle(c):
+    w = c - 1.0
+    small = w < 1e-6
+    s2 = np.maximum(c * c - 1.0, 1e-300)
+    s = np.sqrt(s2)
+    th = np.arccosh(np.maximum(c, 1.0))
+    f_big = th / s
+    fp_big = (s - th * c) / (s2 * s)
+    f_small = 1.0 - w / 3.0 + (2.0 / 15.0) * w * w
+    fp_small = -1.0 / 3.0 + (4.0 / 15.0) * w
+    return np.where(small, f_small, f_big), np.where(small, fp_small, fp_big)
+
+
+def kernel_oracle(mesh, rho, Z: np.ndarray, p: int):
+    """(J_p, Euclidean gradient per class point) at the (nc, 3) class points Z."""
+    tri_class = mesh.vertex_class[mesh.triangles]                  # (nt, 3)
+    lift = mesh.lift_matrices(rho)[mesh.triangles]                 # (nt, 3, 3, 3)
+    Ki = mesh.tri_dxinv
+    KiT = Ki.transpose(0, 2, 1)
+
+    Y = np.einsum("tcab,tcb->tca", lift, Z[tri_class])            # (nt, 3, 3) chart corners
+    S = Y.mean(axis=1)
+    nu = np.sqrt(-(S[:, 0] ** 2 + S[:, 1] ** 2 - S[:, 2] ** 2))
+    Yb = S / nu[:, None]
+    EYb = Yb @ E_SHARP
+    c = -np.einsum("ta,tca->tc", EYb, Y)
+    f, fp = _f_log_oracle(c)
+    eta = f[:, :, None] * (Y - c[:, :, None] * Yb[:, None, :])
+    d2 = eta[:, 1] - eta[:, 0]
+    d3 = eta[:, 2] - eta[:, 0]
+    Ed2, Ed3 = d2 @ E_SHARP, d3 @ E_SHARP
+    G = np.empty((len(Y), 2, 2))
+    G[:, 0, 0] = np.einsum("ta,ta->t", Ed2, d2)
+    G[:, 0, 1] = G[:, 1, 0] = np.einsum("ta,ta->t", Ed2, d3)
+    G[:, 1, 1] = np.einsum("ta,ta->t", Ed3, d3)
+    M = KiT @ G @ Ki
+    t = M[:, 0, 0] + M[:, 1, 1]
+    d = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    P, du, dv = newton_power_oracle(t, d, p // 2, want_grads=True)
+
+    adjM = np.stack([np.stack([M[:, 1, 1], -M[:, 0, 1]], -1), np.stack([-M[:, 1, 0], M[:, 0, 0]], -1)], 1)
+    dEdM = (mesh.areas * du)[:, None, None] * np.eye(2) + (mesh.areas * dv)[:, None, None] * adjM
+    W = Ki @ dEdM @ KiT                                            # dE/dG, symmetric
+    gd2 = 2.0 * (W[:, 0, 0, None] * d2 + W[:, 0, 1, None] * d3) @ E_SHARP
+    gd3 = 2.0 * (W[:, 0, 1, None] * d2 + W[:, 1, 1, None] * d3) @ E_SHARP
+    geta = np.stack([-(gd2 + gd3), gd2, gd3], axis=1)              # (nt, 3, 3)
+    radial = Y - c[:, :, None] * Yb[:, None, :]
+    s_coef = fp * np.einsum("tca,tca->tc", geta, radial) - f * np.einsum("tca,ta->tc", geta, Yb)
+    gY = f[:, :, None] * geta + s_coef[:, :, None] * (-EYb)[:, None, :]
+    gYb = np.einsum("tc,tca->ta", s_coef, -(Y @ E_SHARP)) - np.einsum("tc,tca->ta", f * c, geta)
+    # through the normalized barycenter: dYb = (I + Yb (E Yb)^T)/nu dS, dS = mean dY
+    gS = (gYb + EYb * np.einsum("ta,ta->t", Yb, gYb)[:, None]) / nu[:, None]
+    gY = gY + gS[:, None, :] / 3.0
+    g_chart = np.einsum("tcab,tca->tcb", lift, gY).reshape(-1, 3)  # lift^T applied
+    idx = tri_class.ravel()
+    grad = np.stack([np.bincount(idx, weights=w, minlength=mesh.n_classes) for w in g_chart.T], axis=1)
+    return float(np.dot(mesh.areas, P)), grad
 
 
 # the BFS-path loop integrals that mesh.loop_integral and
@@ -425,19 +489,20 @@ FD_H = 3e-6
 
 def gradient_fd_check(mesh, rho, p, Z, rng):
     """Max relative error of the analytic directional derivative vs central FD
-    at the class points Z, over FD_PROBES random one-class directions with
-    step FD_H."""
+    at the (nc, 3) class points Z, over FD_PROBES random one-class directions
+    with step FD_H."""
     ctx = _Context(mesh, rho)
-    G = _riemannian_grad(Z, _grad_from_metric(ctx, _energy_and_grad(ctx, Z, p)[1]))
+    Zc = Z.T.copy()
+    G = _riemannian_grad(Zc, _grad_from_metric(ctx, _energy_and_grad(ctx, Zc, p)[1])).T
     worst = 0.0
     for _ in range(FD_PROBES):
         c = int(rng.integers(0, mesh.n_classes))
         v = project_tangent(Z[c], rng.standard_normal(3))
         v /= np.sqrt(mink_dot(v, v))
-        dZ = np.zeros_like(Z)
-        dZ[c] = v
-        Jp = _energy_and_grad(ctx, _retract(Z, -FD_H * dZ), p)[0]
-        Jm = _energy_and_grad(ctx, _retract(Z, FD_H * dZ), p)[0]
+        dZ = np.zeros_like(Zc)
+        dZ[:, c] = v
+        Jp = _energy_and_grad(ctx, _retract(Zc, -FD_H * dZ), p)[0]
+        Jm = _energy_and_grad(ctx, _retract(Zc, FD_H * dZ), p)[0]
         fd = (Jp - Jm) / (2 * FD_H)
         an = float(mink_dot(G[c], v))  # directional derivative (G_c, v)#
         scale = max(abs(fd), abs(an), 1e-12)
@@ -464,11 +529,12 @@ def current_block_oracle(result) -> dict:
     its map through target frames and eigh of U U^T."""
     mesh = result.mesh
     p = result.p
-    m = _tri_metric(_Context(mesh, result.rho), result.class_points)
+    m = _tri_metric(_Context(mesh, result.rho), result.class_points.T.copy())
+    Yb, d2, d3 = m["Yb"].T, m["D"][:, 0].T, m["D"][:, 1].T
 
     # target-frame differential D (2x2, domain chart -> target chart)
-    F = _target_frames(m["Yb"], m["d2"], m["d3"])
-    dy = np.einsum("tia,ab,tjb->tij", F, E_SHARP, np.stack([m["d2"], m["d3"]], axis=1))
+    F = _target_frames(Yb, d2, d3)
+    dy = np.einsum("tia,ab,tjb->tij", F, E_SHARP, np.stack([d2, d3], axis=1))
     U = result.kappa_p * (dy @ mesh.tri_dxinv)                     # (nt, 2, 2)
 
     evals, evecs = np.linalg.eigh(U @ U.transpose(0, 2, 1))
@@ -480,6 +546,6 @@ def current_block_oracle(result) -> dict:
     density = (evals ** (p // 2)).sum(axis=1)                      # TrQ(U)^p
     T = U.transpose(0, 2, 1) @ N @ U - (density / p)[:, None, None] * np.eye(2)
     return {
-        "density": density, "T_q": T, "u_bar": m["Yb"],
+        "density": density, "T_q": T, "u_bar": Yb,
         "U_amb": np.einsum("tia,tix->tax", U, F), "S_amb": np.einsum("tia,tix->tax", S, F),
     }

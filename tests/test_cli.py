@@ -128,6 +128,14 @@ def test_config_error_exit_code(tmp_path):
         for key, value in bad:
             assert run(tmp_path, command, {key: value}) == cli.EXIT_CONFIG, (command, key, value)
     multicurve = [{"word": "a1", "weight": 1.0}]
+    case = {"multicurve": multicurve, "curve": "b1"}
+    for cases in (5, "x", [5], [{**case, "curve": "zz"}], [{**case, "weight": "x"}], [{**case, "weight": True}],
+                  [{**case, "weight": float("nan")}]):
+        assert run(tmp_path, "duality", {"cases": cases}) == cli.EXIT_CONFIG, cases
+    for pairs in ([["a1"]], [["a1", "zz"]], [["a1", "b1", "a2"]], ["a1b1"], 5):
+        assert run(tmp_path, "wolpert", {"pairs": pairs}) == cli.EXIT_CONFIG, pairs
+    assert run(tmp_path, "duality", {"cases": [{**case, "weight": 2}]}) == 0
+    assert run(tmp_path, "wolpert", {"pairs": [["a1", "b1"]]}) == 0
     bad = [("samples", v) for v in (-3, True, 2.5)] + [("seed", v) for v in (-1, "0")]
     for key, value in bad:
         assert run(tmp_path, "mass", {"multicurve": multicurve, key: value}) == cli.EXIT_CONFIG, (key, value)

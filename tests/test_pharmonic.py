@@ -11,6 +11,7 @@ from oracles import (
     assert_extraction_matches_oracle,
     current_block_oracle,
     gradient_fd_check,
+    kernel_oracle,
     newton_power_oracle,
     retract_oracle,
 )
@@ -135,7 +136,7 @@ def test_cylinder_minimize_recovers_stretch():
 
 def test_cylinder_iterations_are_pinned():
     # accepted steps of the L-BFGS descent on the rig; every stage meets tol
-    for args, iterations in (((64, (2, 4, 8), 1), [242, 74, 16]), ((48, (2, 8), 0), [140, 25])):
+    for args, iterations in (((64, (2, 4, 8), 1), [227, 15, 41]), ((48, (2, 8), 0), [148, 82])):
         n, schedule, seed = args
         _, reports = cylinder_continuation(2.0, 3.0, n=n, schedule=schedule, seed=seed)
         assert [r["iterations"] for r in reports] == iterations
@@ -151,9 +152,15 @@ def test_cylinder_stage_values_stay_at_stretch():
 
 
 def test_minimize_descends_and_stays_equivariant(mesh2, rho_twist):
+    from stretchlab.pharmonic import WOLFE_EPS
+
     res = minimize(mesh2, rho_twist, 4, opts=SolveOptions(max_iter=500))
     log = res.energy_log
-    assert all(a >= b - 1e-12 for a, b in zip(log, log[1:]))
+    # an accepted step raises J by at most WOLFE_EPS |J| (approximate Wolfe),
+    # and the net drop exceeds all the rises together
+    rises = [b - a for a, b in zip(log, log[1:]) if b > a]
+    assert all(b - a <= WOLFE_EPS * abs(a) for a, b in zip(log, log[1:]))
+    assert log[0] - log[-1] > sum(rises)
     # one gradient per logged iterate, plus one per failed slope test
     assert res.grad_evals == len(log) + res.wolfe_rejections <= res.energy_evals
     assert res.grad_evals == res.iterations + 1 + res.wolfe_rejections
@@ -169,21 +176,23 @@ def test_lbfgs_pairs_are_tangent_and_direction_descends(mesh2, rho_twist, monkey
     from stretchlab import pharmonic
     from stretchlab.pharmonic import _mdot
 
+    # the pairs are one (2, k, 3, nc) stack, s = pairs[0, i] and y = pairs[1, i]
     calls = []
     direction = pharmonic._lbfgs_direction
 
-    def recording(Z, G, pairs):
-        r = direction(Z, G, pairs)
-        calls.append((Z, G, list(pairs), r))
+    def recording(Z, G, pairs, sy):
+        r = direction(Z, G, pairs, sy)
+        calls.append((Z, G, pairs.copy(), sy.copy(), r))
         return r
 
     monkeypatch.setattr(pharmonic, "_lbfgs_direction", recording)
     minimize(mesh2, rho_twist, 4, opts=SolveOptions(max_iter=12))
-    assert len(calls) >= 10 and max(len(pairs) for _, _, pairs, _ in calls) == pharmonic.LBFGS_MEMORY
-    for Z, G, pairs, r in calls:
-        for s, y, sy in pairs:
+    assert len(calls) >= 10 and max(len(sy) for _, _, _, sy, _ in calls) == pharmonic.LBFGS_MEMORY
+    for Z, G, pairs, products, r in calls:
+        assert pairs.shape == (2, len(products)) + Z.shape
+        for s, y, sy in zip(pairs[0], pairs[1], products):
             for v in (s, y):
-                assert np.abs(np.einsum("ca,ca->c", v @ lorentz.E_SHARP, Z)).max() <= 1e-12 * np.abs(v).max()
+                assert np.abs(np.einsum("an,an->n", lorentz.E_SHARP @ v, Z)).max() <= 1e-12 * np.abs(v).max()
             assert sy == _mdot(s, y) > 0.0
         assert _mdot(G, r) > 0.0
 
@@ -212,10 +221,10 @@ def test_identity_is_near_critical_under_refinement(octagon):
         from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _riemannian_grad
 
         ctx = _Context(m, octagon)
-        Z = m.vertices[m.class_rep_vertex]
+        Z = m.vertices[m.class_rep_vertex].T.copy()
         J, mm = _energy_and_grad(ctx, Z, 2)
         G = _riemannian_grad(Z, _grad_from_metric(ctx, mm))
-        gn = float(np.sqrt(np.einsum("ca,cb,ab->", G, G, np.diag([1.0, 1.0, -1.0]))))
+        gn = float(np.sqrt(np.einsum("an,bn,ab->", G, G, np.diag([1.0, 1.0, -1.0]))))
         norms.append(gn / J)
     assert norms[1] < norms[0]
 
@@ -227,7 +236,7 @@ def test_gradient_against_finite_differences(mesh2, rho_twist, rng):
     dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
     from stretchlab.pharmonic import _retract
 
-    Z = _retract(Z, -(V + dots[:, None] * Z))
+    Z = _retract(Z.T.copy(), -(V + dots[:, None] * Z).T).T.copy()
     for p in (2, 8, 16):
         assert gradient_fd_check(m1, rho_twist, p, Z, np.random.default_rng(7)) <= 1e-6
 
@@ -250,7 +259,7 @@ def test_retract_matches_row_loop(rng):
     step[4] = [0.0, np.inf, 1.0]
     step[7] = [-np.inf, np.inf, np.nan]
     step[10] = [1e200, 0.0, 1e200]
-    got, want = _retract(Z, step), retract_oracle(Z, step)
+    got, want = _retract(Z.T.copy(), step.T.copy()).T, retract_oracle(Z, step)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isfinite(got[[1, 4, 7]]).all() and np.isnan(got[10]).all()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,15 +267,24 @@ def test_retract_matches_row_loop(rng):
         assert (~(-(N[:, 0] ** 2 + N[:, 1] ** 2 - N[:, 2] ** 2) >= 0.25)).sum() >= n // 2
 
 
-@pytest.mark.parametrize("p", [2, 64])
-def test_gradient_from_trial_matches_fused_evaluation(mesh2, rho_twist, rng, p):
-    from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _retract
+def _moved_class_points(mesh, rng):
+    """The domain's (nc, 3) class points moved by a random tangent step of
+    0.05 and retracted to the sheet."""
+    from stretchlab.pharmonic import _retract
 
-    ctx = _Context(mesh2, rho_twist)
-    Z = mesh2.vertices[mesh2.class_rep_vertex]
+    Z = mesh.vertices[mesh.class_rep_vertex]
     V = rng.standard_normal(Z.shape) * 0.05
     dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
-    Z1 = _retract(Z, -(V + dots[:, None] * Z))
+    return _retract(Z.T.copy(), -(V + dots[:, None] * Z).T).T.copy()
+
+
+@pytest.mark.parametrize("p", [2, 64])
+def test_gradient_from_trial_matches_fused_evaluation(mesh2, rho_twist, rng, p):
+    from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric
+
+    ctx = _Context(mesh2, rho_twist)
+    Z = mesh2.vertices[mesh2.class_rep_vertex].T.copy()
+    Z1 = _moved_class_points(mesh2, rng).T.copy()
     J1, m1 = _energy_and_grad(ctx, Z1, p)
     # a later trial must not disturb the intermediates of an earlier one
     _energy_and_grad(ctx, Z, p)
@@ -275,38 +293,78 @@ def test_gradient_from_trial_matches_fused_evaluation(mesh2, rho_twist, rng, p):
     assert np.array_equal(_grad_from_metric(ctx, m1), _grad_from_metric(ctx, m))
 
 
+# relative tolerance of the coordinate-major kernel against the per-corner
+# kernel it replaced, per p: rounding grows with the power recurrence
+KERNEL_RTOL = {2: 1e-13, 16: 1e-12, 64: 5e-12}
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("p", sorted(KERNEL_RTOL))
+def test_kernel_matches_per_corner_oracle(rho_twist, rng, level, p):
+    # J_p and the Euclidean gradient, at moved maps, against the (nt, 3, 3)
+    # kernel with the Newton recurrence
+    from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric
+
+    mesh = build_octagon_mesh(level)
+    Z = _moved_class_points(mesh, rng)
+    ctx = _Context(mesh, rho_twist)
+    J, m = _energy_and_grad(ctx, Z.T.copy(), p)
+    grad = _grad_from_metric(ctx, m).T
+    want_J, want_grad = kernel_oracle(mesh, rho_twist, Z, p)
+    assert J == pytest.approx(want_J, rel=KERNEL_RTOL[p], abs=0)
+    assert np.abs(grad - want_grad).max() <= KERNEL_RTOL[p] * np.abs(want_grad).max()
+
+
 @pytest.mark.parametrize("p", [2, 8, 64])
 def test_power_sums_match_fused_recurrence(mesh2, rho_twist, rng, p):
-    # the stored power sums and the derivative recurrence over them against
-    # the fused recurrence they replaced, bit for bit
-    from stretchlab.pharmonic import _Context, _energy_and_grad, _power_derivatives, _retract
+    # tr(M^{p/2}) and its derivatives in (tr, det) from the complete
+    # homogeneous sums against the fused Newton recurrence they replaced
+    from stretchlab.pharmonic import _Context, _energy_and_grad
 
     ctx = _Context(mesh2, rho_twist)
-    Z = mesh2.vertices[mesh2.class_rep_vertex]
-    V = rng.standard_normal(Z.shape) * 0.05
-    dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
-    J, m = _energy_and_grad(ctx, _retract(Z, -(V + dots[:, None] * Z)), p)
-    t, d = m["t"], m["d"]
-    assert len(m["P"]) == p // 2 + 1
-    want_p, want_u, want_v = newton_power_oracle(t, d, p // 2, want_grads=True)
-    assert np.array_equal(m["P"][-1], want_p)
-    assert np.array_equal(m["P"][-1], newton_power_oracle(t, d, p // 2))
-    got_u, got_v = _power_derivatives(t, d, m["P"])
-    assert np.array_equal(got_u, want_u) and np.array_equal(got_v, want_v)
-    assert J == float(np.dot(ctx.areas, want_p))
+    J, m = _energy_and_grad(ctx, _moved_class_points(mesh2, rng).T.copy(), p)
+    n = p // 2
+    want_p, want_u, want_v = newton_power_oracle(m["t"], m["d"], n, want_grads=True)
+    np.testing.assert_allclose(m["P"], want_p, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(n * m["h1"], want_u, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(-n * m["h2"], want_v, rtol=1e-13, atol=1e-300)
+    assert J == float(np.dot(ctx.areas, m["P"]))
+
+
+def test_power_h_matches_matrix_power(rng):
+    # the four identities of the recurrence h_k = t h_{k-1} - d h_{k-2} on
+    # random symmetric positive definite M with eigenvalues in [0.5, 1.5], to
+    # n = 32 (p = 64): tr M^n = t h_{n-1} - 2d h_{n-2}, M^{n-1} = h_{n-1} I -
+    # h_{n-2} adj M, and d tr(M^n)/dt = n h_{n-1}, d tr(M^n)/dd = -n h_{n-2},
+    # read off n M^{n-1} = (dp/dt) I + (dp/dd) adj M.  The rounding of det M
+    # grows ~n^2/2 times near an isotropic M; 20 draws of 64 matrices gave at
+    # most 1.6e-13 relative
+    from stretchlab.pharmonic import _power_block, _power_h
+
+    k, rtol = 64, 5e-13
+    theta = rng.uniform(0.2, 1.3, k)
+    R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    lam = rng.uniform(0.5, 1.5, (2, k))
+    M = np.einsum("aik,ik,bik->abk", R, lam, R)                    # (2, 2, k)
+    t, d = M[0, 0] + M[1, 1], M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    stack = M.transpose(2, 0, 1)
+    for n in range(1, 33):
+        h1, h2 = _power_h(t, d, n)
+        want = np.linalg.matrix_power(stack, n)
+        np.testing.assert_allclose(t * h1 - 2.0 * d * h2, np.trace(want, axis1=1, axis2=2), rtol=rtol)
+        prev = np.linalg.matrix_power(stack, n - 1).transpose(1, 2, 0)
+        got = _power_block({"M": M, "h1": h1, "h2": h2})
+        assert (np.abs(got - prev).max(axis=(0, 1)) <= rtol * np.abs(prev).max(axis=(0, 1))).all()
+        dp_dd = -n * prev[0, 1] / M[0, 1]
+        np.testing.assert_allclose(-n * h2, dp_dd, rtol=rtol, atol=1e-300)
+        np.testing.assert_allclose(n * h1, n * prev[0, 0] - dp_dd * M[1, 1], rtol=rtol)
 
 
 @pytest.mark.parametrize("p", [2, 8, 64])
 def test_current_block_matches_frame_oracle(mesh2, rho_twist, rng, p):
     # the block from the solver's metric and power sums against target
     # frames and eigh of U U^T, at a perturbed map measured with a budget of 0
-    from stretchlab.pharmonic import _retract
-
-    Z = mesh2.vertices[mesh2.class_rep_vertex]
-    V = rng.standard_normal(Z.shape) * 0.05
-    dots = np.einsum("ca,ab,cb->c", V, np.diag([1.0, 1.0, -1.0]), Z)
-    init = _retract(Z, -(V + dots[:, None] * Z))
-    res = minimize(mesh2, rho_twist, p, init=init, opts=MEASURE)
+    res = minimize(mesh2, rho_twist, p, init=_moved_class_points(mesh2, rng), opts=MEASURE)
     want = current_block_oracle(res)
     for name in ("density", "T_q", "U_amb", "S_amb"):
         scale = float(np.abs(want[name]).max())
