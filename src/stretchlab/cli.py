@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 import zipfile
 
 import numpy as np
@@ -277,7 +278,8 @@ def _solve_exit_code(stages) -> int:
 def p_continuation(mesh, rho, schedule, opts: SolveOptions, resumed: dict):
     """Warm-started continuation in p: each stage minimizes J_p from the last
     stage's map (the first from the domain's class points) and is yielded
-    with its currents and `relation_checks` residuals.  A stage in `resumed`
+    with its currents and `relation_checks` residuals, and the time they
+    took in its `timings`.  A stage in `resumed`
     (p -> class points) is instead re-measured at those points.
     """
     Z = None
@@ -288,9 +290,12 @@ def p_continuation(mesh, rho, schedule, opts: SolveOptions, resumed: dict):
         else:
             res = minimize(mesh, rho, p, init=Z, opts=opts)
         Z = res.class_points
+        start = time.perf_counter()
         density_and_currents(res)
         relation_checks(res)
+        res.timings["currents_s"] = time.perf_counter() - start
         yield res
+        del res  # peak memory: the next stage is solved without this one's block and currents
 
 
 def cmd_solve(config: dict, outdir: str):
@@ -353,6 +358,7 @@ def cmd_solve(config: dict, outdir: str):
                 "grad_norm": res.grad_norm,
                 "energy_evals": res.energy_evals, "grad_evals": res.grad_evals,
                 "residuals": {k: float(v) for k, v in res.residuals.items()},
+                "timings": res.timings,
             }
         )
         _write_stage_csv(outdir, res)

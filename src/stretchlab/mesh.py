@@ -20,7 +20,10 @@ k.  The mesh is the one place that knows this: it stores the paired vertices
 `edge_average` carries the solver's currents across the paired sides.
 
 Every subdivision level (`_refine`), the edge table (`_edge_table`) and every
-geometry array are built once, by array code over the triangle corners.
+geometry array are built once, by array code over the triangle corners.  The
+parent-edge table of every refinement is kept, and with it the vertex-class
+graph of every level and the prolongations between them (`ClassHierarchy`),
+on which the solver's preconditioner runs its V-cycle.
 Per-triangle areas are exact (hyperbolic angle defect), so the total is 4 pi
 at every level; the first-order chord areas are kept alongside for
 convergence diagnostics.  Edge data (Maurer-Cartan form, solver currents) are
@@ -144,6 +147,11 @@ class FundamentalMesh:
     circumcenters: np.ndarray     # (nt, 3)
     frames: np.ndarray            # (nt, 2, 3) orthonormal oriented frame at the circumcenter
     min_angle: float
+    # per refinement l < level, the (ne_l, 2) level-l edges: vertex n_l + e is
+    # the midpoint of edge e, where n_l counts the level-l vertices, which
+    # keep their ids at every finer level
+    parent_edges: tuple
+    class_hierarchy: ClassHierarchy  # the vertex classes of every level down to level 0
 
     @property
     def n_classes(self) -> int:
@@ -235,8 +243,10 @@ def build_octagon_mesh(level: int) -> FundamentalMesh:
     vertices = np.concatenate([[[0.0, 0.0, 1.0]], OCTAGON_VERTICES])
     triangles = np.stack([np.zeros(8, dtype=int), np.roll(corners, 1), corners], axis=1)
     chains = np.stack([np.roll(corners, 1), corners], axis=1)
+    parent_edges = []
     for _ in range(level):
-        vertices, triangles, chains, _ = _refine(vertices, triangles, chains)
+        vertices, triangles, chains, edges = _refine(vertices, triangles, chains)
+        parent_edges.append(edges)
     edges, tri_edges, tri_edge_sign = _edge_table(triangles)
 
     # x_k maps side k+4 onto side k and reverses its direction, so the i-th
@@ -259,6 +269,7 @@ def build_octagon_mesh(level: int) -> FundamentalMesh:
         root[i], w = uf.find(i)
         lift_id[i] = lift_index.setdefault(w, len(lift_index))
     vertex_class, first = _first_appearance(root)
+    class_hierarchy = _class_hierarchy(triangles, vertex_class, root[first], parent_edges)
 
     # geometry, over the corners P[:, c] of every triangle
     P = vertices[triangles]                                        # (nt, 3, 3)
@@ -309,8 +320,107 @@ def build_octagon_mesh(level: int) -> FundamentalMesh:
         circumcenters=circum,
         frames=frames,
         min_angle=float(np.degrees(angles.min())),
+        parent_edges=tuple(parent_edges),
+        class_hierarchy=class_hierarchy,
     )
     return mesh.validate()
+
+
+# ---------------------------------------------------------------------------
+# the vertex-class hierarchy
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ClassGraph:
+    """The vertex classes of one subdivision level, joined to themselves and
+    to the classes they share a triangle edge with.  Vertices keep their ids
+    under refinement, so a class of level-l vertices holds no finer vertex
+    and the classes of level l are the mesh's classes 0..n-1.  The slots are
+    the distinct pairs (rows[k], cols[k]) in row-major order, row i from
+    slot starts[i], and diag[i] is the slot of (i, i)."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    diag: np.ndarray
+
+
+@dataclass
+class Prolongation:
+    """The map P from the classes of one level to those of the next finer
+    one: classes below the coarse count are injected, and the finer level's
+    class coarse_n + m is taken from the two ends mid[m, 1:] of its parent
+    edge, seen from its vertex mid[m, 0].  P's entries, in row order, are
+    the injections and then two per midpoint class: columns `cols`, row i
+    from entry starts[i].  `r_perm` sorts them by column, with rows `r_rows`
+    (the pattern of P^T, row j from r_starts[j]).  `galerkin` (4, n) lists
+    the products of P^T A P: the slot of A on the finer graph, the entries
+    of P on that slot's row and on its column, and the slot on the coarser
+    graph."""
+
+    mid: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    r_perm: np.ndarray
+    r_rows: np.ndarray
+    r_starts: np.ndarray
+    galerkin: np.ndarray
+
+
+@dataclass
+class ClassHierarchy:
+    """The class graphs of every level, this mesh's first, down to level 0,
+    with prolongations[i] from graphs[i + 1] to graphs[i]; `edge_slots` (2,
+    3, nt) are the slots of (a, b) and (b, a) on graphs[0] for the classes
+    a, b at the ends of slot edge k of triangle t (`_edge_table`'s order).
+    The two largest tables, `edge_slots` and `galerkin`, are int32."""
+
+    edge_slots: np.ndarray
+    graphs: list
+    prolongations: list
+
+
+def _graph(rows, cols, n: int):
+    """The distinct pairs among (rows, cols) as a ClassGraph on n classes,
+    and the slot of every given pair."""
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    ids = np.arange(n)
+    return ClassGraph(n, rows, cols, np.searchsorted(rows, ids), np.searchsorted(keys, ids * (n + 1))), slot
+
+
+def _class_hierarchy(triangles, vc, class_rep_vertex, parent_edges) -> ClassHierarchy:
+    """The ClassHierarchy of the mesh with these triangles, vertex classes
+    vc, class representatives and per-refinement parent-edge tables."""
+    nc = len(class_rep_vertex)
+    a, b = vc[triangles.T].ravel(), vc[np.roll(triangles, -1, axis=1).T].ravel()
+    ids = np.arange(nc)
+    fine, slot = _graph(np.concatenate([a, b, ids]), np.concatenate([b, a, ids]), nc)
+    graphs, prolongations, n_vertices = [fine], [], len(vc)
+    two = np.arange(2)
+    for edges in reversed(parent_edges):
+        n_vertices -= len(edges)
+        nc = int(vc[:n_vertices].max()) + 1
+        # each midpoint class by its representative, a vertex of the finer level
+        v = class_rep_vertex[nc:fine.n]
+        mid = np.column_stack([v, edges[v - n_vertices]])
+        cols = np.concatenate([np.arange(nc), vc[mid[:, 1:]].ravel()])
+        starts = np.concatenate([np.arange(nc), nc + 2 * np.arange(fine.n - nc)])
+        r_perm = np.argsort(cols, kind="stable")
+        # every slot (a, b) of the finer graph with each entry of P on rows a
+        # and b: one on a row below the coarse count, two on a midpoint class's
+        a, b = fine.rows[:, None, None], fine.cols[:, None, None]
+        use = (two[:, None] <= (a >= nc)) & (two <= (b >= nc))
+        s, k1, k2 = (np.broadcast_to(x, use.shape)[use] for x in
+                     (np.arange(len(fine.rows))[:, None, None], starts[a] + two[:, None], starts[b] + two))
+        coarse, coarse_slot = _graph(cols[k1], cols[k2], nc)
+        prolongations.append(Prolongation(
+            mid, cols, starts, r_perm, np.searchsorted(starts, r_perm, side="right") - 1,
+            np.searchsorted(cols[r_perm], np.arange(nc)), np.array([s, k1, k2, coarse_slot], dtype=np.int32)))
+        graphs.append(coarse)
+        fine = coarse
+    return ClassHierarchy(slot[:-len(ids)].astype(np.int32).reshape(2, 3, -1), graphs, prolongations)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,19 @@ runs one contiguous loop; chart points are lifted once per vertex.
 One descent loop, `_descend`, serves both the surface solver and the
 cylinder rig: Riemannian L-BFGS on a product of hyperboloids (retraction:
 renormalize to the sheet, exact exponential step where that would leave it;
-vector transport: tangent projection of the stacked pairs) with an
-approximate-Wolfe line search.  Line-search trials evaluate the energy
+vector transport: tangent projection of the pairs, in place in a ring) with
+an approximate-Wolfe line search.  Line-search trials evaluate the energy
 alone; a gradient is built from the intermediates of the trial, h_{n-1}
 and h_{n-2} included, once it passes Armijo or once J is within
 WOLFE_EPS |J| of the start, for the slope test.
+
+The descent is seeded with H0, the inverse of a weighted connection
+Laplacian A on the tangent planes of the classes, built once per stage at
+its start map and applied as one symmetric multigrid V-cycle on the mesh's
+class hierarchy (`_VCycle`): the p-energies grow stiffer with the level and
+with p as their minimizers approach the best Lipschitz map, and H0 takes
+the level dependence out of the iteration count at small p.  The cylinder
+rig is seeded with the identity.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id.  `minimize`
@@ -36,6 +44,7 @@ whose multiple n M^{n-1} is the gradient's dJ/dM per unit area.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +102,9 @@ class SolveResult:
     energy_evals: int
     grad_evals: int
     energy_log: list
+    # seconds: the preconditioner's build and the descent in `minimize`,
+    # then the currents and checks in `cli.p_continuation`
+    timings: dict
     V_q: DiscreteOneForm | None = None
     W_q: DiscreteOneForm | None = None
     residuals: dict = field(default_factory=dict)
@@ -133,17 +145,18 @@ class _Context:
 
 
 def _f_log(c):
-    """f(c) = arccosh(c)/sqrt(c^2-1) and f'(c), by their series in w = c - 1
-    where w < 1e-6."""
+    """f(c) = arccosh(c)/sqrt(c^2-1) and f'(c) = (1 - c f)/(c^2-1), from
+    s^2 = w(c+1) and f = log1p(w+s)/s in w = c - 1, which keep f' to 3e-12
+    relative down to w = 1e-4; below that, by their series in w."""
     w = c - 1.0
-    s2 = np.maximum(c * c - 1.0, 1e-300)
+    s2 = np.maximum(w * (c + 1.0), 1e-300)
     s = np.sqrt(s2)
-    th = np.arccosh(np.maximum(c, 1.0))
-    f, fp = th / s, (s - th * c) / (s2 * s)
-    small = w < 1e-6
+    f = np.log1p(np.maximum(w, 0.0) + s) / s
+    fp = (1.0 - c * f) / s2
+    small = w < 1e-4
     if small.any():
-        f = np.where(small, 1.0 - w / 3.0 + (2.0 / 15.0) * w * w, f)
-        fp = np.where(small, -1.0 / 3.0 + (4.0 / 15.0) * w, fp)
+        f = np.where(small, 1.0 - w * (1.0 / 3.0 - w * (2.0 / 15.0 - w * (2.0 / 35.0))), f)
+        fp = np.where(small, -1.0 / 3.0 + w * (4.0 / 15.0 - w * (6.0 / 35.0)), fp)
     return f, fp
 
 
@@ -247,8 +260,10 @@ def _grad_from_metric(ctx: _Context, m: dict) -> np.ndarray:
 
 def _project(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
     """V, (3, n) or a stack (..., 3, n), projected in place on the tangent
-    planes at the columns of Z: v + (v, z)# z."""
-    V += np.einsum("...an,an->...n", V, SIGN * Z)[..., None, :] * Z
+    planes at the columns of Z: v + (v, z)# z, one coordinate at a time."""
+    dots = np.einsum("...an,an->...n", V, SIGN * Z)
+    for a in range(3):
+        V[..., a, :] += dots * Z[a]
     return V
 
 
@@ -288,38 +303,170 @@ def _retract(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
     return N / np.sqrt(q)
 
 
-def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, pairs: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """H G by the L-BFGS two-loop recursion in (., .)# over the stacked pairs
-    (s, y) = pairs[:, i], oldest first, with sy[i] = (s, y)#, scaled by
-    (s, y)#/(y, y)# of the newest and projected on T_Z."""
-    S, Y = pairs
-    q, alphas = G, []
-    for i in reversed(range(len(sy))):
+# the V-cycle of the preconditioner: the coarsest level it reaches (or the
+# mesh's own), the damping of its Jacobi sweeps, and the weight of the
+# lumped mass that makes the connection Laplacian definite on any mesh
+VCYCLE_COARSEST = 2
+JACOBI_DAMPING = 0.7
+MASS_WEIGHT = 1e-3
+
+
+def _spmv(vals, cols, starts, x):
+    """The product of the sparse matrix with entries vals in columns cols,
+    row by row, row i from entry starts[i] (every row nonempty), with the
+    vectors x (..., n)."""
+    return np.add.reduceat(vals * x[..., cols], starts, axis=-1)
+
+
+def _csum(index, values, n: int):
+    """np.bincount of complex weights."""
+    return np.bincount(index, values.real, n) + 1j * np.bincount(index, values.imag, n)
+
+
+def _rotation(lifted: np.ndarray, to, frm) -> np.ndarray:
+    """The polar factor of F_to^T E F_frm for the frames at the vertices to
+    and frm, lifted frames stored as complex 3-vectors F = a + i b, (3, nv):
+    the rotation closest to the map from frm-frame to to-frame coordinates,
+    as a unit complex number; one coordinate at a time."""
+    z = lifted[0, to] * lifted[0, frm].conj()
+    z += lifted[1, to] * lifted[1, frm].conj()
+    z -= lifted[2, to] * lifted[2, frm].conj()
+    return z / np.abs(z)
+
+
+def _trace_power(ctx: _Context, Z: np.ndarray, p: int) -> np.ndarray:
+    """n tr M^{n-1} per triangle at Z, from M^{n-1} = h_{n-1} I - h_{n-2} adj M."""
+    m = _energy_and_grad(ctx, Z, p)[1]
+    return m["n"] * (2.0 * m["h1"] - m["t"] * m["h2"])
+
+
+class _VCycle:
+    """H0 of the L-BFGS descent: one symmetric V-cycle for the weighted
+    connection Laplacian A, built once per stage at its start map, as in
+    vector diffusion maps (Singer & Wu, CPAM 65, 2012).
+
+    A tangent vector at class c is a complex number in the class's
+    (.,.)#-orthonormal frame (a_c, b_c), a_c the projection of e_1 and b_c
+    = z_c x# a_c; lifted to two corners of a triangle, the frames differ by
+    the polar factor of F_i^T lift_i^T E lift_j F_j, a rotation, so A is
+    Hermitian: sum over triangle edges of w |x_i - R_ij x_j|^2, weights
+    w_T max(-K_ij, 0) with K the P1 stiffness matrix and w_T = n tr M^{n-1}
+    normalized to mean 1, plus MASS_WEIGHT times the lumped mass.  The
+    V-cycle has Galerkin operators P^H A P down to level VCYCLE_COARSEST,
+    where P injects the coarse classes and averages a midpoint class's two
+    ends through the same polar transports, one damped Jacobi sweep before
+    and one after the coarse correction, and a dense inverse at the
+    coarsest level.  Applied to a tangent field V at Z it returns F B F^T E V
+    projected on T_Z, B the V-cycle operator.  Built at the class points Z,
+    with the metric of J_p there."""
+
+    def __init__(self, ctx: _Context, mesh: FundamentalMesh, Z: np.ndarray, p: int):
+        wT = _trace_power(ctx, Z, p)
+        hier = mesh.class_hierarchy
+        depth = mesh.level - min(mesh.level, VCYCLE_COARSEST)
+        a = Z * Z[0]
+        a[0] += 1.0
+        a /= np.sqrt(1.0 + Z[0] ** 2)
+        self.a, self.b = a, SIGN * np.cross(Z, a, axis=0)
+        self.Ea, self.Eb = SIGN * self.a, SIGN * self.b
+        lifted = np.einsum("abv,bv->av", ctx.lift, self.a.take(ctx.vertex_at)) + 1j * np.einsum(
+            "abv,bv->av", ctx.lift, self.b.take(ctx.vertex_at))
+
+        # weights and transports per triangle edge k = corners (k, k+1)
+        grads = np.stack([-ctx.Ki[0] - ctx.Ki[1], ctx.Ki[0], ctx.Ki[1]])  # P1 gradients per corner
+        w = (wT * (ctx.areas / wT.mean())) * np.maximum(-(grads * np.roll(grads, -1, axis=0)).sum(axis=1), 0.0)
+        tri = mesh.triangles.T
+        wR = (w * _rotation(lifted, tri, np.roll(tri, -1, axis=0))).ravel()
+        graph = hier.graphs[0]
+        vals = _csum(hier.edge_slots.ravel(), np.concatenate([-wR, -wR.conj()]), len(graph.rows))
+        # corner k ends edges k and k - 1, and carries a third of the area
+        vals[graph.diag] += np.bincount(mesh.vertex_class[tri].ravel(),
+                                        (w + np.roll(w, 1, axis=0) + (MASS_WEIGHT / 3.0) * ctx.areas).ravel(), graph.n)
+
+        self.levels = []
+        for graph, pro, coarse in zip(hier.graphs[:depth], hier.prolongations, hier.graphs[1:]):
+            P = np.concatenate([np.ones(coarse.n), 0.5 * _rotation(lifted, pro.mid[:, :1], pro.mid[:, 1:]).ravel()])
+            s, k1, k2, slot = pro.galerkin
+            self.levels.append((graph, vals, JACOBI_DAMPING / vals[graph.diag].real, pro, P, P[pro.r_perm].conj()))
+            products = np.conjugate(P[k1])
+            products *= vals[s]
+            products *= P[k2]
+            vals = _csum(slot, products, len(coarse.rows))
+        # the coarsest inverse through the real form [[Re, -Im], [Im, Re]]:
+        # complex LAPACK and BLAS would map ~1 MB more of the library into
+        # memory than the real routines that the mesh build already runs
+        coarse = hier.graphs[depth]
+        n = coarse.n
+        dense = np.zeros((2 * n, 2 * n))
+        dense[coarse.rows, coarse.cols] = dense[n + coarse.rows, n + coarse.cols] = vals.real
+        dense[n + coarse.rows, coarse.cols] = vals.imag
+        dense[coarse.rows, n + coarse.cols] = -vals.imag
+        inverse = np.linalg.inv(dense)
+        self.coarsest = inverse[:n, :n] + 1j * inverse[n:, :n]
+
+    def cycle(self, rhs: np.ndarray, i: int) -> np.ndarray:
+        """B rhs for complex class vectors rhs (..., nc) of level i of the
+        cycle, 0 the mesh's own."""
+        if i == len(self.levels):
+            return np.einsum("ij,...j->...i", self.coarsest, rhs)
+        graph, vals, dinv, pro, P, PT = self.levels[i]
+        x = dinv * rhs
+        res = rhs - _spmv(vals, graph.cols, graph.starts, x)
+        x += _spmv(P, pro.cols, pro.starts, self.cycle(_spmv(PT, pro.r_rows, pro.r_starts, res), i + 1))
+        x += dinv * (rhs - _spmv(vals, graph.cols, graph.starts, x))
+        return x
+
+    def __call__(self, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """H0 V for tangent fields V, (3, nc) or a stack (..., 3, nc), at Z."""
+        x = self.cycle(np.einsum("an,...an->...n", self.Ea, V) + 1j * np.einsum("an,...an->...n", self.Eb, V), 0)
+        return _project(Z, self.a * x.real[..., None, :] + self.b * x.imag[..., None, :])
+
+
+def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, precond, ring: np.ndarray, live: list,
+                     sy: np.ndarray) -> np.ndarray:
+    """H G by the L-BFGS two-loop recursion in (., .)# over the pairs
+    (s, y) = ring[:, i] for the slots i in `live`, oldest first, with
+    sy[i] = (s, y)#, seeded with (s, y)#/(y, H0 y)# H0 for the newest pair:
+    one call of precond gives H0 q and H0 y together.  Projected on T_Z."""
+    S, Y = ring
+    q, alphas = G.copy(), []
+    for i in reversed(live):
         alphas.append(_mdot(S[i], q) / sy[i])
-        q = q - alphas[-1] * Y[i]
-    r = (sy[-1] / _mdot(Y[-1], Y[-1])) * q
-    for i, a in enumerate(reversed(alphas)):
-        r = r + (a - _mdot(Y[i], r) / sy[i]) * S[i]
+        q -= alphas[-1] * Y[i]
+    y = Y[live[-1]]
+    Hq, Hy = precond(Z, np.stack([q, y]))
+    r = (sy[live[-1]] / _mdot(y, Hy)) * Hq
+    for i, a in zip(live, reversed(alphas)):
+        r += (a - _mdot(Y[i], r) / sy[i]) * S[i]
     return _project(Z, r)
 
 
-def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
+def _identity(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """H0 = I, for the cylinder rig and for a budget of 0."""
+    return V
+
+
+def _descend(energy, grad, Z: np.ndarray, tau0, precond, opts: SolveOptions):
     """Riemannian L-BFGS with an approximate-Wolfe line search on (3, n)
-    points Z, one hyperboloid point per column.
+    points Z, one hyperboloid point per column, preconditioned by H0 =
+    precond(Z, V): a symmetric positive map of tangent fields V at Z, (3, n)
+    or a stack of them (`_VCycle` for the surface, `_identity` for the
+    cylinder rig), applied once per iteration.
 
     energy(Z) returns (J, extra) without a gradient, so a line-search trial
     costs one energy evaluation; grad(extra) builds the Euclidean gradient.
     A trial is _retract(Z, t r), r = `_lbfgs_direction` or, with an empty
-    memory, tau0(extra) G, and t = 1 halved up to MAX_BACKTRACKS times.  It
-    passes on Armijo decrease, or, if J rose by at most WOLFE_EPS |J| (the
-    float resolution of J), when its gradient G+, then reused, has
-    (G+, r)# in [-0.8, 0.9] (G, r)#; a failed slope test costs a gradient
-    (`wolfe_rejections`), so grad_evals == iterations + 1 + wolfe_rejections.
-    So J rises by at most WOLFE_EPS |J| across an accepted step.  The pairs
-    s = Z+ - Z, y = G+ - G are kept as one (2, k, 3, n) stack, projected on
-    T_Z+ in one call (the vector transport) after each step, and kept while
-    (s, y)# > 0.  A failed line search clears the memory and retries along
-    the gradient (`restarts`, counted in the budget with the accepted steps
+    memory, H0 G scaled to the length tau0(extra) |G|, and t = 1 halved up
+    to MAX_BACKTRACKS times.  It passes on Armijo decrease, or, if J rose by
+    at most WOLFE_EPS |J| (the float resolution of J), when its gradient G+,
+    then reused, has (G+, r)# in [-0.8, 0.9] (G, r)#; a failed slope test
+    costs a gradient (`wolfe_rejections`), so grad_evals == iterations + 1 +
+    wolfe_rejections.  So J rises by at most WOLFE_EPS |J| across an
+    accepted step.  The pairs s = Z+ - Z, y = G+ - G are written into a
+    preallocated ring of LBFGS_MEMORY + 1 slots, which is projected on T_Z+
+    in place after each step (the vector transport), and a pair is kept
+    while (s, y)# > 0.  A failed line search clears the memory and retries
+    along H0 G (`restarts`, counted in the budget with the accepted steps
     `iterations`); failing there is a line-search failure.  `converged`
     means |G| <= tol max(1, J), tested at every iterate, so a budget of 0
     reports whether the start point is stationary.  Returns the last
@@ -328,7 +475,7 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
     J, extra = energy(Z)
     G = _riemannian_grad(Z, grad(extra))
     energy_evals = grad_evals = 1
-    log, pairs, sy = [J], np.empty((2, 0) + Z.shape), np.empty(0)
+    log, ring, live = [J], np.zeros((2, LBFGS_MEMORY + 1) + Z.shape), []
     iterations = restarts = wolfe_rejections = 0
     converged = ls_failure = False
     while True:
@@ -338,7 +485,11 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
             break
         if iterations + restarts >= opts.max_iter:
             break
-        r = _lbfgs_direction(Z, G, pairs, sy) if len(sy) else float(np.clip(tau0(extra), 1e-12, STEP_CAP)) * G
+        if live:
+            r = _lbfgs_direction(Z, G, precond, ring, live, sy)
+        else:
+            HG = precond(Z, G)
+            r = float(np.clip(tau0(extra), 1e-12, STEP_CAP) * np.sqrt(gnorm2 / _norm2(HG))) * HG
         slope = float(_mdot(G, r))
         t = 1.0
         # a direction that does not descend fails without a trial
@@ -357,8 +508,8 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
                 wolfe_rejections += 1
             t *= 0.5
         else:
-            if len(sy):
-                pairs, sy = pairs[:, :0], sy[:0]
+            if live:
+                live = []
                 restarts += 1
                 continue
             ls_failure = True
@@ -366,11 +517,12 @@ def _descend(energy, grad, Z: np.ndarray, tau0, opts: SolveOptions):
         if G_new is None:
             G_new = _riemannian_grad(Z_new, grad(extra_new))
             grad_evals += 1
-        pairs = _project(Z_new, np.concatenate([pairs, [[Z_new - Z], [G_new - G]]], axis=1))
-        sy = _mdot(pairs[0], pairs[1])
-        if not (sy > 0.0).all():
-            pairs, sy = pairs[:, sy > 0.0], sy[sy > 0.0]
-        pairs, sy = pairs[:, -LBFGS_MEMORY:], sy[-LBFGS_MEMORY:]
+        slot = min(set(range(LBFGS_MEMORY + 1)) - set(live))
+        np.subtract(Z_new, Z, out=ring[0, slot])
+        np.subtract(G_new, G, out=ring[1, slot])
+        _project(Z_new, ring)
+        sy = _mdot(ring[0], ring[1])
+        live = [i for i in live + [slot] if sy[i] > 0.0][-LBFGS_MEMORY:]
         Z, J, extra, G = Z_new, J_new, extra_new, G_new
         iterations += 1
         log.append(J)
@@ -396,7 +548,7 @@ def minimize(
     measures `init` as it is.
     """
     _check_p(p)
-    Z0 = mesh.vertices[mesh.class_rep_vertex] if init is None else np.asarray(init, dtype=float)
+    Z0 = (mesh.vertices[mesh.class_rep_vertex] if init is None else np.asarray(init, dtype=float)).T.copy()
     ctx = _Context(mesh, rho)
 
     def tau0(m):
@@ -404,8 +556,13 @@ def minimize(
         smax = float(np.sqrt(max(m["t"].max(), 1.0)))
         return STEP_CAP / max(1.0, smax ** (p - 2))
 
+    # a budget of 0 takes no step, so it builds no preconditioner
+    start = time.perf_counter()
+    precond = _VCycle(ctx, mesh, Z0, p) if opts.max_iter else _identity
+    built = time.perf_counter()
     Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p),
-                              lambda m: _grad_from_metric(ctx, m), Z0.T.copy(), tau0, opts)
+                              lambda m: _grad_from_metric(ctx, m), Z0, tau0, precond, opts)
+    timings = {"precond_s": built - start, "descent_s": time.perf_counter() - built}
     s1, s2 = _singular_values(m)
     kappa = float(J ** (-1.0 / p))
     # the block at the final iterate from M, its power M^{p/2-1} and the
@@ -426,6 +583,7 @@ def minimize(
         u_bar=m["Yb"].T,
         U_amb=kappa * m["u"].T,
         S_amb=kappa ** (p - 1) * np.einsum("abt,xbt->tax", B, m["u"]),  # U M^{p/2-1}, columns as rows
+        timings=timings,
         **stats,
     )
 
@@ -573,7 +731,7 @@ def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None
     opts = opts or SolveOptions()
     Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
                               lambda parts: _cylinder_grad(p, parts),
-                              rig.points.T.copy(), lambda _: 1e-2, opts)
+                              rig.points.T.copy(), lambda _: 1e-2, _identity, opts)
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z.T.copy())
     stretch = float((J / rig.a_len) ** (1.0 / p))
     del stats["energy_log"]

@@ -319,15 +319,17 @@ def newton_power_oracle(t, d, half_p, want_grads=False):
 
 
 def _f_log_oracle(c):
+    """f(c) = arccosh(c)/sqrt(c^2-1) and f'(c) = (1 - c f)/(c^2-1) in the
+    exact form s^2 = w(c+1), f = log1p(w+s)/s of w = c - 1, by their series
+    where w < 1e-4."""
     w = c - 1.0
-    small = w < 1e-6
-    s2 = np.maximum(c * c - 1.0, 1e-300)
+    small = w < 1e-4
+    s2 = np.maximum(w * (c + 1.0), 1e-300)
     s = np.sqrt(s2)
-    th = np.arccosh(np.maximum(c, 1.0))
-    f_big = th / s
-    fp_big = (s - th * c) / (s2 * s)
-    f_small = 1.0 - w / 3.0 + (2.0 / 15.0) * w * w
-    fp_small = -1.0 / 3.0 + (4.0 / 15.0) * w
+    f_big = np.log1p(np.maximum(w, 0.0) + s) / s
+    fp_big = (1.0 - c * f_big) / s2
+    f_small = 1.0 - w / 3.0 + (2.0 / 15.0) * w ** 2 - (2.0 / 35.0) * w ** 3
+    fp_small = -1.0 / 3.0 + (4.0 / 15.0) * w - (6.0 / 35.0) * w ** 2
     return np.where(small, f_small, f_big), np.where(small, fp_small, fp_big)
 
 

@@ -193,7 +193,7 @@ def test_solve_reports_evaluation_counters(tmp_path):
     }
     assert run(tmp_path, "solve", cfg) == 0
     stages = read_report(tmp_path, "solve_summary.json")["stages"]
-    assert [s["iterations"] for s in stages] == [42, 23, 30]
+    assert [s["iterations"] for s in stages] == [24, 8, 15]
     for s in stages:
         # one gradient at the start point, one per accepted step and one per
         # failed slope test; every line-search trial costs one energy evaluation
@@ -201,6 +201,11 @@ def test_solve_reports_evaluation_counters(tmp_path):
         assert s["grad_evals"] == s["iterations"] + 1 + s["wolfe_rejections"]
     # no line search fails, so the L-BFGS memory is never reset
     assert [s["restarts"] for s in stages] == [0, 0, 0]
+    # where each stage's time went: the preconditioner's build, the descent,
+    # and the currents with their checks
+    for s in stages:
+        assert set(s["timings"]) == {"precond_s", "descent_s", "currents_s"}
+        assert all(v > 0.0 for v in s["timings"].values())
     # a resumed stage evaluates the loaded point once
     assert run(tmp_path, "solve", cfg) == 0
     for s in read_report(tmp_path, "solve_summary.json")["stages"]:

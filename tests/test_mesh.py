@@ -17,6 +17,7 @@ from oracles import (
 from stretchlab.mesh import (
     DiscreteOneForm,
     MeshError,
+    _midpoint,
     build_octagon_mesh,
     closedness_residual,
     edge_average,
@@ -52,6 +53,48 @@ def test_chord_area_convergence(meshes):
     errs = [abs(meshes[lvl].chord_areas.sum() - 4 * np.pi) for lvl in LEVELS]
     for a, b in zip(errs, errs[1:]):
         assert b < a / 2.5  # O(4^{-level}) in practice
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+def test_parent_edges_give_every_midpoint(level):
+    # each refinement's table: fine vertex n_l + e is the geodesic midpoint
+    # of level-l edge e, bit for bit, and the level-l vertices come first
+    m = build_octagon_mesh(level)
+    assert len(m.parent_edges) == level
+    n = 9
+    for lvl, edges in enumerate(m.parent_edges):
+        assert np.array_equal(edges, build_octagon_mesh(lvl).edges)
+        assert np.array_equal(m.vertices[n:n + len(edges)], _midpoint(m.vertices[edges[:, 0]], m.vertices[edges[:, 1]]))
+        n += len(edges)
+    assert n == m.n_vertices
+
+
+def test_class_hierarchy_levels():
+    # the classes of level l are the mesh's classes 0..n-1, each midpoint
+    # class is prolonged from a vertex of its own refinement, and the
+    # Galerkin products reproduce P^T A P for a random A on the graph
+    m = build_octagon_mesh(3)
+    hier = m.class_hierarchy
+    assert [g.n for g in hier.graphs] == [254, 62, 14, 2]
+    n_vertices = m.n_vertices
+    rng = np.random.default_rng(3)
+    for fine, pro, coarse, edges in zip(hier.graphs, hier.prolongations, hier.graphs[1:], m.parent_edges[::-1]):
+        n_vertices -= len(edges)
+        assert set(m.vertex_class[:n_vertices]) == set(range(coarse.n))
+        assert (m.vertex_class[n_vertices:] >= coarse.n).all()
+        assert ((pro.mid[:, 0] >= n_vertices) & (m.vertex_class[pro.mid[:, 0]] == np.arange(coarse.n, fine.n))).all()
+        assert np.array_equal(edges[pro.mid[:, 0] - n_vertices], pro.mid[:, 1:])
+        A = np.zeros((fine.n, fine.n))
+        A[fine.rows, fine.cols] = vals = rng.standard_normal(len(fine.rows))
+        P = np.zeros((fine.n, coarse.n))
+        p_rows = np.searchsorted(pro.starts, np.arange(len(pro.cols)), side="right") - 1
+        np.add.at(P, (p_rows, pro.cols), coefs := rng.standard_normal(len(pro.cols)))
+        assert np.array_equal(p_rows[pro.r_perm], pro.r_rows)
+        s, k1, k2, slot = pro.galerkin
+        got = np.zeros((coarse.n, coarse.n))
+        got[coarse.rows, coarse.cols] = np.bincount(slot, coefs[k1] * vals[s] * coefs[k2], len(coarse.rows))
+        np.testing.assert_allclose(got, P.T @ A @ P, rtol=0, atol=1e-12)
+        assert np.array_equal(coarse.rows[coarse.diag], coarse.cols[coarse.diag])
 
 
 @pytest.mark.parametrize("level", (0, 1, 2, 3, 4))
