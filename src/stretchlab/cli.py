@@ -309,8 +309,8 @@ def cmd_solve(config: dict, outdir: str):
         schedule = pharmonic.check_schedule(config.get("p_schedule", [2, 4, 8, 16, 32, 64]))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    opts = SolveOptions(tol=_real_setting(config, "tol", 1e-7, 0.0),
-                        max_iter=_int_setting(config, "max_iter", 6000, 0))
+    opts = SolveOptions(tol=_real_setting(config, "tol", SolveOptions.tol, 0.0),
+                        max_iter=_int_setting(config, "max_iter", SolveOptions.max_iter, 0))
     level = _int_setting(config, "mesh_level", 3, 0)
     ttype = target.get("type")
     if ttype == "cylinder":
@@ -339,7 +339,11 @@ def cmd_solve(config: dict, outdir: str):
             with np.load(ck_path) as ck:
                 if str(ck["config_hash"]) == report["config_hash"]:
                     for p in ck["stages"]:
-                        done_stages[int(p)] = ck[f"class_points_p{int(p)}"]
+                        pts = ck[f"class_points_p{int(p)}"]
+                        if pts.shape != (mesh.n_classes, 3) or pts.dtype.kind not in "fi":
+                            raise ValueError(f"class_points_p{int(p)} is a {pts.shape} {pts.dtype} array, "
+                                             f"not ({mesh.n_classes}, 3) reals")
+                        done_stages[int(p)] = pts
         except (zipfile.BadZipFile, EOFError, OSError, KeyError, ValueError) as exc:
             raise ConfigError(f"unreadable checkpoint {ck_path}: {exc!r}")
 
@@ -391,11 +395,18 @@ def cmd_solve(config: dict, outdir: str):
 def cmd_report(config: dict, outdir: str):
     report = _report_skeleton(config)
     src = config.get("dir", outdir)
+    if not isinstance(src, str):
+        raise ConfigError(f"dir must be a path, got {src!r}")
     found = {}
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".json") and name != "report.json":
-            with open(os.path.join(src, name)) as fh:
-                found[name] = json.load(fh)
+    try:
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".json") and name != "report.json":
+                with open(os.path.join(src, name)) as fh:
+                    found[name] = json.load(fh)
+                if not isinstance(found[name], dict):
+                    raise ValueError(f"{name} is not a JSON object")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unreadable report input in {src}: {exc!r}")
     report["collected"] = sorted(found)
     report["summaries"] = {
         name: {k: v for k, v in data.items() if k not in ("config", "cases", "pairs", "stages")}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import Cocycle, evaluate_cocycle
+from .cocycle import FD_STEP, Cocycle, evaluate_cocycle
 from .fuchsian import GENERATOR_NAMES, SurfaceGroupRep, axis_generator, translation_length
 from .lamination import WeightedMulticurve, length
 from .lorentz import exp_so21, group_inv, killing
@@ -27,7 +27,6 @@ from .lorentz import exp_so21, group_inv, killing
 # curve -> the generator rewritten by its twist
 TWIST_PARTNER = {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"}
 
-FD_STEP = 1e-4
 REL_ERR_FLOOR = 1e-12
 
 

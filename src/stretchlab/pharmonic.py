@@ -24,12 +24,14 @@ and h_{n-2} included, once it passes Armijo or once J is within
 WOLFE_EPS |J| of the start, for the slope test.
 
 The descent is seeded with H0, the inverse of a weighted connection
-Laplacian A on the tangent planes of the classes, built once per stage at
-its start map and applied as one symmetric multigrid V-cycle on the mesh's
-class hierarchy (`_VCycle`): the p-energies grow stiffer with the level and
-with p as their minimizers approach the best Lipschitz map, and H0 takes
-the level dependence out of the iteration count at small p.  The cylinder
-rig is seeded with the identity.
+Laplacian A on the tangent planes of the classes, built once per stage from
+the evaluation of its start map and applied as one symmetric multigrid
+V-cycle on the mesh's class hierarchy (`_VCycle`): the p-energies grow
+stiffer with the level and with p as their minimizers approach the best
+Lipschitz map, and H0 takes the level dependence out of the iteration count
+at small p.  A carries the scale of the Hessian of J_p, so H0 G is also the
+step length taken with an empty L-BFGS memory, at t = 1.  The cylinder rig
+is seeded with H0 = 1e-2 I.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id.  `minimize`
@@ -59,10 +61,9 @@ from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, edge_av
 # options and result
 # ---------------------------------------------------------------------------
 
-# descent: gradient steps at most STEP_CAP, Armijo constant, halvings before
-# a line search fails, the relative rise of J within which a trial may pass
-# on its slope (approximate Wolfe), and the number of L-BFGS pairs kept
-STEP_CAP = 1.0
+# descent: Armijo constant, halvings before a line search fails, the
+# relative rise of J within which a trial may pass on its slope (approximate
+# Wolfe), and the number of L-BFGS pairs kept
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
 WOLFE_EPS = 1e-10
@@ -72,7 +73,7 @@ LBFGS_MEMORY = 8
 @dataclass
 class SolveOptions:
     tol: float = 1e-7          # stationarity: |grad| <= tol * max(1, J_p)
-    max_iter: int = 4000
+    max_iter: int = 6000
 
 
 @dataclass
@@ -102,8 +103,9 @@ class SolveResult:
     energy_evals: int
     grad_evals: int
     energy_log: list
-    # seconds: the preconditioner's build and the descent in `minimize`,
-    # then the currents and checks in `cli.p_continuation`
+    # seconds: the start's evaluation with the preconditioner's build, and
+    # the descent in `minimize`, then the currents and checks in
+    # `cli.p_continuation`
     timings: dict
     V_q: DiscreteOneForm | None = None
     W_q: DiscreteOneForm | None = None
@@ -334,12 +336,6 @@ def _rotation(lifted: np.ndarray, to, frm) -> np.ndarray:
     return z / np.abs(z)
 
 
-def _trace_power(ctx: _Context, Z: np.ndarray, p: int) -> np.ndarray:
-    """n tr M^{n-1} per triangle at Z, from M^{n-1} = h_{n-1} I - h_{n-2} adj M."""
-    m = _energy_and_grad(ctx, Z, p)[1]
-    return m["n"] * (2.0 * m["h1"] - m["t"] * m["h2"])
-
-
 class _VCycle:
     """H0 of the L-BFGS descent: one symmetric V-cycle for the weighted
     connection Laplacian A, built once per stage at its start map, as in
@@ -350,18 +346,22 @@ class _VCycle:
     = z_c x# a_c; lifted to two corners of a triangle, the frames differ by
     the polar factor of F_i^T lift_i^T E lift_j F_j, a rotation, so A is
     Hermitian: sum over triangle edges of w |x_i - R_ij x_j|^2, weights
-    w_T max(-K_ij, 0) with K the P1 stiffness matrix and w_T = n tr M^{n-1}
-    normalized to mean 1, plus MASS_WEIGHT times the lumped mass.  The
-    V-cycle has Galerkin operators P^H A P down to level VCYCLE_COARSEST,
-    where P injects the coarse classes and averages a midpoint class's two
-    ends through the same polar transports, one damped Jacobi sweep before
-    and one after the coarse correction, and a dense inverse at the
-    coarsest level.  Applied to a tangent field V at Z it returns F B F^T E V
-    projected on T_Z, B the V-cycle operator.  Built at the class points Z,
-    with the metric of J_p there."""
+    (p - 1) w_T area max(-K_ij, 0) with K the P1 stiffness matrix and w_T =
+    n tr M^{n-1}, plus MASS_WEIGHT (p - 1) mean(w_T) times the lumped mass.
+    w_T is the Gauss-Newton weight, from dJ/dM = area n M^{n-1}; along one
+    singular value, s^{2n} has second derivative 2n(2n - 1) s^{2n-2}, p - 1
+    times that term, so A has the Hessian's scale and H0 G is a step length
+    as well as a direction.  The V-cycle has Galerkin operators P^H A P
+    down to level VCYCLE_COARSEST, where P injects the coarse classes and
+    averages a midpoint class's two ends through the same polar transports,
+    one damped Jacobi sweep before and one after the coarse correction, and
+    a dense inverse at the coarsest level.  Applied to a tangent field V at Z it returns F B F^T E V
+    projected on T_Z, B the V-cycle operator.  Built at the class points Z
+    from m, the intermediates of `_energy_and_grad` there."""
 
-    def __init__(self, ctx: _Context, mesh: FundamentalMesh, Z: np.ndarray, p: int):
-        wT = _trace_power(ctx, Z, p)
+    def __init__(self, ctx: _Context, mesh: FundamentalMesh, Z: np.ndarray, m: dict):
+        # (p - 1) n tr M^{n-1} per triangle, from M^{n-1} = h_{n-1} I - h_{n-2} adj M
+        wT = (2 * m["n"] - 1) * m["n"] * (2.0 * m["h1"] - m["t"] * m["h2"])
         hier = mesh.class_hierarchy
         depth = mesh.level - min(mesh.level, VCYCLE_COARSEST)
         a = Z * Z[0]
@@ -374,14 +374,14 @@ class _VCycle:
 
         # weights and transports per triangle edge k = corners (k, k+1)
         grads = np.stack([-ctx.Ki[0] - ctx.Ki[1], ctx.Ki[0], ctx.Ki[1]])  # P1 gradients per corner
-        w = (wT * (ctx.areas / wT.mean())) * np.maximum(-(grads * np.roll(grads, -1, axis=0)).sum(axis=1), 0.0)
+        w = (wT * ctx.areas) * np.maximum(-(grads * np.roll(grads, -1, axis=0)).sum(axis=1), 0.0)
         tri = mesh.triangles.T
         wR = (w * _rotation(lifted, tri, np.roll(tri, -1, axis=0))).ravel()
         graph = hier.graphs[0]
         vals = _csum(hier.edge_slots.ravel(), np.concatenate([-wR, -wR.conj()]), len(graph.rows))
         # corner k ends edges k and k - 1, and carries a third of the area
-        vals[graph.diag] += np.bincount(mesh.vertex_class[tri].ravel(),
-                                        (w + np.roll(w, 1, axis=0) + (MASS_WEIGHT / 3.0) * ctx.areas).ravel(), graph.n)
+        mass = (MASS_WEIGHT * wT.mean() / 3.0) * ctx.areas
+        vals[graph.diag] += np.bincount(mesh.vertex_class[tri].ravel(), (w + np.roll(w, 1, axis=0) + mass).ravel(), graph.n)
 
         self.levels = []
         for graph, pro, coarse in zip(hier.graphs[:depth], hier.prolongations, hier.graphs[1:]):
@@ -441,23 +441,19 @@ def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, precond, ring: np.ndarray, li
     return _project(Z, r)
 
 
-def _identity(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """H0 = I, for the cylinder rig and for a budget of 0."""
-    return V
-
-
-def _descend(energy, grad, Z: np.ndarray, tau0, precond, opts: SolveOptions):
+def _descend(energy, grad, Z: np.ndarray, start, precond, opts: SolveOptions):
     """Riemannian L-BFGS with an approximate-Wolfe line search on (3, n)
     points Z, one hyperboloid point per column, preconditioned by H0 =
     precond(Z, V): a symmetric positive map of tangent fields V at Z, (3, n)
-    or a stack of them (`_VCycle` for the surface, `_identity` for the
-    cylinder rig), applied once per iteration.
+    or a stack of them (`_VCycle` for the surface, 1e-2 I for the cylinder
+    rig), applied once per iteration and never with a budget of 0.
 
     energy(Z) returns (J, extra) without a gradient, so a line-search trial
-    costs one energy evaluation; grad(extra) builds the Euclidean gradient.
-    A trial is _retract(Z, t r), r = `_lbfgs_direction` or, with an empty
-    memory, H0 G scaled to the length tau0(extra) |G|, and t = 1 halved up
-    to MAX_BACKTRACKS times.  It passes on Armijo decrease, or, if J rose by
+    costs one energy evaluation; start = energy(Z) at the start, evaluated
+    by the caller and counted in energy_evals; grad(extra) builds the
+    Euclidean gradient.  A trial is _retract(Z, t r), r = `_lbfgs_direction`
+    or, with an empty memory, H0 G, and t = 1 halved up to MAX_BACKTRACKS
+    times.  It passes on Armijo decrease, or, if J rose by
     at most WOLFE_EPS |J| (the float resolution of J), when its gradient G+,
     then reused, has (G+, r)# in [-0.8, 0.9] (G, r)#; a failed slope test
     costs a gradient (`wolfe_rejections`), so grad_evals == iterations + 1 +
@@ -472,7 +468,7 @@ def _descend(energy, grad, Z: np.ndarray, tau0, precond, opts: SolveOptions):
     reports whether the start point is stationary.  Returns the last
     iterate, its energy and extra, and the run statistics.
     """
-    J, extra = energy(Z)
+    J, extra = start
     G = _riemannian_grad(Z, grad(extra))
     energy_evals = grad_evals = 1
     log, ring, live = [J], np.zeros((2, LBFGS_MEMORY + 1) + Z.shape), []
@@ -488,8 +484,7 @@ def _descend(energy, grad, Z: np.ndarray, tau0, precond, opts: SolveOptions):
         if live:
             r = _lbfgs_direction(Z, G, precond, ring, live, sy)
         else:
-            HG = precond(Z, G)
-            r = float(np.clip(tau0(extra), 1e-12, STEP_CAP) * np.sqrt(gnorm2 / _norm2(HG))) * HG
+            r = precond(Z, G)
         slope = float(_mdot(G, r))
         t = 1.0
         # a direction that does not descend fails without a trial
@@ -551,17 +546,14 @@ def minimize(
     Z0 = (mesh.vertices[mesh.class_rep_vertex] if init is None else np.asarray(init, dtype=float)).T.copy()
     ctx = _Context(mesh, rho)
 
-    def tau0(m):
-        # initial step scaled down by the large-p conditioning s1^{p-2}
-        smax = float(np.sqrt(max(m["t"].max(), 1.0)))
-        return STEP_CAP / max(1.0, smax ** (p - 2))
-
-    # a budget of 0 takes no step, so it builds no preconditioner
+    # the start is evaluated once, for the preconditioner and the descent; a
+    # budget of 0 takes no step, so it builds no preconditioner
     start = time.perf_counter()
-    precond = _VCycle(ctx, mesh, Z0, p) if opts.max_iter else _identity
+    J0, m0 = _energy_and_grad(ctx, Z0, p)
+    precond = _VCycle(ctx, mesh, Z0, m0) if opts.max_iter else None
     built = time.perf_counter()
     Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p),
-                              lambda m: _grad_from_metric(ctx, m), Z0, tau0, precond, opts)
+                              lambda m: _grad_from_metric(ctx, m), Z0, (J0, m0), precond, opts)
     timings = {"precond_s": built - start, "descent_s": time.perf_counter() - built}
     s1, s2 = _singular_values(m)
     kappa = float(J ** (-1.0 / p))
@@ -729,9 +721,12 @@ def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None
     """The shared descent, `_descend`, on the rig's product of hyperboloids."""
     _check_p(p)
     opts = opts or SolveOptions()
+    Z0 = rig.points.T.copy()
+    # H0 = 1e-2 I: a first step of 1e-2 G, after which the L-BFGS scaling
+    # (s, y)#/(y, H0 y)# cancels the constant
     Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
                               lambda parts: _cylinder_grad(p, parts),
-                              rig.points.T.copy(), lambda _: 1e-2, _identity, opts)
+                              Z0, _cylinder_energy(rig, p, Z0), lambda Z, V: 1e-2 * V, opts)
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z.T.copy())
     stretch = float((J / rig.a_len) ** (1.0 / p))
     del stats["energy_log"]

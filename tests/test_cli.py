@@ -193,7 +193,7 @@ def test_solve_reports_evaluation_counters(tmp_path):
     }
     assert run(tmp_path, "solve", cfg) == 0
     stages = read_report(tmp_path, "solve_summary.json")["stages"]
-    assert [s["iterations"] for s in stages] == [24, 8, 15]
+    assert [s["iterations"] for s in stages] == [23, 9, 15]
     for s in stages:
         # one gradient at the start point, one per accepted step and one per
         # failed slope test; every line-search trial costs one energy evaluation
@@ -252,6 +252,28 @@ def test_solve_unreadable_checkpoint_is_config_error(tmp_path, capsys):
     assert ck.read_bytes() == data[: len(data) // 2]
 
 
+def test_solve_checkpoint_of_wrong_shape_is_config_error(tmp_path, capsys):
+    # a class-point array cut to 3 rows, or to none, is rejected when it is
+    # loaded, before a stage is measured at it
+    cfg = {
+        "target": {"type": "twist", "curve": "a1", "t": 0.5},
+        "mesh_level": 1,
+        "p_schedule": [2, 4],
+        "max_iter": 5,
+        "max_word_len": 2,
+    }
+    assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
+    ck = tmp_path / "out" / "checkpoint.npz"
+    with np.load(ck) as data:
+        arrays = {k: data[k] for k in data.files}
+    for cut in (arrays["class_points_p4"][:3], np.empty((0, 3))):
+        np.savez(ck, **{**arrays, "class_points_p4": cut})
+        capsys.readouterr()
+        assert run(tmp_path, "solve", cfg) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: unreadable checkpoint {ck}" in err and "class_points_p4" in err
+
+
 def test_solve_resumed_nan_map_is_numeric_failure(tmp_path):
     # a checkpoint whose class points are NaN resumes to a non-finite J_p
     cfg = {
@@ -294,6 +316,17 @@ def test_kbound_rejects_overflowing_twist(tmp_path):
     cfg = {"target": {"twist": {"curve": "b2", "t": 1.5}}, "max_word_len": 2}
     assert run(tmp_path, "kbound", cfg) == 0
     assert read_report(tmp_path, "kbound_report.json")["k_lower_bound"] > 1.0
+
+
+def test_report_input_errors_are_config_errors(tmp_path, capsys):
+    # a missing directory, and a .json file in it that does not parse
+    assert run(tmp_path, "report", {"dir": str(tmp_path / "absent")}) == cli.EXIT_CONFIG
+    assert "config error: unreadable report input" in capsys.readouterr().err
+    src = tmp_path / "summaries"
+    src.mkdir()
+    (src / "broken.json").write_text('{"stages": [')
+    assert run(tmp_path, "report", {"dir": str(src)}) == cli.EXIT_CONFIG
+    assert "config error: unreadable report input" in capsys.readouterr().err
 
 
 def test_solve_rejects_unknown_target(tmp_path):

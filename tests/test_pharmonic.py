@@ -49,18 +49,18 @@ def twist_solution(mesh2, rho_twist):
 # the reference twist at level 2 as the preconditioned L-BFGS descent solves it:
 # (accepted steps, restarts, J_p, residuals) per p-stage
 PINNED_TWIST_STAGES = {
-    2: (24, 0, 26.05422127261483, {
-        "V_closedness": 0.07930113683401967, "W_closedness": 0.4440228582353315,
-        "minus2T_literal_gap": 0.08401630001039692, "omega_wedge_W_l1_gap": 0.9975500253652931,
-        "concentration_fraction": 0.6931643431784669}),
-    4: (8, 0, 28.05376138704616, {
-        "V_closedness": 0.11584813779202034, "W_closedness": 0.1693232574886089,
-        "minus2T_literal_gap": 0.04447314076561984, "omega_wedge_W_l1_gap": 0.46722401520915235,
-        "concentration_fraction": 0.7602196646362566}),
+    2: (23, 0, 26.05422127261483, {
+        "V_closedness": 0.0793011582118556, "W_closedness": 0.4440253565246976,
+        "minus2T_literal_gap": 0.08401630611838384, "omega_wedge_W_l1_gap": 0.9975500276420914,
+        "concentration_fraction": 0.6931643311216958}),
+    4: (9, 0, 28.05376138704616, {
+        "V_closedness": 0.11584813062153762, "W_closedness": 0.16932324883963112,
+        "minus2T_literal_gap": 0.04447314256720135, "omega_wedge_W_l1_gap": 0.4672240148647307,
+        "concentration_fraction": 0.7602196647114503}),
     8: (15, 0, 35.80062069338056, {
-        "V_closedness": 0.16637383264788372, "W_closedness": 0.18016742642425915,
-        "minus2T_literal_gap": 0.02589217985666377, "omega_wedge_W_l1_gap": 0.21851652415777217,
-        "concentration_fraction": 0.952651474117683}),
+        "V_closedness": 0.16637382993788952, "W_closedness": 0.18016741060802005,
+        "minus2T_literal_gap": 0.025892180081171653, "omega_wedge_W_l1_gap": 0.21851652351346817,
+        "concentration_fraction": 0.9526514738900494}),
 }
 
 
@@ -136,7 +136,7 @@ def test_cylinder_minimize_recovers_stretch():
 
 def test_cylinder_iterations_are_pinned():
     # accepted steps of the L-BFGS descent on the rig; every stage meets tol
-    for args, iterations in (((64, (2, 4, 8), 1), [227, 15, 41]), ((48, (2, 8), 0), [148, 82])):
+    for args, iterations in (((64, (2, 4, 8), 1), [212, 24, 14]), ((48, (2, 8), 0), [149, 89])):
         n, schedule, seed = args
         _, reports = cylinder_continuation(2.0, 3.0, n=n, schedule=schedule, seed=seed)
         assert [r["iterations"] for r in reports] == iterations
@@ -196,6 +196,25 @@ def test_lbfgs_pairs_are_tangent_and_direction_descends(mesh2, rho_twist, monkey
                 assert np.abs(np.einsum("an,an->n", lorentz.E_SHARP @ v, Z)).max() <= 1e-12 * np.abs(v).max()
             assert sy == _mdot(s, y) > 0.0
         assert _mdot(G, r) > 0.0
+
+
+@pytest.mark.parametrize("max_iter", [0, 12])
+def test_start_is_evaluated_once(mesh2, rho_twist, monkeypatch, max_iter):
+    # every evaluation of J_p in a stage is one that energy_evals counts: the
+    # start's evaluation serves both the preconditioner and the descent
+    from stretchlab import pharmonic
+
+    calls = []
+    energy_and_grad = pharmonic._energy_and_grad
+
+    def counted(*args):
+        calls.append(args)
+        return energy_and_grad(*args)
+
+    monkeypatch.setattr(pharmonic, "_energy_and_grad", counted)
+    res = minimize(mesh2, rho_twist, 4, opts=SolveOptions(max_iter=max_iter))
+    assert res.iterations == max_iter
+    assert len(calls) == res.energy_evals
 
 
 def test_twist_draws_reach_tol(octagon, mesh2):
@@ -381,12 +400,12 @@ def test_f_log_against_mpmath():
 
 @pytest.fixture(scope="module")
 def vcycle_l3(rho_twist):
-    from stretchlab.pharmonic import _Context, _VCycle
+    from stretchlab.pharmonic import _Context, _energy_and_grad, _VCycle
 
     mesh = build_octagon_mesh(3)
     ctx = _Context(mesh, rho_twist)
     Z = mesh.vertices[mesh.class_rep_vertex].T.copy()
-    return mesh, Z, {p: _VCycle(ctx, mesh, Z, p) for p in (2, 16)}
+    return mesh, Z, {p: _VCycle(ctx, mesh, Z, _energy_and_grad(ctx, Z, p)[1]) for p in (2, 16)}
 
 
 @pytest.mark.parametrize("p", [2, 16])
