@@ -265,7 +265,9 @@ def _write_stage_csv(outdir, res):
     with open(os.path.join(outdir, f"solve_stage_p{res.p}.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["triangle", "area", "s1", "s2", "density"])
-        w.writerows(zip(range(res.mesh.n_triangles), res.mesh.areas, res.s1, res.s2, res.density))
+        # Python floats, made row by row: their repr is numpy's str, written faster
+        columns = (res.mesh.areas, res.s1, res.s2, res.density)
+        w.writerows(zip(range(res.mesh.n_triangles), *(map(float, column) for column in columns)))
 
 
 def _solve_exit_code(stages) -> int:

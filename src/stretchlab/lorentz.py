@@ -73,7 +73,10 @@ def cross(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     Broadcasts over leading axes: (..., 3) vectors give (..., 3, 3) values.
     """
-    return Y[..., :, None] * (X @ E_SHARP)[..., None, :] - X[..., :, None] * (Y @ E_SHARP)[..., None, :]
+    sign = E_SHARP.diagonal()
+    out = Y[..., :, None] * (X * sign)[..., None, :]
+    out -= X[..., :, None] * (Y * sign)[..., None, :]
+    return out
 
 
 def mink_cross_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -466,8 +466,8 @@ def edge_average(mesh: FundamentalMesh, tri_values: np.ndarray, rep: SurfaceGrou
     """The form whose edge value is the mean of its two slot values in
     tri_values (nt, 3, 3, 3), on the canonical orientation: from its two
     triangles, or from its one triangle and its twin's, carried by Ad(rep)."""
-    own = np.zeros((len(mesh.edges), 3, 3))
-    np.add.at(own, mesh.tri_edges.ravel(), tri_values.reshape(-1, 3, 3))
+    slots, ne = mesh.tri_edges.ravel(), len(mesh.edges)
+    own = np.stack([np.bincount(slots, entry, ne) for entry in tri_values.reshape(-1, 9).T], axis=-1).reshape(ne, 3, 3)
     total = own.copy()
     mats = rep.pairing_images()
     for k, (far, near, sign) in enumerate(mesh.edge_twins):

@@ -316,8 +316,9 @@ MASS_WEIGHT = 1e-3
 def _spmv(vals, cols, starts, x):
     """The product of the sparse matrix with entries vals in columns cols,
     row by row, row i from entry starts[i] (every row nonempty), with the
-    vectors x (..., n)."""
-    return np.add.reduceat(vals * x[..., cols], starts, axis=-1)
+    vectors x (..., n).  The gather is `take`: the index x[..., cols] goes
+    through numpy's general multi-index path and is 4-6x slower at L4."""
+    return np.add.reduceat(vals * x.take(cols, axis=-1), starts, axis=-1)
 
 
 def _csum(index, values, n: int):
@@ -594,10 +595,12 @@ def density_and_currents(result: SolveResult) -> SolveResult:
     # vertex id), rotated by -90 degrees: (x, y) -> (y, -x)
     xi = mesh.tri_edge_sign[..., None] * (np.roll(mesh.tri_coords, -1, axis=1) - mesh.tri_coords)
     r = np.stack([xi[..., 1], -xi[..., 0]], axis=-1)               # (nt, 3, 2)
-    v3 = np.einsum("tsa,tax->tsx", r, result.S_amb)
-    w3 = np.einsum("tia,tsa,tix->tsx", result.T_q, r, mesh.frames)
-    result.V_q = edge_average(mesh, cross(v3, result.u_bar[:, None]), result.rho)
-    result.W_q = edge_average(mesh, cross(w3, mesh.circumcenters[:, None]), mesh.rep)
+    # batched @, not einsum: on these row-major (nt, 3, 2) blocks einsum runs
+    # inner loops of length 2 or 3 and is 7-8x slower at L4; no product is
+    # kept once its cross product is taken (peak memory)
+    result.V_q = edge_average(mesh, cross(r @ result.S_amb, result.u_bar[:, None]), result.rho)
+    result.W_q = edge_average(mesh, cross(r @ (result.T_q.transpose(0, 2, 1) @ mesh.frames),
+                                          mesh.circumcenters[:, None]), mesh.rep)
     result.residuals["V_closedness"] = closedness_residual(result.V_q)
     result.residuals["W_closedness"] = closedness_residual(result.W_q)
     return result

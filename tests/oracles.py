@@ -551,3 +551,54 @@ def current_block_oracle(result) -> dict:
         "density": density, "T_q": T, "u_bar": Yb,
         "U_amb": np.einsum("tia,tix->tax", U, F), "S_amb": np.einsum("tia,tix->tax", S, F),
     }
+
+
+# the per-triangle currents and their edge scatter as einsums and np.add.at,
+# apart from the batched products and the np.bincount of
+# pharmonic.density_and_currents and mesh.edge_average
+
+
+def cross_oracle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Y X# - X Y# as explicit outer products, X# = e# X."""
+    return (np.einsum("...i,...j->...ij", Y, np.einsum("...a,ab->...b", X, E_SHARP))
+            - np.einsum("...i,...j->...ij", X, np.einsum("...a,ab->...b", Y, E_SHARP)))
+
+
+def edge_average_oracle(mesh, tri_values: np.ndarray, rep: SurfaceGroupRep, magnitude: bool = False) -> np.ndarray:
+    """(ne, 3, 3) edge values of mesh.edge_average, scattered with np.add.at;
+    with magnitude=True, the same sums over the absolute values of every
+    factor."""
+    size = np.abs if magnitude else (lambda x: x)
+    own = np.zeros((len(mesh.edges), 3, 3))
+    np.add.at(own, mesh.tri_edges.ravel(), tri_values.reshape(-1, 3, 3))
+    total = own.copy()
+    mats = size(rep.pairing_images())
+    for k, (far, near, sign) in enumerate(mesh.edge_twins):
+        g, g_inv = mats[k], mats[k + 4]
+        total[far] += size(sign)[:, None, None] * (g_inv @ own[near] @ g)
+        total[near] += size(sign)[:, None, None] * (g @ own[far] @ g_inv)
+    return 0.5 * total
+
+
+def currents_oracle(result, magnitude: bool = False) -> dict:
+    """The (ne, 3, 3) edge values of V_q and W_q of a solve result, from the
+    einsum forms of the per-triangle currents.  With magnitude=True, every
+    sum runs over absolute values and the two terms of the cross product
+    add: the scale of the terms that the round-off of each entry is
+    relative to."""
+    mesh = result.mesh
+    size = np.abs if magnitude else (lambda x: x)
+    xi = mesh.tri_edge_sign[..., None] * (np.roll(mesh.tri_coords, -1, axis=1) - mesh.tri_coords)
+    r = size(np.stack([xi[..., 1], -xi[..., 0]], axis=-1))
+    v3 = np.einsum("tsa,tax->tsx", r, size(result.S_amb))
+    w3 = np.einsum("tia,tsa,tix->tsx", size(result.T_q), r, size(mesh.frames))
+
+    def slot_values(X, Y):
+        if magnitude:                                              # |Y X#| + |X Y#|
+            return np.einsum("...i,...j->...ij", Y, X) + np.einsum("...i,...j->...ij", X, Y)
+        return cross_oracle(X, Y)
+
+    return {
+        "V_q": edge_average_oracle(mesh, slot_values(v3, size(result.u_bar)[:, None]), result.rho, magnitude),
+        "W_q": edge_average_oracle(mesh, slot_values(w3, size(mesh.circumcenters)[:, None]), mesh.rep, magnitude),
+    }

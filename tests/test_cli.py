@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -210,6 +211,27 @@ def test_solve_reports_evaluation_counters(tmp_path):
     assert run(tmp_path, "solve", cfg) == 0
     for s in read_report(tmp_path, "solve_summary.json")["stages"]:
         assert (s["iterations"], s["energy_evals"], s["grad_evals"]) == (0, 1, 1)
+
+
+def test_stage_csv_round_trips_exactly(tmp_path):
+    # float() of every number in a stage CSV gives back the solver's or the
+    # mesh's value bit for bit, so a format that drops digits fails
+    from stretchlab.earthquake import TwistSpec, twist
+    from stretchlab.fuchsian import octagon_representation
+    from stretchlab.mesh import build_octagon_mesh
+    from stretchlab.pharmonic import SolveOptions
+
+    mesh = build_octagon_mesh(1)
+    rho = twist(octagon_representation(), TwistSpec("a1", 0.5))
+    for res in cli.p_continuation(mesh, rho, [2, 4], SolveOptions(), resumed={}):
+        cli._write_stage_csv(tmp_path, res)
+        with open(tmp_path / f"solve_stage_p{res.p}.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["triangle", "area", "s1", "s2", "density"]
+        assert [int(row[0]) for row in rows] == list(range(mesh.n_triangles))
+        parsed = np.array([[float(x) for x in row[1:]] for row in rows])
+        for column, want in zip(parsed.T, (mesh.areas, res.s1, res.s2, res.density)):
+            assert column.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
 
 def test_solve_ignores_checkpoint_from_another_config(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import exp_series_oracle, hyperbolic_distance, random_group_elem, random_lie_alg, random_tangent
+from oracles import cross_oracle, exp_series_oracle, hyperbolic_distance, random_group_elem, random_lie_alg, random_tangent
 from stretchlab import lorentz
 from stretchlab.lorentz import (
     B_STD,
@@ -64,6 +64,18 @@ def test_cross_antisymmetric_and_lie_valued(xs, ys):
     np.testing.assert_allclose(A, -cross(Y, X), atol=1e-12)
     assert abs(np.trace(A)) <= 1e-12
     np.testing.assert_allclose(lorentz.sharp_adj(A), -A, atol=1e-12)
+
+
+def test_cross_matches_outer_products_on_solver_shapes(rng):
+    # the broadcasts the currents take: (nt, 3, 3) and (nt, 2, 3) slot
+    # vectors against one (nt, 1, 3) point per triangle
+    nt = 50
+    Y = rng.standard_normal((nt, 1, 3))
+    for rows in (3, 2):
+        X = rng.standard_normal((nt, rows, 3))
+        got = cross(X, Y)
+        assert got.shape == (nt, rows, 3, 3)
+        np.testing.assert_array_equal(got, cross_oracle(X, Y))
 
 
 def test_cross_ad_equivariance(rng):

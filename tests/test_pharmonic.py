@@ -10,6 +10,7 @@ from stretchlab.lorentz import X0
 from oracles import (
     assert_extraction_matches_oracle,
     current_block_oracle,
+    currents_oracle,
     gradient_fd_check,
     kernel_oracle,
     newton_power_oracle,
@@ -441,6 +442,55 @@ def test_preconditioner_is_symmetric_positive_on_tangents(vcycle_l3, rng):
         # a stack is the same map on each field
         np.testing.assert_allclose(H(Z, np.stack([U, V])), np.stack([HU, HV]), rtol=0,
                                    atol=1e-14 * max(np.abs(HU).max(), np.abs(HV).max()))
+
+
+def _dense(rows, cols, starts, vals, shape):
+    """The sparse matrix of _spmv's (cols, starts, vals) as a dense array;
+    rows, when given, must agree with the starts."""
+    from_starts = np.searchsorted(starts, np.arange(len(cols)), side="right") - 1
+    if rows is not None:
+        assert np.array_equal(rows, from_starts)
+    out = np.zeros(shape, complex)
+    out[from_starts, cols] = vals
+    return out
+
+
+def test_spmv_matches_dense_products(vcycle_l3, rng):
+    # every sparse product of the V-cycle (A, P and P^H on each level) against
+    # its dense matrix, on one class vector and on a stack of two: the shapes
+    # of precond(Z, G) and of the two-loop's stack
+    from stretchlab.pharmonic import _spmv
+
+    for H in vcycle_l3[2].values():
+        assert H.levels
+        for graph, vals, _, pro, P, PT in H.levels:
+            n, nc = graph.n, len(pro.r_starts)
+            A = _dense(graph.rows, graph.cols, graph.starts, vals, (n, n))
+            Pd = _dense(None, pro.cols, pro.starts, P, (n, nc))
+            PTd = _dense(None, pro.r_rows, pro.r_starts, PT, (nc, n))
+            assert np.array_equal(PTd, Pd.conj().T)
+            for M, cols, starts, entries in ((A, graph.cols, graph.starts, vals), (Pd, pro.cols, pro.starts, P),
+                                             (PTd, pro.r_rows, pro.r_starts, PT)):
+                for shape in ((M.shape[1],), (2, M.shape[1])):
+                    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    got = _spmv(entries, cols, starts, x)
+                    assert got.shape == shape[:-1] + (M.shape[0],)
+                    scale = np.abs(M).max() * np.abs(x).max()
+                    np.testing.assert_allclose(got, x @ M.T, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("p", [2, 64])
+def test_currents_match_einsum_oracle(mesh2, rho_twist, rng, p):
+    # V_q and W_q from the batched products and the bincount scatter against
+    # the einsum forms and np.add.at, at a perturbed map measured with a
+    # budget of 0: each entry to 1e-14 of the sum of its terms' magnitudes
+    # (the two forms add the same terms in another order)
+    res = density_and_currents(minimize(mesh2, rho_twist, p, init=_moved_class_points(mesh2, rng), opts=MEASURE))
+    want, bound = currents_oracle(res), currents_oracle(res, magnitude=True)
+    for name in ("V_q", "W_q"):
+        err = np.abs(getattr(res, name).values - want[name])
+        assert (err <= 1e-14 * bound[name]).all(), (name, float((err / np.maximum(bound[name], 1e-300)).max()))
+        assert (np.abs(want[name]) <= bound[name] * (1 + 1e-12)).all()
 
 
 @pytest.mark.parametrize("p", [2, 8, 64])
