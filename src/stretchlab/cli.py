@@ -37,6 +37,9 @@ EXIT_THRESHOLD = 4
 
 # kbound at length 9 would enumerate ~46M words, over 1 GB of letter codes
 MAX_WORD_LEN = 8
+# building a mesh peaks at 76 MB RSS at level 6 and 208 MB at level 7, and
+# each level has 4x the triangles of the one below
+MAX_MESH_LEVEL = 7
 
 DEFAULT_TOLERANCES = {
     "relator_residual": fuchsian.RELATOR_TOL,
@@ -270,13 +273,6 @@ def _write_stage_csv(outdir, res):
         w.writerows(zip(range(res.mesh.n_triangles), *(map(float, column) for column in columns)))
 
 
-def _solve_exit_code(stages) -> int:
-    """EXIT_NUMERIC when a stage misses tol (a budget stop or a line-search
-    failure) or ends on a non-finite J_p."""
-    failed = any(not s["converged"] or not np.isfinite(s["J_p"]) for s in stages)
-    return EXIT_NUMERIC if failed else EXIT_OK
-
-
 def p_continuation(mesh, rho, schedule, opts: SolveOptions, resumed: dict):
     """Warm-started continuation in p: each stage minimizes J_p from the last
     stage's map (the first from the domain's class points) and is yielded
@@ -313,18 +309,8 @@ def cmd_solve(config: dict, outdir: str):
         raise ConfigError(str(exc))
     opts = SolveOptions(tol=_real_setting(config, "tol", SolveOptions.tol, 0.0),
                         max_iter=_int_setting(config, "max_iter", SolveOptions.max_iter, 0))
-    level = _int_setting(config, "mesh_level", 3, 0)
+    level = _int_setting(config, "mesh_level", 3, 0, MAX_MESH_LEVEL)
     ttype = target.get("type")
-    if ttype == "cylinder":
-        rig, stages = pharmonic.cylinder_continuation(
-            _real_setting(target, "a", None, 0.0), _real_setting(target, "b", None, -np.inf),
-            n=_int_setting(config, "n_segments", 64, 1),
-            schedule=schedule, opts=opts, seed=_int_setting(config, "seed", 0, 0),
-        )
-        report["stages"] = stages
-        report["final_stretch"] = stages[-1]["stretch"]
-        _write_json(outdir, "solve_summary.json", report)
-        return report, _solve_exit_code(stages)
     if ttype not in ("identity", "twist"):
         raise ConfigError(f"unknown solve target type {ttype!r}")
     max_len = _int_setting(config, "max_word_len", 6, 1, MAX_WORD_LEN) if ttype == "twist" else None
@@ -391,7 +377,10 @@ def cmd_solve(config: dict, outdir: str):
         words = fuchsian.enumerate_words(max_len)
         report["k_lower_bound"] = float(fuchsian.k_lower_bound(words, sigma, rho))
     _write_json(outdir, "solve_summary.json", report)
-    return report, _solve_exit_code(stage_rows)
+    # a numeric failure when a stage misses tol (a budget stop or a
+    # line-search failure) or ends on a non-finite J_p
+    failed = any(not s["converged"] or not np.isfinite(s["J_p"]) for s in stage_rows)
+    return report, EXIT_NUMERIC if failed else EXIT_OK
 
 
 def cmd_report(config: dict, outdir: str):
@@ -407,6 +396,8 @@ def cmd_report(config: dict, outdir: str):
                     found[name] = json.load(fh)
                 if not isinstance(found[name], dict):
                     raise ValueError(f"{name} is not a JSON object")
+                if not isinstance(found[name].get("stages", []), list):
+                    raise ValueError(f"{name}: stages is not a list")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"unreadable report input in {src}: {exc!r}")
     report["collected"] = sorted(found)

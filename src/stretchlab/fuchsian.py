@@ -370,8 +370,8 @@ def stretch_ratio(word, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
     return translation_length(rho.evaluate(w)) / translation_length(sigma.evaluate(w))
 
 
-def enumerate_words(max_len: int, cyclically_reduced: bool = True) -> np.ndarray:
-    """Freely (and optionally cyclically) reduced nonempty words up to max_len.
+def enumerate_words(max_len: int) -> np.ndarray:
+    """Cyclically reduced nonempty words up to max_len.
 
     Returns an (n, max_len) int8 array of letter codes, shorter words padded
     with PAD.  The words come length by length; within one length they are
@@ -386,8 +386,8 @@ def enumerate_words(max_len: int, cyclically_reduced: bool = True) -> np.ndarray
     if max_len == 0:
         return np.empty((0, 0), dtype=np.int8)
     step = 1 - np.eye(8, dtype=np.int64)[np.arange(8) ^ 1]  # step[c, d]: d may follow c
-    ends = step.astype(bool) if cyclically_reduced else np.ones((8, 8), dtype=bool)
-    counts = [int(np.linalg.matrix_power(step, n - 1)[ends].sum()) for n in range(1, max_len + 1)]
+    # cyclically reduced: the pair (first, last) is one that step allows
+    counts = [int((np.linalg.matrix_power(step, n - 1) * step).sum()) for n in range(1, max_len + 1)]
     out = np.full((sum(counts), max_len), PAD, dtype=np.int8)
     free = np.arange(8, dtype=np.int8)[:, None]
     out[:8, :1] = free
@@ -400,8 +400,7 @@ def enumerate_words(max_len: int, cyclically_reduced: bool = True) -> np.ndarray
             words = np.column_stack([np.repeat(parents, 7, axis=0), _NEXT[parents[:, -1]].ravel()])
             if grown is not None:
                 grown[7 * start : 7 * start + len(words)] = words
-            if cyclically_reduced:
-                words = words[words[:, 0] != words[:, -1] ^ 1]
+            words = words[words[:, 0] != words[:, -1] ^ 1]
             out[row : row + len(words), :length] = words
             row += len(words)
         free = grown

@@ -457,11 +457,6 @@ class DiscreteOneForm:
     __rmul__ = __mul__
 
 
-def form_from_edge_function(mesh: FundamentalMesh, fn) -> DiscreteOneForm:
-    """Build a form from fn(i, j) evaluated on canonical edge orientations."""
-    return DiscreteOneForm(mesh, np.array([fn(int(i), int(j)) for i, j in mesh.edges], dtype=float))
-
-
 def edge_average(mesh: FundamentalMesh, tri_values: np.ndarray, rep: SurfaceGroupRep) -> DiscreteOneForm:
     """The form whose edge value is the mean of its two slot values in
     tri_values (nt, 3, 3, 3), on the canonical orientation: from its two

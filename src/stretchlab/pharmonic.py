@@ -14,11 +14,11 @@ h_k = t h_{k-1} - d h_{k-2} in (t, d) = (tr, det) M: tr(M^n) = t h_{n-1} -
 The kernel is coordinate-major: class points, chart points and every
 per-triangle 3-vector are columns of (3, ..., n) arrays, so each numpy op
 runs one contiguous loop; chart points are lifted once per vertex.
-One descent loop, `_descend`, serves both the surface solver and the
-cylinder rig: Riemannian L-BFGS on a product of hyperboloids (retraction:
-renormalize to the sheet, exact exponential step where that would leave it;
-vector transport: tangent projection of the pairs, in place in a ring) with
-an approximate-Wolfe line search.  Line-search trials evaluate the energy
+The descent, `_descend`, is Riemannian L-BFGS on a product of
+hyperboloids, one per vertex class (retraction: renormalize to the sheet,
+exact exponential step where that would leave it; vector transport:
+tangent projection of the pairs, in place in a ring) with an
+approximate-Wolfe line search.  Line-search trials evaluate the energy
 alone; a gradient is built from the intermediates of the trial, h_{n-1}
 and h_{n-2} included, once it passes Armijo or once J is within
 WOLFE_EPS |J| of the start, for the slope test.
@@ -30,8 +30,7 @@ V-cycle on the mesh's class hierarchy (`_VCycle`): the p-energies grow
 stiffer with the level and with p as their minimizers approach the best
 Lipschitz map, and H0 takes the level dependence out of the iteration count
 at small p.  A carries the scale of the Hessian of J_p, so H0 G is also the
-step length taken with an empty L-BFGS memory, at t = 1.  The cylinder rig
-is seeded with H0 = 1e-2 I.
+step length taken with an empty L-BFGS memory, at t = 1.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id.  `minimize`
@@ -51,9 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lorentz
 from .fuchsian import SurfaceGroupRep
-from .lorentz import cross, exp_so21, mink_dot
+from .lorentz import cross
 from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, edge_average, maurer_cartan
 
 
@@ -446,8 +444,8 @@ def _descend(energy, grad, Z: np.ndarray, start, precond, opts: SolveOptions):
     """Riemannian L-BFGS with an approximate-Wolfe line search on (3, n)
     points Z, one hyperboloid point per column, preconditioned by H0 =
     precond(Z, V): a symmetric positive map of tangent fields V at Z, (3, n)
-    or a stack of them (`_VCycle` for the surface, 1e-2 I for the cylinder
-    rig), applied once per iteration and never with a budget of 0.
+    or a stack of them (`_VCycle` in `minimize`), applied once per iteration
+    and never with a budget of 0.
 
     energy(Z) returns (J, extra) without a gradient, so a line-search trial
     costs one energy evaluation; start = energy(Z) at the start, evaluated
@@ -660,89 +658,3 @@ def relation_checks(result: SolveResult) -> dict:
     }
     result.residuals.update(report)
     return report
-
-
-# ---------------------------------------------------------------------------
-# cylinder rig: abelian domain group, geodesic target (closed-form minimizer)
-# ---------------------------------------------------------------------------
-
-# largest geodesic offset of a CylinderRig.initial point from the target axis
-CYLINDER_WOBBLE = 0.3
-
-
-@dataclass
-class CylinderRig:
-    """Periodic 1d mesh for maps of the cylinder of core length a onto the
-    cylinder of core length b; the twisted periodicity is u(t + a) =
-    exp(b B) u(t).  The exact minimizer maps onto the target axis with
-    constant stretch b/a for every p (the degenerate best-Lipschitz case)."""
-
-    a_len: float
-    b_len: float
-    n: int
-    points: np.ndarray  # (n, 3)
-
-    @classmethod
-    def initial(cls, a_len: float, b_len: float, n: int, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        ts = np.arange(n) / n * b_len
-        pts = np.empty((n, 3))
-        for i, t in enumerate(ts):
-            X = lorentz.geodesic(lorentz.X0, np.array([0.0, 1.0, 0.0]), t)
-            v = lorentz.project_tangent(X, rng.standard_normal(3))
-            nv = np.sqrt(max(mink_dot(v, v), 1e-30))
-            s = CYLINDER_WOBBLE * rng.uniform(-1, 1)
-            pts[i] = np.cosh(s) * X + np.sinh(s) * (v / nv)
-        return cls(a_len, b_len, n, pts)
-
-    @property
-    def holonomy(self) -> np.ndarray:
-        return exp_so21(self.b_len * lorentz.B_STD)
-
-
-def _cylinder_energy(rig: CylinderRig, p: int, pts):
-    """J_p at the (3, n) points pts, and the intermediates `_cylinder_grad`
-    builds the gradient from."""
-    dt = rig.a_len / rig.n
-    hol = rig.holonomy
-    nxt = np.hstack([pts[:, 1:], hol @ pts[:, :1]])
-    c = np.maximum(-(SIGN * pts * nxt).sum(axis=0), 1.0)
-    d = np.arccosh(c)
-    return float(np.sum(dt * (d / dt) ** p)), (pts, hol, nxt, c, d, dt)
-
-
-def _cylinder_grad(p: int, parts) -> np.ndarray:
-    pts, hol, nxt, c, d, dt = parts
-    # dJ/dd_i = p d^{p-1} / dt^{p-1}; dd/dc = 1/sqrt(c^2-1); dc = -(E nxt, dpt) ...
-    coef = p * (d / dt) ** (p - 1) / np.sqrt(np.maximum(c * c - 1.0, 1e-30))
-    back = -SIGN * np.roll(pts, 1, axis=1)
-    back[:, 0] = hol.T @ back[:, 0]  # chain through the twisted closure: c_0 uses hol @ pts[:, 0]
-    return coef * (-SIGN * nxt) + np.roll(coef, 1) * back
-
-
-def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None):
-    """The shared descent, `_descend`, on the rig's product of hyperboloids."""
-    _check_p(p)
-    opts = opts or SolveOptions()
-    Z0 = rig.points.T.copy()
-    # H0 = 1e-2 I: a first step of 1e-2 G, after which the L-BFGS scaling
-    # (s, y)#/(y, H0 y)# cancels the constant
-    Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
-                              lambda parts: _cylinder_grad(p, parts),
-                              Z0, _cylinder_energy(rig, p, Z0), lambda Z, V: 1e-2 * V, opts)
-    out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z.T.copy())
-    stretch = float((J / rig.a_len) ** (1.0 / p))
-    del stats["energy_log"]
-    return out, {"J_p": J, "stretch": stretch, **stats}
-
-
-def cylinder_continuation(a_len: float, b_len: float, n: int = 64,
-                          schedule=(2, 4, 8, 16, 32, 64), opts=None, seed: int = 0):
-    schedule = check_schedule(schedule)
-    rig = CylinderRig.initial(a_len, b_len, n, seed=seed)
-    reports = []
-    for p in schedule:
-        rig, rep = cylinder_minimize(rig, p, opts)
-        rep["p"] = p
-        reports.append(rep)
-    return rig, reports

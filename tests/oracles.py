@@ -1,4 +1,8 @@
-"""Independent reference computations that the tests compare the library with."""
+"""Independent reference computations that the tests compare the library
+with, helpers that only the tests use, and the cylinder rig: a second energy
+with a closed-form minimizer that checks `pharmonic._descend`."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +21,31 @@ from stretchlab.fuchsian import (
     as_word,
     octagon_representation,
 )
-from stretchlab.lorentz import E_SHARP, exp_so21, lie_from_frame_coords, log_map, mink_cross_vec, mink_dot, project_tangent
-from stretchlab.mesh import _midpoint, extract_cocycle, loop_integral
-from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _retract, _riemannian_grad, _tri_metric
+from stretchlab.lorentz import (
+    B_STD,
+    BPERP_STD,
+    E_SHARP,
+    NHAT_STD,
+    exp_so21,
+    log_map,
+    mink_cross_vec,
+    mink_dot,
+    project_tangent,
+)
+from stretchlab.mesh import DiscreteOneForm, FundamentalMesh, _midpoint, extract_cocycle, loop_integral
+from stretchlab.pharmonic import (
+    SIGN,
+    SolveOptions,
+    _check_p,
+    _Context,
+    _descend,
+    _energy_and_grad,
+    _grad_from_metric,
+    _retract,
+    _riemannian_grad,
+    _tri_metric,
+    check_schedule,
+)
 
 
 def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -33,6 +59,11 @@ def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
 
 
 # random draws and helpers that only the tests use
+
+
+def lie_from_frame_coords(b: float, a: float, z: float) -> np.ndarray:
+    """A = b B_STD + a BPERP_STD + z NHAT_STD."""
+    return b * B_STD + a * BPERP_STD + z * NHAT_STD
 
 
 def random_lie_alg(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -62,6 +93,37 @@ def zero_cocycle(rep: SurfaceGroupRep) -> Cocycle:
 def words_from_codes(codes: np.ndarray) -> list:
     """The Words spelled by the rows of a letter-code array, PAD dropped."""
     return [Word(c for c in row if c != PAD) for row in codes.tolist()]
+
+
+def enumerate_words_oracle(max_len, cyclically_reduced=True):
+    """Depth-first enumeration of reduced words, one Word at a time."""
+    out = []
+
+    def rec(seq):
+        if seq:
+            w = Word(seq)
+            if not cyclically_reduced or len(w.cyclically_reduced()) == len(w):
+                out.append(w)
+        if len(seq) == max_len:
+            return
+        for c in range(8):
+            if seq and seq[-1] == c ^ 1:
+                continue
+            rec(seq + [c])
+
+    rec([])
+    return out
+
+
+def free_words(max_len: int) -> list:
+    """Every freely reduced nonempty word up to max_len, length by length and
+    in lexicographic order of the letter codes within one length."""
+    return sorted(enumerate_words_oracle(max_len, cyclically_reduced=False), key=lambda w: (len(w), w.letters))
+
+
+def form_from_edge_function(mesh: FundamentalMesh, fn) -> DiscreteOneForm:
+    """Build a form from fn(i, j) evaluated on canonical edge orientations."""
+    return DiscreteOneForm(mesh, np.array([fn(int(i), int(j)) for i, j in mesh.edges], dtype=float))
 
 
 def finite_difference_cocycle(rep: SurfaceGroupRep, curve: str, weight: float = 1.0, step: float = FD_STEP) -> Cocycle:
@@ -602,3 +664,89 @@ def currents_oracle(result, magnitude: bool = False) -> dict:
         "V_q": edge_average_oracle(mesh, slot_values(v3, size(result.u_bar)[:, None]), result.rho, magnitude),
         "W_q": edge_average_oracle(mesh, slot_values(w3, size(mesh.circumcenters)[:, None]), mesh.rep, magnitude),
     }
+
+
+# ---------------------------------------------------------------------------
+# cylinder rig: abelian domain group, geodesic target (closed-form minimizer)
+# ---------------------------------------------------------------------------
+
+# largest geodesic offset of a CylinderRig.initial point from the target axis
+CYLINDER_WOBBLE = 0.3
+
+
+@dataclass
+class CylinderRig:
+    """Periodic 1d mesh for maps of the cylinder of core length a onto the
+    cylinder of core length b; the twisted periodicity is u(t + a) =
+    exp(b B) u(t).  The exact minimizer maps onto the target axis with
+    constant stretch b/a for every p (the degenerate best-Lipschitz case)."""
+
+    a_len: float
+    b_len: float
+    n: int
+    points: np.ndarray  # (n, 3)
+
+    @classmethod
+    def initial(cls, a_len: float, b_len: float, n: int, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        ts = np.arange(n) / n * b_len
+        pts = np.empty((n, 3))
+        for i, t in enumerate(ts):
+            X = lorentz.geodesic(lorentz.X0, np.array([0.0, 1.0, 0.0]), t)
+            v = lorentz.project_tangent(X, rng.standard_normal(3))
+            nv = np.sqrt(max(mink_dot(v, v), 1e-30))
+            s = CYLINDER_WOBBLE * rng.uniform(-1, 1)
+            pts[i] = np.cosh(s) * X + np.sinh(s) * (v / nv)
+        return cls(a_len, b_len, n, pts)
+
+    @property
+    def holonomy(self) -> np.ndarray:
+        return exp_so21(self.b_len * lorentz.B_STD)
+
+
+def _cylinder_energy(rig: CylinderRig, p: int, pts):
+    """J_p at the (3, n) points pts, and the intermediates `_cylinder_grad`
+    builds the gradient from."""
+    dt = rig.a_len / rig.n
+    hol = rig.holonomy
+    nxt = np.hstack([pts[:, 1:], hol @ pts[:, :1]])
+    c = np.maximum(-(SIGN * pts * nxt).sum(axis=0), 1.0)
+    d = np.arccosh(c)
+    return float(np.sum(dt * (d / dt) ** p)), (pts, hol, nxt, c, d, dt)
+
+
+def _cylinder_grad(p: int, parts) -> np.ndarray:
+    pts, hol, nxt, c, d, dt = parts
+    # dJ/dd_i = p d^{p-1} / dt^{p-1}; dd/dc = 1/sqrt(c^2-1); dc = -(E nxt, dpt) ...
+    coef = p * (d / dt) ** (p - 1) / np.sqrt(np.maximum(c * c - 1.0, 1e-30))
+    back = -SIGN * np.roll(pts, 1, axis=1)
+    back[:, 0] = hol.T @ back[:, 0]  # chain through the twisted closure: c_0 uses hol @ pts[:, 0]
+    return coef * (-SIGN * nxt) + np.roll(coef, 1) * back
+
+
+def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None):
+    """The shared descent, `_descend`, on the rig's product of hyperboloids."""
+    _check_p(p)
+    opts = opts or SolveOptions()
+    Z0 = rig.points.T.copy()
+    # H0 = 1e-2 I: a first step of 1e-2 G, after which the L-BFGS scaling
+    # (s, y)#/(y, H0 y)# cancels the constant
+    Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
+                              lambda parts: _cylinder_grad(p, parts),
+                              Z0, _cylinder_energy(rig, p, Z0), lambda Z, V: 1e-2 * V, opts)
+    out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z.T.copy())
+    stretch = float((J / rig.a_len) ** (1.0 / p))
+    del stats["energy_log"]
+    return out, {"J_p": J, "stretch": stretch, **stats}
+
+
+def cylinder_continuation(a_len: float, b_len: float, n: int = 64,
+                          schedule=(2, 4, 8, 16, 32, 64), opts=None, seed: int = 0):
+    schedule = check_schedule(schedule)
+    rig = CylinderRig.initial(a_len, b_len, n, seed=seed)
+    reports = []
+    for p in schedule:
+        rig, rep = cylinder_minimize(rig, p, opts)
+        rep["p"] = p
+        reports.append(rep)
+    return rig, reports

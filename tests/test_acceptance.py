@@ -10,7 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from oracles import exp_series_oracle, random_group_elem, random_lie_alg, random_tangent
+from oracles import (
+    cylinder_continuation,
+    exp_series_oracle,
+    form_from_edge_function,
+    lie_from_frame_coords,
+    random_group_elem,
+    random_lie_alg,
+    random_tangent,
+)
 from stretchlab import lorentz
 from stretchlab.cli import p_continuation
 from stretchlab.cocycle import coboundary, relator_tangency
@@ -40,8 +48,8 @@ from stretchlab.lamination import (
     standard_measure,
 )
 from stretchlab.lorentz import B_STD, E_SHARP, X0, killing, mink_dot
-from stretchlab.mesh import build_octagon_mesh, extract_cocycle, form_from_edge_function
-from stretchlab.pharmonic import SolveOptions, cylinder_continuation
+from stretchlab.mesh import build_octagon_mesh, extract_cocycle
+from stretchlab.pharmonic import SolveOptions
 
 CURVES = list(GENERATOR_NAMES)
 
@@ -154,14 +162,14 @@ def test_criterion_4_frame_identity(rng):
         for _ in range(100):
             b, a, z = rng.uniform(-2, 2, size=3)
             s = float(rng.uniform(-2, 2))
-            A = lorentz.lie_from_frame_coords(b, a, z)
+            A = lie_from_frame_coords(b, a, z)
             got = frame_invariance_defect(A, B_STD, X0, s)
             want = np.sqrt(2.0) * abs(z * np.cosh(s) - a * np.sinh(s))
             assert got == pytest.approx(want, abs=1e-12 * max(1.0, want))
         # defect vanishes for all t iff a = z = 0
         for s in (0.0, 0.7, 1.9):
             assert frame_invariance_defect(2.0 * B_STD, B_STD, X0, s) <= 1e-12
-        A = lorentz.lie_from_frame_coords(1.0, 1e-3, 0.0)
+        A = lie_from_frame_coords(1.0, 1e-3, 0.0)
         assert max(frame_invariance_defect(A, B_STD, X0, s) for s in (0.0, 1.0)) > 1e-4
     _report(4, "Step-1 frame invariance identity", t, 1.0)
 
@@ -307,8 +315,8 @@ def test_criterion_10_cocycle_extraction(octagon):
     from stretchlab.mesh import _midpoint
 
     with _Timer() as t:
-        A0 = lorentz.lie_from_frame_coords(0.3, -0.2, 0.4)
-        Pv = lorentz.lie_from_frame_coords(-0.5, 0.6, 0.1)
+        A0 = lie_from_frame_coords(0.3, -0.2, 0.4)
+        Pv = lie_from_frame_coords(-0.5, 0.6, 0.1)
         # beta = 1: wide kernel the coarse meshes resolve, so the O(h)
         # refinement trend is visible from level 1 on
         xi = _kernel_equivariant_sample(octagon, A0, Pv, beta=1.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stretchlab import lorentz
 from stretchlab.cocycle import (
@@ -11,10 +13,10 @@ from stretchlab.cocycle import (
     relator_tangency,
 )
 from stretchlab.earthquake import TwistSpec, earthquake_cocycle, twist
-from stretchlab.fuchsian import GENERATOR_NAMES, Word, enumerate_words
+from stretchlab.fuchsian import GENERATOR_NAMES, Word
 from stretchlab.lorentz import group_inv
 
-from oracles import random_lie_alg, words_from_codes, zero_cocycle
+from oracles import free_words, lie_from_frame_coords, random_lie_alg, zero_cocycle
 
 
 def random_values_cocycle(octagon, rng, scale=1.0):
@@ -37,7 +39,7 @@ def test_zero_cocycle_any_word(octagon):
 
 def test_cocycle_rule_on_random_pairs(octagon, rng):
     alpha = random_values_cocycle(octagon, rng)
-    words = words_from_codes(enumerate_words(3, cyclically_reduced=False))
+    words = free_words(3)
     idx = rng.integers(0, len(words), size=200).reshape(100, 2)
     for i, j in idx:
         w1, w2 = words[i], words[j]
@@ -75,6 +77,36 @@ def test_every_bracketing_agrees(octagon, rng):
         split = s1 @ v2 @ group_inv(s1) + evaluate_cocycle(alpha, w1)
         scale = 1.0 + float(np.abs(s1).max()) ** 2 * float(np.abs(v2).max())
         assert float(np.abs(full - split).max()) <= 1e-12 * scale
+
+
+def _bracketed(alpha, letters, draw):
+    """alpha, sigma and the conditioning scale of a word, evaluated by the
+    cocycle rule on a drawn bracketing of its letters."""
+    if len(letters) == 1:
+        v = evaluate_cocycle(alpha, Word(letters))
+        return v, alpha.rep.evaluate_ld(Word(letters)), float(np.abs(v).max())
+    cut = draw(st.integers(1, len(letters) - 1))
+    v1, s1, m1 = _bracketed(alpha, letters[:cut], draw)
+    v2, s2, m2 = _bracketed(alpha, letters[cut:], draw)
+    return s1 @ v2 @ group_inv(s1) + v1, s1 @ s2, m1 + float(np.abs(s1).max()) ** 2 * m2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(range(8)), min_size=1, max_size=10),
+    st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+    st.data(),
+)
+def test_any_bracketing_agrees(octagon, seq, coords, data):
+    # the rule alpha(w1 w2) = alpha(w1) + Ad(sigma(w1)) alpha(w2), applied
+    # along any bracketing of a free word, gives the letter-by-letter value
+    vals = np.array([lie_from_frame_coords(*coords[3 * i : 3 * i + 3]) for i in range(4)])
+    alpha = Cocycle(octagon, vals.astype(np.longdouble))
+    letters = Word(seq).letters
+    assume(letters)
+    got, _, scale = _bracketed(alpha, letters, data.draw)
+    full = evaluate_cocycle(alpha, Word(letters))
+    assert float(np.abs(full - got).max()) <= 1e-12 * (1.0 + scale)
 
 
 def test_coboundary_of_zero(octagon):

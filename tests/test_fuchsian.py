@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stretchlab import fuchsian, lorentz
@@ -24,30 +24,10 @@ from stretchlab.fuchsian import (
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.lorentz import B_STD, exp_so21, group_inv, killing
 
-from oracles import random_group_elem, words_from_codes
+from oracles import enumerate_words_oracle, free_words, lie_from_frame_coords, random_group_elem, words_from_codes
 
 # letter codes: 2 * generator + (exponent < 0)
 LETTERS = list(range(8))
-
-
-def enumerate_words_oracle(max_len, cyclically_reduced=True):
-    """Depth-first enumeration of reduced words, one Word at a time."""
-    out = []
-
-    def rec(seq):
-        if seq:
-            w = Word(seq)
-            if not cyclically_reduced or len(w.cyclically_reduced()) == len(w):
-                out.append(w)
-        if len(seq) == max_len:
-            return
-        for c in LETTERS:
-            if seq and seq[-1] == c ^ 1:
-                continue
-            rec(seq + [c])
-
-    rec([])
-    return out
 
 
 def k_lower_bound_oracle(words, sigma, rho):
@@ -133,7 +113,7 @@ def test_validate_rejects_nan_relator_residual(octagon):
 
 
 def test_evaluate_homomorphism(octagon, rng):
-    words = words_from_codes(enumerate_words(3, cyclically_reduced=False))
+    words = free_words(3)
     idx = rng.integers(0, len(words), size=200).reshape(100, 2)
     for i, j in idx:
         w1, w2 = words[i], words[j]
@@ -189,6 +169,22 @@ def test_axis_generator_properties(octagon, rng):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.floats(-3.0, 3.0)] * 3), st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+def test_axis_generator_is_ad_equivariant(g_coords, h_coords):
+    # g = exp(A), A = (b, a, z) in frame coordinates, hyperbolic with
+    # translation length sqrt(b^2 + a^2 - z^2) >= 0.1; h any exp of so(2,1)
+    b, a, z = g_coords
+    assume(b * b + a * a - z * z >= 1e-2)
+    g, h = exp_so21(lie_from_frame_coords(*g_coords)), exp_so21(lie_from_frame_coords(*h_coords))
+    conj = h @ g @ group_inv(h)
+    err = np.abs(axis_generator(conj) - h @ axis_generator(g) @ group_inv(h)).max()
+    # g - g# = 2 sinh(l) B loses the rounding of conj over sinh(l), and Ad(h)
+    # scales B's entries by up to |h|^2
+    scale = np.abs(h).max() ** 2 * np.abs(conj).max() / np.sinh(translation_length(g))
+    assert err <= 1e-11 * scale
+
+
 def test_stretch_ratio_identity(octagon):
     for w in ("a1", "b1 a2", "a1 b1^-1 a2"):
         assert stretch_ratio(w, octagon, octagon) == pytest.approx(1.0, abs=1e-12)
@@ -222,12 +218,11 @@ def test_enumerate_words_counts():
     w3 = [w for w in words_from_codes(enumerate_words(3)) if len(w) == 3]
     assert len(w3) == 8 * 7 * 7 - 8 * 6
     for max_len in range(1, 6):
-        for cyclic in (True, False):
-            got = words_from_codes(enumerate_words(max_len, cyclically_reduced=cyclic))
-            want = enumerate_words_oracle(max_len, cyclically_reduced=cyclic)
-            assert len(got) == len(set(got))
-            # depth-first order restricted to one length is lexicographic
-            assert got == sorted(want, key=len)
+        got = words_from_codes(enumerate_words(max_len))
+        want = enumerate_words_oracle(max_len)
+        assert len(got) == len(set(got))
+        # depth-first order restricted to one length is lexicographic
+        assert got == sorted(want, key=len)
     assert len(enumerate_words(0)) == 0
 
 
@@ -281,11 +276,10 @@ def test_k_lower_bound_chunks_are_exact(octagon, monkeypatch):
     assert k_lower_bound(codes, octagon, rho) == whole
 
 
-@pytest.mark.parametrize("cyclic", [True, False])
-def test_enumerate_words_chunks_are_exact(monkeypatch, cyclic):
-    whole = enumerate_words(6, cyclic)
+def test_enumerate_words_chunks_are_exact(monkeypatch):
+    whole = enumerate_words(6)
     monkeypatch.setattr(fuchsian, "_CHUNK", 1000)
-    np.testing.assert_array_equal(enumerate_words(6, cyclic), whole)
+    np.testing.assert_array_equal(enumerate_words(6), whole)
 
 
 @lru_cache(maxsize=1)

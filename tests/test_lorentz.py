@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cross_oracle, exp_series_oracle, hyperbolic_distance, random_group_elem, random_lie_alg, random_tangent
+from oracles import (
+    cross_oracle,
+    exp_series_oracle,
+    hyperbolic_distance,
+    lie_from_frame_coords,
+    random_group_elem,
+    random_lie_alg,
+    random_tangent,
+)
 from stretchlab import lorentz
 from stretchlab.lorentz import (
     B_STD,
@@ -182,9 +190,28 @@ def test_exp_one_parameter_group(rng):
 
 def test_exp_near_parabolic_branch():
     # lightlike generator: k = 0 exactly
-    A = lorentz.lie_from_frame_coords(0.0, 1.0, 1.0)
+    A = lie_from_frame_coords(0.0, 1.0, 1.0)
     assert abs(0.5 * np.trace(A @ A)) < 1e-12
     np.testing.assert_allclose(exp_so21(A), exp_series_oracle(A, 20), atol=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.2, 2.0),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(-14.0, -2.0),
+    st.sampled_from((-1, 0, 1)),
+    st.sampled_from((-1, 1)),
+)
+def test_exp_log_round_trip_near_parabolic_branch(r, theta, log10_k, k_sign, z_sign):
+    # A = (b, a, z) frame coordinates with |(b, a)| = r and k = Tr(A^2)/2 =
+    # b^2 + a^2 - z^2 of either sign, |k| from 1e-2 down to 1e-14, or 0
+    k = k_sign * 10.0**log10_k
+    A = lie_from_frame_coords(r * np.cos(theta), r * np.sin(theta), z_sign * np.sqrt(r * r - k))
+    g = exp_so21(A)
+    np.testing.assert_allclose(g, exp_series_oracle(A, 40), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(log_so21(g), A, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(exp_so21(log_so21(g)), g, rtol=0, atol=1e-13)
 
 
 def test_log_round_trip(rng):

@@ -10,6 +10,8 @@ from oracles import (
     assert_extraction_matches_oracle,
     boundary_pairs_oracle,
     edge_twins_oracle,
+    form_from_edge_function,
+    lie_from_frame_coords,
     mesh_geometry_oracle,
     mesh_topology_oracle,
     random_lie_alg,
@@ -22,7 +24,6 @@ from stretchlab.mesh import (
     closedness_residual,
     edge_average,
     extract_cocycle,
-    form_from_edge_function,
     loop_integral,
     maurer_cartan,
     triangle_wedge_density,
@@ -230,7 +231,7 @@ def test_closedness_residual_cases(meshes, rng):
 def test_closedness_residual_midpoint_sampled_gradient(meshes):
     # smooth scalar profile times a fixed Lie value, midpoint-sampled
     # derivative: residual O(h^2) under refinement
-    P = lorentz.lie_from_frame_coords(0.2, -0.4, 0.7)
+    P = lie_from_frame_coords(0.2, -0.4, 0.7)
 
     def sampled_form(m):
         def fn(i, j):
@@ -268,8 +269,8 @@ def test_wedge_against_quadrature_on_one_triangle(meshes):
     # the xy-projection (the analytic integral of dx wedge dy)
     from stretchlab.mesh import _triangle_wedges
 
-    A = lorentz.lie_from_frame_coords(1.0, 0.3, 0.0)
-    B = lorentz.lie_from_frame_coords(0.4, 1.0, 0.5)
+    A = lie_from_frame_coords(1.0, 0.3, 0.0)
+    B = lie_from_frame_coords(0.4, 1.0, 0.5)
     assert abs(killing(A, B)) > 0.1
     m = meshes[1]
 
@@ -320,8 +321,8 @@ def test_loop_integral_recovers_equivariant_function(meshes, rng):
     # a cocycle cohomologous to it
     m = meshes[2]
     rep = m.rep
-    A0 = lorentz.lie_from_frame_coords(0.3, -0.2, 0.5)
-    Pv = lorentz.lie_from_frame_coords(-0.4, 0.7, 0.1)
+    A0 = lie_from_frame_coords(0.3, -0.2, 0.5)
+    Pv = lie_from_frame_coords(-0.4, 0.7, 0.1)
     form = _bump_gradient_form(m, A0, Pv, width=20.0)
     alpha = extract_cocycle(form, rep)
     for c in ("a1", "b1", "a2", "b2"):
@@ -350,7 +351,7 @@ def test_extraction_matches_bfs_path_oracle(meshes, level, form_name):
         form = maurer_cartan(m)
     else:
         form = _bump_gradient_form(
-            m, lorentz.lie_from_frame_coords(0.3, -0.2, 0.5), lorentz.lie_from_frame_coords(-0.4, 0.7, 0.1)
+            m, lie_from_frame_coords(0.3, -0.2, 0.5), lie_from_frame_coords(-0.4, 0.7, 0.1)
         )
     assert_extraction_matches_oracle(form)
 
@@ -370,7 +371,7 @@ def test_loop_integral_relator_residual_for_closed_forms(meshes):
     # but only approximately closed) Maurer-Cartan form: residual O(h)
     m = meshes[2]
     form = _bump_gradient_form(
-        m, lorentz.lie_from_frame_coords(0.3, -0.2, 0.5), lorentz.lie_from_frame_coords(-0.4, 0.7, 0.1)
+        m, lie_from_frame_coords(0.3, -0.2, 0.5), lie_from_frame_coords(-0.4, 0.7, 0.1)
     )
     assert np.abs(loop_integral(form, RELATOR)).max() <= 1e-7
     res = [np.abs(loop_integral(maurer_cartan(meshes[lvl]), RELATOR)).max() for lvl in (1, 2, 3)]
@@ -380,7 +381,7 @@ def test_loop_integral_relator_residual_for_closed_forms(meshes):
 def test_loop_integral_cocycle_rule(meshes):
     m = meshes[2]
     form = _bump_gradient_form(
-        m, lorentz.lie_from_frame_coords(0.1, 0.4, -0.3), lorentz.lie_from_frame_coords(0.6, -0.2, 0.2)
+        m, lie_from_frame_coords(0.1, 0.4, -0.3), lie_from_frame_coords(0.6, -0.2, 0.2)
     )
     w1, w2 = Word.parse("a1"), Word.parse("b1^-1")
     lhs = loop_integral(form, w1 * w2)

@@ -8,23 +8,19 @@ from stretchlab.fuchsian import octagon_representation
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import X0
 from oracles import (
+    CylinderRig,
     assert_extraction_matches_oracle,
     current_block_oracle,
     currents_oracle,
+    cylinder_continuation,
+    cylinder_minimize,
     gradient_fd_check,
     kernel_oracle,
     newton_power_oracle,
     retract_oracle,
 )
 from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual, extract_cocycle
-from stretchlab.pharmonic import (
-    CylinderRig,
-    SolveOptions,
-    cylinder_continuation,
-    cylinder_minimize,
-    density_and_currents,
-    minimize,
-)
+from stretchlab.pharmonic import SolveOptions, density_and_currents, minimize
 
 
 @pytest.fixture(scope="module")
@@ -508,8 +504,8 @@ def test_current_block_matches_frame_oracle(mesh2, rho_twist, rng, p):
 
 
 def test_continuation_requires_increasing_schedule(mesh2, octagon):
-    # the rule the CLI applies to p_schedule, for the surface and the cylinder
-    # rig; the continuation is a generator, so it raises once consumed
+    # the rule the CLI applies to p_schedule, which the cylinder rig applies
+    # too; the continuation is a generator, so it raises once consumed
     for bad in ((4, 2), (2, 2), (), (3,), (2, 4.0), (True, 4)):
         with pytest.raises(ValueError):
             list(p_continuation(mesh2, octagon, bad, SolveOptions(), resumed={}))
