@@ -349,6 +349,7 @@ def cmd_solve(config: dict, outdir: str):
                 "line_search_failure": bool(res.line_search_failure),
                 "grad_norm": res.grad_norm,
                 "energy_evals": res.energy_evals, "grad_evals": res.grad_evals,
+                "precond_builds": res.precond_builds,
                 "residuals": {k: float(v) for k, v in res.residuals.items()},
                 "timings": res.timings,
             }

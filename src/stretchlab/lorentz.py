@@ -20,11 +20,9 @@ import numpy as np
 E_SHARP = np.diag([1.0, 1.0, -1.0])
 X0 = np.array([0.0, 0.0, 1.0])
 
-# standard frame for the axis through X0 in the y-direction:
+# the axis through X0 in the y-direction:
 # B_STD generates the unit-speed geodesic t -> (0, sinh t, cosh t).
 B_STD = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-BPERP_STD = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-NHAT_STD = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 # tolerances of the hyperboloid and axis tests
 ATOL = 1e-10
@@ -176,18 +174,6 @@ def log_so21(g: np.ndarray) -> np.ndarray:
         k = float(np.trace(g)) - 3.0
         f1 = 1.0 + k / 6.0 + k * k / 120.0
     return m / f1
-
-
-def geodesic(X: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Unit-speed geodesic cosh(t) X + sinh(t) v = exp(t v x X) X.
-
-    Requires (X,X)# = -1, (v,v)# = 1, (v,X)# = 0.
-    """
-    if not is_on_hyperboloid(X):
-        raise ValueError("geodesic base point is not on the hyperboloid")
-    if abs(mink_dot(v, v) - 1.0) > ATOL or abs(mink_dot(v, X)) > ATOL:
-        raise ValueError("geodesic direction is not a unit tangent at X")
-    return np.cosh(t) * X + np.sinh(t) * v
 
 
 def log_map(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -24,13 +24,16 @@ and h_{n-2} included, once it passes Armijo or once J is within
 WOLFE_EPS |J| of the start, for the slope test.
 
 The descent is seeded with H0, the inverse of a weighted connection
-Laplacian A on the tangent planes of the classes, built once per stage from
-the evaluation of its start map and applied as one symmetric multigrid
-V-cycle on the mesh's class hierarchy (`_VCycle`): the p-energies grow
-stiffer with the level and with p as their minimizers approach the best
-Lipschitz map, and H0 takes the level dependence out of the iteration count
-at small p.  A carries the scale of the Hessian of J_p, so H0 G is also the
-step length taken with an empty L-BFGS memory, at t = 1.
+Laplacian A on the tangent planes of the classes, applied as one symmetric
+multigrid V-cycle on the mesh's class hierarchy (`_VCycle`).  H0 is built
+from the evaluation of the stage's start map, and built again at the
+descent's own iterate when its accepted steps reach 16, 32, 64, ...: the
+weights and frames of A follow the map as it moves, at one build per
+doubling of the step count.  The p-energies grow stiffer with the level and
+with p as their minimizers approach the best Lipschitz map, and H0 takes the
+level dependence out of the iteration count at small p.  A carries the scale
+of the Hessian of J_p, so H0 G is also the step length taken with an empty
+L-BFGS memory, at t = 1.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
 T_q = (S_{p-1} (x) du)# - (1/p)|S_{p-1}| g, W_q = *T_q x id.  `minimize`
@@ -61,11 +64,13 @@ from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, edge_av
 
 # descent: Armijo constant, halvings before a line search fails, the
 # relative rise of J within which a trial may pass on its slope (approximate
-# Wolfe), and the number of L-BFGS pairs kept
+# Wolfe), the number of L-BFGS pairs kept, and the accepted step at which
+# H0 is first built again at the iterate, then at every doubling
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
 WOLFE_EPS = 1e-10
 LBFGS_MEMORY = 8
+FIRST_REBUILD = 16
 
 
 @dataclass
@@ -100,10 +105,11 @@ class SolveResult:
     grad_norm: float
     energy_evals: int
     grad_evals: int
+    precond_builds: int
     energy_log: list
-    # seconds: the start's evaluation with the preconditioner's build, and
-    # the descent in `minimize`, then the currents and checks in
-    # `cli.p_continuation`
+    # seconds: every build of the preconditioner, and the rest of the
+    # descent in `minimize` (the start's evaluation included), then the
+    # currents and checks in `cli.p_continuation`
     timings: dict
     V_q: DiscreteOneForm | None = None
     W_q: DiscreteOneForm | None = None
@@ -337,8 +343,9 @@ def _rotation(lifted: np.ndarray, to, frm) -> np.ndarray:
 
 class _VCycle:
     """H0 of the L-BFGS descent: one symmetric V-cycle for the weighted
-    connection Laplacian A, built once per stage at its start map, as in
-    vector diffusion maps (Singer & Wu, CPAM 65, 2012).
+    connection Laplacian A, built at a stage's start map and again at the
+    descent's iterate after 16, 32, 64, ... accepted steps (`_descend`), as
+    in vector diffusion maps (Singer & Wu, CPAM 65, 2012).
 
     A tangent vector at class c is a complex number in the class's
     (.,.)#-orthonormal frame (a_c, b_c), a_c the projection of e_1 and b_c
@@ -440,12 +447,19 @@ def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, precond, ring: np.ndarray, li
     return _project(Z, r)
 
 
-def _descend(energy, grad, Z: np.ndarray, start, precond, opts: SolveOptions):
+def _descend(energy, grad, Z: np.ndarray, start, build, opts: SolveOptions):
     """Riemannian L-BFGS with an approximate-Wolfe line search on (3, n)
     points Z, one hyperboloid point per column, preconditioned by H0 =
-    precond(Z, V): a symmetric positive map of tangent fields V at Z, (3, n)
-    or a stack of them (`_VCycle` in `minimize`), applied once per iteration
-    and never with a budget of 0.
+    build(Z, extra): a callable precond(Z, V), a symmetric positive map of
+    tangent fields V at Z, (3, n) or a stack of them (`_VCycle` in
+    `minimize`), applied once per iteration.  H0 is built at the first
+    iterate that takes a step, and built again at the current iterate, from
+    its own extra, when the accepted steps reach FIRST_REBUILD, twice that,
+    four times that, ...: one build below FIRST_REBUILD iterations and at
+    most 1 + log2(iterations / 8) from there (`precond_builds`, timed in
+    `precond_s`), none with a budget of 0 or at a stationary start.  The old
+    H0 is dropped before the new one is built, and the L-BFGS pairs,
+    curvature pairs of J that H0 only seeds, are kept.
 
     energy(Z) returns (J, extra) without a gradient, so a line-search trial
     costs one energy evaluation; start = energy(Z) at the start, evaluated
@@ -471,8 +485,9 @@ def _descend(energy, grad, Z: np.ndarray, start, precond, opts: SolveOptions):
     G = _riemannian_grad(Z, grad(extra))
     energy_evals = grad_evals = 1
     log, ring, live = [J], np.zeros((2, LBFGS_MEMORY + 1) + Z.shape), []
-    iterations = restarts = wolfe_rejections = 0
+    iterations = restarts = wolfe_rejections = builds = 0
     converged = ls_failure = False
+    precond, rebuild_at, build_s = None, FIRST_REBUILD, 0.0
     while True:
         gnorm2 = _norm2(G)
         if np.sqrt(gnorm2) <= opts.tol * max(1.0, J):
@@ -480,6 +495,13 @@ def _descend(energy, grad, Z: np.ndarray, start, precond, opts: SolveOptions):
             break
         if iterations + restarts >= opts.max_iter:
             break
+        if iterations >= rebuild_at:
+            precond, rebuild_at = None, 2 * rebuild_at
+        if precond is None:
+            began = time.perf_counter()
+            precond = build(Z, extra)
+            build_s += time.perf_counter() - began
+            builds += 1
         if live:
             r = _lbfgs_direction(Z, G, precond, ring, live, sy)
         else:
@@ -523,7 +545,8 @@ def _descend(energy, grad, Z: np.ndarray, start, precond, opts: SolveOptions):
 
     stats = dict(iterations=iterations, restarts=restarts, wolfe_rejections=wolfe_rejections,
                  converged=converged, line_search_failure=ls_failure, grad_norm=float(np.sqrt(gnorm2)),
-                 energy_evals=energy_evals, grad_evals=grad_evals, energy_log=log)
+                 energy_evals=energy_evals, grad_evals=grad_evals, energy_log=log,
+                 precond_builds=builds, precond_s=build_s)
     return Z, J, extra, stats
 
 
@@ -545,15 +568,12 @@ def minimize(
     Z0 = (mesh.vertices[mesh.class_rep_vertex] if init is None else np.asarray(init, dtype=float)).T.copy()
     ctx = _Context(mesh, rho)
 
-    # the start is evaluated once, for the preconditioner and the descent; a
-    # budget of 0 takes no step, so it builds no preconditioner
+    # the start is evaluated once, for the first H0 and the descent
     start = time.perf_counter()
-    J0, m0 = _energy_and_grad(ctx, Z0, p)
-    precond = _VCycle(ctx, mesh, Z0, m0) if opts.max_iter else None
-    built = time.perf_counter()
-    Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p),
-                              lambda m: _grad_from_metric(ctx, m), Z0, (J0, m0), precond, opts)
-    timings = {"precond_s": built - start, "descent_s": time.perf_counter() - built}
+    Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p), lambda m: _grad_from_metric(ctx, m),
+                              Z0, _energy_and_grad(ctx, Z0, p), lambda Z, m: _VCycle(ctx, mesh, Z, m), opts)
+    precond_s = stats.pop("precond_s")
+    timings = {"precond_s": precond_s, "descent_s": time.perf_counter() - start - precond_s}
     s1, s2 = _singular_values(m)
     kappa = float(J ** (-1.0 / p))
     # the block at the final iterate from M, its power M^{p/2-1} and the

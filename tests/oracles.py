@@ -22,11 +22,12 @@ from stretchlab.fuchsian import (
     octagon_representation,
 )
 from stretchlab.lorentz import (
+    ATOL,
     B_STD,
-    BPERP_STD,
     E_SHARP,
-    NHAT_STD,
+    X0,
     exp_so21,
+    is_on_hyperboloid,
     log_map,
     mink_cross_vec,
     mink_dot,
@@ -58,7 +59,23 @@ def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
-# random draws and helpers that only the tests use
+# the rest of the standard frame at X0 beside B_STD, the geodesics, random
+# draws and helpers that only the tests use
+
+BPERP_STD = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+NHAT_STD = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def geodesic(X: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Unit-speed geodesic cosh(t) X + sinh(t) v = exp(t v x X) X.
+
+    Requires (X,X)# = -1, (v,v)# = 1, (v,X)# = 0.
+    """
+    if not is_on_hyperboloid(X):
+        raise ValueError("geodesic base point is not on the hyperboloid")
+    if abs(mink_dot(v, v) - 1.0) > ATOL or abs(mink_dot(v, X)) > ATOL:
+        raise ValueError("geodesic direction is not a unit tangent at X")
+    return np.cosh(t) * X + np.sinh(t) * v
 
 
 def lie_from_frame_coords(b: float, a: float, z: float) -> np.ndarray:
@@ -692,7 +709,7 @@ class CylinderRig:
         ts = np.arange(n) / n * b_len
         pts = np.empty((n, 3))
         for i, t in enumerate(ts):
-            X = lorentz.geodesic(lorentz.X0, np.array([0.0, 1.0, 0.0]), t)
+            X = geodesic(X0, np.array([0.0, 1.0, 0.0]), t)
             v = lorentz.project_tangent(X, rng.standard_normal(3))
             nv = np.sqrt(max(mink_dot(v, v), 1e-30))
             s = CYLINDER_WOBBLE * rng.uniform(-1, 1)
@@ -729,11 +746,11 @@ def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None
     _check_p(p)
     opts = opts or SolveOptions()
     Z0 = rig.points.T.copy()
-    # H0 = 1e-2 I: a first step of 1e-2 G, after which the L-BFGS scaling
-    # (s, y)#/(y, H0 y)# cancels the constant
+    # H0 = 1e-2 I at every build: a first step of 1e-2 G, after which the
+    # L-BFGS scaling (s, y)#/(y, H0 y)# cancels the constant
     Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
                               lambda parts: _cylinder_grad(p, parts),
-                              Z0, _cylinder_energy(rig, p, Z0), lambda Z, V: 1e-2 * V, opts)
+                              Z0, _cylinder_energy(rig, p, Z0), lambda Z, parts: lambda Z, V: 1e-2 * V, opts)
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z.T.copy())
     stretch = float((J / rig.a_len) ** (1.0 / p))
     del stats["energy_log"]

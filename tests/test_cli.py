@@ -171,7 +171,7 @@ def test_solve_reports_evaluation_counters(tmp_path):
     }
     assert run(tmp_path, "solve", cfg) == 0
     stages = read_report(tmp_path, "solve_summary.json")["stages"]
-    assert [s["iterations"] for s in stages] == [23, 9, 15]
+    assert [s["iterations"] for s in stages] == [21, 9, 15]
     for s in stages:
         # one gradient at the start point, one per accepted step and one per
         # failed slope test; every line-search trial costs one energy evaluation
@@ -179,15 +179,18 @@ def test_solve_reports_evaluation_counters(tmp_path):
         assert s["grad_evals"] == s["iterations"] + 1 + s["wolfe_rejections"]
     # no line search fails, so the L-BFGS memory is never reset
     assert [s["restarts"] for s in stages] == [0, 0, 0]
+    # H0 is built at each start, and again after 16 steps at p=2
+    assert [s["precond_builds"] for s in stages] == [2, 1, 1]
     # where each stage's time went: the preconditioner's build, the descent,
     # and the currents with their checks
     for s in stages:
         assert set(s["timings"]) == {"precond_s", "descent_s", "currents_s"}
         assert all(v > 0.0 for v in s["timings"].values())
-    # a resumed stage evaluates the loaded point once
+    # a resumed stage evaluates the loaded point once and builds no H0
     assert run(tmp_path, "solve", cfg) == 0
     for s in read_report(tmp_path, "solve_summary.json")["stages"]:
-        assert (s["iterations"], s["energy_evals"], s["grad_evals"]) == (0, 1, 1)
+        assert (s["iterations"], s["energy_evals"], s["grad_evals"], s["precond_builds"]) == (0, 1, 1, 0)
+        assert s["timings"]["precond_s"] == 0.0
 
 
 def test_stage_csv_round_trips_exactly(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stretchlab import fuchsian, lorentz
+from stretchlab import fuchsian
 from stretchlab.fuchsian import (
     OCTAGON_LENGTH,
     OCTAGON_VERTICES,
@@ -24,7 +24,7 @@ from stretchlab.fuchsian import (
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.lorentz import B_STD, exp_so21, group_inv, killing
 
-from oracles import enumerate_words_oracle, free_words, lie_from_frame_coords, random_group_elem, words_from_codes
+from oracles import NHAT_STD, enumerate_words_oracle, free_words, lie_from_frame_coords, random_group_elem, words_from_codes
 
 # letter codes: 2 * generator + (exponent < 0)
 LETTERS = list(range(8))
@@ -136,7 +136,7 @@ def test_translation_length_rejects_non_hyperbolic():
     with pytest.raises(NonHyperbolicError):
         translation_length(np.eye(3))
     with pytest.raises(NonHyperbolicError):
-        translation_length(exp_so21(0.3 * lorentz.NHAT_STD))
+        translation_length(exp_so21(0.3 * NHAT_STD))
 
 
 def test_translation_length_conjugation_invariant(octagon, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import lie_from_frame_coords, random_group_elem, random_lie_alg, zero_cocycle
+from oracles import BPERP_STD, NHAT_STD, lie_from_frame_coords, random_group_elem, random_lie_alg, zero_cocycle
 from stretchlab import lorentz
 from stretchlab.cocycle import coboundary
 from stretchlab.earthquake import TwistSpec, earthquake_cocycle, twist
@@ -15,7 +15,7 @@ from stretchlab.lamination import (
     pair,
     standard_measure,
 )
-from stretchlab.lorentz import B_STD, BPERP_STD, NHAT_STD, X0, killing
+from stretchlab.lorentz import B_STD, X0, killing
 
 
 def mc_of(octagon, *items):

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    BPERP_STD,
+    NHAT_STD,
     cross_oracle,
     exp_series_oracle,
+    geodesic,
     hyperbolic_distance,
     lie_from_frame_coords,
     random_group_elem,
@@ -15,13 +18,10 @@ from oracles import (
 from stretchlab import lorentz
 from stretchlab.lorentz import (
     B_STD,
-    BPERP_STD,
-    NHAT_STD,
     X0,
     cross,
     exp_so21,
     frame_at,
-    geodesic,
     killing,
     log_so21,
     mink_dot,

@@ -11,6 +11,7 @@ from oracles import (
     boundary_pairs_oracle,
     edge_twins_oracle,
     form_from_edge_function,
+    geodesic,
     lie_from_frame_coords,
     mesh_geometry_oracle,
     mesh_topology_oracle,
@@ -177,7 +178,7 @@ def test_maurer_cartan_geodesic_edge(meshes):
     from stretchlab.mesh import _midpoint
 
     h = 0.05
-    head = lorentz.geodesic(X0, np.array([0.0, 1.0, 0.0]), h)
+    head = geodesic(X0, np.array([0.0, 1.0, 0.0]), h)
     val = lorentz.cross(head - X0, _midpoint(X0, head))
     assert np.abs(val - h * B_STD).max() <= 2e-4  # O(h^3) defect
     # degenerate zero-length edge

@@ -14,6 +14,7 @@ from oracles import (
     currents_oracle,
     cylinder_continuation,
     cylinder_minimize,
+    geodesic,
     gradient_fd_check,
     kernel_oracle,
     newton_power_oracle,
@@ -46,10 +47,10 @@ def twist_solution(mesh2, rho_twist):
 # the reference twist at level 2 as the preconditioned L-BFGS descent solves it:
 # (accepted steps, restarts, J_p, residuals) per p-stage
 PINNED_TWIST_STAGES = {
-    2: (23, 0, 26.05422127261483, {
-        "V_closedness": 0.0793011582118556, "W_closedness": 0.4440253565246976,
-        "minus2T_literal_gap": 0.08401630611838384, "omega_wedge_W_l1_gap": 0.9975500276420914,
-        "concentration_fraction": 0.6931643311216958}),
+    2: (21, 0, 26.05422127261483, {
+        "V_closedness": 0.07930110496604002, "W_closedness": 0.4440232120370805,
+        "minus2T_literal_gap": 0.08401629865097122, "omega_wedge_W_l1_gap": 0.9975500261483454,
+        "concentration_fraction": 0.6931643495173961}),
     4: (9, 0, 28.05376138704616, {
         "V_closedness": 0.11584813062153762, "W_closedness": 0.16932324883963112,
         "minus2T_literal_gap": 0.04447314256720135, "omega_wedge_W_l1_gap": 0.4672240148647307,
@@ -111,7 +112,7 @@ def test_cylinder_energy_closed_form():
     # exact linear map of stretch 1.5: energy = a * 1.5^p per unit width
     a, b, n = 2.0, 3.0, 48
     ts = np.arange(n) / n * b
-    pts = np.array([lorentz.geodesic(X0, np.array([0.0, 1.0, 0.0]), t) for t in ts])
+    pts = np.array([geodesic(X0, np.array([0.0, 1.0, 0.0]), t) for t in ts])
     rig = CylinderRig(a, b, n, pts)
     for p in (2, 4, 8):
         assert _measured_cylinder_J(rig, p) == pytest.approx(a * (b / a) ** p, rel=1e-10)
@@ -195,10 +196,12 @@ def test_lbfgs_pairs_are_tangent_and_direction_descends(mesh2, rho_twist, monkey
         assert _mdot(G, r) > 0.0
 
 
-@pytest.mark.parametrize("max_iter", [0, 12])
-def test_start_is_evaluated_once(mesh2, rho_twist, monkeypatch, max_iter):
+@pytest.mark.parametrize("p, max_iter, builds", [pytest.param(4, 0, 0, id="0"), pytest.param(4, 12, 1, id="12"),
+                                                  pytest.param(2, 20, 2, id="p2-20")])
+def test_start_is_evaluated_once(mesh2, rho_twist, monkeypatch, p, max_iter, builds):
     # every evaluation of J_p in a stage is one that energy_evals counts: the
-    # start's evaluation serves both the preconditioner and the descent
+    # start's evaluation serves both the first H0 and the descent, and the
+    # rebuild at the 16th accepted step reads the iterate's own evaluation
     from stretchlab import pharmonic
 
     calls = []
@@ -209,9 +212,33 @@ def test_start_is_evaluated_once(mesh2, rho_twist, monkeypatch, max_iter):
         return energy_and_grad(*args)
 
     monkeypatch.setattr(pharmonic, "_energy_and_grad", counted)
-    res = minimize(mesh2, rho_twist, 4, opts=SolveOptions(max_iter=max_iter))
+    res = minimize(mesh2, rho_twist, p, opts=SolveOptions(max_iter=max_iter))
     assert res.iterations == max_iter
     assert len(calls) == res.energy_evals
+    assert res.precond_builds == builds
+
+
+def test_identity_stages_build_once(mesh2, octagon, monkeypatch):
+    # the identity's stages converge before the 16th step, so each builds H0
+    # once, at its start, and takes the steps of a descent that never
+    # rebuilds, bit for bit
+    from stretchlab import pharmonic
+
+    schedule = [2, 4, 8, 16, 32, 64]
+    stages = list(p_continuation(mesh2, octagon, schedule, SolveOptions(), resumed={}))
+    assert [res.iterations for res in stages] == [4, 7, 8, 9, 9, 10]
+    assert [res.precond_builds for res in stages] == [1] * 6
+    for res, J_p in zip(stages, [25.5410105214783, 25.96053443665291, 26.830531474293586,
+                                 28.702154034038372, 33.028277012188774, 44.536313816412274]):
+        assert res.converged and res.restarts == 0
+        assert res.J_p == pytest.approx(J_p, rel=1e-12)
+    monkeypatch.setattr(pharmonic, "FIRST_REBUILD", 10 ** 9)
+    for res, once in zip(stages, p_continuation(mesh2, octagon, schedule, SolveOptions(), resumed={})):
+        assert (res.iterations, res.energy_evals, res.J_p) == (once.iterations, once.energy_evals, once.J_p)
+        assert np.array_equal(res.class_points, once.class_points)
+    # a start that already meets tol takes no step and builds no H0
+    again = minimize(mesh2, octagon, 64, SolveOptions(), init=stages[-1].class_points)
+    assert again.converged and (again.iterations, again.precond_builds) == (0, 0)
 
 
 def test_twist_draws_reach_tol(octagon, mesh2):
