@@ -23,16 +23,16 @@ alone; a gradient is built from the intermediates of the trial, h_{n-1}
 and h_{n-2} included, once it passes Armijo or once J is within
 WOLFE_EPS |J| of the start, for the slope test.
 
-The descent is seeded with H0, the inverse of a weighted connection
-Laplacian A on the tangent planes of the classes, applied as one symmetric
-multigrid V-cycle on the mesh's class hierarchy (`_VCycle`).  H0 is built
-from the evaluation of the stage's start map, and built again at the
-descent's own iterate when its accepted steps reach 16, 32, 64, ...: the
-weights and frames of A follow the map as it moves, at one build per
-doubling of the step count.  The p-energies grow stiffer with the level and
-with p as their minimizers approach the best Lipschitz map, and H0 takes the
-level dependence out of the iteration count at small p.  A carries the scale
-of the Hessian of J_p, so H0 G is also the step length taken with an empty
+The descent is seeded with H0, the inverse of the Gauss-Newton Hessian A of
+J_p on the tangent planes of the classes, applied as one symmetric multigrid
+V-cycle on the mesh's class hierarchy (`_VCycle`).  A weights each direction
+of a triangle's differential by the curvature of |U|_{S_p}^p along it, so
+it keeps the anisotropy that makes the p-energies stiff as p grows and
+their minimizers approach the best Lipschitz map.  H0 is built from the
+evaluation of the stage's start map, and built again at the descent's own
+iterate when its accepted steps reach 16, 32, 64, ...: A follows the map
+as it moves, at one build per doubling of the step count.  A is the
+Hessian's own scale, so H0 G is also the step length taken with an empty
 L-BFGS memory, at t = 1.
 
 Currents: S_{p-1} = Q(U)^{p-2} U with U = kappa_p du, V_q = *S_{p-1} x u,
@@ -310,11 +310,9 @@ def _retract(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 
 # the V-cycle of the preconditioner: the coarsest level it reaches (or the
-# mesh's own), the damping of its Jacobi sweeps, and the weight of the
-# lumped mass that makes the connection Laplacian definite on any mesh
+# mesh's own) and the largest damping of its block Jacobi sweeps (`_jacobi`)
 VCYCLE_COARSEST = 2
 JACOBI_DAMPING = 0.7
-MASS_WEIGHT = 1e-3
 
 
 def _spmv(vals, cols, starts, x):
@@ -323,6 +321,13 @@ def _spmv(vals, cols, starts, x):
     vectors x (..., n).  The gather is `take`: the index x[..., cols] goes
     through numpy's general multi-index path and is 4-6x slower at L4."""
     return np.add.reduceat(vals * x.take(cols, axis=-1), starts, axis=-1)
+
+
+def _wspmv(alpha, beta, cols, starts, x):
+    """`_spmv` of the widely linear matrix with entries z -> alpha z + beta
+    conj(z), each the real 2x2 block of its slot."""
+    xc = x.take(cols, axis=-1)
+    return np.add.reduceat(alpha * xc + beta * xc.conj(), starts, axis=-1)
 
 
 def _csum(index, values, n: int):
@@ -341,33 +346,143 @@ def _rotation(lifted: np.ndarray, to, frm) -> np.ndarray:
     return z / np.abs(z)
 
 
+def _schatten_curvature(m: dict):
+    """The eigenvectors Q of M, (2, 2, nt), the larger eigenvalue's first,
+    and the weights n (Delta_11, Delta_22, 2 Delta_12), (3, nt), of the
+    Hessian of tr((U^T U)^n) in U (`_gauss_newton_blocks`)."""
+    n, M = m["n"], m["M"]
+    theta = 0.5 * np.arctan2(2.0 * M[0, 1], M[0, 0] - M[1, 1])
+    cos, sin = np.cos(theta), np.sin(theta)
+    disc = np.sqrt((M[0, 0] - M[1, 1]) ** 2 + 4.0 * M[0, 1] ** 2)
+    lam = np.maximum(0.5 * (m["t"] + np.stack([disc, -disc])), 0.0)
+    return np.array([[cos, -sin], [sin, cos]]), n * np.concatenate([(n - 1) * lam ** max(n - 2, 0), 2.0 * m["h2"][None]])
+
+
+def _gauss_newton_blocks(ctx: _Context, m: dict, F: np.ndarray) -> list:
+    """The corner blocks (k, k) and (k, k + 1) of every triangle's
+    Gauss-Newton Hessian of J_p, as two pairs (alpha, beta), each (3, nt):
+    the widely linear z -> alpha z + beta conj(z) of a real 2x2 block, for
+    the lifted frames F = a + i b of the corners 0, 1, 2, 0, (3, 4, nt),
+    which it projects in place.
+
+    Psi(U) = tr((U^T U)^n) = |U|_{S_p}^p is convex, and with M = U^T U = Q
+    diag(lam) Q^T its Hessian C is d^2 Psi[dU] = 2n tr(M^{n-1} dU^T dU) + n
+    sum_ij Delta_ij ((Q^T dM Q)_ij)^2, dM = dU^T U + U^T dU, Delta_ii = (n -
+    1) lam_i^{n-2} and Delta_12 = h_{n-2} (`_schatten_curvature`).  The
+    columns of D move as du_a = sum_k G_k[a] P dY_k, G the P1 gradients per
+    corner and P the projection on the tangent plane at the barycenter, with
+    dY_k = F_k (x + iy) at corner k; a triangle's 6x6 block is area L^T C L
+    in those (x, y).  A pair of corners takes the first term from the
+    Minkowski products of the projected frames, the second from (Q^T dM
+    Q)_ij = g_ki r_kj + r_ki g_kj per unit x + iy at corner k, with g_ki =
+    q_i . G_k and r_kj = (U q_j, F_k)#."""
+    n = m["n"]
+    Q, weight = _schatten_curvature(m)
+    # corners 0, 1, 2, 0: a corner's arrays are [:, :3], its successor's
+    # [:, 1:]; each temporary is dropped once used, since a build's
+    # temporaries set the solve's peak memory at L4
+    G = np.stack([-ctx.Ki[0] - ctx.Ki[1], ctx.Ki[0], ctx.Ki[1], -ctx.Ki[0] - ctx.Ki[1]])  # G_k[a]
+    PG = np.einsum("abt,lbt->lat", _power_block(m), G)             # M^{n-1} G_l
+    grams = [(2 * n) * (G[:3] * PG[other]).sum(axis=1) for other in (slice(0, 3), slice(1, 4))]
+    g = np.einsum("ait,kat->ikt", Q, G)
+    del G, PG
+    onto = np.einsum("xt,xkt->kt", SIGN * m["Yb"], F)
+    for x in range(3):
+        F[x] += onto * m["Yb"][x]
+    del onto
+    r = np.einsum("xit,xkt->ikt", SIGN3 * np.einsum("xat,ait->xit", m["u"], Q), F)
+    # rows ij = 11, 22, 12 of sig, the last with both (i, j) and (j, i)
+    sig = np.empty((3,) + r.shape[1:], complex)
+    for row, (i, j) in enumerate([(0, 0), (1, 1), (0, 1)]):
+        np.multiply(g[i], r[j], out=sig[row])
+        sig[row] += g[j] * r[i]
+    del g, r
+    half = 0.5 * ctx.areas
+    blocks = []
+    for other, gram in zip((slice(0, 3), slice(1, 4)), grams):
+        alpha, beta = _weighted_products(SIGN, F[:, :3], F[:, other])
+        alpha *= gram
+        beta *= gram
+        for part, mode in zip((alpha, beta), _weighted_products(weight[:, None], sig[:, :3], sig[:, other])):
+            part += mode
+            part *= half
+        blocks.append((alpha, beta))
+    return blocks
+
+
+def _weighted_products(w, X, Y):
+    """sum_j w_j X_j conj(Y_j) and sum_j w_j X_j Y_j over the first axis of
+    the complex X and Y, one term at a time."""
+    herm, bil = w[0] * X[0] * Y[0].conj(), w[0] * X[0] * Y[0]
+    for wj, xj, yj in zip(w[1:], X[1:], Y[1:]):
+        wx = wj * xj
+        herm += wx * yj.conj()
+        bil += wx * yj
+    return herm, bil
+
+
+def _assemble(ctx: _Context, mesh: FundamentalMesh, m: dict, lifted: np.ndarray):
+    """(alpha, beta) of A on the slots of the finest class graph, for the
+    lifted frames (3, nv) of the vertices: each triangle's diagonal blocks
+    onto the diagonal slots of its classes, and the block of corners (k, k +
+    1) onto slot (a, b) and its transpose onto (b, a)."""
+    tri = mesh.triangles.T
+    (ad, bd), (ae, be) = _gauss_newton_blocks(ctx, m, lifted[:, tri[[0, 1, 2, 0]]])
+    graph = mesh.class_hierarchy.graphs[0]
+    slots = np.concatenate([graph.diag[mesh.vertex_class[tri]].ravel(), mesh.class_hierarchy.edge_slots.ravel()])
+    alpha = _csum(slots, np.concatenate([ad.ravel(), ae.ravel(), ae.conj().ravel()]), len(graph.rows))
+    return alpha, _csum(slots, np.concatenate([bd.ravel(), be.ravel(), be.ravel()]), len(graph.rows))
+
+
+def _jacobi(graph, alpha, beta):
+    """The damped inverse (alpha, beta) of the diagonal blocks D_i, z ->
+    omega_i (alpha z - beta conj(z)) / (alpha^2 - |beta|^2), alpha real
+    there.  omega_i is JACOBI_DAMPING, or 1.9 / R_i where that is smaller,
+    R_i = sum_j |D_i^-1/2 A_ij D_j^-1/2| the block Gershgorin row sum (a
+    widely linear map's norm is |alpha| + |beta|).  Every row then has
+    2 / omega_i - R_i >= 1/7, so 2 Omega^-1 D - A is positive definite: the
+    condition under which the symmetric V-cycle B is positive definite, with
+    the eigenvalues of B A in (0, 1], by construction and not by a margin
+    measured on some maps."""
+    da, db = alpha[graph.diag].real, beta[graph.diag]
+    # D^-1/2 from the eigenvalues da +- |db|, s the square roots
+    s = np.sqrt(da + np.array([[1.0], [-1.0]]) * np.abs(db))
+    ra, rb = 0.5 * (1.0 / s[0] + 1.0 / s[1]), -db / (s[0] * s[1] * (s[0] + s[1]))
+    rows, cols = graph.rows, graph.cols
+    t0, t1 = ra[rows] * alpha + rb[rows] * beta.conj(), ra[rows] * beta + rb[rows] * alpha.conj()
+    norm = np.abs(t0 * ra[cols] + t1 * rb[cols].conj()) + np.abs(t0 * rb[cols] + t1 * ra[cols])
+    omega = np.minimum(JACOBI_DAMPING, 1.9 / np.bincount(rows, norm, graph.n))
+    scale = omega / (da * da - (db * db.conj()).real)
+    return scale * da, -scale * db
+
+
 class _VCycle:
-    """H0 of the L-BFGS descent: one symmetric V-cycle for the weighted
-    connection Laplacian A, built at a stage's start map and again at the
-    descent's iterate after 16, 32, 64, ... accepted steps (`_descend`), as
-    in vector diffusion maps (Singer & Wu, CPAM 65, 2012).
+    """H0 of the L-BFGS descent: one symmetric V-cycle for the Gauss-Newton
+    Hessian A of J_p, built at a stage's start map and again at the
+    descent's iterate after 16, 32, 64, ... accepted steps (`_descend`).
 
     A tangent vector at class c is a complex number in the class's
     (.,.)#-orthonormal frame (a_c, b_c), a_c the projection of e_1 and b_c
-    = z_c x# a_c; lifted to two corners of a triangle, the frames differ by
-    the polar factor of F_i^T lift_i^T E lift_j F_j, a rotation, so A is
-    Hermitian: sum over triangle edges of w |x_i - R_ij x_j|^2, weights
-    (p - 1) w_T area max(-K_ij, 0) with K the P1 stiffness matrix and w_T =
-    n tr M^{n-1}, plus MASS_WEIGHT (p - 1) mean(w_T) times the lumped mass.
-    w_T is the Gauss-Newton weight, from dJ/dM = area n M^{n-1}; along one
-    singular value, s^{2n} has second derivative 2n(2n - 1) s^{2n-2}, p - 1
-    times that term, so A has the Hessian's scale and H0 G is a step length
-    as well as a direction.  The V-cycle has Galerkin operators P^H A P
-    down to level VCYCLE_COARSEST, where P injects the coarse classes and
-    averages a midpoint class's two ends through the same polar transports,
-    one damped Jacobi sweep before and one after the coarse correction, and
-    a dense inverse at the coarsest level.  Applied to a tangent field V at Z it returns F B F^T E V
+    = z_c x# a_c.  A is the sum over triangles of area L^T C L
+    (`_gauss_newton_blocks`), C the Hessian of |U|_{S_p}^p in the
+    differential U: positive semidefinite with no clamp, it weights each
+    direction of the differential by its own curvature, about s1^{p-2}
+    along s1 and s2^{p-2} along s2 (Smith, de Goes & Kim, ACM TOG 38, 2019).
+    A has one real 2x2 block per slot of the class graph, stored widely
+    linear as z -> alpha z + beta conj(z), and the Hessian's own scale, so
+    H0 G is a step length as well as a direction.  The V-cycle has Galerkin
+    operators P^H A P down to level VCYCLE_COARSEST, where P injects the
+    coarse classes and averages a midpoint class's two ends through the
+    polar factor of F_i^T lift_i^T E lift_j F_j, a rotation (as in vector
+    diffusion maps, Singer & Wu, CPAM 65, 2012): P is complex linear, so a
+    product takes alpha to conj(p_k) alpha p_l and beta to conj(p_k) beta
+    conj(p_l).  It has one damped block Jacobi sweep (`_jacobi`) before and
+    one after the coarse correction, and a dense inverse of the real form
+    at the coarsest level.  Applied to a tangent field V at Z it returns F B F^T E V
     projected on T_Z, B the V-cycle operator.  Built at the class points Z
     from m, the intermediates of `_energy_and_grad` there."""
 
     def __init__(self, ctx: _Context, mesh: FundamentalMesh, Z: np.ndarray, m: dict):
-        # (p - 1) n tr M^{n-1} per triangle, from M^{n-1} = h_{n-1} I - h_{n-2} adj M
-        wT = (2 * m["n"] - 1) * m["n"] * (2.0 * m["h1"] - m["t"] * m["h2"])
         hier = mesh.class_hierarchy
         depth = mesh.level - min(mesh.level, VCYCLE_COARSEST)
         a = Z * Z[0]
@@ -378,48 +493,47 @@ class _VCycle:
         lifted = np.einsum("abv,bv->av", ctx.lift, self.a.take(ctx.vertex_at)) + 1j * np.einsum(
             "abv,bv->av", ctx.lift, self.b.take(ctx.vertex_at))
 
-        # weights and transports per triangle edge k = corners (k, k+1)
-        grads = np.stack([-ctx.Ki[0] - ctx.Ki[1], ctx.Ki[0], ctx.Ki[1]])  # P1 gradients per corner
-        w = (wT * ctx.areas) * np.maximum(-(grads * np.roll(grads, -1, axis=0)).sum(axis=1), 0.0)
-        tri = mesh.triangles.T
-        wR = (w * _rotation(lifted, tri, np.roll(tri, -1, axis=0))).ravel()
-        graph = hier.graphs[0]
-        vals = _csum(hier.edge_slots.ravel(), np.concatenate([-wR, -wR.conj()]), len(graph.rows))
-        # corner k ends edges k and k - 1, and carries a third of the area
-        mass = (MASS_WEIGHT * wT.mean() / 3.0) * ctx.areas
-        vals[graph.diag] += np.bincount(mesh.vertex_class[tri].ravel(), (w + np.roll(w, 1, axis=0) + mass).ravel(), graph.n)
-
+        alpha, beta = _assemble(ctx, mesh, m, lifted)
         self.levels = []
         for graph, pro, coarse in zip(hier.graphs[:depth], hier.prolongations, hier.graphs[1:]):
             P = np.concatenate([np.ones(coarse.n), 0.5 * _rotation(lifted, pro.mid[:, :1], pro.mid[:, 1:]).ravel()])
             s, k1, k2, slot = pro.galerkin
-            self.levels.append((graph, vals, JACOBI_DAMPING / vals[graph.diag].real, pro, P, P[pro.r_perm].conj()))
-            products = np.conjugate(P[k1])
-            products *= vals[s]
-            products *= P[k2]
-            vals = _csum(slot, products, len(coarse.rows))
-        # the coarsest inverse through the real form [[Re, -Im], [Im, Re]]:
-        # complex LAPACK and BLAS would map ~1 MB more of the library into
-        # memory than the real routines that the mesh build already runs
+            # the level's A, its damped block Jacobi inverse, P and P^H
+            self.levels.append((graph, alpha, beta) + _jacobi(graph, alpha, beta) + (pro, P, P[pro.r_perm].conj()))
+            # in place: these products are the largest arrays of a build
+            left, right = np.conjugate(P[k1]), P[k2]
+            products = alpha[s]
+            products *= left
+            products *= right
+            alpha = _csum(slot, products, len(coarse.rows))
+            products = beta[s]
+            products *= left
+            products *= np.conjugate(right, out=right)
+            beta = _csum(slot, products, len(coarse.rows))
+        # the coarsest inverse of the real form [[a, b], [c, d]] of the
+        # blocks: real LAPACK, which the mesh build already maps into memory
         coarse = hier.graphs[depth]
-        n = coarse.n
+        n, rows, cols = coarse.n, coarse.rows, coarse.cols
         dense = np.zeros((2 * n, 2 * n))
-        dense[coarse.rows, coarse.cols] = dense[n + coarse.rows, n + coarse.cols] = vals.real
-        dense[n + coarse.rows, coarse.cols] = vals.imag
-        dense[coarse.rows, n + coarse.cols] = -vals.imag
-        inverse = np.linalg.inv(dense)
-        self.coarsest = inverse[:n, :n] + 1j * inverse[n:, :n]
+        dense[rows, cols] = alpha.real + beta.real
+        dense[rows, n + cols] = beta.imag - alpha.imag
+        dense[n + rows, cols] = alpha.imag + beta.imag
+        dense[n + rows, n + cols] = alpha.real - beta.real
+        self.coarsest = np.linalg.inv(dense)
 
     def cycle(self, rhs: np.ndarray, i: int) -> np.ndarray:
         """B rhs for complex class vectors rhs (..., nc) of level i of the
         cycle, 0 the mesh's own."""
         if i == len(self.levels):
-            return np.einsum("ij,...j->...i", self.coarsest, rhs)
-        graph, vals, dinv, pro, P, PT = self.levels[i]
-        x = dinv * rhs
-        res = rhs - _spmv(vals, graph.cols, graph.starts, x)
+            n = rhs.shape[-1]
+            x = np.concatenate([rhs.real, rhs.imag], axis=-1) @ self.coarsest.T
+            return x[..., :n] + 1j * x[..., n:]
+        graph, alpha, beta, da, db, pro, P, PT = self.levels[i]
+        x = da * rhs + db * rhs.conj()
+        res = rhs - _wspmv(alpha, beta, graph.cols, graph.starts, x)
         x += _spmv(P, pro.cols, pro.starts, self.cycle(_spmv(PT, pro.r_rows, pro.r_starts, res), i + 1))
-        x += dinv * (rhs - _spmv(vals, graph.cols, graph.starts, x))
+        res = rhs - _wspmv(alpha, beta, graph.cols, graph.starts, x)
+        x += da * res + db * res.conj()
         return x
 
     def __call__(self, Z: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -591,6 +591,58 @@ def gradient_fd_check(mesh, rho, p, Z, rng):
     return worst
 
 
+# the Hessian of Psi(U) = tr((U^T U)^n) by central differences of its
+# gradient, and the Gauss-Newton operator of the preconditioner assembled
+# from it triangle by triangle, in an orthonormal frame at each barycenter
+
+
+def schatten_hessian_fd(U: np.ndarray, n: int, step: float = 1e-6) -> np.ndarray:
+    """(4, 4) Hessian of tr((U^T U)^n) at the 2x2 U, on U.ravel(), by
+    central differences of the gradient 2n U (U^T U)^{n-1}."""
+    def grad(V):
+        return 2 * n * V @ np.linalg.matrix_power(V.T @ V, n - 1)
+
+    h = step * float(np.abs(U).max())
+    H = np.empty((4, 4))
+    for j in range(4):
+        dU = np.zeros(4)
+        dU[j] = h
+        dU = dU.reshape(2, 2)
+        H[:, j] = ((grad(U + dU) - grad(U - dU)) / (2 * h)).ravel()
+    return H
+
+
+def gauss_newton_oracle(mesh, rho, Z: np.ndarray, p: int, frames: np.ndarray) -> np.ndarray:
+    """The real (2 nc, 2 nc) matrix, x coordinates first, of the Gauss-Newton
+    Hessian of J_p at the (nc, 3) class points Z for the tangent frames
+    frames = (a, b), (2, nc, 3): the sum over triangles of area L^T C L, C =
+    `schatten_hessian_fd` of the differential U in a frame (e1, e2) at the
+    barycenter, and L[(i, a), (k, e)] = G_k[a] (e_i, lift_k frame_e)#."""
+    nc = mesh.n_classes
+    lifts = mesh.lift_matrices(rho)
+    A = np.zeros((2 * nc, 2 * nc))
+    for t, corners in enumerate(mesh.triangles):
+        classes = mesh.vertex_class[corners]
+        Y = np.einsum("kab,kb->ka", lifts[corners], Z[classes])
+        Yb = Y.sum(axis=0) / np.sqrt(-mink_dot(Y.sum(axis=0), Y.sum(axis=0)))
+        e1 = project_tangent(Yb, np.array([1.0, 0.0, 0.0]))
+        e1 /= np.sqrt(mink_dot(e1, e1))
+        e = np.stack([e1, mink_cross_vec(Yb, e1)])
+        Ki = mesh.tri_dxinv[t]
+        G = np.stack([-Ki[0] - Ki[1], Ki[0], Ki[1]])
+        eta = log_map(Yb, Y)
+        U = mink_dot(e[:, None], ((eta[1:] - eta[0]).T @ Ki).T[None])  # U[i, a] = (e_i, u_a)#
+        L = np.zeros((2, 2, 3, 2))
+        for k in range(3):
+            for j in range(2):
+                L[:, :, k, j] = mink_dot(e, lifts[corners[k]] @ frames[j, classes[k]])[:, None] * G[k][None]
+        L = L.reshape(4, 6)
+        block = mesh.areas[t] * L.T @ schatten_hessian_fd(U, p // 2) @ L
+        index = np.stack([classes, nc + classes], axis=1).ravel()
+        np.add.at(A, (index[:, None], index[None]), block)
+    return A
+
+
 # the target-frame and eigh construction of the per-triangle block that
 # pharmonic.density_and_currents ran before minimize built the block from
 # the solver's power sums
