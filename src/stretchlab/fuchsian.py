@@ -33,8 +33,8 @@ indexed by code, that words, cocycles and the word search multiply out.  A
 list of words is an (n, width) int8 array of codes, each row right-padded
 with PAD, the code of the identity; a row without its PAD is the letters of
 a Word.  k_lower_bound evaluates the rows in chunks of _CHUNK, with one
-batched matmul per column, so only the int8 array grows with the number of
-words.
+batched matmul per distinct prefix and one GEMM for the last letters, so
+only the int8 array grows with the number of words.
 """
 
 from __future__ import annotations
@@ -423,38 +423,82 @@ def _letter_table(rep: SurfaceGroupRep) -> np.ndarray:
 
 
 def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Traces of the products of table[codes[i]], multiplied left to right."""
-    m = table[codes[:, 0]]
-    for j in range(1, codes.shape[1]):
-        m = m @ table[codes[:, j]]
-    return m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+    """Traces of the products of table[codes[i]], multiplied left to right.
+
+    Rows are grouped by length (trailing PAD cut off, at least one column),
+    and each group is evaluated at its own width, so padding costs no
+    products.  Within a group, a row whose first j codes equal the previous
+    row's shares its j-letter prefix product: a "prefix changed" mask, OR-ed
+    column by column, marks the row that starts each run of a shared
+    prefix, and P_{j+1} = P_j[parent] @ table[code] is computed once per
+    run.  The last letter is read off one GEMM: tr(P g_c) = sum_ij P_ij
+    (g_c)_ji gives all nine codes at once as (runs, 9) @ (9, 9), gathered
+    at each row's run and last code.  Rows sorted within each length
+    (enumerate_words) share the most; any order gives the same traces.
+    """
+    last = table.transpose(0, 2, 1).reshape(len(table), 9).T
+    width = codes.shape[1]
+    # each row's length: the width less its trailing PAD, at least 1
+    lengths = np.full(len(codes), width)
+    padded = np.ones(len(codes), dtype=bool)
+    for j in range(width - 1, 0, -1):
+        padded &= codes[:, j] == PAD
+        lengths -= padded
+    out = np.empty(len(codes))
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        rows = np.flatnonzero(lengths == length)
+        if rows[-1] - rows[0] == len(rows) - 1:  # one block: a view, no copy
+            rows = slice(rows[0], rows[-1] + 1)
+        group = codes[rows, :length]
+        if length == 1:
+            out[rows] = np.trace(table, axis1=1, axis2=2)[group[:, 0]]
+            continue
+        new = np.empty(len(group), dtype=bool)
+        new[0] = True
+        new[1:] = group[1:, 0] != group[:-1, 0]
+        starts = np.flatnonzero(new)
+        prod = table[group[starts, 0]]
+        for j in range(1, length - 1):
+            new[1:] |= group[1:, j] != group[:-1, j]
+            # each new run's parent: the last run of column j - 1 starting at or before it
+            parents, starts = starts, np.flatnonzero(new)
+            prod = prod[np.searchsorted(parents, starts, side="right") - 1] @ table[group[starts, j]]
+        out[rows] = (prod.reshape(-1, 9) @ last)[np.cumsum(new) - 1, group[:, -1]]
+    return out
 
 
 def k_lower_bound(words, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
     """max over the words of l_rho/l_sigma: a lower bound for K up to rounding.
 
     words: a letter-code array (enumerate_words) or a list of words or
-    strings.  Rows are multiplied out in float64, _CHUNK at a time, with one
-    batched matmul per column; PAD multiplies by an exact identity.
-    Conjugates are not merged, and float64 noise lifts the max up to 1.2e-10
-    relative above the true ratio at length 6 (2.7e-10 at length 8).
-    Words trivial in sigma (TRIVIAL_COSH_FLOOR) or not hyperbolic in either
-    rep are skipped; the warning counts the distinct skipped (trace_sigma,
-    trace_rho) pairs, rounded to 9 decimals.
+    strings.  Rows are multiplied out in float64, _CHUNK at a time, by
+    _traces: one product per distinct prefix and one GEMM for the last
+    letter.  Conjugates are not merged, and float64 noise lifts the max up
+    to 1.2e-10 relative above the true ratio at length 6 (2.7e-10 at length
+    8).  Words trivial in sigma (TRIVIAL_COSH_FLOOR) or not hyperbolic in
+    either rep are skipped; the warning counts the distinct skipped
+    (trace_sigma, trace_rho) pairs, rounded to 9 decimals, and names up to
+    three skipped words, the shortest first.
     """
     codes = words if isinstance(words, np.ndarray) else word_codes(words)
     tables = _letter_table(sigma), _letter_table(rho)
 
     best = 0.0
     skipped = set()
+    shortest = []  # the shortest distinct skipped words, as code tuples
     for start in range(0, len(codes), _CHUNK):
-        tr_s, tr_r = (_traces(table, codes[start : start + _CHUNK]) for table in tables)
+        chunk = codes[start : start + _CHUNK]
+        tr_s, tr_r = (_traces(table, chunk) for table in tables)
         c_s, c_r = (tr_s - 1.0) / 2.0, (tr_r - 1.0) / 2.0
         ok = (c_s > 1.0 + TRIVIAL_COSH_FLOOR) & (c_r > 1.0 + HYPERBOLIC_TRACE_TOL / 2.0)
         best = max(best, float(np.max(np.arccosh(c_r[ok]) / np.arccosh(c_s[ok]), initial=0.0)))
-        skipped.update((round(a, 9), round(b, 9)) for a, b in zip(tr_s[~ok].tolist(), tr_r[~ok].tolist()))
+        if not ok.all():
+            skipped.update((round(a, 9), round(b, 9)) for a, b in zip(tr_s[~ok].tolist(), tr_r[~ok].tolist()))
+            bad = {tuple(c for c in row if c != PAD) for row in chunk[~ok].tolist()}
+            shortest = sorted(bad.union(shortest), key=lambda w: (len(w), w))[:3]
     if skipped:
-        warnings.warn(f"k_lower_bound skipped {len(skipped)} non-hyperbolic words")
+        names = ", ".join(str(Word(w)) for w in shortest)
+        warnings.warn(f"k_lower_bound skipped {len(skipped)} non-hyperbolic words (shortest: {names})")
     return best
 
 

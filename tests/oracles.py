@@ -112,6 +112,18 @@ def words_from_codes(codes: np.ndarray) -> list:
     return [Word(c for c in row if c != PAD) for row in codes.tolist()]
 
 
+def traces_oracle(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Trace of the product of table[row] for each row of a code array, every
+    row multiplied out on its own from its first letter: no prefix shared."""
+    out = []
+    for row in codes.tolist():
+        m = np.eye(3)
+        for c in row:
+            m = m @ table[c]
+        out.append(np.trace(m))
+    return np.array(out)
+
+
 def enumerate_words_oracle(max_len, cyclically_reduced=True):
     """Depth-first enumeration of reduced words, one Word at a time."""
     out = []

@@ -78,6 +78,14 @@ def test_mass_command(tmp_path):
     assert rep["duality_lower_bound"] <= rep["mass"] + 1e-9
 
 
+def test_mass_command_long_word(tmp_path):
+    # the float64 Ad-drift of its generator is 5.6e-8 at entries near 2e4:
+    # an absolute 1e-8 check exited 3 here
+    assert run(tmp_path, "mass", {"multicurve": [{"word": "a1 b1 a2 b2", "weight": 1.0}]}) == 0
+    rep = read_report(tmp_path, "mass_report.json")
+    assert rep["mass"] == pytest.approx(rep["two_length"], rel=1e-12)
+
+
 def test_mass_empty_multicurve(tmp_path):
     assert run(tmp_path, "mass", {"multicurve": []}) == 0
     rep = read_report(tmp_path, "mass_report.json")

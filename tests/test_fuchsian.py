@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from functools import lru_cache
 
@@ -24,7 +25,15 @@ from stretchlab.fuchsian import (
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.lorentz import B_STD, exp_so21, group_inv, killing
 
-from oracles import NHAT_STD, enumerate_words_oracle, free_words, lie_from_frame_coords, random_group_elem, words_from_codes
+from oracles import (
+    NHAT_STD,
+    enumerate_words_oracle,
+    free_words,
+    lie_from_frame_coords,
+    random_group_elem,
+    traces_oracle,
+    words_from_codes,
+)
 
 # letter codes: 2 * generator + (exponent < 0)
 LETTERS = list(range(8))
@@ -274,6 +283,68 @@ def test_k_lower_bound_chunks_are_exact(octagon, monkeypatch):
     whole = k_lower_bound(codes, octagon, rho)
     monkeypatch.setattr(fuchsian, "_CHUNK", 1000)
     assert k_lower_bound(codes, octagon, rho) == whole
+
+
+@lru_cache(maxsize=1)
+def _trace_inputs():
+    """Code arrays that share prefixes in every way that _traces must handle."""
+    rng = np.random.default_rng(5)
+    words = enumerate_words(4)
+    mixed = fuchsian.word_codes(["a1 b1", "a1 b1 a2", "a1", Word(), "a1 b1", "b2^-1 a1 b1", "a1 b1 a2 b2", "a1 b1 a2"])
+    return {
+        "sorted": words,
+        "shuffled": words[rng.permutation(len(words))],
+        "repeated": np.repeat(words[::37], 3, axis=0),
+        "mixed lengths": mixed,
+        "mixed lengths shuffled": np.concatenate([mixed, words[rng.permutation(len(words))[:300]]]),
+        "one column": fuchsian.word_codes(["a1", "a1"]),
+        "one column of PAD": fuchsian.word_codes([Word(), Word()]),
+        "one row": words[-1:],
+        "PAD inside a row": np.array([[0, fuchsian.PAD, 2, 5], [0, fuchsian.PAD, 2, fuchsian.PAD]], dtype=np.int8),
+    }
+
+
+@pytest.mark.parametrize("name", list(_trace_inputs()))
+def test_traces_share_prefixes_exactly(name):
+    # integer matrices multiply exactly in float64, so sharing prefixes and
+    # reading the last letter from the GEMM must give the oracle's every bit
+    table = np.random.default_rng(1).integers(-2, 3, size=(9, 3, 3)).astype(float)
+    table[fuchsian.PAD] = np.eye(3)
+    codes = _trace_inputs()[name]
+    got = fuchsian._traces(table, codes)
+    assert got.shape == (len(codes),)
+    np.testing.assert_array_equal(got, traces_oracle(table, codes))
+
+
+@pytest.mark.parametrize("name", ["shuffled", "repeated", "mixed lengths shuffled", "one column", "one row"])
+def test_traces_match_row_by_row_products(octagon, name):
+    rho = twist(octagon, TwistSpec("b1", 0.5))
+    codes = _trace_inputs()[name]
+    for rep in (octagon, rho):
+        table = fuchsian._letter_table(rep)
+        np.testing.assert_allclose(fuchsian._traces(table, codes), traces_oracle(table, codes), rtol=1e-12, atol=0)
+
+
+def test_k_lower_bound_runs_straddle_chunks(octagon, monkeypatch):
+    # chunks of 10 split the runs of seven words that share a prefix
+    rho = twist(octagon, TwistSpec("a2", 0.5))
+    codes = enumerate_words(4)
+    whole = k_lower_bound(codes, octagon, rho)
+    monkeypatch.setattr(fuchsian, "_CHUNK", 10)
+    assert k_lower_bound(codes, octagon, rho) == whole
+    assert whole == pytest.approx(k_lower_bound_oracle(words_from_codes(codes), octagon, rho), rel=1e-12, abs=0)
+
+
+def test_k_lower_bound_names_shortest_skipped_words(octagon, monkeypatch):
+    # the names are the shortest over all chunks, ties in code order; the
+    # relator squared comes before rotations[1] in code order, not in length
+    rho = twist(octagon, TwistSpec("a1", 0.5))
+    rotations = sorted({Word(v) for v in RELATOR.cyclic_variants()}, key=lambda w: w.letters)
+    assert rotations[0] == RELATOR
+    monkeypatch.setattr(fuchsian, "_CHUNK", 3)
+    names = ", ".join(map(str, [Word(), *rotations[1:3]]))
+    with pytest.warns(UserWarning, match=rf"skipped \d+ non-hyperbolic words \(shortest: {re.escape(names)}\)$"):
+        k_lower_bound([RELATOR * RELATOR, *rotations[:0:-1], "a1", Word(), Word()], octagon, rho)
 
 
 def test_enumerate_words_chunks_are_exact(monkeypatch):

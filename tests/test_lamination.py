@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
-from oracles import BPERP_STD, NHAT_STD, lie_from_frame_coords, random_group_elem, random_lie_alg, zero_cocycle
+from oracles import (
+    BPERP_STD,
+    NHAT_STD,
+    lie_from_frame_coords,
+    random_group_elem,
+    random_lie_alg,
+    words_from_codes,
+    zero_cocycle,
+)
 from stretchlab import lorentz
 from stretchlab.cocycle import coboundary
 from stretchlab.earthquake import TwistSpec, earthquake_cocycle, twist
-from stretchlab.fuchsian import OCTAGON_LENGTH, translation_length
+from stretchlab.fuchsian import OCTAGON_LENGTH, enumerate_words, translation_length
 from stretchlab.lamination import (
+    LieValuedMeasure,
     WeightedMulticurve,
     frame_invariance_defect,
     length,
@@ -41,6 +50,27 @@ def test_standard_measure_single_curve(octagon):
     at = m.atoms[0]
     assert at.length == pytest.approx(OCTAGON_LENGTH, abs=1e-9)
     assert killing(at.generator, at.generator) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_standard_measure_accepts_long_words(octagon, rng):
+    # the float64 drift of g B g^-1 - B grows like max|g|^2: an absolute
+    # 1e-8 rejected 82% of the length-4 words and nearly all of length 6
+    words = words_from_codes(enumerate_words(6))
+    six = [w for w in words if len(w) == 6]
+    for w in [w for w in words if len(w) <= 4] + [six[i] for i in rng.choice(len(six), 200, replace=False)]:
+        standard_measure(mc_of(octagon, (w, 1.0)))
+
+
+@pytest.mark.parametrize("word", ["a1", "a1 b1 a2 b2"])
+def test_validate_rejects_perturbed_generator(octagon, rng, word):
+    # killing-normalized, but off the axis by 1e-6: not Ad-invariant.  A
+    # tilt drifts like max|g| and the bound grows like max|g|^2, so at
+    # length 6 (max|g| ~ 2.5e5) a 1e-6 tilt can pass
+    at = standard_measure(mc_of(octagon, (word, 1.0))).atoms[0]
+    B = at.generator + 1e-6 * random_lie_alg(rng)
+    at.generator = B * np.sqrt(2.0 / killing(B, B))
+    with pytest.raises(ValueError, match="not Ad-invariant"):
+        LieValuedMeasure(octagon, [at]).validate()
 
 
 def test_standard_measure_empty(octagon):
