@@ -310,7 +310,7 @@ def _retract(Z: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 
 # the V-cycle of the preconditioner: the coarsest level it reaches (or the
-# mesh's own) and the largest damping of its block Jacobi sweeps (`_jacobi`)
+# mesh's own) and the largest damping of its block Jacobi inverse (`_jacobi`)
 VCYCLE_COARSEST = 2
 JACOBI_DAMPING = 0.7
 
@@ -440,10 +440,11 @@ def _jacobi(graph, alpha, beta):
     there.  omega_i is JACOBI_DAMPING, or 1.9 / R_i where that is smaller,
     R_i = sum_j |D_i^-1/2 A_ij D_j^-1/2| the block Gershgorin row sum (a
     widely linear map's norm is |alpha| + |beta|).  Every row then has
-    2 / omega_i - R_i >= 1/7, so 2 Omega^-1 D - A is positive definite: the
-    condition under which the symmetric V-cycle B is positive definite, with
-    the eigenvalues of B A in (0, 1], by construction and not by a margin
-    measured on some maps."""
+    2 / omega_i - R_i >= 1/7, so 2 Omega^-1 D - A is positive definite and
+    the eigenvalues of S A lie in (0, 2), S this inverse: the condition
+    under which the V-cycle's smoother (`_chebyshev`) contracts and the
+    symmetric V-cycle B is positive definite, with the eigenvalues of B A in
+    (0, 1], by construction and not by a margin measured on some maps."""
     da, db = alpha[graph.diag].real, beta[graph.diag]
     # D^-1/2 from the eigenvalues da +- |db|, s the square roots
     s = np.sqrt(da + np.array([[1.0], [-1.0]]) * np.abs(db))
@@ -454,6 +455,28 @@ def _jacobi(graph, alpha, beta):
     omega = np.minimum(JACOBI_DAMPING, 1.9 / np.bincount(rows, norm, graph.n))
     scale = omega / (da * da - (db * db.conj()).real)
     return scale * da, -scale * db
+
+
+def _chebyshev(graph, alpha, beta, da, db, res):
+    """q(S A) S res, the smoother's correction for the residual res: S the
+    damped block Jacobi inverse (da, db) of `_jacobi` and 1 - lam q(lam) the
+    degree-3 Chebyshev polynomial of [0.1, 2] scaled to 1 at 0, by the
+    three-term recurrence (Saad, Iterative Methods, Alg. 12.1) with centre
+    theta and half-width delta.  `_jacobi` keeps the eigenvalues of S A in
+    (0, 2), where |1 - lam q(lam)| < 1, and q(S A) S is symmetric, so the
+    same correction before and after the coarse correction gives a
+    symmetric V-cycle with the eigenvalues of B A in (0, 1]."""
+    theta, delta = 1.05, 0.95
+    sigma = theta / delta
+    rho = 1.0 / sigma
+    d = (da * res + db * res.conj()) / theta
+    x = d
+    for _ in range(2):
+        res = res - _wspmv(alpha, beta, graph.cols, graph.starts, d)
+        rho, rho_prev = 1.0 / (2.0 * sigma - rho), rho
+        d = (rho * rho_prev) * d + (2.0 * rho / delta) * (da * res + db * res.conj())
+        x += d
+    return x
 
 
 class _VCycle:
@@ -476,11 +499,13 @@ class _VCycle:
     polar factor of F_i^T lift_i^T E lift_j F_j, a rotation (as in vector
     diffusion maps, Singer & Wu, CPAM 65, 2012): P is complex linear, so a
     product takes alpha to conj(p_k) alpha p_l and beta to conj(p_k) beta
-    conj(p_l).  It has one damped block Jacobi sweep (`_jacobi`) before and
-    one after the coarse correction, and a dense inverse of the real form
-    at the coarsest level.  Applied to a tangent field V at Z it returns F B F^T E V
-    projected on T_Z, B the V-cycle operator.  Built at the class points Z
-    from m, the intermediates of `_energy_and_grad` there."""
+    conj(p_l).  Each level smooths with the same degree-3 Chebyshev
+    polynomial in S A (`_chebyshev`), S the damped block Jacobi inverse
+    (`_jacobi`), before and after the coarse correction, and the coarsest
+    level is a dense inverse of the real form.  Applied to a tangent field V
+    at Z it returns F B F^T E V projected on T_Z, B the V-cycle operator.
+    Built at the class points Z from m, the intermediates of
+    `_energy_and_grad` there."""
 
     def __init__(self, ctx: _Context, mesh: FundamentalMesh, Z: np.ndarray, m: dict):
         hier = mesh.class_hierarchy
@@ -529,11 +554,11 @@ class _VCycle:
             x = np.concatenate([rhs.real, rhs.imag], axis=-1) @ self.coarsest.T
             return x[..., :n] + 1j * x[..., n:]
         graph, alpha, beta, da, db, pro, P, PT = self.levels[i]
-        x = da * rhs + db * rhs.conj()
+        x = _chebyshev(graph, alpha, beta, da, db, rhs)
         res = rhs - _wspmv(alpha, beta, graph.cols, graph.starts, x)
         x += _spmv(P, pro.cols, pro.starts, self.cycle(_spmv(PT, pro.r_rows, pro.r_starts, res), i + 1))
         res = rhs - _wspmv(alpha, beta, graph.cols, graph.starts, x)
-        x += da * res + db * res.conj()
+        x += _chebyshev(graph, alpha, beta, da, db, res)
         return x
 
     def __call__(self, Z: np.ndarray, V: np.ndarray) -> np.ndarray:

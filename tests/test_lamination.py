@@ -54,18 +54,19 @@ def test_standard_measure_single_curve(octagon):
 
 def test_standard_measure_accepts_long_words(octagon, rng):
     # the float64 drift of g B g^-1 - B grows like max|g|^2: an absolute
-    # 1e-8 rejected 82% of the length-4 words and nearly all of length 6
+    # 1e-8 on it rejected 82% of the length-4 words and nearly all of length
+    # 6, which the tilt off the axis generator does not
     words = words_from_codes(enumerate_words(6))
     six = [w for w in words if len(w) == 6]
     for w in [w for w in words if len(w) <= 4] + [six[i] for i in rng.choice(len(six), 200, replace=False)]:
         standard_measure(mc_of(octagon, (w, 1.0)))
 
 
-@pytest.mark.parametrize("word", ["a1", "a1 b1 a2 b2"])
+@pytest.mark.parametrize("word", ["a1", "a1 b1 a2 b2", "a1 b1^-1 a2 a2 b2 b1"])
 def test_validate_rejects_perturbed_generator(octagon, rng, word):
-    # killing-normalized, but off the axis by 1e-6: not Ad-invariant.  A
-    # tilt drifts like max|g| and the bound grows like max|g|^2, so at
-    # length 6 (max|g| ~ 2.5e5) a 1e-6 tilt can pass
+    # killing-normalized, but off the axis by 1e-6: not Ad-invariant, at
+    # every length (the drift g B g^-1 - B of the length-6 word, with max|g|
+    # ~ 2.5e5, rounds like max|g|^2 and a tilt moves it like max|g|)
     at = standard_measure(mc_of(octagon, (word, 1.0))).atoms[0]
     B = at.generator + 1e-6 * random_lie_alg(rng)
     at.generator = B * np.sqrt(2.0 / killing(B, B))

@@ -521,22 +521,58 @@ def _assert_cycle_contracts(H):
     eig = np.linalg.eigvals(B @ A)
     assert np.abs(eig.imag).max() <= 1e-10
     assert eig.real.min() > 1e-4 and eig.real.max() <= 1.0 + 1e-10
+    return eig.real
 
 
 @pytest.mark.parametrize("case", ["2", "16", "L2-p64", "L3-p64"])
 def test_vcycle_is_symmetric_and_contracts(vcycles, case):
-    # the coarse correction is an A-orthogonal projection between two damped
-    # block Jacobi sweeps
+    # the coarse correction is an A-orthogonal projection between two
+    # applications of the same Chebyshev smoother
     _, _, _, H = vcycles[case]
     assert len(H.levels) == 1
     assert H.coarsest.shape == ((28, 28) if case == "L2-p64" else (124, 124))
-    _assert_cycle_contracts(H)
+    eig = _assert_cycle_contracts(H)
+    if case == "L3-p64":
+        # one block Jacobi sweep each side gave 60.8 at this map
+        assert eig.max() / eig.min() <= 20.0
+
+
+def test_chebyshev_smoother_matches_dense_polynomial(vcycles, rng):
+    # the pre-smoother from x = 0 is q(S A) S rhs, with 1 - lam q(lam) the
+    # degree-3 Chebyshev polynomial of [0.1, 2] scaled to 1 at lam = 0 and S
+    # the damped block Jacobi inverse, here in dense real form
+    from types import SimpleNamespace
+
+    from numpy.polynomial import Polynomial
+    from stretchlab.pharmonic import _chebyshev
+
+    lo, hi = 0.1, 2.0
+    x = Polynomial([(hi + lo) / (hi - lo), -2.0 / (hi - lo)])       # [lo, hi] -> [1, -1]
+    T3 = 4.0 * x ** 3 - 3.0 * x
+    q = (1.0 - T3 / T3(0.0)) // Polynomial([0.0, 1.0])
+    for _, _, _, H in vcycles.values():
+        for graph, alpha, beta, da, db, *_ in H.levels:
+            n = graph.n
+            A = _real_form(graph, alpha, beta)
+            S = _real_form(SimpleNamespace(n=n, rows=np.arange(n), cols=np.arange(n)), da, db)
+            SA, want_op = S @ A, q.coef[-1] * np.eye(2 * n)
+            for c in q.coef[-2::-1]:
+                want_op = want_op @ SA + c * np.eye(2 * n)
+            want_op = want_op @ S
+            for shape in ((n,), (2, n)):
+                rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                got = _chebyshev(graph, alpha, beta, da, db, rhs)
+                want = np.concatenate([rhs.real, rhs.imag], axis=-1) @ want_op.T
+                np.testing.assert_allclose(got, want[..., :n] + 1j * want[..., n:], rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
 
 
 def test_jacobi_damping_bound_keeps_the_cycle_definite(vcycles, rho_twist, monkeypatch):
-    # rho(D^-1 A) exceeds 2.2 at the converged p=64 map, so an undamped
-    # sweep, or one damped by 0.95, would make B indefinite there; the
-    # per-class Gershgorin bound lowers omega where it must
+    # rho(D^-1 A) exceeds 2.2 at the converged p=64 map, so with an
+    # undamped Jacobi inverse S, or one damped by 0.95, S A would have
+    # eigenvalues above 2, where the smoother does not contract, and B would
+    # be indefinite there; the per-class Gershgorin bound lowers omega where
+    # it must
     from stretchlab import pharmonic
 
     mesh, Z, p, _ = vcycles["L3-p64"]
