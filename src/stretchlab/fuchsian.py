@@ -173,9 +173,7 @@ PAIRING_WORDS = _X_WORDS + tuple(w.inverse() for w in _X_WORDS)
 
 # the code that pads short words; it stands for the identity
 PAD = 8
-# _NEXT[c]: the seven codes that may follow c in a freely reduced word
-_NEXT = np.array([[d for d in range(8) if d != c ^ 1] for c in range(8)], dtype=np.int8)
-# rows per batched evaluation in k_lower_bound
+# parents per batch in enumerate_words, rows per batch in k_lower_bound
 _CHUNK = 1 << 16
 
 
@@ -371,39 +369,48 @@ def stretch_ratio(word, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
 
 
 def enumerate_words(max_len: int) -> np.ndarray:
-    """Cyclically reduced nonempty words up to max_len.
+    """One word per closed curve up to max_len letters: per conjugacy class
+    of cyclically reduced words, a class and its inverse's taken as one, its
+    least rotation in code order of a word or of its inverse.
 
     Returns an (n, max_len) int8 array of letter codes, shorter words padded
-    with PAD.  The words come length by length; within one length they are
-    in lexicographic order of their codes (a1 < a1^-1 < b1 < ... < b2^-1).
-    Each length repeats every free word of the previous one seven times and
-    appends the seven codes that do not cancel its last letter, _CHUNK
-    words of the previous length at a time; a word is cyclically reduced
-    when its first code is not the inverse of its last.  Kept rows go
-    straight into the result, preallocated from powers of the letter
-    transition matrix, so only one length's free words are held beside it.
+    with PAD, length by length and lexicographic within one length (a1 <
+    a1^-1 < b1 < ... < b2^-1).  The rows grow as prenecklaces (Ruskey,
+    Savage & Wang, J. Algorithms 13, 1992), _CHUNK parents at a time: one of
+    length n and period p takes each code d >= a[n - p] that does not cancel
+    its last, with period p if d == a[n - p] and n + 1 otherwise.  It is a
+    row when p divides n (a necklace), its first code does not cancel its
+    last and its codes, packed 3 bits each, are at most every rotation of
+    its inverse's.
     """
-    if max_len == 0:
-        return np.empty((0, 0), dtype=np.int8)
-    step = 1 - np.eye(8, dtype=np.int64)[np.arange(8) ^ 1]  # step[c, d]: d may follow c
-    # cyclically reduced: the pair (first, last) is one that step allows
-    counts = [int((np.linalg.matrix_power(step, n - 1) * step).sum()) for n in range(1, max_len + 1)]
-    out = np.full((sum(counts), max_len), PAD, dtype=np.int8)
-    free = np.arange(8, dtype=np.int8)[:, None]
-    out[:8, :1] = free
-    row = 8
-    for length in range(2, max_len + 1):
-        # the free words of this length, kept only when a longer length needs them
-        grown = np.empty((7 * len(free), length), dtype=np.int8) if length < max_len else None
-        for start in range(0, len(free), _CHUNK):
-            parents = free[start : start + _CHUNK]
-            words = np.column_stack([np.repeat(parents, 7, axis=0), _NEXT[parents[:, -1]].ravel()])
-            if grown is not None:
-                grown[7 * start : 7 * start + len(words)] = words
-            words = words[words[:, 0] != words[:, -1] ^ 1]
-            out[row : row + len(words), :length] = words
-            row += len(words)
-        free = grown
+    codes = np.arange(8, dtype=np.int32)
+
+    def classes(n, key, inv, period):
+        ok = (n % period == 0) & (key >> 3 * (n - 1) != (key & 7) ^ 1)
+        for r in range(1, n + 1):  # the inverse rotated left by r
+            ok &= key <= ((inv & (1 << 3 * (n - r)) - 1) << 3 * r | inv >> 3 * (n - r))
+        return n, key[ok]
+
+    layer = codes, codes ^ 1, np.ones(8, dtype=np.int8)
+    kept = [classes(1, *layer)] if max_len else []
+    for n in range(1, max_len):
+        grown = []
+        for start in range(0, len(layer[0]), _CHUNK):
+            key, inv, period = (a[start : start + _CHUNK] for a in layer)
+            ref = key >> 3 * (period - 1) & 7  # a[n - p]
+            rows, d = np.nonzero((codes >= ref[:, None]) & (codes != (key[:, None] & 7) ^ 1))
+            d = d.astype(np.int32)
+            child = key[rows] << 3 | d, inv[rows] | (d ^ 1) << 3 * n, np.where(d == ref[rows], period[rows], n + 1)
+            kept.append(classes(n + 1, *child))
+            if n + 1 < max_len:  # a longer length grows from this one
+                grown.append(child)
+        layer = [np.concatenate(a) for a in zip(*grown)] if grown else None
+    out = np.full((sum(len(key) for _, key in kept), max_len), PAD, dtype=np.int8)
+    row = 0
+    for n, key in kept:
+        for j in range(n):
+            out[row : row + len(key), j] = key >> 3 * (n - 1 - j) & 7
+        row += len(key)
     return out
 
 
@@ -433,8 +440,10 @@ def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     prefix, and P_{j+1} = P_j[parent] @ table[code] is computed once per
     run.  The last letter is read off one GEMM: tr(P g_c) = sum_ij P_ij
     (g_c)_ji gives all nine codes at once as (runs, 9) @ (9, 9), gathered
-    at each row's run and last code.  Rows sorted within each length
-    (enumerate_words) share the most; any order gives the same traces.
+    at each row's run and last code.  Rows sorted within each length share
+    the most: the length-6 rows of enumerate_words, one per class, take
+    0.27 prefix products each (0.19 over every word); any order gives the
+    same traces.
     """
     last = table.transpose(0, 2, 1).reshape(len(table), 9).T
     width = codes.shape[1]
@@ -473,9 +482,10 @@ def k_lower_bound(words, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
     words: a letter-code array (enumerate_words) or a list of words or
     strings.  Rows are multiplied out in float64, _CHUNK at a time, by
     _traces: one product per distinct prefix and one GEMM for the last
-    letter.  Conjugates are not merged, and float64 noise lifts the max up
-    to 1.2e-10 relative above the true ratio at length 6 (2.7e-10 at length
-    8).  Words trivial in sigma (TRIVIAL_COSH_FLOOR) or not hyperbolic in
+    letter.  Over enumerate_words' rows, one per class, float64 noise lifts
+    the max 2e-13 to 4.9e-11 relative above the true ratio at length 6
+    (five twists), 3.9e-11 at length 8 and 4.8e-10 at length 9 (on a1,
+    t=0.5).  Words trivial in sigma (TRIVIAL_COSH_FLOOR) or not hyperbolic in
     either rep are skipped; the warning counts the distinct skipped
     (trace_sigma, trace_rho) pairs, rounded to 9 decimals, and names up to
     three skipped words, the shortest first.

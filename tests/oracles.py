@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stretchlab import lorentz
+from stretchlab import fuchsian, lorentz
 from stretchlab.cocycle import Cocycle, differentiate_family
 from stretchlab.earthquake import FD_STEP, TwistSpec, twist
 from stretchlab.fuchsian import (
@@ -148,6 +148,49 @@ def free_words(max_len: int) -> list:
     """Every freely reduced nonempty word up to max_len, length by length and
     in lexicographic order of the letter codes within one length."""
     return sorted(enumerate_words_oracle(max_len, cyclically_reduced=False), key=lambda w: (len(w), w.letters))
+
+
+# _NEXT[c]: the seven codes that may follow c in a freely reduced word
+_NEXT = np.array([[d for d in range(8) if d != c ^ 1] for c in range(8)], dtype=np.int8)
+
+
+def all_words_oracle(max_len: int) -> np.ndarray:
+    """Every cyclically reduced nonempty word up to max_len, in the format of
+    `fuchsian.enumerate_words`: every rotation of every word and of its
+    inverse, where enumerate_words keeps one word per class.
+
+    Returns an (n, max_len) int8 array of letter codes, shorter words padded
+    with PAD.  The words come length by length; within one length they are
+    in lexicographic order of their codes (a1 < a1^-1 < b1 < ... < b2^-1).
+    Each length repeats every free word of the previous one seven times and
+    appends the seven codes that do not cancel its last letter, _CHUNK
+    words of the previous length at a time; a word is cyclically reduced
+    when its first code is not the inverse of its last.  Kept rows go
+    straight into the result, preallocated from powers of the letter
+    transition matrix, so only one length's free words are held beside it.
+    """
+    if max_len == 0:
+        return np.empty((0, 0), dtype=np.int8)
+    step = 1 - np.eye(8, dtype=np.int64)[np.arange(8) ^ 1]  # step[c, d]: d may follow c
+    # cyclically reduced: the pair (first, last) is one that step allows
+    counts = [int((np.linalg.matrix_power(step, n - 1) * step).sum()) for n in range(1, max_len + 1)]
+    out = np.full((sum(counts), max_len), PAD, dtype=np.int8)
+    free = np.arange(8, dtype=np.int8)[:, None]
+    out[:8, :1] = free
+    row = 8
+    for length in range(2, max_len + 1):
+        # the free words of this length, kept only when a longer length needs them
+        grown = np.empty((7 * len(free), length), dtype=np.int8) if length < max_len else None
+        for start in range(0, len(free), fuchsian._CHUNK):
+            parents = free[start : start + fuchsian._CHUNK]
+            words = np.column_stack([np.repeat(parents, 7, axis=0), _NEXT[parents[:, -1]].ravel()])
+            if grown is not None:
+                grown[7 * start : 7 * start + len(words)] = words
+            words = words[words[:, 0] != words[:, -1] ^ 1]
+            out[row : row + len(words), :length] = words
+            row += len(words)
+        free = grown
+    return out
 
 
 def form_from_edge_function(mesh: FundamentalMesh, fn) -> DiscreteOneForm:

@@ -105,7 +105,7 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["rep", "--config", str(bad), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
-    for max_len in (0, 9, 2.5, "6"):
+    for max_len in (0, 10, 2.5, "6"):
         assert run(tmp_path, "kbound", {"max_word_len": max_len}) == cli.EXIT_CONFIG
         twist_cfg = {"target": {"type": "twist", "curve": "a1", "t": 0.5}, "max_word_len": max_len}
         assert run(tmp_path, "solve", twist_cfg) == cli.EXIT_CONFIG

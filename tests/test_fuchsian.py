@@ -27,6 +27,7 @@ from stretchlab.lorentz import B_STD, exp_so21, group_inv, killing
 
 from oracles import (
     NHAT_STD,
+    all_words_oracle,
     enumerate_words_oracle,
     free_words,
     lie_from_frame_coords,
@@ -219,26 +220,49 @@ def test_k_lower_bound_twist(octagon):
 
 
 def test_enumerate_words_counts():
-    # freely reduced words of length 2 are all cyclically reduced: 8 * 7
-    assert len(enumerate_words(1)) == 8
-    w2 = words_from_codes(enumerate_words(2))
+    # the all-words array oracle, which the class tests below reduce: freely
+    # reduced words of length 2 are all cyclically reduced, 8 * 7
+    assert len(all_words_oracle(1)) == 8
+    w2 = words_from_codes(all_words_oracle(2))
     assert len([w for w in w2 if len(w) == 2]) == 56
     # length 3: freely reduced 8*7*7, minus the 8*6 with last = first^-1
-    w3 = [w for w in words_from_codes(enumerate_words(3)) if len(w) == 3]
+    w3 = [w for w in words_from_codes(all_words_oracle(3)) if len(w) == 3]
     assert len(w3) == 8 * 7 * 7 - 8 * 6
     for max_len in range(1, 6):
-        got = words_from_codes(enumerate_words(max_len))
+        got = words_from_codes(all_words_oracle(max_len))
         want = enumerate_words_oracle(max_len)
         assert len(got) == len(set(got))
         # depth-first order restricted to one length is lexicographic
         assert got == sorted(want, key=len)
-    assert len(enumerate_words(0)) == 0
+    assert len(all_words_oracle(0)) == 0
+    assert enumerate_words(0).shape == (0, 0)
+
+
+@lru_cache(maxsize=1)
+def _classes_up_to_6():
+    """The least rotation of each oracle word and of its inverse, once each,
+    sorted within each length: the rows enumerate_words(6) should return."""
+    least = {min(w.cyclic_variants()) for w in words_from_codes(all_words_oracle(6))}
+    return [Word(w) for w in sorted(least, key=lambda w: (len(w), w))]
+
+
+@pytest.mark.parametrize("max_len", range(1, 7))
+def test_enumerate_words_is_one_word_per_class(max_len):
+    want = [w for w in _classes_up_to_6() if len(w) <= max_len]
+    codes = enumerate_words(max_len)
+    assert codes.dtype == np.int8 and codes.shape == (len(want), max_len)
+    np.testing.assert_array_equal(codes, fuchsian.word_codes(want)[:, :max_len])
+    assert len(codes) == [4, 20, 80, 390, 2074, 11918][max_len - 1]
+
+
+def test_enumerate_words_length_one_is_the_generators():
+    assert words_from_codes(enumerate_words(1)) == [Word.parse(n) for n in fuchsian.GENERATOR_NAMES]
 
 
 @pytest.mark.parametrize("curve", fuchsian.GENERATOR_NAMES)
 def test_k_lower_bound_matches_word_loop(octagon, curve):
     rho = twist(octagon, TwistSpec(curve, 0.5))
-    words = words_from_codes(enumerate_words(5))
+    words = words_from_codes(all_words_oracle(5))
     assert k_lower_bound(words, octagon, rho) == pytest.approx(
         k_lower_bound_oracle(words, octagon, rho), rel=1e-12, abs=0
     )
@@ -272,14 +296,30 @@ def test_k_lower_bound_skips_relator_rotations(octagon):
 
 
 def test_enumerate_words_codes_round_trip():
-    codes = enumerate_words(6)
-    assert codes.dtype == np.int8 and codes.shape == (137280, 6)
-    np.testing.assert_array_equal(fuchsian.word_codes(words_from_codes(codes)), codes)
+    for codes, n in ((all_words_oracle(6), 137280), (enumerate_words(6), 11918)):
+        assert codes.dtype == np.int8 and codes.shape == (n, 6)
+        np.testing.assert_array_equal(fuchsian.word_codes(words_from_codes(codes)), codes)
+
+
+@pytest.mark.parametrize("curve, t", [("a1", 0.5), ("b1", 0.43), ("a2", 0.58), ("b2", 0.51)])
+def test_k_lower_bound_over_classes_matches_all_words(octagon, curve, t):
+    # a class's words differ only by the float64 noise of their products
+    rho = twist(octagon, TwistSpec(curve, t))
+    every = k_lower_bound(all_words_oracle(6), octagon, rho)
+    assert k_lower_bound(enumerate_words(6), octagon, rho) == pytest.approx(every, rel=2e-10, abs=0)
+
+
+def test_k_lower_bound_length_8_skips_only_the_relator(octagon):
+    # the 16 rotations of the relator and its inverse are one class
+    rho = twist(octagon, TwistSpec("a1", 0.5))
+    with pytest.warns(UserWarning) as caught:
+        k_lower_bound(enumerate_words(8), octagon, rho)
+    assert [str(w.message) for w in caught] == [f"k_lower_bound skipped 1 non-hyperbolic words (shortest: {RELATOR})"]
 
 
 def test_k_lower_bound_chunks_are_exact(octagon, monkeypatch):
     rho = twist(octagon, TwistSpec("b2", 0.5))
-    codes = enumerate_words(5)
+    codes = all_words_oracle(5)
     whole = k_lower_bound(codes, octagon, rho)
     monkeypatch.setattr(fuchsian, "_CHUNK", 1000)
     assert k_lower_bound(codes, octagon, rho) == whole
@@ -289,7 +329,7 @@ def test_k_lower_bound_chunks_are_exact(octagon, monkeypatch):
 def _trace_inputs():
     """Code arrays that share prefixes in every way that _traces must handle."""
     rng = np.random.default_rng(5)
-    words = enumerate_words(4)
+    words = all_words_oracle(4)
     mixed = fuchsian.word_codes(["a1 b1", "a1 b1 a2", "a1", Word(), "a1 b1", "b2^-1 a1 b1", "a1 b1 a2 b2", "a1 b1 a2"])
     return {
         "sorted": words,
@@ -328,7 +368,7 @@ def test_traces_match_row_by_row_products(octagon, name):
 def test_k_lower_bound_runs_straddle_chunks(octagon, monkeypatch):
     # chunks of 10 split the runs of seven words that share a prefix
     rho = twist(octagon, TwistSpec("a2", 0.5))
-    codes = enumerate_words(4)
+    codes = all_words_oracle(4)
     whole = k_lower_bound(codes, octagon, rho)
     monkeypatch.setattr(fuchsian, "_CHUNK", 10)
     assert k_lower_bound(codes, octagon, rho) == whole
@@ -348,14 +388,17 @@ def test_k_lower_bound_names_shortest_skipped_words(octagon, monkeypatch):
 
 
 def test_enumerate_words_chunks_are_exact(monkeypatch):
-    whole = enumerate_words(6)
+    whole = enumerate_words(6), all_words_oracle(6)
+    for chunk in (1000, 7, 1):
+        monkeypatch.setattr(fuchsian, "_CHUNK", chunk)
+        np.testing.assert_array_equal(enumerate_words(6), whole[0])
     monkeypatch.setattr(fuchsian, "_CHUNK", 1000)
-    np.testing.assert_array_equal(enumerate_words(6), whole)
+    np.testing.assert_array_equal(all_words_oracle(6), whole[1])
 
 
 @lru_cache(maxsize=1)
 def _words_up_to_4():
-    return frozenset(words_from_codes(enumerate_words(4)))
+    return frozenset(words_from_codes(all_words_oracle(4)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     BPERP_STD,
     NHAT_STD,
+    all_words_oracle,
     lie_from_frame_coords,
     random_group_elem,
     random_lie_alg,
@@ -13,7 +14,7 @@ from oracles import (
 from stretchlab import lorentz
 from stretchlab.cocycle import coboundary
 from stretchlab.earthquake import TwistSpec, earthquake_cocycle, twist
-from stretchlab.fuchsian import OCTAGON_LENGTH, enumerate_words, translation_length
+from stretchlab.fuchsian import OCTAGON_LENGTH, translation_length
 from stretchlab.lamination import (
     LieValuedMeasure,
     WeightedMulticurve,
@@ -56,7 +57,7 @@ def test_standard_measure_accepts_long_words(octagon, rng):
     # the float64 drift of g B g^-1 - B grows like max|g|^2: an absolute
     # 1e-8 on it rejected 82% of the length-4 words and nearly all of length
     # 6, which the tilt off the axis generator does not
-    words = words_from_codes(enumerate_words(6))
+    words = words_from_codes(all_words_oracle(6))
     six = [w for w in words if len(w) == 6]
     for w in [w for w in words if len(w) <= 4] + [six[i] for i in rng.choice(len(six), 200, replace=False)]:
         standard_measure(mc_of(octagon, (w, 1.0)))
