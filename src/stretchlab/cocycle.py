@@ -53,14 +53,6 @@ class Cocycle:
             raise ValueError(f"relator tangency {res:.3e} exceeds {RELATOR_TANGENCY_TOL:.1e}")
         return self
 
-    def to_json(self) -> dict:
-        """Generator values as 3x3 arrays, with the base rep inline."""
-        return {"values": [v.tolist() for v in self.values.astype(float)], "rep": self.rep.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Cocycle":
-        return cls(SurfaceGroupRep.from_json(data["rep"]), np.array(data["values"], dtype=float))
-
 
 class RepMismatchError(ValueError):
     """Raised when cocycles/measures over different base reps are combined."""

@@ -207,27 +207,3 @@ def frame_at(B: np.ndarray, X: np.ndarray):
     Bp = cross(n_vec, X)
     nh = Bp @ B - B @ Bp
     return B, Bp, nh
-
-
-def axis_point(B: np.ndarray) -> np.ndarray:
-    """A point on the axis of a hyperbolic generator B (killing(B,B) = 2).
-
-    The axis is the hyperboloid trace of the +1-eigenplane of B^2; the
-    timelike direction in that nullspace of (B^2 - I) is extracted by
-    diagonalizing the restricted form.
-    """
-    if abs(killing(B, B) - 2.0) > AXIS_TOL:
-        raise FrameError("generator is not killing-normalized to (B,B)# = 2")
-    M = B @ B - np.eye(3)
-    _, s, vt = np.linalg.svd(M)
-    null = vt[s < max(AXIS_TOL, s[0] * 1e-9)]
-    if null.shape[0] != 2:
-        raise FrameError("axis eigenplane is not two-dimensional")
-    u, w = null
-    # restricted Gram of (,)# on span{u, w}; its negative eigenvector is timelike
-    G = np.array([[mink_dot(u, u), mink_dot(u, w)], [mink_dot(w, u), mink_dot(w, w)]])
-    evals, evecs = np.linalg.eigh(G)
-    if evals[0] >= 0:
-        raise FrameError("no timelike direction in the axis plane")
-    X = evecs[0, 0] * u + evecs[1, 0] * w
-    return normalize_to_hyperboloid(X)

@@ -191,17 +191,6 @@ class FundamentalMesh:
             raise MeshError("negatively oriented triangle")
         return self
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "vertices": self.vertices.tolist(),
-            "triangles": self.triangles.tolist(),
-            "pairings": [
-                {"side": k, "word": str(w), "matrix": g.tolist()}
-                for k, (w, g) in enumerate(zip(PAIRING_WORDS, self.rep.pairing_images()))
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # construction

@@ -224,14 +224,6 @@ def check_schedule(schedule) -> list:
     return [int(p) for p in schedule]
 
 
-def _singular_values(m):
-    t, d = m["t"], np.maximum(m["d"], 0.0)
-    disc = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
-    lam1 = 0.5 * (t + disc)
-    lam2 = np.maximum(0.5 * (t - disc), 0.0)
-    return np.sqrt(lam1), np.sqrt(lam2)
-
-
 def _energy_and_grad(ctx: _Context, Z: np.ndarray, p: int):
     """(J_p, m) at Z: m holds _tri_metric's intermediates, n = p/2, h_{n-1},
     h_{n-2} and the power sums P = tr(M^n), from which
@@ -346,6 +338,15 @@ def _rotation(lifted: np.ndarray, to, frm) -> np.ndarray:
     return z / np.abs(z)
 
 
+def _eigenvalues(m: dict):
+    """The eigenvalues of M, (2, nt), the larger first, clipped at 0: t/2 +-
+    disc/2, disc^2 = (M11 - M22)^2 + 4 M12^2 a sum of squares, where t^2 -
+    4d cancels as the eigenvalues meet."""
+    M = m["M"]
+    disc = np.sqrt((M[0, 0] - M[1, 1]) ** 2 + 4.0 * M[0, 1] ** 2)
+    return np.maximum(0.5 * (m["t"] + np.stack([disc, -disc])), 0.0)
+
+
 def _schatten_curvature(m: dict):
     """The eigenvectors Q of M, (2, 2, nt), the larger eigenvalue's first,
     and the weights n (Delta_11, Delta_22, 2 Delta_12), (3, nt), of the
@@ -353,8 +354,7 @@ def _schatten_curvature(m: dict):
     n, M = m["n"], m["M"]
     theta = 0.5 * np.arctan2(2.0 * M[0, 1], M[0, 0] - M[1, 1])
     cos, sin = np.cos(theta), np.sin(theta)
-    disc = np.sqrt((M[0, 0] - M[1, 1]) ** 2 + 4.0 * M[0, 1] ** 2)
-    lam = np.maximum(0.5 * (m["t"] + np.stack([disc, -disc])), 0.0)
+    lam = _eigenvalues(m)
     return np.array([[cos, -sin], [sin, cos]]), n * np.concatenate([(n - 1) * lam ** max(n - 2, 0), 2.0 * m["h2"][None]])
 
 
@@ -713,7 +713,7 @@ def minimize(
                               Z0, _energy_and_grad(ctx, Z0, p), lambda Z, m: _VCycle(ctx, mesh, Z, m), opts)
     precond_s = stats.pop("precond_s")
     timings = {"precond_s": precond_s, "descent_s": time.perf_counter() - start - precond_s}
-    s1, s2 = _singular_values(m)
+    s1, s2 = np.sqrt(_eigenvalues(m))
     kappa = float(J ** (-1.0 / p))
     # the block at the final iterate from M, its power M^{p/2-1} and the
     # columns u of D: U = kappa u, U^T U = kappa^2 M

@@ -59,8 +59,8 @@ def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
-# the rest of the standard frame at X0 beside B_STD, the geodesics, random
-# draws and helpers that only the tests use
+# the rest of the standard frame at X0 beside B_STD, the geodesics, axis
+# points, random draws and helpers that only the tests use
 
 BPERP_STD = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 NHAT_STD = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -76,6 +76,30 @@ def geodesic(X: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     if abs(mink_dot(v, v) - 1.0) > ATOL or abs(mink_dot(v, X)) > ATOL:
         raise ValueError("geodesic direction is not a unit tangent at X")
     return np.cosh(t) * X + np.sinh(t) * v
+
+
+def axis_point(B: np.ndarray) -> np.ndarray:
+    """A point on the axis of a hyperbolic generator B (killing(B,B) = 2).
+
+    The axis is the hyperboloid trace of the +1-eigenplane of B^2; the
+    timelike direction in that nullspace of (B^2 - I) is extracted by
+    diagonalizing the restricted form.
+    """
+    if abs(lorentz.killing(B, B) - 2.0) > lorentz.AXIS_TOL:
+        raise lorentz.FrameError("generator is not killing-normalized to (B,B)# = 2")
+    M = B @ B - np.eye(3)
+    _, s, vt = np.linalg.svd(M)
+    null = vt[s < max(lorentz.AXIS_TOL, s[0] * 1e-9)]
+    if null.shape[0] != 2:
+        raise lorentz.FrameError("axis eigenplane is not two-dimensional")
+    u, w = null
+    # restricted Gram of (,)# on span{u, w}; its negative eigenvector is timelike
+    G = np.array([[mink_dot(u, u), mink_dot(u, w)], [mink_dot(w, u), mink_dot(w, w)]])
+    evals, evecs = np.linalg.eigh(G)
+    if evals[0] >= 0:
+        raise lorentz.FrameError("no timelike direction in the axis plane")
+    X = evecs[0, 0] * u + evecs[1, 0] * w
+    return lorentz.normalize_to_hyperboloid(X)
 
 
 def lie_from_frame_coords(b: float, a: float, z: float) -> np.ndarray:
@@ -201,6 +225,71 @@ def form_from_edge_function(mesh: FundamentalMesh, fn) -> DiscreteOneForm:
 def finite_difference_cocycle(rep: SurfaceGroupRep, curve: str, weight: float = 1.0, step: float = FD_STEP) -> Cocycle:
     """differentiate_family applied to the exact twist family."""
     return differentiate_family(lambda t: twist(rep, TwistSpec(curve, weight * t)), rep, step)
+
+
+# the random search over admissible test forms that
+# lamination.mass_by_duality ran before it returned the optimal form's
+# pairing in closed form: sample 0 is that form, phi = B_i
+
+
+def admissible_pairings(m, n_samples: int, n_quad: int, rng: np.random.Generator) -> np.ndarray:
+    """dw(phi) for sample 0, phi = B_i, and n_samples random admissible forms.
+
+    Test data along each curve are forms phi(t) = b(t) B_i + a(t) Bperp_i(t)
+    with pointwise b^2 + a^2 <= 1, i.e. largest singular value <= sqrt2,
+    integrated by the n_quad-point midpoint rule.
+    """
+    # per-atom frames along the curve, computed once: for killing-normalized
+    # B the exponential is exactly I + sinh(t) B + (cosh(t)-1) B^2
+    frames = []
+    for at in m.atoms:
+        B = at.generator
+        X = axis_point(B)
+        _, Bp0, _ = lorentz.frame_at(B, X)
+        l = float(at.length)
+        ts = (np.arange(n_quad) + 0.5) * (l / n_quad)
+        B2 = B @ B
+        gt = (
+            np.eye(3)[None]
+            + np.sinh(ts)[:, None, None] * B[None]
+            + (np.cosh(ts) - 1.0)[:, None, None] * B2[None]
+        )
+        gti = np.einsum("ab,tbc,cd->tad", lorentz.E_SHARP, gt.transpose(0, 2, 1), lorentz.E_SHARP)
+        Bp_t = gt @ Bp0[None] @ gti
+        frames.append((at, l, ts, Bp_t))
+
+    totals = []
+    for sample in range(n_samples + 1):
+        total = 0.0
+        for at, l, ts, Bp_t in frames:
+            B = at.generator
+            if sample == 0:
+                bs = np.ones(n_quad)
+                as_ = np.zeros(n_quad)
+            else:
+                # periodic coefficient functions, clipped into the admissible disc
+                ks = rng.integers(1, 4, size=2)
+                c = rng.uniform(-1.0, 1.0, size=4)
+                bs = c[0] + c[1] * np.cos(2 * np.pi * ks[0] * ts / l)
+                as_ = c[2] * np.sin(2 * np.pi * ks[1] * ts / l) + c[3]
+                r = np.sqrt(bs**2 + as_**2)
+                scale = np.where(r > 1.0, 1.0 / np.maximum(r, 1e-30), 1.0)
+                bs, as_ = bs * scale, as_ * scale
+            phi = bs[:, None, None] * B[None] + as_[:, None, None] * Bp_t
+            vals = np.einsum("tab,ba->t", phi, B)
+            total += at.weight * float(vals.sum()) * (l / n_quad)
+        totals.append(total)
+    return np.array(totals)
+
+
+class ZeroFormDraws:
+    """Draws for admissible_pairings under which every random form is phi = 0."""
+
+    def integers(self, low, high, size):
+        return np.full(size, low)
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
 
 
 # the per-triangle geometry loop and the boundary twin search that

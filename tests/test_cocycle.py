@@ -175,18 +175,6 @@ def test_differentiate_conjugation_family_is_coboundary_class(octagon, rng):
     assert min(np.abs(diff).max(), np.abs(alt).max()) <= 1e-6
 
 
-def test_cocycle_json_round_trip(octagon, rng, tmp_path):
-    import json
-
-    from stretchlab.cli import _write_json
-
-    alpha = earthquake_cocycle(octagon, "a1")
-    path = tmp_path / "cocycle.json"
-    _write_json(tmp_path, "cocycle.json", alpha.to_json())
-    back = Cocycle.from_json(json.loads(path.read_text()))
-    np.testing.assert_allclose(back.values.astype(float), alpha.values.astype(float), atol=1e-15)
-
-
 def test_rep_mismatch_raises(octagon, rng):
     other = twist(octagon, TwistSpec("a1", 0.3))
     a = zero_cocycle(octagon)

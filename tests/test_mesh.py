@@ -391,16 +391,3 @@ def test_loop_integral_cocycle_rule(meshes):
     rhs = loop_integral(form, w1) + s1 @ v2 @ lorentz.group_inv(s1)
     scale = 1.0 + float(np.abs(s1).max()) ** 2 * float(np.abs(v2).max())
     np.testing.assert_allclose(lhs, rhs, atol=1e-11 * scale)
-
-
-def test_mesh_json_export(meshes, tmp_path):
-    import json
-
-    from stretchlab.cli import _write_json
-
-    path = tmp_path / "mesh.json"
-    _write_json(tmp_path, "mesh.json", meshes[1].to_json())
-    data = json.loads(path.read_text())
-    assert data["level"] == 1
-    assert len(data["pairings"]) == 8
-    assert len(data["triangles"]) == 32

@@ -426,6 +426,26 @@ def test_f_log_against_mpmath():
             assert abs(fpi - want_p) <= 1e-10 * abs(want_p), wi
 
 
+def test_singular_values_against_mpmath(octagon):
+    # s1, s2 at the level-3 identity p=8 map, where M is near I: the form
+    # sqrt(t^2 - 4d) erred 5.1e-13 there
+    import mpmath
+
+    from stretchlab.pharmonic import _Context, _eigenvalues, _tri_metric
+
+    mesh = build_octagon_mesh(3)
+    res = minimize(mesh, octagon, 8, SolveOptions())
+    M = _tri_metric(_Context(mesh, octagon), res.class_points.T.copy())["M"]
+    want = np.empty((2, M.shape[-1]))
+    with mpmath.workdps(40):
+        for k in range(M.shape[-1]):
+            a, b, c = (mpmath.mpf(float(x)) for x in (M[0, 0, k], M[0, 1, k], M[1, 1, k]))
+            disc = mpmath.sqrt((a - c) ** 2 + 4 * b * b)
+            want[:, k] = [(a + c + disc) / 2, (a + c - disc) / 2]
+    assert np.abs(_eigenvalues({"M": M, "t": M[0, 0] + M[1, 1]}) - want).max() <= 1e-15
+    assert np.abs(np.stack([res.s1, res.s2]) - np.sqrt(want)).max() <= 1e-15
+
+
 def _closed_form_hessian(U, n):
     """(4, 4) Hessian of tr((U^T U)^n) at the 2x2 U, on U.ravel(), from the
     pieces that `_gauss_newton_blocks` assembles: 2n I (x) M^{n-1} plus the
