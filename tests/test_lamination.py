@@ -120,11 +120,16 @@ def test_mass_by_duality_attains_and_bounds(octagon):
 
 def test_mass_by_duality_random_forms_stay_below(octagon, rng):
     # every admissible form pairs to at most the mass, the optimal one
-    # (sample 0) to mass_by_duality, and the zero form to zero
+    # (sample 0) to mass_by_duality
     m = standard_measure(mc_of(octagon, ("a1", 1.0), ("b2", 0.5), ("a1 b1^-1 a2", 0.25)))
     values = admissible_pairings(m, 64, 96, rng)
     assert (values <= mass(m) * (1 + 1e-12)).all()
     assert values[0] == pytest.approx(mass_by_duality(m), rel=1e-12)
+
+
+def test_zero_form_gives_zero(octagon):
+    # the admissible test form with b = a = 0 along every curve pairs to zero
+    m = standard_measure(mc_of(octagon, ("a1", 1.0), ("b2", 0.5)))
     assert admissible_pairings(m, 1, 96, ZeroFormDraws())[1] == 0.0
 
 
