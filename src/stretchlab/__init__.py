@@ -7,7 +7,7 @@ Submodules:
 - cocycle: twisted 1-cocycles over Ad(sigma)
 - lamination: weighted multicurves and Lie-algebra-valued transverse measures
 - earthquake: Fenchel-Nielsen twists, length derivatives, duality checks
-- mesh: triangulated fundamental octagon, discrete 1-forms, loop integrals
+- mesh: triangulated fundamental octagon, discrete 1-forms, cocycle extraction
 - pharmonic: discrete p-Schatten harmonic map solver and its currents
 - cli: the `stretchlab` experiment runner
 """
@@ -22,26 +22,3 @@ from . import earthquake
 from . import mesh
 from . import pharmonic
 
-from .fuchsian import (
-    Word,
-    SurfaceGroupRep,
-    octagon_representation,
-    translation_length,
-    axis_generator,
-    stretch_ratio,
-    k_lower_bound,
-)
-from .cocycle import Cocycle, evaluate_cocycle, coboundary, differentiate_family
-from .lamination import (
-    WeightedMulticurve,
-    LieValuedMeasure,
-    standard_measure,
-    mass,
-    mass_by_duality,
-    length,
-    pair,
-    frame_invariance_defect,
-)
-from .earthquake import TwistSpec, twist, earthquake_cocycle, length_derivative, duality_check
-from .mesh import FundamentalMesh, DiscreteOneForm, build_octagon_mesh
-from .pharmonic import SolveResult, minimize

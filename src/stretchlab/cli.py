@@ -71,7 +71,10 @@ def _build_rep(spec) -> SurfaceGroupRep:
     if spec in (None, "octagon", "sigma"):
         return base
     if isinstance(spec, dict) and "file" in spec:
-        return fuchsian.rep_from_json_file(spec["file"])
+        try:
+            return fuchsian.rep_from_json_file(spec["file"])
+        except fuchsian.RepFileError as exc:
+            raise ConfigError(str(exc))
     if isinstance(spec, dict) and "twist" in spec:
         tw = spec["twist"]
         try:
@@ -88,8 +91,10 @@ def _build_rep(spec) -> SurfaceGroupRep:
 
 
 def _multicurve(rep, data) -> WeightedMulticurve:
-    if not isinstance(data, list):
+    if not (isinstance(data, list) and all(isinstance(d, dict) for d in data)):
         raise ConfigError("multicurve must be a list of {word, weight}")
+    for d in data:
+        _real_setting(d, "weight", None, 0.0)
     try:
         return WeightedMulticurve.from_json(rep, data)
     except (KeyError, TypeError, fuchsian.WordError) as exc:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fuchsian import GENERATOR_NAMES, RELATOR, SurfaceGroupRep, as_word
-from .lorentz import group_inv, sharp_adj
+from .lorentz import group_inv
 
 RELATOR_TANGENCY_TOL = 1e-8
-FD_STEP = 1e-4
 
 
 @dataclass
@@ -37,15 +36,6 @@ class Cocycle:
     def __add__(self, other: "Cocycle") -> "Cocycle":
         _check_same_rep(self.rep, other.rep)
         return Cocycle(self.rep, self.values + other.values)
-
-    def __sub__(self, other: "Cocycle") -> "Cocycle":
-        _check_same_rep(self.rep, other.rep)
-        return Cocycle(self.rep, self.values - other.values)
-
-    def __mul__(self, c: float) -> "Cocycle":
-        return Cocycle(self.rep, c * self.values)
-
-    __rmul__ = __mul__
 
     def validate(self) -> "Cocycle":
         res = relator_tangency(self)
@@ -116,29 +106,3 @@ def relator_tangency(alpha: Cocycle) -> float:
     """
     r = _evaluate_cocycle_ld(alpha, RELATOR)
     return float(np.sqrt((r * r).sum()))
-
-
-def differentiate_family(
-    family,
-    rep: SurfaceGroupRep | None = None,
-    step: float = FD_STEP,
-    s0: float = 0.0,
-) -> Cocycle:
-    """Central-difference cocycle of a representation family s -> rep.
-
-    alpha(g) = (d/ds sigma_s(g)) sigma(g)^-1 at s = s0; the result is
-    projected onto so(2,1) and satisfies relator tangency up to the
-    finite-difference floor (~1e-6 for the default step).  The sampled
-    family members must satisfy the rep invariants.
-    """
-    if rep is None:
-        rep = family(s0)
-    plus = family(s0 + step).validate()
-    minus = family(s0 - step).validate()
-    vals = []
-    for n in GENERATOR_NAMES:
-        d = (plus.generator(n) - minus.generator(n)) / (2.0 * step)
-        a = d @ group_inv(rep.generator(n))
-        a = 0.5 * (a - sharp_adj(a))  # project to so(2,1)
-        vals.append(a - np.trace(a) / 3.0 * np.eye(3))
-    return Cocycle(rep, np.array(vals))

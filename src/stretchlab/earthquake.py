@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import FD_STEP, Cocycle
+from .cocycle import Cocycle
 from .fuchsian import GENERATOR_NAMES, SurfaceGroupRep, axis_generator, translation_length
 from .lamination import WeightedMulticurve, length, pair, standard_measure
 from .lorentz import exp_so21, group_inv
@@ -28,6 +28,8 @@ from .lorentz import exp_so21, group_inv
 TWIST_PARTNER = {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"}
 
 REL_ERR_FLOOR = 1e-12
+# the central-difference step of the twist family's length derivatives
+FD_STEP = 1e-4
 
 
 @dataclass

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -90,6 +91,10 @@ class NonHyperbolicError(ValueError):
 
 class WordError(ValueError):
     """Raised on malformed word strings."""
+
+
+class RepFileError(ValueError):
+    """Raised when a rep file cannot be read as four 3x3 generators."""
 
 
 class Word:
@@ -258,6 +263,7 @@ class SurfaceGroupRep:
 
     @classmethod
     def from_json(cls, data: dict) -> "SurfaceGroupRep":
+        """The rep of to_json's data, not yet validated."""
         if "generators_ext" in data:
             arr = np.array(
                 [[[np.longdouble(x) for x in row] for row in g] for g in data["generators_ext"]],
@@ -265,8 +271,7 @@ class SurfaceGroupRep:
             )
         else:
             arr = np.array(data["generators"], dtype=float)
-        rep = cls(arr, data.get("label", "sigma"))
-        return rep.validate()
+        return cls(arr, data.get("label", "sigma"))
 
 
 def _ld_str(x) -> str:
@@ -333,7 +338,7 @@ def octagon_representation() -> SurfaceGroupRep:
 
 
 # ---------------------------------------------------------------------------
-# lengths, axes, stretch ratios
+# lengths, axes and the K lower bound
 # ---------------------------------------------------------------------------
 
 def translation_length(g: np.ndarray):
@@ -360,12 +365,6 @@ def axis_generator(g: np.ndarray) -> np.ndarray:
     B = (g - sharp_adj(g)) / (2.0 * np.sinh(l))
     B = B * np.sqrt(2.0 / lorentz.killing(B, B))
     return B
-
-
-def stretch_ratio(word, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
-    """l_rho(word) / l_sigma(word); raises NonHyperbolicError if either fails."""
-    w = as_word(word)
-    return translation_length(rho.evaluate(w)) / translation_length(sigma.evaluate(w))
 
 
 def enumerate_words(max_len: int) -> np.ndarray:
@@ -412,16 +411,6 @@ def enumerate_words(max_len: int) -> np.ndarray:
             out[row : row + len(key), j] = key >> 3 * (n - 1 - j) & 7
         row += len(key)
     return out
-
-
-def word_codes(words) -> np.ndarray:
-    """Letter codes of a list of words or word strings, right-padded with PAD
-    to the longest word; an empty word is one row of PAD (width at least 1)."""
-    letters = [as_word(w).letters for w in words]
-    codes = np.full((len(letters), max([1, *map(len, letters)])), PAD, dtype=np.int8)
-    for row, word in zip(codes, letters):
-        row[: len(word)] = word
-    return codes
 
 
 def _letter_table(rep: SurfaceGroupRep) -> np.ndarray:
@@ -476,21 +465,20 @@ def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def k_lower_bound(words, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
+def k_lower_bound(codes: np.ndarray, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
     """max over the words of l_rho/l_sigma: a lower bound for K up to rounding.
 
-    words: a letter-code array (enumerate_words) or a list of words or
-    strings.  Rows are multiplied out in float64, _CHUNK at a time, by
-    _traces: one product per distinct prefix and one GEMM for the last
-    letter.  Over enumerate_words' rows, one per class, float64 noise lifts
-    the max 2e-13 to 4.9e-11 relative above the true ratio at length 6
-    (five twists), 3.9e-11 at length 8 and 4.8e-10 at length 9 (on a1,
-    t=0.5).  Words trivial in sigma (TRIVIAL_COSH_FLOOR) or not hyperbolic in
-    either rep are skipped; the warning counts the distinct skipped
-    (trace_sigma, trace_rho) pairs, rounded to 9 decimals, and names up to
-    three skipped words, the shortest first.
+    codes: an (n, width) int8 letter-code array as enumerate_words returns,
+    shorter words padded with PAD.  Rows are multiplied out in float64,
+    _CHUNK at a time, by _traces: one product per distinct prefix and one
+    GEMM for the last letter.  Over enumerate_words' rows, one per class,
+    float64 noise lifts the max 2e-13 to 4.9e-11 relative above the true
+    ratio at length 6 (five twists), 3.9e-11 at length 8 and 4.8e-10 at
+    length 9 (on a1, t=0.5).  Words trivial in sigma (TRIVIAL_COSH_FLOOR)
+    or not hyperbolic in either rep are skipped; the warning counts the
+    distinct skipped (trace_sigma, trace_rho) pairs, rounded to 9 decimals,
+    and names up to three skipped words, the shortest first.
     """
-    codes = words if isinstance(words, np.ndarray) else word_codes(words)
     tables = _letter_table(sigma), _letter_table(rho)
 
     best = 0.0
@@ -513,5 +501,15 @@ def k_lower_bound(words, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
 
 
 def rep_from_json_file(path) -> SurfaceGroupRep:
-    with open(path) as fh:
-        return SurfaceGroupRep.from_json(json.load(fh))
+    """The validated rep of a to_json file.  A path that is not a string or
+    path object, a file that cannot be read or parsed, or JSON without four
+    3x3 real generators raises RepFileError; a rep that fails validate()
+    raises its ValueError."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise RepFileError(f"rep file must be a path, got {path!r}")
+    try:
+        with open(path) as fh:
+            rep = SurfaceGroupRep.from_json(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise RepFileError(f"cannot read a rep from {path!r}: {exc}") from exc
+    return rep.validate()

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lorentz
 from .cocycle import Cocycle, _check_same_rep, evaluate_cocycle
 from .fuchsian import SurfaceGroupRep, as_word, axis_generator, translation_length
-from .lorentz import cross, exp_so21, killing
+from .lorentz import killing
 
 KILLING_NORM_TOL = 1e-9  # an atom generator B has |killing(B, B) - 2| <= this
 
@@ -130,25 +129,3 @@ def pair(m: LieValuedMeasure, xi: Cocycle) -> float:
     """dw(d xi) = sum b_i (B_i, alpha(gamma_i))#; vanishes on coboundaries."""
     _check_same_rep(m.rep, xi.rep)
     return sum(at.weight * killing(at.generator, evaluate_cocycle(xi, at.word)) for at in m.atoms)
-
-
-def frame_invariance_defect(
-    A: np.ndarray, B: np.ndarray, X: np.ndarray, t: float
-) -> float:
-    """Norm of the non-tangential part of A transported along the axis of B.
-
-    Returns |M - (M X) x X| with M = e^{tB} A e^{-tB} (transport along the
-    positive flow direction), which in the frame
-    coordinates A = b B + a Bperp + z nhat equals sqrt2 |z cosh t - a sinh t|;
-    identically zero over t iff a = z = 0, i.e. dw = b B delta(s) ds.
-
-    The defect matrix is a multiple of the frame's nhat, so its magnitude is
-    measured by the Killing norm sqrt|(D,D)#| (equal to the Frobenius norm in
-    the standard frame and Ad-invariant, so the closed form holds along any
-    axis, not just the standard one).
-    """
-    lorentz.frame_at(B, X)  # validates the (B, X) frame data
-    g = exp_so21(t * B)
-    M = g @ A @ lorentz.group_inv(g)
-    D = M - cross(M @ X, X)
-    return float(np.sqrt(abs(killing(D, D))))

@@ -5,9 +5,9 @@ The upper hyperboloid sheet {(X,X)# = -1, z >= 1} is the hyperbolic plane; its
 orientation-preserving isometry group is SO+(2,1) acting by matrices g with
 g^T e# g = e#, det g = 1.  The Lie algebra so(2,1) consists of traceless
 matrices with A# = -A, where A# = e# A^T e#.  Every A in so(2,1) satisfies the
-cubic identity A^3 = k A with k = Tr(A^2)/2, which gives closed-form
-exponentials and logarithms with three branches (hyperbolic / elliptic /
-near-parabolic).
+cubic identity A^3 = k A with k = Tr(A^2)/2, which gives the exponential
+in closed form with three branches (a series in k near 0, hyperbolic for
+k > 0, elliptic for k < 0).
 
 Vectors are plain numpy arrays of shape (3,), Lie algebra elements and group
 elements are arrays of shape (3, 3).
@@ -20,20 +20,9 @@ import numpy as np
 E_SHARP = np.diag([1.0, 1.0, -1.0])
 X0 = np.array([0.0, 0.0, 1.0])
 
-# the axis through X0 in the y-direction:
-# B_STD generates the unit-speed geodesic t -> (0, sinh t, cosh t).
-B_STD = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-
-# tolerances of the hyperboloid and axis tests
-ATOL = 1e-10
-AXIS_TOL = 1e-8
 # the exponential sums its series below |k| = 1, where cosh w - 1 and
 # 1 - cos w cancel (to a relative error of 1e-8 at |k| = 1e-8)
 EXP_SERIES_CUTOFF = 1.0
-
-
-class FrameError(ValueError):
-    """Raised when (B, X) do not describe a unit-speed axis through X."""
 
 
 def mink_dot(X: np.ndarray, Y: np.ndarray):
@@ -53,10 +42,6 @@ def sharp_adj(M: np.ndarray) -> np.ndarray:
 def group_inv(g: np.ndarray) -> np.ndarray:
     """Inverse of g in O(2,1), g^-1 = g#."""
     return sharp_adj(g)
-
-
-def is_on_hyperboloid(X: np.ndarray, tol: float = ATOL) -> bool:
-    return abs(mink_dot(X, X) + 1.0) <= tol and X[2] >= 1.0 - tol
 
 
 def normalize_to_hyperboloid(X: np.ndarray) -> np.ndarray:
@@ -107,16 +92,6 @@ def is_group_elem(g: np.ndarray) -> bool:
     return (g @ X0)[2] > 0
 
 
-def project_tangent(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection Pi(X) v = v + (v,X)# X onto T_X H.
-
-    X must lie on the hyperboloid.
-    """
-    if not is_on_hyperboloid(X):
-        raise ValueError("projection base point is not on the hyperboloid")
-    return v + mink_dot(v, X) * X
-
-
 def _exp_coeffs(k):
     """f1, f2 with exp(A) = I + f1 A + f2 A^2 for A^3 = k A (dtype-preserving)."""
     if abs(k) < EXP_SERIES_CUTOFF:
@@ -151,31 +126,6 @@ def exp_so21(A: np.ndarray) -> np.ndarray:
     return np.eye(3, dtype=A.dtype) + f1 * A + f2 * A2
 
 
-def log_so21(g: np.ndarray) -> np.ndarray:
-    """Inverse of exp_so21 on SO+(2,1).
-
-    Writes g = I + f1(k) A + f2(k) A^2 and recovers A = (g - g#)/(2 f1).  The
-    branch is read off c = (Tr g - 1)/2 (= cosh length, cos angle, or 1);
-    round-trips to 1e-10 away from rotations by ~pi where f1 vanishes.
-    """
-    c = (float(np.trace(g)) - 1.0) / 2.0
-    m = 0.5 * (g - sharp_adj(g))
-    if c > 1.0 + 1e-12:
-        w = np.arccosh(c)
-        f1 = np.sinh(w) / w
-    elif c < 1.0 - 1e-12:
-        w = np.arccos(max(c, -1.0))
-        s = np.sin(w)
-        if abs(s) < 1e-6:
-            raise ValueError("log near a rotation by pi is not supported")
-        f1 = s / w
-    else:
-        # near-identity / parabolic: k from the trace, then the f1 series
-        k = float(np.trace(g)) - 3.0
-        f1 = 1.0 + k / 6.0 + k * k / 120.0
-    return m / f1
-
-
 def log_map(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Tangent vector at X pointing to Y with |v| = d(X, Y).
 
@@ -186,24 +136,3 @@ def log_map(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 where th = 0, masked below
         v = th[..., None] * (Y - c[..., None] * X) / np.sinh(th)[..., None]
     return np.where(th[..., None] < 1e-12, 0.0, v)
-
-
-def frame_at(B: np.ndarray, X: np.ndarray):
-    """Frame (B, Bperp, nhat) of so(2,1) adapted to the axis of B through X.
-
-    B must be a hyperbolic generator with killing(B,B) = 2 whose axis passes
-    through X (equivalently B^2 X = X); then B X is the unit tangent along the
-    axis, Bperp = (the 90-degree rotated tangent) x X and nhat = Bperp B - B Bperp
-    spans the Killing-negative direction.  The Gram matrix is diag(2, 2, -2).
-    """
-    if abs(killing(B, B) - 2.0) > AXIS_TOL:
-        raise FrameError("generator is not killing-normalized to (B,B)# = 2")
-    if not is_on_hyperboloid(X, max(AXIS_TOL, ATOL)):
-        raise FrameError("frame base point is not on the hyperboloid")
-    if float(np.abs(B @ B @ X - X).max()) > AXIS_TOL:
-        raise FrameError("base point is not on the axis of B")
-    t = B @ X  # unit tangent along the axis
-    n_vec = mink_cross_vec(t, X)  # in-plane unit normal (tangent rotated by -90)
-    Bp = cross(n_vec, X)
-    nh = Bp @ B - B @ Bp
-    return B, Bp, nh

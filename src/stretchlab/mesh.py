@@ -25,15 +25,15 @@ parent-edge table of every refinement is kept, and with it the vertex-class
 graph of every level and the prolongations between them (`ClassHierarchy`),
 on which the solver's preconditioner runs its V-cycle.
 Per-triangle areas are exact (hyperbolic angle defect), so the total is 4 pi
-at every level; the first-order chord areas are kept alongside for
-convergence diagnostics.  Edge data (Maurer-Cartan form, solver currents) are
+at every level.  Edge data (Maurer-Cartan form, solver currents) are
 first-order midpoint discretizations.
 
 Cocycle extraction rests on one tree primitive per form: F(v) is the form
 summed along a breadth-first tree from the octagon centre.  For each pairing
 x_k, the crossing integral is I(x_k) = F(y) - Ad(rep(x_k)) F(y'), with y the
 middle vertex of side k and y' its twin on side k+4; a word's value composes
-these along its pairing letters by the cocycle rule.
+these along its pairing letters by the cocycle rule, which extract_cocycle
+does for the four generators.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .fuchsian import (
     PAIRING_WORDS,
     SurfaceGroupRep,
     Word,
-    as_word,
     octagon_representation,
 )
 from .lorentz import cross, log_map, mink_cross_vec, mink_dot, normalize_to_hyperboloid
@@ -138,7 +137,6 @@ class FundamentalMesh:
     boundary_pairs: np.ndarray    # (nb, 3) rows (u, v, k): sigma(x_k) pos_u = pos_v, u on side k+4
     edge_twins: tuple             # per pairing k: (edge ids on side k+4, twin ids on side k, signs)
     areas: np.ndarray             # (nt,) exact angle-defect areas
-    chord_areas: np.ndarray       # (nt,) embedded flat areas (first order)
     edges: np.ndarray             # (ne, 2) sorted vertex pairs
     tri_edges: np.ndarray         # (nt, 3) edge ids of the corner-slot edges (i,j), (j,k), (k,i)
     tri_edge_sign: np.ndarray     # (nt, 3) +1 where that directed edge has the canonical orientation
@@ -267,14 +265,9 @@ def build_octagon_mesh(level: int) -> FundamentalMesh:
     angles = np.arccos(np.clip(cu, -1.0, 1.0))                     # (nt, 3) at each corner
     areas = np.pi - (angles[:, 0] + angles[:, 1] + angles[:, 2])
 
-    u, w = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
-    uw = mink_dot(u, w)
-    G = np.stack([np.stack([mink_dot(u, u), uw], -1), np.stack([uw, mink_dot(w, w)], -1)], -2)
-    chord_areas = 0.5 * np.sqrt(np.maximum(np.linalg.det(G), 0.0))
-
     # hyperbolic circumcenter: the timelike direction orthogonal to the chordal
     # edge vectors; the normalized barycenter for obtuse/degenerate data
-    normal = mink_cross_vec(u, w)
+    normal = mink_cross_vec(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
     bary = (P[:, 0] + P[:, 1] + P[:, 2]) / 3.0
     circum = normalize_to_hyperboloid(np.where((mink_dot(normal, normal) < 0)[:, None], normal, bary))
     V = log_map(circum[:, None], P)                                # (nt, 3, 3)
@@ -300,7 +293,6 @@ def build_octagon_mesh(level: int) -> FundamentalMesh:
         boundary_pairs=boundary_pairs.reshape(-1, 3),
         edge_twins=edge_twins,
         areas=areas,
-        chord_areas=chord_areas,
         edges=edges,
         tri_edges=tri_edges,
         tri_edge_sign=tri_edge_sign,
@@ -434,12 +426,6 @@ class DiscreteOneForm:
         """(nt, 3, 3, 3) values on each triangle's directed edges (i,j), (j,k), (k,i)."""
         return self.mesh.tri_edge_sign[..., None, None] * self.values[self.mesh.tri_edges]
 
-    def __add__(self, other):
-        return DiscreteOneForm(self.mesh, self.values + other.values)
-
-    def __sub__(self, other):
-        return DiscreteOneForm(self.mesh, self.values - other.values)
-
     def __mul__(self, c: float):
         return DiscreteOneForm(self.mesh, c * self.values)
 
@@ -508,7 +494,7 @@ def triangle_wedge_density(phi: DiscreteOneForm, psi: DiscreteOneForm) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# loop integrals / cocycle extraction
+# cocycle extraction
 # ---------------------------------------------------------------------------
 
 def _primitive(form: DiscreteOneForm) -> np.ndarray:
@@ -550,18 +536,6 @@ def _crossings(form: DiscreteOneForm, rep: SurfaceGroupRep):
         incr[k] = F[y] - g @ F[yp] @ g_inv
         incr[k + 4] = -(g_inv @ incr[k] @ g)
     return np.array(incr), mats
-
-
-def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = None) -> np.ndarray:
-    """alpha(word): the crossing integrals composed along the word's pairing letters.
-
-    rep is the representation whose Ad transports the form across the
-    boundary (mesh.rep for sigma-equivariant data like the Maurer-Cartan
-    form, the solver's target rep for V_q).  The result satisfies the
-    cocycle rule up to the discretization error of the form.
-    """
-    letters = [k for c in as_word(word).letters for k in LETTER_X_WORDS[c]]
-    return compose(letters, *_crossings(form, rep if rep is not None else form.mesh.rep))
 
 
 def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None) -> Cocycle:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stretchlab import fuchsian, lorentz
-from stretchlab.cocycle import Cocycle, differentiate_family
+from stretchlab.cocycle import Cocycle, compose
 from stretchlab.earthquake import FD_STEP, TwistSpec, twist
 from stretchlab.fuchsian import (
     GENERATOR_NAMES,
@@ -20,20 +20,21 @@ from stretchlab.fuchsian import (
     Word,
     as_word,
     octagon_representation,
+    translation_length,
 )
 from stretchlab.lorentz import (
-    ATOL,
-    B_STD,
     E_SHARP,
     X0,
+    cross,
     exp_so21,
-    is_on_hyperboloid,
+    group_inv,
+    killing,
     log_map,
     mink_cross_vec,
     mink_dot,
-    project_tangent,
+    sharp_adj,
 )
-from stretchlab.mesh import DiscreteOneForm, FundamentalMesh, _midpoint, extract_cocycle, loop_integral
+from stretchlab.mesh import DiscreteOneForm, FundamentalMesh, _crossings, _midpoint, extract_cocycle
 from stretchlab.pharmonic import (
     SIGN,
     SolveOptions,
@@ -59,11 +60,108 @@ def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
-# the rest of the standard frame at X0 beside B_STD, the geodesics, axis
-# points, random draws and helpers that only the tests use
+# the lorentz helpers that only the tests use: the standard frame at X0,
+# the hyperboloid and axis tests, the tangent projection, the logarithm and
+# the adapted frames
 
+# the axis through X0 in the y-direction:
+# B_STD generates the unit-speed geodesic t -> (0, sinh t, cosh t).
+B_STD = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 BPERP_STD = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 NHAT_STD = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+# tolerances of the hyperboloid and axis tests
+ATOL = 1e-10
+AXIS_TOL = 1e-8
+
+
+class FrameError(ValueError):
+    """Raised when (B, X) do not describe a unit-speed axis through X."""
+
+
+def is_on_hyperboloid(X: np.ndarray, tol: float = ATOL) -> bool:
+    return abs(mink_dot(X, X) + 1.0) <= tol and X[2] >= 1.0 - tol
+
+
+def project_tangent(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Orthogonal projection Pi(X) v = v + (v,X)# X onto T_X H.
+
+    X must lie on the hyperboloid.
+    """
+    if not is_on_hyperboloid(X):
+        raise ValueError("projection base point is not on the hyperboloid")
+    return v + mink_dot(v, X) * X
+
+
+def log_so21(g: np.ndarray) -> np.ndarray:
+    """Inverse of exp_so21 on SO+(2,1).
+
+    Writes g = I + f1(k) A + f2(k) A^2 and recovers A = (g - g#)/(2 f1).  The
+    branch is read off c = (Tr g - 1)/2 (= cosh length, cos angle, or 1);
+    round-trips to 1e-10 away from rotations by ~pi where f1 vanishes.
+    """
+    c = (float(np.trace(g)) - 1.0) / 2.0
+    m = 0.5 * (g - sharp_adj(g))
+    if c > 1.0 + 1e-12:
+        w = np.arccosh(c)
+        f1 = np.sinh(w) / w
+    elif c < 1.0 - 1e-12:
+        w = np.arccos(max(c, -1.0))
+        s = np.sin(w)
+        if abs(s) < 1e-6:
+            raise ValueError("log near a rotation by pi is not supported")
+        f1 = s / w
+    else:
+        # near-identity / parabolic: k from the trace, then the f1 series
+        k = float(np.trace(g)) - 3.0
+        f1 = 1.0 + k / 6.0 + k * k / 120.0
+    return m / f1
+
+
+def frame_at(B: np.ndarray, X: np.ndarray):
+    """Frame (B, Bperp, nhat) of so(2,1) adapted to the axis of B through X.
+
+    B must be a hyperbolic generator with killing(B,B) = 2 whose axis passes
+    through X (equivalently B^2 X = X); then B X is the unit tangent along the
+    axis, Bperp = (the 90-degree rotated tangent) x X and nhat = Bperp B - B Bperp
+    spans the Killing-negative direction.  The Gram matrix is diag(2, 2, -2).
+    """
+    if abs(killing(B, B) - 2.0) > AXIS_TOL:
+        raise FrameError("generator is not killing-normalized to (B,B)# = 2")
+    if not is_on_hyperboloid(X, max(AXIS_TOL, ATOL)):
+        raise FrameError("frame base point is not on the hyperboloid")
+    if float(np.abs(B @ B @ X - X).max()) > AXIS_TOL:
+        raise FrameError("base point is not on the axis of B")
+    t = B @ X  # unit tangent along the axis
+    n_vec = mink_cross_vec(t, X)  # in-plane unit normal (tangent rotated by -90)
+    Bp = cross(n_vec, X)
+    nh = Bp @ B - B @ Bp
+    return B, Bp, nh
+
+
+def frame_invariance_defect(
+    A: np.ndarray, B: np.ndarray, X: np.ndarray, t: float
+) -> float:
+    """Norm of the non-tangential part of A transported along the axis of B.
+
+    Returns |M - (M X) x X| with M = e^{tB} A e^{-tB} (transport along the
+    positive flow direction), which in the frame
+    coordinates A = b B + a Bperp + z nhat equals sqrt2 |z cosh t - a sinh t|;
+    identically zero over t iff a = z = 0, i.e. dw = b B delta(s) ds.
+
+    The defect matrix is a multiple of the frame's nhat, so its magnitude is
+    measured by the Killing norm sqrt|(D,D)#| (equal to the Frobenius norm in
+    the standard frame and Ad-invariant, so the closed form holds along any
+    axis, not just the standard one).
+    """
+    frame_at(B, X)  # validates the (B, X) frame data
+    g = exp_so21(t * B)
+    M = g @ A @ lorentz.group_inv(g)
+    D = M - cross(M @ X, X)
+    return float(np.sqrt(abs(killing(D, D))))
+
+
+# the geodesics, axis points, random draws and helpers that only the tests use
 
 
 def geodesic(X: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -85,19 +183,19 @@ def axis_point(B: np.ndarray) -> np.ndarray:
     timelike direction in that nullspace of (B^2 - I) is extracted by
     diagonalizing the restricted form.
     """
-    if abs(lorentz.killing(B, B) - 2.0) > lorentz.AXIS_TOL:
-        raise lorentz.FrameError("generator is not killing-normalized to (B,B)# = 2")
+    if abs(killing(B, B) - 2.0) > AXIS_TOL:
+        raise FrameError("generator is not killing-normalized to (B,B)# = 2")
     M = B @ B - np.eye(3)
     _, s, vt = np.linalg.svd(M)
-    null = vt[s < max(lorentz.AXIS_TOL, s[0] * 1e-9)]
+    null = vt[s < max(AXIS_TOL, s[0] * 1e-9)]
     if null.shape[0] != 2:
-        raise lorentz.FrameError("axis eigenplane is not two-dimensional")
+        raise FrameError("axis eigenplane is not two-dimensional")
     u, w = null
     # restricted Gram of (,)# on span{u, w}; its negative eigenvector is timelike
     G = np.array([[mink_dot(u, u), mink_dot(u, w)], [mink_dot(w, u), mink_dot(w, w)]])
     evals, evecs = np.linalg.eigh(G)
     if evals[0] >= 0:
-        raise lorentz.FrameError("no timelike direction in the axis plane")
+        raise FrameError("no timelike direction in the axis plane")
     X = evecs[0, 0] * u + evecs[1, 0] * w
     return lorentz.normalize_to_hyperboloid(X)
 
@@ -129,6 +227,22 @@ def hyperbolic_distance(X: np.ndarray, Y: np.ndarray) -> float:
 
 def zero_cocycle(rep: SurfaceGroupRep) -> Cocycle:
     return Cocycle(rep, np.zeros((4, 3, 3)))
+
+
+def stretch_ratio(word, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
+    """l_rho(word) / l_sigma(word); raises NonHyperbolicError if either fails."""
+    w = as_word(word)
+    return translation_length(rho.evaluate(w)) / translation_length(sigma.evaluate(w))
+
+
+def word_codes(words) -> np.ndarray:
+    """Letter codes of a list of words or word strings, right-padded with PAD
+    to the longest word; an empty word is one row of PAD (width at least 1)."""
+    letters = [as_word(w).letters for w in words]
+    codes = np.full((len(letters), max([1, *map(len, letters)])), PAD, dtype=np.int8)
+    for row, word in zip(codes, letters):
+        row[: len(word)] = word
+    return codes
 
 
 def words_from_codes(codes: np.ndarray) -> list:
@@ -222,6 +336,32 @@ def form_from_edge_function(mesh: FundamentalMesh, fn) -> DiscreteOneForm:
     return DiscreteOneForm(mesh, np.array([fn(int(i), int(j)) for i, j in mesh.edges], dtype=float))
 
 
+def differentiate_family(
+    family,
+    rep: SurfaceGroupRep | None = None,
+    step: float = FD_STEP,
+    s0: float = 0.0,
+) -> Cocycle:
+    """Central-difference cocycle of a representation family s -> rep.
+
+    alpha(g) = (d/ds sigma_s(g)) sigma(g)^-1 at s = s0; the result is
+    projected onto so(2,1) and satisfies relator tangency up to the
+    finite-difference floor (~1e-6 for the default step).  The sampled
+    family members must satisfy the rep invariants.
+    """
+    if rep is None:
+        rep = family(s0)
+    plus = family(s0 + step).validate()
+    minus = family(s0 - step).validate()
+    vals = []
+    for n in GENERATOR_NAMES:
+        d = (plus.generator(n) - minus.generator(n)) / (2.0 * step)
+        a = d @ group_inv(rep.generator(n))
+        a = 0.5 * (a - sharp_adj(a))  # project to so(2,1)
+        vals.append(a - np.trace(a) / 3.0 * np.eye(3))
+    return Cocycle(rep, np.array(vals))
+
+
 def finite_difference_cocycle(rep: SurfaceGroupRep, curve: str, weight: float = 1.0, step: float = FD_STEP) -> Cocycle:
     """differentiate_family applied to the exact twist family."""
     return differentiate_family(lambda t: twist(rep, TwistSpec(curve, weight * t)), rep, step)
@@ -245,7 +385,7 @@ def admissible_pairings(m, n_samples: int, n_quad: int, rng: np.random.Generator
     for at in m.atoms:
         B = at.generator
         X = axis_point(B)
-        _, Bp0, _ = lorentz.frame_at(B, X)
+        _, Bp0, _ = frame_at(B, X)
         l = float(at.length)
         ts = (np.arange(n_quad) + 0.5) * (l / n_quad)
         B2 = B @ B
@@ -602,7 +742,7 @@ def kernel_oracle(mesh, rho, Z: np.ndarray, p: int):
     return float(np.dot(mesh.areas, P)), grad
 
 
-# the BFS-path loop integrals that mesh.loop_integral and
+# the BFS-path loop integrals that loop_integral and
 # mesh.extract_cocycle used before the tree primitive; unchanged except that
 # the adjacency is built per search (the mesh no longer has a path cache)
 
@@ -695,8 +835,20 @@ def extract_cocycle_oracle(form, rep: SurfaceGroupRep | None = None, base_vertex
     return Cocycle(rep, vals)
 
 
+def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = None) -> np.ndarray:
+    """alpha(word): the crossing integrals composed along the word's pairing letters.
+
+    rep is the representation whose Ad transports the form across the
+    boundary (mesh.rep for sigma-equivariant data like the Maurer-Cartan
+    form, the solver's target rep for V_q).  The result satisfies the
+    cocycle rule up to the discretization error of the form.
+    """
+    letters = [k for c in as_word(word).letters for k in LETTER_X_WORDS[c]]
+    return compose(letters, *_crossings(form, rep if rep is not None else form.mesh.rep))
+
+
 def assert_extraction_matches_oracle(form, rep: SurfaceGroupRep | None = None):
-    """mesh.extract_cocycle within 1e-11, and mesh.loop_integral on a few
+    """mesh.extract_cocycle within 1e-11, and loop_integral on a few
     words and the relator within 1e-9, of the largest oracle generator value."""
     ref = extract_cocycle_oracle(form, rep).values
     scale = float(np.abs(ref).max())
@@ -906,7 +1058,7 @@ class CylinderRig:
         pts = np.empty((n, 3))
         for i, t in enumerate(ts):
             X = geodesic(X0, np.array([0.0, 1.0, 0.0]), t)
-            v = lorentz.project_tangent(X, rng.standard_normal(3))
+            v = project_tangent(X, rng.standard_normal(3))
             nv = np.sqrt(max(mink_dot(v, v), 1e-30))
             s = CYLINDER_WOBBLE * rng.uniform(-1, 1)
             pts[i] = np.cosh(s) * X + np.sinh(s) * (v / nv)
@@ -914,7 +1066,7 @@ class CylinderRig:
 
     @property
     def holonomy(self) -> np.ndarray:
-        return exp_so21(self.b_len * lorentz.B_STD)
+        return exp_so21(self.b_len * B_STD)
 
 
 def _cylinder_energy(rig: CylinderRig, p: int, pts):

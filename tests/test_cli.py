@@ -134,6 +134,14 @@ def test_config_error_exit_code(tmp_path):
         assert run(tmp_path, "duality", {"cases": cases}) == cli.EXIT_CONFIG, cases
     for pairs in ([["a1"]], [["a1", "zz"]], [["a1", "b1", "a2"]], ["a1b1"], 5):
         assert run(tmp_path, "wolpert", {"pairs": pairs}) == cli.EXIT_CONFIG, pairs
+    # multicurve weights, in every command that reads a multicurve
+    for weight in (-1, 0, float("nan"), float("inf"), True, "1", None):
+        bad_mc = [{"word": "a1", "weight": weight}]
+        assert run(tmp_path, "length", {"multicurve": bad_mc}) == cli.EXIT_CONFIG, weight
+        assert run(tmp_path, "mass", {"multicurve": bad_mc}) == cli.EXIT_CONFIG, weight
+        assert run(tmp_path, "duality", {"cases": [{**case, "multicurve": bad_mc}]}) == cli.EXIT_CONFIG, weight
+    for bad_mc in ([{"word": "a1"}], ["a1"], [[("word", "a1"), ("weight", 1.0)]]):
+        assert run(tmp_path, "length", {"multicurve": bad_mc}) == cli.EXIT_CONFIG, bad_mc
     assert run(tmp_path, "duality", {"cases": [{**case, "weight": 2}]}) == 0
     assert run(tmp_path, "wolpert", {"pairs": [["a1", "b1"]]}) == 0
     # mass has no sampling settings: its former keys are ignored, as any extra key is
@@ -412,6 +420,35 @@ def test_kbound_with_file_loaded_rep(tmp_path):
     assert run(tmp_path, "kbound", cfg, out="out2") == 0
     rep = read_report(tmp_path, "kbound_report.json", out="out2")
     assert rep["k_lower_bound"] > 1.0
+
+
+def test_rep_file_errors(tmp_path, capsys):
+    # a rep file spec that cannot be read as four 3x3 generators is a config
+    # error; four 3x3 generators that fail validate() are a numeric failure
+    def length(path):
+        return run(tmp_path, "length", {"rep": {"file": path}, "multicurve": [{"word": "a1", "weight": 1.0}]})
+
+    eye = np.eye(3).tolist()
+    contents = {
+        "not_json": "{not json",
+        "no_generators": json.dumps({"label": "x"}),
+        "not_an_object": json.dumps([eye] * 4),
+        "three_generators": json.dumps({"generators": [eye] * 3}),
+        "2x2_generators": json.dumps({"generators": [np.eye(2).tolist()] * 4}),
+        "ragged_generators": json.dumps({"generators": [eye, eye, eye, eye[:2]]}),
+        "string_entries": json.dumps({"generators": [[["x"] * 3] * 3] * 4}),
+        "bad_ext_entries": json.dumps({"generators_ext": [[["x"] * 3] * 3] * 4}),
+    }
+    paths = []
+    for name, text in contents.items():
+        paths.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(text)
+    for path in (True, 3, None, 1.5, ["a"], str(tmp_path / "absent.json"), str(tmp_path), *paths):
+        assert length(path) == cli.EXIT_CONFIG, path
+        assert "config error" in capsys.readouterr().err
+    (tmp_path / "identity.json").write_text(json.dumps({"generators": [eye] * 4}))
+    assert length(str(tmp_path / "identity.json")) == cli.EXIT_NUMERIC
+    assert "numeric failure: generator a1 is not hyperbolic" in capsys.readouterr().err
 
 
 def test_rep_file_round_trip_preserves_residual(tmp_path):

@@ -19,20 +19,22 @@ from stretchlab.fuchsian import (
     axis_generator,
     enumerate_words,
     k_lower_bound,
-    stretch_ratio,
     translation_length,
 )
 from stretchlab.earthquake import TwistSpec, twist
-from stretchlab.lorentz import B_STD, exp_so21, group_inv, killing
+from stretchlab.lorentz import exp_so21, group_inv, killing
 
 from oracles import (
+    B_STD,
     NHAT_STD,
     all_words_oracle,
     enumerate_words_oracle,
     free_words,
     lie_from_frame_coords,
     random_group_elem,
+    stretch_ratio,
     traces_oracle,
+    word_codes,
     words_from_codes,
 )
 
@@ -251,7 +253,7 @@ def test_enumerate_words_is_one_word_per_class(max_len):
     want = [w for w in _classes_up_to_6() if len(w) <= max_len]
     codes = enumerate_words(max_len)
     assert codes.dtype == np.int8 and codes.shape == (len(want), max_len)
-    np.testing.assert_array_equal(codes, fuchsian.word_codes(want)[:, :max_len])
+    np.testing.assert_array_equal(codes, word_codes(want)[:, :max_len])
     assert len(codes) == [4, 20, 80, 390, 2074, 11918][max_len - 1]
 
 
@@ -263,13 +265,13 @@ def test_enumerate_words_length_one_is_the_generators():
 def test_k_lower_bound_matches_word_loop(octagon, curve):
     rho = twist(octagon, TwistSpec(curve, 0.5))
     words = words_from_codes(all_words_oracle(5))
-    assert k_lower_bound(words, octagon, rho) == pytest.approx(
+    assert k_lower_bound(word_codes(words), octagon, rho) == pytest.approx(
         k_lower_bound_oracle(words, octagon, rho), rel=1e-12, abs=0
     )
     # one word at a time: the max over a list closed under reversal would
     # not see a product taken right to left
     for w in words[-40::7]:
-        assert k_lower_bound([w], octagon, rho) == pytest.approx(
+        assert k_lower_bound(word_codes([w]), octagon, rho) == pytest.approx(
             k_lower_bound_oracle([w], octagon, rho), rel=1e-12, abs=0
         )
 
@@ -277,13 +279,13 @@ def test_k_lower_bound_matches_word_loop(octagon, curve):
 def test_k_lower_bound_skips_non_hyperbolic(octagon):
     rho = twist(octagon, TwistSpec("a1", 0.5))
     with pytest.warns(UserWarning, match="skipped 1 non-hyperbolic"):
-        klb = k_lower_bound([Word(), "b1", Word()], octagon, rho)
+        klb = k_lower_bound(word_codes([Word(), "b1", Word()]), octagon, rho)
     assert klb == stretch_ratio("b1", octagon, rho)
     with pytest.warns(UserWarning, match="skipped 1 non-hyperbolic"):
-        assert k_lower_bound([Word()], octagon, rho) == 0.0
+        assert k_lower_bound(word_codes([Word()]), octagon, rho) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert k_lower_bound([], octagon, rho) == 0.0
+        assert k_lower_bound(word_codes([]), octagon, rho) == 0.0
 
 
 def test_k_lower_bound_skips_relator_rotations(octagon):
@@ -292,13 +294,13 @@ def test_k_lower_bound_skips_relator_rotations(octagon):
     rotations = [Word(v) for v in RELATOR.cyclic_variants()]
     assert len(set(rotations)) == 16
     with pytest.warns(UserWarning, match="non-hyperbolic"):
-        assert k_lower_bound(rotations, octagon, rho) == 0.0
+        assert k_lower_bound(word_codes(rotations), octagon, rho) == 0.0
 
 
 def test_enumerate_words_codes_round_trip():
     for codes, n in ((all_words_oracle(6), 137280), (enumerate_words(6), 11918)):
         assert codes.dtype == np.int8 and codes.shape == (n, 6)
-        np.testing.assert_array_equal(fuchsian.word_codes(words_from_codes(codes)), codes)
+        np.testing.assert_array_equal(word_codes(words_from_codes(codes)), codes)
 
 
 @pytest.mark.parametrize("curve, t", [("a1", 0.5), ("b1", 0.43), ("a2", 0.58), ("b2", 0.51)])
@@ -330,15 +332,15 @@ def _trace_inputs():
     """Code arrays that share prefixes in every way that _traces must handle."""
     rng = np.random.default_rng(5)
     words = all_words_oracle(4)
-    mixed = fuchsian.word_codes(["a1 b1", "a1 b1 a2", "a1", Word(), "a1 b1", "b2^-1 a1 b1", "a1 b1 a2 b2", "a1 b1 a2"])
+    mixed = word_codes(["a1 b1", "a1 b1 a2", "a1", Word(), "a1 b1", "b2^-1 a1 b1", "a1 b1 a2 b2", "a1 b1 a2"])
     return {
         "sorted": words,
         "shuffled": words[rng.permutation(len(words))],
         "repeated": np.repeat(words[::37], 3, axis=0),
         "mixed lengths": mixed,
         "mixed lengths shuffled": np.concatenate([mixed, words[rng.permutation(len(words))[:300]]]),
-        "one column": fuchsian.word_codes(["a1", "a1"]),
-        "one column of PAD": fuchsian.word_codes([Word(), Word()]),
+        "one column": word_codes(["a1", "a1"]),
+        "one column of PAD": word_codes([Word(), Word()]),
         "one row": words[-1:],
         "PAD inside a row": np.array([[0, fuchsian.PAD, 2, 5], [0, fuchsian.PAD, 2, fuchsian.PAD]], dtype=np.int8),
     }
@@ -384,7 +386,7 @@ def test_k_lower_bound_names_shortest_skipped_words(octagon, monkeypatch):
     monkeypatch.setattr(fuchsian, "_CHUNK", 3)
     names = ", ".join(map(str, [Word(), *rotations[1:3]]))
     with pytest.warns(UserWarning, match=rf"skipped \d+ non-hyperbolic words \(shortest: {re.escape(names)}\)$"):
-        k_lower_bound([RELATOR * RELATOR, *rotations[:0:-1], "a1", Word(), Word()], octagon, rho)
+        k_lower_bound(word_codes([RELATOR * RELATOR, *rotations[:0:-1], "a1", Word(), Word()]), octagon, rho)
 
 
 def test_enumerate_words_chunks_are_exact(monkeypatch):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    B_STD,
     BPERP_STD,
     NHAT_STD,
     ZeroFormDraws,
     admissible_pairings,
     all_words_oracle,
+    frame_invariance_defect,
     lie_from_frame_coords,
     random_group_elem,
     random_lie_alg,
@@ -19,14 +21,13 @@ from stretchlab.fuchsian import OCTAGON_LENGTH, translation_length
 from stretchlab.lamination import (
     LieValuedMeasure,
     WeightedMulticurve,
-    frame_invariance_defect,
     length,
     mass,
     mass_by_duality,
     pair,
     standard_measure,
 )
-from stretchlab.lorentz import B_STD, X0, killing
+from stretchlab.lorentz import X0, killing
 
 
 def mc_of(octagon, *items):

@@ -4,29 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    B_STD,
     BPERP_STD,
     NHAT_STD,
+    FrameError,
     axis_point,
     cross_oracle,
     exp_series_oracle,
+    frame_at,
     geodesic,
     hyperbolic_distance,
+    is_on_hyperboloid,
     lie_from_frame_coords,
+    log_so21,
+    project_tangent,
     random_group_elem,
     random_lie_alg,
     random_tangent,
 )
 from stretchlab import lorentz
 from stretchlab.lorentz import (
-    B_STD,
     X0,
     cross,
     exp_so21,
-    frame_at,
     killing,
-    log_so21,
     mink_dot,
-    project_tangent,
 )
 
 coord = st.floats(-3.0, 3.0, allow_nan=False)
@@ -281,7 +283,7 @@ def test_frame_equivariance(rng):
 
 
 def test_frame_rejects_elliptic_generator():
-    with pytest.raises(lorentz.FrameError):
+    with pytest.raises(FrameError):
         frame_at(NHAT_STD, X0)
 
 
@@ -290,5 +292,5 @@ def test_axis_point(rng):
         g = random_group_elem(rng)
         B = g @ B_STD @ lorentz.group_inv(g)
         X = axis_point(B)
-        assert lorentz.is_on_hyperboloid(X, 1e-9)
+        assert is_on_hyperboloid(X, 1e-9)
         np.testing.assert_allclose(B @ B @ X, X, atol=1e-8)
