@@ -14,9 +14,11 @@ the word assignment
 
 four elements of translation length l8 (found by exhaustive search over
 short words of systole trace; they form a homology basis, hence generate the
-whole group).  Generator matrices are computed once at 50-digit precision and
-rounded, and words are evaluated with extended-precision accumulation so that
-the relator residual sits at ~1e-12, well below the 1e-9 invariant.
+whole group).  Generator matrices are a table of 25-digit decimals, derived
+at 50-digit precision and checked against that derivation in
+tests/oracles.py, and words are evaluated with extended-precision
+accumulation so that the relator residual sits at ~1e-12, well below the
+1e-9 invariant.
 
 The octagon's geometry is constant: OCTAGON_VERTICES holds its eight
 corners, and PAIRING_WORDS the side pairings as words in the generators, x_k
@@ -263,19 +265,32 @@ class SurfaceGroupRep:
 
     @classmethod
     def from_json(cls, data: dict) -> "SurfaceGroupRep":
-        """The rep of to_json's data, not yet validated."""
-        if "generators_ext" in data:
-            arr = np.array(
-                [[[np.longdouble(x) for x in row] for row in g] for g in data["generators_ext"]],
-                dtype=np.longdouble,
+        """The rep of to_json's data, not yet validated.  It reads
+        generators_ext (decimal strings) if present, else generators (JSON
+        numbers); entries of another type (null, true, a number as a string)
+        or non-finite values raise RepFileError."""
+        ext = "generators_ext" in data
+        entries = np.array(data["generators_ext" if ext else "generators"], dtype=object)
+        kinds = (str,) if ext else (int, float)  # type(True) is bool, not int
+        if entries.shape != (4, 3, 3) or any(type(x) not in kinds for x in entries.flat):
+            raise RepFileError(
+                f"expected four 3x3 generators of {'decimal strings' if ext else 'numbers'}"
             )
-        else:
-            arr = np.array(data["generators"], dtype=float)
+        arr = _parse_ld(entries) if ext else entries.astype(float)
+        if not np.isfinite(arr).all():
+            raise RepFileError("generator entries must be finite")
         return cls(arr, data.get("label", "sigma"))
 
 
 def _ld_str(x) -> str:
     return np.format_float_scientific(x, precision=25)
+
+
+def _parse_ld(generators) -> np.ndarray:
+    """Nested decimal strings, four 3x3 blocks, as a longdouble array."""
+    return np.array(
+        [[[np.longdouble(x) for x in row] for row in g] for g in generators], dtype=np.longdouble
+    )
 
 
 def as_word(word) -> Word:
@@ -290,34 +305,31 @@ def as_word(word) -> Word:
 # the octagon representation
 # ---------------------------------------------------------------------------
 
-def _octagon_generators_exact() -> np.ndarray:
-    """Generator matrices from 50-digit arithmetic, rounded to longdouble."""
-    import mpmath as mp
-
-    with mp.workdps(50):
-        ell = 2 * mp.acosh(1 / mp.tan(mp.pi / 8))
-        ch, sh = mp.cosh(ell), mp.sinh(ell)
-        trans = mp.matrix([[ch, 0, sh], [0, 1, 0], [sh, 0, ch]])
-        xs = []
-        for k in range(8):
-            th = k * mp.pi / 4
-            rot = mp.matrix([[mp.cos(th), -mp.sin(th), 0], [mp.sin(th), mp.cos(th), 0], [0, 0, 1]])
-            xs.append(rot * trans * rot.T)
-
-        def ev(seq):
-            m = mp.eye(3)
-            for k in seq:
-                m = m * xs[k]
-            return m
-
-        gens = [ev(w) for w in LETTER_X_WORDS[::2]]
-        return np.array(
-            [
-                [[np.longdouble(mp.nstr(g[i, j], 25)) for j in range(3)] for i in range(3)]
-                for g in gens
-            ],
-            dtype=np.longdouble,
-        )
+# the generators a1, b1, a2, b2 as 25-digit decimals: the products of
+# LETTER_X_WORDS in 50-digit arithmetic, rounded (tests/oracles.py derives
+# them and pins this table to the derivation)
+_OCTAGON_GENERATORS = (
+    (
+        ("10.65685424949238019520675", "0.0", "10.60983234999138909353584"),
+        ("0.0", "1.0", "0.0"),
+        ("10.60983234999138909353584", "0.0", "10.65685424949238019520675"),
+    ),
+    (
+        ("5.828427124746190097603377", "-4.828427124746190097603377", "-7.502284401931314478847523"),
+        ("-4.828427124746190097603377", "5.828427124746190097603377", "7.502284401931314478847523"),
+        ("-7.502284401931314478847523", "7.502284401931314478847523", "10.65685424949238019520675"),
+    ),
+    (
+        ("10.65685424949238019520675", "23.31370849898476039041351", "-25.61440115385401805123089"),
+        ("-23.31370849898476039041351", "-45.62741699796952078082702", "51.22880230770803610246177"),
+        ("-25.61440115385401805123089", "-51.22880230770803610246177", "57.28427124746190097603377"),
+    ),
+    (
+        ("5.828427124746190097603377", "-28.14213562373095048801689", "28.7219491019140926659192"),
+        ("4.828427124746190097603377", "-17.48528137423857029281013", "18.11211675192270357238336"),
+        ("7.502284401931314478847523", "-33.11668555578533253007841", "33.97056274847714058562026"),
+    ),
+)
 
 
 @functools.cache
@@ -328,7 +340,7 @@ def octagon_representation() -> SurfaceGroupRep:
     2 arccosh(cot pi/8) and the relator [a1,b1][a2,b2] evaluates to I within
     1e-9.  Construction failure is an assertion, not a recoverable error.
     """
-    rep = SurfaceGroupRep(_octagon_generators_exact(), label="sigma")
+    rep = SurfaceGroupRep(_parse_ld(_OCTAGON_GENERATORS), label="sigma")
     res = rep.relator_residual()
     assert res <= RELATOR_TOL, f"octagon relator residual {res:.3e}"
     for n in GENERATOR_NAMES:
@@ -510,6 +522,6 @@ def rep_from_json_file(path) -> SurfaceGroupRep:
     try:
         with open(path) as fh:
             rep = SurfaceGroupRep.from_json(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RepFileError(f"cannot read a rep from {path!r}: {exc}") from exc
     return rep.validate()

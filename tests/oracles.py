@@ -225,6 +225,36 @@ def hyperbolic_distance(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.arccosh(max(-mink_dot(X, Y), 1.0)))
 
 
+def octagon_generators_oracle() -> np.ndarray:
+    """Generator matrices from 50-digit arithmetic, rounded to longdouble."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        ell = 2 * mp.acosh(1 / mp.tan(mp.pi / 8))
+        ch, sh = mp.cosh(ell), mp.sinh(ell)
+        trans = mp.matrix([[ch, 0, sh], [0, 1, 0], [sh, 0, ch]])
+        xs = []
+        for k in range(8):
+            th = k * mp.pi / 4
+            rot = mp.matrix([[mp.cos(th), -mp.sin(th), 0], [mp.sin(th), mp.cos(th), 0], [0, 0, 1]])
+            xs.append(rot * trans * rot.T)
+
+        def ev(seq):
+            m = mp.eye(3)
+            for k in seq:
+                m = m * xs[k]
+            return m
+
+        gens = [ev(w) for w in LETTER_X_WORDS[::2]]
+        return np.array(
+            [
+                [[np.longdouble(mp.nstr(g[i, j], 25)) for j in range(3)] for i in range(3)]
+                for g in gens
+            ],
+            dtype=np.longdouble,
+        )
+
+
 def zero_cocycle(rep: SurfaceGroupRep) -> Cocycle:
     return Cocycle(rep, np.zeros((4, 3, 3)))
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -438,6 +441,12 @@ def test_rep_file_errors(tmp_path, capsys):
         "ragged_generators": json.dumps({"generators": [eye, eye, eye, eye[:2]]}),
         "string_entries": json.dumps({"generators": [[["x"] * 3] * 3] * 4}),
         "bad_ext_entries": json.dumps({"generators_ext": [[["x"] * 3] * 3] * 4}),
+        # entries that numpy would read as NaN or 1.0, and a number no float holds
+        "null_entries": json.dumps({"generators": [[[None] * 3] * 3] * 4}),
+        "boolean_entries": json.dumps({"generators": [[[i == j for j in range(3)] for i in range(3)]] * 4}),
+        "nan_entries": json.dumps({"generators": [[[float("nan")] * 3] * 3] * 4}),
+        "null_ext_entries": json.dumps({"generators_ext": [[[None] * 3] * 3] * 4}),
+        "huge_int_entries": json.dumps({"generators": [[[10**400] * 3] * 3] * 4}),
     }
     paths = []
     for name, text in contents.items():
@@ -449,6 +458,29 @@ def test_rep_file_errors(tmp_path, capsys):
     (tmp_path / "identity.json").write_text(json.dumps({"generators": [eye] * 4}))
     assert length(str(tmp_path / "identity.json")) == cli.EXIT_NUMERIC
     assert "numeric failure: generator a1 is not hyperbolic" in capsys.readouterr().err
+
+
+def test_commands_run_without_mpmath(tmp_path):
+    # mpmath is a test dependency only: in a fresh interpreter where every
+    # import of it fails, rep and kbound still run
+    (tmp_path / "kbound.json").write_text(json.dumps({"max_word_len": 2}))
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from stretchlab import cli\n"
+        "out = sys.argv[1]\n"
+        "codes = [cli.main(['rep', '--out', out + '/rep']),\n"
+        "         cli.main(['kbound', '--config', out + '/kbound.json', '--out', out + '/kbound'])]\n"
+        "sys.exit(0 if codes == [0, 0] else f'exit codes {codes}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "rep" / "sigma.json").exists()
+    assert (tmp_path / "kbound" / "kbound_report.json").exists()
 
 
 def test_rep_file_round_trip_preserves_residual(tmp_path):

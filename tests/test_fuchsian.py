@@ -31,6 +31,7 @@ from oracles import (
     enumerate_words_oracle,
     free_words,
     lie_from_frame_coords,
+    octagon_generators_oracle,
     random_group_elem,
     stretch_ratio,
     traces_oracle,
@@ -92,6 +93,14 @@ def test_word_rejects_garbage():
         Word.parse("c3")
     with pytest.raises(fuchsian.WordError):
         Word.parse("a1^2")
+
+
+def test_octagon_table_is_the_50_digit_derivation(octagon):
+    # the pinned 25-digit table parses to the derivation's longdouble bits
+    want = octagon_generators_oracle()
+    assert octagon._gen_ld.dtype == np.longdouble
+    assert np.array_equal(octagon._gen_ld, want)
+    assert np.array_equal(octagon.generators, want.astype(float))
 
 
 def test_octagon_relator(octagon):
