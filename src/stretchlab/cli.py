@@ -260,16 +260,23 @@ def cmd_wolpert(config: dict, outdir: str):
     return report, code
 
 
-def _write_stage_csv(outdir, res):
+def _csv_row_prefixes(areas) -> list:
+    """The first two fields of every stage CSV row, "i,area,", which depend
+    on the mesh only: built once per solve."""
+    return [f"{i!r},{a!r}," for i, a in enumerate(np.asarray(areas, dtype=np.float64).tolist())]
+
+
+def _write_stage_csv(outdir, res, prefixes):
     # the bytes of csv.writer (repr of each number, "\r\n" line ends) from
-    # f-string joins over .tolist() columns, 256 rows at a time: one join
-    # over the 2,048 rows of level 4 would hold ~0.6 MB at the solve's peak
-    columns = [np.asarray(c, dtype=np.float64) for c in (res.mesh.areas, res.s1, res.s2, res.density)]
+    # f-string joins over .tolist() columns after the mesh's row prefixes,
+    # 256 rows at a time: one join over the 2,048 rows of level 4 would hold
+    # ~0.6 MB at the solve's peak
+    columns = [np.asarray(c, dtype=np.float64) for c in (res.s1, res.s2, res.density)]
     with open(os.path.join(outdir, f"solve_stage_p{res.p}.csv"), "w", newline="") as fh:
         fh.write("triangle,area,s1,s2,density\r\n")
-        for start in range(0, res.mesh.n_triangles, 256):
-            rows = zip(range(start, start + 256), *(c[start:start + 256].tolist() for c in columns))
-            fh.write("".join(f"{i!r},{a!r},{s1!r},{s2!r},{d!r}\r\n" for i, a, s1, s2, d in rows))
+        for start in range(0, len(prefixes), 256):
+            rows = zip(prefixes[start:start + 256], *(c[start:start + 256].tolist() for c in columns))
+            fh.write("".join(f"{head}{s1!r},{s2!r},{d!r}\r\n" for head, s1, s2, d in rows))
 
 
 def p_continuation(mesh, rho, schedule, opts: SolveOptions, resumed: dict):
@@ -335,6 +342,7 @@ def cmd_solve(config: dict, outdir: str):
             raise ConfigError(f"unreadable checkpoint {ck_path}: {exc!r}")
 
     stage_rows = []
+    prefixes = _csv_row_prefixes(mesh.areas)
     for res in p_continuation(mesh, rho, schedule, opts, dict(done_stages)):
         stage_rows.append(
             {
@@ -353,7 +361,7 @@ def cmd_solve(config: dict, outdir: str):
                 "timings": res.timings,
             }
         )
-        _write_stage_csv(outdir, res)
+        _write_stage_csv(outdir, res, prefixes)
         done_stages[res.p] = res.class_points
         # write then rename, so an interrupted run never leaves a torn checkpoint
         tmp_path = os.path.join(outdir, "checkpoint.tmp.npz")

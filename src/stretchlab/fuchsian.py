@@ -402,10 +402,11 @@ def enumerate_words(max_len: int) -> np.ndarray:
             ok &= key <= ((inv & (1 << 3 * (n - r)) - 1) << 3 * r | inv >> 3 * (n - r))
         return n, key[ok]
 
-    layer = codes, codes ^ 1, np.ones(8, dtype=np.int8)
-    kept = [classes(1, *layer)] if max_len else []
-    for n in range(1, max_len):
-        grown = []
+    def grow(n, layer, last):
+        """The classes of length n + 1 grown from `layer`, the prenecklaces of
+        length n, and the prenecklaces of length n + 1 unless `last`; every
+        chunk's arrays are freed on return."""
+        kept, grown = [], []
         for start in range(0, len(layer[0]), _CHUNK):
             key, inv, period = (a[start : start + _CHUNK] for a in layer)
             ref = key >> 3 * (period - 1) & 7  # a[n - p]
@@ -413,15 +414,24 @@ def enumerate_words(max_len: int) -> np.ndarray:
             d = d.astype(np.int32)
             child = key[rows] << 3 | d, inv[rows] | (d ^ 1) << 3 * n, np.where(d == ref[rows], period[rows], n + 1)
             kept.append(classes(n + 1, *child))
-            if n + 1 < max_len:  # a longer length grows from this one
+            if not last:  # a longer length grows from this one
                 grown.append(child)
-        layer = [np.concatenate(a) for a in zip(*grown)] if grown else None
+        return kept, [np.concatenate(a) for a in zip(*grown)] if grown else None
+
+    layer = codes, codes ^ 1, np.ones(8, dtype=np.int8)
+    kept = [classes(1, *layer)] if max_len else []
+    for n in range(1, max_len):
+        found, layer = grow(n, layer, n + 1 == max_len)
+        kept += found
     out = np.full((sum(len(key) for _, key in kept), max_len), PAD, dtype=np.int8)
     row = 0
     for n, key in kept:
-        for j in range(n):
-            out[row : row + len(key), j] = key >> 3 * (n - 1 - j) & 7
-        row += len(key)
+        # decoded _CHUNK keys at a time, so that no full-length temporary is made
+        for start in range(0, len(key), _CHUNK):
+            part = key[start : start + _CHUNK]
+            for j in range(n):
+                out[row : row + len(part), j] = part >> 3 * (n - 1 - j) & 7
+            row += len(part)
     return out
 
 

@@ -4,13 +4,14 @@ Minkowski space R^{2,1} carries the bilinear form (X,Y)# = X^T diag(1,1,-1) Y.
 The upper hyperboloid sheet {(X,X)# = -1, z >= 1} is the hyperbolic plane; its
 orientation-preserving isometry group is SO+(2,1) acting by matrices g with
 g^T e# g = e#, det g = 1.  The Lie algebra so(2,1) consists of traceless
-matrices with A# = -A, where A# = e# A^T e#.  Every A in so(2,1) satisfies the
-cubic identity A^3 = k A with k = Tr(A^2)/2, which gives the exponential
-in closed form with three branches (a series in k near 0, hyperbolic for
-k > 0, elliptic for k < 0).
+matrices with A# = -A, where A# = e# A^T e#; `hat` identifies it with
+R^{2,1} itself, Ad(g) with g acting on vectors and the Killing form with
+twice (,)#.  Every A in so(2,1) satisfies the cubic identity A^3 = k A with
+k = Tr(A^2)/2, which gives the exponential in closed form with three
+branches (a series in k near 0, hyperbolic for k > 0, elliptic for k < 0).
 
-Vectors are plain numpy arrays of shape (3,), Lie algebra elements and group
-elements are arrays of shape (3, 3).
+Vectors are plain numpy arrays of shape (3,); group elements, and Lie
+algebra elements where a matrix is needed, are arrays of shape (3, 3).
 """
 
 from __future__ import annotations
@@ -53,25 +54,34 @@ def normalize_to_hyperboloid(X: np.ndarray) -> np.ndarray:
     return np.where(Y[..., 2:] > 0, Y, -Y)
 
 
-def cross(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Lie-algebra-valued cross product X x Y = Y X# - X Y#.
-
-    Broadcasts over leading axes: (..., 3) vectors give (..., 3, 3) values.
-    """
-    sign = E_SHARP.diagonal()
-    out = Y[..., :, None] * (X * sign)[..., None, :]
-    out -= X[..., :, None] * (Y * sign)[..., None, :]
-    return out
-
-
 def mink_cross_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vector product in R^{2,1}: dual of the euclidean cross via e#.
+    """Vector product in R^{2,1}: e# (u x v), the euclidean cross product
+    with its last coordinate negated, component by component.
 
     For X on the hyperboloid and u tangent at X, mink_cross_vec(X, u) is u
     rotated by +90 degrees in T_X H (the positively oriented complement).
+    hat(mink_cross_vec(X, Y)) is the Lie-valued cross product Y X# - X Y#.
     Broadcasts over leading axes.
     """
-    return np.cross(u, v) @ E_SHARP
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u1 * v0 - u0 * v1], axis=-1)
+
+
+def hat(w: np.ndarray) -> np.ndarray:
+    """The so(2,1) matrix of the vector w of R^{2,1}: -e# skew(w), with
+    skew(w) the euclidean cross-product matrix.
+
+    hat is Ad-equivariant, g hat(w) g^-1 = hat(g w) for g in SO+(2,1),
+    Tr(hat(v) hat(w)) = 2 (v, w)# and |hat(w)|_F = sqrt2 |w|, so an
+    so(2,1)-valued quantity is stored as its vector and transported by
+    g w.  Broadcasts over leading axes: (..., 3) gives (..., 3, 3).
+    """
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    zero = np.zeros_like(w0)
+    return np.stack([np.stack([zero, w2, -w1], axis=-1),
+                     np.stack([-w2, zero, w0], axis=-1),
+                     np.stack([-w1, w0, zero], axis=-1)], axis=-2)
 
 
 def killing(A: np.ndarray, B: np.ndarray):

@@ -6,11 +6,12 @@ vertex classes: every chart vertex i carries a lift word w_i with
 position(i) = sigma(w_i) . position(representative).  The words are stored
 as a table of the distinct ones (11 at any level >= 1) and one index per
 vertex.  The flat connection is literal matrix transport: a discrete
-ad-valued 1-form has one value per chart edge, and crossing the paired
-boundary conjugates by the pairing letter's image in the pairing_images()
-table of whichever representation the form is equivariant for.  The mesh
-stores no pairing words; its corners and union-find words are fuchsian's
-OCTAGON_VERTICES and PAIRING_WORDS.
+ad-valued 1-form has one so(2,1) value per chart edge, stored as its
+R^{2,1} vector w (the matrix is lorentz.hat(w)), and crossing the paired
+boundary is Ad(g) hat(w) = hat(g w): the pairing letter's image g in the
+pairing_images() table of whichever representation the form is equivariant
+for, applied to the vector.  The mesh stores no pairing words; its corners
+and union-find words are fuchsian's OCTAGON_VERTICES and PAIRING_WORDS.
 
 The pairing x_k maps side k+4 onto side k and reverses its direction, so the
 i-th vertex of side k+4 is paired with the i-th vertex from the end of side
@@ -30,15 +31,16 @@ first-order midpoint discretizations.
 
 Cocycle extraction rests on one tree primitive per form: F(v) is the form
 summed along a breadth-first tree from the octagon centre.  For each pairing
-x_k, the crossing integral is I(x_k) = F(y) - Ad(rep(x_k)) F(y'), with y the
+x_k, the crossing integral is I(x_k) = F(y) - rep(x_k) F(y'), with y the
 middle vertex of side k and y' its twin on side k+4; a word's value composes
 these along its pairing letters by the cocycle rule, which extract_cocycle
-does for the four generators.
+does for the four generators on the matrices hat(I).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .fuchsian import (
     Word,
     octagon_representation,
 )
-from .lorentz import cross, log_map, mink_cross_vec, mink_dot, normalize_to_hyperboloid
+from .lorentz import hat, log_map, mink_cross_vec, mink_dot, normalize_to_hyperboloid
 
 PAIRING_TOL = 1e-10
 
@@ -162,6 +164,22 @@ class FundamentalMesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
+
+    @cached_property
+    def edge_normals(self) -> np.ndarray:
+        """(nt, 3, 2) each triangle's slot edge vectors in the domain chart,
+        in canonical orientation (lower to higher vertex id), rotated by -90
+        degrees: (x, y) -> (y, -x).  A current's slot values are its
+        per-triangle block applied to these; built on first use."""
+        xi = self.tri_edge_sign[..., None] * (np.roll(self.tri_coords, -1, axis=1) - self.tri_coords)
+        return np.stack([xi[..., 1], -xi[..., 0]], axis=-1)
+
+    @cached_property
+    def maurer_cartan(self) -> DiscreteOneForm:
+        """First-order discrete dx cross x: edge value (head - tail) x
+        midpoint, built on first use."""
+        tail, head = self.vertices[self.edges[:, 0]], self.vertices[self.edges[:, 1]]
+        return DiscreteOneForm(self, mink_cross_vec(head - tail, _midpoint(tail, head)))
 
     def lift_matrices(self, rep: SurfaceGroupRep) -> np.ndarray:
         """(nv, 3, 3) images of the vertex lift words under `rep`."""
@@ -410,21 +428,22 @@ def _class_hierarchy(triangles, vc, class_rep_vertex, parent_edges) -> ClassHier
 
 @dataclass
 class DiscreteOneForm:
-    """One so(2,1) value per directed chart edge, antisymmetric under reversal.
+    """One so(2,1) value per directed chart edge, antisymmetric under reversal,
+    stored as its R^{2,1} vector (lorentz.hat gives the matrix).
 
     Stored on the canonical orientation (i < j).
     """
 
     mesh: FundamentalMesh
-    values: np.ndarray  # (ne, 3, 3)
+    values: np.ndarray  # (ne, 3)
 
     def value(self, i: int, j: int) -> np.ndarray:
         e, sign = self.mesh.edge_ids(i, j)
         return sign * self.values[e]
 
     def tri_values(self) -> np.ndarray:
-        """(nt, 3, 3, 3) values on each triangle's directed edges (i,j), (j,k), (k,i)."""
-        return self.mesh.tri_edge_sign[..., None, None] * self.values[self.mesh.tri_edges]
+        """(nt, 3, 3) values on each triangle's directed edges (i,j), (j,k), (k,i)."""
+        return self.mesh.tri_edge_sign[..., None] * np.take(self.values, self.mesh.tri_edges, axis=0)
 
     def __mul__(self, c: float):
         return DiscreteOneForm(self.mesh, c * self.values)
@@ -434,25 +453,19 @@ class DiscreteOneForm:
 
 def edge_average(mesh: FundamentalMesh, tri_values: np.ndarray, rep: SurfaceGroupRep) -> DiscreteOneForm:
     """The form whose edge value is the mean of its two slot values in
-    tri_values (nt, 3, 3, 3), on the canonical orientation: from its two
-    triangles, or from its one triangle and its twin's, carried by Ad(rep)."""
+    tri_values (nt, 3, 3), on the canonical orientation: from its two
+    triangles, or from its one triangle and its twin's, carried by rep."""
     slots, ne = mesh.tri_edges.ravel(), len(mesh.edges)
-    own = np.stack([np.bincount(slots, entry, ne) for entry in tri_values.reshape(-1, 9).T], axis=-1).reshape(ne, 3, 3)
+    own = np.stack([np.bincount(slots, entry, ne) for entry in tri_values.reshape(-1, 3).T], axis=-1)
     total = own.copy()
     mats = rep.pairing_images()
     for k, (far, near, sign) in enumerate(mesh.edge_twins):
-        # pulling the side-k value back to side k+4 uses Ad(x_k)^-1,
-        # pushing side k+4 to side k uses Ad(x_k)
+        # pulling the side-k value back to side k+4 uses x_k^-1,
+        # pushing side k+4 to side k uses x_k
         g, g_inv = mats[k], mats[k + 4]
-        total[far] += sign[:, None, None] * (g_inv @ own[near] @ g)
-        total[near] += sign[:, None, None] * (g @ own[far] @ g_inv)
+        total[far] += sign[:, None] * (own[near] @ g_inv.T)
+        total[near] += sign[:, None] * (own[far] @ g.T)
     return DiscreteOneForm(mesh, 0.5 * total)
-
-
-def maurer_cartan(mesh: FundamentalMesh) -> DiscreteOneForm:
-    """First-order discrete dx cross x: edge value (head - tail) x midpoint."""
-    tail, head = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
-    return DiscreteOneForm(mesh, cross(head - tail, _midpoint(tail, head)))
 
 
 def closedness_residual(form: DiscreteOneForm) -> float:
@@ -461,11 +474,18 @@ def closedness_residual(form: DiscreteOneForm) -> float:
     In the chart the flat connection is trivial, so interior loops need no
     transport; the normalization by the local 1-form mass makes the residual
     O(h^2) for midpoint-sampled gradients, O(h) for the solver currents and
-    O(1) for random data, with 0/0 treated as 0.
+    O(1) for random data, with 0/0 treated as 0.  The euclidean norm of the
+    vectors is the Frobenius norm of their matrices over sqrt2, which the
+    ratio cancels.
     """
-    vals = form.tri_values().reshape(form.mesh.n_triangles, 3, -1)
-    loop = np.linalg.norm(vals.sum(axis=1), axis=1)
-    mass = np.linalg.norm(vals, axis=2).sum(axis=1)
+    # the slot and coordinate sums are spelled out: numpy's reductions over
+    # axes of length 3 cost more than the arithmetic
+    vals = form.tri_values()
+    loop = vals[:, 0] + vals[:, 1] + vals[:, 2]
+    loop = np.sqrt(loop[:, 0] ** 2 + loop[:, 1] ** 2 + loop[:, 2] ** 2)
+    sq = vals * vals
+    norms = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    mass = norms[:, 0] + norms[:, 1] + norms[:, 2]
     nonzero = mass > 0
     return float((loop[nonzero] / mass[nonzero]).max(initial=0.0))
 
@@ -479,13 +499,15 @@ def _triangle_wedges(phi: DiscreteOneForm, psi: DiscreteOneForm) -> np.ndarray:
     """Whitney-form wedge of two edge cochains on every oriented triangle.
 
     With edge slots 01, 12, 20 the wedge is the Killing contraction
-    (p01, q12 - q20) + (p12, q20 - q01) + (p20, q01 - q12), over 6.
+    (p01, q12 - q20) + (p12, q20 - q01) + (p20, q01 - q12), over 6; on the
+    vectors the Killing form is 2 (,)#.
     """
     if phi.mesh is not psi.mesh:
         raise MeshError("the wedge requires forms on the same mesh")
     p, q = phi.tri_values(), psi.tri_values()
-    dq = np.roll(q, -1, axis=1) - np.roll(q, -2, axis=1)
-    return np.einsum("tsab,tsba->t", p, dq) / 6.0
+    q0, q1, q2 = q[:, 0], q[:, 1], q[:, 2]
+    pdq = p[:, 0] * (q1 - q2) + p[:, 1] * (q2 - q0) + p[:, 2] * (q0 - q1)
+    return (pdq[:, 0] + pdq[:, 1] - pdq[:, 2]) / 3.0
 
 
 def triangle_wedge_density(phi: DiscreteOneForm, psi: DiscreteOneForm) -> np.ndarray:
@@ -498,12 +520,12 @@ def triangle_wedge_density(phi: DiscreteOneForm, psi: DiscreteOneForm) -> np.nda
 # ---------------------------------------------------------------------------
 
 def _primitive(form: DiscreteOneForm) -> np.ndarray:
-    """(nv, 3, 3) F(v): the form summed along a breadth-first tree from
+    """(nv, 3) F(v): the form summed along a breadth-first tree from
     vertex 0, the octagon centre.  Each BFS depth is one frontier step over
     the edge table, in which every new vertex takes its first candidate edge."""
     mesh = form.mesh
     i, j = mesh.edges.T
-    F = np.zeros((mesh.n_vertices, 3, 3))
+    F = np.zeros((mesh.n_vertices, 3))
     seen = np.zeros(mesh.n_vertices, dtype=bool)
     seen[0] = True
     while not seen.all():
@@ -515,31 +537,31 @@ def _primitive(form: DiscreteOneForm) -> np.ndarray:
         new, first = np.unique(np.where(forward, j[step], i[step]), return_index=True)
         old = np.where(forward, i[step], j[step])[first]
         sign = np.where(forward, 1.0, -1.0)[first]
-        F[new] = F[old] + sign[:, None, None] * form.values[step[first]]
+        F[new] = F[old] + sign[:, None] * form.values[step[first]]
         seen[new] = True
     return F
 
 
 def _crossings(form: DiscreteOneForm, rep: SurfaceGroupRep):
-    """Crossing integrals and images of the pairing letters: x_k at index k,
-    x_k^-1 at k + 4, with I(x_k^-1) = -Ad(rep(x_k)^-1) I(x_k)."""
+    """Crossing integrals, as (8, 3) vectors, and images of the pairing
+    letters: x_k at index k, x_k^-1 at k + 4, with I(x_k^-1) = -rep(x_k)^-1 I(x_k)."""
     mesh = form.mesh
     F = _primitive(form)
     far, near, pairing = mesh.boundary_pairs.T
     mats = rep.pairing_images()
-    incr = [None] * 8
+    incr = np.empty((8, 3))
     for k in range(4):
         chain = mesh.side_chains[k]
         y = chain[len(chain) // 2]
         yp = far[(pairing == k) & (near == y)][0]
-        g, g_inv = mats[k], mats[k + 4]
-        incr[k] = F[y] - g @ F[yp] @ g_inv
-        incr[k + 4] = -(g_inv @ incr[k] @ g)
-    return np.array(incr), mats
+        incr[k] = F[y] - mats[k] @ F[yp]
+        incr[k + 4] = -(mats[k + 4] @ incr[k])
+    return incr, mats
 
 
 def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None) -> Cocycle:
     """Cocycle from the generator loop integrals, over one set of crossings."""
     rep = rep if rep is not None else form.mesh.rep
-    crossings = _crossings(form, rep)
-    return Cocycle(rep, np.array([compose(w, *crossings) for w in LETTER_X_WORDS[::2]]))
+    incr, mats = _crossings(form, rep)
+    incr = hat(incr)
+    return Cocycle(rep, np.array([compose(w, incr, mats) for w in LETTER_X_WORDS[::2]]))

@@ -41,9 +41,13 @@ builds the per-triangle block (density, T_q, U, S_{p-1}) from the metric
 M and the sums h of its final iterate, with no target frame:
 U^T U = kappa_p^2 M and M^{n-1} = h_{n-1} I - h_{n-2} adj M, the matrix
 whose multiple n M^{n-1} is the gradient's dJ/dM per unit area.
+The currents are so(2,1)-valued, and held as R^{2,1} vectors
+(`lorentz.hat` gives the matrices): the cross product x is
+`mink_cross_vec` and the Killing form twice (,)#.
 `density_and_currents` averages that block's slot values onto the edges by
 `mesh.edge_average`, the solver's only crossing of the paired sides besides
-`mesh.lift_matrices`; `relation_checks` reads the block back.
+`mesh.lift_matrices`; `relation_checks` reads the block back.  Both take the
+mesh-only data they need from the mesh, which builds it once.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fuchsian import SurfaceGroupRep
-from .lorentz import cross
-from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, edge_average, maurer_cartan
+from .lorentz import mink_cross_vec
+from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, edge_average
 
 
 # ---------------------------------------------------------------------------
@@ -748,16 +752,15 @@ def density_and_currents(result: SolveResult) -> SolveResult:
     current's slot values onto the edges, V_q's by rho and W_q's by sigma."""
     mesh = result.mesh
     result.residuals["density_mass"] = float(np.dot(mesh.areas, result.density))
-    # each triangle's edge vectors in canonical orientation (lower to higher
-    # vertex id), rotated by -90 degrees: (x, y) -> (y, -x)
-    xi = mesh.tri_edge_sign[..., None] * (np.roll(mesh.tri_coords, -1, axis=1) - mesh.tri_coords)
-    r = np.stack([xi[..., 1], -xi[..., 0]], axis=-1)               # (nt, 3, 2)
-    # batched @, not einsum: on these row-major (nt, 3, 2) blocks einsum runs
-    # inner loops of length 2 or 3 and is 7-8x slower at L4; no product is
-    # kept once its cross product is taken (peak memory)
-    result.V_q = edge_average(mesh, cross(r @ result.S_amb, result.u_bar[:, None]), result.rho)
-    result.W_q = edge_average(mesh, cross(r @ (result.T_q.transpose(0, 2, 1) @ mesh.frames),
-                                          mesh.circumcenters[:, None]), mesh.rep)
+    # the slot values are vectors of R^{2,1}: the mesh's rotated edge vectors
+    # applied to the block's columns crossed with the triangle's point (the
+    # cross is linear, so it is taken on the 2 columns, not on the 3 slots).
+    # Batched @, not einsum: on these row-major (nt, 3, 2) blocks einsum runs
+    # inner loops of length 2 or 3 and is 7-8x slower at L4
+    r = mesh.edge_normals
+    result.V_q = edge_average(mesh, r @ mink_cross_vec(result.S_amb, result.u_bar[:, None]), result.rho)
+    result.W_q = edge_average(mesh, r @ mink_cross_vec(result.T_q.transpose(0, 2, 1) @ mesh.frames,
+                                                       mesh.circumcenters[:, None]), mesh.rep)
     result.residuals["V_closedness"] = closedness_residual(result.V_q)
     result.residuals["W_closedness"] = closedness_residual(result.W_q)
     return result
@@ -779,11 +782,13 @@ def relation_checks(result: SolveResult) -> dict:
     mesh = result.mesh
     p = result.p
 
-    # (a) pointwise algebra through the 3x3 cross/Killing machinery:
-    # V(xi) = S(rot_-90 xi) x u, so (*V)(e_a) = S(rot_-90 rot_-90 e_a) x u = -S e_a x u
-    starV = cross(-result.S_amb, result.u_bar[:, None])            # (nt, 2, 3, 3)
-    duxu = cross(result.U_amb, result.u_bar[:, None])
-    rhs = np.einsum("taij,tbji->tab", starV, duxu)
+    # (a) pointwise algebra through the so(2,1) values as vectors:
+    # V(xi) = S(rot_-90 xi) x u, so (*V)(e_a) = S(rot_-90 rot_-90 e_a) x u = -S e_a x u,
+    # and the Killing form Tr(hat(v) hat(w)) is 2 (v, w)#
+    starV = mink_cross_vec(-result.S_amb, result.u_bar[:, None])   # (nt, 2, 3)
+    duxu = mink_cross_vec(result.U_amb, result.u_bar[:, None])
+    prod = (SIGN.T * starV)[:, :, None] * duxu[:, None]            # (nt, 2, 2, 3)
+    rhs = 2.0 * (prod[..., 0] + prod[..., 1] + prod[..., 2])
     lhs = -2.0 * result.T_q
     eye = np.eye(2)
 
@@ -797,8 +802,7 @@ def relation_checks(result: SolveResult) -> dict:
     # the call (the benchmark's tracer times triangle_wedge_density so)
     from .mesh import triangle_wedge_density
 
-    omega = maurer_cartan(mesh)
-    wedge_density = triangle_wedge_density(omega, result.W_q)
+    wedge_density = triangle_wedge_density(mesh.maurer_cartan, result.W_q)
     target = 2.0 * result.density
     l1_gap = float(np.dot(mesh.areas, np.abs(wedge_density - target)))
     l1_norm = float(np.dot(mesh.areas, np.abs(target)))

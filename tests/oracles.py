@@ -25,9 +25,9 @@ from stretchlab.fuchsian import (
 from stretchlab.lorentz import (
     E_SHARP,
     X0,
-    cross,
     exp_so21,
     group_inv,
+    hat,
     killing,
     log_map,
     mink_cross_vec,
@@ -200,6 +200,27 @@ def axis_point(B: np.ndarray) -> np.ndarray:
     return lorentz.normalize_to_hyperboloid(X)
 
 
+def cross(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Lie-algebra-valued cross product X x Y = Y X# - X Y#.
+
+    Broadcasts over leading axes: (..., 3) vectors give (..., 3, 3) values.
+    The library keeps so(2,1) values as vectors: this is
+    hat(mink_cross_vec(X, Y)).
+    """
+    sign = E_SHARP.diagonal()
+    out = Y[..., :, None] * (X * sign)[..., None, :]
+    out -= X[..., :, None] * (Y * sign)[..., None, :]
+    return out
+
+
+def vee(A: np.ndarray) -> np.ndarray:
+    """The R^{2,1} vector of the so(2,1) matrix A, the inverse of lorentz.hat.
+
+    Broadcasts over leading axes: (..., 3, 3) gives (..., 3).
+    """
+    return np.stack([A[..., 1, 2], -A[..., 0, 2], A[..., 0, 1]], axis=-1)
+
+
 def lie_from_frame_coords(b: float, a: float, z: float) -> np.ndarray:
     """A = b B_STD + a BPERP_STD + z NHAT_STD."""
     return b * B_STD + a * BPERP_STD + z * NHAT_STD
@@ -362,8 +383,9 @@ def all_words_oracle(max_len: int) -> np.ndarray:
 
 
 def form_from_edge_function(mesh: FundamentalMesh, fn) -> DiscreteOneForm:
-    """Build a form from fn(i, j) evaluated on canonical edge orientations."""
-    return DiscreteOneForm(mesh, np.array([fn(int(i), int(j)) for i, j in mesh.edges], dtype=float))
+    """Build a form from the so(2,1) matrices fn(i, j) evaluated on canonical
+    edge orientations, stored as their vectors."""
+    return DiscreteOneForm(mesh, vee(np.array([fn(int(i), int(j)) for i, j in mesh.edges], dtype=float)))
 
 
 def differentiate_family(
@@ -804,10 +826,10 @@ def _bfs_path(mesh, start: int, goal: int) -> list:
 
 
 def _path_sum(form, path: list) -> np.ndarray:
+    """The so(2,1) matrix of the form summed along a vertex path."""
     path = np.asarray(path)
     ids, sign = form.mesh.edge_ids(path[:-1], path[1:])
-    signed = sign.reshape(sign.shape + (1,) * (form.values.ndim - 1)) * form.values[ids]
-    return signed.sum(axis=0, initial=0.0)
+    return hat((sign[:, None] * form.values[ids]).sum(axis=0, initial=0.0))
 
 
 def loop_integral_oracle(form, word, rep: SurfaceGroupRep | None = None, base_vertex: int = 0) -> np.ndarray:
@@ -850,7 +872,7 @@ def loop_integral_oracle(form, word, rep: SurfaceGroupRep | None = None, base_ve
         else:
             letters.extend((k + 4) % 8 for k in reversed(xw))
 
-    total = np.zeros_like(form.values[0])
+    total = np.zeros((3, 3))
     prefix = np.eye(3)
     for k in letters:
         total = total + prefix @ incr[k] @ lorentz.group_inv(prefix)
@@ -874,7 +896,8 @@ def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = Non
     cocycle rule up to the discretization error of the form.
     """
     letters = [k for c in as_word(word).letters for k in LETTER_X_WORDS[c]]
-    return compose(letters, *_crossings(form, rep if rep is not None else form.mesh.rep))
+    incr, mats = _crossings(form, rep if rep is not None else form.mesh.rep)
+    return compose(letters, hat(incr), mats)
 
 
 def assert_extraction_matches_oracle(form, rep: SurfaceGroupRep | None = None):
@@ -1010,15 +1033,9 @@ def current_block_oracle(result) -> dict:
     }
 
 
-# the per-triangle currents and their edge scatter as einsums and np.add.at,
-# apart from the batched products and the np.bincount of
-# pharmonic.density_and_currents and mesh.edge_average
-
-
-def cross_oracle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Y X# - X Y# as explicit outer products, X# = e# X."""
-    return (np.einsum("...i,...j->...ij", Y, np.einsum("...a,ab->...b", X, E_SHARP))
-            - np.einsum("...i,...j->...ij", X, np.einsum("...a,ab->...b", Y, E_SHARP)))
+# the per-triangle currents and their edge scatter as 3x3 matrices, einsums
+# and np.add.at, apart from the vectors, the batched products and the
+# np.bincount of pharmonic.density_and_currents and mesh.edge_average
 
 
 def edge_average_oracle(mesh, tri_values: np.ndarray, rep: SurfaceGroupRep, magnitude: bool = False) -> np.ndarray:
@@ -1053,12 +1070,73 @@ def currents_oracle(result, magnitude: bool = False) -> dict:
     def slot_values(X, Y):
         if magnitude:                                              # |Y X#| + |X Y#|
             return np.einsum("...i,...j->...ij", Y, X) + np.einsum("...i,...j->...ij", X, Y)
-        return cross_oracle(X, Y)
+        return cross(X, Y)
 
     return {
         "V_q": edge_average_oracle(mesh, slot_values(v3, size(result.u_bar)[:, None]), result.rho, magnitude),
         "W_q": edge_average_oracle(mesh, slot_values(w3, size(mesh.circumcenters)[:, None]), mesh.rep, magnitude),
     }
+
+
+# the stage outputs on 3x3 so(2,1) values, as pharmonic computed them before
+# the forms held vectors: closedness by Frobenius norms, the wedge and check
+# (a) by the Killing form Tr AB, the Maurer-Cartan form by `cross`
+
+
+def _slot_matrices(mesh, values: np.ndarray) -> np.ndarray:
+    """(nt, 3, 3, 3) the (ne, 3, 3) edge values on each triangle's directed slots."""
+    return mesh.tri_edge_sign[..., None, None] * values[mesh.tri_edges]
+
+
+def closedness_oracle(mesh, values: np.ndarray) -> float:
+    """mesh.closedness_residual of the (ne, 3, 3) edge values."""
+    vals = _slot_matrices(mesh, values).reshape(mesh.n_triangles, 3, 9)
+    loop = np.linalg.norm(vals.sum(axis=1), axis=1)
+    mass = np.linalg.norm(vals, axis=2).sum(axis=1)
+    nonzero = mass > 0
+    return float((loop[nonzero] / mass[nonzero]).max(initial=0.0))
+
+
+def stage_outputs_oracle(result) -> dict:
+    """V_q and W_q as (ne, 3, 3) values (`currents_oracle`), their closedness
+    residuals, the density mass and every value of relation_checks, all on
+    3x3 matrices."""
+    mesh, p = result.mesh, result.p
+    out = currents_oracle(result)
+    out["density_mass"] = float(np.dot(mesh.areas, result.density))
+    out["V_closedness"] = closedness_oracle(mesh, out["V_q"])
+    out["W_closedness"] = closedness_oracle(mesh, out["W_q"])
+
+    # (a): (*V)(e_a) = -S e_a x u, contracted by the Killing form
+    starV = cross(-result.S_amb, result.u_bar[:, None])
+    duxu = cross(result.U_amb, result.u_bar[:, None])
+    rhs = np.einsum("taij,tbji->tab", starV, duxu)
+    lhs = -2.0 * result.T_q
+    eye = np.eye(2)
+
+    def tracefree(A):
+        return A - 0.5 * np.einsum("tii->t", A)[:, None, None] * eye
+
+    exact = lhs - (rhs + (2.0 / p) * result.density[:, None, None] * eye)
+
+    # (b): the Whitney wedge of the Maurer-Cartan form with W_q
+    tail, head = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
+    omega = _slot_matrices(mesh, cross(head - tail, _midpoint(tail, head)))
+    q = _slot_matrices(mesh, out["W_q"])
+    dq = np.roll(q, -1, axis=1) - np.roll(q, -2, axis=1)
+    wedge_density = np.einsum("tsab,tsba->t", omega, dq) / 6.0 / mesh.areas
+    target = 2.0 * result.density
+
+    sel = result.s1 >= 0.9 * float(result.s1.max())
+    out.update({
+        "minus2T_exact_identity": float(np.abs(exact).max()),
+        "minus2T_tracefree_gap": float(np.abs(tracefree(lhs) - tracefree(rhs)).max()),
+        "minus2T_literal_gap": float(np.abs(lhs - rhs).max()),
+        "omega_wedge_W_l1_gap": float(np.dot(mesh.areas, np.abs(wedge_density - target)))
+        / max(float(np.dot(mesh.areas, np.abs(target))), 1e-300),
+        "concentration_fraction": float(np.dot(mesh.areas[sel], result.density[sel])),
+    })
+    return out
 
 
 # ---------------------------------------------------------------------------

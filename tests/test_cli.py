@@ -221,8 +221,9 @@ def test_stage_csv_round_trips_exactly(tmp_path):
 
     mesh = build_octagon_mesh(1)
     rho = twist(octagon_representation(), TwistSpec("a1", 0.5))
+    prefixes = cli._csv_row_prefixes(mesh.areas)
     for res in cli.p_continuation(mesh, rho, [2, 4], SolveOptions(), resumed={}):
-        cli._write_stage_csv(tmp_path, res)
+        cli._write_stage_csv(tmp_path, res, prefixes)
         with open(tmp_path / f"solve_stage_p{res.p}.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["triangle", "area", "s1", "s2", "density"]
@@ -233,10 +234,10 @@ def test_stage_csv_round_trips_exactly(tmp_path):
 
 
 def test_stage_csv_matches_csv_writer_bytes(tmp_path, rng):
-    # the joined rows are the bytes csv.writer writes for the same arrays:
-    # a solved stage's, columns of awkward floats (signed zeros, subnormals,
-    # non-finite values, float32 and int inputs), and 600 rows, which the
-    # writer joins 256 at a time
+    # the mesh's row prefixes and the joined rows are the bytes csv.writer
+    # writes for the same arrays: a solved stage's, columns of awkward floats
+    # (signed zeros, subnormals, non-finite values, float32 and int inputs),
+    # and 600 rows, which the writer joins 256 at a time
     from types import SimpleNamespace
 
     from stretchlab.earthquake import TwistSpec, twist
@@ -253,9 +254,8 @@ def test_stage_csv_matches_csv_writer_bytes(tmp_path, rng):
              (odd, odd[::-1], rng.standard_normal(n).astype(np.float32), np.arange(n)),
              tuple(np.exp(rng.uniform(-700, 700, (4, 600))))]
     for p, (areas, s1, s2, density) in zip((2, 4, 6), cases):
-        res = SimpleNamespace(p=p, mesh=SimpleNamespace(areas=areas, n_triangles=len(areas)),
-                              s1=s1, s2=s2, density=density)
-        cli._write_stage_csv(tmp_path, res)
+        res = SimpleNamespace(p=p, s1=s1, s2=s2, density=density)
+        cli._write_stage_csv(tmp_path, res, cli._csv_row_prefixes(areas))
         with open(tmp_path / "want.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["triangle", "area", "s1", "s2", "density"])

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -264,6 +266,23 @@ def test_enumerate_words_is_one_word_per_class(max_len):
     assert codes.dtype == np.int8 and codes.shape == (len(want), max_len)
     np.testing.assert_array_equal(codes, word_codes(want)[:, :max_len])
     assert len(codes) == [4, 20, 80, 390, 2074, 11918][max_len - 1]
+
+
+def test_enumerate_words_length_9_rows_and_memory():
+    # the 2,673,114 classes of length <= 9 (a 24 MB result) are pinned by
+    # their hash; no growth chunk is alive and no full-length temporary is
+    # made while they are decoded, so the traced peak is the growth phase's
+    # own, 37.8 MB
+    tracemalloc.start()
+    try:
+        codes = enumerate_words(9)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (2673114, 9)
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == (
+        "213fc8fa1e5e37ff7b4b5eec49a8ef08d4737df2711f4f216f4d8c6da0d93faa")
+    assert peak_mb <= 40.0
 
 
 def test_enumerate_words_length_one_is_the_generators():

@@ -9,7 +9,7 @@ from oracles import (
     NHAT_STD,
     FrameError,
     axis_point,
-    cross_oracle,
+    cross,
     exp_series_oracle,
     frame_at,
     geodesic,
@@ -21,13 +21,17 @@ from oracles import (
     random_group_elem,
     random_lie_alg,
     random_tangent,
+    vee,
 )
 from stretchlab import lorentz
+from stretchlab.fuchsian import octagon_representation
 from stretchlab.lorentz import (
+    E_SHARP,
     X0,
-    cross,
     exp_so21,
+    hat,
     killing,
+    mink_cross_vec,
     mink_dot,
 )
 
@@ -79,14 +83,40 @@ def test_cross_antisymmetric_and_lie_valued(xs, ys):
 
 def test_cross_matches_outer_products_on_solver_shapes(rng):
     # the broadcasts the currents take: (nt, 3, 3) and (nt, 2, 3) slot
-    # vectors against one (nt, 1, 3) point per triangle
+    # vectors against one (nt, 1, 3) point per triangle, as the vector
+    # product of R^{2,1} under hat against the 3x3 cross product
     nt = 50
     Y = rng.standard_normal((nt, 1, 3))
     for rows in (3, 2):
         X = rng.standard_normal((nt, rows, 3))
-        got = cross(X, Y)
-        assert got.shape == (nt, rows, 3, 3)
-        np.testing.assert_array_equal(got, cross_oracle(X, Y))
+        got = mink_cross_vec(X, Y)
+        assert got.shape == (nt, rows, 3)
+        np.testing.assert_array_equal(hat(got), cross(X, Y))
+        # e# (X x Y), the euclidean cross product with its last coordinate negated
+        np.testing.assert_array_equal(got, np.cross(X, Y) * E_SHARP.diagonal())
+
+
+vec = st.tuples(coord, coord, coord).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vec, vec, st.integers(0, 7))
+def test_hat_is_the_so21_isomorphism(v, w, k):
+    # hat links the vector product to the 3x3 cross product, is equivariant
+    # under the pairing images, and carries (,)# to half the Killing form and
+    # the euclidean norm to the Frobenius norm over sqrt2; vee inverts it
+    g = octagon_representation().pairing_images()[k]
+    scale = max(1.0, float(np.abs(v).max() * np.abs(w).max()))
+    np.testing.assert_allclose(hat(mink_cross_vec(v, w)), cross(v, w), rtol=0, atol=1e-15 * scale)
+    A = hat(w)
+    assert abs(np.trace(A)) == 0.0
+    np.testing.assert_array_equal(lorentz.sharp_adj(A), -A)
+    np.testing.assert_array_equal(vee(A), w)
+    gw = g @ w
+    np.testing.assert_allclose(g @ A @ lorentz.group_inv(g), hat(gw), rtol=0,
+                               atol=1e-13 * max(1.0, float(np.abs(g).max() ** 2 * np.abs(w).max())))
+    assert killing(hat(v), A) == pytest.approx(2.0 * mink_dot(v, w), rel=1e-12, abs=1e-12 * scale)
+    assert np.linalg.norm(A) == pytest.approx(np.sqrt(2.0) * np.linalg.norm(w), rel=1e-14, abs=1e-300)
 
 
 def test_cross_ad_equivariance(rng):

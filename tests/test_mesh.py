@@ -5,7 +5,7 @@ from stretchlab import lorentz
 from stretchlab.cocycle import relator_tangency
 from stretchlab.fuchsian import PAIRING_WORDS, RELATOR, Word
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
-from stretchlab.lorentz import X0, killing, mink_dot
+from stretchlab.lorentz import X0, hat, killing, mink_cross_vec, mink_dot
 from oracles import (
     B_STD,
     assert_extraction_matches_oracle,
@@ -18,6 +18,7 @@ from oracles import (
     mesh_geometry_oracle,
     mesh_topology_oracle,
     random_lie_alg,
+    vee,
 )
 from stretchlab.mesh import (
     DiscreteOneForm,
@@ -27,7 +28,6 @@ from stretchlab.mesh import (
     closedness_residual,
     edge_average,
     extract_cocycle,
-    maurer_cartan,
     triangle_wedge_density,
     wedge_pair,
 )
@@ -175,22 +175,21 @@ def test_maurer_cartan_geodesic_edge(meshes):
     # along a unit-speed geodesic edge of length h at X0 in direction e2,
     # the edge value is ~ h B_std
     m = meshes[2]
-    omega = maurer_cartan(m)
+    omega = m.maurer_cartan
+    assert m.maurer_cartan is omega  # built once per mesh
     # manufactured edge: use the defining formula directly on a tiny geodesic
-    from stretchlab.mesh import _midpoint
-
     h = 0.05
     head = geodesic(X0, np.array([0.0, 1.0, 0.0]), h)
-    val = lorentz.cross(head - X0, _midpoint(X0, head))
+    val = hat(mink_cross_vec(head - X0, _midpoint(X0, head)))
     assert np.abs(val - h * B_STD).max() <= 2e-4  # O(h^3) defect
     # degenerate zero-length edge
-    assert np.abs(lorentz.cross(X0 - X0, X0)).max() == 0.0
+    assert np.abs(mink_cross_vec(X0 - X0, X0)).max() == 0.0
 
 
 def test_maurer_cartan_equivariance_across_pairings(meshes):
     # omega is sigma-equivariant: paired edges carry conjugated values
     m = meshes[1]
-    omega = maurer_cartan(m)
+    omega = m.maurer_cartan
     twin_vertex = {}
     for u, v, k in m.boundary_pairs:
         twin_vertex.setdefault(k, {})[u] = v
@@ -199,8 +198,9 @@ def test_maurer_cartan_equivariance_across_pairings(meshes):
         chain = m.side_chains[(k + 4) % 8]
         for a, b in zip(chain, chain[1:]):
             ta, tb = twin_vertex[k][a], twin_vertex[k][b]
-            lhs = g @ omega.value(a, b) @ lorentz.group_inv(g)
-            np.testing.assert_allclose(lhs, omega.value(ta, tb), atol=1e-9)
+            lhs = g @ hat(omega.value(a, b)) @ lorentz.group_inv(g)
+            np.testing.assert_allclose(lhs, hat(omega.value(ta, tb)), atol=1e-9)
+            np.testing.assert_allclose(g @ omega.value(a, b), omega.value(ta, tb), atol=1e-9)
 
 
 def test_edge_average_returns_the_maurer_cartan_form(meshes):
@@ -209,7 +209,7 @@ def test_edge_average_returns_the_maurer_cartan_form(meshes):
     # across by Ad, so a reversed Ad direction fails here
     for lvl in (1, 2, 3):
         m = meshes[lvl]
-        omega = maurer_cartan(m)
+        omega = m.maurer_cartan
         got = edge_average(m, omega.values[m.tri_edges], m.rep).values
         assert float(np.abs(got - omega.values).max()) <= 1e-12 * float(np.abs(omega.values).max())
 
@@ -224,10 +224,10 @@ def test_closedness_residual_cases(meshes, rng):
     fvals = np.array([random_lie_alg(rng) for _ in range(m.n_vertices)])
     assert closedness_residual(_gradient_form(m, fvals)) <= 1e-12
     # zero form
-    zero = DiscreteOneForm(m, np.zeros((len(m.edges), 3, 3)))
+    zero = DiscreteOneForm(m, np.zeros((len(m.edges), 3)))
     assert closedness_residual(zero) == 0.0
     # random form: O(1)
-    rand = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
+    rand = DiscreteOneForm(m, np.array([vee(random_lie_alg(rng)) for _ in m.edges]))
     assert closedness_residual(rand) > 0.05
 
 
@@ -259,8 +259,8 @@ def test_closedness_residual_midpoint_sampled_gradient(meshes):
 
 def test_wedge_antisymmetry_and_bilinearity(meshes, rng):
     m = meshes[1]
-    phi = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
-    psi = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
+    phi = DiscreteOneForm(m, np.array([vee(random_lie_alg(rng)) for _ in m.edges]))
+    psi = DiscreteOneForm(m, np.array([vee(random_lie_alg(rng)) for _ in m.edges]))
     assert wedge_pair(phi, phi) == pytest.approx(0.0, abs=1e-12)
     assert wedge_pair(phi, psi) == pytest.approx(-wedge_pair(psi, phi), abs=1e-12)
     assert wedge_pair(2.5 * phi, psi) == pytest.approx(2.5 * wedge_pair(phi, psi), rel=1e-12)
@@ -294,14 +294,15 @@ def test_wedge_against_quadrature_on_one_triangle(meshes):
 
 
 def test_array_kernels_match_triangle_loops(meshes, rng):
-    # per-triangle loop references for the closedness residual and the wedge
+    # per-triangle loop references for the closedness residual and the wedge,
+    # on the 3x3 matrices of the values
     m = meshes[2]
-    phi = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
-    psi = DiscreteOneForm(m, np.array([random_lie_alg(rng) for _ in m.edges]))
+    phi = DiscreteOneForm(m, np.array([vee(random_lie_alg(rng)) for _ in m.edges]))
+    psi = DiscreteOneForm(m, np.array([vee(random_lie_alg(rng)) for _ in m.edges]))
     worst, wedges = 0.0, []
     for i, j, k in m.triangles:
-        a = [phi.value(x, y) for x, y in ((i, j), (j, k), (k, i))]
-        b = [psi.value(x, y) for x, y in ((i, j), (j, k), (k, i))]
+        a = [hat(phi.value(x, y)) for x, y in ((i, j), (j, k), (k, i))]
+        b = [hat(psi.value(x, y)) for x, y in ((i, j), (j, k), (k, i))]
         worst = max(worst, np.linalg.norm(a[0] + a[1] + a[2]) / sum(np.linalg.norm(v) for v in a))
         wedges.append(sum(killing(a[s], b[(s + 1) % 3] - b[(s + 2) % 3]) for s in range(3)) / 6.0)
     wedges = np.array(wedges)
@@ -313,7 +314,7 @@ def test_array_kernels_match_triangle_loops(meshes, rng):
 
 def test_loop_integral_zero_form(meshes):
     m = meshes[1]
-    zero = DiscreteOneForm(m, np.zeros((len(m.edges), 3, 3)))
+    zero = DiscreteOneForm(m, np.zeros((len(m.edges), 3)))
     assert np.abs(loop_integral(zero, "a1 b1^-1")).max() == 0.0
 
 
@@ -351,7 +352,7 @@ def test_extraction_matches_bfs_path_oracle(meshes, level, form_name):
     # differ, so do the sums, by the form's discretization error
     m = meshes[level]
     if form_name == "maurer_cartan":
-        form = maurer_cartan(m)
+        form = m.maurer_cartan
     else:
         form = _bump_gradient_form(
             m, lie_from_frame_coords(0.3, -0.2, 0.5), lie_from_frame_coords(-0.4, 0.7, 0.1)
@@ -366,7 +367,7 @@ def test_extraction_requires_connected_mesh(meshes):
     m = meshes[1]
     cut = replace(m, edges=m.edges[(m.edges != 1).all(axis=1)])
     with pytest.raises(MeshError, match="not edge-connected"):
-        extract_cocycle(DiscreteOneForm(cut, np.zeros((len(cut.edges), 3, 3))))
+        extract_cocycle(DiscreteOneForm(cut, np.zeros((len(cut.edges), 3))))
 
 
 def test_loop_integral_relator_residual_for_closed_forms(meshes):
@@ -377,7 +378,7 @@ def test_loop_integral_relator_residual_for_closed_forms(meshes):
         m, lie_from_frame_coords(0.3, -0.2, 0.5), lie_from_frame_coords(-0.4, 0.7, 0.1)
     )
     assert np.abs(loop_integral(form, RELATOR)).max() <= 1e-7
-    res = [np.abs(loop_integral(maurer_cartan(meshes[lvl]), RELATOR)).max() for lvl in (1, 2, 3)]
+    res = [np.abs(loop_integral(meshes[lvl].maurer_cartan, RELATOR)).max() for lvl in (1, 2, 3)]
     assert res[1] < res[0] and res[2] < res[1]
 
 

@@ -23,6 +23,7 @@ from oracles import (
     newton_power_oracle,
     retract_oracle,
     schatten_hessian_fd,
+    stage_outputs_oracle,
 )
 from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual, extract_cocycle
 from stretchlab.pharmonic import SolveOptions, density_and_currents, minimize
@@ -673,9 +674,37 @@ def test_currents_match_einsum_oracle(mesh2, rho_twist, rng, p):
     res = density_and_currents(minimize(mesh2, rho_twist, p, init=_moved_class_points(mesh2, rng), opts=MEASURE))
     want, bound = currents_oracle(res), currents_oracle(res, magnitude=True)
     for name in ("V_q", "W_q"):
-        err = np.abs(getattr(res, name).values - want[name])
+        err = np.abs(lorentz.hat(getattr(res, name).values) - want[name])
         assert (err <= 1e-14 * bound[name]).all(), (name, float((err / np.maximum(bound[name], 1e-300)).max()))
         assert (np.abs(want[name]) <= bound[name] * (1 + 1e-12)).all()
+
+
+@pytest.fixture(scope="module")
+def reference_stages(rho_twist):
+    # the reference twist solved at levels 2 and 3, its p=2 and p=64 stages
+    return {(level, res.p): res for level in (2, 3)
+            for res in p_continuation(build_octagon_mesh(level), rho_twist, [2, 4, 8, 16, 32, 64],
+                                      SolveOptions(max_iter=8000), resumed={}) if res.p in (2, 64)}
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("p", [2, 64])
+def test_stage_outputs_match_3x3_oracle(reference_stages, level, p):
+    # the currents as vectors against the 3x3 matrices that the forms held
+    # before: V_q and W_q through hat, both closedness residuals and every
+    # relation_checks value to 1e-13 relative, the rounding-level identities
+    # to 1e-13 absolute
+    res = reference_stages[level, p]
+    want = stage_outputs_oracle(res)
+    for name in ("V_q", "W_q"):
+        got = lorentz.hat(getattr(res, name).values)
+        np.testing.assert_allclose(got, want[name], rtol=0, atol=1e-13 * float(np.abs(want[name]).max()), err_msg=name)
+    assert set(res.residuals) == set(want) - {"V_q", "W_q"}
+    for name, value in res.residuals.items():
+        if name in ("minus2T_exact_identity", "minus2T_tracefree_gap"):
+            assert abs(value - want[name]) <= 1e-13, name
+        else:
+            assert value == pytest.approx(want[name], rel=1e-13, abs=0), name
 
 
 @pytest.mark.parametrize("p", [2, 8, 64])
@@ -744,7 +773,7 @@ def test_currents_closedness_improves_under_refinement(octagon, rho_twist):
 
 
 def test_extract_zero_form_gives_zero_cocycle(mesh2, rho_twist):
-    zero = DiscreteOneForm(mesh2, np.zeros((len(mesh2.edges), 3, 3)))
+    zero = DiscreteOneForm(mesh2, np.zeros((len(mesh2.edges), 3)))
     alpha = extract_cocycle(zero, rho_twist)
     assert np.abs(alpha.values.astype(float)).max() == 0.0
     assert closedness_residual(zero) == 0.0
