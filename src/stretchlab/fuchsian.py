@@ -123,10 +123,11 @@ class Word:
     def parse(cls, text: str) -> "Word":
         letters = []
         for tok in text.replace(".", " ").replace("*", " ").split():
-            name, _, exp = tok.partition("^")
+            name, caret, exp = tok.partition("^")
             if name not in GENERATOR_NAMES:
                 raise WordError(f"unknown generator {name!r} in word {text!r}")
-            if exp in ("", "1", "+1"):
+            # "a1^" has an empty exponent, which is not the absent one of "a1"
+            if not caret or exp in ("1", "+1"):
                 inverse = 0
             elif exp == "-1":
                 inverse = 1
@@ -366,17 +367,18 @@ def translation_length(g: np.ndarray):
 
 
 def axis_generator(g: np.ndarray) -> np.ndarray:
-    """Killing-normalized generator B with exp(l B) = g, Ad(g) B = B.
+    """The unit spacelike axis vector b of hyperbolic g: g b = b, (b, b)# = 1
+    and exp(l hat(b)) = g, l the translation length (so g translates in the
+    +b direction).
 
-    For hyperbolic g = exp(l B) the sharp-antisymmetrization kills the B^2
-    part exactly: g - g# = 2 sinh(l) B.  The result is rescaled so that
-    killing(B,B) = 2; the sign translates in the +B direction (exp(lB) = g
-    with l > 0).  Input dtype is preserved.
+    For g = exp(l hat(b)) the sharp-antisymmetrization kills the hat(b)^2
+    part exactly: g - g# = 2 sinh(l) hat(b), whose components are read off.
+    b is normalized from its own components, in the input dtype (longdouble
+    passes through).
     """
-    l = translation_length(g)
-    B = (g - sharp_adj(g)) / (2.0 * np.sinh(l))
-    B = B * np.sqrt(2.0 / lorentz.killing(B, B))
-    return B
+    b = np.array([g[1, 2] + g[2, 1], -(g[0, 2] + g[2, 0]), g[0, 1] - g[1, 0]])
+    b = b / (2.0 * np.sinh(translation_length(g)))
+    return b * np.sqrt(1.0 / (b[0] * b[0] + b[1] * b[1] - b[2] * b[2]))
 
 
 def enumerate_words(max_len: int) -> np.ndarray:

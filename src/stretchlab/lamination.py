@@ -2,8 +2,9 @@
 
 A weighted multicurve {(gamma_i, b_i)} with b_i > 0 induces the standard
 Lie-algebra-valued transverse measure dw = sum_i b_i B_i delta_i, where B_i is
-the killing-normalized geodesic-flow generator of sigma(gamma_i).  Mass uses
-the sqrt2 operator-norm convention (admissible test forms have largest
+the geodesic-flow generator of sigma(gamma_i), stored as its unit spacelike
+axis vector ((B_i, B_i)# = 1, so its Killing norm 2 (B_i, B_i)# is 2).  Mass
+uses the sqrt2 operator-norm convention (admissible test forms have largest
 singular value <= sqrt2), under which mass(dw) = 2 * length.
 
 Simplicity and disjointness of the curve words are NOT verified: the intended
@@ -19,9 +20,9 @@ import numpy as np
 
 from .cocycle import Cocycle, _check_same_rep, evaluate_cocycle
 from .fuchsian import SurfaceGroupRep, as_word, axis_generator, translation_length
-from .lorentz import killing
+from .lorentz import mink_dot
 
-KILLING_NORM_TOL = 1e-9  # an atom generator B has |killing(B, B) - 2| <= this
+KILLING_NORM_TOL = 1e-9  # an atom generator B has |2 (B, B)# - 2| <= this
 
 
 @dataclass
@@ -62,7 +63,7 @@ class MeasureAtom:
     word: object
     weight: float
     length: float
-    generator: np.ndarray  # killing-normalized axis generator B_i
+    generator: np.ndarray  # (3,) unit spacelike axis vector B_i
 
 
 @dataclass
@@ -74,13 +75,12 @@ class LieValuedMeasure:
 
     def validate(self) -> "LieValuedMeasure":
         for at in self.atoms:
-            if abs(killing(at.generator, at.generator) - 2.0) > KILLING_NORM_TOL:
+            if abs(2.0 * mink_dot(at.generator, at.generator) - 2.0) > KILLING_NORM_TOL:
                 raise ValueError("atom generator is not killing-normalized")
-            # Ad(g) fixes only the multiples of g's axis generator, so a
-            # normalized B is Ad-invariant iff it is +-axis_generator(g); its
-            # tilt off that axis, relative to the axis, keeps its resolution
-            # at every word length, where the drift |g B g^-1 - B| rounds
-            # like max|g|^2 and a tilt moves it like max|g|
+            # g fixes only the multiples of its axis vector, so a normalized
+            # B is Ad-invariant iff it is +-axis_generator(g); its tilt off
+            # that axis, relative to the axis, keeps its resolution at every
+            # word length, where the drift |g B - B| rounds like max|g|
             axis = axis_generator(self.rep.evaluate(at.word))
             tilt = min(np.abs(at.generator - axis).max(), np.abs(at.generator + axis).max())
             if tilt > 1e-8 * np.abs(axis).max():
@@ -89,7 +89,7 @@ class LieValuedMeasure:
 
 
 def standard_measure(mc: WeightedMulticurve) -> LieValuedMeasure:
-    """One atom per curve: B_i = axis generator, l_i = translation length."""
+    """One atom per curve: B_i = axis vector, l_i = translation length."""
     atoms = []
     for w, b in mc.items:
         g = mc.rep.evaluate(w)
@@ -114,9 +114,9 @@ def mass_by_duality(m: LieValuedMeasure) -> float:
 
     Admissible forms have largest singular value <= sqrt2, which the
     killing-normalized B_i has along gamma_i (the proof's sum psi_i B_i
-    alpha_i), so dw(phi) = sum b_i l_i (B_i, B_i)# = mass.
+    alpha_i), so dw(phi) = sum b_i l_i 2 (B_i, B_i)# = mass.
     """
-    return float(sum(at.weight * at.length * killing(at.generator, at.generator) for at in m.atoms))
+    return float(sum(at.weight * at.length * 2.0 * mink_dot(at.generator, at.generator) for at in m.atoms))
 
 
 def length(mc: WeightedMulticurve, rep: SurfaceGroupRep | None = None) -> float:
@@ -126,6 +126,7 @@ def length(mc: WeightedMulticurve, rep: SurfaceGroupRep | None = None) -> float:
 
 
 def pair(m: LieValuedMeasure, xi: Cocycle) -> float:
-    """dw(d xi) = sum b_i (B_i, alpha(gamma_i))#; vanishes on coboundaries."""
+    """dw(d xi) = sum b_i 2 (B_i, alpha(gamma_i))#, the Killing pairing of
+    each axis with the cocycle; vanishes on coboundaries."""
     _check_same_rep(m.rep, xi.rep)
-    return sum(at.weight * killing(at.generator, evaluate_cocycle(xi, at.word)) for at in m.atoms)
+    return sum(at.weight * 2.0 * mink_dot(at.generator, evaluate_cocycle(xi, at.word)) for at in m.atoms)

@@ -10,8 +10,10 @@ twice (,)#.  Every A in so(2,1) satisfies the cubic identity A^3 = k A with
 k = Tr(A^2)/2, which gives the exponential in closed form with three
 branches (a series in k near 0, hyperbolic for k > 0, elliptic for k < 0).
 
-Vectors are plain numpy arrays of shape (3,); group elements, and Lie
-algebra elements where a matrix is needed, are arrays of shape (3, 3).
+Vectors are plain numpy arrays of shape (3,) and group elements arrays of
+shape (3, 3).  Every other module stores an so(2,1) value as its vector w,
+transports it by g w and pairs it by 2 (,)#; this module alone knows the
+matrix hat(w), which `exp_so21` takes.
 """
 
 from __future__ import annotations
@@ -82,15 +84,6 @@ def hat(w: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([zero, w2, -w1], axis=-1),
                      np.stack([-w2, zero, w0], axis=-1),
                      np.stack([-w1, w0, zero], axis=-1)], axis=-2)
-
-
-def killing(A: np.ndarray, B: np.ndarray):
-    """Killing form (A,B)# = Tr AB on so(2,1); signature (2,1).
-
-    Returns a numpy scalar in the common dtype of the inputs (extended
-    precision is preserved when callers work in longdouble).
-    """
-    return np.tensordot(A, B.T, axes=2)
 
 
 def is_group_elem(g: np.ndarray) -> bool:

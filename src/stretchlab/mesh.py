@@ -7,11 +7,11 @@ position(i) = sigma(w_i) . position(representative).  The words are stored
 as a table of the distinct ones (11 at any level >= 1) and one index per
 vertex.  The flat connection is literal matrix transport: a discrete
 ad-valued 1-form has one so(2,1) value per chart edge, stored as its
-R^{2,1} vector w (the matrix is lorentz.hat(w)), and crossing the paired
-boundary is Ad(g) hat(w) = hat(g w): the pairing letter's image g in the
-pairing_images() table of whichever representation the form is equivariant
-for, applied to the vector.  The mesh stores no pairing words; its corners
-and union-find words are fuchsian's OCTAGON_VERTICES and PAIRING_WORDS.
+R^{2,1} vector w, and crossing the paired boundary is Ad(g) hat(w) =
+hat(g w): the pairing letter's image g in the pairing_images() table of
+whichever representation the form is equivariant for, applied to the
+vector.  The mesh stores no pairing words; its corners and union-find
+words are fuchsian's OCTAGON_VERTICES and PAIRING_WORDS.
 
 The pairing x_k maps side k+4 onto side k and reverses its direction, so the
 i-th vertex of side k+4 is paired with the i-th vertex from the end of side
@@ -34,7 +34,7 @@ summed along a breadth-first tree from the octagon centre.  For each pairing
 x_k, the crossing integral is I(x_k) = F(y) - rep(x_k) F(y'), with y the
 middle vertex of side k and y' its twin on side k+4; a word's value composes
 these along its pairing letters by the cocycle rule, which extract_cocycle
-does for the four generators on the matrices hat(I).
+does for the four generators on the vectors I.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .fuchsian import (
     Word,
     octagon_representation,
 )
-from .lorentz import hat, log_map, mink_cross_vec, mink_dot, normalize_to_hyperboloid
+from .lorentz import log_map, mink_cross_vec, mink_dot, normalize_to_hyperboloid
 
 PAIRING_TOL = 1e-10
 
@@ -429,7 +429,7 @@ def _class_hierarchy(triangles, vc, class_rep_vertex, parent_edges) -> ClassHier
 @dataclass
 class DiscreteOneForm:
     """One so(2,1) value per directed chart edge, antisymmetric under reversal,
-    stored as its R^{2,1} vector (lorentz.hat gives the matrix).
+    stored as its R^{2,1} vector.
 
     Stored on the canonical orientation (i < j).
     """
@@ -563,5 +563,4 @@ def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None) -
     """Cocycle from the generator loop integrals, over one set of crossings."""
     rep = rep if rep is not None else form.mesh.rep
     incr, mats = _crossings(form, rep)
-    incr = hat(incr)
     return Cocycle(rep, np.array([compose(w, incr, mats) for w in LETTER_X_WORDS[::2]]))

@@ -28,7 +28,6 @@ from stretchlab.lorentz import (
     exp_so21,
     group_inv,
     hat,
-    killing,
     log_map,
     mink_cross_vec,
     mink_dot,
@@ -48,6 +47,15 @@ from stretchlab.pharmonic import (
     _tri_metric,
     check_schedule,
 )
+
+
+def killing(A: np.ndarray, B: np.ndarray):
+    """Killing form (A,B)# = Tr AB of so(2,1) matrices, the matrix reference
+    for the library's 2 (v, w)# on vectors (Tr(hat(v) hat(w)) = 2 (v, w)#).
+
+    Returns a numpy scalar in the common dtype of the inputs.
+    """
+    return np.tensordot(A, B.T, axes=2)
 
 
 def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -277,7 +285,7 @@ def octagon_generators_oracle() -> np.ndarray:
 
 
 def zero_cocycle(rep: SurfaceGroupRep) -> Cocycle:
-    return Cocycle(rep, np.zeros((4, 3, 3)))
+    return Cocycle(rep, np.zeros((4, 3)))
 
 
 def stretch_ratio(word, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
@@ -396,10 +404,10 @@ def differentiate_family(
 ) -> Cocycle:
     """Central-difference cocycle of a representation family s -> rep.
 
-    alpha(g) = (d/ds sigma_s(g)) sigma(g)^-1 at s = s0; the result is
-    projected onto so(2,1) and satisfies relator tangency up to the
-    finite-difference floor (~1e-6 for the default step).  The sampled
-    family members must satisfy the rep invariants.
+    alpha(g) = (d/ds sigma_s(g)) sigma(g)^-1 at s = s0, a matrix projected
+    onto so(2,1) and stored as its vector; the result satisfies relator
+    tangency up to the finite-difference floor (~1e-6 for the default step).
+    The sampled family members must satisfy the rep invariants.
     """
     if rep is None:
         rep = family(s0)
@@ -411,7 +419,7 @@ def differentiate_family(
         a = d @ group_inv(rep.generator(n))
         a = 0.5 * (a - sharp_adj(a))  # project to so(2,1)
         vals.append(a - np.trace(a) / 3.0 * np.eye(3))
-    return Cocycle(rep, np.array(vals))
+    return Cocycle(rep, vee(np.array(vals)))
 
 
 def finite_difference_cocycle(rep: SurfaceGroupRep, curve: str, weight: float = 1.0, step: float = FD_STEP) -> Cocycle:
@@ -435,7 +443,7 @@ def admissible_pairings(m, n_samples: int, n_quad: int, rng: np.random.Generator
     # B the exponential is exactly I + sinh(t) B + (cosh(t)-1) B^2
     frames = []
     for at in m.atoms:
-        B = at.generator
+        B = hat(at.generator)
         X = axis_point(B)
         _, Bp0, _ = frame_at(B, X)
         l = float(at.length)
@@ -448,13 +456,12 @@ def admissible_pairings(m, n_samples: int, n_quad: int, rng: np.random.Generator
         )
         gti = np.einsum("ab,tbc,cd->tad", lorentz.E_SHARP, gt.transpose(0, 2, 1), lorentz.E_SHARP)
         Bp_t = gt @ Bp0[None] @ gti
-        frames.append((at, l, ts, Bp_t))
+        frames.append((at, B, l, ts, Bp_t))
 
     totals = []
     for sample in range(n_samples + 1):
         total = 0.0
-        for at, l, ts, Bp_t in frames:
-            B = at.generator
+        for at, B, l, ts, Bp_t in frames:
             if sample == 0:
                 bs = np.ones(n_quad)
                 as_ = np.zeros(n_quad)
@@ -881,10 +888,11 @@ def loop_integral_oracle(form, word, rep: SurfaceGroupRep | None = None, base_ve
 
 
 def extract_cocycle_oracle(form, rep: SurfaceGroupRep | None = None, base_vertex: int = 0) -> Cocycle:
-    """Cocycle from the generator loop integrals."""
+    """Cocycle from the generator loop integrals, composed as matrices and
+    stored as their vectors."""
     rep = rep if rep is not None else form.mesh.rep
     vals = np.array([loop_integral_oracle(form, n, rep, base_vertex) for n in GENERATOR_NAMES])
-    return Cocycle(rep, vals)
+    return Cocycle(rep, vee(vals))
 
 
 def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = None) -> np.ndarray:
@@ -897,7 +905,7 @@ def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = Non
     """
     letters = [k for c in as_word(word).letters for k in LETTER_X_WORDS[c]]
     incr, mats = _crossings(form, rep if rep is not None else form.mesh.rep)
-    return compose(letters, hat(incr), mats)
+    return compose(letters, incr, mats)
 
 
 def assert_extraction_matches_oracle(form, rep: SurfaceGroupRep | None = None):
@@ -908,7 +916,7 @@ def assert_extraction_matches_oracle(form, rep: SurfaceGroupRep | None = None):
     np.testing.assert_allclose(extract_cocycle(form, rep).values, ref, rtol=0, atol=1e-11 * scale)
     for word in ("a1", "b1^-1", "a2 b2", RELATOR):
         np.testing.assert_allclose(
-            loop_integral(form, word, rep), loop_integral_oracle(form, word, rep), rtol=0, atol=1e-9 * scale
+            loop_integral(form, word, rep), vee(loop_integral_oracle(form, word, rep)), rtol=0, atol=1e-9 * scale
         )
 
 

@@ -18,11 +18,13 @@ from oracles import (
     exp_series_oracle,
     form_from_edge_function,
     frame_invariance_defect,
+    killing,
     lie_from_frame_coords,
     project_tangent,
     random_group_elem,
     random_lie_alg,
     random_tangent,
+    vee,
 )
 from stretchlab import lorentz
 from stretchlab.cli import p_continuation
@@ -51,7 +53,7 @@ from stretchlab.lamination import (
     pair,
     standard_measure,
 )
-from stretchlab.lorentz import E_SHARP, X0, killing, mink_dot
+from stretchlab.lorentz import E_SHARP, X0, mink_dot
 from stretchlab.mesh import build_octagon_mesh, extract_cocycle
 from stretchlab.pharmonic import SolveOptions
 
@@ -213,8 +215,7 @@ def test_criterion_6_earthquake_duality(octagon, rng):
                 rep = duality_check(octagon, mc, tw_curve)
                 assert rep.rel_err <= 1e-6, (mc_curve, tw_curve, rep)
         for _ in range(10):
-            A0 = random_lie_alg(rng)
-            cob = coboundary(A0, octagon)
+            cob = coboundary(vee(random_lie_alg(rng)), octagon)
             m = standard_measure(
                 WeightedMulticurve(octagon, [("a1", 1.0), ("b2", 0.5), ("a2 b2", 0.25)])
             )

@@ -406,8 +406,9 @@ def test_solve_identity_target(tmp_path):
 
 
 def test_malformed_word_is_config_error(tmp_path):
-    cfg = {"multicurve": [{"word": "zz9", "weight": 1.0}]}
-    assert run(tmp_path, "length", cfg) == cli.EXIT_CONFIG
+    for word in ("zz9", "a1^"):
+        cfg = {"multicurve": [{"word": word, "weight": 1.0}]}
+        assert run(tmp_path, "length", cfg) == cli.EXIT_CONFIG, word
 
 
 def test_non_hyperbolic_word_is_numeric_error(tmp_path):
@@ -462,16 +463,20 @@ def test_rep_file_errors(tmp_path, capsys):
 
 def test_commands_run_without_mpmath(tmp_path):
     # mpmath is a test dependency only: in a fresh interpreter where every
-    # import of it fails, rep and kbound still run
+    # import of it fails, rep, kbound, duality, wolpert and mass still run
     (tmp_path / "kbound.json").write_text(json.dumps({"max_word_len": 2}))
+    (tmp_path / "mass.json").write_text(json.dumps({"multicurve": [{"word": "a1 b1", "weight": 1.0}]}))
     script = (
         "import sys\n"
         "sys.modules['mpmath'] = None\n"
         "from stretchlab import cli\n"
         "out = sys.argv[1]\n"
         "codes = [cli.main(['rep', '--out', out + '/rep']),\n"
-        "         cli.main(['kbound', '--config', out + '/kbound.json', '--out', out + '/kbound'])]\n"
-        "sys.exit(0 if codes == [0, 0] else f'exit codes {codes}')\n"
+        "         cli.main(['kbound', '--config', out + '/kbound.json', '--out', out + '/kbound']),\n"
+        "         cli.main(['duality', '--out', out + '/duality']),\n"
+        "         cli.main(['wolpert', '--out', out + '/wolpert']),\n"
+        "         cli.main(['mass', '--config', out + '/mass.json', '--out', out + '/mass'])]\n"
+        "sys.exit(0 if codes == [0] * 5 else f'exit codes {codes}')\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
@@ -481,6 +486,8 @@ def test_commands_run_without_mpmath(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "rep" / "sigma.json").exists()
     assert (tmp_path / "kbound" / "kbound_report.json").exists()
+    for cmd in ("duality", "wolpert", "mass"):
+        assert (tmp_path / cmd / f"{cmd}_report.json").exists()
 
 
 def test_rep_file_round_trip_preserves_residual(tmp_path):

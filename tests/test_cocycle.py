@@ -23,6 +23,7 @@ from oracles import (
     free_words,
     lie_from_frame_coords,
     random_lie_alg,
+    vee,
     zero_cocycle,
 )
 
@@ -30,7 +31,7 @@ from oracles import (
 def random_values_cocycle(octagon, rng, scale=1.0):
     """Arbitrary generator values; extends by the cocycle rule regardless of
     tangency (the rule defines an extension on the free group)."""
-    vals = np.array([random_lie_alg(rng, scale) for _ in range(4)])
+    vals = vee(np.array([random_lie_alg(rng, scale) for _ in range(4)]))
     return Cocycle(octagon, vals.astype(np.longdouble))
 
 
@@ -55,10 +56,10 @@ def test_cocycle_rule_on_random_pairs(octagon, rng):
         s1 = octagon.evaluate_ld(w1)
         v1 = evaluate_cocycle(alpha, w1)
         v2 = evaluate_cocycle(alpha, w2)
-        rhs = s1 @ v2 @ group_inv(s1) + v1
+        rhs = s1 @ v2 + v1
         # 1e-12 agreement relative to the conditioning of the identity
-        # (the Ad factor reaches operator norm ~1e6 on cancelling pairs)
-        scale = 1.0 + float(np.abs(v1).max()) + float(np.abs(s1).max()) ** 2 * float(np.abs(v2).max())
+        # (the Ad factor s1 reaches operator norm ~1e3 on cancelling pairs)
+        scale = 1.0 + float(np.abs(v1).max()) + float(np.abs(s1).max()) * float(np.abs(v2).max())
         assert float(np.abs(lhs - rhs).max()) <= 1e-12 * scale
 
 def test_inverse_word_rule(octagon, rng):
@@ -68,8 +69,8 @@ def test_inverse_word_rule(octagon, rng):
         s = octagon.evaluate_ld(w)
         v = evaluate_cocycle(alpha, w)
         lhs = evaluate_cocycle(alpha, w.inverse())
-        rhs = -(group_inv(s) @ v @ s)
-        scale = 1.0 + float(np.abs(s).max()) ** 2 * float(np.abs(v).max())
+        rhs = -(group_inv(s) @ v)
+        scale = 1.0 + float(np.abs(s).max()) * float(np.abs(v).max())
         assert float(np.abs(lhs - rhs).max()) <= 1e-12 * scale
 
 
@@ -82,8 +83,8 @@ def test_every_bracketing_agrees(octagon, rng):
         w1, w2 = Word(w.letters[:cut]), Word(w.letters[cut:])
         s1 = octagon.evaluate_ld(w1)
         v2 = evaluate_cocycle(alpha, w2)
-        split = s1 @ v2 @ group_inv(s1) + evaluate_cocycle(alpha, w1)
-        scale = 1.0 + float(np.abs(s1).max()) ** 2 * float(np.abs(v2).max())
+        split = s1 @ v2 + evaluate_cocycle(alpha, w1)
+        scale = 1.0 + float(np.abs(s1).max()) * float(np.abs(v2).max())
         assert float(np.abs(full - split).max()) <= 1e-12 * scale
 
 
@@ -96,7 +97,7 @@ def _bracketed(alpha, letters, draw):
     cut = draw(st.integers(1, len(letters) - 1))
     v1, s1, m1 = _bracketed(alpha, letters[:cut], draw)
     v2, s2, m2 = _bracketed(alpha, letters[cut:], draw)
-    return s1 @ v2 @ group_inv(s1) + v1, s1 @ s2, m1 + float(np.abs(s1).max()) ** 2 * m2
+    return s1 @ v2 + v1, s1 @ s2, m1 + float(np.abs(s1).max()) * m2
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,9 +107,9 @@ def _bracketed(alpha, letters, draw):
     st.data(),
 )
 def test_any_bracketing_agrees(octagon, seq, coords, data):
-    # the rule alpha(w1 w2) = alpha(w1) + Ad(sigma(w1)) alpha(w2), applied
+    # the rule alpha(w1 w2) = alpha(w1) + sigma(w1) alpha(w2), applied
     # along any bracketing of a free word, gives the letter-by-letter value
-    vals = np.array([lie_from_frame_coords(*coords[3 * i : 3 * i + 3]) for i in range(4)])
+    vals = vee(np.array([lie_from_frame_coords(*coords[3 * i : 3 * i + 3]) for i in range(4)]))
     alpha = Cocycle(octagon, vals.astype(np.longdouble))
     letters = Word(seq).letters
     assume(letters)
@@ -118,24 +119,24 @@ def test_any_bracketing_agrees(octagon, seq, coords, data):
 
 
 def test_coboundary_of_zero(octagon):
-    cob = coboundary(np.zeros((3, 3)), octagon)
+    cob = coboundary(np.zeros(3), octagon)
     np.testing.assert_allclose(cob.values.astype(float), 0.0, atol=1e-15)
 
 
 def test_coboundary_tangency_and_expansion(octagon, rng):
-    A0 = random_lie_alg(rng)
-    cob = coboundary(A0, octagon)
+    w0 = vee(random_lie_alg(rng))
+    cob = coboundary(w0, octagon)
     assert relator_tangency(cob) <= 1e-8
     cob.validate()
     # closed-form expansion check on a product word
     w = Word.parse("a1 b2")
     s = octagon.evaluate_ld(w)
-    expected = A0 - (s @ A0 @ group_inv(s)).astype(float)
+    expected = w0 - (s @ w0).astype(float)
     np.testing.assert_allclose(evaluate_cocycle(cob, w).astype(float), expected, atol=1e-10)
 
 
 def test_coboundary_space_is_three_dimensional(octagon):
-    basis = [coboundary(B, octagon).values.astype(float).ravel()
+    basis = [coboundary(vee(B), octagon).values.astype(float).ravel()
              for B in (B_STD, BPERP_STD, NHAT_STD)]
     M = np.array(basis)
     assert np.linalg.matrix_rank(M, tol=1e-8) == 3
@@ -175,7 +176,7 @@ def test_differentiate_conjugation_family_is_coboundary_class(octagon, rng):
         return type(octagon)(gens, label="conj")
 
     fd = differentiate_family(fam, octagon)
-    cob = coboundary(A0, octagon)
+    cob = coboundary(vee(A0), octagon)
     # conjugation family differentiates to Ad-derivative = the coboundary with
     # the opposite sign convention: alpha(g) = A0 - Ad(g)A0 vs d/ds(e^{sA}ge^{-sA})g^{-1}
     diff = fd.values.astype(float) + cob.values.astype(float)

@@ -24,7 +24,7 @@ from stretchlab.fuchsian import (
     translation_length,
 )
 from stretchlab.earthquake import TwistSpec, twist
-from stretchlab.lorentz import exp_so21, group_inv, killing
+from stretchlab.lorentz import exp_so21, group_inv, hat, mink_dot
 
 from oracles import (
     B_STD,
@@ -32,6 +32,7 @@ from oracles import (
     all_words_oracle,
     enumerate_words_oracle,
     free_words,
+    killing,
     lie_from_frame_coords,
     octagon_generators_oracle,
     random_group_elem,
@@ -95,6 +96,9 @@ def test_word_rejects_garbage():
         Word.parse("c3")
     with pytest.raises(fuchsian.WordError):
         Word.parse("a1^2")
+    # a caret with no exponent is not the bare letter
+    with pytest.raises(fuchsian.WordError):
+        Word.parse("a1^")
 
 
 def test_octagon_table_is_the_50_digit_derivation(octagon):
@@ -171,25 +175,24 @@ def test_translation_length_conjugation_invariant(octagon, rng):
 
 
 def test_axis_generator_round_trip():
-    B = axis_generator(exp_so21(3.0 * B_STD))
-    np.testing.assert_allclose(B, B_STD, atol=1e-12)
+    b = axis_generator(exp_so21(3.0 * B_STD))
+    np.testing.assert_allclose(hat(b), B_STD, atol=1e-12)
     g = exp_so21(2.2 * B_STD)
-    np.testing.assert_allclose(exp_so21(translation_length(g) * axis_generator(g)), g, atol=1e-9)
+    np.testing.assert_allclose(exp_so21(translation_length(g) * hat(axis_generator(g))), g, atol=1e-9)
 
 
 def test_axis_generator_properties(octagon, rng):
     for name in fuchsian.GENERATOR_NAMES:
         g = octagon.generator(name)
-        B = axis_generator(g)
-        assert killing(B, B) == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_allclose(g @ B @ group_inv(g), B, atol=1e-10)
-        np.testing.assert_allclose(exp_so21(translation_length(g) * B), g, atol=1e-9)
+        b = axis_generator(g)
+        assert mink_dot(b, b) == pytest.approx(1.0, abs=1e-12)
+        assert killing(hat(b), hat(b)) == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(g @ b, b, atol=1e-10)
+        np.testing.assert_allclose(exp_so21(translation_length(g) * hat(b)), g, atol=1e-9)
     # equivariance under conjugation
     g = octagon.generator("b1")
     h = random_group_elem(rng)
-    np.testing.assert_allclose(
-        axis_generator(h @ g @ group_inv(h)), h @ axis_generator(g) @ group_inv(h), atol=1e-9
-    )
+    np.testing.assert_allclose(axis_generator(h @ g @ group_inv(h)), h @ axis_generator(g), atol=1e-9)
 
 
 @settings(max_examples=300, deadline=None)
@@ -201,9 +204,9 @@ def test_axis_generator_is_ad_equivariant(g_coords, h_coords):
     assume(b * b + a * a - z * z >= 1e-2)
     g, h = exp_so21(lie_from_frame_coords(*g_coords)), exp_so21(lie_from_frame_coords(*h_coords))
     conj = h @ g @ group_inv(h)
-    err = np.abs(axis_generator(conj) - h @ axis_generator(g) @ group_inv(h)).max()
-    # g - g# = 2 sinh(l) B loses the rounding of conj over sinh(l), and Ad(h)
-    # scales B's entries by up to |h|^2
+    err = np.abs(axis_generator(conj) - h @ axis_generator(g)).max()
+    # g - g# = 2 sinh(l) hat(b) loses the rounding of conj over sinh(l), and
+    # conj's two products with h round like |h|^2
     scale = np.abs(h).max() ** 2 * np.abs(conj).max() / np.sinh(translation_length(g))
     assert err <= 1e-11 * scale
 

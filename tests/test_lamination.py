@@ -9,9 +9,11 @@ from oracles import (
     admissible_pairings,
     all_words_oracle,
     frame_invariance_defect,
+    killing,
     lie_from_frame_coords,
     random_group_elem,
     random_lie_alg,
+    vee,
     words_from_codes,
 )
 from stretchlab import lorentz
@@ -27,7 +29,7 @@ from stretchlab.lamination import (
     pair,
     standard_measure,
 )
-from stretchlab.lorentz import X0, killing
+from stretchlab.lorentz import X0, hat, mink_dot
 
 
 def mc_of(octagon, *items):
@@ -52,13 +54,14 @@ def test_standard_measure_single_curve(octagon):
     assert len(m.atoms) == 1
     at = m.atoms[0]
     assert at.length == pytest.approx(OCTAGON_LENGTH, abs=1e-9)
-    assert killing(at.generator, at.generator) == pytest.approx(2.0, abs=1e-12)
+    assert mink_dot(at.generator, at.generator) == pytest.approx(1.0, abs=1e-12)
+    assert killing(hat(at.generator), hat(at.generator)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_standard_measure_accepts_long_words(octagon, rng):
-    # the float64 drift of g B g^-1 - B grows like max|g|^2: an absolute
-    # 1e-8 on it rejected 82% of the length-4 words and nearly all of length
-    # 6, which the tilt off the axis generator does not
+    # the float64 drift of the conjugate g B g^-1 - B grows like max|g|^2:
+    # an absolute 1e-8 on it rejected 82% of the length-4 words and nearly
+    # all of length 6, which the tilt off the axis vector does not
     words = words_from_codes(all_words_oracle(6))
     six = [w for w in words if len(w) == 6]
     for w in [w for w in words if len(w) <= 4] + [six[i] for i in rng.choice(len(six), 200, replace=False)]:
@@ -68,11 +71,11 @@ def test_standard_measure_accepts_long_words(octagon, rng):
 @pytest.mark.parametrize("word", ["a1", "a1 b1 a2 b2", "a1 b1^-1 a2 a2 b2 b1"])
 def test_validate_rejects_perturbed_generator(octagon, rng, word):
     # killing-normalized, but off the axis by 1e-6: not Ad-invariant, at
-    # every length (the drift g B g^-1 - B of the length-6 word, with max|g|
-    # ~ 2.5e5, rounds like max|g|^2 and a tilt moves it like max|g|)
+    # every length (the length-6 word has max|g| ~ 2.5e5, and the tilt is
+    # measured relative to the axis, not through the drift g B - B)
     at = standard_measure(mc_of(octagon, (word, 1.0))).atoms[0]
-    B = at.generator + 1e-6 * random_lie_alg(rng)
-    at.generator = B * np.sqrt(2.0 / killing(B, B))
+    b = at.generator + 1e-6 * vee(random_lie_alg(rng))
+    at.generator = b * np.sqrt(1.0 / mink_dot(b, b))
     with pytest.raises(ValueError, match="not Ad-invariant"):
         LieValuedMeasure(octagon, [at]).validate()
 
@@ -147,8 +150,7 @@ def test_length_additive_and_twist_invariant(octagon):
 
 def test_pair_vanishes_on_coboundaries(octagon, rng):
     for _ in range(10):
-        A0 = random_lie_alg(rng)
-        cob = coboundary(A0, octagon)
+        cob = coboundary(vee(random_lie_alg(rng)), octagon)
         m = standard_measure(
             mc_of(octagon, ("a1", float(rng.uniform(0.2, 2.0))), ("b1", float(rng.uniform(0.2, 2.0))))
         )
@@ -173,7 +175,8 @@ def test_pair_matches_finite_difference_length_derivative(octagon):
 
 
 def test_pair_gauge_invariance(octagon, rng):
-    # conjugating every atom generator and the cocycle by a common g fixes pair
+    # conjugating every atom generator and the cocycle value, as matrices,
+    # by a common g fixes pair, the Killing form of the two
     m = standard_measure(mc_of(octagon, ("a1", 1.0), ("b2", 0.6)))
     xi = earthquake_cocycle(octagon, "b1")
     g = random_group_elem(rng)
@@ -182,7 +185,7 @@ def test_pair_gauge_invariance(octagon, rng):
 
     base = pair(m, xi)
     conj = sum(
-        at.weight * killing(g @ at.generator @ gi, g @ evaluate_cocycle(xi, at.word).astype(float) @ gi)
+        at.weight * killing(g @ hat(at.generator) @ gi, g @ hat(evaluate_cocycle(xi, at.word).astype(float)) @ gi)
         for at in m.atoms
     )
     assert conj == pytest.approx(base, rel=1e-10)

@@ -15,6 +15,7 @@ from oracles import (
     geodesic,
     hyperbolic_distance,
     is_on_hyperboloid,
+    killing,
     lie_from_frame_coords,
     log_so21,
     project_tangent,
@@ -30,7 +31,6 @@ from stretchlab.lorentz import (
     X0,
     exp_so21,
     hat,
-    killing,
     mink_cross_vec,
     mink_dot,
 )

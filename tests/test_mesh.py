@@ -5,7 +5,7 @@ from stretchlab import lorentz
 from stretchlab.cocycle import relator_tangency
 from stretchlab.fuchsian import PAIRING_WORDS, RELATOR, Word
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
-from stretchlab.lorentz import X0, hat, killing, mink_cross_vec, mink_dot
+from stretchlab.lorentz import X0, hat, mink_cross_vec, mink_dot
 from oracles import (
     B_STD,
     assert_extraction_matches_oracle,
@@ -13,6 +13,7 @@ from oracles import (
     edge_twins_oracle,
     form_from_edge_function,
     geodesic,
+    killing,
     lie_from_frame_coords,
     loop_integral,
     mesh_geometry_oracle,
@@ -391,6 +392,6 @@ def test_loop_integral_cocycle_rule(meshes):
     lhs = loop_integral(form, w1 * w2)
     s1 = m.rep.evaluate(w1)
     v2 = loop_integral(form, w2)
-    rhs = loop_integral(form, w1) + s1 @ v2 @ lorentz.group_inv(s1)
-    scale = 1.0 + float(np.abs(s1).max()) ** 2 * float(np.abs(v2).max())
+    rhs = loop_integral(form, w1) + s1 @ v2
+    scale = 1.0 + float(np.abs(s1).max()) * float(np.abs(v2).max())
     np.testing.assert_allclose(lhs, rhs, atol=1e-11 * scale)
