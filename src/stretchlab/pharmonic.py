@@ -129,6 +129,16 @@ class SolveResult:
 # coordinate-major energy / gradient kernel
 # ---------------------------------------------------------------------------
 
+# The kernel and the V-cycle write their large temporaries in place (ufunc
+# out=), one or two live per step: from L4 on, a fresh array per operation is
+# trimmed from the heap and faulted back in at every call.  An in-place line
+# keeps its operation's operand order and association, so results stay bit
+# for bit: np.multiply(beta, t, out=t) for beta * conj(x), not t *= beta.
+# numpy's SIMD complex multiply is not bitwise commutative; that one swap in
+# `_wspmv` moves the L4 J_p by up to 5.5e-14 relative and changes every stage
+# CSV.  An operator expression does not keep the order from 256 KiB on, where
+# numpy may reuse a temporary operand as the output with the operands swapped.
+
 # E_SHARP's diagonal as a column: SIGN * v flips the last coordinate of every
 # column of a (3, n) array, so (v, w)# = (SIGN * v * w).sum(axis=0); SIGN3
 # does the same on a (3, k, n) array
@@ -149,7 +159,7 @@ class _Context:
         # flat indices of a raveled (3, nc) class array per vertex, and of a
         # raveled (3, nv) vertex array per (coordinate, corner, triangle)
         self.vertex_at = coord * self.nc + mesh.vertex_class        # (3, nv)
-        self.corner_at = coord[:, None] * self.nv + mesh.triangles.T  # (3, 3, nt)
+        self.corner_at = np.ascontiguousarray(coord[:, None] * self.nv + mesh.triangles.T)  # (3, 3, nt)
         self.Ki = mesh.tri_dxinv.transpose(1, 2, 0).copy()            # (2, 2, nt)
         self.areas = mesh.areas
 
@@ -180,13 +190,14 @@ def _tri_metric(ctx: _Context, Z: np.ndarray):
     Yb = S / nu
     c = -np.einsum("at,act->ct", SIGN * Yb, Y)                     # (3, nt), >= 1
     f, fp = _f_log(c)
-    R = Y - c * Yb[:, None]                                        # radial parts
-    eta = f * R
-    D = eta[:, 1:] - eta[:, :1]                                    # (3, 2, nt) columns d2, d3
+    R = np.multiply(c, Yb[:, None])
+    np.subtract(Y, R, out=R)                                       # radial parts
+    D = np.multiply(f[1:], R[:, 1:])                               # eta = f R, and d_k = eta_k - eta_1
+    D -= f[:1] * R[:, :1]                                          # (3, 2, nt) columns d2, d3
     u = np.einsum("xjt,jat->xat", D, ctx.Ki)                       # columns of D = (d2 d3) Ki
-    M = np.einsum("xat,xbt->abt", SIGN3 * u, u)                    # (2, 2, nt)
+    M = np.einsum("xat,xbt->abt", np.multiply(SIGN3, u, out=D), u)  # (2, 2, nt)
     return {
-        "Y": Y, "nu": nu, "Yb": Yb, "c": c, "f": f, "fp": fp, "R": R, "D": D, "u": u, "M": M,
+        "Y": Y, "nu": nu, "Yb": Yb, "c": c, "f": f, "fp": fp, "R": R, "u": u, "M": M,
         "t": M[0, 0] + M[1, 1],
         "d": M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0],
     }
@@ -245,6 +256,7 @@ def _grad_from_metric(ctx: _Context, m: dict) -> np.ndarray:
     W = (2.0 * m["n"] * ctx.areas) * _power_block(m)
     gD = np.einsum("jat,xat->xjt", ctx.Ki, SIGN3 * np.einsum("abt,xbt->xat", W, m["u"]))
     geta = np.concatenate([-gD.sum(axis=1, keepdims=True), gD], axis=1)  # (3, 3, nt)
+    del W, gD
 
     Y, Yb, c, f, R = m["Y"], m["Yb"], m["c"], m["f"], m["R"]
     EYb = SIGN * Yb
@@ -252,7 +264,9 @@ def _grad_from_metric(ctx: _Context, m: dict) -> np.ndarray:
     gYb = -SIGN * np.einsum("ct,xct->xt", s, Y) - np.einsum("ct,xct->xt", f * c, geta)
     # through the normalized barycenter: dYb = (I + Yb (E Yb)^T)/nu dS, dS = sum dY
     gS = (gYb + EYb * np.einsum("xt,xt->t", Yb, gYb)) / m["nu"]
-    gY = f * geta + (gS[:, None] - s * EYb[:, None])
+    gY = np.multiply(f, geta, out=geta)                            # f geta + (gS - s EYb)
+    for k in range(3):
+        gY[:, k] += gS - s[k] * EYb
 
     # corners onto vertices, lift^T per vertex, vertices onto classes
     gX = np.bincount(ctx.corner_at.ravel(), gY.ravel(), 3 * ctx.nv).reshape(3, -1)
@@ -264,8 +278,9 @@ def _project(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
     """V, (3, n) or a stack (..., 3, n), projected in place on the tangent
     planes at the columns of Z: v + (v, z)# z, one coordinate at a time."""
     dots = np.einsum("...an,an->...n", V, SIGN * Z)
+    term = np.empty_like(dots)
     for a in range(3):
-        V[..., a, :] += dots * Z[a]
+        V[..., a, :] += np.multiply(dots, Z[a], out=term)
     return V
 
 
@@ -321,9 +336,16 @@ def _spmv(vals, cols, starts, x):
 
 def _wspmv(alpha, beta, cols, starts, x):
     """`_spmv` of the widely linear matrix with entries z -> alpha z + beta
-    conj(z), each the real 2x2 block of its slot."""
+    conj(z), each the real 2x2 block of its slot.  The gathered x and its
+    conjugate are its only temporaries, each product written in place in
+    its operand order, beta * conj(x) as np.multiply(beta, t, out=t): t *=
+    beta would round differently (the rule at the head of the kernel section)."""
     xc = x.take(cols, axis=-1)
-    return np.add.reduceat(alpha * xc + beta * xc.conj(), starts, axis=-1)
+    t = np.conjugate(xc)
+    np.multiply(beta, t, out=t)
+    np.multiply(alpha, xc, out=xc)
+    xc += t
+    return np.add.reduceat(xc, starts, axis=-1)
 
 
 def _csum(index, values, n: int):
@@ -362,12 +384,12 @@ def _schatten_curvature(m: dict):
     return np.array([[cos, -sin], [sin, cos]]), n * np.concatenate([(n - 1) * lam ** max(n - 2, 0), 2.0 * m["h2"][None]])
 
 
-def _gauss_newton_blocks(ctx: _Context, m: dict, F: np.ndarray) -> list:
+def _gauss_newton_blocks(ctx: _Context, m: dict, lifted: np.ndarray, tri: np.ndarray) -> list:
     """The corner blocks (k, k) and (k, k + 1) of every triangle's
     Gauss-Newton Hessian of J_p, as two pairs (alpha, beta), each (3, nt):
     the widely linear z -> alpha z + beta conj(z) of a real 2x2 block, for
-    the lifted frames F = a + i b of the corners 0, 1, 2, 0, (3, 4, nt),
-    which it projects in place.
+    the lifted frames F = a + i b of the vertices, (3, nv), and the corners
+    tri, (3, nt).
 
     Psi(U) = tr((U^T U)^n) = |U|_{S_p}^p is convex, and with M = U^T U = Q
     diag(lam) Q^T its Hessian C is d^2 Psi[dU] = 2n tr(M^{n-1} dU^T dU) + n
@@ -387,41 +409,44 @@ def _gauss_newton_blocks(ctx: _Context, m: dict, F: np.ndarray) -> list:
     # temporaries set the solve's peak memory at L4
     G = np.stack([-ctx.Ki[0] - ctx.Ki[1], ctx.Ki[0], ctx.Ki[1], -ctx.Ki[0] - ctx.Ki[1]])  # G_k[a]
     PG = np.einsum("abt,lbt->lat", _power_block(m), G)             # M^{n-1} G_l
-    grams = [(2 * n) * (G[:3] * PG[other]).sum(axis=1) for other in (slice(0, 3), slice(1, 4))]
+    others = (slice(0, 3), slice(1, 4))
+    grams = [(2 * n) * (G[:3] * PG[other]).sum(axis=1) for other in others]
     g = np.einsum("ait,kat->ikt", Q, G)
     del G, PG
+    F = lifted[:, tri[[0, 1, 2, 0]]]                               # (3, 4, nt), projected in place
     onto = np.einsum("xt,xkt->kt", SIGN * m["Yb"], F)
     for x in range(3):
         F[x] += onto * m["Yb"][x]
     del onto
+    # the frames' term of each block first, so that F is dropped before sig is built
+    blocks = [[part * gram for part in _weighted_products(SIGN, F[:, :3], F[:, other])]
+              for other, gram in zip(others, grams)]
     r = np.einsum("xit,xkt->ikt", SIGN3 * np.einsum("xat,ait->xit", m["u"], Q), F)
-    # rows ij = 11, 22, 12 of sig, the last with both (i, j) and (j, i)
-    sig = np.empty((3,) + r.shape[1:], complex)
-    for row, (i, j) in enumerate([(0, 0), (1, 1), (0, 1)]):
-        np.multiply(g[i], r[j], out=sig[row])
-        sig[row] += g[j] * r[i]
-    del g, r
+    del F
+    # rows ij = 11, 22, 12 of sig = g_i r_j + g_j r_i: 12 from r as it is, then 11 and 22 in place in r
+    sig = [r[0], r[1], np.multiply(g[0], r[1])]
+    sig[2] += g[1] * r[0]
+    for i in range(2):
+        sig[i] += np.multiply(g[i], r[i], out=r[i])
+    del g
     half = 0.5 * ctx.areas
-    blocks = []
-    for other, gram in zip((slice(0, 3), slice(1, 4)), grams):
-        alpha, beta = _weighted_products(SIGN, F[:, :3], F[:, other])
-        alpha *= gram
-        beta *= gram
-        for part, mode in zip((alpha, beta), _weighted_products(weight[:, None], sig[:, :3], sig[:, other])):
+    for other, block in zip(others, blocks):
+        for part, mode in zip(block, _weighted_products(weight[:, None], [row[:3] for row in sig],
+                                                        [row[other] for row in sig])):
             part += mode
             part *= half
-        blocks.append((alpha, beta))
     return blocks
 
 
 def _weighted_products(w, X, Y):
     """sum_j w_j X_j conj(Y_j) and sum_j w_j X_j Y_j over the first axis of
     the complex X and Y, one term at a time."""
-    herm, bil = w[0] * X[0] * Y[0].conj(), w[0] * X[0] * Y[0]
+    wx, t = w[0] * X[0], np.conjugate(Y[0])
+    herm, bil = np.multiply(wx, t), wx * Y[0]
     for wj, xj, yj in zip(w[1:], X[1:], Y[1:]):
-        wx = wj * xj
-        herm += wx * yj.conj()
-        bil += wx * yj
+        np.multiply(wj, xj, out=wx)
+        herm += np.multiply(wx, np.conjugate(yj, out=t), out=t)
+        bil += np.multiply(wx, yj, out=t)
     return herm, bil
 
 
@@ -431,7 +456,7 @@ def _assemble(ctx: _Context, mesh: FundamentalMesh, m: dict, lifted: np.ndarray)
     onto the diagonal slots of its classes, and the block of corners (k, k +
     1) onto slot (a, b) and its transpose onto (b, a)."""
     tri = mesh.triangles.T
-    (ad, bd), (ae, be) = _gauss_newton_blocks(ctx, m, lifted[:, tri[[0, 1, 2, 0]]])
+    (ad, bd), (ae, be) = _gauss_newton_blocks(ctx, m, lifted, tri)
     graph = mesh.class_hierarchy.graphs[0]
     slots = np.concatenate([graph.diag[mesh.vertex_class[tri]].ravel(), mesh.class_hierarchy.edge_slots.ravel()])
     alpha = _csum(slots, np.concatenate([ad.ravel(), ae.ravel(), ae.conj().ravel()]), len(graph.rows))
@@ -530,14 +555,15 @@ class _VCycle:
             # the level's A, its damped block Jacobi inverse, P and P^H
             self.levels.append((graph, alpha, beta) + _jacobi(graph, alpha, beta) + (pro, P, P[pro.r_perm].conj()))
             # in place: these products are the largest arrays of a build
-            left, right = np.conjugate(P[k1]), P[k2]
+            # (`take` copies through a buffer into out= unless mode="clip")
+            Pc = np.conjugate(P)
             products = alpha[s]
-            products *= left
-            products *= right
+            products *= Pc[k1]
+            products *= P[k2]
             alpha = _csum(slot, products, len(coarse.rows))
-            products = beta[s]
-            products *= left
-            products *= np.conjugate(right, out=right)
+            products = beta.take(s, out=products, mode="clip")
+            products *= Pc[k1]
+            products *= Pc[k2]
             beta = _csum(slot, products, len(coarse.rows))
         # the coarsest inverse of the real form [[a, b], [c, d]] of the
         # blocks: real LAPACK, which the mesh build already maps into memory

@@ -36,15 +36,21 @@ from stretchlab.lorentz import (
 from stretchlab.mesh import DiscreteOneForm, FundamentalMesh, _crossings, _midpoint, extract_cocycle
 from stretchlab.pharmonic import (
     SIGN,
+    SIGN3,
     SolveOptions,
     _check_p,
     _Context,
+    _csum,
     _descend,
     _energy_and_grad,
+    _f_log,
     _grad_from_metric,
+    _jacobi,
+    _power_block,
     _retract,
     _riemannian_grad,
-    _tri_metric,
+    _rotation,
+    _schatten_curvature,
     check_schedule,
 )
 
@@ -1019,7 +1025,7 @@ def current_block_oracle(result) -> dict:
     its map through target frames and eigh of U U^T."""
     mesh = result.mesh
     p = result.p
-    m = _tri_metric(_Context(mesh, result.rho), result.class_points.T.copy())
+    m = tri_metric_oracle(_Context(mesh, result.rho), result.class_points.T.copy())
     Yb, d2, d3 = m["Yb"].T, m["D"][:, 0].T, m["D"][:, 1].T
 
     # target-frame differential D (2x2, domain chart -> target chart)
@@ -1145,6 +1151,139 @@ def stage_outputs_oracle(result) -> dict:
         "concentration_fraction": float(np.dot(mesh.areas[sel], result.density[sel])),
     })
     return out
+
+
+# ---------------------------------------------------------------------------
+# the solver's kernel, V-cycle products and build as whole-array expressions,
+# one fresh array per operation, as they stood before the library wrote them
+# in place: the library must agree with them bit for bit.  An operator
+# expression keeps its operand order only below 256 KiB: from there numpy
+# reuses a temporary operand as the output, and for * and + it may swap the
+# operands to do so, which for complex products changes the last bits
+# ---------------------------------------------------------------------------
+
+def wspmv_oracle(alpha, beta, cols, starts, x):
+    """alpha xc + beta conj(xc) summed by rows, xc the gathered x, by ufunc
+    calls in that operand order at any size."""
+    xc = x.take(cols, axis=-1)
+    return np.add.reduceat(np.add(np.multiply(alpha, xc), np.multiply(beta, np.conjugate(xc))), starts, axis=-1)
+
+
+def tri_metric_oracle(ctx, Z: np.ndarray) -> dict:
+    """`pharmonic._tri_metric`, with the columns D of the differential too."""
+    X = np.einsum("abv,bv->av", ctx.lift, Z.take(ctx.vertex_at))
+    Y = X.take(ctx.corner_at)
+    S = Y.sum(axis=1)
+    nu = np.sqrt(-(S[0] ** 2 + S[1] ** 2 - S[2] ** 2))
+    Yb = S / nu
+    c = -np.einsum("at,act->ct", SIGN * Yb, Y)
+    f, fp = _f_log(c)
+    R = Y - c * Yb[:, None]
+    eta = f * R
+    D = eta[:, 1:] - eta[:, :1]
+    u = np.einsum("xjt,jat->xat", D, ctx.Ki)
+    M = np.einsum("xat,xbt->abt", SIGN3 * u, u)
+    return {
+        "Y": Y, "nu": nu, "Yb": Yb, "c": c, "f": f, "fp": fp, "R": R, "D": D, "u": u, "M": M,
+        "t": M[0, 0] + M[1, 1],
+        "d": M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0],
+    }
+
+
+def grad_from_metric_oracle(ctx, m: dict) -> np.ndarray:
+    W = (2.0 * m["n"] * ctx.areas) * _power_block(m)
+    gD = np.einsum("jat,xat->xjt", ctx.Ki, SIGN3 * np.einsum("abt,xbt->xat", W, m["u"]))
+    geta = np.concatenate([-gD.sum(axis=1, keepdims=True), gD], axis=1)
+    Y, Yb, c, f, R = m["Y"], m["Yb"], m["c"], m["f"], m["R"]
+    EYb = SIGN * Yb
+    s = m["fp"] * np.einsum("xct,xct->ct", geta, R) - f * np.einsum("xct,xt->ct", geta, Yb)
+    gYb = -SIGN * np.einsum("ct,xct->xt", s, Y) - np.einsum("ct,xct->xt", f * c, geta)
+    gS = (gYb + EYb * np.einsum("xt,xt->t", Yb, gYb)) / m["nu"]
+    gY = f * geta + (gS[:, None] - s * EYb[:, None])
+    gX = np.bincount(ctx.corner_at.ravel(), gY.ravel(), 3 * ctx.nv).reshape(3, -1)
+    gV = np.einsum("abv,av->bv", ctx.lift, gX)
+    return np.bincount(ctx.vertex_at.ravel(), gV.ravel(), 3 * ctx.nc).reshape(3, -1)
+
+
+def project_oracle(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """`pharmonic._project` on a copy of V."""
+    V = V.copy()
+    dots = np.einsum("...an,an->...n", V, SIGN * Z)
+    for a in range(3):
+        V[..., a, :] += dots * Z[a]
+    return V
+
+
+def _weighted_products_oracle(w, X, Y):
+    herm, bil = w[0] * X[0] * Y[0].conj(), w[0] * X[0] * Y[0]
+    for wj, xj, yj in zip(w[1:], X[1:], Y[1:]):
+        wx = wj * xj
+        herm += wx * yj.conj()
+        bil += wx * yj
+    return herm, bil
+
+
+def _gauss_newton_blocks_oracle(ctx, m: dict, F: np.ndarray) -> list:
+    n = m["n"]
+    Q, weight = _schatten_curvature(m)
+    G = np.stack([-ctx.Ki[0] - ctx.Ki[1], ctx.Ki[0], ctx.Ki[1], -ctx.Ki[0] - ctx.Ki[1]])
+    PG = np.einsum("abt,lbt->lat", _power_block(m), G)
+    grams = [(2 * n) * (G[:3] * PG[other]).sum(axis=1) for other in (slice(0, 3), slice(1, 4))]
+    g = np.einsum("ait,kat->ikt", Q, G)
+    onto = np.einsum("xt,xkt->kt", SIGN * m["Yb"], F)
+    for x in range(3):
+        F[x] += onto * m["Yb"][x]
+    r = np.einsum("xit,xkt->ikt", SIGN3 * np.einsum("xat,ait->xit", m["u"], Q), F)
+    sig = np.empty((3,) + r.shape[1:], complex)
+    for row, (i, j) in enumerate([(0, 0), (1, 1), (0, 1)]):
+        np.multiply(g[i], r[j], out=sig[row])
+        sig[row] += g[j] * r[i]
+    half = 0.5 * ctx.areas
+    blocks = []
+    for other, gram in zip((slice(0, 3), slice(1, 4)), grams):
+        alpha, beta = _weighted_products_oracle(SIGN, F[:, :3], F[:, other])
+        alpha *= gram
+        beta *= gram
+        for part, mode in zip((alpha, beta), _weighted_products_oracle(weight[:, None], sig[:, :3], sig[:, other])):
+            part += mode
+            part *= half
+        blocks.append((alpha, beta))
+    return blocks
+
+
+def vcycle_oracle(ctx, mesh: FundamentalMesh, Z: np.ndarray, m: dict, depth: int):
+    """`pharmonic._VCycle`'s operators at Z from m, built as before, with
+    depth smoothed levels: a list of (alpha, beta, da, db, P, P^H) per level
+    and the coarsest inverse."""
+    hier = mesh.class_hierarchy
+    a = Z * Z[0]
+    a[0] += 1.0
+    a /= np.sqrt(1.0 + Z[0] ** 2)
+    b = SIGN * np.cross(Z, a, axis=0)
+    lifted = np.einsum("abv,bv->av", ctx.lift, a.take(ctx.vertex_at)) + 1j * np.einsum(
+        "abv,bv->av", ctx.lift, b.take(ctx.vertex_at))
+    tri = mesh.triangles.T
+    (ad, bd), (ae, be) = _gauss_newton_blocks_oracle(ctx, m, lifted[:, tri[[0, 1, 2, 0]]])
+    graph = hier.graphs[0]
+    slots = np.concatenate([graph.diag[mesh.vertex_class[tri]].ravel(), hier.edge_slots.ravel()])
+    alpha = _csum(slots, np.concatenate([ad.ravel(), ae.ravel(), ae.conj().ravel()]), len(graph.rows))
+    beta = _csum(slots, np.concatenate([bd.ravel(), be.ravel(), be.ravel()]), len(graph.rows))
+    levels = []
+    for graph, pro, coarse in zip(hier.graphs[:depth], hier.prolongations, hier.graphs[1:]):
+        P = np.concatenate([np.ones(coarse.n), 0.5 * _rotation(lifted, pro.mid[:, :1], pro.mid[:, 1:]).ravel()])
+        s, k1, k2, slot = pro.galerkin
+        levels.append((alpha, beta) + _jacobi(graph, alpha, beta) + (P, P[pro.r_perm].conj()))
+        left, right = np.conjugate(P[k1]), P[k2]
+        alpha = _csum(slot, alpha[s] * left * right, len(coarse.rows))
+        beta = _csum(slot, beta[s] * left * right.conj(), len(coarse.rows))
+    coarse = hier.graphs[depth]
+    n, rows, cols = coarse.n, coarse.rows, coarse.cols
+    dense = np.zeros((2 * n, 2 * n))
+    dense[rows, cols] = alpha.real + beta.real
+    dense[rows, n + cols] = beta.imag - alpha.imag
+    dense[n + rows, cols] = alpha.imag + beta.imag
+    dense[n + rows, n + cols] = alpha.real - beta.real
+    return levels, np.linalg.inv(dense)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,17 @@ from oracles import (
     cylinder_minimize,
     gauss_newton_oracle,
     geodesic,
+    grad_from_metric_oracle,
     gradient_fd_check,
     kernel_oracle,
     newton_power_oracle,
+    project_oracle,
     retract_oracle,
     schatten_hessian_fd,
     stage_outputs_oracle,
+    tri_metric_oracle,
+    vcycle_oracle,
+    wspmv_oracle,
 )
 from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual, extract_cocycle
 from stretchlab.pharmonic import SolveOptions, density_and_currents, minimize
@@ -663,6 +668,124 @@ def test_spmv_matches_dense_products(vcycles, rng):
                     assert got.shape == shape[:-1] + (M.shape[0],)
                     scale = np.abs(M).max() * np.abs(x).max()
                     np.testing.assert_allclose(got, x @ M.T, rtol=0, atol=1e-14 * scale)
+
+
+def test_wspmv_matches_whole_array_oracle(vcycles, rng):
+    # the in-place product against alpha * xc + beta * conj(xc) with a fresh
+    # array per operation, bit for bit, on every level of every cycle
+    from stretchlab.pharmonic import _wspmv
+
+    for _, _, _, H in vcycles.values():
+        for graph, alpha, beta, *_ in H.levels:
+            for shape in ((graph.n,), (2, graph.n)):
+                x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                assert np.array_equal(_wspmv(alpha, beta, graph.cols, graph.starts, x),
+                                      wspmv_oracle(alpha, beta, graph.cols, graph.starts, x))
+
+
+def test_wspmv_keeps_operand_order_past_elision_size(rng):
+    # a single vector whose gathered array is 448 KiB, above the 256 KiB
+    # from which numpy may compute beta * conj(xc) as conj(xc) * beta
+    from stretchlab.pharmonic import _wspmv
+
+    n = 9557
+    cols, starts = rng.integers(0, n, 3 * n), np.arange(0, 3 * n, 3)
+    alpha, beta = (rng.standard_normal(3 * n) + 1j * rng.standard_normal(3 * n) for _ in range(2))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert x.take(cols).nbytes >= 256 * 1024
+    assert np.array_equal(_wspmv(alpha, beta, cols, starts, x), wspmv_oracle(alpha, beta, cols, starts, x))
+
+
+@pytest.mark.parametrize("case", ["2", "16", "L2-p64", "L3-p64"])
+def test_vcycle_build_matches_whole_array_oracle(vcycles, rho_twist, case):
+    # every level's operator, Jacobi inverse and transfers, and the coarsest
+    # inverse, bit for bit against the build with a fresh array per operation
+    from stretchlab.pharmonic import _Context, _energy_and_grad
+
+    mesh, Z, p, H = vcycles[case]
+    ctx = _Context(mesh, rho_twist)
+    levels, coarsest = vcycle_oracle(ctx, mesh, Z, _energy_and_grad(ctx, Z, p)[1], len(H.levels))
+    assert len(levels) == len(H.levels)
+    for got, want in zip(H.levels, levels):
+        graph, alpha, beta, da, db, pro, P, PT = got
+        for a, b in zip((alpha, beta, da, db, P, PT), want):
+            assert np.array_equal(a, b)
+    assert np.array_equal(H.coarsest, coarsest)
+
+
+def test_project_matches_whole_array_oracle(mesh2, rng):
+    # the projection of one field and of a ring of pairs, (2, 9, 3, nc)
+    from stretchlab.pharmonic import _project
+
+    Z = _moved_class_points(mesh2, rng).T.copy()
+    for shape in (Z.shape, (2, 9) + Z.shape):
+        V = rng.standard_normal(shape)
+        assert np.array_equal(_project(Z, V.copy()), project_oracle(Z, V))
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("p", [2, 64])
+def test_kernel_matches_whole_array_oracle(reference_stages, level, p):
+    # the metric's intermediates and the gradient at the stage's map, bit for
+    # bit against the kernel with a fresh array per operation
+    from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric, _tri_metric
+
+    res = reference_stages[(level, p)]
+    ctx = _Context(res.mesh, res.rho)
+    Z = res.class_points.T.copy()
+    got, want = _tri_metric(ctx, Z), tri_metric_oracle(ctx, Z)
+    for name, value in got.items():
+        assert np.array_equal(value, want[name]), name
+    J, m = _energy_and_grad(ctx, Z, p)
+    assert J == res.J_p
+    assert np.array_equal(_grad_from_metric(ctx, m), grad_from_metric_oracle(ctx, m))
+
+
+def _traced_peak(fn):
+    """Bytes that fn() allocates at its peak beyond what was allocated before
+    it, by tracemalloc, after one untraced call (numpy's caches)."""
+    import tracemalloc
+
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def mesh4():
+    return build_octagon_mesh(4)
+
+
+def test_wspmv_holds_two_gathered_arrays(mesh4, rng):
+    # at L4 a fresh array per operation is trimmed from the heap and faulted
+    # back in on every product: the gathered stack and its conjugate are the
+    # only temporaries (a fresh array per operation holds four)
+    from stretchlab.pharmonic import _wspmv
+
+    graph = mesh4.class_hierarchy.graphs[0]
+    alpha, beta = (rng.standard_normal(len(graph.cols)) + 1j * rng.standard_normal(len(graph.cols)) for _ in range(2))
+    x = rng.standard_normal((2, graph.n)) + 1j * rng.standard_normal((2, graph.n))
+    gathered = x.take(graph.cols, axis=-1).nbytes
+    assert _traced_peak(lambda: _wspmv(alpha, beta, graph.cols, graph.starts, x)) <= 2.5 * gathered
+
+
+def test_energy_and_gradient_temporaries(mesh4, rho_twist):
+    # one evaluation and its gradient at L4, p=16, in units of a (3, 3, nt)
+    # float array: the metric's intermediates are 5.1 of them and the
+    # temporaries at their peak about 3.4 more (a fresh array per operation
+    # reached 12.6)
+    from stretchlab.pharmonic import _Context, _energy_and_grad, _grad_from_metric
+
+    ctx = _Context(mesh4, rho_twist)
+    Z = mesh4.vertices[mesh4.class_rep_vertex].T.copy()
+    unit = 9 * len(mesh4.triangles) * 8
+    peak = _traced_peak(lambda: _grad_from_metric(ctx, _energy_and_grad(ctx, Z, 16)[1]))
+    assert peak <= 10.0 * unit, peak / unit
 
 
 @pytest.mark.parametrize("p", [2, 64])
