@@ -281,10 +281,10 @@ def _write_stage_csv(outdir, res, prefixes):
 
 def p_continuation(mesh, rho, schedule, opts: SolveOptions, resumed: dict):
     """Warm-started continuation in p: each stage minimizes J_p from the last
-    stage's map (the first from the domain's class points) and is yielded
-    with its currents and `relation_checks` residuals, and the time they
-    took in its `timings`.  A stage in `resumed`
-    (p -> class points) is instead re-measured at those points.
+    stage's map (the first from rho's own refined octagon, `minimize`'s
+    default start) and is yielded with its currents and `relation_checks`
+    residuals, and the time they took in its `timings`.  A stage in
+    `resumed` (p -> class points) is instead re-measured at those points.
     """
     Z = None
     for p in pharmonic.check_schedule(schedule):
@@ -348,6 +348,7 @@ def cmd_solve(config: dict, outdir: str):
             {
                 "p": res.p,
                 "J_p": res.J_p,
+                "J_start": res.energy_log[0],  # J_p at the stage's start map
                 "kappa_p": res.kappa_p,
                 "stage_value": res.normalized_stage_value(),
                 "iterations": res.iterations,

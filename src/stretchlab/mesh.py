@@ -24,7 +24,8 @@ Every subdivision level (`_refine`), the edge table (`_edge_table`) and every
 geometry array are built once, by array code over the triangle corners.  The
 parent-edge table of every refinement is kept, and with it the vertex-class
 graph of every level and the prolongations between them (`ClassHierarchy`),
-on which the solver's preconditioner runs its V-cycle.
+on which the solver's preconditioner runs its V-cycle; `start_points`
+replays the refinements on a target rep's octagon for the solver's start.
 Per-triangle areas are exact (hyperbolic angle defect), so the total is 4 pi
 at every level.  Edge data (Maurer-Cartan form, solver currents) are
 first-order midpoint discretizations.
@@ -184,6 +185,25 @@ class FundamentalMesh:
     def lift_matrices(self, rep: SurfaceGroupRep) -> np.ndarray:
         """(nv, 3, 3) images of the vertex lift words under `rep`."""
         return np.array([rep.evaluate(w) for w in self.lift_words])[self.lift_id]
+
+    def start_points(self, rep: SurfaceGroupRep) -> np.ndarray:
+        """(nc, 3) class points of the rep-equivariant map onto rep's own
+        octagon: corner i goes to rep(w_i) applied to the corner class's
+        chart point, the centre to the normalized mean of those eight, and
+        every finer vertex to the midpoint of its parent edge's images, in
+        the order the refinement made them.  rep(g) is linear and keeps the
+        sheet, so it commutes with normalized midpoints, and the map is
+        equivariant; for the mesh's own rep it is the chart, to rounding.
+        Only the eight corner words are evaluated."""
+        Z = np.empty_like(self.vertices)
+        base = self.vertices[self.class_rep_vertex[self.vertex_class[1]]]
+        Z[1:9] = [rep.evaluate(self.lift_words[i]) @ base for i in self.lift_id[1:9]]
+        Z[0] = normalize_to_hyperboloid(Z[1:9].mean(axis=0))
+        n = 9
+        for edges in self.parent_edges:
+            Z[n:n + len(edges)] = _midpoint(Z[edges[:, 0]], Z[edges[:, 1]])
+            n += len(edges)
+        return Z[self.class_rep_vertex]
 
     def edge_ids(self, a, b):
         """Edge ids of the vertex pairs (a, b) and the signs, +1 where a < b."""

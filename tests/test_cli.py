@@ -156,10 +156,10 @@ def test_solve_twist_with_resume_and_report(tmp_path):
         "target": {"type": "twist", "curve": "a1", "t": 0.5},
         "mesh_level": 1,
         "p_schedule": [2, 4],
-        "max_iter": 5,
+        "max_iter": 3,
         "max_word_len": 4,
     }
-    # a budget of 5 stops both stages short of tol
+    # a budget of 3 stops both stages short of tol
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
     rep1 = read_report(tmp_path, "solve_summary.json")
     assert (tmp_path / "out" / "solve_stage_p2.csv").exists()
@@ -189,7 +189,7 @@ def test_solve_reports_evaluation_counters(tmp_path):
     }
     assert run(tmp_path, "solve", cfg) == 0
     stages = read_report(tmp_path, "solve_summary.json")["stages"]
-    assert [s["iterations"] for s in stages] == [17, 5, 6]
+    assert [s["iterations"] for s in stages] == [5, 5, 6]
     for s in stages:
         # one gradient at the start point, one per accepted step and one per
         # failed slope test; every line-search trial costs one energy evaluation
@@ -197,8 +197,8 @@ def test_solve_reports_evaluation_counters(tmp_path):
         assert s["grad_evals"] == s["iterations"] + 1 + s["wolfe_rejections"]
     # no line search fails, so the L-BFGS memory is never reset
     assert [s["restarts"] for s in stages] == [0, 0, 0]
-    # H0 is built at each start, and again after 16 steps at p=2
-    assert [s["precond_builds"] for s in stages] == [2, 1, 1]
+    # H0 is built at each start; no stage reaches the rebuild at 16 steps
+    assert [s["precond_builds"] for s in stages] == [1, 1, 1]
     # where each stage's time went: the preconditioner's build, the descent,
     # and the currents with their checks
     for s in stages:
@@ -209,6 +209,36 @@ def test_solve_reports_evaluation_counters(tmp_path):
     for s in read_report(tmp_path, "solve_summary.json")["stages"]:
         assert (s["iterations"], s["energy_evals"], s["grad_evals"], s["precond_builds"]) == (0, 1, 1, 0)
         assert s["timings"]["precond_s"] == 0.0
+
+
+def test_solve_reports_each_stage_start_energy(tmp_path):
+    # J_start is J_p at the stage's start map: the default start at p=2, the
+    # p=2 stage's map at p=4, and on resume the loaded map, where the stage
+    # takes no step
+    from stretchlab.earthquake import TwistSpec, twist
+    from stretchlab.fuchsian import octagon_representation
+    from stretchlab.mesh import build_octagon_mesh
+    from stretchlab.pharmonic import SolveOptions, minimize
+
+    cfg = {
+        "target": {"type": "twist", "curve": "a1", "t": 0.5},
+        "mesh_level": 1,
+        "p_schedule": [2, 4],
+        "max_word_len": 2,
+    }
+    assert run(tmp_path, "solve", cfg) == 0
+    stages = read_report(tmp_path, "solve_summary.json")["stages"]
+    mesh = build_octagon_mesh(1)
+    rho = twist(octagon_representation(), TwistSpec("a1", 0.5))
+    measure = SolveOptions(max_iter=0)
+    with np.load(tmp_path / "out" / "checkpoint.npz") as ck:
+        p2_map = ck["class_points_p2"]
+    assert stages[0]["J_start"] == minimize(mesh, rho, 2, measure).J_p
+    assert stages[1]["J_start"] == minimize(mesh, rho, 4, measure, init=p2_map).J_p
+    assert all(s["J_start"] > s["J_p"] for s in stages)
+    assert run(tmp_path, "solve", cfg) == 0
+    for first, resumed in zip(stages, read_report(tmp_path, "solve_summary.json")["stages"]):
+        assert resumed["J_start"] == resumed["J_p"] == first["J_p"]
 
 
 def test_stage_csv_round_trips_exactly(tmp_path):
@@ -268,10 +298,10 @@ def test_solve_ignores_checkpoint_from_another_config(tmp_path):
         "target": {"type": "twist", "curve": "a1", "t": 0.5},
         "mesh_level": 1,
         "p_schedule": [2, 4],
-        "max_iter": 5,
+        "max_iter": 3,
         "max_word_len": 2,
     }
-    cfg_b = dict(cfg_a, max_iter=4)
+    cfg_b = dict(cfg_a, max_iter=2)
     # both budgets stop short of tol
     assert run(tmp_path, "solve", cfg_a) == cli.EXIT_NUMERIC
     hash_a = read_report(tmp_path, "solve_summary.json")["config_hash"]
@@ -289,10 +319,10 @@ def test_solve_unreadable_checkpoint_is_config_error(tmp_path, capsys):
         "target": {"type": "twist", "curve": "a1", "t": 0.5},
         "mesh_level": 1,
         "p_schedule": [2],
-        "max_iter": 5,
+        "max_iter": 3,
         "max_word_len": 2,
     }
-    # the budget of 5 stops short of tol, but the checkpoint is written
+    # the budget of 3 stops short of tol, but the checkpoint is written
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
     ck = tmp_path / "out" / "checkpoint.npz"
     data = ck.read_bytes()
@@ -310,7 +340,7 @@ def test_solve_checkpoint_of_wrong_shape_is_config_error(tmp_path, capsys):
         "target": {"type": "twist", "curve": "a1", "t": 0.5},
         "mesh_level": 1,
         "p_schedule": [2, 4],
-        "max_iter": 5,
+        "max_iter": 3,
         "max_word_len": 2,
     }
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC

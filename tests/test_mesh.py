@@ -3,7 +3,8 @@ import pytest
 
 from stretchlab import lorentz
 from stretchlab.cocycle import relator_tangency
-from stretchlab.fuchsian import PAIRING_WORDS, RELATOR, Word
+from stretchlab.earthquake import TwistSpec, twist
+from stretchlab.fuchsian import PAIRING_WORDS, RELATOR, Word, octagon_representation
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import X0, hat, mink_cross_vec, mink_dot
 from oracles import (
@@ -22,6 +23,7 @@ from oracles import (
     vee,
 )
 from stretchlab.mesh import (
+    PAIRING_TOL,
     DiscreteOneForm,
     MeshError,
     _midpoint,
@@ -153,6 +155,40 @@ def test_vertex_lifts_reproduce_positions(meshes):
     for i, w in enumerate(m.lift_id):
         root = m.class_rep_vertex[m.vertex_class[i]]
         assert np.abs(m.rep.evaluate(m.lift_words[w]) @ m.vertices[root] - m.vertices[i]).max() <= 1e-10
+
+
+def _replayed_octagon(m, rep):
+    """(nv, 3) rep's octagon refined as the mesh was: corner i at rep(w_i)
+    applied to its class point, the centre at the normalized mean of the
+    corners, then every parent edge's midpoint in order."""
+    Z = [rep.evaluate(m.lift_words[m.lift_id[i]]) @ m.vertices[m.class_rep_vertex[m.vertex_class[i]]]
+         for i in range(1, 9)]
+    Z = np.array([lorentz.normalize_to_hyperboloid(np.mean(Z, axis=0))] + Z)
+    for edges in m.parent_edges:
+        Z = np.concatenate([Z, _midpoint(Z[edges[:, 0]], Z[edges[:, 1]])])
+    return Z
+
+
+@pytest.mark.parametrize("level", (2, 3, 4))
+@pytest.mark.parametrize("curve, t", (("a1", 0.5), ("b2", 1.5)))
+def test_start_points_are_the_targets_octagon(level, curve, t):
+    # the start map's chart, lift(rho) applied to its class points, is rho's
+    # own refined octagon at every vertex, so it is equivariant across the
+    # paired sides
+    m = build_octagon_mesh(level)
+    rho = twist(octagon_representation(), TwistSpec(curve, t))
+    Z = m.start_points(rho)
+    assert Z.shape == (m.n_classes, 3)
+    chart = np.einsum("vab,vb->va", m.lift_matrices(rho), Z[m.vertex_class])
+    assert np.abs(chart - _replayed_octagon(m, rho)).max() <= PAIRING_TOL
+    assert m.pairing_drift(chart, rho) <= PAIRING_TOL
+
+
+@pytest.mark.parametrize("level", (0, 1, 3, 5))
+def test_start_points_of_the_octagon_rep_are_the_class_points(level):
+    # measured 2.9e-12 at level 5: the corner words' products round
+    m = build_octagon_mesh(level)
+    assert np.abs(m.start_points(m.rep) - m.vertices[m.class_rep_vertex]).max() <= 1e-11
 
 
 def test_corner_classes_glue_to_one_point(meshes):
