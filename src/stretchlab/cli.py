@@ -3,9 +3,13 @@
     stretchlab <cmd> --config <file.json> --out <dir>
 
 Commands: rep, length, kbound, duality, mass, wolpert, solve, report.
-All structured output is JSON (CSV only for per-triangle bulk data); every
-report embeds the config hash, code version and the tolerance set, so a rerun
-with the same config is reproducible within documented tolerances.
+Each writes one JSON report, `<cmd>_report.json` (`solve_summary.json` for
+solve, `report.json` for report), which embeds the config hash, code version
+and the tolerance set, so a rerun with the same config is reproducible within
+documented tolerances.  `rep` also writes `sigma.json` (and `rho.json` for a
+target).  `solve` also writes two files per p-stage: `solve_stage_p{p}.csv`,
+the per-triangle data, and `stage_p{p}.npz`, the config hash and the stage's
+class points, written once; a rerun with the same config resumes from these.
 
 Exit codes: 0 pass, 2 config error, 3 numeric failure, 4 threshold breach.
 """
@@ -141,8 +145,7 @@ def _write_json(outdir, name, data):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_rep(config: dict, outdir: str):
-    report = _report_skeleton(config)
+def cmd_rep(config: dict, outdir: str, report: dict) -> int:
     sigma = octagon_representation()
     _write_json(outdir, "sigma.json", sigma.to_json())
     report["sigma"] = {
@@ -157,27 +160,22 @@ def cmd_rep(config: dict, outdir: str):
         rho = _build_rep(config["target"]).with_label("rho")
         _write_json(outdir, "rho.json", rho.to_json())
         report["rho"] = {"relator_residual": rho.relator_residual(), "label": rho.label}
-    code = EXIT_OK if report["sigma"]["relator_residual"] <= DEFAULT_TOLERANCES["relator_residual"] else EXIT_THRESHOLD
-    _write_json(outdir, "rep_report.json", report)
-    return report, code
+    return EXIT_OK if report["sigma"]["relator_residual"] <= DEFAULT_TOLERANCES["relator_residual"] else EXIT_THRESHOLD
 
 
-def cmd_length(config: dict, outdir: str):
-    report = _report_skeleton(config)
+def cmd_length(config: dict, outdir: str, report: dict) -> int:
     rep = _build_rep(config.get("rep"))
-    mc = _multicurve(rep, config["multicurve"])
+    mc = _multicurve(rep, config.get("multicurve"))
     rows = []
     for w, b in mc.items:
         l = float(fuchsian.translation_length(rep.evaluate(w)))
         rows.append({"word": str(w), "weight": b, "length": l, "weighted": b * l})
     report["lengths"] = rows
     report["total_length"] = float(length(mc, rep))
-    _write_json(outdir, "length_report.json", report)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_kbound(config: dict, outdir: str):
-    report = _report_skeleton(config)
+def cmd_kbound(config: dict, outdir: str, report: dict) -> int:
     sigma = _build_rep(config.get("rep"))
     rho = _build_rep(config.get("target"))
     max_len = _int_setting(config, "max_word_len", 6, 1, MAX_WORD_LEN)
@@ -185,12 +183,10 @@ def cmd_kbound(config: dict, outdir: str):
     report["k_lower_bound"] = fuchsian.k_lower_bound(words, sigma, rho)
     report["max_word_len"] = max_len
     report["n_words"] = len(words)
-    _write_json(outdir, "kbound_report.json", report)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_duality(config: dict, outdir: str):
-    report = _report_skeleton(config)
+def cmd_duality(config: dict, outdir: str, report: dict) -> int:
     rep = _build_rep(config.get("rep"))
     threshold = _real_setting(config, "threshold", DEFAULT_TOLERANCES["duality_rel_err"], -np.inf)
     step = _real_setting(config, "step", FD_STEP, 0.0)
@@ -207,21 +203,19 @@ def cmd_duality(config: dict, outdir: str):
                                             for c in cases)):
         raise ConfigError(f"cases must be a list of {{multicurve, curve, weight}} with a generator curve, got {cases!r}")
     checks = [
-        duality_check(rep, _multicurve(rep, c["multicurve"]), c["curve"], _real_setting(c, "weight", 1.0, -np.inf),
+        duality_check(rep, _multicurve(rep, c.get("multicurve")), c["curve"], _real_setting(c, "weight", 1.0, -np.inf),
                       step=step)
         for c in cases
     ]
     report["cases"] = [r.to_json() for r in checks]
     report["worst_rel_err"], code = _worst_error([r.rel_err for r in checks], threshold)
     report["threshold"] = threshold
-    _write_json(outdir, "duality_report.json", report)
-    return report, code
+    return code
 
 
-def cmd_mass(config: dict, outdir: str):
-    report = _report_skeleton(config)
+def cmd_mass(config: dict, outdir: str, report: dict) -> int:
     rep = _build_rep(config.get("rep"))
-    mc = _multicurve(rep, config["multicurve"])
+    mc = _multicurve(rep, config.get("multicurve"))
     m = standard_measure(mc)
     total = float(mass(m))
     twol = 2.0 * float(length(mc, rep))
@@ -231,17 +225,15 @@ def cmd_mass(config: dict, outdir: str):
     report["duality_lower_bound"] = lb
     report["mass_minus_two_length"] = abs(total - twol)
     report["duality_gap"] = abs(lb - total)
-    _write_json(outdir, "mass_report.json", report)
     ok = (
         abs(total - twol) <= DEFAULT_TOLERANCES["mass_exact"] * max(1.0, total)
         and lb <= total + 1e-9
         and abs(lb - total) <= DEFAULT_TOLERANCES["mass_duality"] * max(1.0, total)
     )
-    return report, EXIT_OK if ok else EXIT_THRESHOLD
+    return EXIT_OK if ok else EXIT_THRESHOLD
 
 
-def cmd_wolpert(config: dict, outdir: str):
-    report = _report_skeleton(config)
+def cmd_wolpert(config: dict, outdir: str, report: dict) -> int:
     rep = _build_rep(config.get("rep"))
     threshold = _real_setting(config, "threshold", DEFAULT_TOLERANCES["wolpert_rel_err"], -np.inf)
     step = _real_setting(config, "step", FD_STEP, 0.0)
@@ -256,8 +248,7 @@ def cmd_wolpert(config: dict, outdir: str):
     report["pairs"] = [r.to_json() for r in checks]
     report["worst_rel_err"], code = _worst_error([r.rel_err for r in checks], threshold)
     report["threshold"] = threshold
-    _write_json(outdir, "wolpert_report.json", report)
-    return report, code
+    return code
 
 
 def _csv_row_prefixes(areas) -> list:
@@ -302,10 +293,9 @@ def p_continuation(mesh, rho, schedule, opts: SolveOptions, resumed: dict):
         del res  # peak memory: the next stage is solved without this one's block and currents
 
 
-def cmd_solve(config: dict, outdir: str):
-    report = _report_skeleton(config)
+def cmd_solve(config: dict, outdir: str, report: dict) -> int:
     os.makedirs(outdir, exist_ok=True)
-    # the settings are checked before a mesh is built or a checkpoint read
+    # the settings are checked before a mesh is built or a stage file read
     target = config.get("target", {"type": "identity"})
     if not isinstance(target, dict):
         raise ConfigError(f"solve target must be an object, got {target!r}")
@@ -325,25 +315,26 @@ def cmd_solve(config: dict, outdir: str):
     rho = sigma if ttype == "identity" else _build_rep({"twist": target})
     mesh = build_octagon_mesh(level)
 
-    # checkpoint/resume keyed by the config hash
-    ck_path = os.path.join(outdir, "checkpoint.npz")
-    done_stages = {}
-    if os.path.exists(ck_path):
+    # resume: a stage whose file holds this config's hash is re-measured at its map
+    resumed = {}
+    for p in schedule:
+        path = os.path.join(outdir, f"stage_p{p}.npz")
+        if not os.path.exists(path):
+            continue
         try:
-            with np.load(ck_path) as ck:
-                if str(ck["config_hash"]) == report["config_hash"]:
-                    for p in ck["stages"]:
-                        pts = ck[f"class_points_p{int(p)}"]
-                        if pts.shape != (mesh.n_classes, 3) or pts.dtype.kind not in "fi":
-                            raise ValueError(f"class_points_p{int(p)} is a {pts.shape} {pts.dtype} array, "
-                                             f"not ({mesh.n_classes}, 3) reals")
-                        done_stages[int(p)] = pts
+            with np.load(path) as stage:
+                if str(stage["config_hash"]) == report["config_hash"]:
+                    pts = stage["class_points"]
+                    if pts.shape != (mesh.n_classes, 3) or pts.dtype.kind not in "fi":
+                        raise ValueError(f"class_points is a {pts.shape} {pts.dtype} array, "
+                                         f"not ({mesh.n_classes}, 3) reals")
+                    resumed[p] = pts
         except (zipfile.BadZipFile, EOFError, OSError, KeyError, ValueError) as exc:
-            raise ConfigError(f"unreadable checkpoint {ck_path}: {exc!r}")
+            raise ConfigError(f"unreadable stage file {path}: {exc!r}")
 
     stage_rows = []
     prefixes = _csv_row_prefixes(mesh.areas)
-    for res in p_continuation(mesh, rho, schedule, opts, dict(done_stages)):
+    for res in p_continuation(mesh, rho, schedule, opts, resumed):
         stage_rows.append(
             {
                 "p": res.p,
@@ -363,16 +354,12 @@ def cmd_solve(config: dict, outdir: str):
             }
         )
         _write_stage_csv(outdir, res, prefixes)
-        done_stages[res.p] = res.class_points
-        # write then rename, so an interrupted run never leaves a torn checkpoint
-        tmp_path = os.path.join(outdir, "checkpoint.tmp.npz")
-        np.savez(
-            tmp_path,
-            config_hash=report["config_hash"],
-            stages=np.array(sorted(done_stages)),
-            **{f"class_points_p{q}": pts for q, pts in done_stages.items()},
-        )
-        os.replace(tmp_path, ck_path)
+        if res.p not in resumed:
+            # each stage's map is written once, to a temporary file renamed
+            # into place, so an interrupted run never leaves a torn stage file
+            tmp_path = os.path.join(outdir, f"stage_p{res.p}.tmp.npz")
+            np.savez(tmp_path, config_hash=report["config_hash"], class_points=res.class_points)
+            os.replace(tmp_path, os.path.join(outdir, f"stage_p{res.p}.npz"))
         del res  # peak memory: not held while the next stage is solved
 
     report["stages"] = stage_rows
@@ -385,15 +372,13 @@ def cmd_solve(config: dict, outdir: str):
     if ttype == "twist":
         words = fuchsian.enumerate_words(max_len)
         report["k_lower_bound"] = float(fuchsian.k_lower_bound(words, sigma, rho))
-    _write_json(outdir, "solve_summary.json", report)
     # a numeric failure when a stage misses tol (a budget stop or a
     # line-search failure) or ends on a non-finite J_p
     failed = any(not s["converged"] or not np.isfinite(s["J_p"]) for s in stage_rows)
-    return report, EXIT_NUMERIC if failed else EXIT_OK
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
-def cmd_report(config: dict, outdir: str):
-    report = _report_skeleton(config)
+def cmd_report(config: dict, outdir: str, report: dict) -> int:
     src = config.get("dir", outdir)
     if not isinstance(src, str):
         raise ConfigError(f"dir must be a path, got {src!r}")
@@ -421,19 +406,20 @@ def cmd_report(config: dict, outdir: str):
                 for s in data["stages"]
                 if isinstance(s, dict)
             ]
-    _write_json(outdir, "report.json", report)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
+# each command fills the report main hands it and returns its exit code;
+# main writes the report under the command's file name
 COMMANDS = {
-    "rep": cmd_rep,
-    "length": cmd_length,
-    "kbound": cmd_kbound,
-    "duality": cmd_duality,
-    "mass": cmd_mass,
-    "wolpert": cmd_wolpert,
-    "solve": cmd_solve,
-    "report": cmd_report,
+    "rep": (cmd_rep, "rep_report.json"),
+    "length": (cmd_length, "length_report.json"),
+    "kbound": (cmd_kbound, "kbound_report.json"),
+    "duality": (cmd_duality, "duality_report.json"),
+    "mass": (cmd_mass, "mass_report.json"),
+    "wolpert": (cmd_wolpert, "wolpert_report.json"),
+    "solve": (cmd_solve, "solve_summary.json"),
+    "report": (cmd_report, "report.json"),
 }
 
 
@@ -456,15 +442,18 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    command, report_name = COMMANDS[args.command]
+    report = _report_skeleton(config)
     try:
-        report, code = COMMANDS[args.command](config, args.out)
-    except (ConfigError, KeyError) as exc:
+        code = command(config, args.out, report)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonHyperbolicError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(json.dumps({k: report.get(k) for k in ("version", "config_hash")}))
+    _write_json(args.out, report_name, report)
+    print(json.dumps({k: report[k] for k in ("version", "config_hash")}))
     return code
 
 

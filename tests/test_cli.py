@@ -112,7 +112,7 @@ def test_config_error_exit_code(tmp_path):
         assert run(tmp_path, "kbound", {"max_word_len": max_len}) == cli.EXIT_CONFIG
         twist_cfg = {"target": {"type": "twist", "curve": "a1", "t": 0.5}, "max_word_len": max_len}
         assert run(tmp_path, "solve", twist_cfg) == cli.EXIT_CONFIG
-    # solve settings, checked before a mesh is built or a checkpoint read
+    # solve settings, checked before a mesh is built or a stage file read
     identity = {"target": {"type": "identity"}, "mesh_level": 1}
     bad = [("p_schedule", v) for v in ([3], [2.5], [4, 2], [2, 2], [], 4, "2,4", [True, 4])]
     bad += [("mesh_level", v) for v in (-1, True, "x", 1.0, 8, 99)]
@@ -145,10 +145,24 @@ def test_config_error_exit_code(tmp_path):
         assert run(tmp_path, "duality", {"cases": [{**case, "multicurve": bad_mc}]}) == cli.EXIT_CONFIG, weight
     for bad_mc in ([{"word": "a1"}], ["a1"], [[("word", "a1"), ("weight", 1.0)]]):
         assert run(tmp_path, "length", {"multicurve": bad_mc}) == cli.EXIT_CONFIG, bad_mc
+    # a missing multicurve
+    assert run(tmp_path, "length", {}) == cli.EXIT_CONFIG
+    assert run(tmp_path, "mass", {}) == cli.EXIT_CONFIG
+    assert run(tmp_path, "duality", {"cases": [{"curve": "b1"}]}) == cli.EXIT_CONFIG
     assert run(tmp_path, "duality", {"cases": [{**case, "weight": 2}]}) == 0
     assert run(tmp_path, "wolpert", {"pairs": [["a1", "b1"]]}) == 0
     # mass has no sampling settings: its former keys are ignored, as any extra key is
     assert run(tmp_path, "mass", {"multicurve": multicurve, "samples": -3, "seed": "0"}) == 0
+
+
+def test_key_error_inside_a_command_propagates(tmp_path, monkeypatch):
+    # a KeyError raised by a defect in a command is not reported as a config error
+    def broken(*args, **kwargs):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(cli, "minimize", broken)
+    with pytest.raises(KeyError):
+        run(tmp_path, "solve", {"target": {"type": "identity"}, "mesh_level": 1, "p_schedule": [2]})
 
 
 def test_solve_twist_with_resume_and_report(tmp_path):
@@ -163,16 +177,19 @@ def test_solve_twist_with_resume_and_report(tmp_path):
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
     rep1 = read_report(tmp_path, "solve_summary.json")
     assert (tmp_path / "out" / "solve_stage_p2.csv").exists()
-    assert (tmp_path / "out" / "checkpoint.npz").exists()
-    assert not (tmp_path / "out" / "checkpoint.tmp.npz").exists()
+    assert (tmp_path / "out" / "stage_p2.npz").exists() and (tmp_path / "out" / "stage_p4.npz").exists()
+    assert not list((tmp_path / "out").glob("*.tmp*"))
     assert rep1["k_lower_bound"] > 1.0
     assert all(s["iterations"] == cfg["max_iter"] for s in rep1["stages"])
-    # resume reproduces stage values and re-measures the tolerance test at
-    # the loaded point instead of reporting the stage converged
+    # resume reproduces the stage values exactly and re-measures the
+    # tolerance test at the loaded point instead of reporting the stage
+    # converged
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
     rep2 = read_report(tmp_path, "solve_summary.json")
+    assert [s["iterations"] for s in rep2["stages"]] == [0, 0]
     for s1, s2 in zip(rep1["stages"], rep2["stages"]):
-        assert s2["stage_value"] == pytest.approx(s1["stage_value"], rel=1e-9)
+        for key in ("J_p", "stage_value", "grad_norm", "residuals"):
+            assert s2[key] == s1[key], key
         assert s2["converged"] == (s2["grad_norm"] <= 1e-7 * max(1.0, s2["J_p"]))
     # aggregate report
     assert run(tmp_path, "report", {"dir": str(tmp_path / "out")}) == 0
@@ -231,8 +248,8 @@ def test_solve_reports_each_stage_start_energy(tmp_path):
     mesh = build_octagon_mesh(1)
     rho = twist(octagon_representation(), TwistSpec("a1", 0.5))
     measure = SolveOptions(max_iter=0)
-    with np.load(tmp_path / "out" / "checkpoint.npz") as ck:
-        p2_map = ck["class_points_p2"]
+    with np.load(tmp_path / "out" / "stage_p2.npz") as stage:
+        p2_map = stage["class_points"]
     assert stages[0]["J_start"] == minimize(mesh, rho, 2, measure).J_p
     assert stages[1]["J_start"] == minimize(mesh, rho, 4, measure, init=p2_map).J_p
     assert all(s["J_start"] > s["J_p"] for s in stages)
@@ -305,13 +322,14 @@ def test_solve_ignores_checkpoint_from_another_config(tmp_path):
     # both budgets stop short of tol
     assert run(tmp_path, "solve", cfg_a) == cli.EXIT_NUMERIC
     hash_a = read_report(tmp_path, "solve_summary.json")["config_hash"]
-    # B's stages are solved afresh, not loaded from A's checkpoint
+    # B's stages are solved afresh, not loaded from A's stage files
     assert run(tmp_path, "solve", cfg_b) == cli.EXIT_NUMERIC
     rep_b = read_report(tmp_path, "solve_summary.json")
     assert rep_b["config_hash"] != hash_a
     assert [s["iterations"] for s in rep_b["stages"]] == [cfg_b["max_iter"]] * 2
-    with np.load(tmp_path / "out" / "checkpoint.npz") as ck:
-        assert str(ck["config_hash"]) == rep_b["config_hash"]
+    for p in cfg_b["p_schedule"]:
+        with np.load(tmp_path / "out" / f"stage_p{p}.npz") as stage:
+            assert str(stage["config_hash"]) == rep_b["config_hash"]
 
 
 def test_solve_unreadable_checkpoint_is_config_error(tmp_path, capsys):
@@ -322,15 +340,15 @@ def test_solve_unreadable_checkpoint_is_config_error(tmp_path, capsys):
         "max_iter": 3,
         "max_word_len": 2,
     }
-    # the budget of 3 stops short of tol, but the checkpoint is written
+    # the budget of 3 stops short of tol, but the stage file is written
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
-    ck = tmp_path / "out" / "checkpoint.npz"
-    data = ck.read_bytes()
-    ck.write_bytes(data[: len(data) // 2])
+    stage = tmp_path / "out" / "stage_p2.npz"
+    data = stage.read_bytes()
+    stage.write_bytes(data[: len(data) // 2])
     capsys.readouterr()
     assert run(tmp_path, "solve", cfg) == cli.EXIT_CONFIG
-    assert f"config error: unreadable checkpoint {ck}" in capsys.readouterr().err
-    assert ck.read_bytes() == data[: len(data) // 2]
+    assert f"config error: unreadable stage file {stage}" in capsys.readouterr().err
+    assert stage.read_bytes() == data[: len(data) // 2]
 
 
 def test_solve_checkpoint_of_wrong_shape_is_config_error(tmp_path, capsys):
@@ -344,19 +362,19 @@ def test_solve_checkpoint_of_wrong_shape_is_config_error(tmp_path, capsys):
         "max_word_len": 2,
     }
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
-    ck = tmp_path / "out" / "checkpoint.npz"
-    with np.load(ck) as data:
-        arrays = {k: data[k] for k in data.files}
-    for cut in (arrays["class_points_p4"][:3], np.empty((0, 3))):
-        np.savez(ck, **{**arrays, "class_points_p4": cut})
+    stage = tmp_path / "out" / "stage_p4.npz"
+    with np.load(stage) as data:
+        config_hash, class_points = data["config_hash"], data["class_points"]
+    for cut in (class_points[:3], np.empty((0, 3))):
+        np.savez(stage, config_hash=config_hash, class_points=cut)
         capsys.readouterr()
         assert run(tmp_path, "solve", cfg) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"config error: unreadable checkpoint {ck}" in err and "class_points_p4" in err
+        assert f"config error: unreadable stage file {stage}" in err and f"{cut.shape}" in err
 
 
 def test_solve_resumed_nan_map_is_numeric_failure(tmp_path):
-    # a checkpoint whose class points are NaN resumes to a non-finite J_p
+    # stage files whose class points are NaN resume to a non-finite J_p
     cfg = {
         "target": {"type": "twist", "curve": "a1", "t": 0.5},
         "mesh_level": 1,
@@ -364,16 +382,40 @@ def test_solve_resumed_nan_map_is_numeric_failure(tmp_path):
         "max_word_len": 3,
     }
     assert run(tmp_path, "solve", cfg) == 0
-    ck = tmp_path / "out" / "checkpoint.npz"
-    with np.load(ck) as data:
-        arrays = {k: data[k] for k in data.files}
     for p in (2, 4):
-        arrays[f"class_points_p{p}"] = np.full_like(arrays[f"class_points_p{p}"], np.nan)
-    np.savez(ck, **arrays)
+        stage = tmp_path / "out" / f"stage_p{p}.npz"
+        with np.load(stage) as data:
+            config_hash, class_points = data["config_hash"], data["class_points"]
+        np.savez(stage, config_hash=config_hash, class_points=np.full_like(class_points, np.nan))
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
     stages = read_report(tmp_path, "solve_summary.json")["stages"]
     assert [s["p"] for s in stages] == [2, 4]
     assert all(not np.isfinite(s["J_p"]) for s in stages)
+
+
+def test_solve_writes_each_stage_file_once(tmp_path, monkeypatch):
+    # one rename per stage, onto three distinct files, each holding one
+    # (n_classes, 3) array beside the config hash; a resumed run writes none
+    from stretchlab.mesh import build_octagon_mesh
+
+    replaced = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        replaced.append(str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", spy)
+    cfg = {"target": {"type": "identity"}, "mesh_level": 1, "p_schedule": [2, 4, 8]}
+    assert run(tmp_path, "solve", cfg) == 0
+    assert replaced == [str(tmp_path / "out" / f"stage_p{p}.npz") for p in (2, 4, 8)]
+    n_classes = build_octagon_mesh(1).n_classes
+    for path in replaced:
+        with np.load(path) as stage:
+            assert [stage[k].shape for k in stage.files if k != "config_hash"] == [(n_classes, 3)]
+    assert not list((tmp_path / "out").glob("*.tmp*"))
+    assert run(tmp_path, "solve", cfg) == 0
+    assert len(replaced) == 3
 
 
 def test_solve_large_twist_is_numeric_failure(tmp_path):
