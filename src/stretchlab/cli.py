@@ -1,6 +1,11 @@
 """stretchlab: experiment runner for the best-Lipschitz / earthquake toolkit.
 
-    stretchlab <cmd> --config <file.json> --out <dir>
+    stretchlab <cmd> [--config <file.json>] --out <dir>
+    stretchlab --help
+
+The options come in any order, as `--opt value` or `--opt=value`, and are
+not abbreviated; a usage error exits 2, and so does an `--out` that cannot
+be made a directory, before the command runs.
 
 Commands: rep, length, kbound, duality, mass, wolpert, solve, report.
 Each writes one JSON report, `<cmd>_report.json` (`solve_summary.json` for
@@ -16,7 +21,6 @@ Exit codes: 0 pass, 2 config error, 3 numeric failure, 4 threshold breach.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -135,7 +139,6 @@ def _worst_error(errors, threshold: float):
 
 
 def _write_json(outdir, name, data):
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, default=float)
@@ -294,7 +297,6 @@ def p_continuation(mesh, rho, schedule, opts: SolveOptions, resumed: dict):
 
 
 def cmd_solve(config: dict, outdir: str, report: dict) -> int:
-    os.makedirs(outdir, exist_ok=True)
     # the settings are checked before a mesh is built or a stage file read
     target = config.get("target", {"type": "identity"})
     if not isinstance(target, dict):
@@ -423,16 +425,55 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="stretchlab", description=__doc__)
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", required=False, help="JSON config file")
-    parser.add_argument("--out", required=True, help="output directory")
-    args = parser.parse_args(argv)
+_USAGE = f"usage: stretchlab {{{','.join(sorted(COMMANDS))}}} [--config FILE] --out DIR"
 
+
+def _parse_argv(argv) -> dict:
+    """The command and options of argv, `<cmd> [--config FILE] --out DIR`
+    in any order, each option as `--opt value` or `--opt=value`, as a dict
+    with keys "command", "out" and perhaps "config"; {"help": True} at the
+    first -h or --help.  Any other form raises ConfigError."""
+    args = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return {"help": True}
+        if not token.startswith("-"):
+            if "command" in args:
+                raise ConfigError(f"unexpected argument {token!r}")
+            if token not in COMMANDS:
+                raise ConfigError(f"unknown command {token!r}")
+            args["command"] = token
+            continue
+        name, eq, value = token.partition("=")
+        if name not in ("--config", "--out"):
+            raise ConfigError(f"unknown option {name!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                raise ConfigError(f"option {name} expects a value")
+        args[name[2:]] = value
+    if "command" not in args:
+        raise ConfigError("a command is required")
+    if "out" not in args:
+        raise ConfigError("--out is required")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        if args.config:
-            with open(args.config) as fh:
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except ConfigError as exc:
+        print(f"{_USAGE}\nstretchlab: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if "help" in args:
+        print(__doc__)
+        return EXIT_OK
+
+    out = args["out"]
+    try:
+        if "config" in args:
+            with open(args["config"]) as fh:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ConfigError("config must be a JSON object")
@@ -441,18 +482,23 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create the output directory {out!r}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-    command, report_name = COMMANDS[args.command]
+    command, report_name = COMMANDS[args["command"]]
     report = _report_skeleton(config)
     try:
-        code = command(config, args.out, report)
+        code = command(config, out, report)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonHyperbolicError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write_json(args.out, report_name, report)
+    _write_json(out, report_name, report)
     print(json.dumps({k: report[k] for k in ("version", "config_hash")}))
     return code
 

@@ -35,8 +35,9 @@ indexed by code, that words, cocycles and the word search multiply out.  A
 list of words is an (n, width) int8 array of codes, each row right-padded
 with PAD, the code of the identity; a row without its PAD is the letters of
 a Word.  k_lower_bound evaluates the rows in chunks of _CHUNK, with one
-batched matmul per distinct prefix and one GEMM for the last letters, so
-only the int8 array grows with the number of words.
+batched matmul per distinct prefix and one GEMM for the last letters, the
+prefix runs of a chunk found once for both reps, so only the int8 array
+grows with the number of words.
 """
 
 from __future__ import annotations
@@ -442,8 +443,10 @@ def _letter_table(rep: SurfaceGroupRep) -> np.ndarray:
     return np.array([*rep.letter_table.astype(float), np.eye(3)])
 
 
-def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Traces of the products of table[codes[i]], multiplied left to right.
+def _traces(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Traces of the products of table[codes[i]], multiplied left to right,
+    for each table of the stack `tables` (k, 9, 3, 3): a (k, n) array, one
+    row of traces per table.
 
     Rows are grouped by length (trailing PAD cut off, at least one column),
     and each group is evaluated at its own width, so padding costs no
@@ -453,12 +456,14 @@ def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     prefix, and P_{j+1} = P_j[parent] @ table[code] is computed once per
     run.  The last letter is read off one GEMM: tr(P g_c) = sum_ij P_ij
     (g_c)_ji gives all nine codes at once as (runs, 9) @ (9, 9), gathered
-    at each row's run and last code.  Rows sorted within each length share
-    the most: the length-6 rows of enumerate_words, one per class, take
-    0.27 prefix products each (0.19 over every word); any order gives the
-    same traces.
+    at each row's run and last code.  The runs, their parents and the
+    gather depend on the codes only, so they are found once per group and
+    replayed for every table, each table's products in the same order as
+    on its own.  Rows sorted within each length share the most: the
+    length-6 rows of enumerate_words, one per class, take 0.27 prefix
+    products each (0.19 over every word); any order gives the same traces.
     """
-    last = table.transpose(0, 2, 1).reshape(len(table), 9).T
+    lasts = [table.transpose(0, 2, 1).reshape(len(table), 9).T for table in tables]
     width = codes.shape[1]
     # each row's length: the width less its trailing PAD, at least 1
     lengths = np.full(len(codes), width)
@@ -466,26 +471,33 @@ def _traces(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     for j in range(width - 1, 0, -1):
         padded &= codes[:, j] == PAD
         lengths -= padded
-    out = np.empty(len(codes))
+    out = np.empty((len(tables), len(codes)))
     for length in np.flatnonzero(np.bincount(lengths)).tolist():
         rows = np.flatnonzero(lengths == length)
         if rows[-1] - rows[0] == len(rows) - 1:  # one block: a view, no copy
             rows = slice(rows[0], rows[-1] + 1)
         group = codes[rows, :length]
         if length == 1:
-            out[rows] = np.trace(table, axis1=1, axis2=2)[group[:, 0]]
+            for table, row in zip(tables, out):
+                row[rows] = np.trace(table, axis1=1, axis2=2)[group[:, 0]]
             continue
         new = np.empty(len(group), dtype=bool)
         new[0] = True
         new[1:] = group[1:, 0] != group[:-1, 0]
         starts = np.flatnonzero(new)
-        prod = table[group[starts, 0]]
+        first = group[starts, 0]
+        steps = []  # per column j >= 1: each run's parent run and its code
         for j in range(1, length - 1):
             new[1:] |= group[1:, j] != group[:-1, j]
             # each new run's parent: the last run of column j - 1 starting at or before it
             parents, starts = starts, np.flatnonzero(new)
-            prod = prod[np.searchsorted(parents, starts, side="right") - 1] @ table[group[starts, j]]
-        out[rows] = (prod.reshape(-1, 9) @ last)[np.cumsum(new) - 1, group[:, -1]]
+            steps.append((np.searchsorted(parents, starts, side="right") - 1, group[starts, j]))
+        gather = np.cumsum(new) - 1, group[:, -1]
+        for table, last, row in zip(tables, lasts, out):
+            prod = table[first]
+            for parent, code in steps:
+                prod = prod[parent] @ table[code]
+            row[rows] = (prod.reshape(-1, 9) @ last)[gather]
     return out
 
 
@@ -494,8 +506,10 @@ def k_lower_bound(codes: np.ndarray, sigma: SurfaceGroupRep, rho: SurfaceGroupRe
 
     codes: an (n, width) int8 letter-code array as enumerate_words returns,
     shorter words padded with PAD.  Rows are multiplied out in float64,
-    _CHUNK at a time, by _traces: one product per distinct prefix and one
-    GEMM for the last letter.  Over enumerate_words' rows, one per class,
+    _CHUNK at a time, by one _traces call per chunk for the stack of both
+    reps' letter tables: the chunk's prefix runs are found once, then each
+    rep takes one product per distinct prefix and one GEMM for the last
+    letter.  Over enumerate_words' rows, one per class,
     float64 noise lifts the max 2e-13 to 4.9e-11 relative above the true
     ratio at length 6 (five twists), 3.9e-11 at length 8 and 4.8e-10 at
     length 9 (on a1, t=0.5).  Words trivial in sigma (TRIVIAL_COSH_FLOOR)
@@ -503,14 +517,14 @@ def k_lower_bound(codes: np.ndarray, sigma: SurfaceGroupRep, rho: SurfaceGroupRe
     distinct skipped (trace_sigma, trace_rho) pairs, rounded to 9 decimals,
     and names up to three skipped words, the shortest first.
     """
-    tables = _letter_table(sigma), _letter_table(rho)
+    tables = np.array([_letter_table(sigma), _letter_table(rho)])
 
     best = 0.0
     skipped = set()
     shortest = []  # the shortest distinct skipped words, as code tuples
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start : start + _CHUNK]
-        tr_s, tr_r = (_traces(table, chunk) for table in tables)
+        tr_s, tr_r = _traces(tables, chunk)
         c_s, c_r = (tr_s - 1.0) / 2.0, (tr_r - 1.0) / 2.0
         ok = (c_s > 1.0 + TRIVIAL_COSH_FLOOR) & (c_r > 1.0 + HYPERBOLIC_TRACE_TOL / 2.0)
         best = max(best, float(np.max(np.arccosh(c_r[ok]) / np.arccosh(c_s[ok]), initial=0.0)))

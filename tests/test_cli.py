@@ -108,6 +108,8 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["rep", "--config", str(bad), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    # an empty config path names no file; it is not read as no config
+    assert cli.main(["rep", "--config=", "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     for max_len in (0, 10, 2.5, "6"):
         assert run(tmp_path, "kbound", {"max_word_len": max_len}) == cli.EXIT_CONFIG
         twist_cfg = {"target": {"type": "twist", "curve": "a1", "t": 0.5}, "max_word_len": max_len}
@@ -163,6 +165,101 @@ def test_key_error_inside_a_command_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "minimize", broken)
     with pytest.raises(KeyError):
         run(tmp_path, "solve", {"target": {"type": "identity"}, "mesh_level": 1, "p_schedule": [2]})
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_argv_forms(tmp_path, monkeypatch, command):
+    # the options in either order, around the command, and as --opt=value
+    seen = []
+
+    def record(config, outdir, report):
+        seen.append((config, outdir))
+        return cli.EXIT_OK
+
+    monkeypatch.setitem(cli.COMMANDS, command, (record, "recorded.json"))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"max_word_len": 2}))
+    out = [str(tmp_path / name) for name in ("a", "b", "c", "d", "e")]
+    forms = [
+        [command, "--config", str(cfg), "--out", out[0]],
+        [command, "--out", out[1], "--config", str(cfg)],
+        ["--out", out[2], "--config", str(cfg), command],
+        [command, f"--out={out[3]}", f"--config={cfg}"],
+        [command, "--out", out[4]],
+    ]
+    assert [cli.main(argv) for argv in forms] == [cli.EXIT_OK] * 5
+    assert seen == [({"max_word_len": 2}, path) for path in out[:4]] + [({}, out[4])]
+    assert all((tmp_path / name / "recorded.json").exists() for name in "abcde")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["kbound"],
+    ["kbound", "--config", "CFG"],
+    ["bogus", "--out", "OUT"],
+    ["kbound", "--bogus", "1", "--out", "OUT"],
+    ["kbound", "--conf", "CFG", "--out", "OUT"],
+    ["kbound", "-o", "OUT"],
+    ["kbound", "--config", "CFG", "--out"],
+    ["kbound", "--config", "--out", "OUT"],
+    ["kbound", "extra", "--out", "OUT"],
+    ["kbound", "solve", "--out", "OUT"],
+])
+def test_usage_errors_exit_2(tmp_path, capsys, argv):
+    # a missing --out, an unknown command or option, an option without a
+    # value and a second positional: usage on stderr, no output directory
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"max_word_len": 2}))
+    argv = [{"CFG": str(cfg), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: stretchlab ") and "stretchlab: error: " in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_prints_the_docstring(tmp_path, capsys):
+    for argv in (["--help"], ["-h"], ["kbound", "--help"]):
+        assert cli.main(argv) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == cli.__doc__ + "\n" and captured.err == ""
+
+
+@pytest.mark.parametrize("command, config", [
+    ("kbound", {"target": {"twist": {"curve": "a1", "t": 0.5}}, "max_word_len": 3}),
+    ("solve", {"target": {"type": "twist", "curve": "a1", "t": 0.5}, "mesh_level": 1, "p_schedule": [2],
+               "max_word_len": 3}),
+])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch, command, config):
+    # the output directory is made before the command runs: no work is done
+    def never(*args):
+        raise AssertionError("k_lower_bound called")
+
+    monkeypatch.setattr(cli.fuchsian, "k_lower_bound", never)
+    (tmp_path / "out").write_text("a file")
+    assert run(tmp_path, command, config) == cli.EXIT_CONFIG
+    assert str(tmp_path / "out") in capsys.readouterr().err
+    assert (tmp_path / "out").read_text() == "a file"
+
+
+def test_cli_imports_neither_argparse_nor_gettext(tmp_path):
+    # argparse builds its parser through gettext, which probes the disk for
+    # locale files: ~1.5 ms of a ~6 ms kbound command
+    (tmp_path / "kbound.json").write_text(json.dumps({"max_word_len": 2}))
+    script = (
+        "import sys\n"
+        "from stretchlab import cli\n"
+        "code = cli.main(['kbound', '--config', sys.argv[1] + '/kbound.json', '--out', sys.argv[1] + '/out'])\n"
+        "loaded = sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+        "sys.exit(0 if code == 0 and not loaded else f'exit code {code}, loaded {loaded}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "kbound_report.json").exists()
 
 
 def test_solve_twist_with_resume_and_report(tmp_path):

@@ -381,21 +381,36 @@ def _trace_inputs():
 def test_traces_share_prefixes_exactly(name):
     # integer matrices multiply exactly in float64, so sharing prefixes and
     # reading the last letter from the GEMM must give the oracle's every bit
-    table = np.random.default_rng(1).integers(-2, 3, size=(9, 3, 3)).astype(float)
-    table[fuchsian.PAD] = np.eye(3)
+    tables = np.random.default_rng(1).integers(-2, 3, size=(2, 9, 3, 3)).astype(float)
+    tables[:, fuchsian.PAD] = np.eye(3)
     codes = _trace_inputs()[name]
-    got = fuchsian._traces(table, codes)
-    assert got.shape == (len(codes),)
-    np.testing.assert_array_equal(got, traces_oracle(table, codes))
+    got = fuchsian._traces(tables, codes)
+    assert got.shape == (2, len(codes))
+    for table, row in zip(tables, got):
+        np.testing.assert_array_equal(row, traces_oracle(table, codes))
 
 
 @pytest.mark.parametrize("name", ["shuffled", "repeated", "mixed lengths shuffled", "one column", "one row"])
 def test_traces_match_row_by_row_products(octagon, name):
     rho = twist(octagon, TwistSpec("b1", 0.5))
     codes = _trace_inputs()[name]
-    for rep in (octagon, rho):
-        table = fuchsian._letter_table(rep)
-        np.testing.assert_allclose(fuchsian._traces(table, codes), traces_oracle(table, codes), rtol=1e-12, atol=0)
+    tables = np.array([fuchsian._letter_table(rep) for rep in (octagon, rho)])
+    for table, row in zip(tables, fuchsian._traces(tables, codes)):
+        np.testing.assert_allclose(row, traces_oracle(table, codes), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("chunk", [fuchsian._CHUNK, 1000])
+def test_traces_of_two_tables_equal_one_table_calls(octagon, monkeypatch, chunk):
+    # the runs are found once for the stack, and each table's products are
+    # those of a call with that table alone, chunked as k_lower_bound chunks
+    monkeypatch.setattr(fuchsian, "_CHUNK", chunk)
+    rho = twist(octagon, TwistSpec("b1", 0.5))
+    tables = np.array([fuchsian._letter_table(rep) for rep in (octagon, rho)])
+    codes = enumerate_words(6)
+    for start in range(0, len(codes), fuchsian._CHUNK):
+        part = codes[start : start + fuchsian._CHUNK]
+        alone = np.concatenate([fuchsian._traces(table[None], part) for table in tables])
+        assert np.array_equal(fuchsian._traces(tables, part), alone)
 
 
 def test_k_lower_bound_runs_straddle_chunks(octagon, monkeypatch):
