@@ -75,16 +75,20 @@ def _report_skeleton(config: dict) -> dict:
 
 
 def _build_rep(spec) -> SurfaceGroupRep:
+    """The rep that a `rep` or `target` setting names: the octagon when the
+    setting is absent, "octagon", "sigma" or {"type": "identity"}; a rep
+    file, {"file": path}; or a twist of the octagon, {"twist": {"curve", "t"}}
+    or {"type": "twist", "curve", "t"}."""
     base = octagon_representation()
-    if spec in (None, "octagon", "sigma"):
+    if spec in (None, "octagon", "sigma", {"type": "identity"}):
         return base
     if isinstance(spec, dict) and "file" in spec:
         try:
             return fuchsian.rep_from_json_file(spec["file"])
         except fuchsian.RepFileError as exc:
             raise ConfigError(str(exc))
-    if isinstance(spec, dict) and "twist" in spec:
-        tw = spec["twist"]
+    if isinstance(spec, dict) and ("twist" in spec or spec.get("type") == "twist"):
+        tw = spec.get("twist", spec)
         try:
             rep = twist(base, TwistSpec(tw["curve"], _real_setting(tw, "t", None, -np.inf)))
         except (KeyError, TypeError, ValueError) as exc:
@@ -105,9 +109,11 @@ def _multicurve(rep, data) -> WeightedMulticurve:
         _real_setting(d, "weight", None, 0.0)
     try:
         return WeightedMulticurve.from_json(rep, data)
-    except (KeyError, TypeError, fuchsian.WordError) as exc:
-        # malformed entries are schema errors; non-hyperbolic words propagate
-        # as numeric failures
+    except NonHyperbolicError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # malformed entries and repeated curves are schema errors;
+        # non-hyperbolic words propagate as numeric failures
         raise ConfigError(f"bad multicurve: {exc}")
 
 
@@ -298,9 +304,6 @@ def p_continuation(mesh, rho, schedule, opts: SolveOptions, resumed: dict):
 
 def cmd_solve(config: dict, outdir: str, report: dict) -> int:
     # the settings are checked before a mesh is built or a stage file read
-    target = config.get("target", {"type": "identity"})
-    if not isinstance(target, dict):
-        raise ConfigError(f"solve target must be an object, got {target!r}")
     try:
         schedule = pharmonic.check_schedule(config.get("p_schedule", [2, 4, 8, 16, 32, 64]))
     except ValueError as exc:
@@ -308,13 +311,9 @@ def cmd_solve(config: dict, outdir: str, report: dict) -> int:
     opts = SolveOptions(tol=_real_setting(config, "tol", SolveOptions.tol, 0.0),
                         max_iter=_int_setting(config, "max_iter", SolveOptions.max_iter, 0))
     level = _int_setting(config, "mesh_level", 3, 0, MAX_MESH_LEVEL)
-    ttype = target.get("type")
-    if ttype not in ("identity", "twist"):
-        raise ConfigError(f"unknown solve target type {ttype!r}")
-    max_len = _int_setting(config, "max_word_len", 6, 1, MAX_WORD_LEN) if ttype == "twist" else None
-
     sigma = octagon_representation()
-    rho = sigma if ttype == "identity" else _build_rep({"twist": target})
+    rho = _build_rep(config.get("target"))
+    max_len = _int_setting(config, "max_word_len", 6, 1, MAX_WORD_LEN) if rho is not sigma else None
     mesh = build_octagon_mesh(level)
 
     # resume: a stage whose file holds this config's hash is re-measured at its map
@@ -337,24 +336,14 @@ def cmd_solve(config: dict, outdir: str, report: dict) -> int:
     stage_rows = []
     prefixes = _csv_row_prefixes(mesh.areas)
     for res in p_continuation(mesh, rho, schedule, opts, resumed):
-        stage_rows.append(
-            {
-                "p": res.p,
-                "J_p": res.J_p,
-                "J_start": res.energy_log[0],  # J_p at the stage's start map
-                "kappa_p": res.kappa_p,
-                "stage_value": res.normalized_stage_value(),
-                "iterations": res.iterations,
-                "restarts": res.restarts, "wolfe_rejections": res.wolfe_rejections,
-                "converged": bool(res.converged),
-                "line_search_failure": bool(res.line_search_failure),
-                "grad_norm": res.grad_norm,
-                "energy_evals": res.energy_evals, "grad_evals": res.grad_evals,
-                "precond_builds": res.precond_builds,
-                "residuals": {k: float(v) for k, v in res.residuals.items()},
-                "timings": res.timings,
-            }
-        )
+        stage_rows.append({
+            "p": res.p, "J_p": res.J_p,
+            "J_start": res.energy_log[0],  # J_p at the stage's start map
+            "kappa_p": res.kappa_p, "stage_value": res.normalized_stage_value(),
+            **res.stats,  # `_descend`'s run statistics, in its order
+            "residuals": {k: float(v) for k, v in res.residuals.items()},
+            "timings": res.timings,
+        })
         _write_stage_csv(outdir, res, prefixes)
         if res.p not in resumed:
             # each stage's map is written once, to a temporary file renamed
@@ -371,7 +360,7 @@ def cmd_solve(config: dict, outdir: str, report: dict) -> int:
     report["stage_values_nondecreasing"] = all(
         b["stage_value"] >= a["stage_value"] - 1e-9 for a, b in zip(stage_rows, stage_rows[1:])
     )
-    if ttype == "twist":
+    if max_len is not None:
         words = fuchsian.enumerate_words(max_len)
         report["k_lower_bound"] = float(fuchsian.k_lower_bound(words, sigma, rho))
     # a numeric failure when a stage misses tol (a budget stop or a

@@ -44,7 +44,7 @@ class WeightedMulticurve:
         # rotation/inversion); equal traces alone are allowed, distinct curves
         # may share a length
         for i, (wi, _) in enumerate(items):
-            variants = set(wi.cyclic_variants())
+            variants = set(wi.cyclically_reduced().cyclic_variants())
             for wj, _ in items[i + 1:]:
                 if wj.cyclically_reduced().letters in variants:
                     raise ValueError(f"curves {wi} and {wj} are conjugate")

@@ -556,7 +556,44 @@ def test_report_input_errors_are_config_errors(tmp_path, capsys):
 def test_solve_rejects_unknown_target(tmp_path, capsys):
     for target in ({"type": "nonsense"}, {"type": "cylinder", "a": 2, "b": 3}):
         assert run(tmp_path, "solve", {"target": target}) == cli.EXIT_CONFIG
-        assert "unknown solve target type" in capsys.readouterr().err
+        assert "cannot interpret rep spec" in capsys.readouterr().err
+
+
+def _stage_rows(tmp_path, out):
+    report = read_report(tmp_path, "solve_summary.json", out=out)
+    for s in report["stages"]:
+        del s["timings"]
+    return report["stages"], report.get("k_lower_bound")
+
+
+def test_solve_and_kbound_read_every_target_spelling(tmp_path):
+    # a twist given inline in either spelling, or as the rho.json that rep
+    # writes, gives the same stages and K_lo; kbound reads the same config
+    tw = {"curve": "b2", "t": 0.4}
+    assert run(tmp_path, "rep", {"target": {"twist": tw}}, out="rep") == 0
+    base = {"mesh_level": 1, "p_schedule": [2], "max_word_len": 3}
+    results = []
+    for i, target in enumerate(({"type": "twist", **tw}, {"twist": tw}, {"file": str(tmp_path / "rep" / "rho.json")})):
+        assert run(tmp_path, "solve", {**base, "target": target}, out=f"solve{i}") == 0
+        results.append(_stage_rows(tmp_path, f"solve{i}"))
+        assert run(tmp_path, "kbound", {**base, "target": target}, out=f"kbound{i}") == 0
+        assert read_report(tmp_path, "kbound_report.json", out=f"kbound{i}")["k_lower_bound"] == results[0][1]
+    assert results[0][1] > 1.0
+    assert results[1] == results[0] and results[2] == results[0]
+    # the octagon, however it is named, has no K_lo to report
+    for i, cfg in enumerate((base, {**base, "target": "sigma"}, {**base, "target": {"type": "identity"}})):
+        assert run(tmp_path, "solve", cfg, out=f"identity{i}") == 0
+        assert _stage_rows(tmp_path, f"identity{i}")[1] is None
+
+
+def test_stage_row_keys(tmp_path):
+    # a stage row is the stage's values, then `_descend`'s statistics in its
+    # order, then the residuals and timings
+    assert run(tmp_path, "solve", {"mesh_level": 1, "p_schedule": [2]}) == 0
+    (row,) = read_report(tmp_path, "solve_summary.json")["stages"]
+    assert list(row) == ["p", "J_p", "J_start", "kappa_p", "stage_value", "iterations", "restarts",
+                         "wolfe_rejections", "converged", "line_search_failure", "grad_norm", "energy_evals",
+                         "grad_evals", "precond_builds", "residuals", "timings"]
 
 
 def test_reports_embed_hash_and_tolerances(tmp_path):
@@ -583,6 +620,15 @@ def test_malformed_word_is_config_error(tmp_path):
 def test_non_hyperbolic_word_is_numeric_error(tmp_path):
     cfg = {"multicurve": [{"word": "a1 a1^-1", "weight": 1.0}]}
     assert run(tmp_path, "length", cfg) == cli.EXIT_NUMERIC
+
+
+def test_repeated_curve_is_config_error(tmp_path, capsys):
+    # b1 and its conjugate by a1 are one curve, in either order
+    for words in (["a1 b1 a1^-1", "b1"], ["b1", "a1 b1 a1^-1"]):
+        cfg = {"multicurve": [{"word": w, "weight": 1.0} for w in words]}
+        for command in ("length", "mass"):
+            assert run(tmp_path, command, cfg) == cli.EXIT_CONFIG, (command, words)
+            assert "are conjugate" in capsys.readouterr().err
 
 
 def test_kbound_with_file_loaded_rep(tmp_path):

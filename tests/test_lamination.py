@@ -46,6 +46,11 @@ def test_multicurve_rejects_conjugate_words(octagon):
         mc_of(octagon, ("a1 b1", 1.0), ("b1 a1", 1.0))
     with pytest.raises(ValueError):
         mc_of(octagon, ("a1", 1.0), ("a1^-1", 2.0))
+    # a word that is not cyclically reduced is compared by its reduced form,
+    # whichever place it has in the list
+    for words in (("a1 b1 a1^-1", "b1"), ("b1", "a1 b1 a1^-1"), ("a1 b1 a1^-1", "a2 b1 a2^-1")):
+        with pytest.raises(ValueError, match="conjugate"):
+            mc_of(octagon, *((w, 1.0) for w in words))
 
 
 def test_standard_measure_single_curve(octagon):

@@ -76,9 +76,9 @@ def test_twist_solution_is_pinned(twist_solution):
     # the descent takes the same steps; every stage meets tol
     for res in twist_solution:
         iterations, restarts, J_p, residuals = PINNED_TWIST_STAGES[res.p]
-        assert (res.iterations, res.restarts) == (iterations, restarts)
-        assert res.converged and res.grad_norm <= 1e-7 * max(1.0, res.J_p)
-        assert res.grad_evals == res.iterations + 1 + res.wolfe_rejections
+        assert (res.stats["iterations"], res.stats["restarts"]) == (iterations, restarts)
+        assert res.stats["converged"] and res.stats["grad_norm"] <= 1e-7 * max(1.0, res.J_p)
+        assert res.stats["grad_evals"] == res.stats["iterations"] + 1 + res.stats["wolfe_rejections"]
         assert res.J_p == pytest.approx(J_p, rel=1e-12)
         for name, value in residuals.items():
             assert res.residuals[name] == pytest.approx(value, rel=1e-9)
@@ -99,7 +99,7 @@ def test_octagon_start_is_near_the_p2_minimum(level, rho_twist):
     # J_2 of the domain's class points, the start it replaced
     mesh = build_octagon_mesh(level)
     res = minimize(mesh, rho_twist, 2, SolveOptions())
-    assert res.converged
+    assert res.stats["converged"]
     assert res.energy_log[0] <= 1.02 * res.J_p
     assert res.energy_log[0] < minimize(mesh, rho_twist, 2, MEASURE, init=mesh.vertices[mesh.class_rep_vertex]).J_p
 
@@ -182,8 +182,8 @@ def test_minimize_descends_and_stays_equivariant(mesh2, rho_twist):
     assert all(b - a <= WOLFE_EPS * abs(a) for a, b in zip(log, log[1:]))
     assert log[0] - log[-1] > sum(rises)
     # one gradient per logged iterate, plus one per failed slope test
-    assert res.grad_evals == len(log) + res.wolfe_rejections <= res.energy_evals
-    assert res.grad_evals == res.iterations + 1 + res.wolfe_rejections
+    assert res.stats["grad_evals"] == len(log) + res.stats["wolfe_rejections"] <= res.stats["energy_evals"]
+    assert res.stats["grad_evals"] == res.stats["iterations"] + 1 + res.stats["wolfe_rejections"]
     # class points on the sheet, and the chart map equivariant across the paired sides
     Z = res.class_points
     assert float(np.abs(Z[:, 0] ** 2 + Z[:, 1] ** 2 - Z[:, 2] ** 2 + 1.0).max()) <= 1e-10
@@ -239,9 +239,9 @@ def test_start_is_evaluated_once(mesh2, rho_twist, monkeypatch, p, max_iter, bui
     # from the domain's class points, which no budget here brings to tol
     res = minimize(mesh2, rho_twist, p, opts=SolveOptions(max_iter=max_iter),
                    init=mesh2.vertices[mesh2.class_rep_vertex])
-    assert res.iterations == max_iter
-    assert len(calls) == res.energy_evals
-    assert res.precond_builds == builds
+    assert res.stats["iterations"] == max_iter
+    assert len(calls) == res.stats["energy_evals"]
+    assert res.stats["precond_builds"] == builds
 
 
 def test_identity_stages_build_once(mesh2, octagon, monkeypatch):
@@ -252,19 +252,20 @@ def test_identity_stages_build_once(mesh2, octagon, monkeypatch):
 
     schedule = [2, 4, 8, 16, 32, 64]
     stages = list(p_continuation(mesh2, octagon, schedule, SolveOptions(), resumed={}))
-    assert [res.iterations for res in stages] == [4, 3, 3, 4, 4, 5]
-    assert [res.precond_builds for res in stages] == [1] * 6
+    assert [res.stats["iterations"] for res in stages] == [4, 3, 3, 4, 4, 5]
+    assert [res.stats["precond_builds"] for res in stages] == [1] * 6
     for res, J_p in zip(stages, [25.5410105214783, 25.96053443665291, 26.830531474293586,
                                  28.702154034038372, 33.028277012188774, 44.536313816412274]):
-        assert res.converged and res.restarts == 0
+        assert res.stats["converged"] and res.stats["restarts"] == 0
         assert res.J_p == pytest.approx(J_p, rel=1e-12)
     monkeypatch.setattr(pharmonic, "FIRST_REBUILD", 10 ** 9)
     for res, once in zip(stages, p_continuation(mesh2, octagon, schedule, SolveOptions(), resumed={})):
-        assert (res.iterations, res.energy_evals, res.J_p) == (once.iterations, once.energy_evals, once.J_p)
+        assert ((res.stats["iterations"], res.stats["energy_evals"], res.J_p)
+                == (once.stats["iterations"], once.stats["energy_evals"], once.J_p))
         assert np.array_equal(res.class_points, once.class_points)
     # a start that already meets tol takes no step and builds no H0
     again = minimize(mesh2, octagon, 64, SolveOptions(), init=stages[-1].class_points)
-    assert again.converged and (again.iterations, again.precond_builds) == (0, 0)
+    assert again.stats["converged"] and (again.stats["iterations"], again.stats["precond_builds"]) == (0, 0)
 
 
 def test_twist_draws_reach_tol(octagon, mesh2):
@@ -273,8 +274,8 @@ def test_twist_draws_reach_tol(octagon, mesh2):
     for curve in ("a1", "b1", "a2", "b2"):
         rho = twist(octagon, TwistSpec(curve, 0.6))
         for res in p_continuation(mesh2, rho, [2, 4, 8, 16, 32, 64], opts, resumed={}):
-            assert res.converged and res.restarts == 0, (curve, res.p)
-            assert res.grad_norm <= opts.tol * max(1.0, res.J_p)
+            assert res.stats["converged"] and res.stats["restarts"] == 0, (curve, res.p)
+            assert res.stats["grad_norm"] <= opts.tol * max(1.0, res.J_p)
 
 
 def test_minimize_zero_iterations_keeps_init(mesh2, rho_twist):
@@ -529,7 +530,7 @@ def vcycles(rho_twist):
     for level in (2, 3):
         mesh = build_octagon_mesh(level)
         res = list(p_continuation(mesh, rho_twist, [2, 4, 8, 16, 32, 64], SolveOptions(), resumed={}))[-1]
-        assert res.converged
+        assert res.stats["converged"]
         Z = res.class_points.T.copy()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pharmonic, "VCYCLE_COARSEST", level - 1)
