@@ -7,7 +7,7 @@ Submodules:
 - cocycle: twisted 1-cocycles over Ad(sigma)
 - lamination: weighted multicurves and Lie-algebra-valued transverse measures
 - earthquake: Fenchel-Nielsen twists, length derivatives, duality checks
-- mesh: triangulated fundamental octagon, discrete 1-forms, cocycle extraction
+- mesh: triangulated fundamental octagon, discrete 1-forms
 - pharmonic: discrete p-Schatten harmonic map solver and its currents
 - cli: the `stretchlab` experiment runner
 """

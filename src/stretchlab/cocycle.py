@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuchsian import GENERATOR_NAMES, RELATOR, SurfaceGroupRep, as_word
+from .fuchsian import RELATOR, SurfaceGroupRep, as_word
 
 RELATOR_TANGENCY_TOL = 1e-8
 
@@ -32,10 +32,6 @@ class Cocycle:
         self.values = np.asarray(self.values)
         if self.values.shape != (4, 3):
             raise ValueError("expected four R^{2,1} generator values")
-
-    def __add__(self, other: "Cocycle") -> "Cocycle":
-        _check_same_rep(self.rep, other.rep)
-        return Cocycle(self.rep, self.values + other.values)
 
     def validate(self) -> "Cocycle":
         res = relator_tangency(self)
@@ -86,12 +82,6 @@ def evaluate_cocycle(alpha: Cocycle, word) -> np.ndarray:
     if alpha.values.dtype == np.longdouble:
         return out
     return out.astype(float)
-
-
-def coboundary(w0: np.ndarray, rep: SurfaceGroupRep) -> Cocycle:
-    """alpha(g) = w0 - sigma(g) w0; the zero class in H^1."""
-    w0 = np.asarray(w0).astype(np.longdouble)
-    return Cocycle(rep, np.array([w0 - rep.generator_ld(n) @ w0 for n in GENERATOR_NAMES]))
 
 
 def relator_tangency(alpha: Cocycle) -> float:

@@ -23,9 +23,8 @@ accumulation so that the relator residual sits at ~1e-12, well below the
 The octagon's geometry is constant: OCTAGON_VERTICES holds its eight
 corners, and PAIRING_WORDS the side pairings as words in the generators, x_k
 at index k and x_k^-1 at k + 4.  Each rep's pairing_images() is the one
-(8, 3, 3) table of their images; the mesh, its cocycle extraction and the
-solver currents cross the paired sides through it and evaluate no pairing
-word themselves.
+(8, 3, 3) table of their images; the mesh and the solver currents cross
+the paired sides through it and evaluate no pairing word themselves.
 
 A letter is an int code, the only letter format in the package:
 code = 2 * generator + (exponent < 0), in the order a1, a1^-1, b1, b1^-1,

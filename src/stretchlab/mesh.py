@@ -18,7 +18,9 @@ i-th vertex of side k+4 is paired with the i-th vertex from the end of side
 k.  The mesh is the one place that knows this: it stores the paired vertices
 (`boundary_pairs`) and the paired edges with their orientation signs
 (`edge_twins`) once, at build time, and no other module reads them:
+`validate` checks the paired vertices through `pairing_drift`, and
 `edge_average` carries the solver's currents across the paired sides.
+Outside the package, the test oracles' crossing integrals read them too.
 
 Every subdivision level (`_refine`), the edge table (`_edge_table`) and every
 geometry array are built once, by array code over the triangle corners.  The
@@ -29,13 +31,6 @@ replays the refinements on a target rep's octagon for the solver's start.
 Per-triangle areas are exact (hyperbolic angle defect), so the total is 4 pi
 at every level.  Edge data (Maurer-Cartan form, solver currents) are
 first-order midpoint discretizations.
-
-Cocycle extraction rests on one tree primitive per form: F(v) is the form
-summed along a breadth-first tree from the octagon centre.  For each pairing
-x_k, the crossing integral is I(x_k) = F(y) - rep(x_k) F(y'), with y the
-middle vertex of side k and y' its twin on side k+4; a word's value composes
-these along its pairing letters by the cocycle rule, which extract_cocycle
-does for the four generators on the vectors I.
 """
 
 from __future__ import annotations
@@ -45,9 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cocycle import Cocycle, compose
 from .fuchsian import (
-    LETTER_X_WORDS,
     OCTAGON_VERTICES,
     PAIRING_WORDS,
     SurfaceGroupRep,
@@ -158,14 +151,6 @@ class FundamentalMesh:
     def n_classes(self) -> int:
         return len(self.class_rep_vertex)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
-
     @cached_property
     def edge_normals(self) -> np.ndarray:
         """(nt, 3, 2) each triangle's slot edge vectors in the domain chart,
@@ -204,10 +189,6 @@ class FundamentalMesh:
             Z[n:n + len(edges)] = _midpoint(Z[edges[:, 0]], Z[edges[:, 1]])
             n += len(edges)
         return Z[self.class_rep_vertex]
-
-    def edge_ids(self, a, b):
-        """Edge ids of the vertex pairs (a, b) and the signs, +1 where a < b."""
-        return _edge_ids(self.edges, a, b)
 
     def pairing_drift(self, points: np.ndarray, rep: SurfaceGroupRep) -> float:
         """Max |rep(x_k) points[u] - points[v]| over the boundary pairs (u, v, k)."""
@@ -457,18 +438,9 @@ class DiscreteOneForm:
     mesh: FundamentalMesh
     values: np.ndarray  # (ne, 3)
 
-    def value(self, i: int, j: int) -> np.ndarray:
-        e, sign = self.mesh.edge_ids(i, j)
-        return sign * self.values[e]
-
     def tri_values(self) -> np.ndarray:
         """(nt, 3, 3) values on each triangle's directed edges (i,j), (j,k), (k,i)."""
         return self.mesh.tri_edge_sign[..., None] * np.take(self.values, self.mesh.tri_edges, axis=0)
-
-    def __mul__(self, c: float):
-        return DiscreteOneForm(self.mesh, c * self.values)
-
-    __rmul__ = __mul__
 
 
 def edge_average(mesh: FundamentalMesh, tri_values: np.ndarray, rep: SurfaceGroupRep) -> DiscreteOneForm:
@@ -510,11 +482,6 @@ def closedness_residual(form: DiscreteOneForm) -> float:
     return float((loop[nonzero] / mass[nonzero]).max(initial=0.0))
 
 
-def wedge_pair(phi: DiscreteOneForm, psi: DiscreteOneForm) -> float:
-    """Discrete symplectic pairing (1/2) int phi wedge psi with Killing contraction."""
-    return 0.5 * float(_triangle_wedges(phi, psi).sum())
-
-
 def _triangle_wedges(phi: DiscreteOneForm, psi: DiscreteOneForm) -> np.ndarray:
     """Whitney-form wedge of two edge cochains on every oriented triangle.
 
@@ -534,53 +501,3 @@ def triangle_wedge_density(phi: DiscreteOneForm, psi: DiscreteOneForm) -> np.nda
     """Per-triangle *(phi wedge psi): the wedge integral divided by exact area."""
     return _triangle_wedges(phi, psi) / phi.mesh.areas
 
-
-# ---------------------------------------------------------------------------
-# cocycle extraction
-# ---------------------------------------------------------------------------
-
-def _primitive(form: DiscreteOneForm) -> np.ndarray:
-    """(nv, 3) F(v): the form summed along a breadth-first tree from
-    vertex 0, the octagon centre.  Each BFS depth is one frontier step over
-    the edge table, in which every new vertex takes its first candidate edge."""
-    mesh = form.mesh
-    i, j = mesh.edges.T
-    F = np.zeros((mesh.n_vertices, 3))
-    seen = np.zeros(mesh.n_vertices, dtype=bool)
-    seen[0] = True
-    while not seen.all():
-        # in a breadth-first sweep every edge with one seen end leaves the frontier
-        step = np.nonzero(seen[i] != seen[j])[0]
-        if not len(step):
-            raise MeshError("mesh is not edge-connected")
-        forward = seen[i[step]]  # the edge runs from its seen end to the new vertex
-        new, first = np.unique(np.where(forward, j[step], i[step]), return_index=True)
-        old = np.where(forward, i[step], j[step])[first]
-        sign = np.where(forward, 1.0, -1.0)[first]
-        F[new] = F[old] + sign[:, None] * form.values[step[first]]
-        seen[new] = True
-    return F
-
-
-def _crossings(form: DiscreteOneForm, rep: SurfaceGroupRep):
-    """Crossing integrals, as (8, 3) vectors, and images of the pairing
-    letters: x_k at index k, x_k^-1 at k + 4, with I(x_k^-1) = -rep(x_k)^-1 I(x_k)."""
-    mesh = form.mesh
-    F = _primitive(form)
-    far, near, pairing = mesh.boundary_pairs.T
-    mats = rep.pairing_images()
-    incr = np.empty((8, 3))
-    for k in range(4):
-        chain = mesh.side_chains[k]
-        y = chain[len(chain) // 2]
-        yp = far[(pairing == k) & (near == y)][0]
-        incr[k] = F[y] - mats[k] @ F[yp]
-        incr[k + 4] = -(mats[k + 4] @ incr[k])
-    return incr, mats
-
-
-def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None) -> Cocycle:
-    """Cocycle from the generator loop integrals, over one set of crossings."""
-    rep = rep if rep is not None else form.mesh.rep
-    incr, mats = _crossings(form, rep)
-    return Cocycle(rep, np.array([compose(w, incr, mats) for w in LETTER_X_WORDS[::2]]))

@@ -33,7 +33,7 @@ from stretchlab.lorentz import (
     mink_dot,
     sharp_adj,
 )
-from stretchlab.mesh import DiscreteOneForm, FundamentalMesh, _crossings, _midpoint, extract_cocycle
+from stretchlab.mesh import DiscreteOneForm, FundamentalMesh, MeshError, _edge_ids, _midpoint, _triangle_wedges
 from stretchlab.pharmonic import (
     SIGN,
     SIGN3,
@@ -807,8 +807,85 @@ def kernel_oracle(mesh, rho, Z: np.ndarray, p: int):
     return float(np.dot(mesh.areas, P)), grad
 
 
+# ---------------------------------------------------------------------------
+# the cocycle extraction, the coboundary and the wedge pairing: no command
+# runs them, so they live here until one does (ROADMAP items 5 and 9(b) move
+# them back into the package)
+#
+# Cocycle extraction rests on one tree primitive per form: F(v) is the form
+# summed along a breadth-first tree from the octagon centre.  For each pairing
+# x_k, the crossing integral is I(x_k) = F(y) - rep(x_k) F(y'), with y the
+# middle vertex of side k and y' its twin on side k+4; a word's value composes
+# these along its pairing letters by the cocycle rule, which extract_cocycle
+# does for the four generators on the vectors I.
+# ---------------------------------------------------------------------------
+
+def coboundary(w0: np.ndarray, rep: SurfaceGroupRep) -> Cocycle:
+    """alpha(g) = w0 - sigma(g) w0; the zero class in H^1."""
+    w0 = np.asarray(w0).astype(np.longdouble)
+    return Cocycle(rep, np.array([w0 - rep.generator_ld(n) @ w0 for n in GENERATOR_NAMES]))
+
+
+def edge_value(form: DiscreteOneForm, i: int, j: int) -> np.ndarray:
+    """The form's value on the directed edge (i, j)."""
+    e, sign = _edge_ids(form.mesh.edges, i, j)
+    return sign * form.values[e]
+
+
+def wedge_pair(phi: DiscreteOneForm, psi: DiscreteOneForm) -> float:
+    """Discrete symplectic pairing (1/2) int phi wedge psi with Killing contraction."""
+    return 0.5 * float(_triangle_wedges(phi, psi).sum())
+
+
+def _primitive(form: DiscreteOneForm) -> np.ndarray:
+    """(nv, 3) F(v): the form summed along a breadth-first tree from
+    vertex 0, the octagon centre.  Each BFS depth is one frontier step over
+    the edge table, in which every new vertex takes its first candidate edge."""
+    mesh = form.mesh
+    i, j = mesh.edges.T
+    F = np.zeros((len(mesh.vertices), 3))
+    seen = np.zeros(len(mesh.vertices), dtype=bool)
+    seen[0] = True
+    while not seen.all():
+        # in a breadth-first sweep every edge with one seen end leaves the frontier
+        step = np.nonzero(seen[i] != seen[j])[0]
+        if not len(step):
+            raise MeshError("mesh is not edge-connected")
+        forward = seen[i[step]]  # the edge runs from its seen end to the new vertex
+        new, first = np.unique(np.where(forward, j[step], i[step]), return_index=True)
+        old = np.where(forward, i[step], j[step])[first]
+        sign = np.where(forward, 1.0, -1.0)[first]
+        F[new] = F[old] + sign[:, None] * form.values[step[first]]
+        seen[new] = True
+    return F
+
+
+def _crossings(form: DiscreteOneForm, rep: SurfaceGroupRep):
+    """Crossing integrals, as (8, 3) vectors, and images of the pairing
+    letters: x_k at index k, x_k^-1 at k + 4, with I(x_k^-1) = -rep(x_k)^-1 I(x_k)."""
+    mesh = form.mesh
+    F = _primitive(form)
+    far, near, pairing = mesh.boundary_pairs.T
+    mats = rep.pairing_images()
+    incr = np.empty((8, 3))
+    for k in range(4):
+        chain = mesh.side_chains[k]
+        y = chain[len(chain) // 2]
+        yp = far[(pairing == k) & (near == y)][0]
+        incr[k] = F[y] - mats[k] @ F[yp]
+        incr[k + 4] = -(mats[k + 4] @ incr[k])
+    return incr, mats
+
+
+def extract_cocycle(form: DiscreteOneForm, rep: SurfaceGroupRep | None = None) -> Cocycle:
+    """Cocycle from the generator loop integrals, over one set of crossings."""
+    rep = rep if rep is not None else form.mesh.rep
+    incr, mats = _crossings(form, rep)
+    return Cocycle(rep, np.array([compose(w, incr, mats) for w in LETTER_X_WORDS[::2]]))
+
+
 # the BFS-path loop integrals that loop_integral and
-# mesh.extract_cocycle used before the tree primitive; unchanged except that
+# extract_cocycle used before the tree primitive; unchanged except that
 # the adjacency is built per search (the mesh no longer has a path cache)
 
 
@@ -841,7 +918,7 @@ def _bfs_path(mesh, start: int, goal: int) -> list:
 def _path_sum(form, path: list) -> np.ndarray:
     """The so(2,1) matrix of the form summed along a vertex path."""
     path = np.asarray(path)
-    ids, sign = form.mesh.edge_ids(path[:-1], path[1:])
+    ids, sign = _edge_ids(form.mesh.edges, path[:-1], path[1:])
     return hat((sign[:, None] * form.values[ids]).sum(axis=0, initial=0.0))
 
 
@@ -915,7 +992,7 @@ def loop_integral(form: DiscreteOneForm, word, rep: SurfaceGroupRep | None = Non
 
 
 def assert_extraction_matches_oracle(form, rep: SurfaceGroupRep | None = None):
-    """mesh.extract_cocycle within 1e-11, and loop_integral on a few
+    """extract_cocycle within 1e-11, and loop_integral on a few
     words and the relator within 1e-9, of the largest oracle generator value."""
     ref = extract_cocycle_oracle(form, rep).values
     scale = float(np.abs(ref).max())
@@ -1104,7 +1181,7 @@ def _slot_matrices(mesh, values: np.ndarray) -> np.ndarray:
 
 def closedness_oracle(mesh, values: np.ndarray) -> float:
     """mesh.closedness_residual of the (ne, 3, 3) edge values."""
-    vals = _slot_matrices(mesh, values).reshape(mesh.n_triangles, 3, 9)
+    vals = _slot_matrices(mesh, values).reshape(len(mesh.triangles), 3, 9)
     loop = np.linalg.norm(vals.sum(axis=1), axis=1)
     mass = np.linalg.norm(vals, axis=2).sum(axis=1)
     nonzero = mass > 0

@@ -14,8 +14,10 @@ from oracles import (
     B_STD,
     ZeroFormDraws,
     admissible_pairings,
+    coboundary,
     cylinder_continuation,
     exp_series_oracle,
+    extract_cocycle,
     form_from_edge_function,
     frame_invariance_defect,
     killing,
@@ -28,7 +30,7 @@ from oracles import (
 )
 from stretchlab import lorentz
 from stretchlab.cli import p_continuation
-from stretchlab.cocycle import coboundary, relator_tangency
+from stretchlab.cocycle import relator_tangency
 from stretchlab.earthquake import (
     TwistSpec,
     duality_check,
@@ -54,7 +56,7 @@ from stretchlab.lamination import (
     standard_measure,
 )
 from stretchlab.lorentz import E_SHARP, X0, mink_dot
-from stretchlab.mesh import build_octagon_mesh, extract_cocycle
+from stretchlab.mesh import build_octagon_mesh
 from stretchlab.pharmonic import SolveOptions
 
 CURVES = list(GENERATOR_NAMES)

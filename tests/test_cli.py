@@ -371,7 +371,7 @@ def test_stage_csv_round_trips_exactly(tmp_path):
         with open(tmp_path / f"solve_stage_p{res.p}.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["triangle", "area", "s1", "s2", "density"]
-        assert [int(row[0]) for row in rows] == list(range(mesh.n_triangles))
+        assert [int(row[0]) for row in rows] == list(range(len(mesh.triangles)))
         parsed = np.array([[float(x) for x in row[1:]] for row in rows])
         for column, want in zip(parsed.T, (mesh.areas, res.s1, res.s2, res.density)):
             assert column.tobytes() == np.asarray(want, dtype=np.float64).tobytes()

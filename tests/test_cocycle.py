@@ -7,18 +7,19 @@ from stretchlab import lorentz
 from stretchlab.cocycle import (
     Cocycle,
     RepMismatchError,
-    coboundary,
     evaluate_cocycle,
     relator_tangency,
 )
 from stretchlab.earthquake import TwistSpec, earthquake_cocycle, twist
 from stretchlab.fuchsian import GENERATOR_NAMES, Word
+from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
 from stretchlab.lorentz import group_inv
 
 from oracles import (
     B_STD,
     BPERP_STD,
     NHAT_STD,
+    coboundary,
     differentiate_family,
     free_words,
     lie_from_frame_coords,
@@ -186,10 +187,9 @@ def test_differentiate_conjugation_family_is_coboundary_class(octagon, rng):
 
 def test_rep_mismatch_raises(octagon, rng):
     other = twist(octagon, TwistSpec("a1", 0.3))
-    a = zero_cocycle(octagon)
-    b = zero_cocycle(other)
+    measure = standard_measure(WeightedMulticurve(octagon, [("a1", 1.0)]))
     with pytest.raises(RepMismatchError):
-        _ = a + b
+        pair(measure, zero_cocycle(other))
 
 
 def test_differentiate_family_validates_members(octagon):

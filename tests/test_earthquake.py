@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import finite_difference_cocycle, random_lie_alg, vee
-from stretchlab.cocycle import coboundary, relator_tangency
+from oracles import coboundary, finite_difference_cocycle, random_lie_alg, vee
+from stretchlab.cocycle import relator_tangency
 from stretchlab.earthquake import (
     TWIST_PARTNER,
     TwistSpec,

@@ -8,6 +8,7 @@ from oracles import (
     ZeroFormDraws,
     admissible_pairings,
     all_words_oracle,
+    coboundary,
     frame_invariance_defect,
     killing,
     lie_from_frame_coords,
@@ -17,7 +18,6 @@ from oracles import (
     words_from_codes,
 )
 from stretchlab import lorentz
-from stretchlab.cocycle import coboundary
 from stretchlab.earthquake import TwistSpec, earthquake_cocycle, twist
 from stretchlab.fuchsian import OCTAGON_LENGTH, translation_length
 from stretchlab.lamination import (

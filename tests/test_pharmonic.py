@@ -16,6 +16,7 @@ from oracles import (
     currents_oracle,
     cylinder_continuation,
     cylinder_minimize,
+    extract_cocycle,
     gauss_newton_oracle,
     geodesic,
     grad_from_metric_oracle,
@@ -30,7 +31,7 @@ from oracles import (
     vcycle_oracle,
     wspmv_oracle,
 )
-from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual, extract_cocycle
+from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual
 from stretchlab.pharmonic import SolveOptions, density_and_currents, minimize
 
 
