@@ -31,7 +31,7 @@ import zipfile
 import numpy as np
 
 from . import __version__, fuchsian, pharmonic
-from .earthquake import FD_STEP, TwistSpec, duality_check, twist, wolpert_reciprocity
+from .earthquake import TwistSpec, duality_check, twist, wolpert_reciprocity
 from .fuchsian import NonHyperbolicError, SurfaceGroupRep, octagon_representation
 from .lamination import WeightedMulticurve, length, mass, mass_by_duality, standard_measure
 from .mesh import build_octagon_mesh
@@ -47,6 +47,9 @@ MAX_WORD_LEN = 9
 # building a mesh peaks at 76 MB RSS at level 6 and 208 MB at level 7, and
 # each level has 4x the triangles of the one below
 MAX_MESH_LEVEL = 7
+# the central-difference step of the twist family's length derivatives
+# (duality and wolpert, "step")
+FD_STEP = 1e-4
 
 DEFAULT_TOLERANCES = {
     "relator_residual": fuchsian.RELATOR_TOL,
@@ -208,12 +211,13 @@ def cmd_duality(config: dict, outdir: str, report: dict) -> int:
             for c2 in curves
             if c1 != c2
         ]
-    if not (isinstance(cases, list) and all(isinstance(c, dict) and c.get("curve") in fuchsian.GENERATOR_NAMES
-                                            for c in cases)):
-        raise ConfigError(f"cases must be a list of {{multicurve, curve, weight}} with a generator curve, got {cases!r}")
+    if not (isinstance(cases, list) and cases
+            and all(isinstance(c, dict) and c.get("curve") in fuchsian.GENERATOR_NAMES for c in cases)):
+        raise ConfigError(f"cases must be a nonempty list of {{multicurve, curve, weight}} with a generator curve, "
+                          f"got {cases!r}")
     checks = [
         duality_check(rep, _multicurve(rep, c.get("multicurve")), c["curve"], _real_setting(c, "weight", 1.0, -np.inf),
-                      step=step)
+                      step)
         for c in cases
     ]
     report["cases"] = [r.to_json() for r in checks]
@@ -250,10 +254,11 @@ def cmd_wolpert(config: dict, outdir: str, report: dict) -> int:
     if pairs == "all":
         curves = list(fuchsian.GENERATOR_NAMES)
         pairs = [[a, b] for i, a in enumerate(curves) for b in curves[i:]]
-    if not (isinstance(pairs, list) and all(isinstance(pr, list) and len(pr) == 2
-                                            and all(c in fuchsian.GENERATOR_NAMES for c in pr) for pr in pairs)):
-        raise ConfigError(f"pairs must be a list of two names from {fuchsian.GENERATOR_NAMES}, got {pairs!r}")
-    checks = [wolpert_reciprocity(rep, c1, c2, step=step) for c1, c2 in pairs]
+    if not (isinstance(pairs, list) and pairs
+            and all(isinstance(pr, list) and len(pr) == 2 and all(c in fuchsian.GENERATOR_NAMES for c in pr)
+                    for pr in pairs)):
+        raise ConfigError(f"pairs must be a nonempty list of two names from {fuchsian.GENERATOR_NAMES}, got {pairs!r}")
+    checks = [wolpert_reciprocity(rep, c1, c2, step) for c1, c2 in pairs]
     report["pairs"] = [r.to_json() for r in checks]
     report["worst_rel_err"], code = _worst_error([r.rel_err for r in checks], threshold)
     report["threshold"] = threshold

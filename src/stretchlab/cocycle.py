@@ -4,8 +4,10 @@ A cocycle is stored by its values on the four generators, each an R^{2,1}
 vector (Ad(g) hat(w) = hat(g w), see lorentz), and extended lazily by the
 cocycle rule alpha(g1 g2) = sigma(g1) alpha(g2) + alpha(g1); it is
 a tangent vector to the representation variety at sigma exactly when it
-vanishes on the relator.  Cohomology classes are never materialized: class
-equality is always tested by pairing against multicurve measures.
+vanishes on the relator.  No command measures that relator tangency; the
+tests' oracles do.  Cohomology classes are never materialized: class
+equality is always tested by pairing against multicurve measures, over one
+base rep (check_same_rep).
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuchsian import RELATOR, SurfaceGroupRep, as_word
-
-RELATOR_TANGENCY_TOL = 1e-8
+from .fuchsian import SurfaceGroupRep, as_word
 
 
 @dataclass
@@ -33,18 +33,13 @@ class Cocycle:
         if self.values.shape != (4, 3):
             raise ValueError("expected four R^{2,1} generator values")
 
-    def validate(self) -> "Cocycle":
-        res = relator_tangency(self)
-        if res > RELATOR_TANGENCY_TOL:
-            raise ValueError(f"relator tangency {res:.3e} exceeds {RELATOR_TANGENCY_TOL:.1e}")
-        return self
-
 
 class RepMismatchError(ValueError):
     """Raised when cocycles/measures over different base reps are combined."""
 
 
-def _check_same_rep(a: SurfaceGroupRep, b: SurfaceGroupRep):
+def check_same_rep(a: SurfaceGroupRep, b: SurfaceGroupRep):
+    """Raise RepMismatchError unless a and b have the same generators to 1e-12."""
     if a is b:
         return
     if float(np.abs(a.generators - b.generators).max()) > 1e-12:
@@ -62,14 +57,6 @@ def compose(letters, incr: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return total
 
 
-def _evaluate_cocycle_ld(alpha: Cocycle, word) -> np.ndarray:
-    mats = alpha.rep.letter_table
-    v = alpha.values.astype(np.longdouble)
-    # alpha(g^-1) = -g^-1 alpha(g) at the odd codes
-    incr = np.stack([v, -np.einsum("kij,kj->ki", mats[1::2], v)], axis=1).reshape(8, 3)
-    return compose(as_word(word).letters, incr, mats)
-
-
 def evaluate_cocycle(alpha: Cocycle, word) -> np.ndarray:
     """alpha(word) via the cocycle rule, accumulated in extended precision.
 
@@ -78,20 +65,10 @@ def evaluate_cocycle(alpha: Cocycle, word) -> np.ndarray:
     (the prefixes reach operator norm ~1e3 on the relator).  The
     result dtype follows the stored values (longdouble passes through).
     """
-    out = _evaluate_cocycle_ld(alpha, word)
-    if alpha.values.dtype == np.longdouble:
-        return out
-    return out.astype(float)
+    mats = alpha.rep.letter_table
+    v = alpha.values.astype(np.longdouble)
+    # alpha(g^-1) = -g^-1 alpha(g) at the odd codes
+    incr = np.stack([v, -np.einsum("kij,kj->ki", mats[1::2], v)], axis=1).reshape(8, 3)
+    out = compose(as_word(word).letters, incr, mats)
+    return out if alpha.values.dtype == np.longdouble else out.astype(float)
 
-
-def relator_tangency(alpha: Cocycle) -> float:
-    """Euclidean norm of the vector alpha(relator); <= tol iff alpha is a
-    valid cocycle.
-
-    Algebraically exact cocycles report the rounding of the extended-precision
-    evaluation, not 0: the relator's prefixes reach operator norm ~1e3, and
-    the unit-weight earthquake cocycles of the octagon and of its twist along
-    a1 by 0.5 report at most 8.3e-15.
-    """
-    r = _evaluate_cocycle_ld(alpha, RELATOR)
-    return float(np.sqrt((r * r).sum()))

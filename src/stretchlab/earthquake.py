@@ -15,7 +15,7 @@ relative signs are asserted anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .lorentz import exp_so21, hat
 TWIST_PARTNER = {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"}
 
 REL_ERR_FLOOR = 1e-12
-# the central-difference step of the twist family's length derivatives
-FD_STEP = 1e-4
 
 
 @dataclass
@@ -46,16 +44,17 @@ class TwistSpec:
 
 def twist(rep: SurfaceGroupRep, spec: TwistSpec) -> SurfaceGroupRep:
     """Fenchel-Nielsen deformation of rep along a handle curve: twist(rep, TwistSpec("a1", t))."""
-    # extended precision keeps the exactly-preserved relator at its residual
+    # extended precision keeps the exactly-preserved relator at its residual:
+    # the even codes of the letter table are the longdouble generators
     b = axis_generator(rep.generator_ld(spec.curve))
     partner = TWIST_PARTNER[spec.curve]
-    gens = rep._gen_ld.copy()
+    gens = rep.letter_table[0::2].copy()
     idx = GENERATOR_NAMES.index(partner)
     gens[idx] = gens[idx] @ exp_so21(np.longdouble(spec.amount) * hat(b))
     return SurfaceGroupRep(gens, label=f"{rep.label}+twist({spec.curve},{spec.amount:g})")
 
 
-def earthquake_cocycle(rep: SurfaceGroupRep, curve: str, weight: float = 1.0) -> Cocycle:
+def earthquake_cocycle(rep: SurfaceGroupRep, curve: str, weight: float) -> Cocycle:
     """Closed-form infinitesimal earthquake at rep along a weighted curve.
 
     alpha(partner) = weight * sigma(partner) b, b the curve's axis vector,
@@ -94,7 +93,7 @@ class DualityReport:
     lhs: float
     rhs: float
     rel_err: float
-    config: dict = field(default_factory=dict)
+    config: dict
 
     def to_json(self) -> dict:
         return {"lhs": self.lhs, "rhs": self.rhs, "rel_err": self.rel_err, "config": self.config}
@@ -104,8 +103,8 @@ def duality_check(
     rep: SurfaceGroupRep,
     mc: WeightedMulticurve,
     curve: str,
-    weight: float = 1.0,
-    step: float = FD_STEP,
+    weight: float,
+    step: float,
 ) -> DualityReport:
     """d(length)/dt vs 1/2 dw(d xi) for the twist along `curve`.
 
@@ -122,7 +121,7 @@ def duality_check(
     )
 
 
-def wolpert_reciprocity(rep: SurfaceGroupRep, curve1: str, curve2: str, step: float = FD_STEP) -> DualityReport:
+def wolpert_reciprocity(rep: SurfaceGroupRep, curve1: str, curve2: str, step: float) -> DualityReport:
     """FD check that twist derivatives of lengths are symmetric in the curves."""
     lhs = _twist_derivative(rep, curve2, 1.0, step, lambda r: translation_length(r.generator(curve1)))
     rhs = _twist_derivative(rep, curve1, 1.0, step, lambda r: translation_length(r.generator(curve2)))

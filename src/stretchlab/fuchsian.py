@@ -74,10 +74,8 @@ OCTAGON_VERTICES = np.array([
 
 # letter names, indexed by code
 _LETTER_NAMES = tuple(n + e for n in GENERATOR_NAMES for e in ("", "^-1"))
-# each letter as a word in the eight octagon translations (x_k is k, x_k^-1
-# is k + 4), indexed by code: a1 = x0, b1 = x3, a2 = x3 x0 x1^-1, b2 = x1 x2^-1
-LETTER_X_WORDS = ((0,), (4,), (3,), (7,), (3, 0, 5), (1, 4, 7), (1, 6), (2, 5))
-# the inverse change of basis, x0 = a1, x1 = a2^-1 b1 a1,
+# the octagon translations in the generators, the inverse of the module
+# docstring's word assignment: x0 = a1, x1 = a2^-1 b1 a1,
 # x2 = b2^-1 a2^-1 b1 a1, x3 = b1: the words of PAIRING_WORDS
 _X_GENERATOR_WORDS = (
     "a1",
@@ -175,7 +173,7 @@ class Word:
 RELATOR = Word.parse("a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1")
 
 # the side pairings in the generators: x_k at index k maps side k+4 onto
-# side k, and x_k^-1 at index k + 4 (the index convention of LETTER_X_WORDS)
+# side k, and x_k^-1 at index k + 4
 _X_WORDS = tuple(Word.parse(w) for w in _X_GENERATOR_WORDS)
 PAIRING_WORDS = _X_WORDS + tuple(w.inverse() for w in _X_WORDS)
 
@@ -202,7 +200,7 @@ class SurfaceGroupRep:
     """
 
     generators: np.ndarray
-    label: str = "sigma"
+    label: str
 
     def __post_init__(self):
         arr = np.asarray(self.generators)
@@ -306,9 +304,10 @@ def as_word(word) -> Word:
 # the octagon representation
 # ---------------------------------------------------------------------------
 
-# the generators a1, b1, a2, b2 as 25-digit decimals: the products of
-# LETTER_X_WORDS in 50-digit arithmetic, rounded (tests/oracles.py derives
-# them and pins this table to the derivation)
+# the generators a1, b1, a2, b2 as 25-digit decimals: the products of the
+# module docstring's words in the octagon translations x_k, in 50-digit
+# arithmetic, rounded (tests/oracles.py derives them and pins this table to
+# the derivation)
 _OCTAGON_GENERATORS = (
     (
         ("10.65685424949238019520675", "0.0", "10.60983234999138909353584"),

@@ -7,6 +7,8 @@ axis vector ((B_i, B_i)# = 1, so its Killing norm 2 (B_i, B_i)# is 2).  Mass
 uses the sqrt2 operator-norm convention (admissible test forms have largest
 singular value <= sqrt2), under which mass(dw) = 2 * length.
 
+Each atom's B_i is axis_generator of its curve's image, which is unit and
+Ad-invariant by construction; the tests' oracles check both properties.
 Simplicity and disjointness of the curve words are NOT verified: the intended
 inputs are the curated handle curves and short simple words, and the formulas
 are evaluated on whatever data the caller supplies.
@@ -18,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Cocycle, _check_same_rep, evaluate_cocycle
+from .cocycle import Cocycle, check_same_rep, evaluate_cocycle
 from .fuchsian import SurfaceGroupRep, as_word, axis_generator, translation_length
 from .lorentz import mink_dot
-
-KILLING_NORM_TOL = 1e-9  # an atom generator B has |2 (B, B)# - 2| <= this
 
 
 @dataclass
@@ -73,20 +73,6 @@ class LieValuedMeasure:
     rep: SurfaceGroupRep
     atoms: list
 
-    def validate(self) -> "LieValuedMeasure":
-        for at in self.atoms:
-            if abs(2.0 * mink_dot(at.generator, at.generator) - 2.0) > KILLING_NORM_TOL:
-                raise ValueError("atom generator is not killing-normalized")
-            # g fixes only the multiples of its axis vector, so a normalized
-            # B is Ad-invariant iff it is +-axis_generator(g); its tilt off
-            # that axis, relative to the axis, keeps its resolution at every
-            # word length, where the drift |g B - B| rounds like max|g|
-            axis = axis_generator(self.rep.evaluate(at.word))
-            tilt = min(np.abs(at.generator - axis).max(), np.abs(at.generator + axis).max())
-            if tilt > 1e-8 * np.abs(axis).max():
-                raise ValueError("atom generator is not Ad-invariant along its curve")
-        return self
-
 
 def standard_measure(mc: WeightedMulticurve) -> LieValuedMeasure:
     """One atom per curve: B_i = axis vector, l_i = translation length."""
@@ -101,7 +87,7 @@ def standard_measure(mc: WeightedMulticurve) -> LieValuedMeasure:
                 generator=axis_generator(g),
             )
         )
-    return LieValuedMeasure(mc.rep, atoms).validate()
+    return LieValuedMeasure(mc.rep, atoms)
 
 
 def mass(m: LieValuedMeasure) -> float:
@@ -119,14 +105,13 @@ def mass_by_duality(m: LieValuedMeasure) -> float:
     return float(sum(at.weight * at.length * 2.0 * mink_dot(at.generator, at.generator) for at in m.atoms))
 
 
-def length(mc: WeightedMulticurve, rep: SurfaceGroupRep | None = None) -> float:
-    """sum b_i l(rep(gamma_i)); rep defaults to the multicurve's own."""
-    rep = rep if rep is not None else mc.rep
+def length(mc: WeightedMulticurve, rep: SurfaceGroupRep) -> float:
+    """sum b_i l(rep(gamma_i)), the multicurve's length in `rep`."""
     return sum(b * translation_length(rep.evaluate(w)) for w, b in mc.items)
 
 
 def pair(m: LieValuedMeasure, xi: Cocycle) -> float:
     """dw(d xi) = sum b_i 2 (B_i, alpha(gamma_i))#, the Killing pairing of
     each axis with the cocycle; vanishes on coboundaries."""
-    _check_same_rep(m.rep, xi.rep)
+    check_same_rep(m.rep, xi.rep)
     return sum(at.weight * 2.0 * mink_dot(at.generator, evaluate_cocycle(xi, at.word)) for at in m.atoms)

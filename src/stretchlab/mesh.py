@@ -129,7 +129,6 @@ class FundamentalMesh:
     lift_words: tuple             # distinct lift Words
     lift_id: np.ndarray           # (nv,) pos_i = sigma(lift_words[lift_id[i]]) pos_rep(class)
     class_rep_vertex: np.ndarray  # (nc,) chart index of each class representative
-    side_chains: np.ndarray       # (8, m) ordered vertex ids along the sides
     boundary_pairs: np.ndarray    # (nb, 3) rows (u, v, k): sigma(x_k) pos_u = pos_v, u on side k+4
     edge_twins: tuple             # per pairing k: (edge ids on side k+4, twin ids on side k, signs)
     areas: np.ndarray             # (nt,) exact angle-defect areas
@@ -140,7 +139,6 @@ class FundamentalMesh:
     tri_dxinv: np.ndarray         # (nt, 2, 2) inverse of the edge-coordinate matrix
     circumcenters: np.ndarray     # (nt, 3)
     frames: np.ndarray            # (nt, 2, 3) orthonormal oriented frame at the circumcenter
-    min_angle: float
     # per refinement l < level, the (ne_l, 2) level-l edges: vertex n_l + e is
     # the midpoint of edge e, where n_l counts the level-l vertices, which
     # keep their ids at every finer level
@@ -308,7 +306,6 @@ def build_octagon_mesh(level: int) -> FundamentalMesh:
         lift_words=tuple(lift_index),
         lift_id=lift_id,
         class_rep_vertex=root[first],
-        side_chains=chains,
         boundary_pairs=boundary_pairs.reshape(-1, 3),
         edge_twins=edge_twins,
         areas=areas,
@@ -319,7 +316,6 @@ def build_octagon_mesh(level: int) -> FundamentalMesh:
         tri_dxinv=tri_dxinv,
         circumcenters=circum,
         frames=frames,
-        min_angle=float(np.degrees(angles.min())),
         parent_edges=tuple(parent_edges),
         class_hierarchy=class_hierarchy,
     )

@@ -2,16 +2,17 @@
 with, helpers that only the tests use, and the cylinder rig: a second energy
 with a closed-form minimizer that checks `pharmonic._descend`."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from stretchlab import fuchsian, lorentz
-from stretchlab.cocycle import Cocycle, compose
-from stretchlab.earthquake import FD_STEP, TwistSpec, twist
+from stretchlab.cli import FD_STEP
+from stretchlab.cocycle import Cocycle, compose, evaluate_cocycle
+from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.fuchsian import (
     GENERATOR_NAMES,
-    LETTER_X_WORDS,
     OCTAGON_VERTICES,
     PAD,
     PAIRING_WORDS,
@@ -19,6 +20,7 @@ from stretchlab.fuchsian import (
     SurfaceGroupRep,
     Word,
     as_word,
+    axis_generator,
     octagon_representation,
     translation_length,
 )
@@ -33,6 +35,7 @@ from stretchlab.lorentz import (
     mink_dot,
     sharp_adj,
 )
+from stretchlab.lamination import LieValuedMeasure
 from stretchlab.mesh import DiscreteOneForm, FundamentalMesh, MeshError, _edge_ids, _midpoint, _triangle_wedges
 from stretchlab.pharmonic import (
     SIGN,
@@ -260,6 +263,11 @@ def hyperbolic_distance(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.arccosh(max(-mink_dot(X, Y), 1.0)))
 
 
+# each letter as a word in the eight octagon translations (x_k is k, x_k^-1
+# is k + 4), indexed by code: a1 = x0, b1 = x3, a2 = x3 x0 x1^-1, b2 = x1 x2^-1
+LETTER_X_WORDS = ((0,), (4,), (3,), (7,), (3, 0, 5), (1, 4, 7), (1, 6), (2, 5))
+
+
 def octagon_generators_oracle() -> np.ndarray:
     """Generator matrices from 50-digit arithmetic, rounded to longdouble."""
     import mpmath as mp
@@ -292,6 +300,48 @@ def octagon_generators_oracle() -> np.ndarray:
 
 def zero_cocycle(rep: SurfaceGroupRep) -> Cocycle:
     return Cocycle(rep, np.zeros((4, 3)))
+
+
+# the self-checks that Cocycle and LieValuedMeasure once carried: relator
+# tangency, and the unit Killing norm and Ad-invariance of each atom
+
+RELATOR_TANGENCY_TOL = 1e-8
+KILLING_NORM_TOL = 1e-9  # an atom generator B has |2 (B, B)# - 2| <= this
+
+
+def relator_tangency(alpha: Cocycle) -> float:
+    """Euclidean norm of the vector alpha(relator); <= tol iff alpha is a
+    valid cocycle.
+
+    Algebraically exact cocycles report the rounding of the extended-precision
+    evaluation, not 0: the relator's prefixes reach operator norm ~1e3, and
+    the unit-weight earthquake cocycles of the octagon and of its twist along
+    a1 by 0.5 report at most 8.3e-15.
+    """
+    r = evaluate_cocycle(Cocycle(alpha.rep, alpha.values.astype(np.longdouble)), RELATOR)
+    return float(np.sqrt((r * r).sum()))
+
+
+def validate_cocycle(alpha: Cocycle) -> Cocycle:
+    res = relator_tangency(alpha)
+    if res > RELATOR_TANGENCY_TOL:
+        raise ValueError(f"relator tangency {res:.3e} exceeds {RELATOR_TANGENCY_TOL:.1e}")
+    return alpha
+
+
+def validate_measure(m: LieValuedMeasure) -> LieValuedMeasure:
+    for at in m.atoms:
+        if abs(2.0 * mink_dot(at.generator, at.generator) - 2.0) > KILLING_NORM_TOL:
+            raise ValueError("atom generator is not killing-normalized")
+        # g fixes only the multiples of its axis vector, so a normalized
+        # B is Ad-invariant iff it is +-axis_generator(g); its tilt off
+        # that axis, relative to the axis, keeps its resolution at every
+        # word length, where the drift |g B - B| rounds like max|g|
+        axis = axis_generator(m.rep.evaluate(at.word))
+        tilt = min(np.abs(at.generator - axis).max(), np.abs(at.generator + axis).max())
+        if tilt > 1e-8 * np.abs(axis).max():
+            raise ValueError("atom generator is not Ad-invariant along its curve")
+    return m
 
 
 def stretch_ratio(word, sigma: SurfaceGroupRep, rho: SurfaceGroupRep) -> float:
@@ -691,6 +741,14 @@ def mesh_topology_oracle(level: int) -> dict:
     }
 
 
+@functools.cache
+def side_chains_oracle(level: int) -> np.ndarray:
+    """(8, m) ordered vertex ids along the octagon's sides, side j from
+    corner j-1 to corner j: mesh_topology_oracle's, whose numbering is the
+    mesh's."""
+    return mesh_topology_oracle(level)["side_chains"]
+
+
 # the per-row fallback loop that pharmonic._retract used before its array code
 
 
@@ -869,7 +927,7 @@ def _crossings(form: DiscreteOneForm, rep: SurfaceGroupRep):
     mats = rep.pairing_images()
     incr = np.empty((8, 3))
     for k in range(4):
-        chain = mesh.side_chains[k]
+        chain = side_chains_oracle(mesh.level)[k]
         y = chain[len(chain) // 2]
         yp = far[(pairing == k) & (near == y)][0]
         incr[k] = F[y] - mats[k] @ F[yp]
@@ -941,7 +999,7 @@ def loop_integral_oracle(form, word, rep: SurfaceGroupRep | None = None, base_ve
     mats = {}
     far, near, pairing = mesh.boundary_pairs.T
     for k in range(4):
-        chain = mesh.side_chains[k]
+        chain = side_chains_oracle(mesh.level)[k]
         y = chain[len(chain) // 2]
         yp = int(far[(pairing == k) & (near == y)][0])
         g = rep.evaluate(PAIRING_WORDS[k])
@@ -1421,16 +1479,18 @@ def _cylinder_grad(p: int, parts) -> np.ndarray:
     return coef * (-SIGN * nxt) + np.roll(coef, 1) * back
 
 
-def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None):
-    """The shared descent, `_descend`, on the rig's product of hyperboloids."""
+def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None, build=None):
+    """The shared descent, `_descend`, on the rig's product of hyperboloids;
+    `build` is `_descend`'s, by default H0 = 1e-2 I at every build: a first
+    step of 1e-2 G, after which the L-BFGS scaling (s, y)#/(y, H0 y)#
+    cancels the constant."""
     _check_p(p)
     opts = opts or SolveOptions()
     Z0 = rig.points.T.copy()
-    # H0 = 1e-2 I at every build: a first step of 1e-2 G, after which the
-    # L-BFGS scaling (s, y)#/(y, H0 y)# cancels the constant
     Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
                               lambda parts: _cylinder_grad(p, parts),
-                              Z0, _cylinder_energy(rig, p, Z0), lambda Z, parts: lambda Z, V: 1e-2 * V, opts)
+                              Z0, _cylinder_energy(rig, p, Z0), build or (lambda Z, parts: lambda Z, V: 1e-2 * V),
+                              opts)
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z.T.copy())
     stretch = float((J / rig.a_len) ** (1.0 / p))
     del stats["energy_log"]

@@ -26,11 +26,11 @@ from oracles import (
     random_group_elem,
     random_lie_alg,
     random_tangent,
+    relator_tangency,
     vee,
 )
 from stretchlab import lorentz
-from stretchlab.cli import p_continuation
-from stretchlab.cocycle import relator_tangency
+from stretchlab.cli import FD_STEP, p_continuation
 from stretchlab.earthquake import (
     TwistSpec,
     duality_check,
@@ -159,7 +159,7 @@ def test_criterion_3_mass_equals_twice_length(octagon, rng):
             )
             m = standard_measure(mc)
             total = mass(m)
-            assert abs(total - 2.0 * length(mc)) <= 1e-12
+            assert abs(total - 2.0 * length(mc, octagon)) <= 1e-12
             lb = mass_by_duality(m)
             assert lb == pytest.approx(total, rel=1e-12)
             # random admissible forms pair to at most the mass, the optimal
@@ -196,7 +196,7 @@ def test_criterion_5_length_derivative_formula(octagon):
                 if mc_curve == tw_curve:
                     continue
                 mc = WeightedMulticurve(octagon, [(mc_curve, 1.0)])
-                xi = earthquake_cocycle(octagon, tw_curve)
+                xi = earthquake_cocycle(octagon, tw_curve, 1.0)
                 got = length_derivative(mc, xi)
                 lp = length(mc, twist(octagon, TwistSpec(tw_curve, h)))
                 lm = length(mc, twist(octagon, TwistSpec(tw_curve, -h)))
@@ -214,7 +214,7 @@ def test_criterion_6_earthquake_duality(octagon, rng):
                 if mc_curve == tw_curve:
                     continue
                 mc = WeightedMulticurve(octagon, [(mc_curve, 1.0)])
-                rep = duality_check(octagon, mc, tw_curve)
+                rep = duality_check(octagon, mc, tw_curve, 1.0, FD_STEP)
                 assert rep.rel_err <= 1e-6, (mc_curve, tw_curve, rep)
         for _ in range(10):
             cob = coboundary(vee(random_lie_alg(rng)), octagon)
@@ -224,7 +224,7 @@ def test_criterion_6_earthquake_duality(octagon, rng):
             assert abs(pair(m, cob)) <= 1e-10
         for i, c1 in enumerate(CURVES):
             for c2 in CURVES[i:]:
-                rep = wolpert_reciprocity(octagon, c1, c2)
+                rep = wolpert_reciprocity(octagon, c1, c2, FD_STEP)
                 assert rep.rel_err <= 1e-5, (c1, c2, rep)
     _report(6, "earthquake duality / coboundary / Wolpert", t, 10.0)
 

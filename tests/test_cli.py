@@ -101,6 +101,14 @@ def test_wolpert_command(tmp_path):
     assert rep["worst_rel_err"] <= 1e-5
 
 
+@pytest.mark.parametrize("command, key", [("duality", "cases"), ("wolpert", "pairs")])
+def test_empty_check_list_is_config_error(tmp_path, capsys, command, key):
+    # an empty list checks nothing, so it cannot pass with a worst error of 0
+    assert run(tmp_path, command, {key: []}) == cli.EXIT_CONFIG
+    assert f"config error: {key} must be a nonempty list" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{command}_report.json").exists()
+
+
 def test_config_error_exit_code(tmp_path):
     assert run(tmp_path, "length", {"multicurve": "nonsense"}) == cli.EXIT_CONFIG
     assert run(tmp_path, "kbound", {"target": {"twist": {"curve": "zz", "t": 1}}}) == cli.EXIT_CONFIG

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import coboundary, finite_difference_cocycle, random_lie_alg, vee
-from stretchlab.cocycle import relator_tangency
+from oracles import coboundary, finite_difference_cocycle, random_lie_alg, relator_tangency, vee
+from stretchlab.cli import FD_STEP
 from stretchlab.earthquake import (
     TWIST_PARTNER,
     TwistSpec,
@@ -61,7 +61,7 @@ def test_earthquake_cocycle_closed_form(octagon):
     # at the octagon and at the reference twist (a1, t=0.5)
     for rep in (octagon, twist(octagon, TwistSpec("a1", 0.5))):
         for curve in CURVES:
-            xi = earthquake_cocycle(rep, curve)
+            xi = earthquake_cocycle(rep, curve, 1.0)
             # exact in algebra; the extended-precision evaluation leaves at
             # most 8.3e-15 on these eight
             assert relator_tangency(xi) <= 1e-13, (rep.label, curve)
@@ -81,7 +81,7 @@ def test_earthquake_cocycle_weight_linearity(octagon):
 
 def test_earthquake_pair_with_own_curve_vanishes(octagon):
     m = standard_measure(WeightedMulticurve(octagon, [("a1", 1.0)]))
-    assert abs(pair(m, earthquake_cocycle(octagon, "a1"))) <= 1e-12
+    assert abs(pair(m, earthquake_cocycle(octagon, "a1", 1.0))) <= 1e-12
 
 
 def test_length_derivative_vanishes_on_coboundary(octagon, rng):
@@ -107,20 +107,20 @@ def test_duality_all_twelve_pairs(octagon):
             if mc_curve == tw_curve:
                 continue
             mc = WeightedMulticurve(octagon, [(mc_curve, 1.0)])
-            rep = duality_check(octagon, mc, tw_curve)
+            rep = duality_check(octagon, mc, tw_curve, 1.0, FD_STEP)
             assert rep.rel_err <= 1e-6, (mc_curve, tw_curve, rep)
 
 
 def test_duality_self_twist_both_sides_zero(octagon):
     mc = WeightedMulticurve(octagon, [("a1", 1.0)])
-    rep = duality_check(octagon, mc, "a1")
+    rep = duality_check(octagon, mc, "a1", 1.0, FD_STEP)
     assert abs(rep.lhs) <= 1e-9 and abs(rep.rhs) <= 1e-12
 
 
 def test_duality_weight_doubles_both_sides(octagon):
     mc = WeightedMulticurve(octagon, [("b1", 1.0)])
-    r1 = duality_check(octagon, mc, "a1", weight=1.0)
-    r2 = duality_check(octagon, mc, "a1", weight=2.0)
+    r1 = duality_check(octagon, mc, "a1", 1.0, FD_STEP)
+    r2 = duality_check(octagon, mc, "a1", 2.0, FD_STEP)
     assert r2.lhs == pytest.approx(2.0 * r1.lhs, rel=1e-5)
     assert r2.rhs == pytest.approx(2.0 * r1.rhs, rel=1e-12)
 
@@ -128,27 +128,27 @@ def test_duality_weight_doubles_both_sides(octagon):
 def test_duality_on_longer_words(octagon):
     mc = WeightedMulticurve(octagon, [("a1 b1", 1.0), ("b2 a2^-1", 0.7)])
     for tw_curve in CURVES:
-        rep = duality_check(octagon, mc, tw_curve)
+        rep = duality_check(octagon, mc, tw_curve, 1.0, FD_STEP)
         assert rep.rel_err <= 1e-6, (tw_curve, rep)
 
 
 def test_wolpert_reciprocity_symmetric(octagon):
-    rep = wolpert_reciprocity(octagon, "a1", "b1")
+    rep = wolpert_reciprocity(octagon, "a1", "b1", FD_STEP)
     assert rep.rel_err <= 1e-5
     assert abs(rep.lhs) > 1e-3  # genuinely nonzero for crossing curves
 
 
 def test_wolpert_self_pair_zero(octagon):
-    rep = wolpert_reciprocity(octagon, "a1", "a1")
+    rep = wolpert_reciprocity(octagon, "a1", "a1", FD_STEP)
     assert abs(rep.lhs) <= 1e-10 and abs(rep.rhs) <= 1e-10
 
 
 def test_wolpert_disjoint_handles_zero(octagon):
-    rep = wolpert_reciprocity(octagon, "a1", "a2")
+    rep = wolpert_reciprocity(octagon, "a1", "a2", FD_STEP)
     assert abs(rep.lhs) <= 1e-9 and abs(rep.rhs) <= 1e-9
 
 
 def test_wolpert_cosine_value(octagon):
     # the a1 and b1 axes cross once; |dl_{b1}/dt_{a1}| = cos(angle) = cos(pi/4)
-    rep = wolpert_reciprocity(octagon, "a1", "b1")
+    rep = wolpert_reciprocity(octagon, "a1", "b1", FD_STEP)
     assert abs(rep.lhs) == pytest.approx(np.cos(np.pi / 4), abs=1e-6)

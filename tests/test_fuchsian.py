@@ -136,7 +136,7 @@ def test_validate_rejects_nan_relator_residual(octagon):
     gens = octagon.generators.copy()
     gens[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="relator residual"):
-        fuchsian.SurfaceGroupRep(gens).validate()
+        fuchsian.SurfaceGroupRep(gens, "nan").validate()
 
 
 def test_evaluate_homomorphism(octagon, rng):

@@ -14,6 +14,7 @@ from oracles import (
     lie_from_frame_coords,
     random_group_elem,
     random_lie_alg,
+    validate_measure,
     vee,
     words_from_codes,
 )
@@ -55,7 +56,7 @@ def test_multicurve_rejects_conjugate_words(octagon):
 
 def test_standard_measure_single_curve(octagon):
     m = standard_measure(mc_of(octagon, ("a1", 1.0)))
-    m.validate()
+    validate_measure(m)
     assert len(m.atoms) == 1
     at = m.atoms[0]
     assert at.length == pytest.approx(OCTAGON_LENGTH, abs=1e-9)
@@ -70,7 +71,7 @@ def test_standard_measure_accepts_long_words(octagon, rng):
     words = words_from_codes(all_words_oracle(6))
     six = [w for w in words if len(w) == 6]
     for w in [w for w in words if len(w) <= 4] + [six[i] for i in rng.choice(len(six), 200, replace=False)]:
-        standard_measure(mc_of(octagon, (w, 1.0)))
+        validate_measure(standard_measure(mc_of(octagon, (w, 1.0))))
 
 
 @pytest.mark.parametrize("word", ["a1", "a1 b1 a2 b2", "a1 b1^-1 a2 a2 b2 b1"])
@@ -82,7 +83,7 @@ def test_validate_rejects_perturbed_generator(octagon, rng, word):
     b = at.generator + 1e-6 * vee(random_lie_alg(rng))
     at.generator = b * np.sqrt(1.0 / mink_dot(b, b))
     with pytest.raises(ValueError, match="not Ad-invariant"):
-        LieValuedMeasure(octagon, [at]).validate()
+        validate_measure(LieValuedMeasure(octagon, [at]))
 
 
 def test_standard_measure_empty(octagon):
@@ -94,7 +95,7 @@ def test_standard_measure_empty(octagon):
 def test_standard_measure_weight_scaling(octagon):
     m1 = standard_measure(mc_of(octagon, ("a1", 1.0)))
     m2 = standard_measure(mc_of(octagon, ("a1", 2.0)))
-    xi = earthquake_cocycle(octagon, "b1")
+    xi = earthquake_cocycle(octagon, "b1", 1.0)
     assert pair(m2, xi) == pytest.approx(2.0 * pair(m1, xi), rel=1e-12)
 
 
@@ -112,7 +113,7 @@ def test_mass_equals_twice_length_random_multicurves(octagon, rng):
         items = [(words[i], float(rng.uniform(0.1, 3.0))) for i in picks]
         mc = mc_of(octagon, *items)
         m = standard_measure(mc)
-        assert abs(mass(m) - 2.0 * length(mc)) <= 1e-12
+        assert abs(mass(m) - 2.0 * length(mc, octagon)) <= 1e-12
 
 
 def test_mass_scales_linearly(octagon):
@@ -146,11 +147,11 @@ def test_length_additive_and_twist_invariant(octagon):
     mc1 = mc_of(octagon, ("a1", 1.0))
     mc2 = mc_of(octagon, ("b2", 0.7))
     both = mc_of(octagon, ("a1", 1.0), ("b2", 0.7))
-    assert length(both) == pytest.approx(length(mc1) + length(mc2), rel=1e-12)
-    assert length(mc1) == pytest.approx(OCTAGON_LENGTH, abs=1e-9)
+    assert length(both, octagon) == pytest.approx(length(mc1, octagon) + length(mc2, octagon), rel=1e-12)
+    assert length(mc1, octagon) == pytest.approx(OCTAGON_LENGTH, abs=1e-9)
     # twisting along a1 leaves sigma(a1) unchanged
     rho = twist(octagon, TwistSpec("a1", 1.3))
-    assert length(mc1, rho) == pytest.approx(length(mc1), abs=1e-10)
+    assert length(mc1, rho) == pytest.approx(length(mc1, octagon), abs=1e-10)
 
 
 def test_pair_vanishes_on_coboundaries(octagon, rng):
@@ -164,14 +165,14 @@ def test_pair_vanishes_on_coboundaries(octagon, rng):
 
 def test_pair_self_twist_is_zero(octagon):
     m = standard_measure(mc_of(octagon, ("a1", 1.0)))
-    xi = earthquake_cocycle(octagon, "a1")
+    xi = earthquake_cocycle(octagon, "a1", 1.0)
     assert abs(pair(m, xi)) <= 1e-12
 
 
 def test_pair_matches_finite_difference_length_derivative(octagon):
     # {(b1,1)} against the a1-twist cocycle: 2 x d l_{b1}/dt
     m = standard_measure(mc_of(octagon, ("b1", 1.0)))
-    xi = earthquake_cocycle(octagon, "a1")
+    xi = earthquake_cocycle(octagon, "a1", 1.0)
     h = 1e-4
     lp = translation_length(twist(octagon, TwistSpec("a1", h)).generator("b1"))
     lm = translation_length(twist(octagon, TwistSpec("a1", -h)).generator("b1"))
@@ -183,7 +184,7 @@ def test_pair_gauge_invariance(octagon, rng):
     # conjugating every atom generator and the cocycle value, as matrices,
     # by a common g fixes pair, the Killing form of the two
     m = standard_measure(mc_of(octagon, ("a1", 1.0), ("b2", 0.6)))
-    xi = earthquake_cocycle(octagon, "b1")
+    xi = earthquake_cocycle(octagon, "b1", 1.0)
     g = random_group_elem(rng)
     gi = lorentz.group_inv(g)
     from stretchlab.cocycle import evaluate_cocycle

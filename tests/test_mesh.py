@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stretchlab import lorentz
-from stretchlab.cocycle import relator_tangency
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.fuchsian import PAIRING_WORDS, RELATOR, Word, octagon_representation
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
@@ -22,6 +21,8 @@ from oracles import (
     mesh_geometry_oracle,
     mesh_topology_oracle,
     random_lie_alg,
+    relator_tangency,
+    side_chains_oracle,
     vee,
     wedge_pair,
 )
@@ -113,18 +114,17 @@ def test_mesh_arrays_match_triangle_loop(level):
     # and tolerance twin search they replaced, bit for bit
     m = build_octagon_mesh(level)
     topo = mesh_topology_oracle(level)
-    for name in ("vertices", "triangles", "side_chains", "edges", "tri_edges", "tri_edge_sign",
-                 "vertex_class", "class_rep_vertex"):
+    for name in ("vertices", "triangles", "edges", "tri_edges", "tri_edge_sign", "vertex_class",
+                 "class_rep_vertex"):
         got, want = getattr(m, name), topo[name]
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert [m.lift_words[i] for i in m.lift_id] == topo["vertex_lift"]
     ref = mesh_geometry_oracle(m.vertices, m.triangles)
     for name in ("areas", "circumcenters", "frames", "tri_coords", "tri_dxinv"):
         assert np.array_equal(getattr(m, name), ref[name]), name
-    assert m.min_angle == ref["min_angle"]
-    pairs = boundary_pairs_oracle(m.vertices, m.side_chains)
+    pairs = boundary_pairs_oracle(m.vertices, topo["side_chains"])
     assert np.array_equal(m.boundary_pairs, np.array(pairs))
-    twins = edge_twins_oracle(pairs, m.side_chains, lambda a, b: _edge_ids(m.edges, a, b))
+    twins = edge_twins_oracle(pairs, topo["side_chains"], lambda a, b: _edge_ids(m.edges, a, b))
     assert len(m.edge_twins) == len(twins) == 4
     for got, want in zip(m.edge_twins, twins):
         for a, b in zip(got, want):
@@ -195,13 +195,15 @@ def test_start_points_of_the_octagon_rep_are_the_class_points(level):
 
 def test_corner_classes_glue_to_one_point(meshes):
     m = meshes[1]
-    corner_ids = [ch[0] for ch in m.side_chains] + [ch[-1] for ch in m.side_chains]
+    chains = side_chains_oracle(1)
+    corner_ids = [ch[0] for ch in chains] + [ch[-1] for ch in chains]
     assert len({int(m.vertex_class[i]) for i in corner_ids}) == 1
 
 
 def test_min_angle(meshes):
     for lvl in LEVELS:
-        assert meshes[lvl].min_angle >= 15.0
+        m = meshes[lvl]
+        assert mesh_geometry_oracle(m.vertices, m.triangles)["min_angle"] >= 15.0
 
 
 def test_positively_oriented(meshes):
@@ -234,7 +236,7 @@ def test_maurer_cartan_equivariance_across_pairings(meshes):
         twin_vertex.setdefault(k, {})[u] = v
     for k in range(4):
         g = m.rep.evaluate(PAIRING_WORDS[k])
-        chain = m.side_chains[(k + 4) % 8]
+        chain = side_chains_oracle(m.level)[(k + 4) % 8]
         for a, b in zip(chain, chain[1:]):
             ta, tb = twin_vertex[k][a], twin_vertex[k][b]
             lhs = g @ hat(edge_value(omega, a, b)) @ lorentz.group_inv(g)

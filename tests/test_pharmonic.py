@@ -166,6 +166,33 @@ def test_cylinder_iterations_are_pinned():
             assert rep["stretch"] == pytest.approx(1.5, abs=1.1e-10)
 
 
+def test_descend_restarts_then_fails_on_an_ascent_preconditioner():
+    # after the first accepted step H0 turns the field it makes a direction
+    # of (G alone, or the L-BFGS recursion's q) into an ascent, -1e-2 of it,
+    # while the recursion's y keeps +1e-2 and so the scaling's sign: the
+    # L-BFGS direction then fails, the descent restarts along H0 G with an
+    # empty memory, and that fails as a line-search failure
+    calls = []
+
+    def build(Z, parts):
+        def precond(Z, V):
+            calls.append(V.ndim)
+            out = 1e-2 * V
+            if len(calls) > 1:
+                (out[0] if V.ndim == 3 else out)[...] *= -1.0
+            return out
+        return precond
+
+    max_iter = 50
+    _, rep = cylinder_minimize(CylinderRig.initial(2.0, 3.0, 64), 2, SolveOptions(max_iter=max_iter), build)
+    # H0 G, then the L-BFGS pair (q, y) as one stack, then H0 G again
+    assert calls == [2, 3, 2]
+    assert rep["restarts"] == 1 and rep["line_search_failure"] and not rep["converged"]
+    assert rep["iterations"] == 1
+    assert rep["grad_evals"] == rep["iterations"] + 1 + rep["wolfe_rejections"]
+    assert rep["iterations"] + rep["restarts"] <= max_iter
+
+
 def test_cylinder_stage_values_stay_at_stretch():
     _, reports = cylinder_continuation(2.0, 3.0, n=48, schedule=(2, 8, 32, 64), seed=2)
     for rep in reports:
