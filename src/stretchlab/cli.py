@@ -16,7 +16,8 @@ target).  `solve` also writes two files per p-stage: `solve_stage_p{p}.csv`,
 the per-triangle data, and `stage_p{p}.npz`, the config hash and the stage's
 class points, written once; a rerun with the same config resumes from these.
 
-Exit codes: 0 pass, 2 config error, 3 numeric failure, 4 threshold breach.
+Exit codes: 0 pass, 2 config error, 3 numeric failure, 4 threshold breach;
+mass and length exit 3 when a total they report is not finite.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .earthquake import TwistSpec, duality_check, twist, wolpert_reciprocity
 from .fuchsian import NonHyperbolicError, SurfaceGroupRep, octagon_representation
 from .lamination import WeightedMulticurve, length, mass, mass_by_duality, standard_measure
 from .mesh import build_octagon_mesh
-from .pharmonic import SolveOptions, density_and_currents, minimize, relation_checks
+from .pharmonic import density_and_currents, minimize, relation_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,6 +51,10 @@ MAX_MESH_LEVEL = 7
 # the central-difference step of the twist family's length derivatives
 # (duality and wolpert, "step")
 FD_STEP = 1e-4
+# solve's stationarity test, |grad| <= tol * max(1, J_p), and its budget of
+# iterations plus restarts per p-stage ("tol" and "max_iter")
+TOL = 1e-7
+MAX_ITER = 6000
 
 DEFAULT_TOLERANCES = {
     "relator_residual": fuchsian.RELATOR_TOL,
@@ -184,7 +189,7 @@ def cmd_length(config: dict, outdir: str, report: dict) -> int:
         rows.append({"word": str(w), "weight": b, "length": l, "weighted": b * l})
     report["lengths"] = rows
     report["total_length"] = float(length(mc, rep))
-    return EXIT_OK
+    return EXIT_OK if np.isfinite(report["total_length"]) else EXIT_NUMERIC
 
 
 def cmd_kbound(config: dict, outdir: str, report: dict) -> int:
@@ -238,6 +243,8 @@ def cmd_mass(config: dict, outdir: str, report: dict) -> int:
     report["duality_lower_bound"] = lb
     report["mass_minus_two_length"] = abs(total - twol)
     report["duality_gap"] = abs(lb - total)
+    if not np.isfinite([total, twol, lb]).all():
+        return EXIT_NUMERIC
     ok = (
         abs(total - twol) <= DEFAULT_TOLERANCES["mass_exact"] * max(1.0, total)
         and lb <= total + 1e-9
@@ -284,20 +291,16 @@ def _write_stage_csv(outdir, res, prefixes):
             fh.write("".join(f"{head}{s1!r},{s2!r},{d!r}\r\n" for head, s1, s2, d in rows))
 
 
-def p_continuation(mesh, rho, schedule, opts: SolveOptions, resumed: dict):
-    """Warm-started continuation in p: each stage minimizes J_p from the last
-    stage's map (the first from rho's own refined octagon, `minimize`'s
-    default start) and is yielded with its currents and `relation_checks`
-    residuals, and the time they took in its `timings`.  A stage in
-    `resumed` (p -> class points) is instead re-measured at those points.
+def p_continuation(mesh, rho, schedule, tol: float, max_iter: int, resumed: dict):
+    """Warm-started continuation in p: each stage minimizes J_p to tol within
+    max_iter from the last stage's map (the first from `minimize`'s default
+    start) and is yielded with its currents, `relation_checks` residuals
+    and the time they took in its `timings`.  A stage in `resumed` (p ->
+    class points) is re-measured there with a budget of 0, taking no step.
     """
     Z = None
     for p in pharmonic.check_schedule(schedule):
-        if p in resumed:
-            # a budget of 0 re-measures the tolerance test at the loaded point
-            res = minimize(mesh, rho, p, init=resumed[p], opts=SolveOptions(tol=opts.tol, max_iter=0))
-        else:
-            res = minimize(mesh, rho, p, init=Z, opts=opts)
+        res = minimize(mesh, rho, p, tol, 0 if p in resumed else max_iter, init=resumed.get(p, Z))
         Z = res.class_points
         start = time.perf_counter()
         density_and_currents(res)
@@ -313,8 +316,8 @@ def cmd_solve(config: dict, outdir: str, report: dict) -> int:
         schedule = pharmonic.check_schedule(config.get("p_schedule", [2, 4, 8, 16, 32, 64]))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    opts = SolveOptions(tol=_real_setting(config, "tol", SolveOptions.tol, 0.0),
-                        max_iter=_int_setting(config, "max_iter", SolveOptions.max_iter, 0))
+    tol = _real_setting(config, "tol", TOL, 0.0)
+    max_iter = _int_setting(config, "max_iter", MAX_ITER, 0)
     level = _int_setting(config, "mesh_level", 3, 0, MAX_MESH_LEVEL)
     sigma = octagon_representation()
     rho = _build_rep(config.get("target"))
@@ -340,7 +343,7 @@ def cmd_solve(config: dict, outdir: str, report: dict) -> int:
 
     stage_rows = []
     prefixes = _csv_row_prefixes(mesh.areas)
-    for res in p_continuation(mesh, rho, schedule, opts, resumed):
+    for res in p_continuation(mesh, rho, schedule, tol, max_iter, resumed):
         stage_rows.append({
             "p": res.p, "J_p": res.J_p,
             "J_start": res.energy_log[0],  # J_p at the stage's start map

@@ -22,7 +22,7 @@ import numpy as np
 from .cocycle import Cocycle
 from .fuchsian import GENERATOR_NAMES, SurfaceGroupRep, axis_generator, translation_length
 from .lamination import WeightedMulticurve, length, pair, standard_measure
-from .lorentz import exp_so21, hat
+from .lorentz import exp_axis
 
 # curve -> the generator rewritten by its twist
 TWIST_PARTNER = {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"}
@@ -50,7 +50,7 @@ def twist(rep: SurfaceGroupRep, spec: TwistSpec) -> SurfaceGroupRep:
     partner = TWIST_PARTNER[spec.curve]
     gens = rep.letter_table[0::2].copy()
     idx = GENERATOR_NAMES.index(partner)
-    gens[idx] = gens[idx] @ exp_so21(np.longdouble(spec.amount) * hat(b))
+    gens[idx] = gens[idx] @ exp_axis(b, spec.amount)
     return SurfaceGroupRep(gens, label=f"{rep.label}+twist({spec.curve},{spec.amount:g})")
 
 

@@ -230,7 +230,7 @@ class SurfaceGroupRep:
         """(8, 3, 3) float64 images of the pairing letters:
         evaluate(PAIRING_WORDS[k]) at k < 4 and its group inverse at k + 4."""
         xs = [self.evaluate(w) for w in PAIRING_WORDS[:4]]
-        return np.array([*xs, *map(lorentz.group_inv, xs)])
+        return np.array([*xs, *map(sharp_adj, xs)])
 
     def relator_residual(self) -> float:
         r = self.evaluate_ld(RELATOR) - np.eye(3, dtype=np.longdouble)

@@ -6,14 +6,14 @@ orientation-preserving isometry group is SO+(2,1) acting by matrices g with
 g^T e# g = e#, det g = 1.  The Lie algebra so(2,1) consists of traceless
 matrices with A# = -A, where A# = e# A^T e#; `hat` identifies it with
 R^{2,1} itself, Ad(g) with g acting on vectors and the Killing form with
-twice (,)#.  Every A in so(2,1) satisfies the cubic identity A^3 = k A with
-k = Tr(A^2)/2, which gives the exponential in closed form with three
-branches (a series in k near 0, hyperbolic for k > 0, elliptic for k < 0).
+twice (,)#.  Along a unit spacelike axis b, (b, b)# = 1, hat(b)^3 = hat(b)
+gives exp(t hat(b)) = I + sinh t hat(b) + 2 sinh^2(t/2) hat(b)^2, with no
+branch and no cancellation near t = 0 (`exp_axis`).
 
 Vectors are plain numpy arrays of shape (3,) and group elements arrays of
 shape (3, 3).  Every other module stores an so(2,1) value as its vector w,
 transports it by g w and pairs it by 2 (,)#; this module alone knows the
-matrix hat(w), which `exp_so21` takes.
+matrix hat(w), which `exp_axis` builds.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ import numpy as np
 
 E_SHARP = np.diag([1.0, 1.0, -1.0])
 X0 = np.array([0.0, 0.0, 1.0])
-
-# the exponential sums its series below |k| = 1, where cosh w - 1 and
-# 1 - cos w cancel (to a relative error of 1e-8 at |k| = 1e-8)
-EXP_SERIES_CUTOFF = 1.0
 
 
 def mink_dot(X: np.ndarray, Y: np.ndarray):
@@ -40,11 +36,6 @@ def mink_dot(X: np.ndarray, Y: np.ndarray):
 def sharp_adj(M: np.ndarray) -> np.ndarray:
     """M# = e# M^T e#; the adjoint with respect to (,)#."""
     return E_SHARP @ M.T @ E_SHARP
-
-
-def group_inv(g: np.ndarray) -> np.ndarray:
-    """Inverse of g in O(2,1), g^-1 = g#."""
-    return sharp_adj(g)
 
 
 def normalize_to_hyperboloid(X: np.ndarray) -> np.ndarray:
@@ -95,38 +86,15 @@ def is_group_elem(g: np.ndarray) -> bool:
     return (g @ X0)[2] > 0
 
 
-def _exp_coeffs(k):
-    """f1, f2 with exp(A) = I + f1 A + f2 A^2 for A^3 = k A (dtype-preserving)."""
-    if abs(k) < EXP_SERIES_CUTOFF:
-        # f1 = sum k^n / (2n+1)!, f2 = sum k^n / (2n+2)! through k^9, nested;
-        # the remainder is below 1e-19
-        f1 = f2 = 1.0
-        for n in range(9, 0, -1):
-            f1 = 1.0 + k / ((2 * n) * (2 * n + 1)) * f1
-            f2 = 1.0 + k / ((2 * n + 1) * (2 * n + 2)) * f2
-        f2 = 0.5 * f2
-    elif k > 0:
-        w = np.sqrt(k)
-        f1 = np.sinh(w) / w
-        f2 = (np.cosh(w) - 1.0) / k
-    else:
-        w = np.sqrt(-k)
-        f1 = np.sin(w) / w
-        f2 = (1.0 - np.cos(w)) / (-k)
-    return f1, f2
-
-
-def exp_so21(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential on so(2,1) via the cubic identity A^3 = kA.
-
-    k = Tr(A^2)/2 selects the series in k (|k| < EXP_SERIES_CUTOFF) or the
-    hyperbolic (k > 0) or elliptic (k < 0) closed form.  The input dtype
-    (e.g. longdouble) is preserved.
+def exp_axis(b: np.ndarray, t) -> np.ndarray:
+    """exp(t hat(b)), the translation by t along a unit spacelike axis b,
+    (b, b)# = 1: hat(b)^3 = hat(b) gives I + sinh t hat(b) + (cosh t - 1)
+    hat(b)^2, with cosh t - 1 = 2 sinh^2(t/2), which does not cancel near
+    t = 0.  Computed in b's dtype (longdouble passes through).
     """
-    A2 = A @ A
-    k = 0.5 * np.trace(A2)
-    f1, f2 = _exp_coeffs(k)
-    return np.eye(3, dtype=A.dtype) + f1 * A + f2 * A2
+    t = b.dtype.type(t)
+    B = hat(b)
+    return np.eye(3, dtype=b.dtype) + np.sinh(t) * B + 2 * np.sinh(t / 2) ** 2 * (B @ B)
 
 
 def log_map(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

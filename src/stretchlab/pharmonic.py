@@ -63,7 +63,7 @@ from .mesh import DiscreteOneForm, FundamentalMesh, closedness_residual, edge_av
 
 
 # ---------------------------------------------------------------------------
-# options and result
+# descent constants and result
 # ---------------------------------------------------------------------------
 
 # descent: Armijo constant, halvings before a line search fails, the
@@ -75,12 +75,6 @@ MAX_BACKTRACKS = 60
 WOLFE_EPS = 1e-10
 LBFGS_MEMORY = 8
 FIRST_REBUILD = 16
-
-
-@dataclass
-class SolveOptions:
-    tol: float = 1e-7          # stationarity: |grad| <= tol * max(1, J_p)
-    max_iter: int = 6000
 
 
 @dataclass
@@ -611,7 +605,7 @@ def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, precond, ring: np.ndarray, li
     return _project(Z, r)
 
 
-def _descend(energy, grad, Z: np.ndarray, start, build, opts: SolveOptions):
+def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: int):
     """Riemannian L-BFGS with an approximate-Wolfe line search on (3, n)
     points Z, one hyperboloid point per column, preconditioned by H0 =
     build(Z, extra): a callable precond(Z, V), a symmetric positive map of
@@ -639,11 +633,11 @@ def _descend(energy, grad, Z: np.ndarray, start, build, opts: SolveOptions):
     preallocated ring of LBFGS_MEMORY + 1 slots, which is projected on T_Z+
     in place after each step (the vector transport), and a pair is kept
     while (s, y)# > 0.  A failed line search clears the memory and retries
-    along H0 G (`restarts`, counted in the budget with the accepted steps
-    `iterations`); failing there is a line-search failure.  `converged`
-    means |G| <= tol max(1, J), tested at every iterate, so a budget of 0
-    reports whether the start point is stationary.  Returns the last
-    iterate, its energy and extra, and the run statistics.
+    along H0 G (`restarts`, counted in the budget max_iter with the accepted
+    steps `iterations`); failing there is a line-search failure.
+    `converged` means |G| <= tol max(1, J), tested at every iterate, so a
+    budget of 0 reports whether the start point is stationary.  Returns
+    the last iterate, its energy and extra, and the run statistics.
     """
     J, extra = start
     G = _riemannian_grad(Z, grad(extra))
@@ -654,10 +648,10 @@ def _descend(energy, grad, Z: np.ndarray, start, build, opts: SolveOptions):
     precond, rebuild_at, build_s = None, FIRST_REBUILD, 0.0
     while True:
         gnorm2 = _norm2(G)
-        if np.sqrt(gnorm2) <= opts.tol * max(1.0, J):
+        if np.sqrt(gnorm2) <= tol * max(1.0, J):
             converged = True
             break
-        if iterations + restarts >= opts.max_iter:
+        if iterations + restarts >= max_iter:
             break
         if iterations >= rebuild_at:
             precond, rebuild_at = None, 2 * rebuild_at
@@ -718,12 +712,14 @@ def minimize(
     mesh: FundamentalMesh,
     rho: SurfaceGroupRep,
     p: int,
-    opts: SolveOptions,
+    tol: float,
+    max_iter: int,
     init: np.ndarray | None = None,
 ) -> SolveResult:
-    """Minimization of J_p over equivariant maps by `_descend`, from the
-    (nc, 3) class points `init`, by default `mesh.start_points(rho)`: the
-    map onto rho's own octagon, refined as the mesh is.  On the reference
+    """Minimization of J_p over equivariant maps by `_descend`, with its tol
+    and max_iter (`solve` takes `cli.TOL` and `cli.MAX_ITER` by default),
+    from the (nc, 3) class points `init`, by default `mesh.start_points(rho)`:
+    the map onto rho's own octagon, refined as the mesh is.  On the reference
     twist its J_2 is within 0.7% of the minimum, where the domain's class
     points start 4.9x above it at level 3 and 10x at level 4.
 
@@ -738,7 +734,8 @@ def minimize(
     # the start is evaluated once, for the first H0 and the descent
     start = time.perf_counter()
     Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p), lambda m: _grad_from_metric(ctx, m),
-                              Z0, _energy_and_grad(ctx, Z0, p), lambda Z, m: _VCycle(ctx, mesh, Z, m), opts)
+                              Z0, _energy_and_grad(ctx, Z0, p), lambda Z, m: _VCycle(ctx, mesh, Z, m),
+                              tol, max_iter)
     precond_s, energy_log = stats.pop("precond_s"), stats.pop("energy_log")
     timings = {"precond_s": precond_s, "descent_s": time.perf_counter() - start - precond_s}
     s1, s2 = np.sqrt(_eigenvalues(m))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stretchlab import fuchsian, lorentz
-from stretchlab.cli import FD_STEP
+from stretchlab.cli import FD_STEP, MAX_ITER, TOL
 from stretchlab.cocycle import Cocycle, compose, evaluate_cocycle
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.fuchsian import (
@@ -27,8 +27,6 @@ from stretchlab.fuchsian import (
 from stretchlab.lorentz import (
     E_SHARP,
     X0,
-    exp_so21,
-    group_inv,
     hat,
     log_map,
     mink_cross_vec,
@@ -40,7 +38,6 @@ from stretchlab.mesh import DiscreteOneForm, FundamentalMesh, MeshError, _edge_i
 from stretchlab.pharmonic import (
     SIGN,
     SIGN3,
-    SolveOptions,
     _check_p,
     _Context,
     _csum,
@@ -65,6 +62,49 @@ def killing(A: np.ndarray, B: np.ndarray):
     Returns a numpy scalar in the common dtype of the inputs.
     """
     return np.tensordot(A, B.T, axes=2)
+
+
+# the general so(2,1) exponential, via the cubic identity A^3 = k A with
+# k = Tr(A^2)/2; the package only exponentiates along a unit axis
+# (`lorentz.exp_axis`)
+
+# the exponential sums its series below |k| = 1, where cosh w - 1 and
+# 1 - cos w cancel (to a relative error of 1e-8 at |k| = 1e-8)
+EXP_SERIES_CUTOFF = 1.0
+
+
+def _exp_coeffs(k):
+    """f1, f2 with exp(A) = I + f1 A + f2 A^2 for A^3 = k A (dtype-preserving)."""
+    if abs(k) < EXP_SERIES_CUTOFF:
+        # f1 = sum k^n / (2n+1)!, f2 = sum k^n / (2n+2)! through k^9, nested;
+        # the remainder is below 1e-19
+        f1 = f2 = 1.0
+        for n in range(9, 0, -1):
+            f1 = 1.0 + k / ((2 * n) * (2 * n + 1)) * f1
+            f2 = 1.0 + k / ((2 * n + 1) * (2 * n + 2)) * f2
+        f2 = 0.5 * f2
+    elif k > 0:
+        w = np.sqrt(k)
+        f1 = np.sinh(w) / w
+        f2 = (np.cosh(w) - 1.0) / k
+    else:
+        w = np.sqrt(-k)
+        f1 = np.sin(w) / w
+        f2 = (1.0 - np.cos(w)) / (-k)
+    return f1, f2
+
+
+def exp_so21(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential on so(2,1) via the cubic identity A^3 = kA.
+
+    k = Tr(A^2)/2 selects the series in k (|k| < EXP_SERIES_CUTOFF) or the
+    hyperbolic (k > 0) or elliptic (k < 0) closed form.  The input dtype
+    (e.g. longdouble) is preserved.
+    """
+    A2 = A @ A
+    k = 0.5 * np.trace(A2)
+    f1, f2 = _exp_coeffs(k)
+    return np.eye(3, dtype=A.dtype) + f1 * A + f2 * A2
 
 
 def exp_series_oracle(A: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -173,7 +213,7 @@ def frame_invariance_defect(
     """
     frame_at(B, X)  # validates the (B, X) frame data
     g = exp_so21(t * B)
-    M = g @ A @ lorentz.group_inv(g)
+    M = g @ A @ sharp_adj(g)
     D = M - cross(M @ X, X)
     return float(np.sqrt(abs(killing(D, D))))
 
@@ -472,7 +512,7 @@ def differentiate_family(
     vals = []
     for n in GENERATOR_NAMES:
         d = (plus.generator(n) - minus.generator(n)) / (2.0 * step)
-        a = d @ group_inv(rep.generator(n))
+        a = d @ sharp_adj(rep.generator(n))
         a = 0.5 * (a - sharp_adj(a))  # project to so(2,1)
         vals.append(a - np.trace(a) / 3.0 * np.eye(3))
     return Cocycle(rep, vee(np.array(vals)))
@@ -1005,10 +1045,10 @@ def loop_integral_oracle(form, word, rep: SurfaceGroupRep | None = None, base_ve
         g = rep.evaluate(PAIRING_WORDS[k])
         P1 = _path_sum(form, _bfs_path(mesh, base_vertex, y))
         P2 = _path_sum(form, _bfs_path(mesh, yp, base_vertex))
-        incr[k] = P1 + g @ P2 @ lorentz.group_inv(g)
+        incr[k] = P1 + g @ P2 @ sharp_adj(g)
         mats[k] = g
-        incr[k + 4] = -(lorentz.group_inv(g) @ incr[k] @ g)
-        mats[k + 4] = lorentz.group_inv(g)
+        incr[k + 4] = -(sharp_adj(g) @ incr[k] @ g)
+        mats[k + 4] = sharp_adj(g)
 
     # expand the generator word into pairing letters; an inverse letter
     # (odd code) is its generator's x-word inverted here, not read from the table
@@ -1023,7 +1063,7 @@ def loop_integral_oracle(form, word, rep: SurfaceGroupRep | None = None, base_ve
     total = np.zeros((3, 3))
     prefix = np.eye(3)
     for k in letters:
-        total = total + prefix @ incr[k] @ lorentz.group_inv(prefix)
+        total = total + prefix @ incr[k] @ sharp_adj(prefix)
         prefix = prefix @ mats[k]
     return total
 
@@ -1479,18 +1519,17 @@ def _cylinder_grad(p: int, parts) -> np.ndarray:
     return coef * (-SIGN * nxt) + np.roll(coef, 1) * back
 
 
-def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None, build=None):
+def cylinder_minimize(rig: CylinderRig, p: int, max_iter: int = MAX_ITER, build=None):
     """The shared descent, `_descend`, on the rig's product of hyperboloids;
     `build` is `_descend`'s, by default H0 = 1e-2 I at every build: a first
     step of 1e-2 G, after which the L-BFGS scaling (s, y)#/(y, H0 y)#
     cancels the constant."""
     _check_p(p)
-    opts = opts or SolveOptions()
     Z0 = rig.points.T.copy()
     Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
                               lambda parts: _cylinder_grad(p, parts),
                               Z0, _cylinder_energy(rig, p, Z0), build or (lambda Z, parts: lambda Z, V: 1e-2 * V),
-                              opts)
+                              TOL, max_iter)
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z.T.copy())
     stretch = float((J / rig.a_len) ** (1.0 / p))
     del stats["energy_log"]
@@ -1498,12 +1537,12 @@ def cylinder_minimize(rig: CylinderRig, p: int, opts: SolveOptions | None = None
 
 
 def cylinder_continuation(a_len: float, b_len: float, n: int = 64,
-                          schedule=(2, 4, 8, 16, 32, 64), opts=None, seed: int = 0):
+                          schedule=(2, 4, 8, 16, 32, 64), seed: int = 0):
     schedule = check_schedule(schedule)
     rig = CylinderRig.initial(a_len, b_len, n, seed=seed)
     reports = []
     for p in schedule:
-        rig, rep = cylinder_minimize(rig, p, opts)
+        rig, rep = cylinder_minimize(rig, p)
         rep["p"] = p
         reports.append(rep)
     return rig, reports

@@ -73,6 +73,19 @@ def test_non_finite_error_is_numeric_failure(tmp_path):
         assert not np.isfinite(rep["worst_rel_err"])
 
 
+def test_mass_overflow_is_numeric_failure(tmp_path):
+    # a weight of 1e308 overflows every total: the NaN gaps are a numeric
+    # failure, not a threshold breach
+    assert run(tmp_path, "mass", {"multicurve": [{"word": "a1", "weight": 1e308}]}) == cli.EXIT_NUMERIC
+    rep = read_report(tmp_path, "mass_report.json")
+    assert not np.isfinite([rep["mass"], rep["two_length"], rep["duality_lower_bound"]]).any()
+
+
+def test_length_overflow_is_numeric_failure(tmp_path):
+    assert run(tmp_path, "length", {"multicurve": [{"word": "a1", "weight": 1e308}]}) == cli.EXIT_NUMERIC
+    assert read_report(tmp_path, "length_report.json")["total_length"] == np.inf
+
+
 def test_mass_command(tmp_path):
     cfg = {"multicurve": [{"word": "a1", "weight": 1.0}, {"word": "b2", "weight": 0.5}]}
     assert run(tmp_path, "mass", cfg) == 0
@@ -340,7 +353,7 @@ def test_solve_reports_each_stage_start_energy(tmp_path):
     from stretchlab.earthquake import TwistSpec, twist
     from stretchlab.fuchsian import octagon_representation
     from stretchlab.mesh import build_octagon_mesh
-    from stretchlab.pharmonic import SolveOptions, minimize
+    from stretchlab.pharmonic import minimize
 
     cfg = {
         "target": {"type": "twist", "curve": "a1", "t": 0.5},
@@ -352,11 +365,10 @@ def test_solve_reports_each_stage_start_energy(tmp_path):
     stages = read_report(tmp_path, "solve_summary.json")["stages"]
     mesh = build_octagon_mesh(1)
     rho = twist(octagon_representation(), TwistSpec("a1", 0.5))
-    measure = SolveOptions(max_iter=0)
     with np.load(tmp_path / "out" / "stage_p2.npz") as stage:
         p2_map = stage["class_points"]
-    assert stages[0]["J_start"] == minimize(mesh, rho, 2, measure).J_p
-    assert stages[1]["J_start"] == minimize(mesh, rho, 4, measure, init=p2_map).J_p
+    assert stages[0]["J_start"] == minimize(mesh, rho, 2, cli.TOL, 0).J_p
+    assert stages[1]["J_start"] == minimize(mesh, rho, 4, cli.TOL, 0, init=p2_map).J_p
     assert all(s["J_start"] > s["J_p"] for s in stages)
     assert run(tmp_path, "solve", cfg) == 0
     for first, resumed in zip(stages, read_report(tmp_path, "solve_summary.json")["stages"]):
@@ -369,12 +381,11 @@ def test_stage_csv_round_trips_exactly(tmp_path):
     from stretchlab.earthquake import TwistSpec, twist
     from stretchlab.fuchsian import octagon_representation
     from stretchlab.mesh import build_octagon_mesh
-    from stretchlab.pharmonic import SolveOptions
 
     mesh = build_octagon_mesh(1)
     rho = twist(octagon_representation(), TwistSpec("a1", 0.5))
     prefixes = cli._csv_row_prefixes(mesh.areas)
-    for res in cli.p_continuation(mesh, rho, [2, 4], SolveOptions(), resumed={}):
+    for res in cli.p_continuation(mesh, rho, [2, 4], cli.TOL, cli.MAX_ITER, resumed={}):
         cli._write_stage_csv(tmp_path, res, prefixes)
         with open(tmp_path / f"solve_stage_p{res.p}.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
@@ -395,11 +406,10 @@ def test_stage_csv_matches_csv_writer_bytes(tmp_path, rng):
     from stretchlab.earthquake import TwistSpec, twist
     from stretchlab.fuchsian import octagon_representation
     from stretchlab.mesh import build_octagon_mesh
-    from stretchlab.pharmonic import SolveOptions
 
     mesh = build_octagon_mesh(1)
     rho = twist(octagon_representation(), TwistSpec("a1", 0.5))
-    stage = next(cli.p_continuation(mesh, rho, [2], SolveOptions(), resumed={}))
+    stage = next(cli.p_continuation(mesh, rho, [2], cli.TOL, cli.MAX_ITER, resumed={}))
     odd = np.array([0.0, -0.0, 5e-324, -1e-310, 1e308, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
     n = len(odd)
     cases = [(mesh.areas, stage.s1, stage.s2, stage.density),

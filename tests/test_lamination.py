@@ -186,7 +186,7 @@ def test_pair_gauge_invariance(octagon, rng):
     m = standard_measure(mc_of(octagon, ("a1", 1.0), ("b2", 0.6)))
     xi = earthquake_cocycle(octagon, "b1", 1.0)
     g = random_group_elem(rng)
-    gi = lorentz.group_inv(g)
+    gi = lorentz.sharp_adj(g)
     from stretchlab.cocycle import evaluate_cocycle
 
     base = pair(m, xi)
@@ -227,7 +227,7 @@ def test_frame_invariance_defect_zero_iff_axis_multiple(rng):
 def test_frame_invariance_defect_conjugated_frame(octagon, rng):
     # same closed form in a conjugated frame (general axis through gX0)
     g = random_group_elem(rng)
-    gi = lorentz.group_inv(g)
+    gi = lorentz.sharp_adj(g)
     B = g @ B_STD @ gi
     X = g @ X0
     b, a, z = 0.4, -1.1, 0.8

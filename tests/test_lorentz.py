@@ -11,6 +11,7 @@ from oracles import (
     axis_point,
     cross,
     exp_series_oracle,
+    exp_so21,
     frame_at,
     geodesic,
     hyperbolic_distance,
@@ -25,11 +26,11 @@ from oracles import (
     vee,
 )
 from stretchlab import lorentz
-from stretchlab.fuchsian import octagon_representation
+from stretchlab.fuchsian import GENERATOR_NAMES, axis_generator, octagon_representation
 from stretchlab.lorentz import (
     E_SHARP,
     X0,
-    exp_so21,
+    exp_axis,
     hat,
     mink_cross_vec,
     mink_dot,
@@ -113,7 +114,7 @@ def test_hat_is_the_so21_isomorphism(v, w, k):
     np.testing.assert_array_equal(lorentz.sharp_adj(A), -A)
     np.testing.assert_array_equal(vee(A), w)
     gw = g @ w
-    np.testing.assert_allclose(g @ A @ lorentz.group_inv(g), hat(gw), rtol=0,
+    np.testing.assert_allclose(g @ A @ lorentz.sharp_adj(g), hat(gw), rtol=0,
                                atol=1e-13 * max(1.0, float(np.abs(g).max() ** 2 * np.abs(w).max())))
     assert killing(hat(v), A) == pytest.approx(2.0 * mink_dot(v, w), rel=1e-12, abs=1e-12 * scale)
     assert np.linalg.norm(A) == pytest.approx(np.sqrt(2.0) * np.linalg.norm(w), rel=1e-14, abs=1e-300)
@@ -124,7 +125,7 @@ def test_cross_ad_equivariance(rng):
         g = random_group_elem(rng)
         X, Y = rng.standard_normal(3), rng.standard_normal(3)
         lhs = cross(g @ X, g @ Y)
-        rhs = g @ cross(X, Y) @ lorentz.group_inv(g)
+        rhs = g @ cross(X, Y) @ lorentz.sharp_adj(g)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.abs(rhs).max()))
 
 
@@ -259,6 +260,50 @@ def test_log_near_identity():
     np.testing.assert_allclose(log_so21(exp_so21(A)), A, atol=1e-16)
 
 
+# the twists' axes: the longdouble unit axis of each generator, at twist
+# distances near 0, moderate and large
+EXP_AXIS_TIMES = (-1e-4, 1e-4, 0.5, 1.5, 10.0)
+
+
+def _generator_axes(octagon):
+    return {name: axis_generator(octagon.generator_ld(name)) for name in GENERATOR_NAMES}
+
+
+def test_exp_axis_matches_general_exponential(octagon):
+    # the closed form and the general so(2,1) exponential of t hat(b) agree
+    # in longdouble (5.6e-18 at most, a2 at t = 10), and a longdouble axis
+    # gives a longdouble matrix
+    for name, b in _generator_axes(octagon).items():
+        assert b.dtype == np.longdouble
+        for t in EXP_AXIS_TIMES:
+            got, want = exp_axis(b, t), exp_so21(np.longdouble(t) * hat(b))
+            assert got.dtype == np.longdouble
+            assert np.abs(got - want).max() <= 1e-17 * np.abs(want).max(), (name, t)
+
+
+def test_exp_axis_against_mpmath(octagon):
+    # against a 40-digit expm along the exact unit axis b / sqrt((b, b)#):
+    # 9.4e-19 at most (a2 at t = 10, whose longdouble axis has (b, b)# - 1 =
+    # 8.7e-19)
+    import mpmath
+
+    def exact(x):
+        n, d = x.as_integer_ratio()
+        return mpmath.mpf(n) / d
+
+    entries = [(i, j) for i in range(3) for j in range(3)]
+    with mpmath.workdps(40):
+        for name, b in _generator_axes(octagon).items():
+            v = [exact(x) for x in b]
+            norm = mpmath.sqrt(v[0] ** 2 + v[1] ** 2 - v[2] ** 2)
+            for t in EXP_AXIS_TIMES:
+                x, y, z = (t * c / norm for c in v)
+                want = mpmath.expm(mpmath.matrix([[0, z, -y], [-z, 0, x], [-y, x, 0]]))
+                got = exp_axis(b, t)
+                err = max(abs(exact(got[i, j]) - want[i, j]) for i, j in entries)
+                assert err <= 1e-18 * max(abs(want[i, j]) for i, j in entries), (name, t)
+
+
 def test_geodesic_examples():
     v = np.array([0.0, 1.0, 0.0])
     t = 1.4
@@ -294,7 +339,7 @@ def test_frame_at_standard():
 
 def test_frame_killing_gram(rng):
     g = random_group_elem(rng)
-    B = g @ B_STD @ lorentz.group_inv(g)
+    B = g @ B_STD @ lorentz.sharp_adj(g)
     X = g @ X0
     fr = frame_at(B, X)
     G = np.array([[killing(a, b) for b in fr] for a in fr])
@@ -305,10 +350,10 @@ def test_frame_equivariance(rng):
     for _ in range(10):
         g = random_group_elem(rng)
         B0, Bp0, nh0 = frame_at(B_STD, X0)
-        fr = frame_at(g @ B_STD @ lorentz.group_inv(g), g @ X0)
+        fr = frame_at(g @ B_STD @ lorentz.sharp_adj(g), g @ X0)
         for got, base in zip(fr, (B0, Bp0, nh0)):
             np.testing.assert_allclose(
-                got, g @ base @ lorentz.group_inv(g), atol=1e-10 * max(1, np.abs(got).max())
+                got, g @ base @ lorentz.sharp_adj(g), atol=1e-10 * max(1, np.abs(got).max())
             )
 
 
@@ -320,7 +365,7 @@ def test_frame_rejects_elliptic_generator():
 def test_axis_point(rng):
     for _ in range(10):
         g = random_group_elem(rng)
-        B = g @ B_STD @ lorentz.group_inv(g)
+        B = g @ B_STD @ lorentz.sharp_adj(g)
         X = axis_point(B)
         assert is_on_hyperboloid(X, 1e-9)
         np.testing.assert_allclose(B @ B @ X, X, atol=1e-8)

@@ -239,7 +239,7 @@ def test_maurer_cartan_equivariance_across_pairings(meshes):
         chain = side_chains_oracle(m.level)[(k + 4) % 8]
         for a, b in zip(chain, chain[1:]):
             ta, tb = twin_vertex[k][a], twin_vertex[k][b]
-            lhs = g @ hat(edge_value(omega, a, b)) @ lorentz.group_inv(g)
+            lhs = g @ hat(edge_value(omega, a, b)) @ lorentz.sharp_adj(g)
             np.testing.assert_allclose(lhs, hat(edge_value(omega, ta, tb)), atol=1e-9)
             np.testing.assert_allclose(g @ edge_value(omega, a, b), edge_value(omega, ta, tb), atol=1e-9)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stretchlab import lorentz
-from stretchlab.cli import p_continuation
+from stretchlab.cli import MAX_ITER, TOL, p_continuation
 from stretchlab.earthquake import TwistSpec, twist
 from stretchlab.fuchsian import octagon_representation
 from stretchlab.lamination import WeightedMulticurve, pair, standard_measure
@@ -32,7 +32,7 @@ from oracles import (
     wspmv_oracle,
 )
 from stretchlab.mesh import DiscreteOneForm, build_octagon_mesh, closedness_residual
-from stretchlab.pharmonic import SolveOptions, density_and_currents, minimize
+from stretchlab.pharmonic import density_and_currents, minimize
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +52,7 @@ def rho_twist(octagon):
 
 @pytest.fixture(scope="module")
 def twist_solution(mesh2, rho_twist):
-    return list(p_continuation(mesh2, rho_twist, [2, 4, 8], SolveOptions(max_iter=3000), resumed={}))
+    return list(p_continuation(mesh2, rho_twist, [2, 4, 8], TOL, 3000, resumed={}))
 
 
 # the reference twist at level 2 as the preconditioned L-BFGS descent solves it:
@@ -86,11 +86,11 @@ def test_twist_solution_is_pinned(twist_solution):
 
 
 # a budget of 0 evaluates a given map without moving it
-MEASURE = SolveOptions(max_iter=0)
+MEASURE = dict(tol=TOL, max_iter=0)
 
 
 def _measured_cylinder_J(rig, p):
-    return cylinder_minimize(rig, p, MEASURE)[1]["J_p"]
+    return cylinder_minimize(rig, p, max_iter=0)[1]["J_p"]
 
 
 @pytest.mark.parametrize("level", (2, 3))
@@ -99,23 +99,23 @@ def test_octagon_start_is_near_the_p2_minimum(level, rho_twist):
     # stage's converged J_2 (0.7% measured at levels 2 to 4) and below the
     # J_2 of the domain's class points, the start it replaced
     mesh = build_octagon_mesh(level)
-    res = minimize(mesh, rho_twist, 2, SolveOptions())
+    res = minimize(mesh, rho_twist, 2, TOL, MAX_ITER)
     assert res.stats["converged"]
     assert res.energy_log[0] <= 1.02 * res.J_p
-    assert res.energy_log[0] < minimize(mesh, rho_twist, 2, MEASURE, init=mesh.vertices[mesh.class_rep_vertex]).J_p
+    assert res.energy_log[0] < minimize(mesh, rho_twist, 2, **MEASURE, init=mesh.vertices[mesh.class_rep_vertex]).J_p
 
 
 def test_p_must_be_even_integer(mesh2, octagon):
     for bad in (3, 2.5, 1, 0):
         with pytest.raises(ValueError):
-            minimize(mesh2, octagon, bad, opts=MEASURE)
+            minimize(mesh2, octagon, bad, **MEASURE)
 
 
 def test_identity_energy_near_twice_area(octagon):
     # the "within 2%" claim is pinned at mesh level 3
     m = build_octagon_mesh(3)
     for p in (2, 4, 8):
-        res = minimize(m, octagon, p, opts=MEASURE)
+        res = minimize(m, octagon, p, **MEASURE)
         assert res.J_p == pytest.approx(2.0 * m.areas.sum(), rel=0.02)
     assert float(np.abs(res.s1 - 1.0).max()) < 0.02
     assert float(np.abs(res.s2 - 1.0).max()) < 0.02
@@ -128,7 +128,7 @@ def test_degenerate_triangle_raises(mesh2, octagon):
     broken.areas = mesh2.areas.copy()
     broken.areas[0] = 0.0
     with pytest.raises(ValueError, match="nonpositive-area"):
-        minimize(broken, octagon, 2, opts=MEASURE)
+        minimize(broken, octagon, 2, **MEASURE)
 
 
 def test_cylinder_energy_closed_form():
@@ -184,7 +184,7 @@ def test_descend_restarts_then_fails_on_an_ascent_preconditioner():
         return precond
 
     max_iter = 50
-    _, rep = cylinder_minimize(CylinderRig.initial(2.0, 3.0, 64), 2, SolveOptions(max_iter=max_iter), build)
+    _, rep = cylinder_minimize(CylinderRig.initial(2.0, 3.0, 64), 2, max_iter, build)
     # H0 G, then the L-BFGS pair (q, y) as one stack, then H0 G again
     assert calls == [2, 3, 2]
     assert rep["restarts"] == 1 and rep["line_search_failure"] and not rep["converged"]
@@ -202,7 +202,7 @@ def test_cylinder_stage_values_stay_at_stretch():
 def test_minimize_descends_and_stays_equivariant(mesh2, rho_twist):
     from stretchlab.pharmonic import WOLFE_EPS
 
-    res = minimize(mesh2, rho_twist, 4, opts=SolveOptions(max_iter=500))
+    res = minimize(mesh2, rho_twist, 4, TOL, 500)
     log = res.energy_log
     # an accepted step raises J by at most WOLFE_EPS |J| (approximate Wolfe),
     # and the net drop exceeds all the rises together
@@ -217,7 +217,7 @@ def test_minimize_descends_and_stays_equivariant(mesh2, rho_twist):
     assert float(np.abs(Z[:, 0] ** 2 + Z[:, 1] ** 2 - Z[:, 2] ** 2 + 1.0).max()) <= 1e-10
     chart = np.einsum("vab,vb->va", mesh2.lift_matrices(rho_twist), Z[mesh2.vertex_class])
     assert mesh2.pairing_drift(chart, rho_twist) <= 1e-9
-    assert res.J_p <= minimize(mesh2, rho_twist, 4, opts=MEASURE).J_p + 1e-12
+    assert res.J_p <= minimize(mesh2, rho_twist, 4, **MEASURE).J_p + 1e-12
 
 
 def test_lbfgs_pairs_are_tangent_and_direction_descends(mesh2, rho_twist, monkeypatch):
@@ -237,7 +237,7 @@ def test_lbfgs_pairs_are_tangent_and_direction_descends(mesh2, rho_twist, monkey
     monkeypatch.setattr(pharmonic, "_lbfgs_direction", recording)
     # from the domain's class points, a start far enough from the minimum
     # that 12 steps fill the memory
-    minimize(mesh2, rho_twist, 4, opts=SolveOptions(max_iter=12), init=mesh2.vertices[mesh2.class_rep_vertex])
+    minimize(mesh2, rho_twist, 4, TOL, 12, init=mesh2.vertices[mesh2.class_rep_vertex])
     assert len(calls) >= 10 and max(len(sy) for _, _, _, sy, _ in calls) == pharmonic.LBFGS_MEMORY
     for Z, G, pairs, products, r in calls:
         assert pairs.shape == (2, len(products)) + Z.shape
@@ -265,7 +265,7 @@ def test_start_is_evaluated_once(mesh2, rho_twist, monkeypatch, p, max_iter, bui
 
     monkeypatch.setattr(pharmonic, "_energy_and_grad", counted)
     # from the domain's class points, which no budget here brings to tol
-    res = minimize(mesh2, rho_twist, p, opts=SolveOptions(max_iter=max_iter),
+    res = minimize(mesh2, rho_twist, p, TOL, max_iter,
                    init=mesh2.vertices[mesh2.class_rep_vertex])
     assert res.stats["iterations"] == max_iter
     assert len(calls) == res.stats["energy_evals"]
@@ -279,7 +279,7 @@ def test_identity_stages_build_once(mesh2, octagon, monkeypatch):
     from stretchlab import pharmonic
 
     schedule = [2, 4, 8, 16, 32, 64]
-    stages = list(p_continuation(mesh2, octagon, schedule, SolveOptions(), resumed={}))
+    stages = list(p_continuation(mesh2, octagon, schedule, TOL, MAX_ITER, resumed={}))
     assert [res.stats["iterations"] for res in stages] == [4, 3, 3, 4, 4, 5]
     assert [res.stats["precond_builds"] for res in stages] == [1] * 6
     for res, J_p in zip(stages, [25.5410105214783, 25.96053443665291, 26.830531474293586,
@@ -287,28 +287,27 @@ def test_identity_stages_build_once(mesh2, octagon, monkeypatch):
         assert res.stats["converged"] and res.stats["restarts"] == 0
         assert res.J_p == pytest.approx(J_p, rel=1e-12)
     monkeypatch.setattr(pharmonic, "FIRST_REBUILD", 10 ** 9)
-    for res, once in zip(stages, p_continuation(mesh2, octagon, schedule, SolveOptions(), resumed={})):
+    for res, once in zip(stages, p_continuation(mesh2, octagon, schedule, TOL, MAX_ITER, resumed={})):
         assert ((res.stats["iterations"], res.stats["energy_evals"], res.J_p)
                 == (once.stats["iterations"], once.stats["energy_evals"], once.J_p))
         assert np.array_equal(res.class_points, once.class_points)
     # a start that already meets tol takes no step and builds no H0
-    again = minimize(mesh2, octagon, 64, SolveOptions(), init=stages[-1].class_points)
+    again = minimize(mesh2, octagon, 64, TOL, MAX_ITER, init=stages[-1].class_points)
     assert again.stats["converged"] and (again.stats["iterations"], again.stats["precond_builds"]) == (0, 0)
 
 
 def test_twist_draws_reach_tol(octagon, mesh2):
     # each draw at t=0.6 reaches tol at every stage to p=64 without a restart
-    opts = SolveOptions(max_iter=8000)
     for curve in ("a1", "b1", "a2", "b2"):
         rho = twist(octagon, TwistSpec(curve, 0.6))
-        for res in p_continuation(mesh2, rho, [2, 4, 8, 16, 32, 64], opts, resumed={}):
+        for res in p_continuation(mesh2, rho, [2, 4, 8, 16, 32, 64], TOL, 8000, resumed={}):
             assert res.stats["converged"] and res.stats["restarts"] == 0, (curve, res.p)
-            assert res.stats["grad_norm"] <= opts.tol * max(1.0, res.J_p)
+            assert res.stats["grad_norm"] <= TOL * max(1.0, res.J_p)
 
 
 def test_minimize_zero_iterations_keeps_init(mesh2, rho_twist):
     init = mesh2.vertices[mesh2.class_rep_vertex]
-    res = minimize(mesh2, rho_twist, 2, init=init, opts=SolveOptions(max_iter=0))
+    res = minimize(mesh2, rho_twist, 2, TOL, 0, init=init)
     np.testing.assert_allclose(res.class_points, init, atol=0)
 
 
@@ -485,7 +484,7 @@ def test_singular_values_against_mpmath(octagon):
     from stretchlab.pharmonic import _Context, _eigenvalues, _tri_metric
 
     mesh = build_octagon_mesh(3)
-    res = minimize(mesh, octagon, 8, SolveOptions())
+    res = minimize(mesh, octagon, 8, TOL, MAX_ITER)
     M = _tri_metric(_Context(mesh, octagon), res.class_points.T.copy())["M"]
     want = np.empty((2, M.shape[-1]))
     with mpmath.workdps(40):
@@ -557,7 +556,7 @@ def vcycles(rho_twist):
     cases = {str(p): (mesh, Z, p, _vcycle(mesh, rho_twist, Z, p)) for p in (2, 16)}
     for level in (2, 3):
         mesh = build_octagon_mesh(level)
-        res = list(p_continuation(mesh, rho_twist, [2, 4, 8, 16, 32, 64], SolveOptions(), resumed={}))[-1]
+        res = list(p_continuation(mesh, rho_twist, [2, 4, 8, 16, 32, 64], TOL, MAX_ITER, resumed={}))[-1]
         assert res.stats["converged"]
         Z = res.class_points.T.copy()
         with pytest.MonkeyPatch.context() as patch:
@@ -839,7 +838,7 @@ def test_currents_match_einsum_oracle(mesh2, rho_twist, rng, p):
     # the einsum forms and np.add.at, at a perturbed map measured with a
     # budget of 0: each entry to 1e-14 of the sum of its terms' magnitudes
     # (the two forms add the same terms in another order)
-    res = density_and_currents(minimize(mesh2, rho_twist, p, init=_moved_class_points(mesh2, rng), opts=MEASURE))
+    res = density_and_currents(minimize(mesh2, rho_twist, p, init=_moved_class_points(mesh2, rng), **MEASURE))
     want, bound = currents_oracle(res), currents_oracle(res, magnitude=True)
     for name in ("V_q", "W_q"):
         err = np.abs(lorentz.hat(getattr(res, name).values) - want[name])
@@ -852,7 +851,7 @@ def reference_stages(rho_twist):
     # the reference twist solved at levels 2 and 3, its p=2 and p=64 stages
     return {(level, res.p): res for level in (2, 3)
             for res in p_continuation(build_octagon_mesh(level), rho_twist, [2, 4, 8, 16, 32, 64],
-                                      SolveOptions(max_iter=8000), resumed={}) if res.p in (2, 64)}
+                                      TOL, 8000, resumed={}) if res.p in (2, 64)}
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -879,7 +878,7 @@ def test_stage_outputs_match_3x3_oracle(reference_stages, level, p):
 def test_current_block_matches_frame_oracle(mesh2, rho_twist, rng, p):
     # the block from the solver's metric and power sums against target
     # frames and eigh of U U^T, at a perturbed map measured with a budget of 0
-    res = minimize(mesh2, rho_twist, p, init=_moved_class_points(mesh2, rng), opts=MEASURE)
+    res = minimize(mesh2, rho_twist, p, init=_moved_class_points(mesh2, rng), **MEASURE)
     want = current_block_oracle(res)
     for name in ("density", "T_q", "U_amb", "S_amb"):
         scale = float(np.abs(want[name]).max())
@@ -894,7 +893,7 @@ def test_continuation_requires_increasing_schedule(mesh2, octagon):
     # too; the continuation is a generator, so it raises once consumed
     for bad in ((4, 2), (2, 2), (), (3,), (2, 4.0), (True, 4)):
         with pytest.raises(ValueError):
-            list(p_continuation(mesh2, octagon, bad, SolveOptions(), resumed={}))
+            list(p_continuation(mesh2, octagon, bad, TOL, MAX_ITER, resumed={}))
         with pytest.raises(ValueError):
             cylinder_continuation(2.0, 3.0, schedule=bad)
 
@@ -906,7 +905,7 @@ def test_kappa_normalization(twist_solution):
 
 
 def test_density_uniform_for_identity(mesh2, octagon):
-    res = minimize(mesh2, octagon, 8, opts=SolveOptions(max_iter=2000))
+    res = minimize(mesh2, octagon, 8, TOL, 2000)
     density_and_currents(res)
     dens = res.density
     cv = float(np.std(dens) / np.mean(dens))
@@ -935,7 +934,7 @@ def test_currents_closedness_improves_under_refinement(octagon, rho_twist):
     residuals = []
     for lvl in (2, 3):
         m = build_octagon_mesh(lvl)
-        rs = list(p_continuation(m, rho_twist, [2, 4, 8], SolveOptions(max_iter=4000), resumed={}))
+        rs = list(p_continuation(m, rho_twist, [2, 4, 8], TOL, 4000, resumed={}))
         residuals.append(rs[-1].residuals["V_closedness"])
     assert residuals[1] < residuals[0]
 
