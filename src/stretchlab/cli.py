@@ -11,10 +11,14 @@ Commands: rep, length, kbound, duality, mass, wolpert, solve, report.
 Each writes one JSON report, `<cmd>_report.json` (`solve_summary.json` for
 solve, `report.json` for report), which embeds the config hash, code version
 and the tolerance set, so a rerun with the same config is reproducible within
-documented tolerances.  `rep` also writes `sigma.json` (and `rho.json` for a
-target).  `solve` also writes two files per p-stage: `solve_stage_p{p}.csv`,
-the per-triangle data, and `stage_p{p}.npz`, the config hash and the stage's
-class points, written once; a rerun with the same config resumes from these.
+documented tolerances.  The config hash, `config_hash`, is the first 16 hex
+digits of the SHA-256 of the config's JSON with sorted keys,
+`json.dumps(config, sort_keys=True)`.  The reports are strict JSON: a number
+that is not finite is written as null.  `rep` also writes `sigma.json` (and
+`rho.json` for a target).  `solve` also writes two files per p-stage:
+`solve_stage_p{p}.csv`, the per-triangle data, and `stage_p{p}.npz`, the
+config hash and the stage's class points, written once; a rerun with the
+same config resumes from these.
 
 Exit codes: 0 pass, 2 config error, 3 numeric failure, 4 threshold breach;
 mass and length exit 3 when a total they report is not finite.
@@ -22,12 +26,21 @@ mass and length exit 3 when a total they report is not finite.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
 import time
 import zipfile
+
+try:
+    # hashlib maps OpenSSL's libcrypto, ~3.5 MB of peak RSS, for one digest;
+    # the interpreter's own SHA-256 module gives the same digest
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -70,7 +83,8 @@ class ConfigError(ValueError):
 
 
 def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of the config's sorted-key JSON."""
+    return sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _report_skeleton(config: dict) -> dict:
@@ -152,10 +166,26 @@ def _worst_error(errors, threshold: float):
     return worst, EXIT_OK if worst <= threshold else EXIT_THRESHOLD
 
 
+def _finite_or_null(data):
+    """data with every non-finite number replaced by None, JSON's null."""
+    if isinstance(data, dict):
+        return {k: _finite_or_null(v) for k, v in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_finite_or_null(v) for v in data]
+    if isinstance(data, (float, np.floating)):
+        return float(data) if np.isfinite(data) else None
+    return data
+
+
 def _write_json(outdir, name, data):
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, default=float)
+    # strict JSON: json's NaN and Infinity tokens are not JSON, so a report
+    # that holds a non-finite number is written again with null in its place
+    try:
+        text = json.dumps(data, indent=1, default=float, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(data), indent=1, default=float, allow_nan=False)
+    with open(os.path.join(outdir, name), "w") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -21,6 +22,15 @@ def run(tmp_path, command, config=None, out="out"):
 
 def read_report(tmp_path, name, out="out"):
     return json.loads((tmp_path / out / name).read_text())
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def read_strict_report(tmp_path, name, out="out"):
+    # a strict parser: NaN, Infinity and -Infinity are not JSON (RFC 8259)
+    return json.loads((tmp_path / out / name).read_text(), parse_constant=_reject_constant)
 
 
 def test_rep_command(tmp_path):
@@ -66,24 +76,25 @@ def test_duality_threshold_breach_exit_code(tmp_path):
 
 
 def test_non_finite_error_is_numeric_failure(tmp_path):
-    # a step of 1e3 gives NaN errors for some cases, which max() used to drop
+    # a step of 1e3 gives NaN errors for some cases, which max() used to drop;
+    # the report writes them as null
     for command in ("duality", "wolpert"):
         assert run(tmp_path, command, {"step": 1e3}, out=command) == cli.EXIT_NUMERIC
-        rep = read_report(tmp_path, f"{command}_report.json", out=command)
-        assert not np.isfinite(rep["worst_rel_err"])
+        rep = read_strict_report(tmp_path, f"{command}_report.json", out=command)
+        assert rep["worst_rel_err"] is None
 
 
 def test_mass_overflow_is_numeric_failure(tmp_path):
     # a weight of 1e308 overflows every total: the NaN gaps are a numeric
     # failure, not a threshold breach
     assert run(tmp_path, "mass", {"multicurve": [{"word": "a1", "weight": 1e308}]}) == cli.EXIT_NUMERIC
-    rep = read_report(tmp_path, "mass_report.json")
-    assert not np.isfinite([rep["mass"], rep["two_length"], rep["duality_lower_bound"]]).any()
+    rep = read_strict_report(tmp_path, "mass_report.json")
+    assert rep["mass"] is None and rep["two_length"] is None and rep["duality_lower_bound"] is None
 
 
 def test_length_overflow_is_numeric_failure(tmp_path):
     assert run(tmp_path, "length", {"multicurve": [{"word": "a1", "weight": 1e308}]}) == cli.EXIT_NUMERIC
-    assert read_report(tmp_path, "length_report.json")["total_length"] == np.inf
+    assert read_strict_report(tmp_path, "length_report.json")["total_length"] is None
 
 
 def test_mass_command(tmp_path):
@@ -281,6 +292,40 @@ def test_cli_imports_neither_argparse_nor_gettext(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "kbound_report.json").exists()
+
+
+def test_config_hash_needs_no_openssl():
+    # hashlib maps OpenSSL's libcrypto (~3.5 MB of peak RSS) for one digest:
+    # cli takes SHA-256 from the interpreter's own module, and where that
+    # module is missing it falls back to hashlib with the same digests
+    configs = [
+        {},
+        {"max_word_len": 3, "rep": "octagon"},
+        {"target": {"type": "twist", "curve": "a1", "t": 0.5}, "mesh_level": 4, "p_schedule": [2, 4, 8, 16],
+         "dir": "r\u00e9sum\u00e9"},
+    ]
+    want = [hashlib.sha256(json.dumps(c, sort_keys=True).encode()).hexdigest()[:16] for c in configs]
+    script = (
+        "import json, sys\n"
+        "if sys.argv[1] == 'fallback':\n"
+        "    sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from stretchlab import cli\n"
+        "hashes = [cli._config_hash(c) for c in json.loads(sys.argv[2])]\n"
+        "print(json.dumps({'loaded': sorted({'hashlib', '_hashlib'} & set(sys.modules)), 'hashes': hashes}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for mode in ("lean", "fallback"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, mode, json.dumps(configs)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["hashes"] == want, mode
+        if mode == "lean":
+            assert out["loaded"] == []
+        else:
+            assert "hashlib" in out["loaded"]
 
 
 def test_solve_twist_with_resume_and_report(tmp_path):
@@ -503,9 +548,9 @@ def test_solve_resumed_nan_map_is_numeric_failure(tmp_path):
             config_hash, class_points = data["config_hash"], data["class_points"]
         np.savez(stage, config_hash=config_hash, class_points=np.full_like(class_points, np.nan))
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
-    stages = read_report(tmp_path, "solve_summary.json")["stages"]
+    stages = read_strict_report(tmp_path, "solve_summary.json")["stages"]
     assert [s["p"] for s in stages] == [2, 4]
-    assert all(not np.isfinite(s["J_p"]) for s in stages)
+    assert all(s["J_p"] is None for s in stages)
 
 
 def test_solve_writes_each_stage_file_once(tmp_path, monkeypatch):
