@@ -13,8 +13,7 @@ solve, `report.json` for report), which embeds the config hash, code version
 and the tolerance set, so a rerun with the same config is reproducible within
 documented tolerances.  The config hash, `config_hash`, is the first 16 hex
 digits of the SHA-256 of the config's JSON with sorted keys,
-`json.dumps(config, sort_keys=True)`.  The reports are strict JSON: a number
-that is not finite is written as null.  `rep` also writes `sigma.json` (and
+`json.dumps(config, sort_keys=True)`.  `rep` also writes `sigma.json` (and
 `rho.json` for a target).  `solve` also writes two files per p-stage:
 `solve_stage_p{p}.csv`, the per-triangle data, and `stage_p{p}.npz`, the
 config hash and the stage's class points, written once; a rerun with the
@@ -166,26 +165,10 @@ def _worst_error(errors, threshold: float):
     return worst, EXIT_OK if worst <= threshold else EXIT_THRESHOLD
 
 
-def _finite_or_null(data):
-    """data with every non-finite number replaced by None, JSON's null."""
-    if isinstance(data, dict):
-        return {k: _finite_or_null(v) for k, v in data.items()}
-    if isinstance(data, (list, tuple)):
-        return [_finite_or_null(v) for v in data]
-    if isinstance(data, (float, np.floating)):
-        return float(data) if np.isfinite(data) else None
-    return data
-
-
 def _write_json(outdir, name, data):
-    # strict JSON: json's NaN and Infinity tokens are not JSON, so a report
-    # that holds a non-finite number is written again with null in its place
-    try:
-        text = json.dumps(data, indent=1, default=float, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_finite_or_null(data), indent=1, default=float, allow_nan=False)
-    with open(os.path.join(outdir, name), "w") as fh:
-        fh.write(text)
+    path = os.path.join(outdir, name)
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, default=float)
 
 
 # ---------------------------------------------------------------------------

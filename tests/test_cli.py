@@ -24,15 +24,6 @@ def read_report(tmp_path, name, out="out"):
     return json.loads((tmp_path / out / name).read_text())
 
 
-def _reject_constant(token):
-    raise ValueError(f"{token} is not JSON")
-
-
-def read_strict_report(tmp_path, name, out="out"):
-    # a strict parser: NaN, Infinity and -Infinity are not JSON (RFC 8259)
-    return json.loads((tmp_path / out / name).read_text(), parse_constant=_reject_constant)
-
-
 def test_rep_command(tmp_path):
     assert run(tmp_path, "rep", {"target": {"twist": {"curve": "a1", "t": 0.5}}}) == 0
     rep = read_report(tmp_path, "rep_report.json")
@@ -76,25 +67,24 @@ def test_duality_threshold_breach_exit_code(tmp_path):
 
 
 def test_non_finite_error_is_numeric_failure(tmp_path):
-    # a step of 1e3 gives NaN errors for some cases, which max() used to drop;
-    # the report writes them as null
+    # a step of 1e3 gives NaN errors for some cases, which max() used to drop
     for command in ("duality", "wolpert"):
         assert run(tmp_path, command, {"step": 1e3}, out=command) == cli.EXIT_NUMERIC
-        rep = read_strict_report(tmp_path, f"{command}_report.json", out=command)
-        assert rep["worst_rel_err"] is None
+        rep = read_report(tmp_path, f"{command}_report.json", out=command)
+        assert not np.isfinite(rep["worst_rel_err"])
 
 
 def test_mass_overflow_is_numeric_failure(tmp_path):
     # a weight of 1e308 overflows every total: the NaN gaps are a numeric
     # failure, not a threshold breach
     assert run(tmp_path, "mass", {"multicurve": [{"word": "a1", "weight": 1e308}]}) == cli.EXIT_NUMERIC
-    rep = read_strict_report(tmp_path, "mass_report.json")
-    assert rep["mass"] is None and rep["two_length"] is None and rep["duality_lower_bound"] is None
+    rep = read_report(tmp_path, "mass_report.json")
+    assert not np.isfinite([rep["mass"], rep["two_length"], rep["duality_lower_bound"]]).any()
 
 
 def test_length_overflow_is_numeric_failure(tmp_path):
     assert run(tmp_path, "length", {"multicurve": [{"word": "a1", "weight": 1e308}]}) == cli.EXIT_NUMERIC
-    assert read_strict_report(tmp_path, "length_report.json")["total_length"] is None
+    assert read_report(tmp_path, "length_report.json")["total_length"] == np.inf
 
 
 def test_mass_command(tmp_path):
@@ -274,58 +264,55 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch, comman
     assert (tmp_path / "out").read_text() == "a file"
 
 
-def test_cli_imports_neither_argparse_nor_gettext(tmp_path):
-    # argparse builds its parser through gettext, which probes the disk for
-    # locale files: ~1.5 ms of a ~6 ms kbound command
+HASH_CONFIGS = [
+    {},
+    {"max_word_len": 3, "rep": "octagon"},
+    {"target": {"type": "twist", "curve": "a1", "t": 0.5}, "mesh_level": 4, "p_schedule": [2, 4, 8, 16],
+     "dir": "r\u00e9sum\u00e9"},
+]
+
+
+def config_hashes_in_fresh_interpreter(tmp_path, prelude=""):
+    """cli.main's kbound exit code, the modules it loaded of argparse,
+    gettext, hashlib and _hashlib, and cli's config_hash of HASH_CONFIGS,
+    from a fresh interpreter that runs prelude first (on its last line of
+    output, after the command's own)."""
     (tmp_path / "kbound.json").write_text(json.dumps({"max_word_len": 2}))
-    script = (
-        "import sys\n"
+    script = prelude + (
+        "import json, sys\n"
         "from stretchlab import cli\n"
         "code = cli.main(['kbound', '--config', sys.argv[1] + '/kbound.json', '--out', sys.argv[1] + '/out'])\n"
-        "loaded = sorted({'argparse', 'gettext'} & set(sys.modules))\n"
-        "sys.exit(0 if code == 0 and not loaded else f'exit code {code}, loaded {loaded}')\n"
+        "loaded = sorted({'argparse', 'gettext', 'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "print(json.dumps([code, loaded, [cli._config_hash(c) for c in json.loads(sys.argv[2])]]))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(HASH_CONFIGS)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "kbound_report.json").exists()
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_config_hash_needs_no_openssl():
-    # hashlib maps OpenSSL's libcrypto (~3.5 MB of peak RSS) for one digest:
-    # cli takes SHA-256 from the interpreter's own module, and where that
-    # module is missing it falls back to hashlib with the same digests
-    configs = [
-        {},
-        {"max_word_len": 3, "rep": "octagon"},
-        {"target": {"type": "twist", "curve": "a1", "t": 0.5}, "mesh_level": 4, "p_schedule": [2, 4, 8, 16],
-         "dir": "r\u00e9sum\u00e9"},
-    ]
-    want = [hashlib.sha256(json.dumps(c, sort_keys=True).encode()).hexdigest()[:16] for c in configs]
-    script = (
-        "import json, sys\n"
-        "if sys.argv[1] == 'fallback':\n"
-        "    sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
-        "from stretchlab import cli\n"
-        "hashes = [cli._config_hash(c) for c in json.loads(sys.argv[2])]\n"
-        "print(json.dumps({'loaded': sorted({'hashlib', '_hashlib'} & set(sys.modules)), 'hashes': hashes}))\n"
-    )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    for mode in ("lean", "fallback"):
-        proc = subprocess.run(
-            [sys.executable, "-c", script, mode, json.dumps(configs)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
-        assert out["hashes"] == want, mode
-        if mode == "lean":
-            assert out["loaded"] == []
-        else:
-            assert "hashlib" in out["loaded"]
+def sha256_config_hashes():
+    return [hashlib.sha256(json.dumps(c, sort_keys=True).encode()).hexdigest()[:16] for c in HASH_CONFIGS]
+
+
+def test_cli_imports_neither_argparse_nor_gettext(tmp_path):
+    # argparse builds its parser through gettext, which probes the disk for
+    # locale files: ~1.5 ms of a ~6 ms kbound command; hashlib maps OpenSSL's
+    # libcrypto (~3.5 MB of peak RSS) for one digest, which the interpreter's
+    # own SHA-256 module gives as well
+    assert config_hashes_in_fresh_interpreter(tmp_path) == [0, [], sha256_config_hashes()]
+
+
+def test_config_hash_falls_back_to_hashlib(tmp_path):
+    # an interpreter without its own SHA-256 module gives the same digests
+    prelude = "import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+    code, loaded, hashes = config_hashes_in_fresh_interpreter(tmp_path, prelude)
+    assert code == 0 and "hashlib" in loaded
+    assert hashes == sha256_config_hashes()
 
 
 def test_solve_twist_with_resume_and_report(tmp_path):
@@ -548,9 +535,9 @@ def test_solve_resumed_nan_map_is_numeric_failure(tmp_path):
             config_hash, class_points = data["config_hash"], data["class_points"]
         np.savez(stage, config_hash=config_hash, class_points=np.full_like(class_points, np.nan))
     assert run(tmp_path, "solve", cfg) == cli.EXIT_NUMERIC
-    stages = read_strict_report(tmp_path, "solve_summary.json")["stages"]
+    stages = read_report(tmp_path, "solve_summary.json")["stages"]
     assert [s["p"] for s in stages] == [2, 4]
-    assert all(s["J_p"] is None for s in stages)
+    assert all(not np.isfinite(s["J_p"]) for s in stages)
 
 
 def test_solve_writes_each_stage_file_once(tmp_path, monkeypatch):
