@@ -17,7 +17,7 @@ runs one contiguous loop; chart points are lifted once per vertex.
 The descent, `_descend`, is Riemannian L-BFGS on a product of
 hyperboloids, one per vertex class (retraction: renormalize to the sheet,
 exact exponential step where that would leave it; vector transport:
-tangent projection of the pairs, in place in a ring) with an
+tangent projection of the stored pairs, in place in a ring's prefix) with an
 approximate-Wolfe line search.  Line-search trials evaluate the energy
 alone; a gradient is built from the intermediates of the trial, h_{n-1}
 and h_{n-2} included, once it passes Armijo or once J is within
@@ -614,26 +614,24 @@ class _VCycle:
         return _project(Z, self.a * x.real[..., None, :] + self.b * x.imag[..., None, :])
 
 
-def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, precond, ring: np.ndarray, live: list,
+def _lbfgs_direction(Z: np.ndarray, G: np.ndarray, precond, S: np.ndarray, Y: np.ndarray,
                      sy: np.ndarray) -> np.ndarray:
     """H G by the L-BFGS two-loop recursion in (., .)# over the pairs
-    (s, y) = ring[:, i] for the slots i in `live`, oldest first, with
-    sy[i] = (s, y)#, seeded with (s, y)#/(y, H0 y)# H0 for the newest pair:
-    one call of precond gives H0 q and H0 y together.  Projected on T_Z."""
-    S, Y = ring
+    (s, y) = (S[i], Y[i]), oldest first, with sy[i] = (s, y)#, seeded with
+    (s, y)#/(y, H0 y)# H0 for the newest pair: one call of precond gives
+    H0 q and H0 y together.  Projected on T_Z."""
     q, alphas = G.copy(), []
-    for i in reversed(live):
-        alphas.append(_mdot(S[i], q) / sy[i])
-        q -= alphas[-1] * Y[i]
-    y = Y[live[-1]]
-    Hq, Hy = precond(Z, np.stack([q, y]))
-    r = (sy[live[-1]] / _mdot(y, Hy)) * Hq
-    for i, a in zip(live, reversed(alphas)):
-        r += (a - _mdot(Y[i], r) / sy[i]) * S[i]
+    for s, y, s_y in zip(S[::-1], Y[::-1], sy[::-1]):
+        alphas.append(_mdot(s, q) / s_y)
+        q -= alphas[-1] * y
+    Hq, Hy = precond(Z, np.stack([q, Y[-1]]))
+    r = (sy[-1] / _mdot(Y[-1], Hy)) * Hq
+    for s, y, s_y, a in zip(S, Y, sy, reversed(alphas)):
+        r += (a - _mdot(y, r) / s_y) * s
     return _project(Z, r)
 
 
-def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: int):
+def _descend(energy, grad, Z: np.ndarray, build, tol: float, max_iter: int):
     """Riemannian L-BFGS with an approximate-Wolfe line search on (3, n)
     points Z, one hyperboloid point per column, preconditioned by H0 =
     build(Z, extra): a callable precond(Z, V), a symmetric positive map of
@@ -648,10 +646,9 @@ def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: in
     curvature pairs of J that H0 only seeds, are kept.
 
     energy(Z) returns (J, extra) without a gradient, so a line-search trial
-    costs one energy evaluation; start = energy(Z) at the start, evaluated
-    by the caller and counted in energy_evals; grad(extra) builds the
-    Euclidean gradient, and may consume the parts of extra that build and
-    the caller do not read.  A rejected trial's extra is dropped before the
+    costs one energy evaluation, and so does the start; grad(extra) builds
+    the Euclidean gradient, and may consume the parts of extra that build
+    and the caller do not read.  A rejected trial's extra is dropped before the
     next trial is evaluated.  A trial is _retract(Z, t r), r = `_lbfgs_direction`
     or, with an empty memory, H0 G, and t = 1 halved up to MAX_BACKTRACKS
     times.  It passes on Armijo decrease, or, if J rose by
@@ -659,21 +656,21 @@ def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: in
     then reused, has (G+, r)# in [-0.8, 0.9] (G, r)#; a failed slope test
     costs a gradient (`wolfe_rejections`), so grad_evals == iterations + 1 +
     wolfe_rejections.  So J rises by at most WOLFE_EPS |J| across an
-    accepted step.  The pairs s = Z+ - Z, y = G+ - G are written into a
-    preallocated ring of LBFGS_MEMORY + 1 slots, which is projected on T_Z+
-    in place after each step (the vector transport), and a pair is kept
-    while (s, y)# > 0.  A failed line search clears the memory and retries
+    accepted step.  The k pairs are ring[:, :k], oldest first, in a ring of
+    LBFGS_MEMORY + 1 slots: a step writes s = Z+ - Z, y = G+ - G in slot k,
+    projects ring[:, :k + 1] on T_Z+ in place (the vector transport), and
+    keeps the newest LBFGS_MEMORY pairs with (s, y)# > 0, moved down over
+    the dropped ones.  A failed line search sets k = 0 and retries
     along H0 G (`restarts`, counted in the budget max_iter with the accepted
     steps `iterations`); failing there is a line-search failure.
     `converged` means |G| <= tol max(1, J), tested at every iterate, so a
     budget of 0 reports whether the start point is stationary.  Returns
     the last iterate, its energy and extra, and the run statistics.
     """
-    J, extra = start
-    del start  # else the caller's tuple holds the start's extra to the end
+    J, extra = energy(Z)
     G = _riemannian_grad(Z, grad(extra))
     energy_evals = grad_evals = 1
-    log, ring, live = [J], np.zeros((2, LBFGS_MEMORY + 1) + Z.shape), []
+    log, ring, k = [J], np.zeros((2, LBFGS_MEMORY + 1) + Z.shape), 0
     iterations = restarts = wolfe_rejections = builds = 0
     converged = ls_failure = False
     precond, rebuild_at, build_s = None, FIRST_REBUILD, 0.0
@@ -691,8 +688,8 @@ def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: in
             precond = build(Z, extra)
             build_s += time.perf_counter() - began
             builds += 1
-        if live:
-            r = _lbfgs_direction(Z, G, precond, ring, live, sy)
+        if k:
+            r = _lbfgs_direction(Z, G, precond, ring[0, :k], ring[1, :k], sy)
         else:
             r = precond(Z, G)
         slope = float(_mdot(G, r))
@@ -715,8 +712,8 @@ def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: in
             extra_new = G_new = None
             t *= 0.5
         else:
-            if live:
-                live = []
+            if k:
+                k = 0
                 restarts += 1
                 continue
             ls_failure = True
@@ -724,12 +721,16 @@ def _descend(energy, grad, Z: np.ndarray, start, build, tol: float, max_iter: in
         if G_new is None:
             G_new = _riemannian_grad(Z_new, grad(extra_new))
             grad_evals += 1
-        slot = min(set(range(LBFGS_MEMORY + 1)) - set(live))
-        np.subtract(Z_new, Z, out=ring[0, slot])
-        np.subtract(G_new, G, out=ring[1, slot])
-        _project(Z_new, ring)
-        sy = _mdot(ring[0], ring[1])
-        live = [i for i in live + [slot] if sy[i] > 0.0][-LBFGS_MEMORY:]
+        np.subtract(Z_new, Z, out=ring[0, k])
+        np.subtract(G_new, G, out=ring[1, k])
+        sy = _mdot(*_project(Z_new, ring[:, :k + 1]))
+        keep = np.flatnonzero(sy > 0.0)[-LBFGS_MEMORY:]
+        # forward (i >= j), a half at a time: numpy buffers a copy whose source
+        # and target bounds overlap, as those of ring[:, i] and ring[:, j] do
+        for j, i in enumerate(keep):
+            if i > j:
+                ring[0, j], ring[1, j] = ring[0, i], ring[1, i]
+        sy, k = sy[keep], len(keep)
         Z, J, extra, G = Z_new, J_new, extra_new, G_new
         iterations += 1
         log.append(J)
@@ -764,11 +765,9 @@ def minimize(
     Z0 = (mesh.start_points(rho) if init is None else np.asarray(init, dtype=float)).T.copy()
     ctx = _Context(mesh, rho)
 
-    # the start is evaluated once, for the first H0 and the descent
     start = time.perf_counter()
     Z, J, m, stats = _descend(lambda Z: _energy_and_grad(ctx, Z, p), lambda m: _grad_from_metric(ctx, m),
-                              Z0, _energy_and_grad(ctx, Z0, p), lambda Z, m: _VCycle(ctx, mesh, Z, m),
-                              tol, max_iter)
+                              Z0, lambda Z, m: _VCycle(ctx, mesh, Z, m), tol, max_iter)
     precond_s, energy_log = stats.pop("precond_s"), stats.pop("energy_log")
     timings = {"precond_s": precond_s, "descent_s": time.perf_counter() - start - precond_s}
     s1, s2 = np.sqrt(_eigenvalues(m))

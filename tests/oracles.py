@@ -338,6 +338,21 @@ def octagon_generators_oracle() -> np.ndarray:
         )
 
 
+def bolza_automorphism(j: int) -> list:
+    """The generator words (a1, b1, a2, b2) of phi^j, the automorphism of
+    pi_1 that the rotation by j pi/4 about the octagon's centre induces on
+    the Bolza surface: x_k -> x_{k+j}, indices mod 8 (x_{k+4} = x_k^-1),
+    read through a1 = x0, b1 = x3, a2 = x3 x0 x1^-1 and b2 = x1 x2^-1."""
+    return [Word(c for k in xs for c in PAIRING_WORDS[(k + j) % 8].letters) for xs in LETTER_X_WORDS[::2]]
+
+
+def precompose(rep: SurfaceGroupRep, words) -> SurfaceGroupRep:
+    """rep o phi for the generator words of phi, each evaluated in extended
+    precision.  It is not validated: its relator residual can exceed
+    RELATOR_TOL (1.8e-9 for psi = phi^4 on b2 t=1.5)."""
+    return SurfaceGroupRep(np.array([rep.evaluate_ld(w) for w in words]), rep.label)
+
+
 def zero_cocycle(rep: SurfaceGroupRep) -> Cocycle:
     return Cocycle(rep, np.zeros((4, 3)))
 
@@ -1525,10 +1540,9 @@ def cylinder_minimize(rig: CylinderRig, p: int, max_iter: int = MAX_ITER, build=
     step of 1e-2 G, after which the L-BFGS scaling (s, y)#/(y, H0 y)#
     cancels the constant."""
     _check_p(p)
-    Z0 = rig.points.T.copy()
     Z, J, _, stats = _descend(lambda Z: _cylinder_energy(rig, p, Z),
                               lambda parts: _cylinder_grad(p, parts),
-                              Z0, _cylinder_energy(rig, p, Z0), build or (lambda Z, parts: lambda Z, V: 1e-2 * V),
+                              rig.points.T.copy(), build or (lambda Z, parts: lambda Z, V: 1e-2 * V),
                               TOL, max_iter)
     out = CylinderRig(rig.a_len, rig.b_len, rig.n, Z.T.copy())
     stretch = float((J / rig.a_len) ** (1.0 / p))

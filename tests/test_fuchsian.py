@@ -30,12 +30,14 @@ from oracles import (
     B_STD,
     NHAT_STD,
     all_words_oracle,
+    bolza_automorphism,
     enumerate_words_oracle,
     exp_so21,
     free_words,
     killing,
     lie_from_frame_coords,
     octagon_generators_oracle,
+    precompose,
     random_group_elem,
     stretch_ratio,
     traces_oracle,
@@ -505,3 +507,32 @@ def test_pairing_images_are_the_evaluated_pairing_words(octagon, twisted):
     for k in range(4):
         assert np.array_equal(table[k], rep.evaluate(PAIRING_WORDS[k]))
         np.testing.assert_allclose(table[k + 4], rep.evaluate(PAIRING_WORDS[k + 4]), rtol=0, atol=1e-12)
+
+
+def test_rotation_by_pi_over_4_shifts_the_pairings(octagon):
+    # the rotation R by pi/4 about the octagon's centre conjugates x_k to
+    # x_{k+1}, so sigma o phi = R sigma R^-1 on the generators
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    X = octagon.pairing_images()
+    for k in range(8):
+        assert np.abs(R @ X[k] @ R.T - X[(k + 1) % 8]).max() <= 1e-14
+    rotated = precompose(octagon, bolza_automorphism(1)).generators
+    for g, h in zip(octagon.generators, rotated):
+        assert np.abs(R @ g @ R.T - h).max() <= 1e-14 * np.abs(g).max()
+
+
+@pytest.mark.parametrize("curve, t", [(c, t) for c in fuchsian.GENERATOR_NAMES for t in (0.4, 0.5, 0.6)]
+                         + [("b2", 1.5)])
+def test_hyperelliptic_involution_keeps_every_trace(octagon, curve, t):
+    # psi = phi^4, the rotation by pi, acts trivially on Teichmueller space
+    # in genus 2, so rho o psi is conjugate to rho: the same trace on every
+    # class up to length 5, each multiplied out in extended precision (the
+    # float64 products of `_traces` lose 3.8e-10 on b1 t=0.6)
+    rho = twist(octagon, TwistSpec(curve, t))
+    psi = precompose(rho, bolza_automorphism(4))
+    words = [Word(c for c in row if c != fuchsian.PAD) for row in enumerate_words(5).tolist()]
+    assert len(words) == 2074
+    for w in words:
+        a, b = np.trace(rho.evaluate_ld(w)), np.trace(psi.evaluate_ld(w))
+        assert abs(float((b - a) / a)) <= 1e-10

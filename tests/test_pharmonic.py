@@ -12,6 +12,7 @@ from stretchlab.lorentz import X0
 from oracles import (
     CylinderRig,
     assert_extraction_matches_oracle,
+    bolza_automorphism,
     current_block_oracle,
     currents_oracle,
     cylinder_continuation,
@@ -23,6 +24,7 @@ from oracles import (
     gradient_fd_check,
     kernel_oracle,
     newton_power_oracle,
+    precompose,
     project_oracle,
     retract_oracle,
     schatten_hessian_fd,
@@ -224,14 +226,13 @@ def test_lbfgs_pairs_are_tangent_and_direction_descends(mesh2, rho_twist, monkey
     from stretchlab import pharmonic
     from stretchlab.pharmonic import _mdot
 
-    # the pairs are the live slots of a (2, k, 3, nc) ring, s = ring[0, i]
-    # and y = ring[1, i]
+    # the pairs are s = S[i] and y = Y[i], views of the descent's ring
     calls = []
     direction = pharmonic._lbfgs_direction
 
-    def recording(Z, G, precond, ring, live, sy):
-        r = direction(Z, G, precond, ring, live, sy)
-        calls.append((Z, G, ring[:, live].copy(), sy[live].copy(), r))
+    def recording(Z, G, precond, S, Y, sy):
+        r = direction(Z, G, precond, S, Y, sy)
+        calls.append((Z, G, np.stack([S, Y]), sy.copy(), r))
         return r
 
     monkeypatch.setattr(pharmonic, "_lbfgs_direction", recording)
@@ -246,6 +247,33 @@ def test_lbfgs_pairs_are_tangent_and_direction_descends(mesh2, rho_twist, monkey
                 assert np.abs(np.einsum("an,an->n", lorentz.E_SHARP @ v, Z)).max() <= 1e-12 * np.abs(v).max()
             assert sy == _mdot(s, y) > 0.0
         assert _mdot(G, r) > 0.0
+
+
+def test_descent_transports_only_its_pairs(mesh2, rho_twist, monkeypatch):
+    # each step transports its stored pairs and the new one, a (2, m, 3, nc)
+    # stack with m at most one more than the pairs the step's direction read
+    # (none without a direction call), and no slot that was never written
+    from stretchlab import pharmonic
+
+    pairs, transports = [0], []
+    project, direction = pharmonic._project, pharmonic._lbfgs_direction
+
+    def recording_project(Z, V):
+        if V.ndim == 4:  # H0 projects (3, nc) fields and (2, 3, nc) stacks
+            transports.append((pairs[-1], V.shape[1], V.any(axis=(0, 2, 3)).all()))
+            pairs.append(0)
+        return project(Z, V)
+
+    def recording_direction(*args):
+        pairs[-1] = len(args[-1])
+        return direction(*args)
+
+    monkeypatch.setattr(pharmonic, "_project", recording_project)
+    monkeypatch.setattr(pharmonic, "_lbfgs_direction", recording_direction)
+    minimize(mesh2, rho_twist, 4, TOL, 12, init=mesh2.vertices[mesh2.class_rep_vertex])
+    assert len(transports) == 12 and max(m for _, m, _ in transports) == pharmonic.LBFGS_MEMORY + 1
+    for stored, m, written in transports:
+        assert m <= stored + 1 and written
 
 
 @pytest.mark.parametrize("p, max_iter, builds", [pytest.param(4, 0, 0, id="0"), pytest.param(4, 12, 1, id="12"),
@@ -758,13 +786,18 @@ def test_vcycle_build_matches_whole_array_oracle(vcycles, rho_twist, case):
 
 
 def test_project_matches_whole_array_oracle(mesh2, rng):
-    # the projection of one field and of a ring of pairs, (2, 9, 3, nc)
+    # the projection of one field, of a ring of pairs, (2, 9, 3, nc), and in
+    # place on the ring's prefix of 4 pairs, the strided view that the
+    # descent transports
     from stretchlab.pharmonic import _project
 
     Z = _moved_class_points(mesh2, rng).T.copy()
     for shape in (Z.shape, (2, 9) + Z.shape):
         V = rng.standard_normal(shape)
         assert np.array_equal(_project(Z, V.copy()), project_oracle(Z, V))
+    want = project_oracle(Z, V[:, :4])
+    _project(Z, V[:, :4])
+    assert np.array_equal(V[:, :4], want)
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -784,6 +817,24 @@ def test_kernel_matches_whole_array_oracle(reference_stages, level, p):
     J, m = _energy_and_grad(ctx, Z, p)
     assert J == res.J_p
     assert np.array_equal(_grad_from_metric(ctx, dict(m)), grad_from_metric_oracle(ctx, m))
+
+
+def test_rotated_target_solves_to_the_same_stages(rho_twist):
+    # the mesh is invariant under the rotation by pi/4, so the problem for
+    # rho o phi is rho's with the classes relabelled: the same J_p at every
+    # stage to rounding and the same max s1.  Only the start is not
+    # symmetric, so the p=2 stage takes its own steps (26 against 7) and
+    # the stages from p=4 on the same ones
+    mesh = build_octagon_mesh(3)
+    stages = [[(res.J_p, res.stats["iterations"], res.stats["converged"], float(res.s1.max()))
+               for res in p_continuation(mesh, rho, [2, 4, 8, 16, 32, 64], TOL, MAX_ITER, resumed={})]
+              for rho in (rho_twist, precompose(rho_twist, bolza_automorphism(1)))]
+    for (J_p, _, converged, _), (rotated_J_p, _, rotated_converged, _) in zip(*stages):
+        assert converged and rotated_converged
+        assert rotated_J_p == pytest.approx(J_p, rel=1e-11, abs=0)
+    assert abs(stages[1][-1][3] - stages[0][-1][3]) <= 1e-9
+    for rho_stages in stages:
+        assert [iterations for _, iterations, _, _ in rho_stages[1:]] == [6, 7, 11, 19, 23]
 
 
 def _traced_peak(fn):
